@@ -1,8 +1,18 @@
 """The modular group algebra F_pG and its ideal calculus.
 
-Elements are coefficient vectors of length |G| indexed by group elements;
-basis vectors multiply through the Cayley table.  All subspace-valued
-operations return canonical RREF subspaces from :mod:`pgroupalg.fplin`.
+Elements are coefficient vectors of length |G| indexed by group elements.
+All subspace-valued operations return canonical RREF subspaces from
+:mod:`pgroupalg.fplin`.
+
+Products go through the regular representation.  Each context holds two
+gather tables, ``L[g, t] = g^-1 t`` and ``R[g, t] = t g^-1``, so that
+``e_g x = x[L[g]]`` and ``x e_g = x[R[g]]``: translates by group elements
+are pure gathers.  A product is ``u v = u @ v[L]``, and all products of two
+row sets X, Y come from the single matrix product ``X @ Y[:, L]`` (mod p),
+formed in chunks of Y so that the gathered block stays bounded up to
+MAX_ORDER.  Row-wise products ``A[k] B[k]``, and with them the row-wise
+powers that raise a whole basis to its p^i-th powers at once, gather in
+chunks the same way.
 """
 
 from __future__ import annotations
@@ -11,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fplin import FpSubspace, QuotientSpace, nullspace
+from .fplin import FpSubspace, QuotientSpace, matmul_mod, nullspace
 from .groups import (NotNormalError, PGroup, Subgroup,
                      characteristic_subgroup)
 
@@ -24,6 +34,11 @@ class EnumerationCapExceeded(AlgebraError):
     pass
 
 
+# Largest gathered block Y[:, L] formed at once, in entries (8 MB): whole
+# row sets below order 128, 16 rows at order 256.
+_GATHER_ENTRIES = 1 << 20
+
+
 class AlgebraContext:
     """F_pG for a fixed Cayley-table group.  Immutable and shareable."""
 
@@ -31,6 +46,10 @@ class AlgebraContext:
         self.group = group
         self.p = group.p
         self.dim = group.order
+        T = group.table
+        inv = np.array([group.inv(g) for g in range(self.dim)], dtype=np.int64)
+        self._left = T[inv]        # L[g, t] = g^-1 t
+        self._right = T[:, inv].T  # R[g, t] = t g^-1
         self._aug_ideal: FpSubspace | None = None
         self._center: FpSubspace | None = None
 
@@ -55,21 +74,63 @@ class AlgebraContext:
         v = np.asarray(v, dtype=np.int64) % self.p
         if u.shape != (self.dim,) or v.shape != (self.dim,):
             raise AlgebraError("element dimension mismatch")
-        out = np.zeros(self.dim, dtype=np.int64)
-        np.add.at(out, self.group.table.ravel(), np.outer(u, v).ravel())
+        return (u @ v[self._left]) % self.p
+
+    def left_translates(self, X) -> np.ndarray:
+        """Rows e_g x, row k * |G| + g for the k-th row x of X."""
+        return np.asarray(X)[:, self._left].reshape(-1, self.dim)
+
+    def right_translates(self, X) -> np.ndarray:
+        """Rows x e_g, row k * |G| + g for the k-th row x of X."""
+        return np.asarray(X)[:, self._right].reshape(-1, self.dim)
+
+    def products(self, X, Y) -> np.ndarray:
+        """All products x_i y_j of rows of X and Y, row i * len(Y) + j."""
+        X = np.asarray(X, dtype=np.int64) % self.p
+        Y = np.asarray(Y, dtype=np.int64) % self.p
+        n = self.dim
+        out = np.empty((X.shape[0], Y.shape[0], n), dtype=np.int64)
+        step = max(1, _GATHER_ENTRIES // (n * n))
+        for j in range(0, Y.shape[0], step):
+            gathered = Y[j:j + step, self._left]  # [j, g, t] = y_j[g^-1 t]
+            out[:, j:j + step] = matmul_mod(X, gathered, self.p).transpose(1, 0, 2)
+        return out.reshape(-1, n)
+
+    def commutators(self, X, Y) -> np.ndarray:
+        """Rows x_i y_j - y_j x_i, row i * len(Y) + j; zero iff X, Y commute."""
+        a, b = len(X), len(Y)
+        xy = self.products(X, Y)
+        yx = self.products(Y, X).reshape(b, a, self.dim).transpose(1, 0, 2)
+        return (xy - yx.reshape(-1, self.dim)) % self.p
+
+    def _rowwise(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Row-wise products A[k] B[k] = A[k] @ B[k][L], in chunks of rows."""
+        out = np.empty_like(A)
+        step = max(1, _GATHER_ENTRIES // (self.dim * self.dim))
+        for k in range(0, A.shape[0], step):
+            out[k:k + step] = np.einsum("kg,kgt->kt", A[k:k + step],
+                                        B[k:k + step, self._left])
         return out % self.p
 
-    def power(self, v, m: int) -> np.ndarray:
+    def powers(self, X, m: int) -> np.ndarray:
+        """Row-wise m-th powers of the rows of X, by repeated squaring."""
         if m < 0:
             raise AlgebraError("negative powers are not defined here")
-        acc = self.one
-        base = np.asarray(v, dtype=np.int64) % self.p
+        base = np.asarray(X, dtype=np.int64).reshape(-1, self.dim) % self.p
+        acc = None
         while m:
             if m & 1:
-                acc = self.multiply(acc, base)
-            base = self.multiply(base, base)
+                acc = base if acc is None else self._rowwise(acc, base)
             m >>= 1
+            if m:
+                base = self._rowwise(base, base)
+        if acc is None:
+            acc = np.zeros_like(base)
+            acc[:, 0] = 1
         return acc
+
+    def power(self, v, m: int) -> np.ndarray:
+        return self.powers(np.asarray(v)[None], m)[0]
 
     def p_power(self, v, i: int) -> np.ndarray:
         return self.power(v, self.p ** i)
@@ -88,13 +149,14 @@ class AlgebraContext:
         return FpSubspace.full(self.p, self.dim)
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        G = self.group
+        # conj[h, g] = h g h^-1 = R[h, hg]
+        conj = np.take_along_axis(self._right, self.group.table, axis=1)
         seen: set[int] = set()
         classes = []
-        for g in range(G.order):
+        for g in range(self.dim):
             if g in seen:
                 continue
-            orbit = {G.conjugate(g, h) for h in range(G.order)}
+            orbit = set(conj[:, g].tolist())
             seen |= orbit
             classes.append(tuple(sorted(orbit)))
         return classes
@@ -117,10 +179,7 @@ class AlgebraContext:
 
 def product_space(ctx: AlgebraContext, X: FpSubspace, Y: FpSubspace) -> FpSubspace:
     """Span of all pairwise products of basis elements (= span XY)."""
-    rows = [ctx.multiply(x, y) for x in X.basis for y in Y.basis]
-    if not rows:
-        return FpSubspace.zero(ctx.p, ctx.dim)
-    return FpSubspace(ctx.p, ctx.dim, np.array(rows))
+    return FpSubspace(ctx.p, ctx.dim, ctx.products(X.basis, Y.basis))
 
 
 def power_space(ctx: AlgebraContext, X: FpSubspace, m: int) -> FpSubspace:
@@ -133,33 +192,21 @@ def power_space(ctx: AlgebraContext, X: FpSubspace, m: int) -> FpSubspace:
 
 
 def commutator_span(ctx: AlgebraContext, X: FpSubspace, Y: FpSubspace) -> FpSubspace:
-    rows = [(ctx.multiply(x, y) - ctx.multiply(y, x)) % ctx.p
-            for x in X.basis for y in Y.basis]
-    if not rows:
-        return FpSubspace.zero(ctx.p, ctx.dim)
-    return FpSubspace(ctx.p, ctx.dim, np.array(rows))
+    return FpSubspace(ctx.p, ctx.dim, ctx.commutators(X.basis, Y.basis))
 
 
 def right_ideal(ctx: AlgebraContext, X: FpSubspace) -> FpSubspace:
     """XA: the right ideal generated by X (A is unital, so X itself included)."""
-    rows = [ctx.multiply(x, ctx.basis_vector(g))
-            for x in X.basis for g in range(ctx.dim)]
-    if not rows:
-        return FpSubspace.zero(ctx.p, ctx.dim)
-    return FpSubspace(ctx.p, ctx.dim, np.array(rows))
+    return FpSubspace(ctx.p, ctx.dim, ctx.right_translates(X.basis))
 
 
 def ideal_generated(ctx: AlgebraContext, X: FpSubspace) -> FpSubspace:
     """Smallest two-sided ideal containing X: closure under basis products."""
     acc = X
     while True:
-        rows = list(acc.basis)
-        for x in acc.basis:
-            for g in range(ctx.dim):
-                eg = ctx.basis_vector(g)
-                rows.append(ctx.multiply(eg, x))
-                rows.append(ctx.multiply(x, eg))
-        new = FpSubspace(ctx.p, ctx.dim, np.array(rows))
+        rows = np.concatenate([acc.basis, ctx.left_translates(acc.basis),
+                               ctx.right_translates(acc.basis)])
+        new = FpSubspace(ctx.p, ctx.dim, rows)
         if new.dim == acc.dim:
             return new
         acc = new
@@ -172,18 +219,11 @@ def normal_subgroup_ideal(ctx: AlgebraContext, N: Subgroup) -> FpSubspace:
     if not N.is_normal():
         raise NotNormalError("normal_subgroup_ideal requires a normal subgroup")
     G = ctx.group
-    rows = []
-    for n in N.elements:
-        if n == 0:
-            continue
-        for g in range(G.order):
-            v = np.zeros(ctx.dim, dtype=np.int64)
-            v[G.mul(n, g)] += 1
-            v[g] -= 1
-            rows.append(v % ctx.p)
-    if not rows:
-        return FpSubspace.zero(ctx.p, ctx.dim)
-    out = FpSubspace(ctx.p, ctx.dim, np.array(rows))
+    gens = [n for n in N.elements if n != 0]
+    diffs = np.zeros((len(gens), ctx.dim), dtype=np.int64)  # rows e_n - 1
+    diffs[np.arange(len(gens)), gens] = 1
+    diffs[:, 0] = ctx.p - 1
+    out = FpSubspace(ctx.p, ctx.dim, ctx.right_translates(diffs))
     assert out.dim == G.order - G.order // N.order
     return out
 
@@ -192,12 +232,9 @@ class QuotientAlgebra:
     """F_pG / J for a verified two-sided ideal J, with a fixed section."""
 
     def __init__(self, ctx: AlgebraContext, J: FpSubspace):
-        for x in J.basis:
-            for g in range(ctx.dim):
-                eg = ctx.basis_vector(g)
-                if not (J.contains_vector(ctx.multiply(eg, x))
-                        and J.contains_vector(ctx.multiply(x, eg))):
-                    raise AlgebraError("J is not a two-sided ideal")
+        if (J.reduce(ctx.left_translates(J.basis)).any()
+                or J.reduce(ctx.right_translates(J.basis)).any()):
+            raise AlgebraError("J is not a two-sided ideal")
         self.ctx = ctx
         self.J = J
         self.qs = QuotientSpace(ctx.full_space(), J)
@@ -247,6 +284,18 @@ def quotient_algebra(ctx: AlgebraContext, J: FpSubspace) -> QuotientAlgebra:
     return QuotientAlgebra(ctx, J)
 
 
+def subalgebra_closure(ctx: AlgebraContext, X: FpSubspace) -> FpSubspace:
+    """The (non-unital) subalgebra generated by X: close under products."""
+    acc = X
+    while acc.dim:
+        rows = np.concatenate([acc.basis, ctx.products(acc.basis, acc.basis)])
+        new = FpSubspace(ctx.p, ctx.dim, rows)
+        if new.dim == acc.dim:
+            return new
+        acc = new
+    return acc
+
+
 def omega_central(ctx: AlgebraContext, i: int) -> FpSubspace:
     """Omega_i(Z(I(G))): the subalgebra of central ideal elements generated by
     those with z^{p^i} = 0.
@@ -257,18 +306,14 @@ def omega_central(ctx: AlgebraContext, i: int) -> FpSubspace:
     Z = ctx.central_ideal_part()
     if Z.dim == 0:
         return Z
-    M = np.array([ctx.p_power(z, i) for z in Z.basis])  # rows: images
+    M = ctx.powers(Z.basis, ctx.p ** i)  # rows: images
     coeffs = nullspace(M.T, ctx.p)
     rows = (coeffs @ Z.basis) % ctx.p if coeffs.size else None
-    acc = FpSubspace(ctx.p, ctx.dim, rows)
-    # close into a subalgebra (already closed in theory; fixpoint is cheap)
-    while True:
-        prods = [ctx.multiply(a, b) for a in acc.basis for b in acc.basis]
-        new = FpSubspace(ctx.p, ctx.dim,
-                         np.array(list(acc.basis) + prods)) if prods else acc
-        if new.dim == acc.dim:
-            return new
-        acc = new
+    # already closed in theory; the fixpoint is cheap
+    return subalgebra_closure(ctx, FpSubspace(ctx.p, ctx.dim, rows))
+
+
+_ENUM_CHUNK = 4096  # central elements raised to their p^i-th powers at once
 
 
 def omega_central_enumerated(ctx: AlgebraContext, i: int,
@@ -283,24 +328,14 @@ def omega_central_enumerated(ctx: AlgebraContext, i: int,
         raise EnumerationCapExceeded(
             f"{total} central elements exceed cap {cap}")
     q = ctx.p ** i
-    hits = []
-    coeffs = np.zeros(Z.dim, dtype=np.int64)
-    for n in range(total):
-        x = n
-        for k in range(Z.dim):
-            coeffs[k] = x % ctx.p
-            x //= ctx.p
-        z = (coeffs @ Z.basis) % ctx.p if Z.dim else np.zeros(ctx.dim, dtype=np.int64)
-        if not ctx.power(z, q).any():
-            hits.append(z.copy())
-    acc = FpSubspace(ctx.p, ctx.dim, np.array(hits) if hits else None)
-    while True:
-        prods = [ctx.multiply(a, b) for a in acc.basis for b in acc.basis]
-        new = FpSubspace(ctx.p, ctx.dim,
-                         np.array(list(acc.basis) + prods)) if prods else acc
-        if new.dim == acc.dim:
-            return new
-        acc = new
+    digits = ctx.p ** np.arange(Z.dim)
+    acc = FpSubspace.zero(ctx.p, ctx.dim)
+    for start in range(0, total, _ENUM_CHUNK):
+        n = np.arange(start, min(start + _ENUM_CHUNK, total))
+        elems = ((n[:, None] // digits) % ctx.p) @ Z.basis % ctx.p
+        hits = elems[~ctx.powers(elems, q).any(axis=1)]
+        acc = acc + FpSubspace(ctx.p, ctx.dim, hits)
+    return subalgebra_closure(ctx, acc)
 
 
 def mho_ideal_mod_derived(ctx: AlgebraContext, i: int) -> FpSubspace:
@@ -311,8 +346,7 @@ def mho_ideal_mod_derived(ctx: AlgebraContext, i: int) -> FpSubspace:
     never needed.
     """
     I = ctx.augmentation_ideal()
-    rows = [ctx.p_power(b, i) for b in I.basis]
-    P = FpSubspace(ctx.p, ctx.dim, np.array(rows))
+    P = FpSubspace(ctx.p, ctx.dim, ctx.powers(I.basis, ctx.p ** i))
     derived = characteristic_subgroup(ctx.group, "derived")
     return ideal_generated(ctx, P) + normal_subgroup_ideal(ctx, derived)
 
@@ -323,17 +357,15 @@ def unit_exponent_commutative(ctx: AlgebraContext, ideal: FpSubspace) -> int:
     Valid because Frobenius is additive on a commutative algebra; the input
     ideal must be commutative and nilpotent.
     """
-    for a in ideal.basis:
-        for b in ideal.basis:
-            if not np.array_equal(ctx.multiply(a, b), ctx.multiply(b, a)):
-                raise AlgebraError("ideal is not commutative")
-    s = 0
-    while True:
-        if all(not ctx.p_power(b, s).any() for b in ideal.basis):
-            return ctx.p ** s
+    if ctx.commutators(ideal.basis, ideal.basis).any():
+        raise AlgebraError("ideal is not commutative")
+    s, powers = 0, ideal.basis  # powers: the rows b^{p^s}
+    while powers.any():
         s += 1
         if ctx.p ** s > ctx.dim:
             raise AlgebraError("ideal is not nilpotent")
+        powers = ctx.powers(powers, ctx.p)
+    return ctx.p ** s
 
 
 def dimension_subgroup(ctx: AlgebraContext, m: int) -> Subgroup:
@@ -341,9 +373,10 @@ def dimension_subgroup(ctx: AlgebraContext, m: int) -> Subgroup:
     if m < 1:
         raise AlgebraError("dimension_subgroup requires m >= 1")
     Im = power_space(ctx, ctx.augmentation_ideal(), m)
-    elems = [g for g in range(ctx.dim)
-             if Im.contains_vector(ctx.group_minus_one(g))]
-    return Subgroup(ctx.group, tuple(elems))
+    diffs = np.eye(ctx.dim, dtype=np.int64)  # rows e_g - 1
+    diffs[:, 0] -= 1
+    outside = Im.reduce(diffs).any(axis=1)
+    return Subgroup(ctx.group, tuple(int(g) for g in np.flatnonzero(~outside)))
 
 
 @dataclass(frozen=True)
@@ -358,10 +391,8 @@ class AugmentedSubalgebra:
     def from_space(cls, ctx: AlgebraContext, space: FpSubspace) -> "AugmentedSubalgebra":
         if not space.contains_vector(ctx.one):
             raise AlgebraError("subalgebra does not contain the unit")
-        for a in space.basis:
-            for b in space.basis:
-                if not space.contains_vector(ctx.multiply(a, b)):
-                    raise AlgebraError("not a subalgebra: not closed under multiplication")
+        if space.reduce(ctx.products(space.basis, space.basis)).any():
+            raise AlgebraError("not a subalgebra: not closed under multiplication")
         aug = space.intersect(ctx.augmentation_ideal())
         if aug.dim != space.dim - 1:
             raise AlgebraError("augmentation ideal does not have codimension 1")
@@ -372,8 +403,7 @@ class AugmentedSubalgebra:
         return self.space.dim
 
     def is_commutative(self) -> bool:
-        return all(np.array_equal(self.ctx.multiply(a, b), self.ctx.multiply(b, a))
-                   for a in self.space.basis for b in self.space.basis)
+        return not self.ctx.commutators(self.space.basis, self.space.basis).any()
 
     def unit_exponent(self) -> int:
         """exp V(B) for commutative B."""

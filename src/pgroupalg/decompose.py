@@ -52,9 +52,15 @@ def _agemo_derived(G: PGroup, s: int) -> Subgroup:
     return Subgroup.generated(G, gens)
 
 
-def lambda_map(G: PGroup, s: int, rng_seed: int = 0) -> LambdaData:
+def lambda_map(G: PGroup, s: int) -> LambdaData:
     """Build the map z + I(G)^2 -> z^{p^{s-1}} between the two filtration
-    quotients, with a well-definedness re-check on shifted representatives."""
+    quotients, with an exact well-definedness check.
+
+    U_cod contains I(G')F_pG, modulo which F_pG is commutative, so
+    z -> z^{p^{s-1}} is additive modulo U_cod.  The map is therefore well
+    defined on z + I(G)^2 exactly when every basis vector of I(G)^2 has its
+    p^{s-1}-th power in U_cod.
+    """
     p = G.p
     if s < 1 or p ** s > G.exponent():
         raise ValueError(f"lambda_map requires 1 <= p^s <= exp(G), got s={s}")
@@ -68,19 +74,12 @@ def lambda_map(G: PGroup, s: int, rng_seed: int = 0) -> LambdaData:
     W_cod = power_space(ctx, I, q) + mho_ideal
     U_cod = power_space(ctx, I, q + 1) + mho_ideal
     codomain = QuotientSpace(W_cod, U_cod)
-    rng = np.random.default_rng(rng_seed)
-    rows = []
-    for z in domain.section:
-        img = codomain.project(ctx.power(z, q))
-        # re-check on one random I(G)^2-shift per basis vector
-        if I2.dim:
-            shift = (rng.integers(0, p, size=I2.dim) @ I2.basis) % p
-            img2 = codomain.project(ctx.power((z + shift) % p, q))
-            if not np.array_equal(img, img2):
-                raise VerificationError(
-                    "lambda-well-defined",
-                    "power map value changed under an I(G)^2 shift")
-        rows.append(img)
+    if U_cod.reduce(ctx.powers(I2.basis, q)).any():
+        raise VerificationError(
+            "lambda-well-defined",
+            "an I(G)^2 basis vector has its p^{s-1}-th power outside "
+            "I(G)^{p^{s-1}+1} + I(mho_s(G)G')F_pG")
+    rows = [codomain.project(z) for z in ctx.powers(domain.section, q)]
     matrix = np.array(rows, dtype=np.int64).reshape(domain.dim, codomain.dim)
     lam = LinearMap(p, domain.section, matrix, codomain.dim)
     return LambdaData(s, domain, codomain, lam, lam.kernel())
@@ -201,13 +200,14 @@ def homocyclic_split(G: PGroup, s: int, V: FpSubspace) -> tuple[Subgroup, Subgro
 
 
 def _unit_order(ctx: AlgebraContext, u) -> int:
-    o, x = 1, np.asarray(u) % ctx.p
-    one = ctx.one
-    while not np.array_equal(x, one):
-        x = ctx.multiply(x, u)
-        o += 1
+    """Order of a unit 1 + x with x in I(G): (1 + x)^{p^k} = 1 + x^{p^k}, so
+    it is the least p^k that kills x."""
+    o, x = 1, (np.asarray(u) - ctx.one) % ctx.p
+    while x.any():
+        o *= ctx.p
         if o > ctx.dim * ctx.p:
             raise VerificationError("unit-order", "element is not a unit of p-power order")
+        x = ctx.power(x, ctx.p)
     return o
 
 
@@ -239,11 +239,32 @@ def group_from_unit_vectors(ctx: AlgebraContext, vectors) -> PGroup:
     vecs = [one] + [v for v in vecs if not np.array_equal(v, one)]
     idx = {v.tobytes(): i for i, v in enumerate(vecs)}
     n = len(vecs)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i, a in enumerate(vecs):
-        for j, b in enumerate(vecs):
-            table[i, j] = idx[ctx.multiply(a, b).tobytes()]
+    table = np.array([idx[v.tobytes()] for v in ctx.products(vecs, vecs)],
+                     dtype=np.int64).reshape(n, n)
     return PGroup(ctx.p, table, name=f"units{n}")
+
+
+def _units_by_order(ctx: AlgebraContext, IB: FpSubspace,
+                    coeffs: np.ndarray) -> list[np.ndarray]:
+    """The units 1 + c @ IB for the rows c of coeffs, highest order first,
+    then in byte order.
+
+    IB must be commutative: Frobenius is additive there, so the unit
+    1 + c @ IB has p^k-th power 1 + c @ IB^{p^k}, and all orders come from
+    one matrix product per k.
+    """
+    p = ctx.p
+    orders = np.ones(len(coeffs), dtype=np.int64)
+    frob = IB.basis  # rows b^{p^k}
+    while True:
+        live = (coeffs @ frob % p).any(axis=1)
+        if not live.any():
+            break
+        orders[live] *= p
+        frob = ctx.powers(frob, p)
+    U = (ctx.one + coeffs @ IB.basis) % p
+    # with entries in [0, p), byte order is lexicographic order
+    return list(U[np.lexsort(np.vstack([U.T[::-1], -orders]))])
 
 
 def find_group_basis_commutative(B: AugmentedSubalgebra,
@@ -261,29 +282,21 @@ def find_group_basis_commutative(B: AugmentedSubalgebra,
     total = p ** IB.dim
     one = ctx.one
     if total <= cap:
-        units = []
-        coeffs = np.zeros(IB.dim, dtype=np.int64)
-        for n in range(total):
-            x = n
-            for k in range(IB.dim):
-                coeffs[k] = x % p
-                x //= p
-            units.append((one + coeffs @ IB.basis) % p)
+        n = np.arange(1, total)
+        coeffs = (n[:, None] // p ** np.arange(IB.dim)) % p
     else:
         rng = np.random.default_rng(seed)
-        units = [(one + rng.integers(0, p, size=IB.dim) @ IB.basis) % p
-                 for _ in range(4096)]
-    units = [u for u in units if not np.array_equal(u, one)]
-    order_of = {u.tobytes(): _unit_order(ctx, u) for u in units}
-    units.sort(key=lambda u: (-order_of[u.tobytes()], u.tobytes()))
+        coeffs = rng.integers(0, p, size=(4096, IB.dim))
+        coeffs = coeffs[coeffs.any(axis=1)]
+    units = _units_by_order(ctx, IB, coeffs)
     I2B = product_space(ctx, IB, IB)
     target = B.dim
 
     def diff_subalgebra(base: FpSubspace, diff) -> FpSubspace:
         acc = base + span(p, ctx.dim, [diff])
         while True:
-            rows = [ctx.multiply(diff, r) for r in acc.basis]
-            new = acc + FpSubspace(p, ctx.dim, np.array(rows))
+            rows = ctx.products(diff[None], acc.basis)
+            new = acc + FpSubspace(p, ctx.dim, rows)
             if new.dim == acc.dim:
                 return new
             acc = new

@@ -2,7 +2,15 @@
 
 Subspaces are stored as reduced row-echelon bases, so two equal subspaces
 always carry bit-identical basis matrices and subspace equality is
-structural equality.  Everything is integer arithmetic mod p; no floats.
+structural equality.  Everything is integer arithmetic mod p: the only
+floats are BLAS matrix products of small integers, which are exact.
+
+Elimination is blocked.  ``rref`` eliminates a first block of rows densely,
+then reduces each further block against the basis found so far in a single
+matrix product, the RREF residual ``B - B[:, pivots] @ R (mod p)``; only the
+rows that survive are eliminated densely.  It stops once the rank equals the
+number of columns, so redundant rows past that point are never read.  The
+same residual tests membership and gives coordinates in ``FpSubspace``.
 """
 
 from __future__ import annotations
@@ -25,30 +33,86 @@ def _inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
 
 
-def rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form mod p.  Returns (matrix, pivot columns)."""
-    A = np.array(rows, dtype=np.int64) % p
-    if A.ndim != 2:
-        raise FpError("rref expects a 2-d array")
+# Rows in the first elimination block: the number of columns, but at least
+# this many, so that short inputs take the dense path alone.  Later blocks
+# double in height up to _BLOCK_MAX rows: once the rank settles, most rows
+# reduce to zero, and a taller block costs one product instead of several.
+_BLOCK_MIN = 32
+_BLOCK_MAX = 4096
+
+
+def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B (mod p) for entries in [0, p), through float64 BLAS.  B may be
+    a stack of matrices, as in np.matmul.
+
+    Exact: a dot product of fewer than 2^48 terms below p^2 = 25 stays
+    inside the 2^53 integer range of a double.
+    """
+    out = A.astype(np.float64) @ B.astype(np.float64)
+    return np.remainder(out, p, out=out).astype(np.int64)
+
+
+def _rref_dense(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF of an int64 block with entries in [0, p), one pivot column at a
+    time; overwrites A."""
     nrows, ncols = A.shape
     r = 0
     pivots: list[int] = []
     for c in range(ncols):
         if r == nrows:
             break
-        hits = np.nonzero(A[r:, c])[0]
-        if hits.size == 0:
+        i = r + int(A[r:, c].argmax())  # any nonzero entry can be the pivot
+        if not A[i, c]:
             continue
-        i = r + int(hits[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
-        A[r] = (A[r] * _inv_mod(A[r, c], p)) % p
+        if A[r, c] != 1:
+            A[r] = (A[r] * _inv_mod(A[r, c], p)) % p
         col = A[:, c].copy()
         col[r] = 0
-        A = (A - np.outer(col, A[r])) % p
+        hit = col.nonzero()[0]
+        if hit.size:
+            A[hit] = (A[hit] - col[hit, None] * A[r]) % p
         pivots.append(c)
         r += 1
-    return A[:r], tuple(pivots)
+    return A[:r], pivots
+
+
+def rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form mod p.  Returns (matrix, pivot columns).
+
+    Blocked elimination in the manner of M4RI (Albrecht, Bard & Hart, ACM
+    TOMS 37(1), 2010): the first block of rows is eliminated densely; every
+    further block B is reduced against the current basis R in one step, as
+    the residual B - B[:, pivots] @ R (mod p).  Its zero rows are dropped and
+    only the rest is eliminated densely and merged into R.  The loop stops
+    once the rank equals the number of columns.  The output is the unique
+    RREF of the row space, whatever the block size or row order.
+    """
+    A = np.asarray(rows)
+    if A.ndim != 2:
+        raise FpError("rref expects a 2-d array")
+    nrows, ncols = A.shape
+    block = max(ncols, _BLOCK_MIN)
+    R, pivots = _rref_dense(A[:block].astype(np.int64) % p, p)
+    start = block
+    while start < nrows and len(pivots) < ncols:
+        B = A[start:start + block].astype(np.int64) % p
+        start += block
+        block = min(2 * block, _BLOCK_MAX)
+        if pivots:
+            B = (B - matmul_mod(B[:, pivots], R, p)) % p
+            B = B[B.any(axis=1)]
+        if not B.shape[0]:
+            continue
+        Rb, new = _rref_dense(B, p)
+        # Rb is zero on the old pivot columns; clear its pivots out of R
+        R = (R - matmul_mod(R[:, new], Rb, p)) % p
+        merged = pivots + new
+        order = np.argsort(merged, kind="stable")
+        R = np.concatenate([R, Rb])[order]
+        pivots = [merged[k] for k in order]
+    return R, tuple(pivots)
 
 
 def nullspace(A: np.ndarray, p: int) -> np.ndarray:
@@ -58,10 +122,8 @@ def nullspace(A: np.ndarray, p: int) -> np.ndarray:
     R, pivots = rref(A, p)
     free = [c for c in range(n) if c not in pivots]
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for row, c in zip(R, pivots):
-            basis[k, c] = (-row[f]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, list(pivots)] = (-R[:, free].T) % p
     return basis
 
 
@@ -75,8 +137,7 @@ def solve(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     if n in pivots:
         return None
     y = np.zeros(n, dtype=np.int64)
-    for row, c in zip(R, pivots):
-        y[c] = row[n]
+    y[list(pivots)] = R[:, n]
     return y
 
 
@@ -112,33 +173,32 @@ class FpSubspace:
             raise FpError("prime/ambient dimension mismatch")
 
     def reduce(self, vec) -> np.ndarray:
-        """Residual of vec after elimination against the basis."""
-        v = np.asarray(vec, dtype=np.int64).copy() % self.p
-        if v.shape != (self.ambient,):
+        """Residual of vec (or of each row of a 2-d array) after elimination
+        against the basis: v - v[pivots] @ basis (mod p).
+
+        In RREF each basis row is 1 on its own pivot and 0 on the others, so
+        the pivot entries of v are exactly its coordinates.
+        """
+        v = np.asarray(vec, dtype=np.int64) % self.p
+        if v.shape[-1:] != (self.ambient,) or v.ndim > 2:
             raise FpError(f"vector length {v.shape} != ambient {self.ambient}")
-        for row, c in zip(self.basis, self.pivots):
-            if v[c]:
-                v = (v - v[c] * row) % self.p
-        return v
+        if not self.pivots:
+            return v
+        return (v - matmul_mod(v[..., list(self.pivots)], self.basis,
+                                self.p)) % self.p
 
     def contains_vector(self, vec) -> bool:
         return not self.reduce(vec).any()
 
     def contains(self, other: "FpSubspace") -> bool:
         self._compat(other)
-        return all(self.contains_vector(row) for row in other.basis)
+        return not self.reduce(other.basis).any()
 
     def coordinates(self, vec) -> np.ndarray | None:
         """c with c @ basis == vec, or None if vec is outside the span."""
-        v = np.asarray(vec, dtype=np.int64) % self.p
-        c = np.zeros(self.dim, dtype=np.int64)
-        for k, (row, piv) in enumerate(zip(self.basis, self.pivots)):
-            if v[piv]:
-                c[k] = v[piv]
-                v = (v - v[piv] * row) % self.p
-        if v.any():
+        if self.reduce(vec).any():
             return None
-        return c
+        return np.asarray(vec, dtype=np.int64)[list(self.pivots)] % self.p
 
     def sum(self, other: "FpSubspace") -> "FpSubspace":
         self._compat(other)
@@ -269,15 +329,11 @@ class LinearMap:
         self.matrix = np.asarray(matrix, dtype=np.int64).reshape(
             self.domain_basis.shape[0], codomain_dim) % p
         self.codomain_dim = codomain_dim
-        self._dom_space = FpSubspace(
-            p, self.domain_basis.shape[1] if self.domain_basis.size else 0,
-            self.domain_basis) if self.domain_basis.shape[0] else None
 
     def apply(self, vec) -> np.ndarray:
-        space = FpSubspace(self.p, len(vec), self.domain_basis)
-        # re-derive coordinates against the raw (non-RREF) basis
+        # coordinates against the raw (non-RREF) basis
         c = solve(self.domain_basis.T, np.asarray(vec, dtype=np.int64), self.p)
-        if c is None or not space.contains_vector(vec):
+        if c is None:
             raise FpError("vector outside the map's domain span")
         return (c @ self.matrix) % self.p
 

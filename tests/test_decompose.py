@@ -1,6 +1,8 @@
 """Decomposition pipeline: the p-power map, cyclic splitting, group bases
 and full recovery."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from pgroupalg.fplin import span
 from pgroupalg.groups import (RetractionError, abelian_invariants,
                               catalog_build, is_internal_direct_product,
                               subgroup_to_pgroup)
-from pgroupalg.lemmas import verify_tensor_factorization
+from pgroupalg.lemmas import VerificationError, verify_tensor_factorization
 
 
 def coordinate_factorization(a_name, g0_name):
@@ -59,6 +61,35 @@ def test_lambda_map_degenerate_on_d8():
     L = lambda_map(catalog_by_name("D8"), 2)
     assert L.domain.dim == 0
     assert L.map.rank() == 0
+
+
+@pytest.mark.parametrize("name,s", [("C2xC4", 2), ("D8", 2), ("Q8", 2),
+                                    ("C9", 2), ("C3xC3", 1)])
+def test_lambda_map_constant_on_every_i2_shift(name, s):
+    # brute force over all of I(G)^2: the basis check in lambda_map is exact
+    G = catalog_by_name(name)
+    ctx = AlgebraContext(G)
+    L = lambda_map(G, s)
+    I2 = power_space(ctx, ctx.augmentation_ideal(), 2)
+    coeffs = np.array(list(itertools.product(range(G.p), repeat=I2.dim)))
+    shifts = coeffs @ I2.basis % G.p
+    for z, img in zip(L.domain.section, L.map.matrix):
+        for w in ctx.powers((z + shifts) % G.p, G.p ** (s - 1)):
+            assert np.array_equal(L.codomain.project(w), img)
+
+
+def test_lambda_map_failure_names_its_check(monkeypatch):
+    real = AlgebraContext.powers
+
+    def off_by_unit(self, X, m):
+        out = real(self, X, m)
+        out[:, 0] = (out[:, 0] + 1) % self.p
+        return out
+
+    monkeypatch.setattr(AlgebraContext, "powers", off_by_unit)
+    with pytest.raises(VerificationError) as exc:
+        lambda_map(catalog_by_name("C2xC4"), 2)
+    assert exc.value.check == "lambda-well-defined"
 
 
 def test_split_cyclic():

@@ -1,0 +1,259 @@
+"""Batched F_p kernels against the per-pair and dense references they replace.
+
+The references live here, not in the library: products as one ``np.add.at``
+scatter per pair through the Cayley table, and RREF as one dense
+column-by-column elimination of the whole matrix.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import pgroupalg.algebra as algebra
+import pgroupalg.fplin as fplin
+from pgroupalg.algebra import (AlgebraContext, commutator_span,
+                               group_algebra_subalgebra, normal_subgroup_ideal,
+                               product_space)
+from pgroupalg.catalog import catalog_by_name
+from pgroupalg.decompose import _units_by_order
+from pgroupalg.fplin import FpSubspace, rref
+from pgroupalg.groups import all_subgroups, catalog_build
+
+# nonabelian groups at p = 2 and 3 check the left/right orientation
+GROUPS = ("D8", "Q8", "C2xQ16", "He3", "C5xC5")
+
+
+def ref_multiply(G, u, v):
+    out = np.zeros(G.order, dtype=np.int64)
+    np.add.at(out, G.table.ravel(), np.outer(u, v).ravel())
+    return out % G.p
+
+
+def ref_dense_rref(rows, p):
+    A = np.array(rows, dtype=np.int64) % p
+    nrows, ncols = A.shape
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        if r == nrows:
+            break
+        hits = np.nonzero(A[r:, c])[0]
+        if hits.size == 0:
+            continue
+        i = r + int(hits[0])
+        A[[r, i]] = A[[i, r]]
+        A[r] = (A[r] * pow(int(A[r, c]), p - 2, p)) % p
+        col = A[:, c].copy()
+        col[r] = 0
+        A = (A - np.outer(col, A[r])) % p
+        pivots.append(c)
+        r += 1
+    return A[:r], tuple(pivots)
+
+
+def unit(G, g):
+    v = np.zeros(G.order, dtype=np.int64)
+    v[g] = 1
+    return v
+
+
+@pytest.fixture(params=GROUPS)
+def setting(request):
+    G = catalog_by_name(request.param)
+    rng = np.random.default_rng(sum(map(ord, request.param)))
+    X = rng.integers(0, G.p, size=(5, G.order))
+    Y = rng.integers(0, G.p, size=(4, G.order))
+    return AlgebraContext(G), X, Y
+
+
+def test_multiply_matches_scatter(setting):
+    ctx, X, Y = setting
+    for x in X:
+        for y in Y:
+            assert np.array_equal(ctx.multiply(x, y),
+                                  ref_multiply(ctx.group, x, y))
+
+
+def test_products_and_commutators_match_scatter(setting):
+    ctx, X, Y = setting
+    G = ctx.group
+    want = np.array([ref_multiply(G, x, y) for x in X for y in Y])
+    assert np.array_equal(ctx.products(X, Y), want)
+    swapped = np.array([ref_multiply(G, y, x) for x in X for y in Y])
+    assert np.array_equal(ctx.commutators(X, Y), (want - swapped) % G.p)
+
+
+def test_gathers_in_small_chunks(setting, monkeypatch):
+    ctx, X, Y = setting
+    products, powers = ctx.products(X, Y), ctx.powers(X, 5)
+    for entries in (2 * ctx.dim * ctx.dim, 1):  # two rows, one row at a time
+        monkeypatch.setattr(algebra, "_GATHER_ENTRIES", entries)
+        assert np.array_equal(ctx.products(X, Y), products)
+        assert np.array_equal(ctx.powers(X, 5), powers)
+
+
+def test_translates_match_scatter(setting):
+    ctx, X, _ = setting
+    G = ctx.group
+    left = np.array([ref_multiply(G, unit(G, g), x)
+                     for x in X for g in range(G.order)])
+    right = np.array([ref_multiply(G, x, unit(G, g))
+                      for x in X for g in range(G.order)])
+    assert np.array_equal(ctx.left_translates(X), left)
+    assert np.array_equal(ctx.right_translates(X), right)
+    if not G.is_abelian():
+        assert not np.array_equal(left, right)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8, 9])
+def test_rowwise_powers_match_scatter(setting, m):
+    ctx, X, _ = setting
+    G = ctx.group
+    for x, got in zip(X, ctx.powers(X, m)):
+        acc = unit(G, 0)
+        for _ in range(m):
+            acc = ref_multiply(G, acc, x)
+        assert np.array_equal(got, acc)
+        assert np.array_equal(ctx.power(x, m), acc)
+
+
+def test_normal_subgroup_ideal_matches_scatter(setting):
+    ctx, _, _ = setting
+    G = ctx.group
+    for N in all_subgroups(G):
+        if not N.is_normal():
+            continue
+        rows = [(ref_multiply(G, unit(G, n), unit(G, g)) - unit(G, g)) % G.p
+                for n in N.elements if n for g in range(G.order)]
+        want = FpSubspace(G.p, G.order, np.array(rows).reshape(-1, G.order))
+        assert normal_subgroup_ideal(ctx, N) == want
+
+
+def test_conjugacy_classes_match_group_conjugation(setting):
+    ctx, _, _ = setting
+    G = ctx.group
+    for cls in ctx.conjugacy_classes():
+        for g in cls:
+            assert {G.conjugate(g, h) for h in range(G.order)} == set(cls)
+    assert sorted(g for cls in ctx.conjugacy_classes() for g in cls) == \
+        list(range(G.order))
+
+
+def test_product_spaces_match_scatter(setting):
+    ctx, _, _ = setting
+    G = ctx.group
+    I = ctx.augmentation_ideal()
+    rows = [ref_multiply(G, x, y) for x in I.basis for y in I.basis]
+    assert product_space(ctx, I, I) == FpSubspace(G.p, G.order, np.array(rows))
+    full = ctx.full_space()
+    comm = [(ref_multiply(G, x, y) - ref_multiply(G, y, x)) % G.p
+            for x in full.basis for y in full.basis]
+    assert commutator_span(ctx, full, full) == \
+        FpSubspace(G.p, G.order, np.array(comm))
+
+
+@pytest.mark.parametrize("a_name,g0_name", [("C2xC4", "D8"), ("C8", "Q8"),
+                                            ("C3xC3", "C3")])
+def test_units_by_order_match_per_unit_orders(a_name, g0_name):
+    A, G0 = catalog_by_name(a_name), catalog_by_name(g0_name)
+    G = catalog_build("direct_product", A, G0)
+    ctx = AlgebraContext(G)
+    B = group_algebra_subalgebra(ctx, [a * G0.order for a in range(A.order)])
+    IB = B.aug_ideal
+    coeffs = np.array(list(itertools.product(range(G.p), repeat=IB.dim)))[1:]
+    one = unit(G, 0)
+
+    def order(u):
+        k, acc = 1, u
+        while not np.array_equal(acc, one):
+            acc = ref_multiply(G, acc, u)
+            k += 1
+        return k
+
+    units = [(one + c @ IB.basis) % G.p for c in coeffs]
+    want = sorted(units, key=lambda u: (-order(u), u.tobytes()))
+    got = _units_by_order(ctx, IB, coeffs)
+    assert len(got) == len(want)
+    assert all(np.array_equal(u, v) for u, v in zip(got, want))
+
+
+@st.composite
+def matrices(draw, min_rows=0):
+    """(rows, p) with entries mod p, of bounded rank, at most 120 rows, so
+    that the blocked path (more than 32 rows) is exercised."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    ncols = draw(st.integers(1, 40))
+    nrows = draw(st.integers(min_rows, 120))
+    rank = draw(st.integers(0, ncols))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = (rng.integers(0, p, size=(nrows, rank))
+            @ rng.integers(0, p, size=(rank, ncols))) % p
+    return rows, p
+
+
+@given(matrices())
+def test_blocked_rref_matches_dense(case):
+    rows, p = case
+    R0, pivots0 = ref_dense_rref(rows, p)
+    R, pivots = rref(rows, p)
+    assert pivots == pivots0
+    assert np.array_equal(R, R0)
+    with pytest.MonkeyPatch.context() as mp:  # many short blocks
+        mp.setattr(fplin, "_BLOCK_MIN", 1)
+        mp.setattr(fplin, "_BLOCK_MAX", 3)
+        R, pivots = rref(rows, p)
+    assert pivots == pivots0
+    assert np.array_equal(R, R0)
+
+
+@given(matrices(min_rows=1), st.integers(0, 2 ** 32 - 1))
+def test_rref_canonical_under_shuffles_duplicates_and_zeros(case, seed):
+    rows, p = case
+    rng = np.random.default_rng(seed)
+    extra = rows[rng.integers(0, len(rows), size=rng.integers(0, 40))]
+    zeros = np.zeros((rng.integers(0, 40), rows.shape[1]), dtype=np.int64)
+    mixed = np.concatenate([rows, extra, zeros, p * rows])
+    mixed = mixed[rng.permutation(len(mixed))]
+    R, pivots = rref(rows, p)
+    R2, pivots2 = rref(mixed, p)
+    assert pivots == pivots2
+    assert np.array_equal(R, R2)
+
+
+@given(matrices(), st.integers(0, 2 ** 32 - 1))
+def test_dimension_formula(case, seed):
+    rows, p = case
+    rng = np.random.default_rng(seed)
+    n = rows.shape[1]
+    U = FpSubspace(p, n, rows)
+    # W shares part of U's span so that the intersection is not always 0
+    W = FpSubspace(p, n, np.concatenate([
+        rows[:rng.integers(0, len(rows) + 1)],
+        rng.integers(0, p, size=(rng.integers(0, n + 1), n))]))
+    assert (U + W).dim + U.intersect(W).dim == U.dim + W.dim
+    assert (U + W).contains(U) and (U + W).contains(W)
+    assert U.contains(U.intersect(W)) and W.contains(U.intersect(W))
+
+
+@given(matrices(), st.integers(0, 2 ** 32 - 1))
+def test_reduce_matches_rowwise_elimination(case, seed):
+    rows, p = case
+    n = rows.shape[1]
+    U = FpSubspace(p, n, rows)
+    vecs = np.random.default_rng(seed).integers(0, p, size=(6, n))
+    got = U.reduce(vecs)
+    for v, r in zip(vecs, got):
+        want = v.copy()
+        for row, c in zip(U.basis, U.pivots):
+            want = (want - want[c] * row) % p
+        assert np.array_equal(r, want)
+        assert np.array_equal(U.reduce(v), want)
+        in_span = not want.any()
+        assert U.contains_vector(v) == in_span
+        coords = U.coordinates(v)
+        assert (coords is not None) == in_span
+        if in_span:
+            assert np.array_equal((coords @ U.basis) % p, v)

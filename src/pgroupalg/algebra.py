@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fplin import FpSubspace, QuotientSpace, matmul_mod, nullspace
+from .fplin import FpSubspace, QuotientSpace, nullspace
 from .groups import (NotNormalError, PGroup, Subgroup,
                      characteristic_subgroup)
 
@@ -91,9 +91,14 @@ class AlgebraContext:
         n = self.dim
         out = np.empty((X.shape[0], Y.shape[0], n), dtype=np.int64)
         step = max(1, _GATHER_ENTRIES // (n * n))
+        # float64 as in matmul_mod (exact), gathered and reduced in that
+        # type, so a chunk holds no int64 copy of the gather or the product
+        Xf, Yf = X.astype(np.float64), Y.astype(np.float64)
         for j in range(0, Y.shape[0], step):
-            gathered = Y[j:j + step, self._left]  # [j, g, t] = y_j[g^-1 t]
-            out[:, j:j + step] = matmul_mod(X, gathered, self.p).transpose(1, 0, 2)
+            # gathered [j, g, t] = y_j[g^-1 t]
+            prod = Xf @ Yf[j:j + step, self._left]
+            np.remainder(prod, self.p, out=prod)
+            out[:, j:j + step] = prod.transpose(1, 0, 2)
         return out.reshape(-1, n)
 
     def commutators(self, X, Y) -> np.ndarray:

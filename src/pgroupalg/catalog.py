@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
-from .groups import PGroup, catalog_build
+import re
+
+from .groups import GroupError, PGroup, catalog_build
+
+
+class CatalogNameError(GroupError):
+    """A catalog name that does not resolve to a supported group."""
 
 
 def _abelian_partitions(p: int, max_order: int):
@@ -72,13 +78,24 @@ def builtin_catalog(p: int | None = None, max_order: int = 32) -> list[PGroup]:
 
 
 def catalog_by_name(name: str) -> PGroup:
-    """Resolve names like C8, D16, Q8, SD32, M16, He3, C2xC4, C4xD8."""
-    import re
+    """Resolve names like C8, D16, Q8, SD32, M16, He3, C2xC4, C4xD8.
+
+    Raises CatalogNameError for every name that does not build.
+    """
+    try:
+        return _build_by_name(name)
+    except CatalogNameError:
+        raise
+    except GroupError as exc:
+        raise CatalogNameError(f"{name}: {exc}") from exc
+
+
+def _build_by_name(name: str) -> PGroup:
     if "x" in name:
         parts = name.split("x")
-        G = catalog_by_name(parts[0])
+        G = _build_by_name(parts[0])
         for part in parts[1:]:
-            G = catalog_build("direct_product", G, catalog_by_name(part))
+            G = catalog_build("direct_product", G, _build_by_name(part))
         return PGroup(G.p, G.table, name=name)
     m = re.fullmatch(r"C(\d+)", name)
     if m:
@@ -90,7 +107,7 @@ def catalog_by_name(name: str) -> PGroup:
                 k += 1
             if t == 1 and k:
                 return catalog_build("cyclic", p, k)
-        raise KeyError(f"{name}: order is not a supported prime power")
+        raise CatalogNameError(f"{name}: order is not a supported prime power")
     m = re.fullmatch(r"D(\d+)", name)
     if m:
         return catalog_build("dihedral", int(m.group(1)))
@@ -108,4 +125,4 @@ def catalog_by_name(name: str) -> PGroup:
     m = re.fullmatch(r"He(\d+)", name)
     if m:
         return catalog_build("heisenberg", int(m.group(1)))
-    raise KeyError(f"unknown catalog group {name!r}")
+    raise CatalogNameError(f"unknown catalog group {name!r}")

@@ -17,10 +17,10 @@ from concurrent.futures import ThreadPoolExecutor
 from . import __version__
 from .algebra import (AlgebraContext, EnumerationCapExceeded,
                       group_algebra_subalgebra)
-from .catalog import builtin_catalog, catalog_by_name
+from .catalog import CatalogNameError, builtin_catalog, catalog_by_name
 from .decompose import certify_indecomposable, recover_decomposition
 from .groups import (OracleCapExceeded, abelian_invariants,
-                     direct_factor_oracle, has_cyclic_factor_of_order,
+                     cyclic_factor_orders, direct_factor_oracle,
                      subgroup_to_pgroup)
 from .io import (SchemaError, dump_report, group_fingerprint, group_to_dict,
                  load_inputs)
@@ -28,6 +28,10 @@ from .lemmas import (VerificationError, cyclic_factor_test,
                      lemma_identity_check, verify_tensor_factorization)
 
 EXIT_OK, EXIT_FAIL, EXIT_PARSE, EXIT_CAP = 0, 1, 2, 3
+
+
+class UsageError(ValueError):
+    """Arguments that contradict each other."""
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -63,19 +67,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _selected_groups(args):
-    groups = []
-    for path in args.input:
-        G, B, C = load_inputs(path)
-        groups.append((G, B, C))
-    for name in args.catalog:
-        groups.append((catalog_by_name(name), None, None))
+    """(G, B, C) for every group a command runs on.
+
+    --p and --max-order filter the built-in catalog; a group named by
+    --input or --catalog that fails either one is a usage error, so that
+    a run never passes by checking nothing."""
     if not args.input and not args.catalog:
-        for G in builtin_catalog(p=args.p, max_order=args.max_order):
-            groups.append((G, None, None))
-    elif args.p is not None:
-        groups = [t for t in groups if t[0].p == args.p]
-    groups = [t for t in groups if t[0].order <= args.max_order]
-    return groups
+        return [(G, None, None)
+                for G in builtin_catalog(p=args.p, max_order=args.max_order)]
+    named = [(path, load_inputs(path)) for path in args.input]
+    named += [(name, (catalog_by_name(name), None, None))
+              for name in args.catalog]
+    for label, (G, _, _) in named:
+        if args.p is not None and G.p != args.p:
+            raise UsageError(f"{label}: p={G.p} does not match --p {args.p}")
+        if G.order > args.max_order:
+            raise UsageError(f"{label}: order {G.order} exceeds "
+                             f"--max-order {args.max_order}")
+    return [item for _, item in named]
 
 
 def _map_ordered(fn, items, workers: int):
@@ -146,10 +155,12 @@ def cmd_cyclic_factor(args) -> tuple[int, dict]:
         smax = round(math.log(G.exponent(), G.p)) or 1
         rows = []
         ok = True
+        orders = None
         for i in range(1, smax + 1):
             has, exponent = cyclic_factor_test(G, i)
-            oracle = has_cyclic_factor_of_order(G, G.p ** i,
-                                                cap=args.oracle_cap)
+            if orders is None:  # one oracle split per group, after test i=1
+                orders = cyclic_factor_orders(G, cap=args.oracle_cap)
+            oracle = G.p ** i in orders
             agree = has == oracle
             ok = ok and agree
             rows.append({"i": i, "criterion": has, "oracle": oracle,
@@ -237,7 +248,7 @@ def run(argv=None) -> int:
     t0 = time.monotonic()
     try:
         code, body = COMMANDS[args.command](args)
-    except (SchemaError, KeyError) as exc:
+    except (SchemaError, CatalogNameError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (EnumerationCapExceeded, OracleCapExceeded) as exc:

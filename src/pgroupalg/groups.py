@@ -1,8 +1,17 @@
 """Finite p-groups as explicit Cayley tables.
 
 All groups live as order x order index tables with the identity pinned at
-index 0.  At the scales handled here (order <= 256, oracle work <= 64)
-every subgroup question is answered by exact enumeration.
+index 0, for p in SUPPORTED_PRIMES.  Subgroups are sorted element tuples,
+and their checks are gathers over the table: closure is
+``mask[T[S, S]]``, normality one ``|G| x |S|`` conjugation gather, the
+derived subgroup the closure of one commutator table.
+
+The subgroup lattice is enumerated layer by layer, by index-p extension
+(Neubüser's cyclic extension, specialised to p-groups).  Every subgroup
+K > 1 of a p-group has a normal subgroup H of index p, so K = H<g> for
+any g in K outside H, and g normalizes H with g^p in H.  One gather over the
+table finds every such g for a given H; each gives K as the union of the
+cosets H g^k, k < p, and no closure is ever computed.
 """
 
 from __future__ import annotations
@@ -13,6 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .fplin import SUPPORTED_PRIMES
 
 MAX_ORDER = 256
 ORACLE_CAP = 64
@@ -38,7 +49,7 @@ def _prime_power(n: int) -> tuple[int, int] | None:
     """(p, k) with n = p^k, or None."""
     if n < 2:
         return None
-    for p in (2, 3, 5, 7):
+    for p in SUPPORTED_PRIMES:
         if n % p == 0:
             k = 0
             while n % p == 0:
@@ -60,6 +71,9 @@ class PGroup:
         n = t.shape[0]
         if t.shape != (n, n):
             raise GroupError("Cayley table must be square")
+        if self.p not in SUPPORTED_PRIMES:
+            raise GroupError(f"unsupported prime {self.p}; "
+                             f"supported: {SUPPORTED_PRIMES}")
         if n > MAX_ORDER:
             raise GroupError(f"order {n} exceeds the cap {MAX_ORDER}")
         pp = _prime_power(n) if n > 1 else (self.p, 0)
@@ -72,8 +86,8 @@ class PGroup:
             raise GroupError("index 0 is not a two-sided identity")
         # Latin square: rows and columns are permutations
         ar = np.arange(n)
-        if not all(np.array_equal(np.sort(t[i]), ar) and
-                   np.array_equal(np.sort(t[:, i]), ar) for i in range(n)):
+        if not ((np.sort(t, axis=1) == ar).all() and
+                (np.sort(t, axis=0) == ar[:, None]).all()):
             raise GroupError("table rows/columns are not permutations")
         # associativity, checked exhaustively (order <= 256)
         small = t.astype(np.int32)
@@ -116,7 +130,7 @@ class PGroup:
         return o
 
     def exponent(self) -> int:
-        return max(self.element_order(g) for g in range(self.order))
+        return int(_element_orders(self).max())
 
     def is_abelian(self) -> bool:
         return np.array_equal(self.table, self.table.T)
@@ -129,6 +143,39 @@ class PGroup:
 
     def __repr__(self):
         return f"PGroup(p={self.p}, order={self.order}, name={self.name!r})"
+
+
+def _powers(G: PGroup, k: int) -> np.ndarray:
+    """g^k for every element g (k >= 0), by square-and-multiply gathers."""
+    T = G.table
+    acc, base = np.zeros(G.order, dtype=np.int64), np.arange(G.order)
+    while k:
+        if k & 1:
+            acc = T[acc, base]
+        base = T[base, base]
+        k >>= 1
+    return acc
+
+
+def _element_orders(G: PGroup) -> np.ndarray:
+    """The order of every element: one gather per power g^k, k <= exp(G)."""
+    T = G.table
+    ar = np.arange(G.order)
+    orders = np.zeros(G.order, dtype=np.int64)
+    x, k = ar, 1
+    while True:
+        fresh = (x == 0) & (orders == 0)
+        orders[fresh] = k
+        if orders.all():
+            return orders
+        x = T[x, ar]
+        k += 1
+
+
+def _mask(n: int, elements) -> np.ndarray:
+    m = np.zeros(n, dtype=bool)
+    m[np.asarray(elements, dtype=np.int64)] = True
+    return m
 
 
 def _closure(G: PGroup, seed) -> frozenset:
@@ -151,15 +198,17 @@ class Subgroup:
     def __post_init__(self):
         elems = tuple(sorted(set(int(e) for e in self.elements)))
         object.__setattr__(self, "elements", elems)
+        G = self.parent
         if 0 not in elems:
             raise GroupError("subgroup must contain the identity")
-        eset = set(elems)
-        for a in elems:
-            if self.parent.inv(a) not in eset:
-                raise GroupError("subgroup not closed under inverses")
-            for b in elems:
-                if self.parent.mul(a, b) not in eset:
-                    raise GroupError("subgroup not closed under multiplication")
+        if elems[0] < 0 or elems[-1] >= G.order:
+            raise GroupError("subgroup elements out of range")
+        S = np.array(elems, dtype=np.int64)
+        inside = _mask(G.order, S)
+        if not inside[G._inv[S]].all():
+            raise GroupError("subgroup not closed under inverses")
+        if not inside[G.table[np.ix_(S, S)]].all():
+            raise GroupError("subgroup not closed under multiplication")
         if self.parent.order % len(elems):
             raise GroupError("subgroup size does not divide group order")
 
@@ -175,14 +224,15 @@ class Subgroup:
         return g in set(self.elements)
 
     def is_normal(self) -> bool:
-        G, eset = self.parent, set(self.elements)
-        return all(G.conjugate(h, g) in eset
-                   for h in self.elements for g in range(G.order))
+        """g h g^-1 in S for every g in G and h in S."""
+        G, S = self.parent, np.array(self.elements, dtype=np.int64)
+        conj = G.table[G.table[:, S], G._inv[:, None]]
+        return bool(_mask(G.order, S)[conj].all())
 
     def is_abelian(self) -> bool:
-        G = self.parent
-        return all(G.mul(a, b) == G.mul(b, a)
-                   for a in self.elements for b in self.elements)
+        S = np.array(self.elements, dtype=np.int64)
+        sub = self.parent.table[np.ix_(S, S)]
+        return bool(np.array_equal(sub, sub.T))
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -212,12 +262,11 @@ def subgroup_to_pgroup(S: Subgroup, name: str = "") -> tuple[PGroup, list[int]]:
     Returns (group, elems) where elems[i] is the parent index of element i.
     """
     elems = list(S.elements)  # sorted; identity 0 comes first
-    pos = {e: i for i, e in enumerate(elems)}
     n = len(elems)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            table[i, j] = pos[S.parent.mul(a, b)]
+    idx = np.array(elems, dtype=np.int64)
+    pos = np.zeros(S.parent.order, dtype=np.int64)
+    pos[idx] = np.arange(n)
+    table = pos[S.parent.table[np.ix_(idx, idx)]]
     return PGroup(S.parent.p, table, name or f"sub{n}<{S.parent.name}>"), elems
 
 
@@ -250,26 +299,25 @@ class GroupHom:
 
 def characteristic_subgroup(G: PGroup, kind: str, i: int = 1) -> Subgroup:
     """center, derived, omega(i), agemo(i) or frattini subgroup of G."""
+    T = G.table
     if kind == "center":
-        T = G.table
-        elems = [g for g in range(G.order) if np.array_equal(T[g], T[:, g])]
-        return Subgroup(G, tuple(elems))
+        elems = np.flatnonzero((T == T.T).all(axis=1))
+        return Subgroup(G, tuple(elems.tolist()))
     if kind == "derived":
-        gens = {G.commutator(a, b)
-                for a in range(G.order) for b in range(G.order)}
-        return Subgroup.generated(G, gens)
+        inv = G._inv
+        # [a, b] = a^-1 b^-1 a b for every pair at once
+        comm = T[T[inv[:, None], inv[None, :]], T]
+        return Subgroup.generated(G, np.unique(comm).tolist())
     if kind == "omega":
         if i < 1:
             raise GroupError("omega requires i >= 1")
-        q = G.p ** i
-        gens = {g for g in range(G.order) if G.power(g, q) == 0}
-        return Subgroup.generated(G, gens)
+        gens = np.flatnonzero(_powers(G, G.p ** i) == 0)
+        return Subgroup.generated(G, gens.tolist())
     if kind == "agemo":
         if i < 1:
             raise GroupError("agemo requires i >= 1")
-        q = G.p ** i
-        gens = {G.power(g, q) for g in range(G.order)}
-        return Subgroup.generated(G, gens)
+        gens = np.unique(_powers(G, G.p ** i))
+        return Subgroup.generated(G, gens.tolist())
     if kind == "frattini":
         # agemo(1) * derived, valid for p-groups
         a = characteristic_subgroup(G, "agemo", 1)
@@ -284,15 +332,10 @@ def quotient_group(G: PGroup, N: Subgroup) -> tuple[PGroup, GroupHom]:
     if not N.is_normal():
         raise NotNormalError("subgroup is not normal")
     nelems = np.array(N.elements, dtype=np.int64)
-    rep = np.array([int(G.table[g, nelems].min()) for g in range(G.order)])
-    reps = sorted(set(int(r) for r in rep))
-    idx = {r: i for i, r in enumerate(reps)}  # identity coset has rep 0 -> index 0
-    coset = np.array([idx[int(r)] for r in rep])
-    q = len(reps)
-    table = np.zeros((q, q), dtype=np.int64)
-    for a, ra in enumerate(reps):
-        for b, rb in enumerate(reps):
-            table[a, b] = coset[G.mul(ra, rb)]
+    rep = G.table[:, nelems].min(axis=1)  # smallest element of gN
+    reps = np.unique(rep)  # the identity coset has rep 0 -> index 0
+    coset = np.searchsorted(reps, rep)
+    table = coset[G.table[np.ix_(reps, reps)]]
     Q = PGroup(G.p, table, name=f"{G.name}/N{N.order}")
     pi = GroupHom(G, Q, tuple(int(c) for c in coset))
     assert pi.kernel() == N
@@ -306,9 +349,9 @@ def r_subquotient(G: PGroup, i: int) -> tuple[PGroup, Subgroup]:
     N = Subgroup.generated(G, set(derived.elements) | set(agemo.elements))
     Q, pi = quotient_group(G, N)
     center = characteristic_subgroup(G, "center")
-    q = G.p ** i
+    pw = _powers(G, G.p ** i)
     omega_z = Subgroup.generated(
-        G, {g for g in center.elements if G.power(g, q) == 0})
+        G, {g for g in center.elements if pw[g] == 0})
     R_sub = Subgroup.generated(Q, {pi(g) for g in omega_z.elements})
     R, _ = subgroup_to_pgroup(R_sub, name=f"R_{i}({G.name})")
     return R, R_sub
@@ -323,13 +366,13 @@ def abelian_invariants(A) -> tuple[int, ...]:
     if A.order == 1:
         return ()
     p = A.p
-    orders = [A.element_order(g) for g in range(A.order)]
-    s = max(orders)
+    orders = _element_orders(A)
+    s = int(orders.max())
     smax = round(math.log(s, p))
     # m_k = log_p #|{g : g^{p^k} = 1}| = sum_i min(e_i, k)
     m = [0]
     for k in range(1, smax + 1):
-        cnt = sum(1 for o in orders if o <= p ** k)
+        cnt = int((orders <= p ** k).sum())
         m.append(round(math.log(cnt, p)))
     ge = [m[k] - m[k - 1] for k in range(1, smax + 1)]  # #invariants >= p^k
     invs: list[int] = []
@@ -343,19 +386,36 @@ def abelian_invariants(A) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def all_subgroups(G: PGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup of G, by closure of generator subsets."""
-    seen = {frozenset({0})}
-    frontier = [frozenset({0})]
-    while frontier:
-        H = frontier.pop()
-        for g in range(1, G.order):
-            if g in H:
-                continue
-            K = _closure(G, H | {g})
-            if K not in seen:
-                seen.add(K)
-                frontier.append(K)
-    subs = [Subgroup(G, tuple(sorted(S))) for S in seen]
+    """Every subgroup of G, sorted by (order, elements).
+
+    Layer m holds the subgroups of order p^m.  Each K in layer m + 1 is
+    H<g> for some H in layer m and any g outside H that normalizes H and
+    has g^p in H; K is then the union of the cosets H g^k, k < p.  All of
+    K outside H gives the same K, since the index is prime, so those
+    elements are skipped once K is built.
+    """
+    T, inv, p = G.table, G._inv, G.p
+    pow_p = _powers(G, p)
+    layer = [np.zeros(1, dtype=np.int64)]
+    found = list(layer)
+    while layer:
+        nxt: dict[bytes, np.ndarray] = {}
+        for H in layer:
+            inside = _mask(G.order, H)
+            normalizes = inside[T[T[:, H], inv[:, None]]].all(axis=1)
+            todo = normalizes & inside[pow_p] & ~inside
+            for g in np.flatnonzero(todo):
+                if not todo[g]:
+                    continue
+                cosets = [H]
+                for _ in range(p - 1):
+                    cosets.append(T[cosets[-1], g])
+                K = np.sort(np.concatenate(cosets))
+                todo[K] = False
+                nxt.setdefault(K.tobytes(), K)
+        layer = list(nxt.values())
+        found.extend(layer)
+    subs = [Subgroup(G, tuple(K.tolist())) for K in found]
     subs.sort(key=lambda S: (S.order, S.elements))
     return tuple(subs)
 
@@ -369,14 +429,15 @@ def direct_factor_oracle(G: PGroup, cap: int = ORACLE_CAP) -> list[tuple[Subgrou
     if G.order > cap:
         raise OracleCapExceeded(f"order {G.order} exceeds oracle cap {cap}")
     normals = [S for S in all_subgroups(G) if 1 < S.order < G.order and S.is_normal()]
+    masks = np.array([_mask(G.order, S.elements)
+                      for S in normals]).reshape(-1, G.order)
+    orders = np.array([S.order for S in normals], dtype=np.int64)
     out = []
     for a, H in enumerate(normals):
-        for K in normals[a:]:
-            if H.order * K.order != G.order:
-                continue
-            if len(set(H.elements) & set(K.elements)) != 1:
-                continue
-            out.append((H, K))
+        # complements: K at or after H in the list, |H||K| = |G|, H & K = 1
+        ks = a + np.flatnonzero(orders[a:] * H.order == G.order)
+        meets = (masks[ks] & masks[a]).sum(axis=1)
+        out.extend((H, normals[b]) for b in ks[meets == 1])
     return out
 
 
@@ -387,8 +448,9 @@ def is_internal_direct_product(G: PGroup, H: Subgroup, K: Subgroup) -> bool:
         return False
     if not (H.is_normal() and K.is_normal()):
         return False
-    return all(G.mul(a, b) == G.mul(b, a)
-               for a in H.elements for b in K.elements)
+    h = np.array(H.elements, dtype=np.int64)
+    k = np.array(K.elements, dtype=np.int64)
+    return bool(np.array_equal(G.table[np.ix_(h, k)], G.table[np.ix_(k, h)].T))
 
 
 def _abelian_basis(A: PGroup) -> list[tuple[int, int]]:
@@ -396,9 +458,9 @@ def _abelian_basis(A: PGroup) -> list[tuple[int, int]]:
     as (element, order) pairs with descending orders."""
     if A.order == 1:
         return []
-    orders = [A.element_order(g) for g in range(A.order)]
-    m = max(orders)
-    g = orders.index(m)
+    orders = _element_orders(A)
+    g = int(orders.argmax())
+    m = int(orders[g])
     if m == A.order:
         return [(g, m)]
     cyc = set(Subgroup.generated(A, (g,)).elements)
@@ -461,12 +523,20 @@ def split_into_indecomposables(G: PGroup, cap: int = ORACLE_CAP) -> list[PGroup]
     return split_into_indecomposables(Hp, cap) + split_into_indecomposables(Kp, cap)
 
 
+def cyclic_factor_orders(G: PGroup, cap: int = ORACLE_CAP) -> frozenset:
+    """Orders of the cyclic factors among G's directly indecomposable
+    factors (oracle-based; empty for the trivial group)."""
+    if G.order == 1:
+        return frozenset()
+    return frozenset(F.order for F in split_into_indecomposables(G, cap=cap)
+                     if F.exponent() == F.order)
+
+
 def has_cyclic_factor_of_order(G: PGroup, q: int, cap: int = ORACLE_CAP) -> bool:
     """Oracle answer: does G have a cyclic direct factor of order exactly q?"""
     if G.order == 1:
         return q == 1
-    factors = split_into_indecomposables(G, cap=cap)
-    return any(F.order == q and F.exponent() == q for F in factors)
+    return q in cyclic_factor_orders(G, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +569,7 @@ def catalog_build(family: str, *params) -> PGroup:
     """Built-in group constructors for the test corpus."""
     if family == "cyclic":
         p, n = params
-        if p not in (2, 3, 5):
+        if p not in SUPPORTED_PRIMES:
             raise GroupError(f"unsupported prime {p}")
         order = p ** n
         if order > MAX_ORDER:

@@ -66,6 +66,8 @@ def group_from_dict(data: dict) -> tuple[PGroup, AugmentedSubalgebra | None,
     B = C = None
     if "factorization" in data:
         fz = data["factorization"]
+        if not isinstance(fz, dict) or not {"B", "C"} <= fz.keys():
+            raise SchemaError("factorization needs the fields 'B' and 'C'")
         ctx = AlgebraContext(G)
         try:
             B = AugmentedSubalgebra.from_space(
@@ -79,11 +81,13 @@ def group_from_dict(data: dict) -> tuple[PGroup, AugmentedSubalgebra | None,
 
 def load_inputs(path) -> tuple[PGroup, AugmentedSubalgebra | None,
                                AugmentedSubalgebra | None]:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read ({exc.strerror})") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
     return group_from_dict(data)
 
 

@@ -155,3 +155,47 @@ def test_workers_do_not_change_output(tmp_path):
     _, b2 = run_to_file(tmp_path, args + ["--workers", "4"])
     b1.pop("config"), b2.pop("config")
     assert canonical_body_bytes(b1) == canonical_body_bytes(b2)
+
+
+@pytest.mark.parametrize("name", ["D6", "D12", "Q4", "C6", "Foo"])
+def test_unresolvable_catalog_name_exit_code(tmp_path, capsys, name):
+    code = run(["oracle", "--catalog", name, "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_unsupported_prime_input_exit_code(tmp_path, capsys):
+    fx = tmp_path / "c7.json"
+    fx.write_text(json.dumps({"format": 1, "p": 7, "order": 7, "name": "C7",
+                              "table": [[(a + b) % 7 for b in range(7)]
+                                        for a in range(7)]}))
+    assert run(["lemmas", "--input", str(fx)]) == EXIT_PARSE
+    assert "unsupported prime 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--catalog", "C64"], "C64: order 64 exceeds --max-order 32"),
+    (["--catalog", "C9", "--p", "2"], "C9: p=3 does not match --p 2"),
+])
+def test_named_group_filtered_out_is_usage_error(tmp_path, capsys, argv,
+                                                 message):
+    code = run(["lemmas"] + argv + ["--out", str(tmp_path / "r.json")])
+    assert code == EXIT_PARSE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_missing_input_file_exit_code(tmp_path):
+    assert run(["lemmas", "--input", str(tmp_path / "absent.json")]) == \
+        EXIT_PARSE
+
+
+def test_factorization_without_c_exit_code(tmp_path):
+    data = group_to_dict(catalog_by_name("C4"))
+    data["factorization"] = {"B": [[1, 0, 0, 0]]}
+    with pytest.raises(SchemaError, match="'B' and 'C'"):
+        group_from_dict(data)
+    fx = tmp_path / "no_c.json"
+    fx.write_text(json.dumps(data))
+    assert run(["recover", "--input", str(fx)]) == EXIT_PARSE

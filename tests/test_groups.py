@@ -41,6 +41,12 @@ def test_identity_must_sit_at_zero():
         PGroup(2, T)
 
 
+def test_unsupported_prime_rejected():
+    a = np.arange(7)
+    with pytest.raises(GroupError, match="unsupported prime"):
+        PGroup(7, (a[:, None] + a[None, :]) % 7)
+
+
 def test_non_prime_power_order_rejected():
     T = np.zeros((6, 6), dtype=np.int64)
     for a in range(6):
@@ -145,6 +151,98 @@ def test_all_subgroups_counts():
     assert len(all_subgroups(catalog_build("quaternion", 8))) == 6
 
 
+# -- independent references: generator-subset closure and per-element loops
+
+
+def _closure_reference(G, seed):
+    elems = set(seed) | {0}
+    while True:
+        new = {G.mul(a, b) for a in elems for b in elems} - elems
+        if not new:
+            return frozenset(elems)
+        elems |= new
+
+
+def _all_subgroups_reference(G):
+    """Every subgroup, by closing H + {g} for every found H and every g."""
+    seen = {frozenset({0})}
+    frontier = [frozenset({0})]
+    while frontier:
+        H = frontier.pop()
+        for g in range(1, G.order):
+            if g not in H:
+                K = _closure_reference(G, H | {g})
+                if K not in seen:
+                    seen.add(K)
+                    frontier.append(K)
+    return sorted((len(S), tuple(sorted(S))) for S in seen)
+
+
+def _is_normal_reference(S):
+    G, eset = S.parent, set(S.elements)
+    return all(G.conjugate(h, g) in eset
+               for h in S.elements for g in range(G.order))
+
+
+def _derived_reference(G):
+    gens = {G.commutator(a, b) for a in range(G.order) for b in range(G.order)}
+    return tuple(sorted(_closure_reference(G, gens)))
+
+
+def _subgroup_table_reference(S):
+    elems = list(S.elements)
+    pos = {e: i for i, e in enumerate(elems)}
+    return [[pos[S.parent.mul(a, b)] for b in elems] for a in elems]
+
+
+def _quotient_table_reference(G, N):
+    """Cosets ranked by their smallest element, then multiplied by reps."""
+    rep = [min(G.mul(g, x) for x in N.elements) for g in range(G.order)]
+    reps = sorted(set(rep))
+    idx = {r: i for i, r in enumerate(reps)}
+    return ([[idx[rep[G.mul(a, b)]] for b in reps] for a in reps],
+            [idx[r] for r in rep])
+
+
+def _lattice_reference_groups():
+    return (builtin_catalog(p=2, max_order=32)
+            + builtin_catalog(p=3, max_order=27) + [catalog_by_name("C5xC5")])
+
+
+@pytest.mark.parametrize("G", _lattice_reference_groups(),
+                         ids=lambda G: G.name)
+def test_all_subgroups_match_closure_reference(G):
+    got = [(S.order, S.elements) for S in all_subgroups(G)]
+    assert got == _all_subgroups_reference(G)
+
+
+@pytest.mark.parametrize("name, subgroups, normal", [
+    ("C2xC2xC2xC2", 67, 67), ("C2xC2xC2xC2xC2", 374, 374),
+    ("C3xC3xC3", 28, 28), ("He3", 19, 7), ("D16", 19, 7), ("Q16", 11, 7),
+    ("C2xD8", 35, 19)])
+def test_subgroup_and_normal_counts(name, subgroups, normal):
+    subs = all_subgroups(catalog_by_name(name))
+    assert len(subs) == subgroups
+    assert sum(S.is_normal() for S in subs) == normal
+
+
+@pytest.mark.parametrize("name", ["D8", "Q16", "He3", "C2xD8"])
+def test_group_checks_match_loop_references(name):
+    G = catalog_by_name(name)
+    derived = characteristic_subgroup(G, "derived")
+    assert derived.elements == _derived_reference(G)
+    for S in all_subgroups(G):
+        assert S.is_normal() == _is_normal_reference(S)
+        P, elems = subgroup_to_pgroup(S)
+        assert elems == list(S.elements)
+        assert P.table.tolist() == _subgroup_table_reference(S)
+        if S.is_normal():
+            Q, pi = quotient_group(G, S)
+            table, coset = _quotient_table_reference(G, S)
+            assert Q.table.tolist() == table
+            assert list(pi.images) == coset
+
+
 def test_is_internal_direct_product():
     G = catalog_by_name("C2xC4")
     subs = all_subgroups(G)
@@ -227,6 +325,14 @@ def test_subgroup_validation():
     D8 = catalog_build("dihedral", 8)
     with pytest.raises(GroupError):
         Subgroup(D8, (0, 1))  # not closed unless 1 has order 2 in D8's table
+    C4 = catalog_build("cyclic", 2, 2)
+    with pytest.raises(GroupError, match="inverses"):
+        Subgroup(C4, (0, 1))  # 1 + 3 = 0 in C4, and 3 is missing
+    V4 = catalog_build("abelian", 2, [1, 1])
+    with pytest.raises(GroupError, match="multiplication"):
+        Subgroup(V4, (0, 1, 2))  # involutions, but 1 * 2 = 3 is missing
+    with pytest.raises(GroupError, match="range"):
+        Subgroup(C4, (0, 2, 4))
     assert trivial_subgroup(D8).order == 1
     assert full_subgroup(D8).order == 8
 

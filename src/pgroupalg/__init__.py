@@ -6,7 +6,8 @@ from .algebra import (AlgebraContext, AugmentedSubalgebra, QuotientAlgebra,
                       commutator_span, dimension_subgroup, frattini_quotient,
                       group_algebra_subalgebra, ideal_generated,
                       mho_ideal_mod_derived, normal_subgroup_ideal,
-                      omega_central, power_space, product_space,
+                      omega_central, omega_central_ideal, power_space,
+                      product_space,
                       quotient_algebra, right_ideal,
                       unit_exponent_commutative)
 from .catalog import builtin_catalog, catalog_by_name
@@ -16,9 +17,10 @@ from .decompose import (Certificate, DecompositionReport, LambdaData,
                         split_cyclic)
 from .fplin import FpSubspace, LinearMap, QuotientSpace, complement_within, span
 from .groups import (GroupHom, PGroup, Subgroup, abelian_invariants,
-                     catalog_build, characteristic_subgroup,
+                     agemo_derived, catalog_build, characteristic_subgroup,
                      direct_factor_oracle, has_cyclic_factor_of_order,
-                     is_internal_direct_product, quotient_group,
+                     is_internal_direct_product, omega_center_derived,
+                     quotient_group,
                      r_subquotient, retraction_complement,
                      subgroup_to_pgroup)
 from .lemmas import (IdentityReport, TensorFactorizationInput,

@@ -13,6 +13,12 @@ formed in chunks of Y so that the gathered block stays bounded up to
 MAX_ORDER.  Row-wise products ``A[k] B[k]``, and with them the row-wise
 powers that raise a whole basis to its p^i-th powers at once, gather in
 chunks the same way.
+
+Each group has one shared context, ``AlgebraContext.of(G)``, and each
+context memoizes what is derived from its group alone: the augmentation
+ideal and its powers, the centre, the normal-subgroup ideals and the
+Omega/mho ideals of the lemmas.  A check that needs one of them again
+finds it built.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fplin import FpSubspace, QuotientSpace, nullspace
-from .groups import (NotNormalError, PGroup, Subgroup,
-                     characteristic_subgroup)
+from .groups import (NotNormalError, PGroup, Subgroup, characteristic_subgroup,
+                     memoized)
 
 
 class AlgebraError(ValueError):
@@ -40,7 +46,14 @@ _GATHER_ENTRIES = 1 << 20
 
 
 class AlgebraContext:
-    """F_pG for a fixed Cayley-table group.  Immutable and shareable."""
+    """F_pG for a fixed Cayley-table group.
+
+    ``AlgebraContext.of(G)`` returns the context shared by every caller
+    that works on G, so its memo serves them all; ``AlgebraContext(G)``
+    builds a fresh one with an empty memo.  The memo only ever adds
+    results that depend on G alone, so sharing a context changes no
+    answer.
+    """
 
     def __init__(self, group: PGroup):
         self.group = group
@@ -50,8 +63,16 @@ class AlgebraContext:
         inv = np.array([group.inv(g) for g in range(self.dim)], dtype=np.int64)
         self._left = T[inv]        # L[g, t] = g^-1 t
         self._right = T[:, inv].T  # R[g, t] = t g^-1
-        self._aug_ideal: FpSubspace | None = None
-        self._center: FpSubspace | None = None
+        self._memo: dict = {}  # see groups.memoized
+
+    @classmethod
+    def of(cls, group: PGroup) -> "AlgebraContext":
+        """The group's shared context, built on first use and kept in the
+        group's memo, so it lives as long as the group."""
+        memo = group._memo
+        if "algebra_context" not in memo:
+            memo["algebra_context"] = cls(group)
+        return memo["algebra_context"]
 
     def basis_vector(self, g: int) -> np.ndarray:
         v = np.zeros(self.dim, dtype=np.int64)
@@ -143,12 +164,22 @@ class AlgebraContext:
     def augmentation(self, v) -> int:
         return int(np.asarray(v, dtype=np.int64).sum() % self.p)
 
+    @memoized
     def augmentation_ideal(self) -> FpSubspace:
         """span{e_g - 1 : g in G}; the Jacobson radical of F_pG."""
-        if self._aug_ideal is None:
-            rows = [self.group_minus_one(g) for g in range(1, self.dim)]
-            self._aug_ideal = FpSubspace(self.p, self.dim, np.array(rows))
-        return self._aug_ideal
+        rows = [self.group_minus_one(g) for g in range(1, self.dim)]
+        return FpSubspace(self.p, self.dim, np.array(rows))
+
+    def augmentation_power(self, m: int) -> FpSubspace:
+        """I(G)^m, each power built once, as I(G)^{m-1} I(G)."""
+        if m < 1:
+            raise AlgebraError("augmentation_power requires m >= 1")
+        powers = self._memo.setdefault("augmentation_powers", [])
+        if not powers:
+            powers.append(self.augmentation_ideal())
+        while len(powers) < m:
+            powers.append(product_space(self, powers[-1], powers[0]))
+        return powers[m - 1]
 
     def full_space(self) -> FpSubspace:
         return FpSubspace.full(self.p, self.dim)
@@ -166,17 +197,17 @@ class AlgebraContext:
             classes.append(tuple(sorted(orbit)))
         return classes
 
+    @memoized
     def center_subspace(self) -> FpSubspace:
         """Z(F_pG), spanned by conjugacy class sums."""
-        if self._center is None:
-            rows = []
-            for cls in self.conjugacy_classes():
-                v = np.zeros(self.dim, dtype=np.int64)
-                v[list(cls)] = 1
-                rows.append(v)
-            self._center = FpSubspace(self.p, self.dim, np.array(rows))
-        return self._center
+        rows = []
+        for cls in self.conjugacy_classes():
+            v = np.zeros(self.dim, dtype=np.int64)
+            v[list(cls)] = 1
+            rows.append(v)
+        return FpSubspace(self.p, self.dim, np.array(rows))
 
+    @memoized
     def central_ideal_part(self) -> FpSubspace:
         """Z(I(G)) = Z(F_pG) intersected with I(G)."""
         return self.center_subspace().intersect(self.augmentation_ideal())
@@ -188,6 +219,8 @@ def product_space(ctx: AlgebraContext, X: FpSubspace, Y: FpSubspace) -> FpSubspa
 
 
 def power_space(ctx: AlgebraContext, X: FpSubspace, m: int) -> FpSubspace:
+    """X^m for any subspace X, built afresh; the memoized powers of I(G)
+    come from ``ctx.augmentation_power(m)``."""
     if m < 1:
         raise AlgebraError("power_space requires m >= 1")
     acc = X
@@ -218,19 +251,24 @@ def ideal_generated(ctx: AlgebraContext, X: FpSubspace) -> FpSubspace:
 
 
 def normal_subgroup_ideal(ctx: AlgebraContext, N: Subgroup) -> FpSubspace:
-    """I(N)F_pG = kernel of F_pG -> F_p(G/N), built as span{(e_n - 1)e_g}."""
+    """I(N)F_pG = kernel of F_pG -> F_p(G/N), built as span{(e_n - 1)e_g};
+    memoized on ctx by the elements of N."""
     if N.parent is not ctx.group:
         raise AlgebraError("subgroup does not belong to this context's group")
-    if not N.is_normal():
-        raise NotNormalError("normal_subgroup_ideal requires a normal subgroup")
-    G = ctx.group
-    gens = [n for n in N.elements if n != 0]
-    diffs = np.zeros((len(gens), ctx.dim), dtype=np.int64)  # rows e_n - 1
-    diffs[np.arange(len(gens)), gens] = 1
-    diffs[:, 0] = ctx.p - 1
-    out = FpSubspace(ctx.p, ctx.dim, ctx.right_translates(diffs))
-    assert out.dim == G.order - G.order // N.order
-    return out
+    key = ("normal_subgroup_ideal", N.elements)
+    if key not in ctx._memo:
+        if not N.is_normal():
+            raise NotNormalError(
+                "normal_subgroup_ideal requires a normal subgroup")
+        G = ctx.group
+        gens = [n for n in N.elements if n != 0]
+        diffs = np.zeros((len(gens), ctx.dim), dtype=np.int64)  # e_n - 1
+        diffs[np.arange(len(gens)), gens] = 1
+        diffs[:, 0] = ctx.p - 1
+        out = FpSubspace(ctx.p, ctx.dim, ctx.right_translates(diffs))
+        assert out.dim == G.order - G.order // N.order
+        ctx._memo[key] = out
+    return ctx._memo[key]
 
 
 class QuotientAlgebra:
@@ -272,17 +310,15 @@ class QuotientAlgebra:
 
     def radical_power_dims(self) -> list[int]:
         """Dims of the images of I(G)^m in the quotient, m = 1, 2, ... until 0."""
-        I = self.ctx.augmentation_ideal()
         dims = []
-        acc = I
         while True:
+            acc = self.ctx.augmentation_power(len(dims) + 1)
             img = FpSubspace(self.ctx.p, self.dim,
                              np.array([self.project(v) for v in acc.basis])
                              if acc.dim else None)
             dims.append(img.dim)
             if img.dim == 0:
                 return dims
-            acc = product_space(self.ctx, acc, I)
 
 
 def quotient_algebra(ctx: AlgebraContext, J: FpSubspace) -> QuotientAlgebra:
@@ -301,9 +337,10 @@ def subalgebra_closure(ctx: AlgebraContext, X: FpSubspace) -> FpSubspace:
     return acc
 
 
+@memoized
 def omega_central(ctx: AlgebraContext, i: int) -> FpSubspace:
     """Omega_i(Z(I(G))): the subalgebra of central ideal elements generated by
-    those with z^{p^i} = 0.
+    those with z^{p^i} = 0; memoized on ctx.
 
     Z(I(G)) is commutative, so z -> z^{p^i} is F_p-linear (Frobenius) and the
     nilpotent part is the kernel of that linear map; no enumeration needed.
@@ -316,6 +353,13 @@ def omega_central(ctx: AlgebraContext, i: int) -> FpSubspace:
     rows = (coeffs @ Z.basis) % ctx.p if coeffs.size else None
     # already closed in theory; the fixpoint is cheap
     return subalgebra_closure(ctx, FpSubspace(ctx.p, ctx.dim, rows))
+
+
+@memoized
+def omega_central_ideal(ctx: AlgebraContext, i: int) -> FpSubspace:
+    """Omega_i(Z(I(G)))F_pG, the right ideal of lemma items 2 and 3;
+    memoized on ctx."""
+    return right_ideal(ctx, omega_central(ctx, i))
 
 
 _ENUM_CHUNK = 4096  # central elements raised to their p^i-th powers at once
@@ -343,8 +387,9 @@ def omega_central_enumerated(ctx: AlgebraContext, i: int,
     return subalgebra_closure(ctx, acc)
 
 
+@memoized
 def mho_ideal_mod_derived(ctx: AlgebraContext, i: int) -> FpSubspace:
-    """mho_i(I(G))F_pG + I(G')F_pG.
+    """mho_i(I(G))F_pG + I(G')F_pG; memoized on ctx.
 
     Modulo the derived ideal the algebra is commutative, so p^i-th powers of
     a basis of I(G) span all p^i-th powers there; the raw mho ideal alone is
@@ -377,7 +422,7 @@ def dimension_subgroup(ctx: AlgebraContext, m: int) -> Subgroup:
     """D_m = {g : g - 1 in I(G)^m}; m = 2 gives the Frattini subgroup."""
     if m < 1:
         raise AlgebraError("dimension_subgroup requires m >= 1")
-    Im = power_space(ctx, ctx.augmentation_ideal(), m)
+    Im = ctx.augmentation_power(m)
     diffs = np.eye(ctx.dim, dtype=np.int64)  # rows e_g - 1
     diffs[:, 0] -= 1
     outside = Im.reduce(diffs).any(axis=1)
@@ -425,5 +470,4 @@ def group_algebra_subalgebra(ctx: AlgebraContext, elements) -> AugmentedSubalgeb
 
 def frattini_quotient(ctx: AlgebraContext) -> QuotientSpace:
     """I(G)/I(G)^2, the additive side of the Frattini correspondence."""
-    I = ctx.augmentation_ideal()
-    return QuotientSpace(I, power_space(ctx, I, 2))
+    return QuotientSpace(ctx.augmentation_ideal(), ctx.augmentation_power(2))

@@ -8,6 +8,7 @@ Exit codes: 0 all checks passed, 1 check failure, 2 parse/usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -34,7 +35,10 @@ class UsageError(ValueError):
     """Arguments that contradict each other."""
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Parsing does not change
+    it: the append actions copy their default list before appending."""
     ap = argparse.ArgumentParser(
         prog="pgroupalg",
         description="Exact computations in modular group algebras of finite p-groups")
@@ -112,7 +116,7 @@ def cmd_catalog(args) -> tuple[int, dict]:
         G0 = catalog_by_name(g0_name)
         from .groups import catalog_build
         G = catalog_build("direct_product", A, G0)
-        ctx = AlgebraContext(G)
+        ctx = AlgebraContext.of(G)
         B = group_algebra_subalgebra(
             ctx, [a * G0.order for a in range(A.order)])
         C = group_algebra_subalgebra(ctx, list(range(G0.order)))

@@ -15,11 +15,12 @@ import numpy as np
 
 from .algebra import (AlgebraContext, AugmentedSubalgebra,
                       frattini_quotient, ideal_generated,
-                      normal_subgroup_ideal, power_space, product_space)
+                      normal_subgroup_ideal, product_space)
 from .fplin import FpSubspace, LinearMap, QuotientSpace, complement_within, span
 from .groups import (ORACLE_CAP, PGroup, RetractionError, Subgroup,
-                     abelian_invariants, characteristic_subgroup,
-                     direct_factor_oracle, is_internal_direct_product,
+                     abelian_invariants, agemo_derived,
+                     characteristic_subgroup, direct_factor_oracle,
+                     is_internal_direct_product, omega_center_derived,
                      retraction_complement, subgroup_to_pgroup,
                      trivial_subgroup)
 from .lemmas import (TensorFactorizationInput, VerificationError,
@@ -37,21 +38,6 @@ class LambdaData:
     kernel: FpSubspace  # inside the span of the domain section
 
 
-def _omega_center_derived(G: PGroup, s: int) -> Subgroup:
-    """Omega_s(Z(G)) * G'."""
-    center = characteristic_subgroup(G, "center")
-    q = G.p ** s
-    gens = {g for g in center.elements if G.power(g, q) == 0}
-    gens |= set(characteristic_subgroup(G, "derived").elements)
-    return Subgroup.generated(G, gens)
-
-
-def _agemo_derived(G: PGroup, s: int) -> Subgroup:
-    gens = set(characteristic_subgroup(G, "agemo", s).elements)
-    gens |= set(characteristic_subgroup(G, "derived").elements)
-    return Subgroup.generated(G, gens)
-
-
 def lambda_map(G: PGroup, s: int) -> LambdaData:
     """Build the map z + I(G)^2 -> z^{p^{s-1}} between the two filtration
     quotients, with an exact well-definedness check.
@@ -64,15 +50,14 @@ def lambda_map(G: PGroup, s: int) -> LambdaData:
     p = G.p
     if s < 1 or p ** s > G.exponent():
         raise ValueError(f"lambda_map requires 1 <= p^s <= exp(G), got s={s}")
-    ctx = AlgebraContext(G)
-    I = ctx.augmentation_ideal()
-    I2 = power_space(ctx, I, 2)
+    ctx = AlgebraContext.of(G)
+    I2 = ctx.augmentation_power(2)
     q = p ** (s - 1)
-    W_dom = normal_subgroup_ideal(ctx, _omega_center_derived(G, s)) + I2
+    W_dom = normal_subgroup_ideal(ctx, omega_center_derived(G, s)) + I2
     domain = QuotientSpace(W_dom, I2)
-    mho_ideal = normal_subgroup_ideal(ctx, _agemo_derived(G, s))
-    W_cod = power_space(ctx, I, q) + mho_ideal
-    U_cod = power_space(ctx, I, q + 1) + mho_ideal
+    mho_ideal = normal_subgroup_ideal(ctx, agemo_derived(G, s))
+    W_cod = ctx.augmentation_power(q) + mho_ideal
+    U_cod = ctx.augmentation_power(q + 1) + mho_ideal
     codomain = QuotientSpace(W_cod, U_cod)
     if U_cod.reduce(ctx.powers(I2.basis, q)).any():
         raise VerificationError(
@@ -92,7 +77,7 @@ def split_cyclic(G: PGroup, h: int) -> tuple[Subgroup, Subgroup]:
     G0 = retraction_complement(G, h)
     if not is_internal_direct_product(G, H, G0):
         raise VerificationError("split-cyclic", "not an internal direct product")
-    ctx = AlgebraContext(G)
+    ctx = AlgebraContext.of(G)
     J = ideal_generated(ctx, span(G.p, G.order, [ctx.group_minus_one(h)]))
     span_G0 = span(G.p, G.order, [ctx.basis_vector(k) for k in G0.elements])
     if J.dim != G.order - G0.order or J.intersect(span_G0).dim != 0:
@@ -135,9 +120,6 @@ def homocyclic_split(G: PGroup, s: int, V: FpSubspace) -> tuple[Subgroup, Subgro
     """Given V with V/I(G)^2 + ker Lambda a direct sum filling the domain,
     produce G = H x K with H homocyclic of exponent p^s and K without
     cyclic factors of order p^s."""
-    ctx = AlgebraContext(G)
-    I = ctx.augmentation_ideal()
-    I2 = power_space(ctx, I, 2)
     lam = lambda_map(G, s)
     v_rows = []
     for row in V.basis:
@@ -155,8 +137,8 @@ def homocyclic_split(G: PGroup, s: int, V: FpSubspace) -> tuple[Subgroup, Subgro
     cur_G, cur_embed = G, list(range(G.order))
     cur_V = V_sec
     while cur_V.dim:
-        cur_ctx = AlgebraContext(cur_G)
-        cur_I2 = power_space(cur_ctx, cur_ctx.augmentation_ideal(), 2)
+        cur_ctx = AlgebraContext.of(cur_G)
+        cur_I2 = cur_ctx.augmentation_power(2)
         target = cur_V.basis[0]
         h, H, G0 = _find_split_element(cur_G, cur_ctx, cur_I2, target, s)
         h_elems.append(cur_embed[h])
@@ -178,7 +160,7 @@ def homocyclic_split(G: PGroup, s: int, V: FpSubspace) -> tuple[Subgroup, Subgro
             rest_elems.append(k)
         G0p, g0_elems = subgroup_to_pgroup(G0)
         pos = {e: i for i, e in enumerate(g0_elems)}
-        ctx0 = AlgebraContext(G0p)
+        ctx0 = AlgebraContext.of(G0p)
         rows = [ctx0.group_minus_one(pos[k]) for k in rest_elems]
         cur_V = FpSubspace(G.p, G0p.order, np.array(rows) if rows else None)
         cur_embed = [cur_embed[e] for e in g0_elems]
@@ -373,17 +355,17 @@ def recover_decomposition(fact: TensorFactorizationInput,
     while cur_fact.B.dim > 1:
         ctx = cur_fact.ctx
         cur_G = ctx.group
-        units = find_group_basis_commutative(cur_fact.B, seed=seed)
+        units = units0 if depth == 0 else \
+            find_group_basis_commutative(cur_fact.B, seed=seed)
         b = units[0]  # highest multiplicative order p^s
         ps = _unit_order(ctx, b)
         s = round(math.log(ps, p))
         b_minus_1 = (b - ctx.one) % p
-        I = ctx.augmentation_ideal()
         q = p ** (s - 1)
         # Jennings non-membership: (b-1)^{p^{s-1}} stays outside
         # I(G)^{p^{s-1}+1} + I(mho_s(G)G')kG
-        bad = power_space(ctx, I, q + 1) \
-            + normal_subgroup_ideal(ctx, _agemo_derived(cur_G, s))
+        bad = ctx.augmentation_power(q + 1) \
+            + normal_subgroup_ideal(ctx, agemo_derived(cur_G, s))
         if bad.contains_vector(ctx.power(b_minus_1, q)):
             raise VerificationError(
                 "jennings-nonmembership",
@@ -396,7 +378,7 @@ def recover_decomposition(fact: TensorFactorizationInput,
                 "kernel-exclusion", "class of b-1 lies in ker Lambda")
         complement_within(lam.kernel, lam.domain.section_space(),
                           span(p, cur_G.order, [rep_b]))
-        I2 = power_space(ctx, I, 2)
+        I2 = ctx.augmentation_power(2)
         h, H, G0 = _find_split_element(cur_G, ctx, I2, b_minus_1, s)
         hs.append(cur_embed[h])
         steps.append({"depth": depth, "s": s, "h": cur_embed[h],
@@ -410,7 +392,7 @@ def recover_decomposition(fact: TensorFactorizationInput,
                 "theorem-splitting", "F_pG != (b-1)F_pG + F_pG_0")
         qs = QuotientSpace(ctx.full_space(), J, section=span_G0)
         G0p, g0_elems = subgroup_to_pgroup(G0)
-        ctx0 = AlgebraContext(G0p)
+        ctx0 = AlgebraContext.of(G0p)
         B_rows = np.array([qs.project(v) for v in cur_fact.B.space.basis])
         C_rows = np.array([qs.project(v) for v in cur_fact.C.space.basis])
         B0 = AugmentedSubalgebra.from_space(
@@ -464,7 +446,7 @@ def certify_indecomposable(G: PGroup, oracle_cap: int = ORACLE_CAP) -> Certifica
     """
     pairs = direct_factor_oracle(G, cap=oracle_cap)
     indec = not pairs
-    ctx = AlgebraContext(G)
+    ctx = AlgebraContext.of(G)
     d = frattini_quotient(ctx).dim
     frattini = characteristic_subgroup(G, "frattini")
     if G.p ** d * frattini.order != G.order:

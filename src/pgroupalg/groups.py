@@ -16,6 +16,7 @@ cosets H g^k, k < p, and no closure is ever computed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -98,6 +99,7 @@ class PGroup:
             raise GroupError(f"associativity fails at triple {tuple(int(x) for x in bad)}")
         inv = (t == 0).argmax(axis=1)
         object.__setattr__(self, "_inv", inv)
+        object.__setattr__(self, "_memo", {})  # see memoized()
 
     @property
     def order(self) -> int:
@@ -143,6 +145,27 @@ class PGroup:
 
     def __repr__(self):
         return f"PGroup(p={self.p}, order={self.order}, name={self.name!r})"
+
+
+def memoized(fn):
+    """Memoize fn(owner, *args) in owner._memo, keyed by fn's name and args.
+
+    The owner is a PGroup or an AlgebraContext, and its memo is one of its
+    attributes: a result lives exactly as long as the object it was
+    computed for, and nothing is shared between groups.  Results must not
+    be mutated (subgroups hold tuples, subspaces read-only bases).
+    """
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def wrapper(owner, *args):
+        memo = owner._memo
+        key = (name, *args)
+        if key not in memo:
+            memo[key] = fn(owner, *args)
+        return memo[key]
+
+    return wrapper
 
 
 def _powers(G: PGroup, k: int) -> np.ndarray:
@@ -298,7 +321,13 @@ class GroupHom:
 
 
 def characteristic_subgroup(G: PGroup, kind: str, i: int = 1) -> Subgroup:
-    """center, derived, omega(i), agemo(i) or frattini subgroup of G."""
+    """center, derived, omega(i), agemo(i) or frattini subgroup of G,
+    memoized on G."""
+    return _characteristic_subgroup(G, kind, i)
+
+
+@memoized
+def _characteristic_subgroup(G: PGroup, kind: str, i: int) -> Subgroup:
     T = G.table
     if kind == "center":
         elems = np.flatnonzero((T == T.T).all(axis=1))
@@ -319,11 +348,27 @@ def characteristic_subgroup(G: PGroup, kind: str, i: int = 1) -> Subgroup:
         gens = np.unique(_powers(G, G.p ** i))
         return Subgroup.generated(G, gens.tolist())
     if kind == "frattini":
-        # agemo(1) * derived, valid for p-groups
-        a = characteristic_subgroup(G, "agemo", 1)
-        d = characteristic_subgroup(G, "derived")
-        return Subgroup.generated(G, set(a.elements) | set(d.elements))
+        return agemo_derived(G, 1)  # valid for p-groups
     raise GroupError(f"unknown characteristic subgroup kind {kind!r}")
+
+
+@memoized
+def omega_center_derived(G: PGroup, i: int) -> Subgroup:
+    """Omega_i(Z(G)) G', generated by the central g with g^{p^i} = 1 and by
+    the derived subgroup; memoized on G."""
+    center = characteristic_subgroup(G, "center")
+    pw = _powers(G, G.p ** i)
+    gens = {g for g in center.elements if pw[g] == 0}
+    gens |= set(characteristic_subgroup(G, "derived").elements)
+    return Subgroup.generated(G, gens)
+
+
+@memoized
+def agemo_derived(G: PGroup, i: int) -> Subgroup:
+    """mho_i(G) G'; memoized on G."""
+    gens = set(characteristic_subgroup(G, "agemo", i).elements)
+    gens |= set(characteristic_subgroup(G, "derived").elements)
+    return Subgroup.generated(G, gens)
 
 
 def quotient_group(G: PGroup, N: Subgroup) -> tuple[PGroup, GroupHom]:
@@ -344,15 +389,10 @@ def quotient_group(G: PGroup, N: Subgroup) -> tuple[PGroup, GroupHom]:
 
 def r_subquotient(G: PGroup, i: int) -> tuple[PGroup, Subgroup]:
     """R_i(G) as an abelian group, with its embedding into G/(agemo_i * derived)."""
-    derived = characteristic_subgroup(G, "derived")
-    agemo = characteristic_subgroup(G, "agemo", i)
-    N = Subgroup.generated(G, set(derived.elements) | set(agemo.elements))
-    Q, pi = quotient_group(G, N)
-    center = characteristic_subgroup(G, "center")
-    pw = _powers(G, G.p ** i)
-    omega_z = Subgroup.generated(
-        G, {g for g in center.elements if pw[g] == 0})
-    R_sub = Subgroup.generated(Q, {pi(g) for g in omega_z.elements})
+    Q, pi = quotient_group(G, agemo_derived(G, i))
+    # G' lies in the kernel, so this is the image of Omega_i(Z(G))
+    R_sub = Subgroup.generated(
+        Q, {pi(g) for g in omega_center_derived(G, i).elements})
     R, _ = subgroup_to_pgroup(R_sub, name=f"R_{i}({G.name})")
     return R, R_sub
 

@@ -47,14 +47,35 @@ def _normalize_identity(table: np.ndarray) -> np.ndarray:
     return out
 
 
+def _integer(data: dict, key: str) -> int:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"field {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integer_rows(value, what: str) -> np.ndarray:
+    """A list of equal-length lists of integers as an int64 matrix."""
+    try:
+        rows = np.array(value)
+    except ValueError as exc:  # ragged
+        raise SchemaError(f"{what} is not a rectangular matrix") from exc
+    if rows.ndim != 2 or rows.dtype.kind not in "iu":
+        raise SchemaError(f"{what} must be a list of equal-length lists "
+                          "of integers")
+    return rows.astype(np.int64)
+
+
 def group_from_dict(data: dict) -> tuple[PGroup, AugmentedSubalgebra | None,
                                          AugmentedSubalgebra | None]:
+    if not isinstance(data, dict):
+        raise SchemaError("a group file must hold a JSON object")
     for key in ("p", "order", "table"):
         if key not in data:
             raise SchemaError(f"missing field {key!r}")
-    p = data["p"]
-    order = data["order"]
-    table = np.asarray(data["table"], dtype=np.int64)
+    p = _integer(data, "p")
+    order = _integer(data, "order")
+    table = _integer_rows(data["table"], "table")
     if table.shape != (order, order):
         raise SchemaError(
             f"table shape {table.shape} does not match order {order}")
@@ -68,12 +89,16 @@ def group_from_dict(data: dict) -> tuple[PGroup, AugmentedSubalgebra | None,
         fz = data["factorization"]
         if not isinstance(fz, dict) or not {"B", "C"} <= fz.keys():
             raise SchemaError("factorization needs the fields 'B' and 'C'")
-        ctx = AlgebraContext(G)
+        ctx = AlgebraContext.of(G)
+        B_rows = _integer_rows(fz["B"], "factorization B")
+        C_rows = _integer_rows(fz["C"], "factorization C")
+        if B_rows.shape[1] != order or C_rows.shape[1] != order:
+            raise SchemaError(f"factorization rows must have length {order}")
         try:
             B = AugmentedSubalgebra.from_space(
-                ctx, FpSubspace(p, order, np.asarray(fz["B"], dtype=np.int64)))
+                ctx, FpSubspace(p, order, B_rows))
             C = AugmentedSubalgebra.from_space(
-                ctx, FpSubspace(p, order, np.asarray(fz["C"], dtype=np.int64)))
+                ctx, FpSubspace(p, order, C_rows))
         except ValueError as exc:
             raise SchemaError(f"invalid factorization: {exc}") from exc
     return G, B, C

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 
 from .algebra import (AlgebraContext, AugmentedSubalgebra, commutator_span,
                       mho_ideal_mod_derived, normal_subgroup_ideal,
-                      omega_central, product_space, right_ideal,
+                      omega_central_ideal, product_space,
                       unit_exponent_commutative)
 from .fplin import FpSubspace
-from .groups import (PGroup, Subgroup, abelian_invariants,
-                     characteristic_subgroup, full_subgroup, quotient_group,
-                     r_subquotient)
+from .groups import (PGroup, Subgroup, abelian_invariants, agemo_derived,
+                     characteristic_subgroup, full_subgroup,
+                     omega_center_derived, r_subquotient)
 
 
 class VerificationError(ValueError):
@@ -63,43 +63,24 @@ def _compare(identity_id: str, left: FpSubspace, right: FpSubspace) -> IdentityR
     return IdentityReport(identity_id, left.dim, right.dim, equal, witness)
 
 
-def _joined_subgroup(G: PGroup, *parts: Subgroup) -> Subgroup:
-    gens: set[int] = {0}
-    for part in parts:
-        gens |= set(part.elements)
-    return Subgroup.generated(G, gens)
-
-
 def lemma_identity_check(G: PGroup, item: int, i: int = 1, j: int = 1) -> IdentityReport:
     """Check one of the three ideal identities relating characteristic
     subgroups of G to Omega/mho constructions inside F_pG."""
-    ctx = AlgebraContext(G)
-    derived = characteristic_subgroup(G, "derived")
+    ctx = AlgebraContext.of(G)
     if item == 1:
-        N = _joined_subgroup(G, characteristic_subgroup(G, "agemo", i), derived)
-        left = normal_subgroup_ideal(ctx, N)
+        left = normal_subgroup_ideal(ctx, agemo_derived(G, i))
         right = mho_ideal_mod_derived(ctx, i)
         return _compare("lemma1", left, right)
     if item == 2:
-        center = characteristic_subgroup(G, "center")
-        q = G.p ** i
-        omega_z = Subgroup.generated(
-            G, {g for g in center.elements if G.power(g, q) == 0})
-        N = _joined_subgroup(G, omega_z, derived)
-        left = normal_subgroup_ideal(ctx, N)
-        right = right_ideal(ctx, omega_central(ctx, i)) \
-            + normal_subgroup_ideal(ctx, derived)
+        left = normal_subgroup_ideal(ctx, omega_center_derived(G, i))
+        derived = characteristic_subgroup(G, "derived")
+        right = omega_central_ideal(ctx, i) + normal_subgroup_ideal(ctx, derived)
         return _compare("lemma2", left, right)
     if item == 3:
-        center = characteristic_subgroup(G, "center")
-        q = G.p ** i
-        omega_z = Subgroup.generated(
-            G, {g for g in center.elements if G.power(g, q) == 0})
-        N = _joined_subgroup(G, omega_z,
-                             characteristic_subgroup(G, "agemo", j), derived)
+        N = Subgroup.generated(G, set(omega_center_derived(G, i).elements)
+                               | set(agemo_derived(G, j).elements))
         left = normal_subgroup_ideal(ctx, N)
-        right = right_ideal(ctx, omega_central(ctx, i)) \
-            + mho_ideal_mod_derived(ctx, j)
+        right = omega_central_ideal(ctx, i) + mho_ideal_mod_derived(ctx, j)
         return _compare("lemma3", left, right)
     raise ValueError(f"unknown lemma item {item}")
 
@@ -107,31 +88,23 @@ def lemma_identity_check(G: PGroup, item: int, i: int = 1, j: int = 1) -> Identi
 def cyclic_factor_test(G: PGroup, i: int) -> tuple[bool, int]:
     """Criterion for a cyclic direct factor of order p^i.
 
-    Builds the abelian quotient Q = G/(agemo_i * derived), the image R of
-    Omega_i(Z(G)) inside it, and returns (exp(1 + I(R)F_pQ) >= p^i, that
-    exponent).  The exponent is cross-checked against exp(R_i(G)).
+    Takes the abelian quotient Q = G/(agemo_i * derived) and the image R
+    of Omega_i(Z(G)) inside it from :func:`r_subquotient`, and returns
+    (exp(1 + I(R)F_pQ) >= p^i, that exponent).  The exponent is
+    cross-checked against exp(R_i(G)), read off the group R.
     """
-    derived = characteristic_subgroup(G, "derived")
-    agemo = characteristic_subgroup(G, "agemo", i)
-    N = _joined_subgroup(G, agemo, derived)
-    Q, pi = quotient_group(G, N)
-    center = characteristic_subgroup(G, "center")
-    q = G.p ** i
-    omega_z = Subgroup.generated(
-        G, {g for g in center.elements if G.power(g, q) == 0})
-    R_sub = Subgroup.generated(Q, {pi(g) for g in omega_z.elements})
-    ctxQ = AlgebraContext(Q)
+    R, R_sub = r_subquotient(G, i)
+    ctxQ = AlgebraContext(R_sub.parent)
     ideal = normal_subgroup_ideal(ctxQ, R_sub)
     exponent = unit_exponent_commutative(ctxQ, ideal)
     # proof-of-lemma equality: exp(1 + I(R_i)F_pQ) = exp(R_i(G))
-    R, _ = r_subquotient(G, i)
     invs = abelian_invariants(R)
     exp_R = invs[0] if invs else 1
     if exponent != exp_R:
         raise VerificationError(
             "cyclic-factor-exponent",
             f"unit exponent {exponent} != exp(R_i(G)) = {exp_R}")
-    return exponent >= q, exponent
+    return exponent >= G.p ** i, exponent
 
 
 @dataclass
@@ -199,13 +172,11 @@ def babelian_checks(fact: TensorFactorizationInput, part: str) -> IdentityReport
     if part == "c":
         ps = fact.B.unit_exponent()
         s = round(math.log(ps, ctx.p)) if ps > 1 else 0
-        derived = characteristic_subgroup(ctx.group, "derived")
         if s == 0:
             # mho_0(G) = G, so the left side is all of I(G)
             N = full_subgroup(ctx.group)
         else:
-            agemo = characteristic_subgroup(ctx.group, "agemo", s)
-            N = _joined_subgroup(ctx.group, agemo, derived)
+            N = agemo_derived(ctx.group, s)
         left = normal_subgroup_ideal(ctx, N)
         right = IC + IBC
         ok = right.contains(left)

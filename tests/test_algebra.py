@@ -1,5 +1,9 @@
 """Group algebra arithmetic and the augmentation ideal calculus."""
 
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,11 +14,13 @@ from pgroupalg.algebra import (AlgebraContext, AlgebraError,
                                group_algebra_subalgebra, ideal_generated,
                                mho_ideal_mod_derived, normal_subgroup_ideal,
                                omega_central, omega_central_enumerated,
-                               power_space, product_space, right_ideal,
+                               omega_central_ideal, power_space,
+                               product_space, right_ideal,
                                unit_exponent_commutative)
 from pgroupalg.catalog import catalog_by_name
 from pgroupalg.fplin import span
-from pgroupalg.groups import characteristic_subgroup
+from pgroupalg.groups import (PGroup, agemo_derived, characteristic_subgroup,
+                              omega_center_derived)
 
 
 def ctx_of(name):
@@ -236,3 +242,66 @@ def test_augmented_subalgebra_validation():
     bad2 = span(2, 8, [ctx.group_minus_one(1)])
     with pytest.raises(ValueError):
         AugmentedSubalgebra.from_space(ctx, bad2)
+
+
+def _memoized_builders(G):
+    """What the group and context memos hold, keyed by what it is; each
+    value builds that object on a given context."""
+    smax = max(1, round(math.log(G.exponent(), G.p)))
+    subgroups = {kind: lambda ctx, kind=kind:
+                 characteristic_subgroup(ctx.group, kind)
+                 for kind in ("center", "derived", "frattini")}
+    for i in range(1, smax + 1):
+        for kind in ("omega", "agemo"):
+            subgroups[kind, i] = lambda ctx, kind=kind, i=i: \
+                characteristic_subgroup(ctx.group, kind, i)
+        subgroups["omega_center_derived", i] = \
+            lambda ctx, i=i: omega_center_derived(ctx.group, i)
+        subgroups["agemo_derived", i] = \
+            lambda ctx, i=i: agemo_derived(ctx.group, i)
+    builders = dict(subgroups)
+    for key, sub in subgroups.items():
+        builders["I(N)", key] = \
+            lambda ctx, sub=sub: normal_subgroup_ideal(ctx, sub(ctx))
+    builders["I"] = lambda ctx: ctx.augmentation_ideal()
+    builders["Z"] = lambda ctx: ctx.center_subspace()
+    builders["Z(I)"] = lambda ctx: ctx.central_ideal_part()
+    for m in range(1, G.order + 1):
+        builders["I^", m] = lambda ctx, m=m: ctx.augmentation_power(m)
+    for i in range(1, smax + 1):
+        for fn in (omega_central, omega_central_ideal, mho_ideal_mod_derived):
+            builders[fn.__name__, i] = lambda ctx, fn=fn, i=i: fn(ctx, i)
+    return builders
+
+
+def _same(a, b) -> bool:
+    return a.elements == b.elements if hasattr(a, "elements") else a == b
+
+
+@pytest.mark.parametrize("name", ["D8", "Q16", "He3", "C2xC2xD8"])
+def test_memo_matches_fresh_context(name):
+    G = catalog_by_name(name)
+    ctx = AlgebraContext.of(G)
+    assert AlgebraContext.of(G) is ctx
+    builders = _memoized_builders(G)
+    built = {key: build(ctx) for key, build in builders.items()}
+    for key, build in builders.items():
+        assert build(ctx) is built[key], key
+        # each object alone on a fresh context, and on a copy of G that
+        # starts with an empty group memo as well
+        copy = PGroup(G.p, G.table.copy(), G.name)
+        for fresh in (AlgebraContext(G), AlgebraContext(copy)):
+            assert _same(build(fresh), built[key]), key
+        if key[0] == "I^":  # and power_space, which uses no memo
+            assert power_space(ctx, built["I"], key[1]) == built[key], key
+
+
+def test_memo_dies_with_its_group():
+    G = catalog_by_name("C2xD8")
+    ctx = AlgebraContext.of(G)
+    for build in _memoized_builders(G).values():
+        build(ctx)
+    ref = weakref.ref(G)
+    del G, ctx
+    gc.collect()
+    assert ref() is None

@@ -199,3 +199,39 @@ def test_factorization_without_c_exit_code(tmp_path):
     fx = tmp_path / "no_c.json"
     fx.write_text(json.dumps(data))
     assert run(["recover", "--input", str(fx)]) == EXIT_PARSE
+
+
+def test_second_run_does_not_see_first_runs_lists(tmp_path):
+    fx = tmp_path / "c4.json"
+    assert run(["catalog", "--emit", "C4", "--out", str(fx)]) == EXIT_OK
+    code, body = run_to_file(tmp_path, ["oracle", "--catalog", "C2",
+                                        "--input", str(fx)])
+    assert code == EXIT_OK and len(body["oracle"]) == 2
+    code, body = run_to_file(tmp_path, ["catalog", "--p", "3",
+                                        "--max-order", "9"])
+    assert code == EXIT_OK
+    assert body["config"]["inputs"] == [] and body["config"]["catalog"] == []
+
+
+def _c4_with(**fields):
+    data = group_to_dict(catalog_by_name("C4"))
+    data.update(fields)
+    return data
+
+
+@pytest.mark.parametrize("data, message", [
+    (_c4_with(table=[[0, 1], [1]]), "table is not a rectangular matrix"),
+    (_c4_with(table=[["0", "1", "2", "3"]] * 4), "table must be a list"),
+    (_c4_with(p="2"), "field 'p' must be an integer, got '2'"),
+    (_c4_with(order=4.0), "field 'order' must be an integer, got 4.0"),
+    (_c4_with(factorization={"B": [[1, 0, 0, 0, 0, 0, 0, 0]],
+                             "C": [[1, 0, 0, 0]]}),
+     "factorization rows must have length 4"),
+])
+def test_malformed_group_file_exit_code(tmp_path, capsys, data, message):
+    with pytest.raises(SchemaError, match=message):
+        group_from_dict(data)
+    fx = tmp_path / "malformed.json"
+    fx.write_text(json.dumps(data))
+    assert run(["lemmas", "--input", str(fx)]) == EXIT_PARSE
+    assert message in capsys.readouterr().err

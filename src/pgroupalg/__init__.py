@@ -2,19 +2,16 @@
 
 __version__ = "0.1.0"
 
-from .algebra import (AlgebraContext, AugmentedSubalgebra, QuotientAlgebra,
-                      commutator_span, dimension_subgroup, frattini_quotient,
+from .algebra import (AlgebraContext, AugmentedSubalgebra, commutator_span,
+                      dimension_subgroup, frattini_quotient,
                       group_algebra_subalgebra, ideal_generated,
                       mho_ideal_mod_derived, normal_subgroup_ideal,
                       omega_central, omega_central_ideal, power_space,
-                      product_space,
-                      quotient_algebra, right_ideal,
-                      unit_exponent_commutative)
+                      product_space, right_ideal, unit_exponent_commutative)
 from .catalog import builtin_catalog, catalog_by_name
 from .decompose import (Certificate, DecompositionReport, LambdaData,
                         certify_indecomposable, find_group_basis_commutative,
-                        homocyclic_split, lambda_map, recover_decomposition,
-                        split_cyclic)
+                        lambda_map, recover_decomposition, split_cyclic)
 from .fplin import FpSubspace, LinearMap, QuotientSpace, complement_within, span
 from .groups import (GroupHom, PGroup, Subgroup, abelian_invariants,
                      agemo_derived, catalog_build, characteristic_subgroup,

@@ -271,60 +271,6 @@ def normal_subgroup_ideal(ctx: AlgebraContext, N: Subgroup) -> FpSubspace:
     return ctx._memo[key]
 
 
-class QuotientAlgebra:
-    """F_pG / J for a verified two-sided ideal J, with a fixed section."""
-
-    def __init__(self, ctx: AlgebraContext, J: FpSubspace):
-        if (J.reduce(ctx.left_translates(J.basis)).any()
-                or J.reduce(ctx.right_translates(J.basis)).any()):
-            raise AlgebraError("J is not a two-sided ideal")
-        self.ctx = ctx
-        self.J = J
-        self.qs = QuotientSpace(ctx.full_space(), J)
-        self.dim = self.qs.dim
-
-    def project(self, vec) -> np.ndarray:
-        return self.qs.project(vec)
-
-    def lift(self, coords) -> np.ndarray:
-        return self.qs.lift(coords)
-
-    def multiply(self, ca, cb) -> np.ndarray:
-        return self.project(self.ctx.multiply(self.lift(ca), self.lift(cb)))
-
-    @property
-    def one(self) -> np.ndarray:
-        return self.project(self.ctx.one)
-
-    def is_commutative(self) -> bool:
-        n = self.dim
-        for i in range(n):
-            a = np.zeros(n, dtype=np.int64)
-            a[i] = 1
-            for j in range(i + 1, n):
-                b = np.zeros(n, dtype=np.int64)
-                b[j] = 1
-                if not np.array_equal(self.multiply(a, b), self.multiply(b, a)):
-                    return False
-        return True
-
-    def radical_power_dims(self) -> list[int]:
-        """Dims of the images of I(G)^m in the quotient, m = 1, 2, ... until 0."""
-        dims = []
-        while True:
-            acc = self.ctx.augmentation_power(len(dims) + 1)
-            img = FpSubspace(self.ctx.p, self.dim,
-                             np.array([self.project(v) for v in acc.basis])
-                             if acc.dim else None)
-            dims.append(img.dim)
-            if img.dim == 0:
-                return dims
-
-
-def quotient_algebra(ctx: AlgebraContext, J: FpSubspace) -> QuotientAlgebra:
-    return QuotientAlgebra(ctx, J)
-
-
 def subalgebra_closure(ctx: AlgebraContext, X: FpSubspace) -> FpSubspace:
     """The (non-unital) subalgebra generated by X: close under products."""
     acc = X

@@ -13,13 +13,13 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .algebra import (AlgebraContext, EnumerationCapExceeded,
                       group_algebra_subalgebra)
 from .catalog import CatalogNameError, builtin_catalog, catalog_by_name
-from .decompose import certify_indecomposable, recover_decomposition
+from .decompose import (ENUM_CAP, certify_indecomposable,
+                        recover_decomposition)
 from .groups import (OracleCapExceeded, abelian_invariants,
                      cyclic_factor_orders, direct_factor_oracle,
                      subgroup_to_pgroup)
@@ -52,10 +52,8 @@ def _parser() -> argparse.ArgumentParser:
                         help="built-in group name (repeatable)")
         sp.add_argument("--max-order", type=int, default=32)
         sp.add_argument("--oracle-cap", type=int, default=64)
-        sp.add_argument("--enum-cap", type=int, default=2 ** 22)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help="report output path")
-        sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("catalog", help="list built-in groups or emit fixtures")
     common(sp)
@@ -64,7 +62,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--emit-factorization", nargs=2, default=None,
                     metavar=("A", "G0"),
                     help="emit A x G0 with the coordinate factorization")
-    for name in ("lemmas", "cyclic-factor", "certify", "oracle", "recover"):
+    for name in (*GROUP_COMMANDS, "recover"):
         sp = sub.add_parser(name)
         common(sp)
     return ap
@@ -89,13 +87,6 @@ def _selected_groups(args):
             raise UsageError(f"{label}: order {G.order} exceeds "
                              f"--max-order {args.max_order}")
     return [item for _, item in named]
-
-
-def _map_ordered(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 def _write_fixture(args, data: dict) -> None:
@@ -130,90 +121,81 @@ def cmd_catalog(args) -> tuple[int, dict]:
     return EXIT_OK, {"catalog": entries}
 
 
-def cmd_lemmas(args) -> tuple[int, dict]:
-    groups = _selected_groups(args)
-
-    def check(item):
-        G, _, _ = item
-        smax = round(math.log(G.exponent(), G.p)) or 1
-        reports = []
-        ok = True
-        for i in range(1, smax + 1):
-            reports.append(lemma_identity_check(G, 1, i).to_json())
-            reports.append(lemma_identity_check(G, 2, i).to_json())
-            for j in range(1, smax + 1):
-                reports.append(lemma_identity_check(G, 3, i, j).to_json())
-        ok = all(r["equal"] for r in reports)
-        return {"group": group_fingerprint(G), "reports": reports, "pass": ok}
-
-    results = _map_ordered(check, groups, args.workers)
-    code = EXIT_OK if all(r["pass"] for r in results) else EXIT_FAIL
-    return code, {"lemmas": results}
+def _lemmas(G, args) -> dict:
+    smax = round(math.log(G.exponent(), G.p)) or 1
+    reports = []
+    for i in range(1, smax + 1):
+        reports.append(lemma_identity_check(G, 1, i).to_json())
+        reports.append(lemma_identity_check(G, 2, i).to_json())
+        for j in range(1, smax + 1):
+            reports.append(lemma_identity_check(G, 3, i, j).to_json())
+    return {"group": group_fingerprint(G), "reports": reports,
+            "pass": all(r["equal"] for r in reports)}
 
 
-def cmd_cyclic_factor(args) -> tuple[int, dict]:
-    groups = _selected_groups(args)
-
-    def check(item):
-        G, _, _ = item
-        smax = round(math.log(G.exponent(), G.p)) or 1
-        rows = []
-        ok = True
-        orders = None
-        for i in range(1, smax + 1):
-            has, exponent = cyclic_factor_test(G, i)
-            if orders is None:  # one oracle split per group, after test i=1
-                orders = cyclic_factor_orders(G, cap=args.oracle_cap)
-            oracle = G.p ** i in orders
-            agree = has == oracle
-            ok = ok and agree
-            rows.append({"i": i, "criterion": has, "oracle": oracle,
-                         "exponent": int(exponent), "agree": agree})
-        return {"group": group_fingerprint(G), "tests": rows, "pass": ok}
-
-    results = _map_ordered(check, groups, args.workers)
-    code = EXIT_OK if all(r["pass"] for r in results) else EXIT_FAIL
-    return code, {"cyclic_factor": results}
+def _cyclic_factor(G, args) -> dict:
+    smax = round(math.log(G.exponent(), G.p)) or 1
+    rows = []
+    orders = None
+    for i in range(1, smax + 1):
+        has, exponent = cyclic_factor_test(G, i)
+        if orders is None:  # one oracle split per group, after test i=1
+            orders = cyclic_factor_orders(G, cap=args.oracle_cap)
+        oracle = G.p ** i in orders
+        rows.append({"i": i, "criterion": has, "oracle": oracle,
+                     "exponent": int(exponent), "agree": has == oracle})
+    return {"group": group_fingerprint(G), "tests": rows,
+            "pass": all(r["agree"] for r in rows)}
 
 
-def cmd_certify(args) -> tuple[int, dict]:
-    groups = _selected_groups(args)
-
-    def check(item):
-        G, _, _ = item
-        cert = certify_indecomposable(G, oracle_cap=args.oracle_cap)
-        return {"group": group_fingerprint(G), "certificate": cert.to_json()}
-
-    results = _map_ordered(check, groups, args.workers)
-    return EXIT_OK, {"certify": results}
+def _certify(G, args) -> dict:
+    cert = certify_indecomposable(G, oracle_cap=args.oracle_cap)
+    return {"group": group_fingerprint(G), "certificate": cert.to_json()}
 
 
-def cmd_oracle(args) -> tuple[int, dict]:
-    groups = _selected_groups(args)
+def _oracle(G, args) -> dict:
+    pairs = direct_factor_oracle(G, cap=args.oracle_cap)
+    dumped = []
+    for H, K in pairs:
+        Hp, _ = subgroup_to_pgroup(H)
+        Kp, _ = subgroup_to_pgroup(K)
+        dumped.append({
+            "H": [int(x) for x in H.elements],
+            "K": [int(x) for x in K.elements],
+            "H_invariants": [int(x) for x in abelian_invariants(Hp)]
+            if Hp.is_abelian() else None,
+            "K_invariants": [int(x) for x in abelian_invariants(Kp)]
+            if Kp.is_abelian() else None,
+        })
+    return {"group": group_fingerprint(G),
+            "decomposable": bool(pairs), "pairs": dumped}
 
-    def check(item):
-        G, _, _ = item
-        pairs = direct_factor_oracle(G, cap=args.oracle_cap)
-        dumped = []
-        for H, K in pairs:
-            Hp, _ = subgroup_to_pgroup(H)
-            Kp, _ = subgroup_to_pgroup(K)
-            dumped.append({
-                "H": [int(x) for x in H.elements],
-                "K": [int(x) for x in K.elements],
-                "H_invariants": [int(x) for x in abelian_invariants(Hp)]
-                if Hp.is_abelian() else None,
-                "K_invariants": [int(x) for x in abelian_invariants(Kp)]
-                if Kp.is_abelian() else None,
-            })
-        return {"group": group_fingerprint(G),
-                "decomposable": bool(pairs), "pairs": dumped}
 
-    results = _map_ordered(check, groups, args.workers)
-    return EXIT_OK, {"oracle": results}
+# command -> (body key, per-group entry); an entry without "pass" cannot fail
+GROUP_COMMANDS = {
+    "lemmas": ("lemmas", _lemmas),
+    "cyclic-factor": ("cyclic_factor", _cyclic_factor),
+    "certify": ("certify", _certify),
+    "oracle": ("oracle", _oracle),
+}
+
+
+def cmd_groups(args) -> tuple[int, dict]:
+    """One of GROUP_COMMANDS over every selected group."""
+    key, entry = GROUP_COMMANDS[args.command]
+    results = [entry(G, args) for G, _, _ in _selected_groups(args)]
+    ok = all(r.get("pass", True) for r in results)
+    return (EXIT_OK if ok else EXIT_FAIL), {key: results}
 
 
 def cmd_recover(args) -> tuple[int, dict]:
+    """Every --input factorization; unlike the group commands it ignores
+    --p and --max-order, so any supported order can be recovered."""
+    if args.catalog:
+        raise UsageError("recover reads factorizations from --input; "
+                         "a --catalog group carries none")
+    if not args.input:
+        raise UsageError("recover needs at least one --input")
     results = []
     ok = True
     for path in args.input:
@@ -235,10 +217,7 @@ def cmd_recover(args) -> tuple[int, dict]:
 
 COMMANDS = {
     "catalog": cmd_catalog,
-    "lemmas": cmd_lemmas,
-    "cyclic-factor": cmd_cyclic_factor,
-    "certify": cmd_certify,
-    "oracle": cmd_oracle,
+    **dict.fromkeys(GROUP_COMMANDS, cmd_groups),
     "recover": cmd_recover,
 }
 
@@ -268,7 +247,7 @@ def run(argv=None) -> int:
             "command": args.command,
             "config": {
                 "p": args.p, "max_order": args.max_order,
-                "oracle_cap": args.oracle_cap, "enum_cap": args.enum_cap,
+                "oracle_cap": args.oracle_cap, "enum_cap": ENUM_CAP,
                 "seed": args.seed,
                 "inputs": list(args.input), "catalog": list(args.catalog),
             },

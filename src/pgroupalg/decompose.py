@@ -1,9 +1,9 @@
 """Constructive decomposition machinery.
 
 Implements the power map between filtration quotients whose kernel locates
-homocyclic direct factors, the cyclic/homocyclic splitting steps, recovery
-of a group direct decomposition from a tensor factorization with a
-commutative factor, and tensor-indecomposability certificates.
+homocyclic direct factors, the cyclic splitting step, recovery of a group
+direct decomposition from a tensor factorization with a commutative factor,
+and tensor-indecomposability certificates.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (AlgebraContext, AugmentedSubalgebra,
-                      frattini_quotient, ideal_generated,
+                      EnumerationCapExceeded, frattini_quotient, ideal_generated,
                       normal_subgroup_ideal, product_space)
 from .fplin import FpSubspace, LinearMap, QuotientSpace, complement_within, span
 from .groups import (ORACLE_CAP, PGroup, RetractionError, Subgroup,
@@ -24,7 +24,12 @@ from .groups import (ORACLE_CAP, PGroup, RetractionError, Subgroup,
                      retraction_complement, subgroup_to_pgroup,
                      trivial_subgroup)
 from .lemmas import (TensorFactorizationInput, VerificationError,
-                     cyclic_factor_test, verify_tensor_factorization)
+                     verify_tensor_factorization)
+
+# Past ENUM_CAP units of 1 + I(B) the group-basis search samples
+# SAMPLED_UNITS coefficient rows instead of enumerating them all.
+ENUM_CAP = 2 ** 22
+SAMPLED_UNITS = 4096
 
 
 @dataclass
@@ -116,71 +121,6 @@ def _find_split_element(G: PGroup, ctx: AlgebraContext, I2: FpSubspace,
         + (f" (last: {last_error})" if last_error else ""))
 
 
-def homocyclic_split(G: PGroup, s: int, V: FpSubspace) -> tuple[Subgroup, Subgroup]:
-    """Given V with V/I(G)^2 + ker Lambda a direct sum filling the domain,
-    produce G = H x K with H homocyclic of exponent p^s and K without
-    cyclic factors of order p^s."""
-    lam = lambda_map(G, s)
-    v_rows = []
-    for row in V.basis:
-        rep = lam.domain.lift(lam.domain.project(row))
-        if rep.any():
-            v_rows.append(rep)
-    V_sec = FpSubspace(G.p, G.order, np.array(v_rows) if v_rows else None)
-    section_space = lam.domain.section_space()
-    if not (V_sec.intersect(lam.kernel).dim == 0
-            and V_sec.sum(lam.kernel) == section_space):
-        raise VerificationError(
-            "homocyclic-precondition",
-            "V/I(G)^2 is not a direct complement of ker Lambda")
-    h_elems: list[int] = []
-    cur_G, cur_embed = G, list(range(G.order))
-    cur_V = V_sec
-    while cur_V.dim:
-        cur_ctx = AlgebraContext.of(cur_G)
-        cur_I2 = cur_ctx.augmentation_power(2)
-        target = cur_V.basis[0]
-        h, H, G0 = _find_split_element(cur_G, cur_ctx, cur_I2, target, s)
-        h_elems.append(cur_embed[h])
-        # push the remaining generators of V into G_0
-        rest_elems = []
-        for row in cur_V.basis[1:]:
-            cands = _coset_candidates(cur_ctx, cur_I2, row)
-            g = next(c for c in cands if c != 0)
-            # write g = h^a * k with k in G_0
-            k = None
-            for a in range(cur_G.element_order(h)):
-                cand = cur_G.mul(cur_G.inv(cur_G.power(h, a)), g)
-                if G0.contains(cand):
-                    k = cand
-                    break
-            if k is None:
-                raise VerificationError("homocyclic-projection",
-                                        "element does not project into G_0")
-            rest_elems.append(k)
-        G0p, g0_elems = subgroup_to_pgroup(G0)
-        pos = {e: i for i, e in enumerate(g0_elems)}
-        ctx0 = AlgebraContext.of(G0p)
-        rows = [ctx0.group_minus_one(pos[k]) for k in rest_elems]
-        cur_V = FpSubspace(G.p, G0p.order, np.array(rows) if rows else None)
-        cur_embed = [cur_embed[e] for e in g0_elems]
-        cur_G = G0p
-    H = Subgroup.generated(G, h_elems) if h_elems else trivial_subgroup(G)
-    K = Subgroup(G, tuple(cur_embed))
-    if not is_internal_direct_product(G, H, K):
-        raise VerificationError("homocyclic-split", "H x K is not G")
-    invs = abelian_invariants(H)
-    if any(o != G.p ** s for o in invs):
-        raise VerificationError("homocyclic-split",
-                                f"H is not homocyclic of exponent p^{s}: {invs}")
-    if K.order > 1:
-        Kp, _ = subgroup_to_pgroup(K)
-        if cyclic_factor_test(Kp, s)[0]:
-            raise VerificationError("homocyclic-split",
-                                    "K still has a cyclic factor of order p^s")
-    return H, K
-
-
 def _unit_order(ctx: AlgebraContext, u) -> int:
     """Order of a unit 1 + x with x in I(G): (1 + x)^{p^k} = 1 + x^{p^k}, so
     it is the least p^k that kills x."""
@@ -250,10 +190,15 @@ def _units_by_order(ctx: AlgebraContext, IB: FpSubspace,
 
 
 def find_group_basis_commutative(B: AugmentedSubalgebra,
-                                 cap: int = 2 ** 22,
+                                 cap: int = ENUM_CAP,
                                  seed: int = 0) -> list[np.ndarray]:
     """Unit elements generating a group basis of a commutative augmented
-    subalgebra: backtracking over units of 1 + I(B), highest order first."""
+    subalgebra: backtracking over units of 1 + I(B), highest order first.
+
+    With at most cap units every unit is tried, and a failed search is a
+    VerificationError.  Past cap only distinct seeded samples are tried,
+    and a failed search raises EnumerationCapExceeded, since the units
+    left out may hold a group basis."""
     ctx = B.ctx
     p = ctx.p
     if not B.is_commutative():
@@ -263,13 +208,15 @@ def find_group_basis_commutative(B: AugmentedSubalgebra,
     IB = B.aug_ideal
     total = p ** IB.dim
     one = ctx.one
-    if total <= cap:
+    sampled = total > cap
+    if sampled:
+        rng = np.random.default_rng(seed)
+        coeffs = rng.integers(0, p, size=(SAMPLED_UNITS, IB.dim))
+        # a repeated unit would repeat the same failed branches
+        coeffs = np.unique(coeffs[coeffs.any(axis=1)], axis=0)
+    else:
         n = np.arange(1, total)
         coeffs = (n[:, None] // p ** np.arange(IB.dim)) % p
-    else:
-        rng = np.random.default_rng(seed)
-        coeffs = rng.integers(0, p, size=(4096, IB.dim))
-        coeffs = coeffs[coeffs.any(axis=1)]
     units = _units_by_order(ctx, IB, coeffs)
     I2B = product_space(ctx, IB, IB)
     target = B.dim
@@ -302,9 +249,13 @@ def find_group_basis_commutative(B: AugmentedSubalgebra,
         return None
 
     result = dfs([], I2B)
+    if result is None and sampled:
+        raise EnumerationCapExceeded(
+            f"{total} units exceed cap {cap}, and no group basis was found "
+            f"among {len(units)} sampled units")
     if result is None:
         raise VerificationError("group-basis",
-                                "no group basis found among the sampled units")
+                                "no group basis found among the units")
     return result
 
 

@@ -330,13 +330,6 @@ class LinearMap:
             self.domain_basis.shape[0], codomain_dim) % p
         self.codomain_dim = codomain_dim
 
-    def apply(self, vec) -> np.ndarray:
-        # coordinates against the raw (non-RREF) basis
-        c = solve(self.domain_basis.T, np.asarray(vec, dtype=np.int64), self.p)
-        if c is None:
-            raise FpError("vector outside the map's domain span")
-        return (c @ self.matrix) % self.p
-
     def kernel(self) -> FpSubspace:
         """Kernel as a subspace of the domain's ambient space."""
         n = self.domain_basis.shape[1]

@@ -257,9 +257,6 @@ class Subgroup:
         sub = self.parent.table[np.ix_(S, S)]
         return bool(np.array_equal(sub, sub.T))
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and self.parent is other.parent
                 and self.elements == other.elements)

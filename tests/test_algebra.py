@@ -9,8 +9,8 @@ import pytest
 
 from pgroupalg.algebra import (AlgebraContext, AlgebraError,
                                AugmentedSubalgebra, EnumerationCapExceeded,
-                               QuotientAlgebra, commutator_span,
-                               dimension_subgroup, frattini_quotient,
+                               commutator_span, dimension_subgroup,
+                               frattini_quotient,
                                group_algebra_subalgebra, ideal_generated,
                                mho_ideal_mod_derived, normal_subgroup_ideal,
                                omega_central, omega_central_enumerated,
@@ -118,30 +118,6 @@ def test_ideal_generated_vs_right_ideal():
         for row in J.basis:
             assert J.contains_vector(ctx.multiply(ctx.basis_vector(g), row))
             assert J.contains_vector(ctx.multiply(row, ctx.basis_vector(g)))
-
-
-def test_quotient_algebra():
-    G = catalog_by_name("D8")
-    ctx = AlgebraContext(G)
-    J = normal_subgroup_ideal(ctx, characteristic_subgroup(G, "derived"))
-    Q = QuotientAlgebra(ctx, J)
-    assert Q.dim == 4
-    assert Q.is_commutative()
-    # projection is multiplicative
-    u, v = ctx.basis_vector(1), ctx.basis_vector(2)
-    left = Q.multiply(Q.project(u), Q.project(v))
-    right = Q.project(ctx.multiply(u, v))
-    assert np.array_equal(left, right)
-
-
-def test_quotient_algebra_rejects_one_sided():
-    ctx = ctx_of("D8")
-    x = ctx.group_minus_one(1)
-    R = right_ideal(ctx, span(2, 8, [x]))
-    J = ideal_generated(ctx, span(2, 8, [x]))
-    if R != J:  # only meaningful when the right ideal is not two-sided
-        with pytest.raises(AlgebraError):
-            QuotientAlgebra(ctx, R)
 
 
 def test_omega_central_c4():

@@ -6,14 +6,15 @@ import itertools
 import numpy as np
 import pytest
 
-from pgroupalg.algebra import AlgebraContext, group_algebra_subalgebra, power_space
+from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
+                               EnumerationCapExceeded,
+                               group_algebra_subalgebra, power_space)
 from pgroupalg.catalog import catalog_by_name
 from pgroupalg.decompose import (_group_closure_vectors,
                                  certify_indecomposable,
                                  find_group_basis_commutative,
-                                 group_from_unit_vectors, homocyclic_split,
-                                 lambda_map, recover_decomposition,
-                                 split_cyclic)
+                                 group_from_unit_vectors, lambda_map,
+                                 recover_decomposition, split_cyclic)
 from pgroupalg.fplin import span
 from pgroupalg.groups import (RetractionError, abelian_invariants,
                               catalog_build, is_internal_direct_product,
@@ -107,32 +108,6 @@ def test_split_cyclic_rejects_non_factor():
         split_cyclic(C4, h)
 
 
-def test_homocyclic_split_partial():
-    # inside C2xC4 with s = 2: V spanned by (b-1) + I^2 for an order-4
-    # element b splits off exactly the C4 part
-    G = catalog_by_name("C2xC4")
-    ctx = AlgebraContext(G)
-    L = lambda_map(G, 2)
-    I2 = power_space(ctx, ctx.augmentation_ideal(), 2)
-    b = next(g for g in range(8) if G.element_order(g) == 4)
-    V = span(2, 8, [ctx.group_minus_one(b)]) + I2
-    H, K = homocyclic_split(G, 2, V)
-    assert abelian_invariants(subgroup_to_pgroup(H)[0]) == (4,)
-    assert abelian_invariants(subgroup_to_pgroup(K)[0]) == (2,)
-    assert is_internal_direct_product(G, H, K)
-
-
-def test_homocyclic_split_full():
-    # the full domain for C4xC4 peels the whole group as exponent-4
-    # homocyclic, leaving a trivial complement
-    G = catalog_by_name("C4xC4")
-    L = lambda_map(G, 2)
-    V = L.domain.section_space() + L.domain.U
-    H, K = homocyclic_split(G, 2, V)
-    assert H.order == 16 and K.order == 1
-    assert abelian_invariants(subgroup_to_pgroup(H)[0]) == (4, 4)
-
-
 def test_find_group_basis_commutative():
     _, _, ctx, B, _ = coordinate_factorization("C2xC4", "D8")
     gens = find_group_basis_commutative(B)
@@ -158,6 +133,31 @@ def test_group_basis_spans_subalgebra():
     closed = _group_closure_vectors(ctx, gens, B.dim + 1)
     S = span(ctx.group.p, ctx.dim, closed)
     assert S == B.space
+
+
+def test_sampled_group_basis_search_matches_exhaustive():
+    # cap=0 forces sampling; 4096 seeded draws hit all 127 units of 1 + I(B)
+    _, _, _, B, _ = coordinate_factorization("C2xC4", "D8")
+    exhaustive = find_group_basis_commutative(B)
+    sampled = find_group_basis_commutative(B, cap=0)
+    assert [u.tolist() for u in sampled] == [u.tolist() for u in exhaustive]
+
+
+def test_group_basis_search_failure_names_its_cause():
+    # span{1, a-1, (a-1)(b-1)} in F_2[C2xC2] is a commutative augmented
+    # subalgebra of dimension 3, not a power of 2, so it has no group basis
+    ctx = AlgebraContext(catalog_by_name("C2xC2"))
+    x, y = ctx.group_minus_one(1), ctx.group_minus_one(2)
+    B = AugmentedSubalgebra.from_space(
+        ctx, span(2, 4, [ctx.one, x, ctx.multiply(x, y)]))
+    with pytest.raises(VerificationError) as exc:
+        find_group_basis_commutative(B)
+    assert exc.value.check == "group-basis"
+    assert "sampled" not in str(exc.value)
+    # past the cap only samples are tried, so failure proves nothing; the
+    # 4096 draws hold 3 distinct units, and each is tried once
+    with pytest.raises(EnumerationCapExceeded):
+        find_group_basis_commutative(B, cap=0)
 
 
 RECOVERY_PAIRS = [("C2", "C2"), ("C2", "D8"), ("C4", "Q8"),

@@ -12,7 +12,7 @@ from .catalog import builtin_catalog, catalog_by_name
 from .decompose import (Certificate, DecompositionReport, LambdaData,
                         certify_indecomposable, find_group_basis_commutative,
                         lambda_map, recover_decomposition, split_cyclic)
-from .fplin import FpSubspace, LinearMap, QuotientSpace, complement_within, span
+from .fplin import FpSubspace, QuotientSpace, span
 from .groups import (GroupHom, PGroup, Subgroup, abelian_invariants,
                      agemo_derived, catalog_build, characteristic_subgroup,
                      direct_factor_oracle, has_cyclic_factor_of_order,

@@ -20,8 +20,8 @@ from .algebra import (AlgebraContext, EnumerationCapExceeded,
 from .catalog import CatalogNameError, builtin_catalog, catalog_by_name
 from .decompose import (ENUM_CAP, certify_indecomposable,
                         recover_decomposition)
-from .groups import (OracleCapExceeded, abelian_invariants,
-                     cyclic_factor_orders, direct_factor_oracle,
+from .groups import (GroupError, OracleCapExceeded, abelian_invariants,
+                     catalog_build, cyclic_factor_orders, direct_factor_oracle,
                      subgroup_to_pgroup)
 from .io import (SchemaError, dump_report, group_fingerprint, group_to_dict,
                  load_inputs)
@@ -35,6 +35,22 @@ class UsageError(ValueError):
     """Arguments that contradict each other."""
 
 
+# The common flags with their defaults, and the ones each command reads.
+# A command refuses a non-default value of any other, which it would echo
+# into config and ignore.
+COMMON_DEFAULTS = {"p": None, "input": [], "catalog": [], "max_order": 32,
+                   "oracle_cap": 64, "seed": 0}
+_SELECTION = ("p", "input", "catalog", "max_order")
+READS = {
+    "catalog": ("p", "max_order"),
+    "lemmas": _SELECTION,
+    "cyclic-factor": (*_SELECTION, "oracle_cap"),
+    "certify": (*_SELECTION, "oracle_cap"),
+    "oracle": (*_SELECTION, "oracle_cap"),
+    "recover": ("input", "seed"),
+}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.  Parsing does not change
@@ -45,14 +61,15 @@ def _parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--p", type=int, default=None, choices=(2, 3, 5))
-        sp.add_argument("--input", action="append", default=[],
+        d = COMMON_DEFAULTS
+        sp.add_argument("--p", type=int, default=d["p"], choices=(2, 3, 5))
+        sp.add_argument("--input", action="append", default=d["input"],
                         help="group JSON file (repeatable)")
-        sp.add_argument("--catalog", action="append", default=[],
+        sp.add_argument("--catalog", action="append", default=d["catalog"],
                         help="built-in group name (repeatable)")
-        sp.add_argument("--max-order", type=int, default=32)
-        sp.add_argument("--oracle-cap", type=int, default=64)
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--max-order", type=int, default=d["max_order"])
+        sp.add_argument("--oracle-cap", type=int, default=d["oracle_cap"])
+        sp.add_argument("--seed", type=int, default=d["seed"])
         sp.add_argument("--out", default=None, help="report output path")
 
     sp = sub.add_parser("catalog", help="list built-in groups or emit fixtures")
@@ -66,6 +83,14 @@ def _parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         common(sp)
     return ap
+
+
+def _check_flags(args) -> None:
+    """Refuse a common flag that the command does not read."""
+    for flag, default in COMMON_DEFAULTS.items():
+        if flag not in READS[args.command] and getattr(args, flag) != default:
+            raise UsageError(f"{args.command} does not read "
+                             f"--{flag.replace('_', '-')}")
 
 
 def _selected_groups(args):
@@ -105,8 +130,10 @@ def cmd_catalog(args) -> tuple[int, dict]:
         a_name, g0_name = args.emit_factorization
         A = catalog_by_name(a_name)
         G0 = catalog_by_name(g0_name)
-        from .groups import catalog_build
-        G = catalog_build("direct_product", A, G0)
+        try:
+            G = catalog_build("direct_product", A, G0)
+        except GroupError as exc:
+            raise CatalogNameError(f"{a_name} x {g0_name}: {exc}") from exc
         ctx = AlgebraContext.of(G)
         B = group_algebra_subalgebra(
             ctx, [a * G0.order for a in range(A.order)])
@@ -189,11 +216,8 @@ def cmd_groups(args) -> tuple[int, dict]:
 
 
 def cmd_recover(args) -> tuple[int, dict]:
-    """Every --input factorization; unlike the group commands it ignores
-    --p and --max-order, so any supported order can be recovered."""
-    if args.catalog:
-        raise UsageError("recover reads factorizations from --input; "
-                         "a --catalog group carries none")
+    """Every --input factorization; unlike the group commands it reads
+    neither --p nor --max-order, so any supported order can be recovered."""
     if not args.input:
         raise UsageError("recover needs at least one --input")
     results = []
@@ -230,6 +254,7 @@ def run(argv=None) -> int:
         return EXIT_PARSE if exc.code else EXIT_OK
     t0 = time.monotonic()
     try:
+        _check_flags(args)
         code, body = COMMANDS[args.command](args)
     except (SchemaError, CatalogNameError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

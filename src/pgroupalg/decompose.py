@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import (AlgebraContext, AugmentedSubalgebra,
                       EnumerationCapExceeded, frattini_quotient, ideal_generated,
                       normal_subgroup_ideal, product_space)
-from .fplin import FpSubspace, LinearMap, QuotientSpace, complement_within, span
+from .fplin import FpSubspace, QuotientSpace, nullspace, span
 from .groups import (ORACLE_CAP, PGroup, RetractionError, Subgroup,
                      abelian_invariants, agemo_derived,
                      characteristic_subgroup, direct_factor_oracle,
@@ -34,12 +34,18 @@ SAMPLED_UNITS = 4096
 
 @dataclass
 class LambdaData:
-    """The p^{s-1}-power map between filtration quotients."""
+    """The p^{s-1}-power map Lambda from the domain quotient
+    (Omega_s(Z(G))G' ideal + I(G)^2) / I(G)^2 to F_pG / codomain, where
+    codomain is I(G)^{p^{s-1}+1} + I(mho_s(G)G')F_pG.
+
+    A class modulo the codomain is its RREF residual codomain.reduce(v):
+    images[i] is the class of domain.section[i]^{p^{s-1}}.
+    """
 
     s: int
     domain: QuotientSpace
-    codomain: QuotientSpace
-    map: LinearMap
+    codomain: FpSubspace
+    images: np.ndarray
     kernel: FpSubspace  # inside the span of the domain section
 
 
@@ -60,19 +66,17 @@ def lambda_map(G: PGroup, s: int) -> LambdaData:
     q = p ** (s - 1)
     W_dom = normal_subgroup_ideal(ctx, omega_center_derived(G, s)) + I2
     domain = QuotientSpace(W_dom, I2)
-    mho_ideal = normal_subgroup_ideal(ctx, agemo_derived(G, s))
-    W_cod = ctx.augmentation_power(q) + mho_ideal
-    U_cod = ctx.augmentation_power(q + 1) + mho_ideal
-    codomain = QuotientSpace(W_cod, U_cod)
+    U_cod = ctx.augmentation_power(q + 1) + \
+        normal_subgroup_ideal(ctx, agemo_derived(G, s))
     if U_cod.reduce(ctx.powers(I2.basis, q)).any():
         raise VerificationError(
             "lambda-well-defined",
             "an I(G)^2 basis vector has its p^{s-1}-th power outside "
             "I(G)^{p^{s-1}+1} + I(mho_s(G)G')F_pG")
-    rows = [codomain.project(z) for z in ctx.powers(domain.section, q)]
-    matrix = np.array(rows, dtype=np.int64).reshape(domain.dim, codomain.dim)
-    lam = LinearMap(p, domain.section, matrix, codomain.dim)
-    return LambdaData(s, domain, codomain, lam, lam.kernel())
+    images = U_cod.reduce(ctx.powers(domain.section, q))
+    coeffs = nullspace(images.T, p)  # c with c @ images = 0
+    kernel = FpSubspace(p, G.order, coeffs @ domain.section % p)
+    return LambdaData(s, domain, U_cod, images, kernel)
 
 
 def split_cyclic(G: PGroup, h: int) -> tuple[Subgroup, Subgroup]:
@@ -313,22 +317,19 @@ def recover_decomposition(fact: TensorFactorizationInput,
         s = round(math.log(ps, p))
         b_minus_1 = (b - ctx.one) % p
         q = p ** (s - 1)
-        # Jennings non-membership: (b-1)^{p^{s-1}} stays outside
-        # I(G)^{p^{s-1}+1} + I(mho_s(G)G')kG
-        bad = ctx.augmentation_power(q + 1) \
-            + normal_subgroup_ideal(ctx, agemo_derived(cur_G, s))
-        if bad.contains_vector(ctx.power(b_minus_1, q)):
+        lam = lambda_map(cur_G, s)
+        # Jennings non-membership: (b-1)^{p^{s-1}} stays outside Lambda's
+        # codomain ideal I(G)^{p^{s-1}+1} + I(mho_s(G)G')kG
+        if lam.codomain.contains_vector(ctx.power(b_minus_1, q)):
             raise VerificationError(
                 "jennings-nonmembership",
                 "(b-1)^{p^{s-1}} fell into the excluded ideal")
-        # the complement V from the proof (evidence; h-search uses b's class)
-        lam = lambda_map(cur_G, s)
+        # the class of b-1 lies outside ker Lambda, so it extends to the
+        # complement V of ker Lambda in the proof (the h-search uses it)
         rep_b = lam.domain.lift(lam.domain.project(b_minus_1))
         if lam.kernel.contains_vector(rep_b):
             raise VerificationError(
                 "kernel-exclusion", "class of b-1 lies in ker Lambda")
-        complement_within(lam.kernel, lam.domain.section_space(),
-                          span(p, cur_G.order, [rep_b]))
         I2 = ctx.augmentation_power(2)
         h, H, G0 = _find_split_element(cur_G, ctx, I2, b_minus_1, s)
         hs.append(cur_embed[h])
@@ -344,8 +345,8 @@ def recover_decomposition(fact: TensorFactorizationInput,
         qs = QuotientSpace(ctx.full_space(), J, section=span_G0)
         G0p, g0_elems = subgroup_to_pgroup(G0)
         ctx0 = AlgebraContext.of(G0p)
-        B_rows = np.array([qs.project(v) for v in cur_fact.B.space.basis])
-        C_rows = np.array([qs.project(v) for v in cur_fact.C.space.basis])
+        B_rows = qs.project(cur_fact.B.space.basis)
+        C_rows = qs.project(cur_fact.C.space.basis)
         B0 = AugmentedSubalgebra.from_space(
             ctx0, FpSubspace(p, G0p.order, B_rows))
         C0 = AugmentedSubalgebra.from_space(

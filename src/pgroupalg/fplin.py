@@ -10,7 +10,8 @@ then reduces each further block against the basis found so far in a single
 matrix product, the RREF residual ``B - B[:, pivots] @ R (mod p)``; only the
 rows that survive are eliminated densely.  It stops once the rank equals the
 number of columns, so redundant rows past that point are never read.  The
-same residual tests membership and gives coordinates in ``FpSubspace``.
+same residual tests membership and gives coordinates in ``FpSubspace``, and
+stands for a class of a quotient in ``QuotientSpace``.
 """
 
 from __future__ import annotations
@@ -128,17 +129,22 @@ def nullspace(A: np.ndarray, p: int) -> np.ndarray:
 
 
 def solve(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution y of A @ y = b (mod p), or None if inconsistent."""
+    """One solution y of A @ y = b (mod p), or None if inconsistent.
+
+    A 2-d b holds one right-hand side per row; the solutions come back as
+    rows, from one elimination of [A | b.T], and None means that some row
+    is inconsistent.  A pivot right of A's columns is exactly that.
+    """
     A = np.asarray(A, dtype=np.int64) % p
     b = np.asarray(b, dtype=np.int64) % p
     m, n = A.shape
-    aug = np.concatenate([A, b.reshape(-1, 1)], axis=1)
-    R, pivots = rref(aug, p)
-    if n in pivots:
+    rhs = b if b.ndim == 2 else b[None]
+    R, pivots = rref(np.concatenate([A, rhs.T], axis=1), p)
+    if pivots and pivots[-1] >= n:
         return None
-    y = np.zeros(n, dtype=np.int64)
-    y[list(pivots)] = R[:, n]
-    return y
+    y = np.zeros((rhs.shape[0], n), dtype=np.int64)
+    y[:, list(pivots)] = R[:, n:].T
+    return y if b.ndim == 2 else y[0]
 
 
 class FpSubspace:
@@ -239,34 +245,16 @@ def span(p: int, ambient: int, vectors) -> FpSubspace:
     return FpSubspace(p, ambient, np.array(list(vectors), dtype=np.int64).reshape(-1, ambient))
 
 
-def complement_within(U: FpSubspace, W: FpSubspace,
-                      S: FpSubspace | None = None) -> FpSubspace:
-    """Extend S to a direct complement X of U inside W (U + X = W, U ∩ X = 0).
-
-    Requires U ⊆ W, S ⊆ W and S ∩ U = 0.
-    """
-    U._compat(W)
-    if not W.contains(U):
-        raise FpError("complement_within: U is not contained in W")
-    if S is None:
-        S = FpSubspace.zero(U.p, U.ambient)
-    if not W.contains(S):
-        raise FpError("complement_within: S is not contained in W")
-    if S.intersect(U).dim != 0:
-        raise FpError("complement_within: S meets U nontrivially")
-    chosen = [row for row in S.basis]
-    acc = U.sum(S)
-    for row in W.basis:
-        if not acc.contains_vector(row):
-            chosen.append(row)
-            acc = acc.sum(span(U.p, U.ambient, [row]))
-    X = FpSubspace(U.p, U.ambient, np.array(chosen).reshape(-1, U.ambient))
-    assert U.sum(X) == W and U.intersect(X).dim == 0
-    return X
-
-
 class QuotientSpace:
-    """W/U with a fixed section (complement basis) for deterministic lifts."""
+    """W/U with a fixed section, a basis of a complement of U in W.
+
+    The class v + U is held by its canonical RREF residual U.reduce(v).
+    The default section is the rows of W's basis that are independent
+    modulo U, taken in order.  One elimination finds them: they are the
+    pivot columns of the matrix whose columns are their residuals.  Rows of
+    an RREF basis are in RREF themselves, so the section is the canonical
+    basis of its span.
+    """
 
     def __init__(self, W: FpSubspace, U: FpSubspace,
                  section: FpSubspace | None = None):
@@ -277,70 +265,29 @@ class QuotientSpace:
         self.p = W.p
         self.ambient = W.ambient
         if section is None:
-            section = complement_within(U, W)
+            _, independent = rref(U.reduce(W.basis).T, self.p)
+            self.section = W.basis[list(independent)]  # (q, ambient)
         else:
             if U.sum(section) != W or U.intersect(section).dim != 0:
                 raise FpError("quotient_space: invalid section")
-        self.section = section.basis  # (q, ambient)
-        # precompute a solver for [U.basis; section] row combinations
-        self._stack = np.concatenate([U.basis, self.section]) % self.p
+            self.section = section.basis
+        # the classes of the section rows, in which project solves
+        self._residuals = U.reduce(self.section)
 
     @property
     def dim(self) -> int:
         return self.section.shape[0]
 
     def project(self, vec) -> np.ndarray:
-        """Section coordinates of vec + U.  Raises if vec is outside W."""
-        v = np.asarray(vec, dtype=np.int64) % self.p
-        if self._stack.shape[0] == 0:
-            if v.any():
-                raise FpError("vector outside the quotient's ambient space W")
-            return np.zeros(0, dtype=np.int64)
-        x = solve(self._stack.T, v, self.p)
+        """Section coordinates of vec + U, or of each row of a 2-d array,
+        from one elimination.  Raises if a vector is outside W."""
+        x = solve(self._residuals.T, self.U.reduce(vec), self.p)
         if x is None:
             raise FpError("vector outside the quotient's ambient space W")
-        return x[self.U.dim:]
+        return x
 
     def lift(self, coords) -> np.ndarray:
         c = np.asarray(coords, dtype=np.int64) % self.p
         if c.shape != (self.dim,):
             raise FpError("coordinate length mismatch")
-        if self.dim == 0:
-            return np.zeros(self.ambient, dtype=np.int64)
         return (c @ self.section) % self.p
-
-    def section_space(self) -> FpSubspace:
-        return FpSubspace(self.p, self.ambient, self.section)
-
-
-class LinearMap:
-    """A linear map given on a basis of its domain.
-
-    domain_basis holds representative vectors (rows, in the domain's ambient
-    space); matrix row i is the image of domain_basis[i] in codomain
-    coordinates.
-    """
-
-    def __init__(self, p: int, domain_basis: np.ndarray, matrix: np.ndarray,
-                 codomain_dim: int):
-        _check_prime(p)
-        self.p = p
-        self.domain_basis = np.asarray(domain_basis, dtype=np.int64) % p
-        self.matrix = np.asarray(matrix, dtype=np.int64).reshape(
-            self.domain_basis.shape[0], codomain_dim) % p
-        self.codomain_dim = codomain_dim
-
-    def kernel(self) -> FpSubspace:
-        """Kernel as a subspace of the domain's ambient space."""
-        n = self.domain_basis.shape[1]
-        if self.domain_basis.shape[0] == 0:
-            return FpSubspace.zero(self.p, n)
-        coeffs = nullspace(self.matrix.T, self.p)  # c with c @ matrix = 0
-        rows = (coeffs @ self.domain_basis) % self.p
-        return FpSubspace(self.p, n, rows)
-
-    def image(self) -> FpSubspace:
-        return FpSubspace(self.p, self.codomain_dim, self.matrix)
-
-    def rank(self) -> int:
-        return self.image().dim

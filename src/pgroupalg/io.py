@@ -26,25 +26,18 @@ class SchemaError(ValueError):
 def _normalize_identity(table: np.ndarray) -> np.ndarray:
     """Re-index so the two-sided identity sits at index 0."""
     n = table.shape[0]
-    ident = None
-    for e in range(n):
-        if np.array_equal(table[e], np.arange(n)) and \
-           np.array_equal(table[:, e], np.arange(n)):
-            ident = e
-            break
-    if ident is None:
+    if table.min() < 0 or table.max() >= n:  # before they index anything
+        raise SchemaError("table entries out of range")
+    ar = np.arange(n)
+    ident = np.flatnonzero((table == ar).all(1) & (table.T == ar).all(1))
+    if not ident.size:
         raise SchemaError("table has no two-sided identity")
-    if ident == 0:
+    if ident[0] == 0:
         return table
-    perm = [ident] + [x for x in range(n) if x != ident]  # new -> old
+    perm = np.concatenate([ident[:1], np.delete(ar, ident[0])])  # new -> old
     inv = np.empty(n, dtype=np.int64)
-    for new, old in enumerate(perm):
-        inv[old] = new
-    out = np.empty_like(table)
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = inv[table[perm[a], perm[b]]]
-    return out
+    inv[perm] = ar
+    return inv[table[np.ix_(perm, perm)]]
 
 
 def _integer(data: dict, key: str) -> int:

@@ -3,12 +3,13 @@ schema validation."""
 
 import json
 
+import numpy as np
 import pytest
 
 from pgroupalg.catalog import catalog_by_name
 from pgroupalg.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, run
-from pgroupalg.io import (SchemaError, canonical_body_bytes, group_from_dict,
-                          group_to_dict)
+from pgroupalg.io import (SchemaError, _normalize_identity,
+                          canonical_body_bytes, group_from_dict, group_to_dict)
 
 
 def run_to_file(tmp_path, argv):
@@ -115,6 +116,52 @@ def test_removed_flags_exit_code(tmp_path, flag):
                 "--out", str(tmp_path / "r.json")]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("a_name, g0_name, message", [
+    ("C16xC2xC2", "Q8", "order exceeds cap"),
+    ("C2", "C3", "mismatched primes"),
+])
+def test_emit_factorization_that_does_not_build(tmp_path, capsys, a_name,
+                                                g0_name, message):
+    out = tmp_path / "fx.json"
+    code = run(["catalog", "--emit-factorization", a_name, g0_name,
+                "--out", str(out)])
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("catalog", ["--input", "missing.json"]),
+    ("catalog", ["--catalog", "Q8"]),
+    ("catalog", ["--seed", "1"]),
+    ("catalog", ["--oracle-cap", "1"]),
+    ("recover", ["--p", "3"]),
+    ("recover", ["--max-order", "4"]),
+    ("recover", ["--oracle-cap", "1"]),
+    ("lemmas", ["--seed", "1"]),
+    ("lemmas", ["--oracle-cap", "1"]),
+    ("cyclic-factor", ["--seed", "1"]),
+    ("certify", ["--seed", "1"]),
+    ("oracle", ["--seed", "1"]),
+])
+def test_unread_flag_is_usage_error(tmp_path, capsys, command, flag):
+    fx = tmp_path / "fx.json"
+    assert run(["catalog", "--emit-factorization", "C2", "C2",
+                "--out", str(fx)]) == EXIT_OK
+    selection = ["--p", "2", "--max-order", "4"] if command == "catalog" \
+        else ["--input", str(fx)]
+    argv = [command, *selection, "--out", str(tmp_path / "r.json")]
+    assert run(argv) == EXIT_OK
+    assert run(argv + flag) == EXIT_PARSE
+    assert capsys.readouterr().err.endswith(
+        f"error: {command} does not read {flag[0]}\n")
+    # the default value of a flag the command does not read is accepted
+    default = {"--seed": "0", "--oracle-cap": "64", "--max-order": "32"}
+    if flag[0] in default:
+        assert run(argv + [flag[0], default[flag[0]]]) == EXIT_OK
+
+
 def test_recover_requires_factorization(tmp_path):
     fx = tmp_path / "plain.json"
     assert run(["catalog", "--emit", "C4", "--out", str(fx)]) == EXIT_OK
@@ -167,6 +214,29 @@ def test_identity_reindexing():
     H, _, _ = group_from_dict(data)
     assert H.mul(0, 3) == 3  # identity back at index 0
     assert sorted(H.element_order(g) for g in range(4)) == [1, 2, 4, 4]
+
+
+def ref_normalize_identity(table):
+    """The identity moved to index 0 and the rest kept in order, one entry
+    at a time."""
+    n = len(table)
+    e = next(x for x in range(n) if list(table[x]) == list(range(n))
+             and [row[x] for row in table] == list(range(n)))
+    perm = [e] + [x for x in range(n) if x != e]
+    return [[perm.index(table[perm[a]][perm[b]]) for b in range(n)]
+            for a in range(n)]
+
+
+@pytest.mark.parametrize("name", ["C2", "D8", "C3xC3", "He3", "C4xD8"])
+def test_identity_reindexing_matches_loop(name):
+    G = catalog_by_name(name)
+    rng = np.random.default_rng(len(name))
+    for _ in range(3):
+        sigma = rng.permutation(G.order)  # old label -> file label
+        T = np.empty_like(G.table)
+        T[np.ix_(sigma, sigma)] = sigma[G.table]
+        assert _normalize_identity(T).tolist() == \
+            ref_normalize_identity(T.tolist())
 
 
 def test_report_determinism(tmp_path):
@@ -245,6 +315,11 @@ def _c4_with(**fields):
     (_c4_with(factorization={"B": [[1, 0, 0, 0, 0, 0, 0, 0]],
                              "C": [[1, 0, 0, 0]]}),
      "factorization rows must have length 4"),
+    # identity at index 1, so the entries would index the re-labelling
+    (_c4_with(table=[[1, 0, 3, 2], [0, 1, 2, 3], [3, 2, 1, 0],
+                     [2, 3, 0, 9]]), "table entries out of range"),
+    (_c4_with(table=[[1, 0, 3, 2], [0, 1, 2, 3], [3, 2, 1, 0],
+                     [2, 3, 0, -3]]), "table entries out of range"),
 ])
 def test_malformed_group_file_exit_code(tmp_path, capsys, data, message):
     with pytest.raises(SchemaError, match=message):

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+import pgroupalg.decompose as decompose
 from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
                                EnumerationCapExceeded,
                                group_algebra_subalgebra, power_space)
@@ -15,7 +16,7 @@ from pgroupalg.decompose import (_group_closure_vectors,
                                  find_group_basis_commutative,
                                  group_from_unit_vectors, lambda_map,
                                  recover_decomposition, split_cyclic)
-from pgroupalg.fplin import span
+from pgroupalg.fplin import FpSubspace, span
 from pgroupalg.groups import (RetractionError, abelian_invariants,
                               catalog_build, is_internal_direct_product,
                               subgroup_to_pgroup)
@@ -61,7 +62,8 @@ def test_lambda_map_degenerate_on_d8():
     # Omega_2(Z(D8))D8' = Z(D8) = D8', so the domain collapses to zero
     L = lambda_map(catalog_by_name("D8"), 2)
     assert L.domain.dim == 0
-    assert L.map.rank() == 0
+    assert L.images.shape == (0, 8)
+    assert L.kernel.dim == 0
 
 
 @pytest.mark.parametrize("name,s", [("C2xC4", 2), ("D8", 2), ("Q8", 2),
@@ -74,9 +76,14 @@ def test_lambda_map_constant_on_every_i2_shift(name, s):
     I2 = power_space(ctx, ctx.augmentation_ideal(), 2)
     coeffs = np.array(list(itertools.product(range(G.p), repeat=I2.dim)))
     shifts = coeffs @ I2.basis % G.p
-    for z, img in zip(L.domain.section, L.map.matrix):
-        for w in ctx.powers((z + shifts) % G.p, G.p ** (s - 1)):
-            assert np.array_equal(L.codomain.project(w), img)
+    for z, img in zip(L.domain.section, L.images):
+        w = ctx.powers((z + shifts) % G.p, G.p ** (s - 1))
+        assert np.array_equal(L.codomain.reduce(w), np.tile(img, (len(w), 1)))
+    # ker Lambda: the section combinations whose power lies in the codomain
+    coeffs = np.array(list(itertools.product(range(G.p), repeat=L.domain.dim)))
+    for x in coeffs @ L.domain.section % G.p:
+        dies = not L.codomain.reduce(ctx.power(x, G.p ** (s - 1))).any()
+        assert L.kernel.contains_vector(x) == dies
 
 
 def test_lambda_map_failure_names_its_check(monkeypatch):
@@ -91,6 +98,27 @@ def test_lambda_map_failure_names_its_check(monkeypatch):
     with pytest.raises(VerificationError) as exc:
         lambda_map(catalog_by_name("C2xC4"), 2)
     assert exc.value.check == "lambda-well-defined"
+
+
+@pytest.mark.parametrize("field, check", [
+    ("codomain", "jennings-nonmembership"),
+    ("kernel", "kernel-exclusion"),
+])
+def test_recovery_step_checks_name_themselves(monkeypatch, field, check):
+    # widen Lambda's codomain ideal or kernel to the whole algebra, so that
+    # the class of b - 1 falls into it
+    real = decompose.lambda_map
+
+    def widened(G, s):
+        lam = real(G, s)
+        setattr(lam, field, FpSubspace.full(G.p, G.order))
+        return lam
+
+    monkeypatch.setattr(decompose, "lambda_map", widened)
+    _, _, ctx, B, C = coordinate_factorization("C2xC4", "D8")
+    with pytest.raises(VerificationError) as exc:
+        recover_decomposition(verify_tensor_factorization(ctx, B, C))
+    assert exc.value.check == check
 
 
 def test_split_cyclic():

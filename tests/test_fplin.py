@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from pgroupalg.fplin import (FpError, FpSubspace, LinearMap, QuotientSpace,
-                             complement_within, nullspace, rref, solve, span)
+from pgroupalg.fplin import (FpError, FpSubspace, QuotientSpace, nullspace,
+                             rref, solve, span)
 
 
 def test_rref_canonical_form():
@@ -36,6 +36,24 @@ def test_nullspace_and_solve():
     # inconsistent system over F_2
     A2 = np.array([[1, 0, 0], [1, 0, 0]], dtype=np.int64)
     assert solve(A2, np.array([1, 0]), 2) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_solve_batch_matches_rowwise(p):
+    # one right-hand side per row of a 2-d b, solved in one elimination
+    rng = np.random.default_rng(20261018 + p)
+    for _ in range(20):
+        A = rng.integers(0, p, size=(6, 4)) @ \
+            rng.integers(0, p, size=(4, 5)) % p  # rank at most 4
+        rhs = rng.integers(0, p, size=(7, 5)) @ A.T % p  # consistent rows
+        Y = solve(A, rhs, p)
+        assert Y.shape == (7, 5)
+        assert all(np.array_equal(y, solve(A, b, p)) for y, b in zip(Y, rhs))
+        assert np.array_equal(Y @ A.T % p, rhs)
+        assert solve(A, rhs[:0], p).shape == (0, 5)
+        bad = rng.integers(0, p, size=6)
+        if solve(A, bad, p) is None:
+            assert solve(A, np.vstack([rhs[:3], bad, rhs[3:]]), p) is None
 
 
 def test_subspace_equality_is_basis_independent():
@@ -77,26 +95,6 @@ def test_contains_and_coordinates():
     assert U.coordinates([1, 0, 0]) is None
 
 
-def test_complement_within():
-    p = 3
-    U = span(p, 5, [[1, 0, 0, 0, 0]])
-    W = span(p, 5, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
-    C = complement_within(U, W)
-    assert U.intersect(C).dim == 0
-    assert U + C == W
-
-
-def test_complement_within_inside_container():
-    # restrict the complement to a given subspace S containing U
-    U = span(2, 4, [[1, 1, 0, 0]])
-    W = FpSubspace.full(2, 4)
-    S = span(2, 4, [[0, 0, 1, 1]])
-    C = complement_within(U, W, S)
-    assert C.contains(S)
-    assert U + C == W
-    assert U.intersect(C).dim == 0
-
-
 def test_quotient_space_project_lift():
     W = FpSubspace.full(2, 4)
     U = span(2, 4, [[1, 1, 0, 0]])
@@ -109,23 +107,23 @@ def test_quotient_space_project_lift():
     assert U.contains_vector((lifted - v) % 2)
     # U itself projects to zero
     assert np.all(Q.project([1, 1, 0, 0]) == 0)
+    # a batch projects row by row, and a vector outside W is refused
+    V = np.array([v, [1, 1, 0, 0], [0, 1, 1, 1]])
+    assert np.array_equal(Q.project(V), [Q.project(x) for x in V])
+    Q2 = QuotientSpace(span(2, 4, [[1, 1, 0, 0], [0, 0, 1, 0]]), U)
+    assert Q2.section.tolist() == [[0, 0, 1, 0]]
+    with pytest.raises(FpError):
+        Q2.project(V)
 
 
-def test_linear_map_kernel_image():
-    # squaring map on F_2[x]/(x^4) restricted to the ideal (x): kernel is
-    # spanned by x^2 (since (x^2)^2 = x^4 = 0) plus x^3, image is (x^2, x^3)
-    # cap squares = span{x^2}
-    basis = np.eye(4, dtype=np.int64)[1:]  # x, x^2, x^3 as coordinate rows
-    # squares: x->x^2, x^2->0 (x^4), x^3->0 (x^6)
-    matrix = np.array([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
-                      dtype=np.int64)
-    f = LinearMap(2, basis, matrix, codomain_dim=4)
-    K = f.kernel()
-    assert K.dim == 2
-    assert K.contains_vector([0, 0, 1, 0])
-    assert K.contains_vector([0, 0, 0, 1])
-    assert f.image().dim == 1
-    assert f.rank() == 1
+def test_quotient_space_of_zero_dimension():
+    U = span(3, 3, [[1, 2, 0]])
+    Q = QuotientSpace(U, U)
+    assert Q.dim == 0
+    assert Q.project([[2, 1, 0], [0, 0, 0]]).shape == (2, 0)
+    assert Q.lift([]).tolist() == [0, 0, 0]
+    with pytest.raises(FpError):
+        Q.project([0, 0, 1])
 
 
 def test_unsupported_prime_rejected():

@@ -1,8 +1,9 @@
 """Batched F_p kernels against the per-pair and dense references they replace.
 
 The references live here, not in the library: products as one ``np.add.at``
-scatter per pair through the Cayley table, and RREF as one dense
-column-by-column elimination of the whole matrix.
+scatter per pair through the Cayley table, RREF as one dense
+column-by-column elimination of the whole matrix, and a quotient's section
+as the greedy scan that keeps each row of W outside U plus the rows kept.
 """
 
 import itertools
@@ -19,7 +20,7 @@ from pgroupalg.algebra import (AlgebraContext, commutator_span,
                                product_space)
 from pgroupalg.catalog import catalog_by_name
 from pgroupalg.decompose import _units_by_order
-from pgroupalg.fplin import FpSubspace, rref
+from pgroupalg.fplin import FpSubspace, QuotientSpace, rref, span
 from pgroupalg.groups import all_subgroups, catalog_build
 
 # nonabelian groups at p = 2 and 3 check the left/right orientation
@@ -257,3 +258,34 @@ def test_reduce_matches_rowwise_elimination(case, seed):
         assert (coords is not None) == in_span
         if in_span:
             assert np.array_equal((coords @ U.basis) % p, v)
+
+
+def ref_greedy_section(U, W):
+    """Each row of W's basis that is outside U plus the rows kept so far."""
+    chosen, acc = [], U
+    for row in W.basis:
+        if not acc.contains_vector(row):
+            chosen.append(row)
+            acc = acc + span(U.p, U.ambient, [row])
+    return FpSubspace(U.p, U.ambient,
+                      np.array(chosen).reshape(-1, U.ambient)).basis
+
+
+@given(matrices(), st.integers(0, 2 ** 32 - 1))
+def test_quotient_section_and_batched_projection(case, seed):
+    rows, p = case
+    n = rows.shape[1]
+    rng = np.random.default_rng(seed)
+    W = FpSubspace(p, n, rows)
+    U = FpSubspace(p, n, rng.integers(0, p, size=(rng.integers(0, 8), W.dim))
+                   @ W.basis % p)
+    Q = QuotientSpace(W, U)
+    assert np.array_equal(Q.section, ref_greedy_section(U, W))
+    S = FpSubspace(p, n, Q.section)
+    assert U + S == W and U.intersect(S).dim == 0
+    V = rng.integers(0, p, size=(6, W.dim)) @ W.basis % p
+    coords = Q.project(V)
+    assert coords.shape == (6, Q.dim)
+    for v, c in zip(V, coords):
+        assert np.array_equal(Q.project(v), c)
+        assert U.contains_vector(Q.lift(c) - v)

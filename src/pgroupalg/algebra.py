@@ -14,6 +14,13 @@ MAX_ORDER.  Row-wise products ``A[k] B[k]``, and with them the row-wise
 powers that raise a whole basis to its p^i-th powers at once, gather in
 chunks the same way.
 
+Every ideal takes at most two eliminations.  I(N)F_pG, the augmentation
+ideal among them, is written down in canonical RREF from the cosets of N
+with none; ``ideal_generated`` eliminates the left translates of its
+generators and then, unless they are central, the right translates of
+that left ideal; the mho ideal modulo the derived ideal is one
+elimination.
+
 Each group has one shared context, ``AlgebraContext.of(G)``, and each
 context memoizes what is derived from its group alone: the augmentation
 ideal and its powers, the centre, the normal-subgroup ideals and the
@@ -112,15 +119,15 @@ class AlgebraContext:
         n = self.dim
         out = np.empty((X.shape[0], Y.shape[0], n), dtype=np.int64)
         step = max(1, _GATHER_ENTRIES // (n * n))
-        # float64 as in matmul_mod (exact), gathered and reduced in that
-        # type, so a chunk holds no int64 copy of the gather or the product
+        # float64 as in matmul_mod (exact), gathered in that type, so a
+        # chunk holds no int64 copy of the gather; each product is stored
+        # as int64 and the whole output reduced once, in place
         Xf, Yf = X.astype(np.float64), Y.astype(np.float64)
         for j in range(0, Y.shape[0], step):
             # gathered [j, g, t] = y_j[g^-1 t]
-            prod = Xf @ Yf[j:j + step, self._left]
-            np.remainder(prod, self.p, out=prod)
-            out[:, j:j + step] = prod.transpose(1, 0, 2)
-        return out.reshape(-1, n)
+            out[:, j:j + step] = (Xf @ Yf[j:j + step, self._left]
+                                  ).transpose(1, 0, 2)
+        return np.remainder(out, self.p, out=out).reshape(-1, n)
 
     def commutators(self, X, Y) -> np.ndarray:
         """Rows x_i y_j - y_j x_i, row i * len(Y) + j; zero iff X, Y commute."""
@@ -166,9 +173,9 @@ class AlgebraContext:
 
     @memoized
     def augmentation_ideal(self) -> FpSubspace:
-        """span{e_g - 1 : g in G}; the Jacobson radical of F_pG."""
-        rows = [self.group_minus_one(g) for g in range(1, self.dim)]
-        return FpSubspace(self.p, self.dim, np.array(rows))
+        """span{e_g - 1 : g in G}; the Jacobson radical of F_pG.  It is
+        I(N)F_pG for N = G, built in closed form like every other one."""
+        return _coset_ideal(self, range(self.dim))
 
     def augmentation_power(self, m: int) -> FpSubspace:
         """I(G)^m, each power built once, as I(G)^{m-1} I(G)."""
@@ -239,20 +246,44 @@ def right_ideal(ctx: AlgebraContext, X: FpSubspace) -> FpSubspace:
 
 
 def ideal_generated(ctx: AlgebraContext, X: FpSubspace) -> FpSubspace:
-    """Smallest two-sided ideal containing X: closure under basis products."""
-    acc = X
-    while True:
-        rows = np.concatenate([acc.basis, ctx.left_translates(acc.basis),
-                               ctx.right_translates(acc.basis)])
-        new = FpSubspace(ctx.p, ctx.dim, rows)
-        if new.dim == acc.dim:
-            return new
-        acc = new
+    """F_pG X F_pG, the smallest two-sided ideal containing X: the left
+    ideal L = F_pG X, then L F_pG, one elimination each.  When X commutes
+    with G, L is already two-sided and the second elimination is skipped;
+    the recovery step only ever passes central elements."""
+    left = ctx.left_translates(X.basis)
+    L = FpSubspace(ctx.p, ctx.dim, left)
+    if np.array_equal(left, ctx.right_translates(X.basis)):
+        return L
+    return right_ideal(ctx, L)
+
+
+def _coset_ideal(ctx: AlgebraContext, elements) -> FpSubspace:
+    """I(N)F_pG for the normal subgroup N with these elements, in canonical
+    RREF without an elimination.
+
+    I(N)F_pG is the kernel of F_pG -> F_p[G/N] (Passman, The Algebraic
+    Structure of Group Rings, 1977), spanned by e_a - e_b for a, b in one
+    coset.  A coset C contributes the rows e_c - e_max(C) for the c in C
+    other than max(C): each is 1 on its pivot c and p - 1 on the column
+    max(C), which is no pivot and lies right of c.  All cosets come from
+    one gather, the sorted rows gN of the table, one per least element.
+    """
+    rows = np.sort(ctx.group.table[:, list(elements)], axis=1)
+    cosets = rows[np.unique(rows[:, 0], return_index=True)[1]]
+    pivots = cosets[:, :-1].ravel()
+    order = np.argsort(pivots)
+    pivots = pivots[order]
+    tails = np.repeat(cosets[:, -1], cosets.shape[1] - 1)[order]
+    basis = np.zeros((len(pivots), ctx.dim), dtype=np.int64)
+    rows = np.arange(len(pivots))
+    basis[rows, pivots] = 1
+    basis[rows, tails] = ctx.p - 1
+    return FpSubspace._from_rref(ctx.p, ctx.dim, basis, pivots)
 
 
 def normal_subgroup_ideal(ctx: AlgebraContext, N: Subgroup) -> FpSubspace:
-    """I(N)F_pG = kernel of F_pG -> F_p(G/N), built as span{(e_n - 1)e_g};
-    memoized on ctx by the elements of N."""
+    """I(N)F_pG = kernel of F_pG -> F_p(G/N), in closed form (see
+    _coset_ideal); memoized on ctx by the elements of N."""
     if N.parent is not ctx.group:
         raise AlgebraError("subgroup does not belong to this context's group")
     key = ("normal_subgroup_ideal", N.elements)
@@ -260,14 +291,7 @@ def normal_subgroup_ideal(ctx: AlgebraContext, N: Subgroup) -> FpSubspace:
         if not N.is_normal():
             raise NotNormalError(
                 "normal_subgroup_ideal requires a normal subgroup")
-        G = ctx.group
-        gens = [n for n in N.elements if n != 0]
-        diffs = np.zeros((len(gens), ctx.dim), dtype=np.int64)  # e_n - 1
-        diffs[np.arange(len(gens)), gens] = 1
-        diffs[:, 0] = ctx.p - 1
-        out = FpSubspace(ctx.p, ctx.dim, ctx.right_translates(diffs))
-        assert out.dim == G.order - G.order // N.order
-        ctx._memo[key] = out
+        ctx._memo[key] = _coset_ideal(ctx, N.elements)
     return ctx._memo[key]
 
 
@@ -335,16 +359,22 @@ def omega_central_enumerated(ctx: AlgebraContext, i: int,
 
 @memoized
 def mho_ideal_mod_derived(ctx: AlgebraContext, i: int) -> FpSubspace:
-    """mho_i(I(G))F_pG + I(G')F_pG; memoized on ctx.
+    """mho_i(I(G))F_pG + I(G')F_pG, from one elimination; memoized on ctx.
 
-    Modulo the derived ideal the algebra is commutative, so p^i-th powers of
-    a basis of I(G) span all p^i-th powers there; the raw mho ideal alone is
-    never needed.
+    Modulo the derived ideal D = I(G')F_pG the algebra is commutative, so
+    p^i-th powers of a basis of I(G) span all p^i-th powers there, and the
+    two-sided ideal they generate is the right ideal P F_pG of their span
+    P; the raw mho ideal alone is never needed.  Only the classes of the
+    powers modulo D matter, so they are reduced to their residuals first,
+    and the zero and repeated ones dropped, before the one elimination of
+    D with the right translates of the rest.
     """
     I = ctx.augmentation_ideal()
-    P = FpSubspace(ctx.p, ctx.dim, ctx.powers(I.basis, ctx.p ** i))
-    derived = characteristic_subgroup(ctx.group, "derived")
-    return ideal_generated(ctx, P) + normal_subgroup_ideal(ctx, derived)
+    D = normal_subgroup_ideal(ctx, characteristic_subgroup(ctx.group, "derived"))
+    P = D.reduce(ctx.powers(I.basis, ctx.p ** i))
+    P = np.unique(P[P.any(axis=1)], axis=0)
+    return FpSubspace(ctx.p, ctx.dim,
+                      np.concatenate([D.basis, ctx.right_translates(P)]))
 
 
 def unit_exponent_commutative(ctx: AlgebraContext, ideal: FpSubspace) -> int:

@@ -35,14 +35,17 @@ class UsageError(ValueError):
     """Arguments that contradict each other."""
 
 
-# The common flags with their defaults, and the ones each command reads.
-# A command refuses a non-default value of any other, which it would echo
-# into config and ignore.
+# The common flags with their defaults, and the ones each mode reads: a
+# command, or catalog in one of its emitting modes.  A mode refuses a
+# non-default value of any other, which it would echo into config or
+# ignore.
 COMMON_DEFAULTS = {"p": None, "input": [], "catalog": [], "max_order": 32,
                    "oracle_cap": 64, "seed": 0}
 _SELECTION = ("p", "input", "catalog", "max_order")
 READS = {
     "catalog": ("p", "max_order"),
+    "catalog --emit": (),
+    "catalog --emit-factorization": (),
     "lemmas": _SELECTION,
     "cyclic-factor": (*_SELECTION, "oracle_cap"),
     "certify": (*_SELECTION, "oracle_cap"),
@@ -74,22 +77,33 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("catalog", help="list built-in groups or emit fixtures")
     common(sp)
-    sp.add_argument("--emit", default=None, metavar="NAME",
-                    help="write the named group as JSON")
-    sp.add_argument("--emit-factorization", nargs=2, default=None,
-                    metavar=("A", "G0"),
-                    help="emit A x G0 with the coordinate factorization")
+    emit = sp.add_mutually_exclusive_group()
+    emit.add_argument("--emit", default=None, metavar="NAME",
+                      help="write the named group as JSON")
+    emit.add_argument("--emit-factorization", nargs=2, default=None,
+                      metavar=("A", "G0"),
+                      help="emit A x G0 with the coordinate factorization")
     for name in (*GROUP_COMMANDS, "recover"):
         sp = sub.add_parser(name)
         common(sp)
     return ap
 
 
+def _mode(args) -> str:
+    """The key of READS that args run in."""
+    if args.command == "catalog" and args.emit_factorization:
+        return "catalog --emit-factorization"
+    if args.command == "catalog" and args.emit:
+        return "catalog --emit"
+    return args.command
+
+
 def _check_flags(args) -> None:
-    """Refuse a common flag that the command does not read."""
+    """Refuse a common flag that the mode does not read."""
+    mode = _mode(args)
     for flag, default in COMMON_DEFAULTS.items():
-        if flag not in READS[args.command] and getattr(args, flag) != default:
-            raise UsageError(f"{args.command} does not read "
+        if flag not in READS[mode] and getattr(args, flag) != default:
+            raise UsageError(f"{mode} does not read "
                              f"--{flag.replace('_', '-')}")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import (AlgebraContext, AugmentedSubalgebra,
                       EnumerationCapExceeded, frattini_quotient, ideal_generated,
                       normal_subgroup_ideal, product_space)
-from .fplin import FpSubspace, QuotientSpace, nullspace, span
+from .fplin import FpError, FpSubspace, QuotientSpace, matmul_mod, nullspace, span
 from .groups import (ORACLE_CAP, PGroup, RetractionError, Subgroup,
                      abelian_invariants, agemo_derived,
                      characteristic_subgroup, direct_factor_oracle,
@@ -30,6 +30,9 @@ from .lemmas import (TensorFactorizationInput, VerificationError,
 # SAMPLED_UNITS coefficient rows instead of enumerating them all.
 ENUM_CAP = 2 ** 22
 SAMPLED_UNITS = 4096
+# Largest product formed at once while ordering units, in entries (1 MB):
+# the unit rows themselves are the larger array, so chunks stay small
+_UNIT_ENTRIES = 1 << 17
 
 
 @dataclass
@@ -89,7 +92,8 @@ def split_cyclic(G: PGroup, h: int) -> tuple[Subgroup, Subgroup]:
     ctx = AlgebraContext.of(G)
     J = ideal_generated(ctx, span(G.p, G.order, [ctx.group_minus_one(h)]))
     span_G0 = span(G.p, G.order, [ctx.basis_vector(k) for k in G0.elements])
-    if J.dim != G.order - G0.order or J.intersect(span_G0).dim != 0:
+    # with dim J = |G| - |G_0|, J ∩ F_pG_0 = 0 iff J + F_pG_0 = F_pG
+    if J.dim != G.order - G0.order or (J + span_G0).dim != G.order:
         raise VerificationError(
             "split-cyclic-algebra", "F_pG != J + F_pG_0 as a direct sum")
     return H, G0
@@ -108,21 +112,26 @@ def _find_split_element(G: PGroup, ctx: AlgebraContext, I2: FpSubspace,
     splits off; candidates scanned in ascending element order."""
     T = G.table
     q = G.p ** s
-    last_error: Exception | None = None
+    rejected = []  # (element, the check it failed)
     for g in _coset_candidates(ctx, I2, target):
-        if g == 0 or G.element_order(g) != q:
+        if G.element_order(g) != q:
+            rejected.append((g, f"order {G.element_order(g)}"))
             continue
         if not np.array_equal(T[g], T[:, g]):
+            rejected.append((g, "not central"))
             continue
         try:
             H, G0 = split_cyclic(G, g)
             return g, H, G0
-        except (RetractionError, VerificationError) as exc:
-            last_error = exc
+        except RetractionError:
+            rejected.append((g, "retraction"))
+        except VerificationError as exc:
+            rejected.append((g, exc.check))
     raise VerificationError(
         "order-p^s-lift",
         f"no central order-{q} element in the required Frattini coset splits"
-        + (f" (last: {last_error})" if last_error else ""))
+        + "; rejected: " + (", ".join(f"{g} ({why})" for g, why in rejected)
+                            or "none"))
 
 
 def _unit_order(ctx: AlgebraContext, u) -> int:
@@ -171,26 +180,38 @@ def group_from_unit_vectors(ctx: AlgebraContext, vectors) -> PGroup:
 
 
 def _units_by_order(ctx: AlgebraContext, IB: FpSubspace,
-                    coeffs: np.ndarray) -> list[np.ndarray]:
-    """The units 1 + c @ IB for the rows c of coeffs, highest order first,
-    then in byte order.
+                    coeffs: np.ndarray) -> np.ndarray:
+    """The units 1 + c @ IB for the rows c of coeffs, as rows, highest
+    order first, then in byte order.
 
     IB must be commutative: Frobenius is additive there, so the unit
-    1 + c @ IB has p^k-th power 1 + c @ IB^{p^k}, and all orders come from
-    one matrix product per k.
+    1 + c @ IB has p^k-th power 1 + c @ IB^{p^k}, and the order is p to
+    the number of k with c @ IB^{p^k} != 0.  One product with the stack of
+    the nonzero IB^{p^k} gives every such row for a chunk of coeffs, and
+    its k = 0 slice is the unit itself.
     """
-    p = ctx.p
-    orders = np.ones(len(coeffs), dtype=np.int64)
-    frob = IB.basis  # rows b^{p^k}
+    p, n = ctx.p, ctx.dim
+    frobs = [IB.basis]  # rows b^{p^k}
     while True:
-        live = (coeffs @ frob % p).any(axis=1)
-        if not live.any():
+        nxt = ctx.powers(frobs[-1], p)
+        if not nxt.any():
             break
-        orders[live] *= p
-        frob = ctx.powers(frob, p)
-    U = (ctx.one + coeffs @ IB.basis) % p
-    # with entries in [0, p), byte order is lexicographic order
-    return list(U[np.lexsort(np.vstack([U.T[::-1], -orders]))])
+        frobs.append(nxt)
+    frobs = np.stack(frobs)
+    U = np.empty((len(coeffs), n), dtype=np.int64)
+    orders = np.empty(len(coeffs), dtype=np.int64)
+    step = max(1, _UNIT_ENTRIES // (len(frobs) * n))
+    for k in range(0, len(coeffs), step):
+        images = matmul_mod(coeffs[k:k + step], frobs, p)  # (frob, row, t)
+        U[k:k + step] = images[0]
+        orders[k:k + step] = images.any(axis=2).sum(axis=0)
+    U[:, 0] += 1
+    U[:, 0] %= p
+    # with entries in [0, p), byte order is the order of the uint8 rows
+    keys = np.ascontiguousarray(U, dtype=np.uint8).view(f"V{n}").ravel()
+    by_bytes = np.argsort(keys, kind="stable")
+    by_order = np.argsort(-orders[by_bytes], kind="stable")
+    return U[by_bytes[by_order]]
 
 
 def find_group_basis_commutative(B: AugmentedSubalgebra,
@@ -335,14 +356,16 @@ def recover_decomposition(fact: TensorFactorizationInput,
         hs.append(cur_embed[h])
         steps.append({"depth": depth, "s": s, "h": cur_embed[h],
                       "group_order": cur_G.order})
-        # project both factors along J = (b-1)F_pG onto F_pG_0 and recurse
+        # project both factors along J = (b-1)F_pG onto F_pG_0 and recurse;
+        # the section check of the quotient is the splitting check
         J = ideal_generated(ctx, span(p, cur_G.order, [b_minus_1]))
         span_G0 = span(p, cur_G.order,
                        [ctx.basis_vector(k) for k in G0.elements])
-        if J.dim != cur_G.order - G0.order or J.intersect(span_G0).dim != 0:
+        try:
+            qs = QuotientSpace(ctx.full_space(), J, section=span_G0)
+        except FpError as exc:
             raise VerificationError(
-                "theorem-splitting", "F_pG != (b-1)F_pG + F_pG_0")
-        qs = QuotientSpace(ctx.full_space(), J, section=span_G0)
+                "theorem-splitting", "F_pG != (b-1)F_pG + F_pG_0") from exc
         G0p, g0_elems = subgroup_to_pgroup(G0)
         ctx0 = AlgebraContext.of(G0p)
         B_rows = qs.project(cur_fact.B.space.basis)

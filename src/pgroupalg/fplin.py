@@ -47,10 +47,12 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     a stack of matrices, as in np.matmul.
 
     Exact: a dot product of fewer than 2^48 terms below p^2 = 25 stays
-    inside the 2^53 integer range of a double.
+    inside the 2^53 integer range of a double, so the product converts to
+    int64 without loss and is reduced there, in place: an integer
+    remainder costs a fraction of a float64 one.
     """
-    out = A.astype(np.float64) @ B.astype(np.float64)
-    return np.remainder(out, p, out=out).astype(np.int64)
+    out = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+    return np.remainder(out, p, out=out)
 
 
 def _rref_dense(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -163,12 +165,35 @@ class FpSubspace:
         self.basis.setflags(write=False)
 
     @classmethod
+    def _from_rref(cls, p: int, ambient: int, basis: np.ndarray,
+                   pivots) -> "FpSubspace":
+        """The subspace of a basis already in canonical RREF, taken as it
+        is: the form is checked, not eliminated again.  basis[:, pivots]
+        is the identity, the pivots increase, each row is zero left of its
+        pivot and every entry lies in [0, p)."""
+        _check_prime(p)
+        basis = np.asarray(basis, dtype=np.int64).reshape(-1, ambient)
+        piv = np.asarray(pivots, dtype=np.int64)
+        r = basis.shape[0]
+        if (piv.shape != (r,) or (np.diff(piv) <= 0).any()
+                or not np.array_equal(basis[:, piv], np.eye(r, dtype=np.int64))
+                or (basis[np.arange(ambient) < piv[:, None]] != 0).any()
+                or ((basis < 0) | (basis >= p)).any()):
+            raise FpError("basis is not in canonical RREF")
+        self = cls.__new__(cls)
+        self.p, self.ambient = p, ambient
+        self.basis, self.pivots = basis, tuple(int(c) for c in piv)
+        self.basis.setflags(write=False)
+        return self
+
+    @classmethod
     def zero(cls, p: int, ambient: int) -> "FpSubspace":
         return cls(p, ambient)
 
     @classmethod
     def full(cls, p: int, ambient: int) -> "FpSubspace":
-        return cls(p, ambient, np.eye(ambient, dtype=np.int64))
+        return cls._from_rref(p, ambient, np.eye(ambient, dtype=np.int64),
+                              range(ambient))
 
     @property
     def dim(self) -> int:
@@ -268,7 +293,8 @@ class QuotientSpace:
             _, independent = rref(U.reduce(W.basis).T, self.p)
             self.section = W.basis[list(independent)]  # (q, ambient)
         else:
-            if U.sum(section) != W or U.intersect(section).dim != 0:
+            # with U + section = W, the dimensions add iff U ∩ section = 0
+            if U.dim + section.dim != W.dim or U.sum(section) != W:
                 raise FpError("quotient_space: invalid section")
             self.section = section.basis
         # the classes of the section rows, in which project solves

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, report determinism,
 schema validation."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -160,6 +161,26 @@ def test_unread_flag_is_usage_error(tmp_path, capsys, command, flag):
     default = {"--seed": "0", "--oracle-cap": "64", "--max-order": "32"}
     if flag[0] in default:
         assert run(argv + [flag[0], default[flag[0]]]) == EXIT_OK
+
+
+@pytest.mark.parametrize("mode", [["--emit", "Q8"],
+                                  ["--emit-factorization", "C2", "Q8"]])
+@pytest.mark.parametrize("flag", [["--p", "3"], ["--max-order", "4"]])
+def test_emit_refuses_listing_filters(tmp_path, capsys, mode, flag):
+    out = tmp_path / "fx.json"
+    argv = ["catalog", *mode, "--out", str(out)]
+    assert run(argv + flag) == EXIT_PARSE
+    assert capsys.readouterr().err.endswith(
+        f"error: catalog {mode[0]} does not read {flag[0]}\n")
+    assert not out.exists()
+    assert run(argv) == EXIT_OK
+
+
+def test_emit_modes_exclude_each_other(tmp_path):
+    out = tmp_path / "fx.json"
+    assert run(["catalog", "--emit", "Q8", "--emit-factorization", "C2",
+                "Q8", "--out", str(out)]) == EXIT_PARSE
+    assert not out.exists()
 
 
 def test_recover_requires_factorization(tmp_path):
@@ -328,3 +349,28 @@ def test_malformed_group_file_exit_code(tmp_path, capsys, data, message):
     fx.write_text(json.dumps(data))
     assert run(["lemmas", "--input", str(fx)]) == EXIT_PARSE
     assert message in capsys.readouterr().err
+
+
+# sha256 of the canonical recover body of emitted coordinate
+# factorizations past the corpora (orders 128 and 243), recorded before the
+# ideals got their closed forms
+LARGE_ORDER_DIGESTS = {
+    ("C4xC4", "D8"):
+        "d4a37d40c8c021e828f1f73cfe7d480b4b6334935387beab7b329d6d50c1138c",
+    ("C2xC4", "Q16"):
+        "b983ac1027b99165ec543799707b638908bd140e3b3634d05cfb0cf5c9e28b7d",
+    ("C3xC3", "He3"):
+        "f8142399bd5f08680808f7e91c19f613f6555fa626453bdd1b4ad0348638cd4e",
+}
+
+
+@pytest.mark.parametrize("a_name, g0_name", LARGE_ORDER_DIGESTS)
+def test_large_order_recovery_is_pinned(tmp_path, a_name, g0_name):
+    digest = LARGE_ORDER_DIGESTS[a_name, g0_name]
+    fx = tmp_path / "fx.json"
+    assert run(["catalog", "--emit-factorization", a_name, g0_name,
+                "--out", str(fx)]) == EXIT_OK
+    code, body = run_to_file(tmp_path, ["recover", "--input", str(fx)])
+    assert code == EXIT_OK
+    text = json.dumps(body["recover"], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -18,8 +18,9 @@ from pgroupalg.decompose import (_group_closure_vectors,
                                  recover_decomposition, split_cyclic)
 from pgroupalg.fplin import FpSubspace, span
 from pgroupalg.groups import (RetractionError, abelian_invariants,
-                              catalog_build, is_internal_direct_product,
-                              subgroup_to_pgroup)
+                              all_subgroups, catalog_build,
+                              is_internal_direct_product, subgroup_to_pgroup,
+                              trivial_subgroup)
 from pgroupalg.lemmas import VerificationError, verify_tensor_factorization
 
 
@@ -238,3 +239,57 @@ def test_certificates_refused():
     cert = certify_indecomposable(catalog_by_name("C2xD8"))
     assert cert.kind == "none"
     assert not cert.directly_indecomposable
+
+
+@pytest.mark.parametrize("wrong", ["trivial", "through h"])
+def test_theorem_splitting_failure_names_its_check(monkeypatch, wrong):
+    # a G_0 with F_pG != (b-1)F_pG + F_pG_0: the trivial group, or a
+    # subgroup of the right order that contains h
+    real = decompose._find_split_element
+
+    def wrong_complement(G, ctx, I2, target, s):
+        h, H, G0 = real(G, ctx, I2, target, s)
+        if wrong == "trivial":
+            return h, H, trivial_subgroup(G)
+        return h, H, next(S for S in all_subgroups(G)
+                          if S.order == G0.order and h in S.elements)
+
+    monkeypatch.setattr(decompose, "_find_split_element", wrong_complement)
+    _, _, ctx, B, C = coordinate_factorization("C2xC4", "D8")
+    with pytest.raises(VerificationError) as exc:
+        recover_decomposition(verify_tensor_factorization(ctx, B, C))
+    assert exc.value.check == "theorem-splitting"
+
+
+def test_lift_failure_lists_every_rejected_candidate(monkeypatch):
+    # D8 has no cyclic direct factor: the coset of its central involution z
+    # modulo I(G)^2 is {1, z}; 1 has the wrong order and z no retraction
+    G = catalog_by_name("D8")
+    ctx = AlgebraContext(G)
+    I2 = ctx.augmentation_power(2)
+    z = next(g for g in range(1, 8) if np.array_equal(G.table[g], G.table[:, g]))
+    with pytest.raises(VerificationError) as exc:
+        decompose._find_split_element(G, ctx, I2, ctx.group_minus_one(z), 1)
+    assert exc.value.check == "order-p^s-lift"
+    assert str(exc.value).endswith(f"rejected: 0 (order 1), {z} (retraction)")
+    # in C2xC8 the coset of an involution t outside Phi(G) = <g^2> holds
+    # elements of order 2 and 4; with the algebra check forced to fail, an
+    # order-2 candidate is listed by that check's name, the rest by order
+    G = catalog_by_name("C2xC8")
+    ctx = AlgebraContext(G)
+    I2 = ctx.augmentation_power(2)
+    t = next(g for g in range(16) if G.element_order(g) == 2
+             and not I2.contains_vector(ctx.group_minus_one(g)))
+
+    def fails(G, h):
+        raise VerificationError("split-cyclic-algebra", "forced")
+
+    monkeypatch.setattr(decompose, "split_cyclic", fails)
+    with pytest.raises(VerificationError) as exc:
+        decompose._find_split_element(G, ctx, I2, ctx.group_minus_one(t), 1)
+    coset = decompose._coset_candidates(ctx, I2, ctx.group_minus_one(t))
+    want = ", ".join(
+        f"{g} (split-cyclic-algebra)" if G.element_order(g) == 2
+        else f"{g} (order {G.element_order(g)})" for g in coset)
+    assert str(exc.value).endswith("rejected: " + want)
+    assert "split-cyclic-algebra" in want and "(order 4)" in want

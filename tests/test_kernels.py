@@ -2,10 +2,14 @@
 
 The references live here, not in the library: products as one ``np.add.at``
 scatter per pair through the Cayley table, RREF as one dense
-column-by-column elimination of the whole matrix, and a quotient's section
-as the greedy scan that keeps each row of W outside U plus the rows kept.
+column-by-column elimination of the whole matrix, a quotient's section
+as the greedy scan that keeps each row of W outside U plus the rows kept,
+the two-sided ideal as the fixpoint of closing under left and right
+translates, I(N)F_pG as the span of the translates (e_n - 1)e_g, and the
+unit order as one ``lexsort`` of the units and their orders.
 """
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -15,13 +19,16 @@ from hypothesis import strategies as st
 
 import pgroupalg.algebra as algebra
 import pgroupalg.fplin as fplin
-from pgroupalg.algebra import (AlgebraContext, commutator_span,
-                               group_algebra_subalgebra, normal_subgroup_ideal,
-                               product_space)
-from pgroupalg.catalog import catalog_by_name
-from pgroupalg.decompose import _units_by_order
-from pgroupalg.fplin import FpSubspace, QuotientSpace, rref, span
-from pgroupalg.groups import all_subgroups, catalog_build
+import pgroupalg.decompose as decompose
+from pgroupalg.algebra import (AlgebraContext, EnumerationCapExceeded,
+                               commutator_span, group_algebra_subalgebra,
+                               ideal_generated, mho_ideal_mod_derived,
+                               normal_subgroup_ideal, product_space)
+from pgroupalg.catalog import builtin_catalog, catalog_by_name
+from pgroupalg.decompose import _units_by_order, find_group_basis_commutative
+from pgroupalg.fplin import FpSubspace, QuotientSpace, matmul_mod, rref, span
+from pgroupalg.groups import (_closure, all_subgroups, catalog_build,
+                              characteristic_subgroup)
 
 # nonabelian groups at p = 2 and 3 check the left/right orientation
 GROUPS = ("D8", "Q8", "C2xQ16", "He3", "C5xC5")
@@ -131,6 +138,8 @@ def test_normal_subgroup_ideal_matches_scatter(setting):
                 for n in N.elements if n for g in range(G.order)]
         want = FpSubspace(G.p, G.order, np.array(rows).reshape(-1, G.order))
         assert normal_subgroup_ideal(ctx, N) == want
+        if N.order == G.order:
+            assert ctx.augmentation_ideal() == want
 
 
 def test_conjugacy_classes_match_group_conjugation(setting):
@@ -289,3 +298,144 @@ def test_quotient_section_and_batched_projection(case, seed):
     for v, c in zip(V, coords):
         assert np.array_equal(Q.project(v), c)
         assert U.contains_vector(Q.lift(c) - v)
+
+
+def ref_ideal_generated(ctx, X):
+    """The smallest two-sided ideal containing X, as the fixpoint of adding
+    the left and right translates of a basis."""
+    acc = X
+    while True:
+        rows = np.concatenate([acc.basis, ctx.left_translates(acc.basis),
+                               ctx.right_translates(acc.basis)])
+        new = FpSubspace(ctx.p, ctx.dim, rows)
+        if new.dim == acc.dim:
+            return new
+        acc = new
+
+
+def ref_translate_ideal(ctx, elements):
+    """I(N)F_pG as the span of the right translates (e_n - 1)e_g."""
+    gens = [n for n in elements if n]
+    diffs = np.zeros((len(gens), ctx.dim), dtype=np.int64)  # e_n - 1
+    diffs[np.arange(len(gens)), gens] = 1
+    diffs[:, 0] = ctx.p - 1
+    return ctx.right_translates(diffs)
+
+
+@given(st.sampled_from(GROUPS), st.integers(0, 3), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_ideal_generated_matches_fixpoint(name, level, central, seed):
+    # X drawn from the centre, or from I(G)^level (F_pG itself at level 0),
+    # so that the ideal is not always the whole algebra
+    G = catalog_by_name(name)
+    ctx = AlgebraContext.of(G)
+    p, n = G.p, G.order
+    rng = np.random.default_rng(seed)
+    if central:
+        space = ctx.center_subspace()
+    else:
+        space = ctx.augmentation_power(level) if level else ctx.full_space()
+    X = FpSubspace(p, n, rng.integers(0, p, size=(rng.integers(0, 4),
+                                                  space.dim)) @ space.basis)
+    assert ideal_generated(ctx, X) == ref_ideal_generated(ctx, X)
+
+
+def test_closed_form_ideal_on_every_normal_subgroup():
+    # all normal subgroups of the catalog groups to order 64 (p = 2), 81
+    # (p = 3) and 25 (p = 5).  The translates of e_n - 1 for generators n
+    # of N span the same right ideal as those of all of N.  Both inclusions
+    # are checked without an elimination: those translates reduce to zero
+    # modulo the closed form, and each closed-form row, 1 on its pivot c
+    # and p - 1 on one column t, is the translate (e_n - 1)e_t, n = c t^-1
+    pairs = 0
+    for p, max_order in ((2, 64), (3, 81), (5, 25)):
+        for G in builtin_catalog(p=p, max_order=max_order):
+            ctx = AlgebraContext(G)
+            for N in all_subgroups(G):
+                if not N.is_normal():
+                    continue
+                C = normal_subgroup_ideal(ctx, N)
+                gens, H = [], {0}
+                for g in N.elements:
+                    if g not in H:
+                        gens.append(g)
+                        H = _closure(G, gens)
+                assert not C.reduce(ref_translate_ideal(ctx, gens)).any()
+                c = np.array(C.pivots, dtype=np.int64)
+                t = np.argmax(C.basis * (np.arange(G.order) != c[:, None]),
+                              axis=1)
+                assert ((C.basis != 0).sum(axis=1) == 2).all()
+                assert (C.basis[np.arange(len(c)), t] == p - 1).all()
+                assert np.isin(G.table[c, G._inv[t]], N.elements).all()
+                assert C.dim == G.order - G.order // N.order
+                pairs += 1
+    assert pairs == 5878
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_mho_ideal_mod_derived_matches_fixpoint(name):
+    G = catalog_by_name(name)
+    ctx = AlgebraContext(G)
+    I = ctx.augmentation_ideal()
+    derived = characteristic_subgroup(G, "derived").elements
+    i = 1
+    while G.p ** (i - 1) < G.exponent():
+        P = FpSubspace(G.p, G.order, ctx.powers(I.basis, G.p ** i))
+        want = ref_ideal_generated(ctx, P) + \
+            FpSubspace(G.p, G.order, ref_translate_ideal(ctx, derived))
+        assert mho_ideal_mod_derived(ctx, i) == want
+        i += 1
+
+
+@given(st.sampled_from((2, 3, 5)), st.integers(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_matmul_mod_matches_integer_product(p, stack, seed):
+    rng = np.random.default_rng(seed)
+    m, k, n = rng.integers(0, 40, size=3)
+    A = rng.integers(0, p, size=(m, k))
+    B = rng.integers(0, p, size=(stack, k, n) if stack else (k, n))
+    got = matmul_mod(A, B, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, A @ B % p)
+
+
+def ref_units_by_order(ctx, IB, coeffs):
+    """Per-power orders, then one lexsort by (-order, bytes of the unit)."""
+    p = ctx.p
+    orders = np.ones(len(coeffs), dtype=np.int64)
+    frob = IB.basis
+    while True:
+        live = (coeffs @ frob % p).any(axis=1)
+        if not live.any():
+            break
+        orders[live] *= p
+        frob = ctx.powers(frob, p)
+    U = (ctx.one + coeffs @ IB.basis) % p
+    return U[np.lexsort(np.vstack([U.T[::-1], -orders]))]
+
+
+@pytest.mark.parametrize("a_name,g0_name", [("C2xC4", "D8"), ("C8", "Q8"),
+                                            ("C3xC3", "C3"), ("C5", "C5")])
+@pytest.mark.parametrize("entries", [1, 1000])
+def test_units_by_order_matches_lexsort(monkeypatch, a_name, g0_name,
+                                        entries):
+    # one-row chunks, then a few rows per chunk, on the coefficient rows
+    # of both the exhaustive search and a sampled one (cap 0)
+    A, G0 = catalog_by_name(a_name), catalog_by_name(g0_name)
+    G = catalog_build("direct_product", A, G0)
+    ctx = AlgebraContext(G)
+    B = group_algebra_subalgebra(ctx, [a * G0.order for a in range(A.order)])
+    monkeypatch.setattr(decompose, "_UNIT_ENTRIES", entries)
+    real, seen = decompose._units_by_order, []
+
+    def checked(ctx, IB, coeffs):
+        got = real(ctx, IB, coeffs)
+        assert np.array_equal(got, ref_units_by_order(ctx, IB, coeffs))
+        seen.append(len(coeffs))
+        return got
+
+    monkeypatch.setattr(decompose, "_units_by_order", checked)
+    find_group_basis_commutative(B)
+    with contextlib.suppress(EnumerationCapExceeded):
+        find_group_basis_commutative(B, cap=0)
+    assert len(seen) == 2 and seen[0] == G.p ** B.aug_ideal.dim - 1

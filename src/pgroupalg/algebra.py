@@ -321,8 +321,13 @@ def omega_central(ctx: AlgebraContext, i: int) -> FpSubspace:
     M = ctx.powers(Z.basis, ctx.p ** i)  # rows: images
     coeffs = nullspace(M.T, ctx.p)
     rows = (coeffs @ Z.basis) % ctx.p if coeffs.size else None
-    # already closed in theory; the fixpoint is cheap
-    return subalgebra_closure(ctx, FpSubspace(ctx.p, ctx.dim, rows))
+    K = FpSubspace(ctx.p, ctx.dim, rows)
+    # (zw)^{p^i} = z^{p^i} w^{p^i} in Z(I(G)), so the kernel is closed under
+    # products; checked once rather than closed in a fixpoint
+    if K.dim and K.reduce(ctx.products(K.basis, K.basis)).any():
+        raise AlgebraError("the kernel of Frobenius on Z(I(G)) is not "
+                           "closed under products")
+    return K
 
 
 @memoized

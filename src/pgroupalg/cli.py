@@ -15,20 +15,33 @@ import sys
 import time
 
 from . import __version__
-from .algebra import (AlgebraContext, EnumerationCapExceeded,
+from .algebra import (AlgebraContext, AlgebraError, EnumerationCapExceeded,
                       group_algebra_subalgebra)
 from .catalog import CatalogNameError, builtin_catalog, catalog_by_name
 from .decompose import (ENUM_CAP, certify_indecomposable,
                         recover_decomposition)
+from .fplin import FpError
 from .groups import (GroupError, OracleCapExceeded, abelian_invariants,
-                     catalog_build, cyclic_factor_orders, direct_factor_oracle,
-                     subgroup_to_pgroup)
+                     catalog_build, cyclic_factor_orders, direct_factor_oracle)
 from .io import (SchemaError, dump_report, group_fingerprint, group_to_dict,
                  load_inputs)
 from .lemmas import (VerificationError, cyclic_factor_test,
                      lemma_identity_check, verify_tensor_factorization)
 
 EXIT_OK, EXIT_FAIL, EXIT_PARSE, EXIT_CAP = 0, 1, 2, 3
+# caps are caught first: EnumerationCapExceeded is an AlgebraError and
+# OracleCapExceeded a GroupError
+CAP_ERRORS = (EnumerationCapExceeded, OracleCapExceeded)
+# a library check that failed without a VerificationError name
+LIBRARY_ERRORS = (GroupError, AlgebraError, FpError)
+
+
+def _failure(exc: Exception) -> str:
+    """A failed check as text: a VerificationError names its check, a
+    library error by its class."""
+    if isinstance(exc, VerificationError):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
 
 
 class UsageError(ValueError):
@@ -198,15 +211,13 @@ def _oracle(G, args) -> dict:
     pairs = direct_factor_oracle(G, cap=args.oracle_cap)
     dumped = []
     for H, K in pairs:
-        Hp, _ = subgroup_to_pgroup(H)
-        Kp, _ = subgroup_to_pgroup(K)
         dumped.append({
             "H": [int(x) for x in H.elements],
             "K": [int(x) for x in K.elements],
-            "H_invariants": [int(x) for x in abelian_invariants(Hp)]
-            if Hp.is_abelian() else None,
-            "K_invariants": [int(x) for x in abelian_invariants(Kp)]
-            if Kp.is_abelian() else None,
+            "H_invariants": [int(x) for x in abelian_invariants(H)]
+            if H.is_abelian() else None,
+            "K_invariants": [int(x) for x in abelian_invariants(K)]
+            if K.is_abelian() else None,
         })
     return {"group": group_fingerprint(G),
             "decomposable": bool(pairs), "pairs": dumped}
@@ -246,10 +257,12 @@ def cmd_recover(args) -> tuple[int, dict]:
             report = recover_decomposition(fact, seed=args.seed)
             results.append({"group": group_fingerprint(G),
                             "recovered": report.to_json(), "pass": True})
-        except VerificationError as exc:
+        except CAP_ERRORS:
+            raise
+        except (VerificationError, *LIBRARY_ERRORS) as exc:
             ok = False
             results.append({"group": group_fingerprint(G),
-                            "error": str(exc), "pass": False})
+                            "error": _failure(exc), "pass": False})
     return (EXIT_OK if ok else EXIT_FAIL), {"recover": results}
 
 
@@ -273,11 +286,11 @@ def run(argv=None) -> int:
     except (SchemaError, CatalogNameError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (EnumerationCapExceeded, OracleCapExceeded) as exc:
+    except CAP_ERRORS as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except VerificationError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
+    except (VerificationError, *LIBRARY_ERRORS) as exc:
+        print(f"check failed: {_failure(exc)}", file=sys.stderr)
         return EXIT_FAIL
     elapsed = time.monotonic() - t0
     if body is None:

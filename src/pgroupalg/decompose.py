@@ -427,9 +427,7 @@ def certify_indecomposable(G: PGroup, oracle_cap: int = ORACLE_CAP) -> Certifica
     if G.p ** d * frattini.order != G.order:
         raise VerificationError(
             "frattini-rank", "dim I/I^2 disagrees with |G/Phi(G)|")
-    derived = characteristic_subgroup(G, "derived")
-    Dp, _ = subgroup_to_pgroup(derived)
-    derived_cyclic = Dp.order == 1 or Dp.exponent() == Dp.order
+    derived_cyclic = characteristic_subgroup(G, "derived").is_cyclic()
     if G.is_abelian():
         return Certificate("none", indec, d, derived_cyclic,
                            note="abelian: outside certificate scope")

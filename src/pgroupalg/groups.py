@@ -12,6 +12,14 @@ K > 1 of a p-group has a normal subgroup H of index p, so K = H<g> for
 any g in K outside H, and g normalizes H with g^p in H.  One gather over the
 table finds every such g for a given H; each gives K as the union of the
 cosets H g^k, k < p, and no closure is ever computed.
+
+The normal lattice, all that the direct-factor oracle reads, is built the
+same way by central extension.  A chief series of a p-group through a
+normal N > 1 has factors of order p, so N = H<g> for a normal H of index p
+in N, and N/H is central in G/H: g^p in H and [g, x] in H for every x.
+One gather over the commutator table finds every such g for a given H.
+Subgroups of G, direct factors included, are read in G's own table rather
+than re-indexed as groups of their own.
 """
 
 from __future__ import annotations
@@ -180,8 +188,10 @@ def _powers(G: PGroup, k: int) -> np.ndarray:
     return acc
 
 
+@memoized
 def _element_orders(G: PGroup) -> np.ndarray:
-    """The order of every element: one gather per power g^k, k <= exp(G)."""
+    """The order of every element, read-only and memoized on G: one gather
+    per power g^k, k <= exp(G)."""
     T = G.table
     ar = np.arange(G.order)
     orders = np.zeros(G.order, dtype=np.int64)
@@ -190,6 +200,7 @@ def _element_orders(G: PGroup) -> np.ndarray:
         fresh = (x == 0) & (orders == 0)
         orders[fresh] = k
         if orders.all():
+            orders.setflags(write=False)
             return orders
         x = T[x, ar]
         k += 1
@@ -257,6 +268,11 @@ class Subgroup:
         sub = self.parent.table[np.ix_(S, S)]
         return bool(np.array_equal(sub, sub.T))
 
+    def is_cyclic(self) -> bool:
+        """Some element of S has order |S|."""
+        orders = _element_orders(self.parent)[list(self.elements)]
+        return int(orders.max()) == self.order
+
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and self.parent is other.parent
                 and self.elements == other.elements)
@@ -312,9 +328,6 @@ class GroupHom:
         return Subgroup(self.source,
                         tuple(g for g in range(self.source.order)
                               if self.images[g] == 0))
-
-    def is_surjective(self) -> bool:
-        return len(set(self.images)) == self.target.order
 
 
 def characteristic_subgroup(G: PGroup, kind: str, i: int = 1) -> Subgroup:
@@ -394,16 +407,20 @@ def r_subquotient(G: PGroup, i: int) -> tuple[PGroup, Subgroup]:
     return R, R_sub
 
 
-def abelian_invariants(A) -> tuple[int, ...]:
-    """Cyclic decomposition exponents of an abelian p-group, descending."""
-    if isinstance(A, Subgroup):
-        A, _ = subgroup_to_pgroup(A)
+def abelian_invariants(A: PGroup | Subgroup) -> tuple[int, ...]:
+    """Cyclic decomposition exponents of an abelian p-group, descending.
+
+    A subgroup is read in place: its element orders are those of its
+    elements in the parent."""
     if not A.is_abelian():
         raise GroupError("abelian_invariants requires an abelian group")
     if A.order == 1:
         return ()
-    p = A.p
-    orders = _element_orders(A)
+    if isinstance(A, Subgroup):
+        p = A.parent.p
+        orders = _element_orders(A.parent)[list(A.elements)]
+    else:
+        p, orders = A.p, _element_orders(A)
     s = int(orders.max())
     smax = round(math.log(s, p))
     # m_k = log_p #|{g : g^{p^k} = 1}| = sum_i min(e_i, k)
@@ -421,31 +438,30 @@ def abelian_invariants(A) -> tuple[int, ...]:
     return tuple(invs)
 
 
-@lru_cache(maxsize=None)
-def all_subgroups(G: PGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup of G, sorted by (order, elements).
+def _index_p_extensions(G: PGroup, admissible) -> tuple[Subgroup, ...]:
+    """The subgroups reached from 1 by index-p extension, sorted by
+    (order, elements).
 
-    Layer m holds the subgroups of order p^m.  Each K in layer m + 1 is
-    H<g> for some H in layer m and any g outside H that normalizes H and
-    has g^p in H; K is then the union of the cosets H g^k, k < p.  All of
-    K outside H gives the same K, since the index is prime, so those
-    elements are skipped once K is built.
+    Layer m holds subgroups of order p^m.  Each K in layer m + 1 is H<g>
+    for some H in layer m and some g outside H with g^p in H for which
+    admissible(H, mask of H) is true; K is then the union of the cosets
+    H g^k, k < p.  All of K outside H gives the same K, since the index is
+    prime, so those elements are skipped once K is built.
     """
-    T, inv, p = G.table, G._inv, G.p
-    pow_p = _powers(G, p)
+    T = G.table
+    pow_p = _powers(G, G.p)
     layer = [np.zeros(1, dtype=np.int64)]
     found = list(layer)
     while layer:
         nxt: dict[bytes, np.ndarray] = {}
         for H in layer:
             inside = _mask(G.order, H)
-            normalizes = inside[T[T[:, H], inv[:, None]]].all(axis=1)
-            todo = normalizes & inside[pow_p] & ~inside
+            todo = admissible(H, inside) & inside[pow_p] & ~inside
             for g in np.flatnonzero(todo):
                 if not todo[g]:
                     continue
                 cosets = [H]
-                for _ in range(p - 1):
+                for _ in range(G.p - 1):
                     cosets.append(T[cosets[-1], g])
                 K = np.sort(np.concatenate(cosets))
                 todo[K] = False
@@ -457,25 +473,76 @@ def all_subgroups(G: PGroup) -> tuple[Subgroup, ...]:
     return tuple(subs)
 
 
+@lru_cache(maxsize=None)
+def all_subgroups(G: PGroup) -> tuple[Subgroup, ...]:
+    """Every subgroup of G, sorted by (order, elements): the extensions of
+    each H by the g that normalize it.
+
+    No library path reads the whole lattice; it stays as the reference for
+    normal_subgroups.  The lru_cache keeps every group it has seen alive,
+    and stays only because perfbench/tracer.py reads its cache_info().
+    """
+    T, inv = G.table, G._inv
+
+    def normalizes(H, inside):
+        return inside[T[T[:, H], inv[:, None]]].all(axis=1)
+
+    return _index_p_extensions(G, normalizes)
+
+
+@memoized
+def normal_subgroups(G: PGroup) -> tuple[Subgroup, ...]:
+    """Every normal subgroup of G, sorted by (order, elements) as in
+    all_subgroups; memoized on G.
+
+    Built by central extension (see the module docstring): N = H<g> with
+    H normal and gH central in G/H, that is [g, x] in H for every x.
+    """
+    T, inv = G.table, G._inv
+    comm = T[T[inv[:, None], inv[None, :]], T]  # [g, x] = g^-1 x^-1 g x
+
+    def central(H, inside):
+        return inside[comm].all(axis=1)
+
+    return _index_p_extensions(G, central)
+
+
+def _check_oracle_cap(G: PGroup, cap: int) -> None:
+    if G.order > cap:
+        raise OracleCapExceeded(f"order {G.order} exceeds oracle cap {cap}")
+
+
+def _direct_pairs(F: Subgroup):
+    """Every unordered (H, K) with F = H x K, both nontrivial, H first in
+    lattice order, for F = G or a direct factor of G = F x L.
+
+    L centralizes F, so the normal subgroups of F are those of G inside F,
+    and they are read from G's normal lattice.  Two normal subgroups that
+    meet trivially commute elementwise, so |H||K| = |F| and H & K = 1 give
+    F = H x K.
+    """
+    G = F.parent
+    in_F = _mask(G.order, F.elements)
+    normals = [S for S in normal_subgroups(G)
+               if 1 < S.order < F.order and in_F[list(S.elements)].all()]
+    masks = np.array([_mask(G.order, S.elements)
+                      for S in normals]).reshape(-1, G.order)
+    orders = np.array([S.order for S in normals], dtype=np.int64)
+    for a, H in enumerate(normals):
+        # complements: K at or after H in the list, |H||K| = |F|, H & K = 1
+        ks = a + np.flatnonzero(orders[a:] * H.order == F.order)
+        meets = (masks[ks] & masks[a]).sum(axis=1)
+        yield from ((H, normals[b]) for b in ks[meets == 1])
+
+
 def direct_factor_oracle(G: PGroup, cap: int = ORACLE_CAP) -> list[tuple[Subgroup, Subgroup]]:
     """All unordered internal direct decompositions G = H x K, both nontrivial.
 
     Brute force over the normal subgroup lattice; empty list means G is
     directly indecomposable.
     """
-    if G.order > cap:
-        raise OracleCapExceeded(f"order {G.order} exceeds oracle cap {cap}")
-    normals = [S for S in all_subgroups(G) if 1 < S.order < G.order and S.is_normal()]
-    masks = np.array([_mask(G.order, S.elements)
-                      for S in normals]).reshape(-1, G.order)
-    orders = np.array([S.order for S in normals], dtype=np.int64)
-    out = []
-    for a, H in enumerate(normals):
-        # complements: K at or after H in the list, |H||K| = |G|, H & K = 1
-        ks = a + np.flatnonzero(orders[a:] * H.order == G.order)
-        meets = (masks[ks] & masks[a]).sum(axis=1)
-        out.extend((H, normals[b]) for b in ks[meets == 1])
-    return out
+    _check_oracle_cap(G, cap)
+    return list(_direct_pairs(full_subgroup(G)))
 
 
 def is_internal_direct_product(G: PGroup, H: Subgroup, K: Subgroup) -> bool:
@@ -492,20 +559,33 @@ def is_internal_direct_product(G: PGroup, H: Subgroup, K: Subgroup) -> bool:
 
 def _abelian_basis(A: PGroup) -> list[tuple[int, int]]:
     """Generators of independent cyclic factors of an abelian group,
-    as (element, order) pairs with descending orders."""
-    if A.order == 1:
-        return []
+    as (element, order) pairs with descending orders.
+
+    Peels a cyclic factor <g> of maximal order off K (first A itself),
+    with g the least such element of K, and goes on in the first subgroup
+    of A inside K, in lattice order, of order |K|/|g| that meets <g>
+    trivially.  A is abelian, so its lattice is its normal lattice.
+    """
     orders = _element_orders(A)
-    g = int(orders.argmax())
-    m = int(orders[g])
-    if m == A.order:
-        return [(g, m)]
-    cyc = set(Subgroup.generated(A, (g,)).elements)
-    for K in all_subgroups(A):
-        if K.order == A.order // m and len(set(K.elements) & cyc) == 1:
-            Kp, elems = subgroup_to_pgroup(K)
-            return [(g, m)] + [(elems[x], o) for x, o in _abelian_basis(Kp)]
-    raise GroupError("no complement found for a maximal cyclic factor")
+    lattice = normal_subgroups(A)
+    basis: list[tuple[int, int]] = []
+    K = full_subgroup(A)
+    while K.order > 1:
+        elems = np.array(K.elements, dtype=np.int64)
+        g = int(elems[orders[elems].argmax()])
+        m = int(orders[g])
+        basis.append((g, m))
+        if m == K.order:
+            break
+        in_K = _mask(A.order, K.elements)
+        cyc = _mask(A.order, Subgroup.generated(A, (g,)).elements)
+        size = K.order // m
+        K = next((S for S in lattice
+                  if S.order == size and in_K[list(S.elements)].all()
+                  and cyc[list(S.elements)].sum() == 1), None)
+        if K is None:
+            raise GroupError("no complement found for a maximal cyclic factor")
+    return basis
 
 
 def retraction_complement(G: PGroup, h: int) -> Subgroup:
@@ -545,19 +625,21 @@ def retraction_complement(G: PGroup, h: int) -> Subgroup:
     raise RetractionError(f"no retraction onto <h> with chi(h)=h (h={h})")
 
 
-def split_into_indecomposables(G: PGroup, cap: int = ORACLE_CAP) -> list[PGroup]:
-    """Decompose G into directly indecomposable factors (oracle-based).
+def split_into_indecomposables(G: PGroup, cap: int = ORACLE_CAP) -> list[Subgroup]:
+    """Decompose G into directly indecomposable factors (oracle-based), as
+    subgroups of G.
 
     Krull-Schmidt guarantees the multiset of isomorphism types does not
     depend on the decomposition path, so the first oracle pair suffices.
+    Each factor is split on G's own normal lattice (see _direct_pairs).
     """
-    pairs = direct_factor_oracle(G, cap=cap)
-    if not pairs:
-        return [G]
-    H, K = pairs[0]
-    Hp, _ = subgroup_to_pgroup(H)
-    Kp, _ = subgroup_to_pgroup(K)
-    return split_into_indecomposables(Hp, cap) + split_into_indecomposables(Kp, cap)
+    _check_oracle_cap(G, cap)
+
+    def split(F: Subgroup) -> list[Subgroup]:
+        pair = next(_direct_pairs(F), None)
+        return [F] if pair is None else split(pair[0]) + split(pair[1])
+
+    return split(full_subgroup(G))
 
 
 def cyclic_factor_orders(G: PGroup, cap: int = ORACLE_CAP) -> frozenset:
@@ -566,7 +648,7 @@ def cyclic_factor_orders(G: PGroup, cap: int = ORACLE_CAP) -> frozenset:
     if G.order == 1:
         return frozenset()
     return frozenset(F.order for F in split_into_indecomposables(G, cap=cap)
-                     if F.exponent() == F.order)
+                     if F.is_cyclic())
 
 
 def has_cyclic_factor_of_order(G: PGroup, q: int, cap: int = ORACLE_CAP) -> bool:

@@ -143,7 +143,3 @@ def dump_report(body: dict, timing: dict) -> str:
     """Canonical report: deterministic body, timing segregated."""
     envelope = {"body": body, "timing": timing}
     return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-
-
-def canonical_body_bytes(body: dict) -> bytes:
-    return json.dumps(body, sort_keys=True).encode()

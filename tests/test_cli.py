@@ -7,10 +7,14 @@ import json
 import numpy as np
 import pytest
 
+import pgroupalg.decompose as decompose
+import pgroupalg.groups as groups
+from pgroupalg.algebra import (AlgebraError, AugmentedSubalgebra,
+                               EnumerationCapExceeded)
 from pgroupalg.catalog import catalog_by_name
-from pgroupalg.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, run
-from pgroupalg.io import (SchemaError, _normalize_identity,
-                          canonical_body_bytes, group_from_dict, group_to_dict)
+from pgroupalg.cli import EXIT_CAP, EXIT_FAIL, EXIT_OK, EXIT_PARSE, run
+from pgroupalg.io import (SchemaError, _normalize_identity, group_from_dict,
+                          group_to_dict)
 
 
 def run_to_file(tmp_path, argv):
@@ -89,6 +93,63 @@ def test_recover_flow(tmp_path):
     rec = body["recover"][0]
     assert rec["pass"]
     assert rec["recovered"]["b_invariants"] == [4, 2]
+
+
+def _emit_c2xc4_q8(tmp_path):
+    fx = tmp_path / "fixture.json"
+    assert run(["catalog", "--emit-factorization", "C2xC4", "Q8",
+                "--out", str(fx)]) == EXIT_OK
+    return fx
+
+
+def _no_complement(A):
+    raise groups.GroupError("no complement found for a maximal cyclic factor")
+
+
+class _ProjectionFails(AugmentedSubalgebra):
+    @classmethod
+    def from_space(cls, ctx, space):
+        raise AlgebraError("projected B is not an augmented subalgebra")
+
+
+@pytest.mark.parametrize("patch, error", [
+    ((groups, "_abelian_basis", _no_complement),
+     "GroupError: no complement found for a maximal cyclic factor"),
+    ((decompose, "AugmentedSubalgebra", _ProjectionFails),
+     "AlgebraError: projected B is not an augmented subalgebra")])
+def test_recover_library_error_is_a_failed_input(tmp_path, monkeypatch,
+                                                 patch, error):
+    fx = _emit_c2xc4_q8(tmp_path)
+    monkeypatch.setattr(*patch)
+    code, body = run_to_file(tmp_path, ["recover", "--input", str(fx)])
+    assert code == EXIT_FAIL
+    assert body["recover"] == [{"group": body["recover"][0]["group"],
+                                "error": error, "pass": False}]
+
+
+@pytest.mark.parametrize("error", [groups.GroupError("bad lattice"),
+                                   AlgebraError("bad ideal")])
+def test_group_command_library_error_exit_code(tmp_path, capsys, monkeypatch,
+                                               error):
+    def fail(G, cap):
+        raise error
+    monkeypatch.setattr("pgroupalg.cli.direct_factor_oracle", fail)
+    code = run(["oracle", "--catalog", "D8", "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err == f"check failed: {type(error).__name__}: {error}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_recover_enumeration_cap_still_exits_3(tmp_path, monkeypatch):
+    fx = _emit_c2xc4_q8(tmp_path)
+
+    def capped(B, seed=0):
+        raise EnumerationCapExceeded("too many units")
+    monkeypatch.setattr(decompose, "find_group_basis_commutative", capped)
+    code = run(["recover", "--input", str(fx),
+                "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_CAP
 
 
 @pytest.mark.parametrize("argv", [["recover"],
@@ -263,7 +324,8 @@ def test_identity_reindexing_matches_loop(name):
 def test_report_determinism(tmp_path):
     _, b1 = run_to_file(tmp_path, ["lemmas", "--catalog", "D8", "--seed", "0"])
     _, b2 = run_to_file(tmp_path, ["lemmas", "--catalog", "D8", "--seed", "0"])
-    assert canonical_body_bytes(b1) == canonical_body_bytes(b2)
+    assert json.dumps(b1, sort_keys=True).encode() == \
+        json.dumps(b2, sort_keys=True).encode()
 
 
 @pytest.mark.parametrize("name", ["D6", "D12", "Q4", "C6", "Foo"])

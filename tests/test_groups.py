@@ -1,16 +1,22 @@
 """Cayley-table p-groups, characteristic subgroups, quotients, oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.groups import (GroupError, OracleCapExceeded, PGroup,
-                              RetractionError, Subgroup, abelian_invariants,
+                              RetractionError, Subgroup, _abelian_basis,
+                              _element_orders, abelian_invariants,
                               all_subgroups, catalog_build,
-                              characteristic_subgroup, direct_factor_oracle,
-                              full_subgroup, has_cyclic_factor_of_order,
-                              is_internal_direct_product, quotient_group,
-                              r_subquotient, retraction_complement,
+                              characteristic_subgroup, cyclic_factor_orders,
+                              direct_factor_oracle, full_subgroup,
+                              has_cyclic_factor_of_order,
+                              is_internal_direct_product, normal_subgroups,
+                              quotient_group, r_subquotient,
+                              retraction_complement,
                               split_into_indecomposables, subgroup_to_pgroup,
                               trivial_subgroup)
 
@@ -116,7 +122,7 @@ def test_quotient_group_and_kernel():
     assert Q.is_abelian()
     assert abelian_invariants(Q) == (2, 2)
     assert pi.kernel() == Z
-    assert pi.is_surjective()
+    assert len(set(pi.images)) == Q.order
 
 
 def test_abelian_invariants():
@@ -345,3 +351,119 @@ def test_builtin_catalog_deterministic():
     p3 = [G for G in builtin_catalog(p=3, max_order=27)]
     assert any(not G.is_abelian() for G in p3)
     assert all(G.p == 3 for G in p3)
+
+
+# -- the normal lattice and subgroups read in place ------------------------
+# References: the full lattice filtered by is_normal, the split that
+# re-indexed each factor as a PGroup and split it on its own lattice, and
+# the basis recursion that re-indexed each complement.
+
+
+def _reference_corpus():
+    return (builtin_catalog(p=2, max_order=64)
+            + builtin_catalog(p=3, max_order=81)
+            + builtin_catalog(p=5, max_order=25))
+
+
+def _oracle_reference(G):
+    normals = [S for S in all_subgroups(G)
+               if 1 < S.order < G.order and S.is_normal()]
+    masks = np.zeros((len(normals), G.order), dtype=bool)
+    for row, S in zip(masks, normals):
+        row[list(S.elements)] = True
+    orders = np.array([S.order for S in normals])
+    out = []
+    for a, H in enumerate(normals):
+        ks = a + np.flatnonzero(orders[a:] * H.order == G.order)
+        meets = (masks[ks] & masks[a]).sum(axis=1)
+        out.extend((H, normals[b]) for b in ks[meets == 1])
+    return out
+
+
+def _split_reference(G):
+    pairs = _oracle_reference(G)
+    if not pairs:
+        return [G]
+    H, K = pairs[0]
+    return (_split_reference(subgroup_to_pgroup(H)[0])
+            + _split_reference(subgroup_to_pgroup(K)[0]))
+
+
+def _abelian_basis_reference(A):
+    if A.order == 1:
+        return []
+    orders = np.array([A.element_order(g) for g in range(A.order)])
+    g = int(orders.argmax())
+    m = int(orders[g])
+    if m == A.order:
+        return [(g, m)]
+    cyc = set(Subgroup.generated(A, (g,)).elements)
+    for K in all_subgroups(A):
+        if K.order == A.order // m and len(set(K.elements) & cyc) == 1:
+            Kp, elems = subgroup_to_pgroup(K)
+            return [(g, m)] + [(elems[x], o)
+                               for x, o in _abelian_basis_reference(Kp)]
+    raise GroupError("no complement found for a maximal cyclic factor")
+
+
+def _factor_kind(F):
+    abelian = F.is_abelian()
+    return (F.order, abelian, abelian_invariants(F) if abelian else None)
+
+
+@pytest.mark.parametrize("G", _reference_corpus(), ids=lambda G: G.name)
+def test_normal_subgroups_match_filtered_lattice(G):
+    got = [S.elements for S in normal_subgroups(G)]
+    assert got == [S.elements for S in all_subgroups(G) if S.is_normal()]
+    assert normal_subgroups(G) is normal_subgroups(G)  # memoized on G
+
+
+@pytest.mark.parametrize("G", [G for G in _reference_corpus()
+                               if G.order <= 64], ids=lambda G: G.name)
+def test_oracle_and_split_match_references(G):
+    pairs = [(H.elements, K.elements) for H, K in direct_factor_oracle(G)]
+    assert pairs == [(H.elements, K.elements)
+                     for H, K in _oracle_reference(G)]
+    parts = split_into_indecomposables(G)
+    assert all(F.parent is G for F in parts)
+    assert sorted(map(_factor_kind, parts), key=repr) == \
+        sorted(map(_factor_kind, _split_reference(G)), key=repr)
+    assert cyclic_factor_orders(G) == frozenset(
+        F.order for F in _split_reference(G) if F.exponent() == F.order)
+
+
+@pytest.mark.parametrize("name", ["D8", "Q16", "C2xC4", "He3"])
+def test_abelian_invariants_read_in_place(name):
+    G = catalog_by_name(name)
+    for S in all_subgroups(G):
+        P, _ = subgroup_to_pgroup(S)
+        assert S.is_abelian() == P.is_abelian()
+        assert S.is_cyclic() == (P.exponent() == P.order)
+        if P.is_abelian():
+            assert abelian_invariants(S) == abelian_invariants(P)
+        else:
+            with pytest.raises(GroupError):
+                abelian_invariants(S)
+
+
+@pytest.mark.parametrize("G", _reference_corpus(), ids=lambda G: G.name)
+def test_abelian_basis_matches_reindexing_recursion(G):
+    A, _ = quotient_group(G, characteristic_subgroup(G, "derived"))
+    assert _abelian_basis(A) == _abelian_basis_reference(A)
+
+
+def test_element_orders_are_read_only():
+    orders = _element_orders(catalog_by_name("C8"))
+    with pytest.raises(ValueError):
+        orders[0] = 2
+
+
+def test_oracle_memo_dies_with_the_group():
+    G = catalog_build("direct_product", catalog_by_name("C2"),
+                      catalog_by_name("D8"))
+    assert direct_factor_oracle(G)
+    assert cyclic_factor_orders(G) == frozenset({2})
+    ref = weakref.ref(G)
+    del G
+    gc.collect()
+    assert ref() is None

@@ -67,6 +67,14 @@ READS = {
 }
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only non-negative seeds."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return value
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.  Parsing does not change
@@ -85,7 +93,7 @@ def _parser() -> argparse.ArgumentParser:
                         help="built-in group name (repeatable)")
         sp.add_argument("--max-order", type=int, default=d["max_order"])
         sp.add_argument("--oracle-cap", type=int, default=d["oracle_cap"])
-        sp.add_argument("--seed", type=int, default=d["seed"])
+        sp.add_argument("--seed", type=_seed, default=d["seed"])
         sp.add_argument("--out", default=None, help="report output path")
 
     sp = sub.add_parser("catalog", help="list built-in groups or emit fixtures")
@@ -141,15 +149,24 @@ def _selected_groups(args):
     return [item for _, item in named]
 
 
+def _write_output(args, text: str) -> None:
+    """text to the --out path, or to stdout without one; a path that
+    cannot be written is a usage error."""
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"--out {args.out}: cannot write "
+                         f"({exc.strerror})") from exc
+
+
 def _write_fixture(args, data: dict) -> None:
     """Emitted fixtures are plain group files, not report envelopes, so
     they can be fed straight back through --input."""
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args, json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_catalog(args) -> tuple[int, dict]:
@@ -209,16 +226,19 @@ def _certify(G, args) -> dict:
 
 def _oracle(G, args) -> dict:
     pairs = direct_factor_oracle(G, cap=args.oracle_cap)
-    dumped = []
-    for H, K in pairs:
-        dumped.append({
-            "H": [int(x) for x in H.elements],
-            "K": [int(x) for x in K.elements],
-            "H_invariants": [int(x) for x in abelian_invariants(H)]
-            if H.is_abelian() else None,
-            "K_invariants": [int(x) for x in abelian_invariants(K)]
-            if K.is_abelian() else None,
-        })
+    invariants = {}  # a factor's elements -> its invariants, or None
+
+    def invariants_of(S):
+        if S.elements not in invariants:
+            invariants[S.elements] = \
+                [int(x) for x in abelian_invariants(S)] \
+                if S.is_abelian() else None
+        return invariants[S.elements]
+
+    dumped = [{"H": [int(x) for x in H.elements],
+               "K": [int(x) for x in K.elements],
+               "H_invariants": invariants_of(H),
+               "K_invariants": invariants_of(K)} for H, K in pairs]
     return {"group": group_fingerprint(G),
             "decomposable": bool(pairs), "pairs": dumped}
 
@@ -283,6 +303,20 @@ def run(argv=None) -> int:
     try:
         _check_flags(args)
         code, body = COMMANDS[args.command](args)
+        if body is not None:
+            elapsed = time.monotonic() - t0
+            body = {"format": 1,
+                    "tool": {"name": "pgroupalg", "version": __version__},
+                    "command": args.command,
+                    "config": {
+                        "p": args.p, "max_order": args.max_order,
+                        "oracle_cap": args.oracle_cap, "enum_cap": ENUM_CAP,
+                        "seed": args.seed, "inputs": list(args.input),
+                        "catalog": list(args.catalog),
+                    },
+                    **body}
+            _write_output(args, dump_report(body,
+                                            {"seconds": round(elapsed, 3)}))
     except (SchemaError, CatalogNameError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -292,24 +326,6 @@ def run(argv=None) -> int:
     except (VerificationError, *LIBRARY_ERRORS) as exc:
         print(f"check failed: {_failure(exc)}", file=sys.stderr)
         return EXIT_FAIL
-    elapsed = time.monotonic() - t0
-    if body is None:
-        return code
-    body = {"format": 1, "tool": {"name": "pgroupalg", "version": __version__},
-            "command": args.command,
-            "config": {
-                "p": args.p, "max_order": args.max_order,
-                "oracle_cap": args.oracle_cap, "enum_cap": ENUM_CAP,
-                "seed": args.seed,
-                "inputs": list(args.input), "catalog": list(args.catalog),
-            },
-            **body}
-    text = dump_report(body, {"seconds": round(elapsed, 3)})
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

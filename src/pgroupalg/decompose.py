@@ -100,10 +100,11 @@ def split_cyclic(G: PGroup, h: int) -> tuple[Subgroup, Subgroup]:
 
 
 def _coset_candidates(ctx: AlgebraContext, I2: FpSubspace, target) -> list[int]:
-    """Group elements g with e_g - 1 congruent to target modulo I(G)^2."""
-    G = ctx.group
-    return [g for g in range(G.order)
-            if I2.contains_vector((ctx.group_minus_one(g) - target) % ctx.p)]
+    """Group elements g with e_g - 1 congruent to target modulo I(G)^2, in
+    ascending order: one reduction of the rows e_g - 1 - target."""
+    rows = np.eye(ctx.dim, dtype=np.int64) - target
+    rows[:, 0] -= 1
+    return [int(g) for g in np.flatnonzero(~I2.reduce(rows).any(axis=1))]
 
 
 def _find_split_element(G: PGroup, ctx: AlgebraContext, I2: FpSubspace,
@@ -180,17 +181,26 @@ def group_from_unit_vectors(ctx: AlgebraContext, vectors) -> PGroup:
 
 
 def _units_by_order(ctx: AlgebraContext, IB: FpSubspace,
-                    coeffs: np.ndarray) -> np.ndarray:
-    """The units 1 + c @ IB for the rows c of coeffs, as rows, highest
-    order first, then in byte order.
+                    coeffs: np.ndarray | None = None):
+    """Yield the units 1 + c @ IB, as rows, highest order first, then in
+    byte order, for the rows c of coeffs, or for every nonzero c when
+    coeffs is None.  Only one chunk of units is formed at a time.
 
     IB must be commutative: Frobenius is additive there, so the unit
     1 + c @ IB has p^k-th power 1 + c @ IB^{p^k}, and the order is p to
     the number of k with c @ IB^{p^k} != 0.  One product with the stack of
     the nonzero IB^{p^k} gives every such row for a chunk of coeffs, and
     its k = 0 slice is the unit itself.
+
+    IB is in canonical RREF with pivots pi_1 < ... < pi_d, so the unit
+    holds c_i at column pi_i (plus 1 at column 0, the identity), and every
+    column left of pi_i depends only on c_1, ..., c_{i-1}.  The byte order
+    of the units is therefore the lexicographic order of
+    ((c_1 + [pi_1 = 0]) mod p, c_2, ..., c_d): the coefficient rows are
+    counted, or sorted, in that order, and each order class, highest
+    first, is one scan over them.
     """
-    p, n = ctx.p, ctx.dim
+    p, n, d = ctx.p, ctx.dim, IB.dim
     frobs = [IB.basis]  # rows b^{p^k}
     while True:
         nxt = ctx.powers(frobs[-1], p)
@@ -198,32 +208,66 @@ def _units_by_order(ctx: AlgebraContext, IB: FpSubspace,
             break
         frobs.append(nxt)
     frobs = np.stack(frobs)
-    U = np.empty((len(coeffs), n), dtype=np.int64)
-    orders = np.empty(len(coeffs), dtype=np.int64)
     step = max(1, _UNIT_ENTRIES // (len(frobs) * n))
-    for k in range(0, len(coeffs), step):
-        images = matmul_mod(coeffs[k:k + step], frobs, p)  # (frob, row, t)
-        U[k:k + step] = images[0]
-        orders[k:k + step] = images.any(axis=2).sum(axis=0)
-    U[:, 0] += 1
-    U[:, 0] %= p
-    # with entries in [0, p), byte order is the order of the uint8 rows
-    keys = np.ascontiguousarray(U, dtype=np.uint8).view(f"V{n}").ravel()
-    by_bytes = np.argsort(keys, kind="stable")
-    by_order = np.argsort(-orders[by_bytes], kind="stable")
-    return U[by_bytes[by_order]]
+    shift = int(IB.pivots[0] == 0)
+    if coeffs is None:
+        total = p ** d
+        digits = p ** np.arange(d - 1, -1, -1)
+
+        def rows(k):
+            c = np.arange(k, min(k + step, total))[:, None] // digits % p
+            c[:, 0] = (c[:, 0] - shift) % p
+            return c
+    else:
+        keys = coeffs.copy()
+        keys[:, 0] = (keys[:, 0] + shift) % p
+        coeffs = coeffs[np.lexsort(keys.T[::-1])]
+        total = len(coeffs)
+
+        def rows(k):
+            return coeffs[k:k + step]
+    # c = 0 has no nonzero image, so no class below yields it
+    for level in range(len(frobs), 0, -1):
+        for k in range(0, total, step):
+            images = matmul_mod(rows(k), frobs, p)  # (frob, row, t)
+            U = images[0][images.any(axis=2).sum(axis=0) == level]
+            U[:, 0] = (U[:, 0] + 1) % p
+            yield from U
+
+
+class _Replayed:
+    """An iterator that can be iterated again from the start, any number
+    of times and nested: it draws from the source only past the items
+    already read."""
+
+    def __init__(self, source):
+        self._source, self._seen = source, []
+
+    def __iter__(self):
+        k = 0
+        while True:
+            if k == len(self._seen):
+                nxt = next(self._source, None)
+                if nxt is None:
+                    return
+                self._seen.append(nxt)
+            yield self._seen[k]
+            k += 1
 
 
 def find_group_basis_commutative(B: AugmentedSubalgebra,
                                  cap: int = ENUM_CAP,
                                  seed: int = 0) -> list[np.ndarray]:
     """Unit elements generating a group basis of a commutative augmented
-    subalgebra: backtracking over units of 1 + I(B), highest order first.
+    subalgebra: backtracking over units of 1 + I(B), highest order first,
+    then in byte order.
 
-    With at most cap units every unit is tried, and a failed search is a
-    VerificationError.  Past cap only distinct seeded samples are tried,
-    and a failed search raises EnumerationCapExceeded, since the units
-    left out may hold a group basis."""
+    The units come from one stream, and only the prefix the search reads
+    is formed.  With at most cap units every unit is in the stream, and a
+    failed search is a VerificationError.  Past cap the stream holds only
+    distinct seeded samples, and a failed search raises
+    EnumerationCapExceeded, since the units left out may hold a group
+    basis."""
     ctx = B.ctx
     p = ctx.p
     if not B.is_commutative():
@@ -234,15 +278,13 @@ def find_group_basis_commutative(B: AugmentedSubalgebra,
     total = p ** IB.dim
     one = ctx.one
     sampled = total > cap
+    coeffs = None
     if sampled:
         rng = np.random.default_rng(seed)
         coeffs = rng.integers(0, p, size=(SAMPLED_UNITS, IB.dim))
         # a repeated unit would repeat the same failed branches
         coeffs = np.unique(coeffs[coeffs.any(axis=1)], axis=0)
-    else:
-        n = np.arange(1, total)
-        coeffs = (n[:, None] // p ** np.arange(IB.dim)) % p
-    units = _units_by_order(ctx, IB, coeffs)
+    units = _Replayed(_units_by_order(ctx, IB, coeffs))
     I2B = product_space(ctx, IB, IB)
     target = B.dim
 
@@ -277,7 +319,7 @@ def find_group_basis_commutative(B: AugmentedSubalgebra,
     if result is None and sampled:
         raise EnumerationCapExceeded(
             f"{total} units exceed cap {cap}, and no group basis was found "
-            f"among {len(units)} sampled units")
+            f"among {len(coeffs)} sampled units")
     if result is None:
         raise VerificationError("group-basis",
                                 "no group basis found among the units")

@@ -104,7 +104,7 @@ def load_inputs(path) -> tuple[PGroup, AugmentedSubalgebra | None,
             data = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read ({exc.strerror})") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
     return group_from_dict(data)
 

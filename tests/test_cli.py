@@ -1,18 +1,24 @@
 """Command-line interface: subcommands, exit codes, report determinism,
 schema validation."""
 
+import contextlib
 import hashlib
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pgroupalg.decompose as decompose
 import pgroupalg.groups as groups
 from pgroupalg.algebra import (AlgebraError, AugmentedSubalgebra,
                                EnumerationCapExceeded)
 from pgroupalg.catalog import catalog_by_name
-from pgroupalg.cli import EXIT_CAP, EXIT_FAIL, EXIT_OK, EXIT_PARSE, run
+from pgroupalg.cli import (COMMANDS, EXIT_CAP, EXIT_FAIL, EXIT_OK,
+                           EXIT_PARSE, run)
 from pgroupalg.io import (SchemaError, _normalize_identity, group_from_dict,
                           group_to_dict)
 
@@ -258,6 +264,15 @@ def test_parse_error_exit_codes(tmp_path):
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"format": 1, "p": 2}))
     assert run(["lemmas", "--input", str(missing)]) == EXIT_PARSE
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b"\x80")
+    assert run(["lemmas", "--input", str(not_utf8)]) == EXIT_PARSE
+    # the seed reaches numpy only on the sampled unit search
+    assert run(["recover", "--input", str(bad), "--seed", "-1"]) == EXIT_PARSE
+    for out in (tmp_path, tmp_path / "missing" / "report.json"):
+        assert run(["catalog", "--out", str(out)]) == EXIT_PARSE
+        assert run(["catalog", "--emit", "C2", "--out", str(out)]) == \
+            EXIT_PARSE
 
 
 def test_schema_rejects_broken_table(tmp_path):
@@ -436,3 +451,105 @@ def test_large_order_recovery_is_pinned(tmp_path, a_name, g0_name):
     assert code == EXIT_OK
     text = json.dumps(body["recover"], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# -- no input ends in a traceback -------------------------------------------
+
+def _cyclic_table(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(-2, 2)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["p", "order", "table", "B", "C", "x"]),
+                      inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def group_files(draw):
+    """The bytes of a small group file, mostly malformed: raw bytes, any
+    JSON value, or the cyclic group of order n <= 5 with any of these
+    drawn: one table entry, the prime, the order, a factorization block,
+    and one field replaced by any JSON value."""
+    kind = draw(st.sampled_from(["bytes", "json", "group"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=24))
+    if kind == "json":
+        return json.dumps(draw(_JSON)).encode()
+    n = draw(st.integers(1, 5))
+    p = {1: 2, 2: 2, 3: 3, 4: 2, 5: 5}[n]
+    table = _cyclic_table(n)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i][j] = draw(st.integers(-1, n))
+    data = {"format": 1, "p": draw(st.just(p) | st.sampled_from([0, 3, 4])),
+            "order": draw(st.just(n) | st.integers(-1, 6)), "table": table,
+            "name": "drawn"}
+    if draw(st.booleans()):
+        rows = st.lists(st.lists(st.integers(-1, p), min_size=n, max_size=n),
+                        min_size=1, max_size=3)
+        data["factorization"] = {
+            "B": draw(st.just([[1] + [0] * (n - 1)]) | rows),
+            "C": draw(st.just(np.eye(n, dtype=int).tolist()) | rows)}
+    if draw(st.booleans()):
+        data[draw(st.sampled_from(list(data)))] = draw(_JSON)
+    return json.dumps(data).encode()
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Paths for --input and --out: a valid factorization of C2 x C2, the
+    file each example draws, a directory and paths that do not exist."""
+    d = tmp_path_factory.mktemp("argv")
+    assert run(["catalog", "--emit-factorization", "C2", "C2",
+                "--out", str(d / "good.json")]) == EXIT_OK
+    return {"good": str(d / "good.json"), "drawn": str(d / "drawn.json"),
+            "dir": str(d), "missing": str(d / "missing" / "x.json"),
+            "out": str(d / "out.json")}
+
+
+def _flags(paths):
+    path = st.sampled_from([paths[k] for k in
+                            ("good", "drawn", "dir", "missing")])
+    out = st.sampled_from([paths[k] for k in ("out", "dir", "missing")])
+    name = st.sampled_from(["C2", "C4", "Q8", "C3", "C5", "C2xC2", "nope"])
+    return st.one_of(
+        st.tuples(st.just("--p"), st.sampled_from(["2", "3", "5", "7", "x"])),
+        st.tuples(st.just("--input"), path),
+        st.tuples(st.just("--catalog"), name),
+        st.tuples(st.just("--max-order"), st.sampled_from(["-1", "0", "4",
+                                                           "8"])),
+        st.tuples(st.just("--oracle-cap"), st.sampled_from(["-1", "0",
+                                                            "64"])),
+        st.tuples(st.just("--seed"), st.sampled_from(["-1", "0", "7"])),
+        st.tuples(st.just("--emit"), name),
+        st.tuples(st.just("--emit-factorization"), name, name),
+        st.tuples(st.just("--out"), out),
+        st.tuples(st.sampled_from(["--workers", "--help", "-x"])))
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_no_input_ends_in_a_traceback(argv_files, data):
+    command = data.draw(st.sampled_from([*COMMANDS, "nope"]), label="command")
+    drawn = ["--input", argv_files["drawn"]] \
+        if data.draw(st.booleans(), label="reads the drawn file") else []
+    flags = data.draw(st.lists(_flags(argv_files), max_size=3),
+                      label="flags")
+    argv = [command] + drawn + [tok for flag in flags for tok in flag]
+    if command != "recover" and not {"--input", "--catalog"} & set(argv):
+        # the whole catalog to order 32 takes seconds per command
+        argv += ["--max-order", "4"]
+    with open(argv_files["drawn"], "wb") as fh:
+        fh.write(data.draw(group_files(), label="drawn file"))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+    finally:  # no example reads what an earlier one wrote
+        for written in ("drawn", "out"):
+            Path(argv_files[written]).unlink(missing_ok=True)
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_PARSE, EXIT_CAP)

@@ -2,6 +2,7 @@
 and full recovery."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,29 @@ def test_sampled_group_basis_search_matches_exhaustive():
     assert [u.tolist() for u in sampled] == [u.tolist() for u in exhaustive]
 
 
+def test_exhaustive_unit_search_forms_one_chunk(monkeypatch):
+    # 1 + I(C4xC4) has 32,767 units of 32 entries, 8.4 MB as int64 rows;
+    # the search reads a few of the first, so it forms one chunk of rows
+    _, _, ctx, B, _ = coordinate_factorization("C4xC4", "C2")
+    real, formed = decompose.matmul_mod, []
+
+    def counted(A, Bm, p):
+        formed.append(len(A))
+        return real(A, Bm, p)
+
+    monkeypatch.setattr(decompose, "matmul_mod", counted)
+    tracemalloc.start()
+    try:
+        gens = find_group_basis_commutative(B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(gens) == 2
+    # two Frobenius levels (exponent 4) of 32 entries per unit row
+    assert formed == [decompose._UNIT_ENTRIES // (2 * 32)]
+    assert peak < 8e6  # below one copy of every unit row
+
+
 def test_group_basis_search_failure_names_its_cause():
     # span{1, a-1, (a-1)(b-1)} in F_2[C2xC2] is a commutative augmented
     # subalgebra of dimension 3, not a power of 2, so it has no group basis
@@ -259,6 +283,24 @@ def test_theorem_splitting_failure_names_its_check(monkeypatch, wrong):
     with pytest.raises(VerificationError) as exc:
         recover_decomposition(verify_tensor_factorization(ctx, B, C))
     assert exc.value.check == "theorem-splitting"
+
+
+@pytest.mark.parametrize("name", ["C2xC8", "D8", "He3", "C5xC5"])
+def test_coset_candidates_match_per_element_scan(name):
+    # the targets e_t - 1, and e_t - 1 plus an element of I(G)^2 or of
+    # I(G), against one membership test per group element
+    G = catalog_by_name(name)
+    ctx = AlgebraContext(G)
+    I2 = ctx.augmentation_power(2)
+    I = ctx.augmentation_ideal()
+    rng = np.random.default_rng(0)
+    for t in range(G.order):
+        for shift in (0, rng.integers(0, G.p, I2.dim) @ I2.basis,
+                      rng.integers(0, G.p, I.dim) @ I.basis):
+            target = (ctx.group_minus_one(t) + shift) % G.p
+            want = [g for g in range(G.order) if I2.contains_vector(
+                (ctx.group_minus_one(g) - target) % G.p)]
+            assert decompose._coset_candidates(ctx, I2, target) == want
 
 
 def test_lift_failure_lists_every_rejected_candidate(monkeypatch):

@@ -10,7 +10,9 @@ unit order as one ``lexsort`` of the units and their orders.
 """
 
 import contextlib
+import importlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,15 +22,18 @@ from hypothesis import strategies as st
 import pgroupalg.algebra as algebra
 import pgroupalg.fplin as fplin
 import pgroupalg.decompose as decompose
-from pgroupalg.algebra import (AlgebraContext, EnumerationCapExceeded,
-                               commutator_span, group_algebra_subalgebra,
+from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
+                               EnumerationCapExceeded, commutator_span,
                                ideal_generated, mho_ideal_mod_derived,
                                normal_subgroup_ideal, product_space)
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.decompose import _units_by_order, find_group_basis_commutative
 from pgroupalg.fplin import FpSubspace, QuotientSpace, matmul_mod, rref, span
-from pgroupalg.groups import (_closure, all_subgroups, catalog_build,
+from pgroupalg.groups import (_closure, all_subgroups,
                               characteristic_subgroup)
+from pgroupalg.io import group_from_dict
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # nonabelian groups at p = 2 and 3 check the left/right orientation
 GROUPS = ("D8", "Q8", "C2xQ16", "He3", "C5xC5")
@@ -165,29 +170,76 @@ def test_product_spaces_match_scatter(setting):
         FpSubspace(G.p, G.order, np.array(comm))
 
 
-@pytest.mark.parametrize("a_name,g0_name", [("C2xC4", "D8"), ("C8", "Q8"),
-                                            ("C3xC3", "C3")])
-def test_units_by_order_match_per_unit_orders(a_name, g0_name):
-    A, G0 = catalog_by_name(a_name), catalog_by_name(g0_name)
-    G = catalog_build("direct_product", A, G0)
-    ctx = AlgebraContext(G)
-    B = group_algebra_subalgebra(ctx, [a * G0.order for a in range(A.order)])
+# (A, G0, twist seed): B is the coordinate F_pA of A x G0, or, with a
+# seed, F_pA twisted by a central unit of F_pG0 (perfbench's fixture)
+STREAM_CASES = [
+    pytest.param(a, g0, seed,
+                 id=f"{a}-{g0}" + ("" if seed is None else "-twisted"))
+    for a, g0, seed in [("C2xC4", "D8", None), ("C8", "Q8", None),
+                        ("C3xC3", "C3", None), ("C5", "C5", None),
+                        ("C2xC4", "D8", 0), ("C3", "He3", 0),
+                        ("C5", "C5", 0)]]
+
+
+@pytest.fixture(scope="module")
+def bench_fixtures():
+    """perfbench/fixtures.py, imported as it is."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        yield importlib.import_module("fixtures")
+
+
+def stream_subalgebra(bench_fixtures, a_name, g0_name, twist_seed):
+    rng = None if twist_seed is None else np.random.default_rng(twist_seed)
+    data, twist = bench_fixtures.factorization_fixture(a_name, g0_name, rng)
+    assert (twist["w"] is None) == (rng is None)
+    _, B, _ = group_from_dict(data)
+    return B
+
+
+def all_coefficient_rows(p, d):
+    return np.array(list(itertools.product(range(p), repeat=d)))[1:]
+
+
+def ref_order(ctx, u):
+    k, acc = 1, u
+    while not np.array_equal(acc, ctx.one):
+        acc = ref_multiply(ctx.group, acc, u)
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("a_name,g0_name,twist_seed", STREAM_CASES)
+def test_units_by_order_match_per_unit_orders(bench_fixtures, a_name,
+                                              g0_name, twist_seed):
+    B = stream_subalgebra(bench_fixtures, a_name, g0_name, twist_seed)
+    ctx, IB, p = B.ctx, B.aug_ideal, B.ctx.p
+    coeffs = all_coefficient_rows(p, IB.dim)
+    units = [(ctx.one + c @ IB.basis) % p for c in coeffs]
+    want = sorted(units, key=lambda u: (-ref_order(ctx, u), u.tobytes()))
+    shuffled = np.random.default_rng(1).permutation(coeffs)
+    for got in (_units_by_order(ctx, IB), _units_by_order(ctx, IB, shuffled)):
+        got = list(got)
+        assert len(got) == len(want)
+        assert all(np.array_equal(u, v) for u, v in zip(got, want))
+
+
+def test_units_by_order_without_an_identity_pivot():
+    # B = span{1, x, y, xy} with x = e_1 + e_2, y = e_3 + e_4 in F_2[C2^3]:
+    # no element of I(B) touches the identity, so the byte order is the
+    # plain lexicographic order of the coefficients
+    ctx = AlgebraContext(catalog_by_name("C2xC2xC2"))
+    x, y = unit(ctx.group, 1) + unit(ctx.group, 2), \
+        unit(ctx.group, 3) + unit(ctx.group, 4)
+    B = AugmentedSubalgebra.from_space(
+        ctx, span(2, 8, [ctx.one, x, y, ctx.multiply(x, y)]))
     IB = B.aug_ideal
-    coeffs = np.array(list(itertools.product(range(G.p), repeat=IB.dim)))[1:]
-    one = unit(G, 0)
-
-    def order(u):
-        k, acc = 1, u
-        while not np.array_equal(acc, one):
-            acc = ref_multiply(G, acc, u)
-            k += 1
-        return k
-
-    units = [(one + c @ IB.basis) % G.p for c in coeffs]
-    want = sorted(units, key=lambda u: (-order(u), u.tobytes()))
-    got = _units_by_order(ctx, IB, coeffs)
-    assert len(got) == len(want)
-    assert all(np.array_equal(u, v) for u, v in zip(got, want))
+    assert IB.pivots[0] != 0
+    coeffs = all_coefficient_rows(2, IB.dim)
+    want = ref_units_by_order(ctx, IB, coeffs)
+    assert np.array_equal(np.array(list(_units_by_order(ctx, IB))), want)
+    assert np.array_equal(
+        np.array(list(_units_by_order(ctx, IB, coeffs[::-1]))), want)
 
 
 @st.composite
@@ -414,28 +466,27 @@ def ref_units_by_order(ctx, IB, coeffs):
     return U[np.lexsort(np.vstack([U.T[::-1], -orders]))]
 
 
-@pytest.mark.parametrize("a_name,g0_name", [("C2xC4", "D8"), ("C8", "Q8"),
-                                            ("C3xC3", "C3"), ("C5", "C5")])
+@pytest.mark.parametrize("a_name,g0_name,twist_seed", STREAM_CASES)
 @pytest.mark.parametrize("entries", [1, 1000])
-def test_units_by_order_matches_lexsort(monkeypatch, a_name, g0_name,
-                                        entries):
+def test_units_by_order_matches_lexsort(monkeypatch, bench_fixtures, a_name,
+                                        g0_name, twist_seed, entries):
     # one-row chunks, then a few rows per chunk, on the coefficient rows
-    # of both the exhaustive search and a sampled one (cap 0)
-    A, G0 = catalog_by_name(a_name), catalog_by_name(g0_name)
-    G = catalog_build("direct_product", A, G0)
-    ctx = AlgebraContext(G)
-    B = group_algebra_subalgebra(ctx, [a * G0.order for a in range(A.order)])
+    # of both the exhaustive search and a sampled one (cap 0); each stream
+    # is drained in full and replayed to the search
+    B = stream_subalgebra(bench_fixtures, a_name, g0_name, twist_seed)
+    p, d = B.ctx.p, B.aug_ideal.dim
     monkeypatch.setattr(decompose, "_UNIT_ENTRIES", entries)
     real, seen = decompose._units_by_order, []
 
-    def checked(ctx, IB, coeffs):
-        got = real(ctx, IB, coeffs)
-        assert np.array_equal(got, ref_units_by_order(ctx, IB, coeffs))
-        seen.append(len(coeffs))
-        return got
+    def checked(ctx, IB, coeffs=None):
+        got = np.array(list(real(ctx, IB, coeffs)))
+        rows = all_coefficient_rows(p, d) if coeffs is None else coeffs
+        assert np.array_equal(got, ref_units_by_order(ctx, IB, rows))
+        seen.append(len(rows))
+        return iter(got)
 
     monkeypatch.setattr(decompose, "_units_by_order", checked)
     find_group_basis_commutative(B)
     with contextlib.suppress(EnumerationCapExceeded):
         find_group_basis_commutative(B, cap=0)
-    assert len(seen) == 2 and seen[0] == G.p ** B.aug_ideal.dim - 1
+    assert len(seen) == 2 and seen[0] == p ** d - 1

@@ -47,6 +47,14 @@ class EnumerationCapExceeded(AlgebraError):
     pass
 
 
+class VerificationError(ValueError):
+    """A named check of a factorization or identity failed."""
+
+    def __init__(self, check: str, detail: str = ""):
+        self.check = check
+        super().__init__(f"{check}: {detail}" if detail else check)
+
+
 # Largest gathered block Y[:, L] formed at once, in entries (8 MB): whole
 # row sets below order 128, 16 rows at order 256.
 _GATHER_ENTRIES = 1 << 20
@@ -420,13 +428,20 @@ class AugmentedSubalgebra:
 
     @classmethod
     def from_space(cls, ctx: AlgebraContext, space: FpSubspace) -> "AugmentedSubalgebra":
+        """The subspace as an augmented subalgebra; a failed check raises a
+        VerificationError named subalgebra-unit, subalgebra-closure or
+        augmentation-codimension."""
         if not space.contains_vector(ctx.one):
-            raise AlgebraError("subalgebra does not contain the unit")
+            raise VerificationError("subalgebra-unit",
+                                    "subspace does not contain the unit")
         if space.reduce(ctx.products(space.basis, space.basis)).any():
-            raise AlgebraError("not a subalgebra: not closed under multiplication")
+            raise VerificationError("subalgebra-closure",
+                                    "subspace is not closed under multiplication")
         aug = space.intersect(ctx.augmentation_ideal())
         if aug.dim != space.dim - 1:
-            raise AlgebraError("augmentation ideal does not have codimension 1")
+            raise VerificationError(
+                "augmentation-codimension",
+                "augmentation ideal does not have codimension 1")
         return cls(ctx, space, aug)
 
     @property

@@ -561,30 +561,49 @@ def _abelian_basis(A: PGroup) -> list[tuple[int, int]]:
     """Generators of independent cyclic factors of an abelian group,
     as (element, order) pairs with descending orders.
 
-    Peels a cyclic factor <g> of maximal order off K (first A itself),
-    with g the least such element of K, and goes on in the first subgroup
-    of A inside K, in lattice order, of order |K|/|g| that meets <g>
-    trivially.  A is abelian, so its lattice is its normal lattice.
+    Peels a cyclic factor <g> of maximal order m off K (first A itself),
+    with g the least such element of K, and goes on in a complement H of
+    <g> in K, built greedily: scan K in ascending order and keep x whenever
+    <H, x>, the union of the cosets H x^k, still meets <g> only in 1.
+
+    H is then maximal among the subgroups of K that meet <g> trivially (an
+    x left out was refused by a subgroup of the final H), and such a
+    subgroup is a complement of a cyclic subgroup of maximal order, as in
+    the classical proof of the basis theorem; so the scan stops at
+    |H| = |K|/m.  H is also the least complement in (order, elements)
+    order, the first one in the subgroup lattice: let x be the least
+    element in which H and another complement S differ.  If x were in S
+    only, H's generators kept before x lie below x, so in S, and <H_x, x>
+    lies in S and meets <g> trivially, and the scan would have kept x.  So
+    x is in H, and H comes first.
     """
+    T = A.table
     orders = _element_orders(A)
-    lattice = normal_subgroups(A)
     basis: list[tuple[int, int]] = []
-    K = full_subgroup(A)
-    while K.order > 1:
-        elems = np.array(K.elements, dtype=np.int64)
-        g = int(elems[orders[elems].argmax()])
+    K = np.arange(A.order)
+    while K.size > 1:
+        g = int(K[orders[K].argmax()])
         m = int(orders[g])
         basis.append((g, m))
-        if m == K.order:
-            break
-        in_K = _mask(A.order, K.elements)
+        size = K.size // m
         cyc = _mask(A.order, Subgroup.generated(A, (g,)).elements)
-        size = K.order // m
-        K = next((S for S in lattice
-                  if S.order == size and in_K[list(S.elements)].all()
-                  and cyc[list(S.elements)].sum() == 1), None)
-        if K is None:
+        H = np.zeros(1, dtype=np.int64)
+        inside = _mask(A.order, H)
+        for x in K:
+            if H.size == size:
+                break
+            if inside[x]:
+                continue
+            cosets = [T[H, x]]  # H x^k; H[0] = 1, so its first entry is x^k
+            while not inside[cosets[-1][0]]:
+                cosets.append(T[cosets[-1], x])
+            new = np.concatenate(cosets[:-1])
+            if not cyc[new].any():
+                H = np.sort(np.concatenate([H, new]))
+                inside[new] = True
+        if H.size != size:
             raise GroupError("no complement found for a maximal cyclic factor")
+        K = H
     return basis
 
 

@@ -87,13 +87,10 @@ def group_from_dict(data: dict) -> tuple[PGroup, AugmentedSubalgebra | None,
         C_rows = _integer_rows(fz["C"], "factorization C")
         if B_rows.shape[1] != order or C_rows.shape[1] != order:
             raise SchemaError(f"factorization rows must have length {order}")
-        try:
-            B = AugmentedSubalgebra.from_space(
-                ctx, FpSubspace(p, order, B_rows))
-            C = AugmentedSubalgebra.from_space(
-                ctx, FpSubspace(p, order, C_rows))
-        except ValueError as exc:
-            raise SchemaError(f"invalid factorization: {exc}") from exc
+        # a well-formed B or C that is no augmented subalgebra fails a
+        # named check (a VerificationError), not the schema
+        B = AugmentedSubalgebra.from_space(ctx, FpSubspace(p, order, B_rows))
+        C = AugmentedSubalgebra.from_space(ctx, FpSubspace(p, order, C_rows))
     return G, B, C
 
 

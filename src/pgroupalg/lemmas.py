@@ -11,22 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .algebra import (AlgebraContext, AugmentedSubalgebra, commutator_span,
-                      mho_ideal_mod_derived, normal_subgroup_ideal,
-                      omega_central_ideal, product_space,
-                      unit_exponent_commutative)
+from .algebra import (AlgebraContext, AugmentedSubalgebra, VerificationError,
+                      commutator_span, mho_ideal_mod_derived,
+                      normal_subgroup_ideal, omega_central_ideal,
+                      product_space, unit_exponent_commutative)
 from .fplin import FpSubspace
 from .groups import (PGroup, Subgroup, abelian_invariants, agemo_derived,
                      characteristic_subgroup, full_subgroup,
                      omega_center_derived, r_subquotient)
-
-
-class VerificationError(ValueError):
-    """A named check of a factorization or identity failed."""
-
-    def __init__(self, check: str, detail: str = ""):
-        self.check = check
-        super().__init__(f"{check}: {detail}" if detail else check)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,10 @@ from pgroupalg.algebra import (AlgebraError, AugmentedSubalgebra,
 from pgroupalg.catalog import catalog_by_name
 from pgroupalg.cli import (COMMANDS, EXIT_CAP, EXIT_FAIL, EXIT_OK,
                            EXIT_PARSE, run)
+from pgroupalg.groups import Subgroup, is_internal_direct_product
 from pgroupalg.io import (SchemaError, _normalize_identity, group_from_dict,
                           group_to_dict)
+from pgroupalg.lemmas import VerificationError
 
 
 def run_to_file(tmp_path, argv):
@@ -287,14 +290,65 @@ def test_schema_rejects_broken_table(tmp_path):
     assert run(["lemmas", "--input", str(fx)]) == EXIT_PARSE
 
 
-def test_schema_rejects_bad_factorization(tmp_path):
-    G = catalog_by_name("C4")
-    data = group_to_dict(G)
+@pytest.mark.parametrize("B, check", [
     # span{1, g} is not multiplicatively closed in F_2 C4 (g^2 is missing)
-    data["factorization"] = {"B": [[1, 0, 0, 0], [0, 1, 0, 0]],
-                             "C": [[1, 0, 0, 0], [0, 0, 1, 0]]}
-    with pytest.raises(SchemaError):
+    ([[1, 0, 0, 0], [0, 1, 0, 0]], "subalgebra-closure"),
+    # span{1 + g} does not hold the unit
+    ([[1, 1, 0, 0]], "subalgebra-unit")], ids=["not-closed", "no-unit"])
+def test_bad_factorization_is_a_named_check(tmp_path, capsys, B, check):
+    data = group_to_dict(catalog_by_name("C4"))
+    data["factorization"] = {"B": B, "C": [[1, 0, 0, 0], [0, 0, 1, 0]]}
+    with pytest.raises(VerificationError) as info:
         group_from_dict(data)
+    assert info.value.check == check
+    fx = tmp_path / "bad.json"
+    fx.write_text(json.dumps(data))
+    for argv in (["recover", "--input", str(fx)],
+                 ["lemmas", "--input", str(fx)]):
+        assert run(argv + ["--out", str(tmp_path / "r.json")]) == EXIT_FAIL
+        assert capsys.readouterr().err.startswith(f"check failed: {check}: ")
+        assert not (tmp_path / "r.json").exists()
+
+
+def _is_check_name(text):
+    """A VerificationError's check, as against a library error's class."""
+    return (re.fullmatch(r"[A-Za-z0-9]+(-[A-Za-z0-9]+)*", text) is not None
+            and not text.endswith("Error"))
+
+
+def test_mutated_factorization_fails_a_named_check_or_recovers(tmp_path,
+                                                               capsys):
+    """One-entry flips of B or C in an emitted C4 x D8: each mutant either
+    fails a named check (exit 1) or recovers, and then b_side x c_side is
+    an internal direct product of the mutated file's group."""
+    fx = tmp_path / "fx.json"
+    assert run(["catalog", "--emit-factorization", "C4", "D8",
+                "--out", str(fx)]) == EXIT_OK
+    data = json.loads(fx.read_text())
+    rng = np.random.default_rng(2024)
+    codes = []
+    for _ in range(30):
+        mutant = json.loads(json.dumps(data))
+        rows = mutant["factorization"]["BC"[rng.integers(2)]]
+        row = rows[rng.integers(len(rows))]
+        row[rng.integers(len(row))] ^= 1
+        path = tmp_path / "mutant.json"
+        path.write_text(json.dumps(mutant))
+        (tmp_path / "report.json").unlink(missing_ok=True)
+        code, body = run_to_file(tmp_path, ["recover", "--input", str(path)])
+        codes.append(code)
+        err = capsys.readouterr().err
+        if code == EXIT_FAIL:
+            text = (body["recover"][0]["error"] if body
+                    else err.removeprefix("check failed: "))
+            assert _is_check_name(text.split(": ")[0]), text
+            continue
+        assert code == EXIT_OK, err
+        G, _, _ = group_from_dict(mutant)
+        rec = body["recover"][0]["recovered"]
+        assert is_internal_direct_product(
+            G, Subgroup(G, rec["b_side"]), Subgroup(G, rec["c_side"]))
+    assert EXIT_FAIL in codes  # the corpus reaches the named checks
 
 
 def test_identity_reindexing():
@@ -438,6 +492,9 @@ LARGE_ORDER_DIGESTS = {
         "b983ac1027b99165ec543799707b638908bd140e3b3634d05cfb0cf5c9e28b7d",
     ("C3xC3", "He3"):
         "f8142399bd5f08680808f7e91c19f613f6555fa626453bdd1b4ad0348638cd4e",
+    # order 256: the abelianization C2^6 x C4 has a large subgroup lattice
+    ("C2xC2xC2xC2xC2xC2", "C4"):
+        "edc1b4d443f0f9f80b37ca98dd208027e1038b0ca52d274235a6ee16146b1728",
 }
 
 

@@ -1,12 +1,15 @@
 """Cayley-table p-groups, characteristic subgroups, quotients, oracles."""
 
 import gc
+import json
 import weakref
 
 import numpy as np
 import pytest
 
+import pgroupalg.groups as groups
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
+from pgroupalg.cli import run
 from pgroupalg.groups import (GroupError, OracleCapExceeded, PGroup,
                               RetractionError, Subgroup, _abelian_basis,
                               _element_orders, abelian_invariants,
@@ -446,10 +449,33 @@ def test_abelian_invariants_read_in_place(name):
                 abelian_invariants(S)
 
 
-@pytest.mark.parametrize("G", _reference_corpus(), ids=lambda G: G.name)
+# the reference corpus (C4xC4xC4 and C3xC3xC3xC3 among it) and abelian
+# groups of orders 125 and 128 beyond it
+_BASIS_CORPUS = _reference_corpus() + [
+    catalog_by_name(name)
+    for name in ("C2xC2xC2xC2xC2xC4", "C25xC5", "C16xC4xC2")]
+
+
+@pytest.mark.parametrize("G", _BASIS_CORPUS, ids=lambda G: G.name)
 def test_abelian_basis_matches_reindexing_recursion(G):
     A, _ = quotient_group(G, characteristic_subgroup(G, "derived"))
     assert _abelian_basis(A) == _abelian_basis_reference(A)
+
+
+def test_retraction_reads_no_subgroup_lattice(tmp_path, monkeypatch):
+    def no_lattice(G):
+        raise AssertionError("the subgroup lattice was read")
+    monkeypatch.setattr(groups, "normal_subgroups", no_lattice)
+    monkeypatch.setattr(groups, "all_subgroups", no_lattice)
+    G = catalog_by_name("C2xC2xC2xC4")
+    K = retraction_complement(G, 1)
+    assert is_internal_direct_product(G, Subgroup.generated(G, [1]), K)
+    fx, out = tmp_path / "fx.json", tmp_path / "report.json"
+    assert run(["catalog", "--emit-factorization", "C2xC4", "C2xC2",
+                "--out", str(fx)]) == 0
+    assert run(["recover", "--input", str(fx), "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())["body"]["recover"][0]
+    assert rec["recovered"]["b_invariants"] == [4, 2]
 
 
 def test_element_orders_are_read_only():

@@ -271,6 +271,55 @@ def test_blocked_rref_matches_dense(case):
     assert np.array_equal(R, R0)
 
 
+@st.composite
+def gf2_blocks(draw):
+    """0/1 rows across the packed kernel's byte and word edges: a
+    rank-deficient span with zero and duplicate rows mixed in, and at
+    times a full-rank prefix, after which the kernel stops."""
+    ncols = draw(st.sampled_from((1, 7, 8, 9, 63, 64, 65, 129, 256)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rank = draw(st.integers(0, ncols))
+    rows = (rng.integers(0, 2, size=(draw(st.integers(0, 80)), rank))
+            @ rng.integers(0, 2, size=(rank, ncols))) % 2
+    extra = [rows, np.zeros((draw(st.integers(0, 5)), ncols), dtype=np.int64)]
+    if len(rows):
+        extra.append(rows[rng.integers(0, len(rows), size=5)])
+    if draw(st.booleans()):  # full rank early: a unitriangular basis first
+        full = np.triu(rng.integers(0, 2, size=(ncols, ncols)), 1)
+        np.fill_diagonal(full, 1)
+        extra.insert(0, full[rng.permutation(ncols)])
+    A = np.concatenate(extra)
+    return A[rng.permutation(len(A))] if draw(st.booleans()) else A
+
+
+@given(gf2_blocks())
+def test_packed_gf2_kernel_matches_dense(A):
+    R0, pivots0 = fplin._rref_dense(A.copy(), 2)
+    R, pivots = fplin._rref_gf2(A.copy())
+    assert pivots == pivots0
+    assert R.dtype == np.int64 and np.array_equal(R, R0)
+
+
+@given(st.integers(1, 70), st.integers(0, 2 ** 32 - 1))
+def test_gf2_rref_across_residual_blocks(ncols, seed):
+    """rref(., 2) where the rank grows from block to block: each stage of
+    rows spans one more direction than the stage before."""
+    rng = np.random.default_rng(seed)
+    basis = rng.integers(0, 2, size=(ncols, ncols))
+    stages = [(rng.integers(0, 2, size=(rng.integers(1, 60), k + 1))
+               @ basis[:k + 1]) % 2 for k in range(ncols)]
+    rows = np.concatenate(stages)
+    R0, pivots0 = ref_dense_rref(rows, 2)
+    for block_min, block_max in ((fplin._BLOCK_MIN, fplin._BLOCK_MAX),
+                                 (1, 3)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fplin, "_BLOCK_MIN", block_min)
+            mp.setattr(fplin, "_BLOCK_MAX", block_max)
+            R, pivots = rref(rows, 2)
+        assert pivots == pivots0
+        assert np.array_equal(R, R0)
+
+
 @given(matrices(min_rows=1), st.integers(0, 2 ** 32 - 1))
 def test_rref_canonical_under_shuffles_duplicates_and_zeros(case, seed):
     rows, p = case

@@ -19,7 +19,10 @@ ideal among them, is written down in canonical RREF from the cosets of N
 with none; ``ideal_generated`` eliminates the left translates of its
 generators and then, unless they are central, the right translates of
 that left ideal; the mho ideal modulo the derived ideal is one
-elimination.
+elimination.  Each power I(G)^m is one elimination of a row slice of the
+Jennings basis, the |G| products of powers of e_x - 1 over the dimension
+subgroups' generators x, which the context builds once by gathers and
+slices by weight; no product of two ideals is formed.
 
 Each group has one shared context, ``AlgebraContext.of(G)``, and each
 context memoizes what is derived from its group alone: the augmentation
@@ -36,7 +39,7 @@ import numpy as np
 
 from .fplin import FpSubspace, QuotientSpace, nullspace
 from .groups import (NotNormalError, PGroup, Subgroup, characteristic_subgroup,
-                     memoized)
+                     jennings_basis, memoized)
 
 
 class AlgebraError(ValueError):
@@ -185,16 +188,40 @@ class AlgebraContext:
         I(N)F_pG for N = G, built in closed form like every other one."""
         return _coset_ideal(self, range(self.dim))
 
+    @memoized
+    def jennings_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Jennings basis of F_pG, as rows, with the weight of each.
+
+        The rows are the products (x_1 - 1)^{a_1} ... (x_d - 1)^{a_d},
+        0 <= a_k < p, over groups.jennings_basis, of weight sum a_k w_k;
+        those of weight at least m span I(G)^m (Jennings, Trans. AMS 50,
+        1941; Passman, The Algebraic Structure of Group Rings, 1977).  Each
+        factor is a right multiplication by e_x - 1, one gather of the rows
+        built so far, so the |G| rows take no product of two elements.
+        """
+        rows = self.one[None]
+        weights = np.zeros(1, dtype=np.int64)
+        for x, w in jennings_basis(self.group):
+            R = self._right[x]
+            blocks = [rows]
+            for _ in range(self.p - 1):
+                blocks.append((blocks[-1][:, R] - blocks[-1]) % self.p)
+            rows = np.concatenate(blocks)
+            weights = np.concatenate([weights + a * w for a in range(self.p)])
+        rows.setflags(write=False)
+        weights.setflags(write=False)
+        return rows, weights
+
+    @memoized
     def augmentation_power(self, m: int) -> FpSubspace:
-        """I(G)^m, each power built once, as I(G)^{m-1} I(G)."""
+        """I(G)^m, from one elimination of the Jennings rows of weight at
+        least m; I(G) itself has its closed form."""
         if m < 1:
             raise AlgebraError("augmentation_power requires m >= 1")
-        powers = self._memo.setdefault("augmentation_powers", [])
-        if not powers:
-            powers.append(self.augmentation_ideal())
-        while len(powers) < m:
-            powers.append(product_space(self, powers[-1], powers[0]))
-        return powers[m - 1]
+        if m == 1:
+            return self.augmentation_ideal()
+        rows, weights = self.jennings_rows()
+        return FpSubspace(self.p, self.dim, rows[weights >= m])
 
     def full_space(self) -> FpSubspace:
         return FpSubspace.full(self.p, self.dim)
@@ -234,8 +261,11 @@ def product_space(ctx: AlgebraContext, X: FpSubspace, Y: FpSubspace) -> FpSubspa
 
 
 def power_space(ctx: AlgebraContext, X: FpSubspace, m: int) -> FpSubspace:
-    """X^m for any subspace X, built afresh; the memoized powers of I(G)
-    come from ``ctx.augmentation_power(m)``."""
+    """X^m for any subspace X, by the chain X^m = X^{m-1} X, built afresh.
+
+    No library path calls it: the powers of I(G) come from
+    ``ctx.augmentation_power(m)``, and this chain is the independent
+    oracle the tests hold them to."""
     if m < 1:
         raise AlgebraError("power_space requires m >= 1")
     acc = X
@@ -385,9 +415,19 @@ def mho_ideal_mod_derived(ctx: AlgebraContext, i: int) -> FpSubspace:
     I = ctx.augmentation_ideal()
     D = normal_subgroup_ideal(ctx, characteristic_subgroup(ctx.group, "derived"))
     P = D.reduce(ctx.powers(I.basis, ctx.p ** i))
-    P = np.unique(P[P.any(axis=1)], axis=0)
+    P = unique_rows(P[P.any(axis=1)])
     return FpSubspace(ctx.p, ctx.dim,
                       np.concatenate([D.basis, ctx.right_translates(P)]))
+
+
+def unique_rows(A: np.ndarray) -> np.ndarray:
+    """The distinct rows of A in lexicographic order, as
+    np.unique(A, axis=0) gives them.  np.unique is not used: with no
+    return_index its first call imports numpy.ma, some 9 ms per process."""
+    A = A[np.lexsort(A.T[::-1])]
+    keep = np.ones(len(A), dtype=bool)
+    keep[1:] = (A[1:] != A[:-1]).any(axis=1)
+    return A[keep]
 
 
 def unit_exponent_commutative(ctx: AlgebraContext, ideal: FpSubspace) -> int:
@@ -408,7 +448,10 @@ def unit_exponent_commutative(ctx: AlgebraContext, ideal: FpSubspace) -> int:
 
 
 def dimension_subgroup(ctx: AlgebraContext, m: int) -> Subgroup:
-    """D_m = {g : g - 1 in I(G)^m}; m = 2 gives the Frattini subgroup."""
+    """D_m = {g : g - 1 in I(G)^m}; m = 2 gives the Frattini subgroup.
+
+    Read on the algebra side, so that it cross-checks the group-side
+    groups.jennings_series, from which I(G)^m itself is built."""
     if m < 1:
         raise AlgebraError("dimension_subgroup requires m >= 1")
     Im = ctx.augmentation_power(m)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import (AlgebraContext, AugmentedSubalgebra,
                       EnumerationCapExceeded, frattini_quotient, ideal_generated,
-                      normal_subgroup_ideal, product_space)
+                      normal_subgroup_ideal, product_space, unique_rows)
 from .fplin import FpError, FpSubspace, QuotientSpace, matmul_mod, nullspace, span
 from .groups import (ORACLE_CAP, PGroup, RetractionError, Subgroup,
                      abelian_invariants, agemo_derived,
@@ -283,7 +283,7 @@ def find_group_basis_commutative(B: AugmentedSubalgebra,
         rng = np.random.default_rng(seed)
         coeffs = rng.integers(0, p, size=(SAMPLED_UNITS, IB.dim))
         # a repeated unit would repeat the same failed branches
-        coeffs = np.unique(coeffs[coeffs.any(axis=1)], axis=0)
+        coeffs = unique_rows(coeffs[coeffs.any(axis=1)])
     units = _Replayed(_units_by_order(ctx, IB, coeffs))
     I2B = product_space(ctx, IB, IB)
     target = B.dim
@@ -298,19 +298,19 @@ def find_group_basis_commutative(B: AugmentedSubalgebra,
             acc = new
 
     def dfs(chosen: list, S: FpSubspace) -> list | None:
-        grp = _group_closure_vectors(ctx, chosen, target + 1)
-        if grp is None:
-            return None  # overshoot
-        if len(grp) == target:
-            spanned = FpSubspace(p, ctx.dim, np.array(grp))
-            if spanned == B.space:
-                return chosen
-            return None
         for u in units:
             d = (u - one) % p
             if S.contains_vector(d):
                 continue
-            result = dfs(chosen + [u], diff_subalgebra(S, d))
+            nxt = chosen + [u]
+            grp = _group_closure_vectors(ctx, nxt, target + 1)
+            if grp is None:
+                continue  # overshoot, pruned before S is extended
+            if len(grp) == target:
+                if FpSubspace(p, ctx.dim, np.array(grp)) == B.space:
+                    return nxt
+                continue
+            result = dfs(nxt, diff_subalgebra(S, d))
             if result is not None:
                 return result
         return None

@@ -20,6 +20,10 @@ in N, and N/H is central in G/H: g^p in H and [g, x] in H for every x.
 One gather over the commutator table finds every such g for a given H.
 Subgroups of G, direct factors included, are read in G's own table rather
 than re-indexed as groups of their own.
+
+The dimension subgroups D_m and a basis of each D_m/D_{m+1} (Jennings)
+come from the commutator and p-th power tables the same way; the algebra
+builds its basis of F_pG, and every power of I(G), from them.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from .fplin import SUPPORTED_PRIMES
 
 MAX_ORDER = 256
 ORACLE_CAP = 64
+# Largest block of triples checked for associativity at once, in entries
+_ASSOC_ENTRIES = 1 << 20
 
 
 class GroupError(ValueError):
@@ -98,13 +104,18 @@ class PGroup:
         if not ((np.sort(t, axis=1) == ar).all() and
                 (np.sort(t, axis=0) == ar[:, None]).all()):
             raise GroupError("table rows/columns are not permutations")
-        # associativity, checked exhaustively (order <= 256)
+        # associativity, checked exhaustively (order <= 256), a chunk of
+        # rows a at a time, in order, so the first failing triple is the
+        # least; one chunk holds every a up to order 101
         small = t.astype(np.int32)
-        left = small[small]             # left[a,b,c] = (ab)c
-        right = small[:, small]         # right[a,b,c] = a(bc)
-        if not np.array_equal(left, right):
-            bad = np.argwhere(left != right)[0]
-            raise GroupError(f"associativity fails at triple {tuple(int(x) for x in bad)}")
+        step = max(1, _ASSOC_ENTRIES // (n * n))
+        for a in range(0, n, step):
+            left = small[small[a:a + step]]      # left[a,b,c] = (ab)c
+            right = small[a:a + step][:, small]  # right[a,b,c] = a(bc)
+            if not np.array_equal(left, right):
+                bad = np.argwhere(left != right)[0] + (a, 0, 0)
+                raise GroupError("associativity fails at triple "
+                                 f"{tuple(int(x) for x in bad)}")
         inv = (t == 0).argmax(axis=1)
         object.__setattr__(self, "_inv", inv)
         object.__setattr__(self, "_memo", {})  # see memoized()
@@ -206,22 +217,34 @@ def _element_orders(G: PGroup) -> np.ndarray:
         k += 1
 
 
+@memoized
+def _commutator_table(G: PGroup) -> np.ndarray:
+    """[a, b] = a^-1 b^-1 a b for every pair at once, read-only and
+    memoized on G."""
+    T, inv = G.table, G._inv
+    comm = T[T[inv[:, None], inv[None, :]], T]
+    comm.setflags(write=False)
+    return comm
+
+
 def _mask(n: int, elements) -> np.ndarray:
     m = np.zeros(n, dtype=bool)
     m[np.asarray(elements, dtype=np.int64)] = True
     return m
 
 
-def _closure(G: PGroup, seed) -> frozenset:
-    elems = set(seed) | {0}
-    frontier = np.array(sorted(elems), dtype=np.int64)
+def _closure(G: PGroup, seed) -> np.ndarray:
+    """The elements of <seed>, sorted: square the set until it is closed.
+    Sets are masks read back with flatnonzero, which sorts them."""
+    inside = _mask(G.order, seed if isinstance(seed, np.ndarray)
+                   else list(seed))
+    inside[0] = True
     while True:
-        prods = np.unique(G.table[np.ix_(frontier, frontier)])
-        new = set(map(int, prods)) - elems
-        if not new:
-            return frozenset(elems)
-        elems |= new
-        frontier = np.array(sorted(elems), dtype=np.int64)
+        S = np.flatnonzero(inside)
+        prods = G.table[np.ix_(S, S)]
+        if inside[prods].all():
+            return S
+        inside[prods] = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +271,7 @@ class Subgroup:
 
     @classmethod
     def generated(cls, parent: PGroup, gens) -> "Subgroup":
-        return cls(parent, tuple(sorted(_closure(parent, gens))))
+        return cls(parent, tuple(_closure(parent, gens).tolist()))
 
     @property
     def order(self) -> int:
@@ -343,20 +366,15 @@ def _characteristic_subgroup(G: PGroup, kind: str, i: int) -> Subgroup:
         elems = np.flatnonzero((T == T.T).all(axis=1))
         return Subgroup(G, tuple(elems.tolist()))
     if kind == "derived":
-        inv = G._inv
-        # [a, b] = a^-1 b^-1 a b for every pair at once
-        comm = T[T[inv[:, None], inv[None, :]], T]
-        return Subgroup.generated(G, np.unique(comm).tolist())
+        return Subgroup.generated(G, _commutator_table(G).ravel())
     if kind == "omega":
         if i < 1:
             raise GroupError("omega requires i >= 1")
-        gens = np.flatnonzero(_powers(G, G.p ** i) == 0)
-        return Subgroup.generated(G, gens.tolist())
+        return Subgroup.generated(G, np.flatnonzero(_powers(G, G.p ** i) == 0))
     if kind == "agemo":
         if i < 1:
             raise GroupError("agemo requires i >= 1")
-        gens = np.unique(_powers(G, G.p ** i))
-        return Subgroup.generated(G, gens.tolist())
+        return Subgroup.generated(G, _powers(G, G.p ** i))
     if kind == "frattini":
         return agemo_derived(G, 1)  # valid for p-groups
     raise GroupError(f"unknown characteristic subgroup kind {kind!r}")
@@ -381,6 +399,53 @@ def agemo_derived(G: PGroup, i: int) -> Subgroup:
     return Subgroup.generated(G, gens)
 
 
+@memoized
+def jennings_series(G: PGroup) -> tuple[Subgroup, ...]:
+    """The dimension subgroups D_1 = G, D_2, ... of G over F_p, down to the
+    first trivial one; memoized on G.
+
+    D_m = [D_{m-1}, G] D_{ceil(m/p)}^p (Jennings, Trans. AMS 50, 1941): the
+    closure of the commutators [d, g] for d in D_{m-1} and of the p-th
+    powers of D_{ceil(m/p)}, one gather of each table.  D_m is also
+    {g : g - 1 in I(G)^m}, and Lazard's prod_{i p^j >= m} gamma_i(G)^{p^j}.
+    """
+    comm, pow_p = _commutator_table(G), _powers(G, G.p)
+    series = [np.arange(G.order)]
+    while series[-1].size > 1:
+        m = len(series) + 1  # D_{ceil(m/p)} is series[(m - 1) // p]
+        series.append(_closure(G, np.concatenate(
+            [comm[series[-1]].ravel(), pow_p[series[(m - 1) // G.p]]])))
+    return tuple(Subgroup(G, tuple(D.tolist())) for D in series)
+
+
+@memoized
+def jennings_basis(G: PGroup) -> tuple[tuple[int, int], ...]:
+    """Pairs (x, i) whose x of weight i map to a basis of D_i/D_{i+1}, by
+    ascending weight; memoized on G.
+
+    Each x is the least element of D_i outside H = <D_{i+1}, the x of
+    weight i chosen before>.  D_i/D_{i+1} is elementary abelian and central
+    in G/D_{i+1}, so H is normal, x^p lies in D_{i+1}, and <H, x> is the
+    union of the cosets H x^k, k < p.
+    """
+    T = G.table
+    series = jennings_series(G)
+    basis = []
+    for i, (D, below) in enumerate(zip(series, series[1:]), start=1):
+        H = np.array(below.elements, dtype=np.int64)
+        outside = _mask(G.order, D.elements)
+        outside[H] = False
+        while H.size < D.order:
+            x = int(np.flatnonzero(outside)[0])
+            cosets = [H]
+            for _ in range(G.p - 1):
+                cosets.append(T[cosets[-1], x])
+            H = np.concatenate(cosets)
+            outside[H] = False
+            basis.append((x, i))
+    return tuple(basis)
+
+
 def quotient_group(G: PGroup, N: Subgroup) -> tuple[PGroup, GroupHom]:
     if N.parent is not G:
         raise GroupError("subgroup does not belong to this group")
@@ -388,7 +453,7 @@ def quotient_group(G: PGroup, N: Subgroup) -> tuple[PGroup, GroupHom]:
         raise NotNormalError("subgroup is not normal")
     nelems = np.array(N.elements, dtype=np.int64)
     rep = G.table[:, nelems].min(axis=1)  # smallest element of gN
-    reps = np.unique(rep)  # the identity coset has rep 0 -> index 0
+    reps = np.flatnonzero(_mask(G.order, rep))  # identity coset: rep 0 -> 0
     coset = np.searchsorted(reps, rep)
     table = coset[G.table[np.ix_(reps, reps)]]
     Q = PGroup(G.p, table, name=f"{G.name}/N{N.order}")
@@ -498,8 +563,7 @@ def normal_subgroups(G: PGroup) -> tuple[Subgroup, ...]:
     Built by central extension (see the module docstring): N = H<g> with
     H normal and gH central in G/H, that is [g, x] in H for every x.
     """
-    T, inv = G.table, G._inv
-    comm = T[T[inv[:, None], inv[None, :]], T]  # [g, x] = g^-1 x^-1 g x
+    comm = _commutator_table(G)
 
     def central(H, inside):
         return inside[comm].all(axis=1)

@@ -3,9 +3,13 @@ schema validation."""
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -508,6 +512,93 @@ def test_large_order_recovery_is_pinned(tmp_path, a_name, g0_name):
     assert code == EXIT_OK
     text = json.dumps(body["recover"], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# sha256 of the recover body of twisted factorizations of order 128-256:
+# perfbench/fixtures.py:factorization_fixture with B twisted by a central
+# unit drawn at seed 7, recorded before I(G)^m was read off the Jennings
+# basis
+TWISTED_DIGESTS = {
+    ("C4xC4", "D8"):
+        "d4a37d40c8c021e828f1f73cfe7d480b4b6334935387beab7b329d6d50c1138c",
+    ("C3xC3", "He3"):
+        "f8142399bd5f08680808f7e91c19f613f6555fa626453bdd1b4ad0348638cd4e",
+    ("C16", "C16"):
+        "24fbb4ca3d98e8e2fefa3d36092923fa844a439093db1d27b582af4f4a476d51",
+}
+
+
+@pytest.fixture(scope="module")
+def bench_fixtures():
+    """perfbench/fixtures.py, imported as it is."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        yield importlib.import_module("fixtures")
+
+
+@pytest.mark.parametrize("a_name, g0_name", TWISTED_DIGESTS)
+def test_twisted_large_order_recovery_is_pinned(tmp_path, bench_fixtures,
+                                                a_name, g0_name):
+    data, twist = bench_fixtures.factorization_fixture(
+        a_name, g0_name, np.random.default_rng(7))
+    assert twist["w"] is not None
+    fx = tmp_path / "fx.json"
+    fx.write_text(json.dumps(data))
+    code, body = run_to_file(tmp_path, ["recover", "--input", str(fx)])
+    assert code == EXIT_OK
+    text = json.dumps(body["recover"], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        TWISTED_DIGESTS[a_name, g0_name]
+
+
+def test_sampled_unit_search_recovery_is_pinned(tmp_path):
+    # 1 + I(C9xC3) at p = 3 has 3^26 units, past ENUM_CAP: the group-basis
+    # search reads seeded samples, and most of its branches overshoot
+    fx = tmp_path / "fx.json"
+    assert run(["catalog", "--emit-factorization", "C9xC3", "C3",
+                "--out", str(fx)]) == EXIT_OK
+    code, body = run_to_file(tmp_path, ["recover", "--input", str(fx)])
+    assert code == EXIT_OK
+    text = json.dumps(body["recover"], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "63f76e3685a548ae7319bbf9700685ed079c7c35ffbc7dd76b0bd343d88ac5d6"
+
+
+_NO_MASKED_ARRAYS = """
+import json
+import sys
+from pgroupalg.cli import run
+from pgroupalg.decompose import find_group_basis_commutative
+from pgroupalg.io import group_from_dict
+out, fx = sys.argv[1], sys.argv[2]
+assert run(["catalog", "--emit-factorization", "C2xC4", "Q8",
+            "--out", fx]) == 0
+for argv in (["lemmas", "--catalog", "D8", "--catalog", "He3"],
+             ["recover", "--input", fx],
+             ["certify", "--catalog", "Q8"],
+             ["oracle", "--catalog", "C2xD8"],
+             ["cyclic-factor", "--catalog", "C2xC4"]):
+    assert run(argv + ["--out", out]) == 0, argv
+_, B, _ = group_from_dict(json.load(open(fx)))
+assert find_group_basis_commutative(B, cap=4)  # the sampled path
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_commands_do_not_import_masked_arrays(tmp_path):
+    # np.unique without return_index imports numpy.ma on its first call,
+    # about 9 ms of every process's first item
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAYS, str(tmp_path / "r.json"),
+         str(tmp_path / "fx.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 # -- no input ends in a traceback -------------------------------------------

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import weakref
 
 import numpy as np
@@ -17,7 +18,8 @@ from pgroupalg.groups import (GroupError, OracleCapExceeded, PGroup,
                               characteristic_subgroup, cyclic_factor_orders,
                               direct_factor_oracle, full_subgroup,
                               has_cyclic_factor_of_order,
-                              is_internal_direct_product, normal_subgroups,
+                              is_internal_direct_product, jennings_basis,
+                              jennings_series, normal_subgroups,
                               quotient_group, r_subquotient,
                               retraction_complement,
                               split_into_indecomposables, subgroup_to_pgroup,
@@ -36,11 +38,50 @@ def test_cyclic_table_and_orders():
 
 
 def test_invalid_table_rejected():
-    # break associativity while keeping the Latin-square property:
-    # swap two entries of a cyclic table's row
+    # the Latin-square case: swapping two entries of a row of C4 repeats
+    # an entry in each of the two columns
     T = catalog_build("cyclic", 2, 2).table.copy()
     T[2, 2], T[2, 3] = T[2, 3], T[2, 2]
-    with pytest.raises(GroupError):
+    with pytest.raises(GroupError, match="not permutations"):
+        PGroup(2, T)
+
+
+def _intercalate_c8():
+    """C8 with n/2 added at (1, 1), (1, 5), (5, 1) and (5, 5): the entries
+    2 and 6 trade places there, so the rows and columns stay permutations."""
+    T = catalog_build("cyclic", 2, 3).table.copy()
+    for r, c in ((1, 1), (1, 5), (5, 1), (5, 5)):
+        T[r, c] = (T[r, c] + 4) % 8
+    return T
+
+
+def _switched_c64xc2():
+    """C64 x C2, (h, e) at index h + 64 e, with columns 1, 2 and 65, 66
+    swapped in the rows of e = 1: a Latin square whose rows of e = 0 all
+    associate, so its least failing triple lies past the first chunk of
+    rows the check reads at order 128."""
+    i = np.arange(128)
+    h, e = i % 64, i // 64
+    T = (h[:, None] + h[None, :]) % 64 + 64 * ((e[:, None] + e[None, :]) % 2)
+    T[64:, [1, 2, 65, 66]] = T[64:, [2, 1, 66, 65]]
+    return T
+
+
+def _first_failing_triple(T):
+    """The least (a, b, c) with (ab)c != a(bc), from the whole |G|^3 check."""
+    T = T.astype(np.int32)
+    return tuple(int(x) for x in np.argwhere(T[T] != T[:, T])[0])
+
+
+@pytest.mark.parametrize("table, triple", [
+    (_intercalate_c8, (1, 1, 2)),
+    (_switched_c64xc2, (64, 1, 1)),
+], ids=["C8-intercalate", "order128-past-first-chunk"])
+def test_non_associative_latin_square_names_least_triple(table, triple):
+    T = table()
+    assert _first_failing_triple(T) == triple
+    message = f"associativity fails at triple {triple}"
+    with pytest.raises(GroupError, match=re.escape(message)):
         PGroup(2, T)
 
 
@@ -493,3 +534,41 @@ def test_oracle_memo_dies_with_the_group():
     del G
     gc.collect()
     assert ref() is None
+
+
+def _lazard_series(G):
+    """D_m = prod_{i p^j >= m} gamma_i(G)^{p^j} (Lazard, Ann. Sci. ENS 71,
+    1954), from the lower central series gamma_1 = G, gamma_{i+1} =
+    [gamma_i, G], for m = 1, 2, ... up to the first trivial D_m."""
+    gammas = [full_subgroup(G)]
+    while gammas[-1].order > 1:
+        gammas.append(Subgroup.generated(G, {
+            G.commutator(x, g) for x in gammas[-1].elements
+            for g in range(G.order)}))
+    terms = []  # (i p^j, the elements of gamma_i^{p^j})
+    for i, gamma in enumerate(gammas, start=1):
+        q = 1
+        while q <= G.exponent():
+            terms.append((i * q, {G.power(x, q) for x in gamma.elements}))
+            q *= G.p
+    series = [full_subgroup(G)]
+    while series[-1].order > 1:
+        m = len(series) + 1
+        series.append(Subgroup.generated(G, set().union(
+            *(gens for weight, gens in terms if weight >= m))))
+    return tuple(series)
+
+
+@pytest.mark.parametrize("G", builtin_catalog(p=2, max_order=64)
+                         + builtin_catalog(p=3, max_order=81)
+                         + builtin_catalog(p=5, max_order=25),
+                         ids=lambda G: f"p{G.p}-{G.name}")
+def test_jennings_series_matches_lazard(G):
+    series = jennings_series(G)
+    assert series == _lazard_series(G)
+    # the weight-i basis elements lie in D_i and span D_i modulo D_{i+1}
+    for i, (D, below) in enumerate(zip(series, series[1:]), start=1):
+        xs = [x for x, w in jennings_basis(G) if w == i]
+        assert set(xs) <= set(D.elements) - set(below.elements)
+        assert G.p ** len(xs) * below.order == D.order
+        assert Subgroup.generated(G, set(below.elements) | set(xs)) == D

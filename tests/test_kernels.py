@@ -24,19 +24,24 @@ import pgroupalg.fplin as fplin
 import pgroupalg.decompose as decompose
 from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
                                EnumerationCapExceeded, commutator_span,
-                               ideal_generated, mho_ideal_mod_derived,
-                               normal_subgroup_ideal, product_space)
+                               dimension_subgroup, ideal_generated,
+                               mho_ideal_mod_derived, normal_subgroup_ideal,
+                               power_space, product_space, unique_rows)
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.decompose import _units_by_order, find_group_basis_commutative
 from pgroupalg.fplin import FpSubspace, QuotientSpace, matmul_mod, rref, span
 from pgroupalg.groups import (_closure, all_subgroups,
-                              characteristic_subgroup)
+                              characteristic_subgroup, jennings_basis,
+                              jennings_series)
 from pgroupalg.io import group_from_dict
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # nonabelian groups at p = 2 and 3 check the left/right orientation
 GROUPS = ("D8", "Q8", "C2xQ16", "He3", "C5xC5")
+CATALOG = (builtin_catalog(p=2, max_order=64)
+           + builtin_catalog(p=3, max_order=81)
+           + builtin_catalog(p=5, max_order=25))
 
 
 def ref_multiply(G, u, v):
@@ -155,6 +160,53 @@ def test_conjugacy_classes_match_group_conjugation(setting):
             assert {G.conjugate(g, h) for h in range(G.order)} == set(cls)
     assert sorted(g for cls in ctx.conjugacy_classes() for g in cls) == \
         list(range(G.order))
+
+
+def test_jennings_rows_match_scatter(setting):
+    # row sum_k a_k p^{k-1} is (x_1 - 1)^{a_1} (x_2 - 1)^{a_2} ..., of
+    # weight sum_k a_k w_k
+    ctx, _, _ = setting
+    G = ctx.group
+    rows, weights = ctx.jennings_rows()
+    basis = jennings_basis(G)
+    assert rows.shape == (G.order, G.order)
+    for r in range(G.order):
+        digits = [r // G.p ** k % G.p for k in range(len(basis))]
+        acc = unit(G, 0)
+        for (x, _), a in zip(basis, digits):
+            for _ in range(a):
+                acc = ref_multiply(G, acc, (unit(G, x) - unit(G, 0)) % G.p)
+        assert np.array_equal(rows[r], acc), r
+        assert weights[r] == sum(a * w for (_, w), a in zip(basis, digits))
+
+
+@pytest.mark.parametrize("G", CATALOG, ids=lambda G: f"p{G.p}-{G.name}")
+def test_jennings_powers_match_product_chain(G):
+    # I(G)^m from the Jennings rows against the chain of power_space,
+    # X^m = X^{m-1} X, stepped once per m up to the first zero power (a
+    # fresh power_space per m would repeat the chain m times), and the
+    # algebra-side dimension subgroups {g : g - 1 in I(G)^m} against the
+    # group-side series
+    ctx = AlgebraContext(G)
+    I = ctx.augmentation_ideal()
+    assert ctx.augmentation_power(2) == power_space(ctx, I, 2)
+    series = jennings_series(G)
+    chain, m = I, 1
+    while True:
+        assert ctx.augmentation_power(m) == chain, m
+        assert dimension_subgroup(ctx, m) == series[min(m, len(series)) - 1]
+        if not chain.dim:
+            break
+        chain = product_space(ctx, chain, I)
+        m += 1
+    rows, _ = ctx.jennings_rows()
+    assert FpSubspace(G.p, G.order, rows).dim == G.order
+
+
+@given(st.integers(0, 12), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_unique_rows_match_numpy(nrows, ncols, seed):
+    A = np.random.default_rng(seed).integers(0, 3, size=(nrows, ncols))
+    assert np.array_equal(unique_rows(A), np.unique(A, axis=0))
 
 
 def test_product_spaces_match_scatter(setting):

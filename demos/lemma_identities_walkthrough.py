@@ -11,8 +11,8 @@ Run:  python3 demos/lemma_identities_walkthrough.py
 
 import math
 
-from pgroupalg import (catalog_by_name, cyclic_factor_test,
-                       has_cyclic_factor_of_order, lemma_identity_check)
+from pgroupalg import (catalog_by_name, cyclic_factor_orders,
+                       cyclic_factor_test, lemma_identity_check)
 
 NAMES = ["C4", "C2xC4", "D8", "Q8", "M16", "He3"]
 
@@ -53,7 +53,7 @@ for name in NAMES:
     smax = max(1, round(math.log(G.exponent(), G.p)))
     for i in range(1, smax + 1):
         has, exponent = cyclic_factor_test(G, i)
-        oracle = has_cyclic_factor_of_order(G, G.p ** i)
+        oracle = G.p ** i in cyclic_factor_orders(G)
         mark = "ok" if has == oracle else "MISMATCH"
         verdict = "yes" if has else "no"
         print(f"{name:8s} cyclic factor of order {G.p ** i:2d}?  {verdict:3s}"

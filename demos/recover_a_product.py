@@ -13,7 +13,7 @@ Run:  python3 demos/recover_a_product.py
 from pgroupalg import (AlgebraContext, abelian_invariants, catalog_build,
                        catalog_by_name, group_algebra_subalgebra,
                        recover_decomposition, subgroup_to_pgroup,
-                       verify_tensor_factorization)
+                       unit_exponent_commutative, verify_tensor_factorization)
 
 A = catalog_by_name("C2xC4")
 G0 = catalog_by_name("Q8")
@@ -26,7 +26,7 @@ ctx = AlgebraContext(G)
 B = group_algebra_subalgebra(ctx, [a * G0.order for a in range(A.order)])
 C = group_algebra_subalgebra(ctx, list(range(G0.order)))
 print(f"B: dim {B.dim}, commutative: {B.is_commutative()},"
-      f" unit exponent {B.unit_exponent()}")
+      f" unit exponent {unit_exponent_commutative(ctx, B.aug_ideal)}")
 print(f"C: dim {C.dim}, commutative: {C.is_commutative()}")
 
 # step 1: certify that F_2G = B (x) C really is a tensor factorization

@@ -2,12 +2,11 @@
 
 __version__ = "0.1.0"
 
-from .algebra import (AlgebraContext, AugmentedSubalgebra, commutator_span,
-                      dimension_subgroup, frattini_quotient,
+from .algebra import (AlgebraContext, AugmentedSubalgebra,
                       group_algebra_subalgebra, ideal_generated,
                       mho_ideal_mod_derived, normal_subgroup_ideal,
-                      omega_central, omega_central_ideal, power_space,
-                      product_space, right_ideal, unit_exponent_commutative)
+                      omega_central, omega_central_ideal, product_space,
+                      right_ideal, unit_exponent_commutative)
 from .catalog import builtin_catalog, catalog_by_name
 from .decompose import (Certificate, DecompositionReport, LambdaData,
                         certify_indecomposable, find_group_basis_commutative,
@@ -15,11 +14,10 @@ from .decompose import (Certificate, DecompositionReport, LambdaData,
 from .fplin import FpSubspace, QuotientSpace, span
 from .groups import (GroupHom, PGroup, Subgroup, abelian_invariants,
                      agemo_derived, catalog_build, characteristic_subgroup,
-                     direct_factor_oracle, has_cyclic_factor_of_order,
+                     cyclic_factor_orders, direct_factor_oracle,
                      is_internal_direct_product, omega_center_derived,
-                     quotient_group,
-                     r_subquotient, retraction_complement,
+                     quotient_group, r_subquotient, retraction_complement,
                      subgroup_to_pgroup)
 from .lemmas import (IdentityReport, TensorFactorizationInput,
-                     VerificationError, babelian_checks, cyclic_factor_test,
+                     VerificationError, cyclic_factor_test,
                      lemma_identity_check, verify_tensor_factorization)

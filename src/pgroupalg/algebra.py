@@ -47,7 +47,7 @@ class AlgebraError(ValueError):
 
 
 class EnumerationCapExceeded(AlgebraError):
-    pass
+    """The sampled unit search found no group basis."""
 
 
 class VerificationError(ValueError):
@@ -177,10 +177,8 @@ class AlgebraContext:
         return self.powers(np.asarray(v)[None], m)[0]
 
     def p_power(self, v, i: int) -> np.ndarray:
+        """v^{p^i}; kept for perfbench/fixtures.py, which calls it."""
         return self.power(v, self.p ** i)
-
-    def augmentation(self, v) -> int:
-        return int(np.asarray(v, dtype=np.int64).sum() % self.p)
 
     @memoized
     def augmentation_ideal(self) -> FpSubspace:
@@ -265,17 +263,14 @@ def power_space(ctx: AlgebraContext, X: FpSubspace, m: int) -> FpSubspace:
 
     No library path calls it: the powers of I(G) come from
     ``ctx.augmentation_power(m)``, and this chain is the independent
-    oracle the tests hold them to."""
+    oracle the tests hold them to.  It stays in the library because
+    perfbench/tracer.py wraps it."""
     if m < 1:
         raise AlgebraError("power_space requires m >= 1")
     acc = X
     for _ in range(m - 1):
         acc = product_space(ctx, acc, X)
     return acc
-
-
-def commutator_span(ctx: AlgebraContext, X: FpSubspace, Y: FpSubspace) -> FpSubspace:
-    return FpSubspace(ctx.p, ctx.dim, ctx.commutators(X.basis, Y.basis))
 
 
 def right_ideal(ctx: AlgebraContext, X: FpSubspace) -> FpSubspace:
@@ -333,18 +328,6 @@ def normal_subgroup_ideal(ctx: AlgebraContext, N: Subgroup) -> FpSubspace:
     return ctx._memo[key]
 
 
-def subalgebra_closure(ctx: AlgebraContext, X: FpSubspace) -> FpSubspace:
-    """The (non-unital) subalgebra generated by X: close under products."""
-    acc = X
-    while acc.dim:
-        rows = np.concatenate([acc.basis, ctx.products(acc.basis, acc.basis)])
-        new = FpSubspace(ctx.p, ctx.dim, rows)
-        if new.dim == acc.dim:
-            return new
-        acc = new
-    return acc
-
-
 @memoized
 def omega_central(ctx: AlgebraContext, i: int) -> FpSubspace:
     """Omega_i(Z(I(G))): the subalgebra of central ideal elements generated by
@@ -373,31 +356,6 @@ def omega_central_ideal(ctx: AlgebraContext, i: int) -> FpSubspace:
     """Omega_i(Z(I(G)))F_pG, the right ideal of lemma items 2 and 3;
     memoized on ctx."""
     return right_ideal(ctx, omega_central(ctx, i))
-
-
-_ENUM_CHUNK = 4096  # central elements raised to their p^i-th powers at once
-
-
-def omega_central_enumerated(ctx: AlgebraContext, i: int,
-                             cap: int = 2 ** 24) -> FpSubspace:
-    """Brute-force Omega_i(Z(I(G))) by enumerating all central ideal elements.
-
-    Independent cross-check for :func:`omega_central`; errors out past cap.
-    """
-    Z = ctx.central_ideal_part()
-    total = ctx.p ** Z.dim
-    if total > cap:
-        raise EnumerationCapExceeded(
-            f"{total} central elements exceed cap {cap}")
-    q = ctx.p ** i
-    digits = ctx.p ** np.arange(Z.dim)
-    acc = FpSubspace.zero(ctx.p, ctx.dim)
-    for start in range(0, total, _ENUM_CHUNK):
-        n = np.arange(start, min(start + _ENUM_CHUNK, total))
-        elems = ((n[:, None] // digits) % ctx.p) @ Z.basis % ctx.p
-        hits = elems[~ctx.powers(elems, q).any(axis=1)]
-        acc = acc + FpSubspace(ctx.p, ctx.dim, hits)
-    return subalgebra_closure(ctx, acc)
 
 
 @memoized
@@ -430,6 +388,24 @@ def unique_rows(A: np.ndarray) -> np.ndarray:
     return A[keep]
 
 
+def frobenius_chain(ctx: AlgebraContext, X) -> np.ndarray:
+    """The rows of X raised to their p^k-th powers, stacked as
+    chain[k] = X^{p^k} for k = 0, 1, ... while any row is nonzero.
+
+    On a commutative algebra Frobenius is additive, so chain[k] spans the
+    p^k-th powers of the span of X, and 1 + x has order p^len(chain) for
+    a single nonzero row x.  Raises on a nonzero X^{p^k} with p^k >= |G|,
+    which no nilpotent element reaches, since I(G)^{|G|} = 0."""
+    X = np.asarray(X, dtype=np.int64).reshape(-1, ctx.dim) % ctx.p
+    chain = []
+    while X.any():
+        chain.append(X)
+        if ctx.p ** len(chain) > ctx.dim:
+            raise AlgebraError("ideal is not nilpotent")
+        X = ctx.powers(X, ctx.p)
+    return np.stack(chain) if chain else X[None][:0]
+
+
 def unit_exponent_commutative(ctx: AlgebraContext, ideal: FpSubspace) -> int:
     """exp(1 + I(A)) = p^s with s minimal such that b^{p^s} = 0 on a basis.
 
@@ -438,27 +414,7 @@ def unit_exponent_commutative(ctx: AlgebraContext, ideal: FpSubspace) -> int:
     """
     if ctx.commutators(ideal.basis, ideal.basis).any():
         raise AlgebraError("ideal is not commutative")
-    s, powers = 0, ideal.basis  # powers: the rows b^{p^s}
-    while powers.any():
-        s += 1
-        if ctx.p ** s > ctx.dim:
-            raise AlgebraError("ideal is not nilpotent")
-        powers = ctx.powers(powers, ctx.p)
-    return ctx.p ** s
-
-
-def dimension_subgroup(ctx: AlgebraContext, m: int) -> Subgroup:
-    """D_m = {g : g - 1 in I(G)^m}; m = 2 gives the Frattini subgroup.
-
-    Read on the algebra side, so that it cross-checks the group-side
-    groups.jennings_series, from which I(G)^m itself is built."""
-    if m < 1:
-        raise AlgebraError("dimension_subgroup requires m >= 1")
-    Im = ctx.augmentation_power(m)
-    diffs = np.eye(ctx.dim, dtype=np.int64)  # rows e_g - 1
-    diffs[:, 0] -= 1
-    outside = Im.reduce(diffs).any(axis=1)
-    return Subgroup(ctx.group, tuple(int(g) for g in np.flatnonzero(~outside)))
+    return ctx.p ** len(frobenius_chain(ctx, ideal.basis))
 
 
 @dataclass(frozen=True)
@@ -494,12 +450,6 @@ class AugmentedSubalgebra:
     def is_commutative(self) -> bool:
         return not self.ctx.commutators(self.space.basis, self.space.basis).any()
 
-    def unit_exponent(self) -> int:
-        """exp V(B) for commutative B."""
-        if not self.is_commutative():
-            raise AlgebraError("unit exponent shortcut requires commutativity")
-        return unit_exponent_commutative(self.ctx, self.aug_ideal)
-
 
 def group_algebra_subalgebra(ctx: AlgebraContext, elements) -> AugmentedSubalgebra:
     """The span of a set of group elements as an augmented subalgebra."""
@@ -508,5 +458,6 @@ def group_algebra_subalgebra(ctx: AlgebraContext, elements) -> AugmentedSubalgeb
 
 
 def frattini_quotient(ctx: AlgebraContext) -> QuotientSpace:
-    """I(G)/I(G)^2, the additive side of the Frattini correspondence."""
+    """I(G)/I(G)^2, the additive side of the Frattini correspondence; kept
+    for perfbench/fixtures.py, which reads its section coordinates."""
     return QuotientSpace(ctx.augmentation_ideal(), ctx.augmentation_power(2))

@@ -131,12 +131,17 @@ def _check_flags(args) -> None:
 def _selected_groups(args):
     """(G, B, C) for every group a command runs on.
 
-    --p and --max-order filter the built-in catalog; a group named by
-    --input or --catalog that fails either one is a usage error, so that
-    a run never passes by checking nothing."""
+    --p and --max-order filter the built-in catalog; a filter that leaves
+    it empty, or a group named by --input or --catalog that fails either
+    one, is a usage error, so that a run never passes by checking
+    nothing."""
     if not args.input and not args.catalog:
-        return [(G, None, None)
-                for G in builtin_catalog(p=args.p, max_order=args.max_order)]
+        groups = builtin_catalog(p=args.p, max_order=args.max_order)
+        if not groups:
+            only_p = "" if args.p is None else f"--p {args.p} "
+            raise UsageError("no built-in group passes the filters "
+                             f"{only_p}--max-order {args.max_order}")
+        return [(G, None, None) for G in groups]
     named = [(path, load_inputs(path)) for path in args.input]
     named += [(name, (catalog_by_name(name), None, None))
               for name in args.catalog]

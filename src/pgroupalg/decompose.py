@@ -9,20 +9,20 @@ and tensor-indecomposability certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .algebra import (AlgebraContext, AugmentedSubalgebra,
-                      EnumerationCapExceeded, frattini_quotient, ideal_generated,
+                      EnumerationCapExceeded, frobenius_chain, ideal_generated,
                       normal_subgroup_ideal, product_space, unique_rows)
 from .fplin import FpError, FpSubspace, QuotientSpace, matmul_mod, nullspace, span
 from .groups import (ORACLE_CAP, PGroup, RetractionError, Subgroup,
                      abelian_invariants, agemo_derived,
                      characteristic_subgroup, direct_factor_oracle,
-                     is_internal_direct_product, omega_center_derived,
-                     retraction_complement, subgroup_to_pgroup,
-                     trivial_subgroup)
+                     invariants_from_counts, is_internal_direct_product,
+                     omega_center_derived, retraction_complement,
+                     subgroup_to_pgroup, trivial_subgroup)
 from .lemmas import (TensorFactorizationInput, VerificationError,
                      verify_tensor_factorization)
 
@@ -135,18 +135,6 @@ def _find_split_element(G: PGroup, ctx: AlgebraContext, I2: FpSubspace,
                             or "none"))
 
 
-def _unit_order(ctx: AlgebraContext, u) -> int:
-    """Order of a unit 1 + x with x in I(G): (1 + x)^{p^k} = 1 + x^{p^k}, so
-    it is the least p^k that kills x."""
-    o, x = 1, (np.asarray(u) - ctx.one) % ctx.p
-    while x.any():
-        o *= ctx.p
-        if o > ctx.dim * ctx.p:
-            raise VerificationError("unit-order", "element is not a unit of p-power order")
-        x = ctx.power(x, ctx.p)
-    return o
-
-
 def _group_closure_vectors(ctx: AlgebraContext, units, limit: int) -> list[np.ndarray] | None:
     """Multiplicative closure of a set of commuting units; None past limit."""
     elems = {ctx.one.tobytes(): ctx.one}
@@ -165,19 +153,6 @@ def _group_closure_vectors(ctx: AlgebraContext, units, limit: int) -> list[np.nd
                 elems[y.tobytes()] = y
                 frontier.append(y)
     return [elems[k] for k in sorted(elems)]
-
-
-def group_from_unit_vectors(ctx: AlgebraContext, vectors) -> PGroup:
-    """Cayley table of a finite multiplicative group of algebra elements."""
-    vecs = sorted((np.asarray(v) % ctx.p for v in vectors),
-                  key=lambda v: v.tobytes())
-    one = ctx.one
-    vecs = [one] + [v for v in vecs if not np.array_equal(v, one)]
-    idx = {v.tobytes(): i for i, v in enumerate(vecs)}
-    n = len(vecs)
-    table = np.array([idx[v.tobytes()] for v in ctx.products(vecs, vecs)],
-                     dtype=np.int64).reshape(n, n)
-    return PGroup(ctx.p, table, name=f"units{n}")
 
 
 def _units_by_order(ctx: AlgebraContext, IB: FpSubspace,
@@ -201,13 +176,7 @@ def _units_by_order(ctx: AlgebraContext, IB: FpSubspace,
     first, is one scan over them.
     """
     p, n, d = ctx.p, ctx.dim, IB.dim
-    frobs = [IB.basis]  # rows b^{p^k}
-    while True:
-        nxt = ctx.powers(frobs[-1], p)
-        if not nxt.any():
-            break
-        frobs.append(nxt)
-    frobs = np.stack(frobs)
+    frobs = frobenius_chain(ctx, IB.basis)  # frobs[k]: rows b^{p^k}
     step = max(1, _UNIT_ENTRIES // (len(frobs) * n))
     shift = int(IB.pivots[0] == 0)
     if coeffs is None:
@@ -326,6 +295,18 @@ def find_group_basis_commutative(B: AugmentedSubalgebra,
     return result
 
 
+def _frobenius_invariants(ctx: AlgebraContext, IB: FpSubspace) -> tuple[int, ...]:
+    """The invariants of A, descending, for commutative B = F_pA with
+    augmentation ideal IB, read off Frobenius (Deskins, Duke Math. J. 23,
+    1956): x -> x^{p^k} maps I(B) onto I(F_p[A^{p^k}]), so
+    |A^{p^k}| = 1 + rank IB^{p^k}, and A has log_p |A^{p^k} : A^{p^{k+1}}|
+    cyclic factors of order above p^k."""
+    logs = [round(math.log(1 + FpSubspace(ctx.p, ctx.dim, rows).dim, ctx.p))
+            for rows in frobenius_chain(ctx, IB.basis)] + [0]
+    return invariants_from_counts(ctx.p,
+                                  [a - b for a, b in zip(logs, logs[1:])])
+
+
 @dataclass
 class DecompositionReport:
     """Verified internal decomposition G = B-side x C-side with evidence."""
@@ -356,14 +337,9 @@ def recover_decomposition(fact: TensorFactorizationInput,
         raise VerificationError("B-commutative", "B must be commutative")
     G = fact.ctx.group
     p = G.p
-    # invariants of the group basis of the original B, for the final check
     units0 = find_group_basis_commutative(fact.B, seed=seed)
-    if units0:
-        closure0 = _group_closure_vectors(fact.ctx, units0, fact.B.dim + 1)
-        b_group_invs = abelian_invariants(
-            group_from_unit_vectors(fact.ctx, closure0))
-    else:
-        b_group_invs = ()
+    # the invariants of A with B = F_pA, for the final check
+    b_group_invs = _frobenius_invariants(fact.ctx, fact.B.aug_ideal)
 
     hs: list[int] = []
     steps: list[dict] = []
@@ -376,14 +352,13 @@ def recover_decomposition(fact: TensorFactorizationInput,
         units = units0 if depth == 0 else \
             find_group_basis_commutative(cur_fact.B, seed=seed)
         b = units[0]  # highest multiplicative order p^s
-        ps = _unit_order(ctx, b)
-        s = round(math.log(ps, p))
         b_minus_1 = (b - ctx.one) % p
-        q = p ** (s - 1)
+        chain = frobenius_chain(ctx, b_minus_1)  # (b-1)^{p^k}, k < s
+        s = len(chain)
         lam = lambda_map(cur_G, s)
         # Jennings non-membership: (b-1)^{p^{s-1}} stays outside Lambda's
         # codomain ideal I(G)^{p^{s-1}+1} + I(mho_s(G)G')kG
-        if lam.codomain.contains_vector(ctx.power(b_minus_1, q)):
+        if lam.codomain.contains_vector(chain[-1][0]):
             raise VerificationError(
                 "jennings-nonmembership",
                 "(b-1)^{p^{s-1}} fell into the excluded ideal")
@@ -445,13 +420,7 @@ class Certificate:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "directly_indecomposable": self.directly_indecomposable,
-            "min_generators": self.min_generators,
-            "derived_cyclic": self.derived_cyclic,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def certify_indecomposable(G: PGroup, oracle_cap: int = ORACLE_CAP) -> Certificate:
@@ -464,7 +433,7 @@ def certify_indecomposable(G: PGroup, oracle_cap: int = ORACLE_CAP) -> Certifica
     pairs = direct_factor_oracle(G, cap=oracle_cap)
     indec = not pairs
     ctx = AlgebraContext.of(G)
-    d = frattini_quotient(ctx).dim
+    d = ctx.augmentation_ideal().dim - ctx.augmentation_power(2).dim
     frattini = characteristic_subgroup(G, "frattini")
     if G.p ** d * frattini.order != G.order:
         raise VerificationError(

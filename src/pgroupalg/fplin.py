@@ -277,12 +277,6 @@ class FpSubspace:
         self._compat(other)
         return not self.reduce(other.basis).any()
 
-    def coordinates(self, vec) -> np.ndarray | None:
-        """c with c @ basis == vec, or None if vec is outside the span."""
-        if self.reduce(vec).any():
-            return None
-        return np.asarray(vec, dtype=np.int64)[list(self.pivots)] % self.p
-
     def sum(self, other: "FpSubspace") -> "FpSubspace":
         self._compat(other)
         return FpSubspace(self.p, self.ambient,

@@ -144,23 +144,13 @@ class PGroup:
     def element_order(self, g: int) -> int:
         if not 0 <= g < self.order:
             raise GroupError(f"element index {g} out of range")
-        o, x = 1, g
-        while x != 0:
-            x = self.mul(x, g)
-            o += 1
-        return o
+        return int(_element_orders(self)[g])
 
     def exponent(self) -> int:
         return int(_element_orders(self).max())
 
     def is_abelian(self) -> bool:
         return np.array_equal(self.table, self.table.T)
-
-    def commutator(self, a: int, b: int) -> int:
-        return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
-
-    def conjugate(self, g: int, by: int) -> int:
-        return self.mul(self.mul(by, g), self.inv(by))
 
     def __repr__(self):
         return f"PGroup(p={self.p}, order={self.order}, name={self.name!r})"
@@ -276,9 +266,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def contains(self, g: int) -> bool:
-        return g in set(self.elements)
 
     def is_normal(self) -> bool:
         """g h g^-1 in S for every g in G and h in S."""
@@ -486,21 +473,21 @@ def abelian_invariants(A: PGroup | Subgroup) -> tuple[int, ...]:
         orders = _element_orders(A.parent)[list(A.elements)]
     else:
         p, orders = A.p, _element_orders(A)
-    s = int(orders.max())
-    smax = round(math.log(s, p))
-    # m_k = log_p #|{g : g^{p^k} = 1}| = sum_i min(e_i, k)
-    m = [0]
-    for k in range(1, smax + 1):
-        cnt = int((orders <= p ** k).sum())
-        m.append(round(math.log(cnt, p)))
-    ge = [m[k] - m[k - 1] for k in range(1, smax + 1)]  # #invariants >= p^k
-    invs: list[int] = []
-    for k in range(1, smax + 1):
-        eq_k = ge[k - 1] - (ge[k] if k < smax else 0)
-        invs.extend([p ** k] * eq_k)
-    invs.sort(reverse=True)
+    smax = round(math.log(int(orders.max()), p))
+    # log_p #{g : g^{p^k} = 1} = sum_i min(e_i, k), k = 0, ..., smax
+    logs = [round(math.log(int((orders <= p ** k).sum()), p))
+            for k in range(smax + 1)]
+    invs = invariants_from_counts(p, [b - a for a, b in zip(logs, logs[1:])])
     assert math.prod(invs) == A.order
-    return tuple(invs)
+    return invs
+
+
+def invariants_from_counts(p: int, above) -> tuple[int, ...]:
+    """The invariants p^{e_1} >= p^{e_2} >= ... of an abelian p-group from
+    above[k] = #{i : e_i > k}, k = 0, 1, ...: e_j is the number of k with
+    above[k] > j, the conjugate partition."""
+    return tuple(p ** sum(n > j for n in above)
+                 for j in range(above[0] if above else 0))
 
 
 def _index_p_extensions(G: PGroup, admissible) -> tuple[Subgroup, ...]:
@@ -734,13 +721,6 @@ def cyclic_factor_orders(G: PGroup, cap: int = ORACLE_CAP) -> frozenset:
                      if F.is_cyclic())
 
 
-def has_cyclic_factor_of_order(G: PGroup, q: int, cap: int = ORACLE_CAP) -> bool:
-    """Oracle answer: does G have a cyclic direct factor of order exactly q?"""
-    if G.order == 1:
-        return q == 1
-    return q in cyclic_factor_orders(G, cap=cap)
-
-
 # ---------------------------------------------------------------------------
 # catalog constructors
 
@@ -750,20 +730,18 @@ def _cyclic_table(n: int) -> np.ndarray:
     return (a[:, None] + a[None, :]) % n
 
 
-def _metacyclic(p: int, m: int, t: int, e: int, name: str) -> PGroup:
-    """<r, s | r^m = 1, s^2 = r^e, s r s^-1 = r^t>, index of r^i s^j is i + m*j."""
-    n = 2 * m
-    table = np.zeros((n, n), dtype=np.int64)
-    for i1 in range(m):
-        for j1 in range(2):
-            for i2 in range(m):
-                for j2 in range(2):
-                    if j1 == 0:
-                        i, j = (i1 + i2) % m, j2
-                    else:
-                        i = (i1 + t * i2 + (e if j2 else 0)) % m
-                        j = (j1 + j2) % 2
-                    table[i1 + m * j1, i2 + m * j2] = i + m * j
+def _metacyclic(p: int, m: int, k: int, t: int, e: int, name: str) -> PGroup:
+    """<r, s | r^m = 1, s^k = r^e, s r s^-1 = r^t>, r^i s^j at index i + m*j.
+
+    s^j r^i = r^{i t^j} s^j, and s^{j1 + j2} = r^e s^{j1 + j2 - k} past k,
+    so (r^i1 s^j1)(r^i2 s^j2) = r^{i1 + i2 t^j1 + e [j1 + j2 >= k]}
+    s^{(j1 + j2) mod k}, for every pair at once."""
+    ij = np.arange(m * k)
+    i, j = ij % m, ij // m
+    tj = np.array([pow(t, x, m) for x in range(k)], dtype=np.int64)
+    i1, j1, i2, j2 = i[:, None], j[:, None], i[None, :], j[None, :]
+    table = ((i1 + i2 * tj[j1] + e * (j1 + j2 >= k)) % m
+             + m * ((j1 + j2) % k))
     return PGroup(p, table, name)
 
 
@@ -789,28 +767,27 @@ def catalog_build(family: str, *params) -> PGroup:
         (order,) = params
         if order < 8 or order & (order - 1):
             raise GroupError("dihedral: order must be a 2-power >= 8")
-        return _metacyclic(2, order // 2, order // 2 - 1, 0, f"D{order}")
+        return _metacyclic(2, order // 2, 2, order // 2 - 1, 0, f"D{order}")
     if family == "quaternion":
         (order,) = params
         if order < 8 or order & (order - 1):
             raise GroupError("quaternion: order must be a 2-power >= 8")
         m = order // 2
-        return _metacyclic(2, m, m - 1, m // 2, f"Q{order}")
+        return _metacyclic(2, m, 2, m - 1, m // 2, f"Q{order}")
     if family == "semidihedral":
         (order,) = params
         if order < 16 or order & (order - 1):
             raise GroupError("semidihedral: order must be a 2-power >= 16")
         m = order // 2
-        return _metacyclic(2, m, m // 2 - 1, 0, f"SD{order}")
+        return _metacyclic(2, m, 2, m // 2 - 1, 0, f"SD{order}")
     if family == "modular_maximal_cyclic":
         p, order = params
         pp = _prime_power(order)
         if pp is None or pp[0] != p or pp[1] < 3 or (p == 2 and order < 16):
             raise GroupError("modular_maximal_cyclic: invalid parameters")
+        # <r, s | r^{p^{k-1}}, s^p, s r s^-1 = r^{1 + p^{k-2}}>
         m = order // p
-        if p == 2:
-            return _metacyclic(2, m, m // 2 + 1, 0, f"M{order}")
-        return _modular_odd(p, order)
+        return _metacyclic(p, m, p, m // p + 1, 0, f"M{order}")
     if family == "heisenberg":
         (p,) = params
         return _heisenberg(p)
@@ -821,7 +798,7 @@ def catalog_build(family: str, *params) -> PGroup:
         if sign == "-":
             if p == 2:
                 return catalog_build("quaternion", 8)
-            return _modular_odd(p, p ** 3)
+            return catalog_build("modular_maximal_cyclic", p, p ** 3)
         raise GroupError("extraspecial: sign must be '+' or '-'")
     if family == "direct_product":
         G1, G2 = params
@@ -837,28 +814,10 @@ def catalog_build(family: str, *params) -> PGroup:
 
 
 def _heisenberg(p: int) -> PGroup:
-    n = p ** 3
-    table = np.zeros((n, n), dtype=np.int64)
-    for a1, b1, c1 in itertools.product(range(p), repeat=3):
-        for a2, b2, c2 in itertools.product(range(p), repeat=3):
-            a, b = (a1 + a2) % p, (b1 + b2) % p
-            c = (c1 + c2 + a1 * b2) % p
-            table[a1 * p * p + b1 * p + c1, a2 * p * p + b2 * p + c2] = \
-                a * p * p + b * p + c
+    """Upper unitriangular 3x3 matrices over F_p, (a, b, c) at index
+    a p^2 + b p + c with (a1, b1, c1)(a2, b2, c2) = (a1 + a2, b1 + b2,
+    c1 + c2 + a1 b2)."""
+    a, b, c = np.unravel_index(np.arange(p ** 3), (p, p, p))
+    table = ((a[:, None] + a) % p * p * p + (b[:, None] + b) % p * p
+             + (c[:, None] + c + a[:, None] * b) % p)
     return PGroup(p, table, name=f"He{p}")
-
-
-def _modular_odd(p: int, order: int) -> PGroup:
-    """M_{p^k} for odd p: <r, s | r^{p^{k-1}}, s^p, s r s^-1 = r^{1+p^{k-2}}>."""
-    m = order // p
-    t = m // p + 1
-    table = np.zeros((order, order), dtype=np.int64)
-    for i1 in range(m):
-        for j1 in range(p):
-            for i2 in range(m):
-                for j2 in range(p):
-                    # s^j r^i = r^{i t^j} s^j
-                    i = (i1 + i2 * pow(t, j1, m)) % m
-                    j = (j1 + j2) % p
-                    table[i1 + m * j1, i2 + m * j2] = i + m * j
-    return PGroup(p, table, name=f"M{order}")

@@ -16,7 +16,8 @@ import numpy as np
 
 from .algebra import AlgebraContext, AugmentedSubalgebra
 from .fplin import FpSubspace
-from .groups import GroupError, PGroup
+from .groups import (GroupError, PGroup, abelian_invariants,
+                     characteristic_subgroup, quotient_group)
 
 
 class SchemaError(ValueError):
@@ -121,8 +122,6 @@ def group_to_dict(G: PGroup, B: FpSubspace | None = None,
 
 
 def group_fingerprint(G: PGroup) -> dict:
-    from .groups import abelian_invariants, characteristic_subgroup, \
-        quotient_group
     center = characteristic_subgroup(G, "center")
     derived = characteristic_subgroup(G, "derived")
     Ab, _ = quotient_group(G, derived)

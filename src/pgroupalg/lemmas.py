@@ -8,17 +8,16 @@ reported equality is evidence rather than tautology.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .algebra import (AlgebraContext, AugmentedSubalgebra, VerificationError,
-                      commutator_span, mho_ideal_mod_derived,
-                      normal_subgroup_ideal, omega_central_ideal,
-                      product_space, unit_exponent_commutative)
+                      mho_ideal_mod_derived, normal_subgroup_ideal,
+                      omega_central_ideal, product_space,
+                      unit_exponent_commutative)
 from .fplin import FpSubspace
 from .groups import (PGroup, Subgroup, abelian_invariants, agemo_derived,
-                     characteristic_subgroup, full_subgroup,
-                     omega_center_derived, r_subquotient)
+                     characteristic_subgroup, omega_center_derived,
+                     r_subquotient)
 
 
 @dataclass(frozen=True)
@@ -140,50 +139,3 @@ def verify_tensor_factorization(ctx: AlgebraContext,
             "I(A) != I(B) + I(C) + I(B)I(C) as a direct sum")
     checks.append("augmentation-decomposition")
     return TensorFactorizationInput(ctx, B, C, verified=True, checks=checks)
-
-
-def babelian_checks(fact: TensorFactorizationInput, part: str) -> IdentityReport:
-    """Verify part (a), (c) or (d) of the commutative-factor proposition."""
-    if not fact.verified:
-        raise VerificationError("unverified", "factorization was not verified")
-    if not fact.B.is_commutative():
-        raise VerificationError("B-commutative", "B is not commutative")
-    ctx = fact.ctx
-    IB, IC = fact.B.aug_ideal, fact.C.aug_ideal
-    IBC = product_space(ctx, IB, IC)
-    if part == "a":
-        full = ctx.full_space()
-        left = commutator_span(ctx, full, full)
-        cc = commutator_span(ctx, IC, IC)
-        right = cc + product_space(ctx, cc, IB)
-        report = _compare("prop-a", left, right)
-        if report.equal and not (IC + IBC).contains(left):
-            raise VerificationError(
-                "prop-a-containment", "[kG,kG] not inside I(C) + I(B)I(C)")
-        return report
-    if part == "c":
-        ps = fact.B.unit_exponent()
-        s = round(math.log(ps, ctx.p)) if ps > 1 else 0
-        if s == 0:
-            # mho_0(G) = G, so the left side is all of I(G)
-            N = full_subgroup(ctx.group)
-        else:
-            N = agemo_derived(ctx.group, s)
-        left = normal_subgroup_ideal(ctx, N)
-        right = IC + IBC
-        ok = right.contains(left)
-        if not ok:
-            raise VerificationError(
-                "prop-c", "I(mho_s(G)G')kG not inside I(C) + I(B)I(C)")
-        return IdentityReport("prop-c", left.dim, right.dim, True)
-    if part == "d":
-        ps = fact.B.unit_exponent()
-        s = round(math.log(ps, ctx.p)) if ps > 1 else 0
-        if s == 0:
-            return IdentityReport("prop-d", 0, 0, True)
-        has, exponent = cyclic_factor_test(ctx.group, s)
-        if not has:
-            raise VerificationError(
-                "prop-d", f"no cyclic direct factor of order {ps} found")
-        return IdentityReport("prop-d", ps, exponent, True)
-    raise ValueError(f"unknown proposition part {part!r}")

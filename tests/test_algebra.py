@@ -9,18 +9,19 @@ import pytest
 
 from pgroupalg.algebra import (AlgebraContext, AlgebraError,
                                AugmentedSubalgebra, EnumerationCapExceeded,
-                               commutator_span, dimension_subgroup,
-                               frattini_quotient,
+                               frattini_quotient, frobenius_chain,
                                group_algebra_subalgebra, ideal_generated,
                                mho_ideal_mod_derived, normal_subgroup_ideal,
-                               omega_central, omega_central_enumerated,
-                               omega_central_ideal, power_space,
-                               product_space, right_ideal,
+                               omega_central, omega_central_ideal,
+                               power_space, product_space, right_ideal,
                                unit_exponent_commutative)
 from pgroupalg.catalog import catalog_by_name
 from pgroupalg.fplin import span
 from pgroupalg.groups import (PGroup, agemo_derived, characteristic_subgroup,
                               omega_center_derived)
+
+from oracles import (augmentation, commutator_span, dimension_subgroup,
+                     omega_central_enumerated)
 
 
 def ctx_of(name):
@@ -66,8 +67,8 @@ def test_augmentation_ideal():
     for g in range(1, 8):
         assert I.contains_vector(ctx.group_minus_one(g))
     assert not I.contains_vector(ctx.one)
-    assert ctx.augmentation(ctx.one) == 1
-    assert ctx.augmentation(ctx.group_minus_one(3)) == 0
+    assert augmentation(ctx, ctx.one) == 1
+    assert augmentation(ctx, ctx.group_minus_one(3)) == 0
 
 
 def test_power_space_nilpotency():
@@ -187,6 +188,27 @@ def test_unit_exponent_rejects_noncommutative():
         unit_exponent_commutative(ctx, ctx.augmentation_ideal())
 
 
+@pytest.mark.parametrize("name", ["C8", "C2xC4", "D8", "C9xC3", "C5xC5"])
+def test_frobenius_chain_gives_every_unit_order(name):
+    # 1 + x has order p^len(chain(x)), by repeated multiplication
+    ctx = ctx_of(name)
+    rng = np.random.default_rng(3)
+    I = ctx.augmentation_ideal()
+    for c in rng.integers(0, ctx.p, size=(6, I.dim)):
+        x = c @ I.basis % ctx.p
+        chain = frobenius_chain(ctx, x)
+        u, acc, k = (ctx.one + x) % ctx.p, (ctx.one + x) % ctx.p, 1
+        while not np.array_equal(acc, ctx.one):
+            acc, k = ctx.multiply(acc, u), k + 1
+        assert k == ctx.p ** len(chain), (name, c)
+        for j, rows in enumerate(chain):
+            assert np.array_equal(rows[0], ctx.power(x, ctx.p ** j))
+    assert frobenius_chain(ctx, np.zeros(ctx.dim, dtype=np.int64)).shape == \
+        (0, 1, ctx.dim)
+    with pytest.raises(AlgebraError, match="not nilpotent"):
+        frobenius_chain(ctx, ctx.one)
+
+
 def test_dimension_subgroup_two_is_frattini():
     for name in ("C4", "C2xC4", "D8", "Q8", "He3", "M16"):
         G = catalog_by_name(name)
@@ -209,7 +231,7 @@ def test_augmented_subalgebra_validation():
     B = group_algebra_subalgebra(ctx, [0, 4])
     assert B.dim == 2
     assert B.is_commutative()
-    assert B.unit_exponent() == 2
+    assert unit_exponent_commutative(ctx, B.aug_ideal) == 2
     # a subspace that is not multiplicatively closed is rejected
     bad = span(2, 8, [ctx.one, ctx.basis_vector(1)])
     with pytest.raises(ValueError):

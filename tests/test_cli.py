@@ -430,6 +430,26 @@ def test_named_group_filtered_out_is_usage_error(tmp_path, capsys, argv,
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command", ["lemmas", "cyclic-factor", "certify",
+                                     "oracle"])
+@pytest.mark.parametrize("filters, message", [
+    (["--max-order", "1"], "the filters --max-order 1"),
+    (["--max-order", "0"], "the filters --max-order 0"),
+    (["--p", "5", "--max-order", "4"], "the filters --p 5 --max-order 4"),
+    (["--max-order", "-3"], "the filters --max-order -3"),
+], ids=["max-order-1", "max-order-0", "p5-max-order-4", "max-order-neg3"])
+def test_empty_builtin_selection_is_usage_error(tmp_path, capsys, command,
+                                                filters, message):
+    # an empty selection would otherwise report a pass over no group
+    code = run([command, *filters, "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_PARSE
+    assert f"no built-in group passes {message}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+    # the catalog listing still lists what the filters leave, here nothing
+    code, body = run_to_file(tmp_path, ["catalog", *filters])
+    assert code == EXIT_OK and body["catalog"] == []
+
+
 def test_missing_input_file_exit_code(tmp_path):
     assert run(["lemmas", "--input", str(tmp_path / "absent.json")]) == \
         EXIT_PARSE

@@ -14,8 +14,7 @@ from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
 from pgroupalg.catalog import catalog_by_name
 from pgroupalg.decompose import (_group_closure_vectors,
                                  certify_indecomposable,
-                                 find_group_basis_commutative,
-                                 group_from_unit_vectors, lambda_map,
+                                 find_group_basis_commutative, lambda_map,
                                  recover_decomposition, split_cyclic)
 from pgroupalg.fplin import FpSubspace, span
 from pgroupalg.groups import (RetractionError, abelian_invariants,
@@ -23,6 +22,8 @@ from pgroupalg.groups import (RetractionError, abelian_invariants,
                               is_internal_direct_product, subgroup_to_pgroup,
                               trivial_subgroup)
 from pgroupalg.lemmas import VerificationError, verify_tensor_factorization
+
+from oracles import group_from_unit_vectors
 
 
 def coordinate_factorization(a_name, g0_name):

@@ -1,6 +1,7 @@
 """Cayley-table p-groups, characteristic subgroups, quotients, oracles."""
 
 import gc
+import hashlib
 import json
 import re
 import weakref
@@ -17,13 +18,14 @@ from pgroupalg.groups import (GroupError, OracleCapExceeded, PGroup,
                               all_subgroups, catalog_build,
                               characteristic_subgroup, cyclic_factor_orders,
                               direct_factor_oracle, full_subgroup,
-                              has_cyclic_factor_of_order,
                               is_internal_direct_product, jennings_basis,
                               jennings_series, normal_subgroups,
                               quotient_group, r_subquotient,
                               retraction_complement,
                               split_into_indecomposables, subgroup_to_pgroup,
                               trivial_subgroup)
+
+from oracles import commutator, conjugate, has_cyclic_factor_of_order
 
 
 def test_cyclic_table_and_orders():
@@ -148,6 +150,97 @@ def test_heisenberg_p3():
     assert characteristic_subgroup(He3, "derived").order == 3
 
 
+# sha256 of table.tobytes() for the metacyclic and Heisenberg families,
+# recorded before their builders were vectorized, so that the tables, and
+# with them every report body, stay byte-identical
+TABLE_DIGESTS = {
+    "D8":
+        "b4fddc32be007c809e52f6d64b92c1beb18cd7b8a2b30d3cd5cfc0e7973f7470",
+    "Q8":
+        "8e22e58cdfd461b9dc9b0cb46006582407639e90c31c9bad0c84ef9dd13d74c8",
+    "D16":
+        "ffa0159e31fdd85fefb5bdd730a72b8631cebb8b80c321ebb25c4ddc3eab31a4",
+    "Q16":
+        "5cbc93d715d018c5af213a9c80ea5f97c16cfb7c2500fe5e1401e0c6a5de1fb8",
+    "SD16":
+        "0cce0d498dd3cb883652980f154e0b1efbf2c36f221e20d003347c64aa9db151",
+    "M16":
+        "f7edaf71111982f325a712f64792a88eb5d41d3e7edc57c978fff69bdbdb1d20",
+    "D32":
+        "d4bb5b6139e83e583e4e315cbac1cb7d0adf1cc35782b28cacb473123be085cd",
+    "Q32":
+        "fc1c4d0cf1791ba9b4b72a7a494d3a83f43d190209714d78e53ed7ad14d4f840",
+    "SD32":
+        "dcd1c65de7ff398a1264b24a505a533143a74b2e2ad963e7de4728b29e405173",
+    "M32":
+        "88c53ac35f782525852e00c99f7df71d7b9653b474124615f75976d9ec763284",
+    "D64":
+        "2550877b5a11a1dda1cbc8a86b9c2de9062cad16b16b9322367f34870a3e0056",
+    "Q64":
+        "ff2d3e1903a1c85aa099e48b912419df21456399ad0823571ea8f36b97294ca8",
+    "SD64":
+        "61446e8fd1bc7e64d846f766e9f012edc59c42a138ef1a425d36728b6aada80e",
+    "M64":
+        "337a0231031f15449113430d147560b6e6c3489a4f1b0d3d86611afcc2a02f38",
+    "D128":
+        "fb0a56ec5c18eb9df1d3723923bad7814b2b71bc63109793964baafa63303a4d",
+    "Q128":
+        "40add4c6a5529256d11fd81add18b1d9cfecd3a53acfd881ae6b441c9278dabe",
+    "SD128":
+        "6c1c03b8d3c2e3daf07c12d44ce8be9a49c352b6876609a4edb5693d70242e49",
+    "M128":
+        "c76e8fd6dd5732ad4a3f45bbf4ce794af0ea2a24729243de681530f072eb4620",
+    "D256":
+        "e43bac1f326289c1e790514276d7202ff69b8b0316866264de8e4a865acaf58f",
+    "Q256":
+        "32903ddd1c8f1f36d0a3ba3dd90fd88c7d7055aed1fdb70210ef407e770781ff",
+    "SD256":
+        "7db50a1719674a8d5cfb451f540aae80fe4b9497e950541a648011d51f6c6826",
+    "M256":
+        "46c274ea6dc8c1aa6f40bf107c90cb339b9ac1211c89ca5bfd1bc8351cd7a574",
+    "M27":
+        "7a4435911c1ea58755a073ee52b70d9ddbe4e3a3eb809038987bccd369878af5",
+    "M81":
+        "2fe4bc64ba953ce9dedd7aa826ff8d9a0d9179d69aa5250c9d1d2a435af22b6a",
+    "M243":
+        "d0e3f9556f63c694189919c21da1e64c0b4dd90d1ab88313d75dcc9c3727ab69",
+    "M125":
+        "e46379d1bdde00bdfb2c0ff73857c5d4a920ea58878700c6f0dab0d1d0e02416",
+    "He2":
+        "5359c50283b917a56695405a73bef51b82e02df94c999edd370014cfdd897c00",
+    "He3":
+        "b886c26833019f10e76ae1723d32c183f6f47208d9285c5ec79100fe2133163a",
+    "He5":
+        "7653d6b1d92b7a88aa17c7459cb2b0be73fcdc2463dfde3f741469bbc4f2880c",
+}
+
+
+def _catalog_family_member(name):
+    if name.startswith("He"):
+        return catalog_build("heisenberg", int(name[2:]))
+    order = int(name.lstrip("DQSM"))
+    if name.startswith("M") and order % 2:
+        p = 3 if order % 3 == 0 else 5
+        return catalog_build("modular_maximal_cyclic", p, order)
+    return catalog_by_name(name)
+
+
+@pytest.mark.parametrize("name", TABLE_DIGESTS)
+def test_catalog_table_is_pinned(name):
+    G = _catalog_family_member(name)
+    assert G.name == name
+    assert hashlib.sha256(G.table.tobytes()).hexdigest() == TABLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("p, other", [(2, "Q8"), (3, "M27"), (5, "M125")])
+def test_extraspecial_minus_is_the_pinned_table(p, other):
+    G = catalog_build("extraspecial", p, "-")
+    assert G.name == other
+    assert hashlib.sha256(G.table.tobytes()).hexdigest() == \
+        TABLE_DIGESTS[other]
+    assert catalog_build("extraspecial", p, "+").name == f"He{p}"
+
+
 def test_omega_and_agemo_cyclic():
     C8 = catalog_build("cyclic", 2, 3)
     om1 = characteristic_subgroup(C8, "omega", 1)
@@ -230,12 +323,12 @@ def _all_subgroups_reference(G):
 
 def _is_normal_reference(S):
     G, eset = S.parent, set(S.elements)
-    return all(G.conjugate(h, g) in eset
+    return all(conjugate(G, h, g) in eset
                for h in S.elements for g in range(G.order))
 
 
 def _derived_reference(G):
-    gens = {G.commutator(a, b) for a in range(G.order) for b in range(G.order)}
+    gens = {commutator(G, a, b) for a in range(G.order) for b in range(G.order)}
     return tuple(sorted(_closure_reference(G, gens)))
 
 
@@ -543,7 +636,7 @@ def _lazard_series(G):
     gammas = [full_subgroup(G)]
     while gammas[-1].order > 1:
         gammas.append(Subgroup.generated(G, {
-            G.commutator(x, g) for x in gammas[-1].elements
+            commutator(G, x, g) for x in gammas[-1].elements
             for g in range(G.order)}))
     terms = []  # (i p^j, the elements of gamma_i^{p^j})
     for i, gamma in enumerate(gammas, start=1):

@@ -23,17 +23,20 @@ import pgroupalg.algebra as algebra
 import pgroupalg.fplin as fplin
 import pgroupalg.decompose as decompose
 from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
-                               EnumerationCapExceeded, commutator_span,
-                               dimension_subgroup, ideal_generated,
+                               EnumerationCapExceeded,
+                               group_algebra_subalgebra, ideal_generated,
                                mho_ideal_mod_derived, normal_subgroup_ideal,
                                power_space, product_space, unique_rows)
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.decompose import _units_by_order, find_group_basis_commutative
 from pgroupalg.fplin import FpSubspace, QuotientSpace, matmul_mod, rref, span
-from pgroupalg.groups import (_closure, all_subgroups,
-                              characteristic_subgroup, jennings_basis,
-                              jennings_series)
+from pgroupalg.groups import (_closure, abelian_invariants, all_subgroups,
+                              catalog_build, characteristic_subgroup,
+                              jennings_basis, jennings_series)
 from pgroupalg.io import group_from_dict
+
+from oracles import (commutator_span, conjugate, coordinates,
+                     dimension_subgroup, unit_closure_invariants)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -157,7 +160,7 @@ def test_conjugacy_classes_match_group_conjugation(setting):
     G = ctx.group
     for cls in ctx.conjugacy_classes():
         for g in cls:
-            assert {G.conjugate(g, h) for h in range(G.order)} == set(cls)
+            assert {conjugate(G, g, h) for h in range(G.order)} == set(cls)
     assert sorted(g for cls in ctx.conjugacy_classes() for g in cls) == \
         list(range(G.order))
 
@@ -294,6 +297,46 @@ def test_units_by_order_without_an_identity_pivot():
         np.array(list(_units_by_order(ctx, IB, coeffs[::-1]))), want)
 
 
+def recover_corpus(bench_fixtures):
+    """The (A, G0) pairs that perfbench's recover and odd-p workloads
+    recover, at p = 2, 3 and 5."""
+    f = bench_fixtures
+    pairs = [(a, g0) for a in f.RECOVER_A for g0 in f.RECOVER_G0
+             if catalog_by_name(a).order * catalog_by_name(g0).order
+             <= f.RECOVER_MAX_ORDER]
+    return pairs + [f.UNIT_HEAVY, *f.ODD_P_RECOVER]
+
+
+def assert_invariants_agree(B, want, label):
+    units = find_group_basis_commutative(B)
+    closure = unit_closure_invariants(B.ctx, units, B.dim + 1)
+    ranks = decompose._frobenius_invariants(B.ctx, B.aug_ideal)
+    assert closure == ranks == want, label
+
+
+@pytest.mark.parametrize("twist_seed", [None, 7],
+                         ids=["coordinate", "twisted"])
+def test_frobenius_invariants_match_unit_closure(bench_fixtures, twist_seed):
+    # the invariants of A read off the ranks of Frobenius on B = F_pA equal
+    # those of the group the found units generate, built as a PGroup
+    for a_name, g0_name in recover_corpus(bench_fixtures):
+        rng = None if twist_seed is None else np.random.default_rng(twist_seed)
+        data, _ = bench_fixtures.factorization_fixture(a_name, g0_name, rng)
+        _, B, _ = group_from_dict(data)
+        assert_invariants_agree(B, abelian_invariants(catalog_by_name(a_name)),
+                                (a_name, g0_name))
+
+
+def test_frobenius_invariants_match_unit_closure_on_sampled_units():
+    # 1 + I(F_3[C9xC3]) has 3^26 units, so the search reads samples
+    A = catalog_by_name("C9xC3")
+    G = catalog_build("direct_product", A, catalog_by_name("C3"))
+    ctx = AlgebraContext(G)
+    B = group_algebra_subalgebra(ctx, [a * 3 for a in range(A.order)])
+    assert ctx.p ** B.aug_ideal.dim > decompose.ENUM_CAP
+    assert_invariants_agree(B, (9, 3), "C9xC3")
+
+
 @st.composite
 def matrices(draw, min_rows=0):
     """(rows, p) with entries mod p, of bounded rank, at most 120 rows, so
@@ -416,7 +459,7 @@ def test_reduce_matches_rowwise_elimination(case, seed):
         assert np.array_equal(U.reduce(v), want)
         in_span = not want.any()
         assert U.contains_vector(v) == in_span
-        coords = U.coordinates(v)
+        coords = coordinates(U, v)
         assert (coords is not None) == in_span
         if in_span:
             assert np.array_equal((coords @ U.basis) % p, v)

@@ -7,10 +7,12 @@ import pytest
 
 from pgroupalg.algebra import AlgebraContext, group_algebra_subalgebra
 from pgroupalg.catalog import catalog_by_name
-from pgroupalg.groups import catalog_build, has_cyclic_factor_of_order
-from pgroupalg.lemmas import (VerificationError, babelian_checks,
-                              cyclic_factor_test, lemma_identity_check,
+from pgroupalg.groups import catalog_build
+from pgroupalg.lemmas import (VerificationError, cyclic_factor_test,
+                              lemma_identity_check,
                               verify_tensor_factorization)
+
+from oracles import babelian_checks, has_cyclic_factor_of_order
 
 IDENTITY_GROUPS = ["C2", "C4", "C8", "C2xC2", "C2xC4", "D8", "Q8",
                    "D16", "Q16", "SD16", "M16", "C2xD8",

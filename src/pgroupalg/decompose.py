@@ -155,7 +155,7 @@ def _group_closure_vectors(ctx: AlgebraContext, units, limit: int) -> list[np.nd
     return [elems[k] for k in sorted(elems)]
 
 
-def _units_by_order(ctx: AlgebraContext, IB: FpSubspace,
+def _units_by_order(ctx: AlgebraContext, IB: FpSubspace, frobs: np.ndarray,
                     coeffs: np.ndarray | None = None):
     """Yield the units 1 + c @ IB, as rows, highest order first, then in
     byte order, for the rows c of coeffs, or for every nonzero c when
@@ -163,9 +163,10 @@ def _units_by_order(ctx: AlgebraContext, IB: FpSubspace,
 
     IB must be commutative: Frobenius is additive there, so the unit
     1 + c @ IB has p^k-th power 1 + c @ IB^{p^k}, and the order is p to
-    the number of k with c @ IB^{p^k} != 0.  One product with the stack of
-    the nonzero IB^{p^k} gives every such row for a chunk of coeffs, and
-    its k = 0 slice is the unit itself.
+    the number of k with c @ IB^{p^k} != 0.  One product with frobs, the
+    stack frobenius_chain(ctx, IB.basis) of the nonzero IB^{p^k}, gives
+    every such row for a chunk of coeffs, and its k = 0 slice is the unit
+    itself.
 
     IB is in canonical RREF with pivots pi_1 < ... < pi_d, so the unit
     holds c_i at column pi_i (plus 1 at column 0, the identity), and every
@@ -176,7 +177,6 @@ def _units_by_order(ctx: AlgebraContext, IB: FpSubspace,
     first, is one scan over them.
     """
     p, n, d = ctx.p, ctx.dim, IB.dim
-    frobs = frobenius_chain(ctx, IB.basis)  # frobs[k]: rows b^{p^k}
     step = max(1, _UNIT_ENTRIES // (len(frobs) * n))
     shift = int(IB.pivots[0] == 0)
     if coeffs is None:
@@ -225,8 +225,9 @@ class _Replayed:
 
 
 def find_group_basis_commutative(B: AugmentedSubalgebra,
-                                 cap: int = ENUM_CAP,
-                                 seed: int = 0) -> list[np.ndarray]:
+                                 cap: int = ENUM_CAP, seed: int = 0,
+                                 frobs: np.ndarray | None = None
+                                 ) -> list[np.ndarray]:
     """Unit elements generating a group basis of a commutative augmented
     subalgebra: backtracking over units of 1 + I(B), highest order first,
     then in byte order.
@@ -236,7 +237,8 @@ def find_group_basis_commutative(B: AugmentedSubalgebra,
     failed search is a VerificationError.  Past cap the stream holds only
     distinct seeded samples, and a failed search raises
     EnumerationCapExceeded, since the units left out may hold a group
-    basis."""
+    basis.  frobs is frobenius_chain(B.ctx, B.aug_ideal.basis), built here
+    when not given."""
     ctx = B.ctx
     p = ctx.p
     if not B.is_commutative():
@@ -253,7 +255,9 @@ def find_group_basis_commutative(B: AugmentedSubalgebra,
         coeffs = rng.integers(0, p, size=(SAMPLED_UNITS, IB.dim))
         # a repeated unit would repeat the same failed branches
         coeffs = unique_rows(coeffs[coeffs.any(axis=1)])
-    units = _Replayed(_units_by_order(ctx, IB, coeffs))
+    if frobs is None:
+        frobs = frobenius_chain(ctx, IB.basis)
+    units = _Replayed(_units_by_order(ctx, IB, frobs, coeffs))
     I2B = product_space(ctx, IB, IB)
     target = B.dim
 
@@ -295,14 +299,15 @@ def find_group_basis_commutative(B: AugmentedSubalgebra,
     return result
 
 
-def _frobenius_invariants(ctx: AlgebraContext, IB: FpSubspace) -> tuple[int, ...]:
-    """The invariants of A, descending, for commutative B = F_pA with
-    augmentation ideal IB, read off Frobenius (Deskins, Duke Math. J. 23,
-    1956): x -> x^{p^k} maps I(B) onto I(F_p[A^{p^k}]), so
-    |A^{p^k}| = 1 + rank IB^{p^k}, and A has log_p |A^{p^k} : A^{p^{k+1}}|
-    cyclic factors of order above p^k."""
+def _frobenius_invariants(ctx: AlgebraContext,
+                          frobs: np.ndarray) -> tuple[int, ...]:
+    """The invariants of A, descending, for commutative B = F_pA whose
+    augmentation ideal IB has frobs = frobenius_chain(ctx, IB.basis), read
+    off Frobenius (Deskins, Duke Math. J. 23, 1956): x -> x^{p^k} maps I(B)
+    onto I(F_p[A^{p^k}]), so |A^{p^k}| = 1 + rank IB^{p^k}, and A has
+    log_p |A^{p^k} : A^{p^{k+1}}| cyclic factors of order above p^k."""
     logs = [round(math.log(1 + FpSubspace(ctx.p, ctx.dim, rows).dim, ctx.p))
-            for rows in frobenius_chain(ctx, IB.basis)] + [0]
+            for rows in frobs] + [0]
     return invariants_from_counts(ctx.p,
                                   [a - b for a, b in zip(logs, logs[1:])])
 
@@ -337,9 +342,11 @@ def recover_decomposition(fact: TensorFactorizationInput,
         raise VerificationError("B-commutative", "B must be commutative")
     G = fact.ctx.group
     p = G.p
-    units0 = find_group_basis_commutative(fact.B, seed=seed)
-    # the invariants of A with B = F_pA, for the final check
-    b_group_invs = _frobenius_invariants(fact.ctx, fact.B.aug_ideal)
+    # one Frobenius chain of I(B) serves the first search and the
+    # invariants of A with B = F_pA, for the final check
+    frobs = frobenius_chain(fact.B.ctx, fact.B.aug_ideal.basis)
+    units0 = find_group_basis_commutative(fact.B, seed=seed, frobs=frobs)
+    b_group_invs = _frobenius_invariants(fact.B.ctx, frobs)
 
     hs: list[int] = []
     steps: list[dict] = []

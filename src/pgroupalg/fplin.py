@@ -13,11 +13,14 @@ number of columns, so redundant rows past that point are never read.  The
 same residual tests membership and gives coordinates in ``FpSubspace``, and
 stands for a class of a quotient in ``QuotientSpace``.
 
-The dense blocks have two kernels.  Over F_2 each row is packed into one
-Python integer, column c at bit ncols - 1 - c, and eliminated by XOR, a
-few integer operations per row and pivot instead of several numpy calls
-per column.  p = 3 and p = 5 take the one int64 path, ``_rref_dense``,
-which also stays as the reference for the packed kernel.
+The dense blocks are eliminated with each row packed into one Python
+integer, a few integer operations per row and pivot instead of several
+numpy calls per column (Boothby & Bradshaw, arXiv:0901.1413, 2009).  Over
+F_2 column c is bit ncols - 1 - c, and rows are combined by XOR.  Over F_3
+and F_5 column c is lane ncols - 1 - c, of W = 8 and 16 bits; rows are
+combined by integer addition and reduced mod p in every lane at once by
+the multiply-shift x - ((x * M >> S) & low) * p, with (M, S) = (11, 5)
+and (13, 6), exact while a lane stays at most p(p - 1).
 """
 
 from __future__ import annotations
@@ -63,35 +66,72 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return np.remainder(out, p, out=out)
 
 
-def _rref_dense(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """RREF of an int64 block with entries in [0, p), one pivot column at a
-    time; overwrites A."""
+# Lanes of the packed odd-p kernel: p -> (W, M, S).  An entry takes W bits,
+# and x // p == (x * M) >> S with x * M < 2^W for 0 <= x <= p(p - 1).
+_LANES = {3: (8, 11, 5), 5: (16, 13, 6)}
+
+
+def _rref_packed(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF of an int64 block with entries in [0, p), for p = 3 or 5, from
+    rows packed into integers of W-bit lanes, column c in lane ncols - 1 - c.
+
+    Gauss-Jordan as in _rref_gf2, with v + (p - c) r in place of XOR, each
+    row operation and pivot scaling followed by the lane-wise remainder of
+    the module docstring.  (v + fill) & top flags the nonzero lanes.  A new
+    pivot is cleared out of the pivot rows only if one of them has been
+    nonzero in its lane.
+    """
     nrows, ncols = A.shape
-    r = 0
-    pivots: list[int] = []
-    for c in range(ncols):
-        if r == nrows:
-            break
-        i = r + int(A[r:, c].argmax())  # any nonzero entry can be the pivot
-        if not A[i, c]:
+    if not ncols:
+        return np.zeros((0, 0), dtype=np.int64), []
+    W, M, S = _LANES[p]
+    dtype = f">u{W // 8}"
+    width = ncols * W // 8
+    one = int.from_bytes((1).to_bytes(W // 8, "big") * ncols, "big")
+    top = one << (W - 1)
+    fill, low, lane = top - one, ((1 << (W - S)) - 1) * one, (1 << W) - 1
+    buf = A.astype(dtype).tobytes()
+    rows: dict[int, int] = {}  # shift of the pivot lane -> pivot row
+    mask = 0  # the top bits of the pivot lanes
+    seen = 0  # the top bits of every lane a pivot row has been nonzero in
+    for i in range(0, nrows * width, width):
+        v = int.from_bytes(buf[i:i + width], "big")
+        hit = (v + fill) & mask
+        while hit:
+            b = hit.bit_length() - 1
+            k = b - W + 1
+            x = v + (p - ((v >> k) & lane)) * rows[k]
+            v = x - (((x * M) >> S) & low) * p
+            hit ^= 1 << b  # rows[k] is zero on every other pivot lane
+        if not v:
             continue
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        if A[r, c] != 1:
-            A[r] = (A[r] * _inv_mod(A[r, c], p)) % p
-        col = A[:, c].copy()
-        col[r] = 0
-        hit = col.nonzero()[0]
-        if hit.size:
-            A[hit] = (A[hit] - col[hit, None] * A[r]) % p
-        pivots.append(c)
-        r += 1
-    return A[:r], pivots
+        k = (v.bit_length() - 1) // W * W
+        lead = v >> k
+        if lead != 1:
+            x = v * _inv_mod(lead, p)
+            v = x - (((x * M) >> S) & low) * p
+        flag = 1 << (k + W - 1)
+        if seen & flag:
+            for j, r in rows.items():
+                c = (r >> k) & lane
+                if c:
+                    x = r + (p - c) * v
+                    rows[j] = x - (((x * M) >> S) & low) * p
+        rows[k] = v
+        mask |= flag
+        # a cleared row is nonzero only where it or v was, so seen holds
+        seen |= (v + fill) & top
+        if len(rows) == ncols:
+            break
+    order = sorted(rows, reverse=True)
+    out = b"".join(rows[k].to_bytes(width, "big") for k in order)
+    R = np.frombuffer(out, dtype=dtype).reshape(len(order), ncols)
+    return R.astype(np.int64), [ncols - 1 - k // W for k in order]
 
 
 def _rref_gf2(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """RREF of a block with entries in {0, 1} over F_2, as _rref_dense(A, 2)
-    returns it, from rows packed into integers.
+    """RREF of a block with entries in {0, 1} over F_2, from rows packed
+    into integers.
 
     Column c sits at bit ncols - 1 - c, so a row's leading bit is its
     leftmost nonzero column.  Gauss-Jordan by XOR: each row is reduced
@@ -148,7 +188,7 @@ def rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         raise FpError("rref expects a 2-d array")
     nrows, ncols = A.shape
     block = max(ncols, _BLOCK_MIN)
-    dense = _rref_gf2 if p == 2 else functools.partial(_rref_dense, p=p)
+    dense = _rref_gf2 if p == 2 else functools.partial(_rref_packed, p=p)
     R, pivots = dense(A[:block].astype(np.int64) % p)
     start = block
     while start < nrows and len(pivots) < ncols:

@@ -157,7 +157,7 @@ def test_group_command_library_error_exit_code(tmp_path, capsys, monkeypatch,
 def test_recover_enumeration_cap_still_exits_3(tmp_path, monkeypatch):
     fx = _emit_c2xc4_q8(tmp_path)
 
-    def capped(B, seed=0):
+    def capped(B, seed=0, frobs=None):
         raise EnumerationCapExceeded("too many units")
     monkeypatch.setattr(decompose, "find_group_basis_commutative", capped)
     code = run(["recover", "--input", str(fx),
@@ -550,6 +550,19 @@ TWISTED_DIGESTS = {
 }
 
 
+# p = 5 bodies at order 125, recorded before the odd-p dense blocks were
+# packed into integer lanes: twisted recoveries drawn as above, at seed 7,
+# and the lemma checks of He5 and C5xC5xC5
+P5_TWISTED_DIGESTS = {
+    ("C5xC5", "C5"):
+        "d6e5cbcaf80d1ce7819b3040ef153c4cd8dc34bcdb35b408b7d93866bb8030f4",
+    ("C25", "C5"):
+        "5dac189206c521ff1b1635535b9a19374cbfac7f17db6a04ac9b02e22580fead",
+}
+P5_LEMMAS_DIGEST = \
+    "d0e9296aff768f1495c7911b8064468ff06c7c2a3e6f3056b8bd243c30b6d93f"
+
+
 @pytest.fixture(scope="module")
 def bench_fixtures():
     """perfbench/fixtures.py, imported as it is."""
@@ -558,7 +571,8 @@ def bench_fixtures():
         yield importlib.import_module("fixtures")
 
 
-@pytest.mark.parametrize("a_name, g0_name", TWISTED_DIGESTS)
+@pytest.mark.parametrize("a_name, g0_name",
+                         [*TWISTED_DIGESTS, *P5_TWISTED_DIGESTS])
 def test_twisted_large_order_recovery_is_pinned(tmp_path, bench_fixtures,
                                                 a_name, g0_name):
     data, twist = bench_fixtures.factorization_fixture(
@@ -570,7 +584,16 @@ def test_twisted_large_order_recovery_is_pinned(tmp_path, bench_fixtures,
     assert code == EXIT_OK
     text = json.dumps(body["recover"], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        TWISTED_DIGESTS[a_name, g0_name]
+        {**TWISTED_DIGESTS, **P5_TWISTED_DIGESTS}[a_name, g0_name]
+
+
+def test_p5_lemmas_at_order_125_are_pinned(tmp_path):
+    code, body = run_to_file(tmp_path, ["lemmas", "--catalog", "He5",
+                                        "--catalog", "C5xC5xC5",
+                                        "--max-order", "125"])
+    assert code == EXIT_OK
+    text = json.dumps(body["lemmas"], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == P5_LEMMAS_DIGEST
 
 
 def test_sampled_unit_search_recovery_is_pinned(tmp_path):

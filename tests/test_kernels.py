@@ -23,7 +23,7 @@ import pgroupalg.algebra as algebra
 import pgroupalg.fplin as fplin
 import pgroupalg.decompose as decompose
 from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
-                               EnumerationCapExceeded,
+                               EnumerationCapExceeded, frobenius_chain,
                                group_algebra_subalgebra, ideal_generated,
                                mho_ideal_mod_derived, normal_subgroup_ideal,
                                power_space, product_space, unique_rows)
@@ -273,7 +273,9 @@ def test_units_by_order_match_per_unit_orders(bench_fixtures, a_name,
     units = [(ctx.one + c @ IB.basis) % p for c in coeffs]
     want = sorted(units, key=lambda u: (-ref_order(ctx, u), u.tobytes()))
     shuffled = np.random.default_rng(1).permutation(coeffs)
-    for got in (_units_by_order(ctx, IB), _units_by_order(ctx, IB, shuffled)):
+    frobs = frobenius_chain(ctx, IB.basis)
+    for got in (_units_by_order(ctx, IB, frobs),
+                _units_by_order(ctx, IB, frobs, shuffled)):
         got = list(got)
         assert len(got) == len(want)
         assert all(np.array_equal(u, v) for u, v in zip(got, want))
@@ -292,9 +294,11 @@ def test_units_by_order_without_an_identity_pivot():
     assert IB.pivots[0] != 0
     coeffs = all_coefficient_rows(2, IB.dim)
     want = ref_units_by_order(ctx, IB, coeffs)
-    assert np.array_equal(np.array(list(_units_by_order(ctx, IB))), want)
+    frobs = frobenius_chain(ctx, IB.basis)
+    assert np.array_equal(np.array(list(_units_by_order(ctx, IB, frobs))),
+                          want)
     assert np.array_equal(
-        np.array(list(_units_by_order(ctx, IB, coeffs[::-1]))), want)
+        np.array(list(_units_by_order(ctx, IB, frobs, coeffs[::-1]))), want)
 
 
 def recover_corpus(bench_fixtures):
@@ -310,7 +314,8 @@ def recover_corpus(bench_fixtures):
 def assert_invariants_agree(B, want, label):
     units = find_group_basis_commutative(B)
     closure = unit_closure_invariants(B.ctx, units, B.dim + 1)
-    ranks = decompose._frobenius_invariants(B.ctx, B.aug_ideal)
+    ranks = decompose._frobenius_invariants(
+        B.ctx, frobenius_chain(B.ctx, B.aug_ideal.basis))
     assert closure == ranks == want, label
 
 
@@ -367,50 +372,106 @@ def test_blocked_rref_matches_dense(case):
 
 
 @st.composite
-def gf2_blocks(draw):
-    """0/1 rows across the packed kernel's byte and word edges: a
-    rank-deficient span with zero and duplicate rows mixed in, and at
-    times a full-rank prefix, after which the kernel stops."""
-    ncols = draw(st.sampled_from((1, 7, 8, 9, 63, 64, 65, 129, 256)))
+def packed_blocks(draw, p, widths):
+    """Rows mod p across the packed kernels' byte and word edges: a
+    rank-deficient span with zero and duplicate rows mixed in, rows of all
+    p - 1, which take every lane to its maximum, and at times a full-rank
+    prefix, after which the kernel stops."""
+    ncols = draw(st.sampled_from(widths))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     rank = draw(st.integers(0, ncols))
-    rows = (rng.integers(0, 2, size=(draw(st.integers(0, 80)), rank))
-            @ rng.integers(0, 2, size=(rank, ncols))) % 2
-    extra = [rows, np.zeros((draw(st.integers(0, 5)), ncols), dtype=np.int64)]
+    rows = (rng.integers(0, p, size=(draw(st.integers(0, 80)), rank))
+            @ rng.integers(0, p, size=(rank, ncols))) % p
+    extra = [rows, np.zeros((draw(st.integers(0, 5)), ncols), dtype=np.int64),
+             np.full((draw(st.integers(0, 3)), ncols), p - 1)]
     if len(rows):
         extra.append(rows[rng.integers(0, len(rows), size=5)])
-    if draw(st.booleans()):  # full rank early: a unitriangular basis first
-        full = np.triu(rng.integers(0, 2, size=(ncols, ncols)), 1)
-        np.fill_diagonal(full, 1)
+    if draw(st.booleans()):  # full rank early: a triangular basis first
+        full = np.triu(rng.integers(0, p, size=(ncols, ncols)), 1)
+        np.fill_diagonal(full, rng.integers(1, p, size=ncols))
         extra.insert(0, full[rng.permutation(ncols)])
-    A = np.concatenate(extra)
+    A = np.concatenate(extra).astype(np.int64)
     return A[rng.permutation(len(A))] if draw(st.booleans()) else A
 
 
-@given(gf2_blocks())
+@given(packed_blocks(2, (1, 7, 8, 9, 63, 64, 65, 129, 256)))
 def test_packed_gf2_kernel_matches_dense(A):
-    R0, pivots0 = fplin._rref_dense(A.copy(), 2)
+    R0, pivots0 = ref_dense_rref(A, 2)
     R, pivots = fplin._rref_gf2(A.copy())
-    assert pivots == pivots0
+    assert tuple(pivots) == pivots0
     assert R.dtype == np.int64 and np.array_equal(R, R0)
 
 
-@given(st.integers(1, 70), st.integers(0, 2 ** 32 - 1))
-def test_gf2_rref_across_residual_blocks(ncols, seed):
-    """rref(., 2) where the rank grows from block to block: each stage of
-    rows spans one more direction than the stage before."""
+_ODD_WIDTHS = (1, 7, 8, 9, 15, 16, 17, 25, 27, 64, 81, 125, 243)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@given(data=st.data())
+def test_packed_odd_kernel_matches_dense(p, data):
+    A = data.draw(packed_blocks(p, _ODD_WIDTHS))
+    R0, pivots0 = ref_dense_rref(A, p)
+    R, pivots = fplin._rref_packed(A.copy(), p)
+    assert tuple(pivots) == pivots0
+    assert R.dtype == np.int64 and np.array_equal(R, R0)
+
+
+def _pack(lanes, W):
+    return sum(int(x) << (W * k) for k, x in enumerate(reversed(lanes)))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_lane_reduction_is_exact_within_each_lane(p):
+    # every lane value x in [0, p(p - 1)], among them every product
+    # v * inv(c), each between two lanes at the maximum: the multiply-shift
+    # remainder of the packed kernel gives x mod p lane by lane, so no
+    # carry or borrow crosses a lane
+    W, M, S = fplin._LANES[p]
+    top = p * (p - 1)
+    products = [v * pow(c, p - 2, p) for v in range(p) for c in range(1, p)]
+    xs = list(range(top + 1)) + products
+    assert max(xs) == top
+    lanes = [top] + [y for x in xs for y in (x, top)]
+    one = _pack([1] * len(lanes), W)
+    x = _pack(lanes, W)
+    got = x - (((x * M) >> S) & (((1 << (W - S)) - 1) * one)) * p
+    assert got == _pack([y % p for y in lanes], W)
+    assert top * M < 1 << W  # no product leaves its lane
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_packed_kernel_row_operations_reach_every_lane_value(p):
+    # row v, led by c, past pivot row r: v + (p - c) r takes every pair
+    # (v_j, r_j) to a lane, each beside lanes where both rows hold p - 1,
+    # so that with c = 1 the lanes reach every value up to p(p - 1); a
+    # leading v is scaled by inv(c) lane by lane, and r is reduced by it
+    pairs = [(a, b) for a in range(p) for b in range(p)]
+    for c in range(1, p):
+        r = [1] + [y for _, b in pairs for y in (p - 1, b)] + [p - 1]
+        v = [c] + [y for a, _ in pairs for y in (p - 1, a)] + [p - 1]
+        for rows in ([r, v], [v, r], [v]):
+            A = np.array(rows, dtype=np.int64)
+            R0, pivots0 = ref_dense_rref(A, p)
+            R, pivots = fplin._rref_packed(A.copy(), p)
+            assert tuple(pivots) == pivots0 and np.array_equal(R, R0)
+
+
+@given(st.sampled_from((2, 3, 5)), st.integers(1, 70),
+       st.integers(0, 2 ** 32 - 1))
+def test_rref_across_residual_blocks(p, ncols, seed):
+    """rref where the rank grows from block to block: each stage of rows
+    spans one more basis row than the stage before."""
     rng = np.random.default_rng(seed)
-    basis = rng.integers(0, 2, size=(ncols, ncols))
-    stages = [(rng.integers(0, 2, size=(rng.integers(1, 60), k + 1))
-               @ basis[:k + 1]) % 2 for k in range(ncols)]
+    basis = rng.integers(0, p, size=(ncols, ncols))
+    stages = [(rng.integers(0, p, size=(rng.integers(1, 60), k + 1))
+               @ basis[:k + 1]) % p for k in range(ncols)]
     rows = np.concatenate(stages)
-    R0, pivots0 = ref_dense_rref(rows, 2)
+    R0, pivots0 = ref_dense_rref(rows, p)
     for block_min, block_max in ((fplin._BLOCK_MIN, fplin._BLOCK_MAX),
                                  (1, 3)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fplin, "_BLOCK_MIN", block_min)
             mp.setattr(fplin, "_BLOCK_MAX", block_max)
-            R, pivots = rref(rows, 2)
+            R, pivots = rref(rows, p)
         assert pivots == pivots0
         assert np.array_equal(R, R0)
 
@@ -622,8 +683,8 @@ def test_units_by_order_matches_lexsort(monkeypatch, bench_fixtures, a_name,
     monkeypatch.setattr(decompose, "_UNIT_ENTRIES", entries)
     real, seen = decompose._units_by_order, []
 
-    def checked(ctx, IB, coeffs=None):
-        got = np.array(list(real(ctx, IB, coeffs)))
+    def checked(ctx, IB, frobs, coeffs=None):
+        got = np.array(list(real(ctx, IB, frobs, coeffs)))
         rows = all_coefficient_rows(p, d) if coeffs is None else coeffs
         assert np.array_equal(got, ref_units_by_order(ctx, IB, rows))
         seen.append(len(rows))

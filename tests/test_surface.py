@@ -1,13 +1,22 @@
 """The library's surface: no function that only the tests call.
 
 Walks ``src/pgroupalg`` with ``ast`` and fails on any module-level function
-or method whose name no library module refers to, outside its own body,
-unless ``ALLOWED`` names it with the reason it stays.  A re-derivation
-that only the tests read belongs in ``tests/oracles.py``.  A re-export in
+or method that no library module refers to, outside its own body, unless
+``ALLOWED`` names it with the reason it stays.  A re-derivation that only
+the tests read belongs in ``tests/oracles.py``.  A re-export in
 ``__init__.py`` is not a use: the public entry points are listed here.
+
+A reference is resolved to its owner where the syntax tells it: a bare
+name to the function of that name in the module or the one it imports,
+``self.f`` and ``cls.f`` to the enclosing class, ``K.f`` to class K.  An
+attribute of any other object reaches every method of that name in the
+modules the referring module imports, directly or not, and in its own.
+A reference made from the body of an ``ALLOWED`` function is not a use,
+since nothing in the library calls that body.
 """
 
 import ast
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -20,6 +29,8 @@ ALLOWED = {
         "perfbench binding: perfbench/tracer.py wraps it",
     ("algebra", "AlgebraContext.p_power"):
         "perfbench binding: perfbench/fixtures.py calls it",
+    ("algebra", "AlgebraContext.power"):
+        "perfbench binding: perfbench/fixtures.py:108 calls it",
     ("algebra", "frattini_quotient"):
         "perfbench binding: perfbench/fixtures.py calls it",
     ("groups", "all_subgroups"):
@@ -38,42 +49,113 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def _references(tree, skip):
-    """Every name loaded or attribute read in tree, outside the node skip."""
-    stack = [tree]
+class _Module:
+    """What one module defines and imports, for resolving its names."""
+
+    def __init__(self, name, tree):
+        self.name, self.tree = name, tree
+        self.defined = {q for q, _ in _definitions(tree)}
+        self.classes = {n.name for n in tree.body
+                        if isinstance(n, ast.ClassDef)}
+        self.imported = {}  # local name -> (library module, its name)
+        self.external = set()  # names bound to other packages
+        self.deps = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                self.deps.add(node.module)
+                for a in node.names:
+                    self.imported[a.asname or a.name] = (node.module, a.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                self.external.update((a.asname or a.name).split(".")[0]
+                                     for a in node.names)
+
+
+def _closure(modules, name):
+    """name and every library module it imports, directly or not."""
+    seen, stack = set(), [name]
     while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        stack.extend(ast.iter_child_nodes(node))
+        m = stack.pop()
+        if m in modules and m not in seen:
+            seen.add(m)
+            stack.extend(modules[m].deps)
+    return seen
 
 
-def _modules():
-    return {path.stem: ast.parse(path.read_text())
-            for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+def _owners(modules, mod, klass, in_method, node):
+    """The definitions, as (module, qualified name), that node may name."""
+    if isinstance(node, ast.Name):
+        name = node.id
+        if klass and not in_method and f"{klass}.{name}" in mod.defined:
+            return {(mod.name, f"{klass}.{name}")}  # e.g. __add__ = sum
+        if name in mod.defined:
+            return {(mod.name, name)}
+        if name in mod.imported:
+            return {mod.imported[name]}
+        return set()
+    if not isinstance(node, ast.Attribute):
+        return set()
+    recv, attr = node.value, node.attr
+    if isinstance(recv, ast.Name):
+        if recv.id in ("self", "cls") and klass:
+            return {(mod.name, f"{klass}.{attr}")}
+        if recv.id in mod.classes:
+            return {(mod.name, f"{recv.id}.{attr}")}
+        if recv.id in mod.imported:
+            source, klass_name = mod.imported[recv.id]
+            return {(source, f"{klass_name}.{attr}")}
+        if recv.id in mod.external:
+            return set()
+    return {(m, f"{k}.{attr}") for m in _closure(modules, mod.name)
+            for k in modules[m].classes
+            if f"{k}.{attr}" in modules[m].defined}
 
 
-def _unreferenced():
-    modules = _modules()
-    found = set()
-    for module, tree in modules.items():
-        for qualname, node in _definitions(tree):
-            name = node.name
-            if name.startswith("__") and name.endswith("__"):
-                continue  # called by Python itself
-            used = any(name in set(_references(other, node))
-                       for other in modules.values())
-            if not used:
-                found.add((module, qualname))
-    return found
+def _scopes(tree):
+    """(class, enclosing definition, in a method, node) for every node;
+    the definition is None outside any module-level function or method."""
+    def walk(node, klass, owner, in_method):
+        yield klass, owner, in_method, node
+        for child in ast.iter_child_nodes(node):
+            if isinstance(node, ast.Module) and isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, None, child.name, True)
+            elif isinstance(node, ast.Module) and isinstance(child,
+                                                              ast.ClassDef):
+                yield from walk(child, child.name, None, False)
+            elif isinstance(node, ast.ClassDef) and isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, klass, f"{klass}.{child.name}", True)
+            else:
+                yield from walk(child, klass, owner, in_method)
+    yield from walk(tree, None, None, False)
+
+
+def _unreferenced(sources, allowed):
+    """The (module, qualified name) of every definition in sources, a dict
+    module name -> source text, that no reference outside its own body
+    and outside the bodies of allowed names."""
+    modules = {name: _Module(name, ast.parse(text))
+               for name, text in sources.items()}
+    used = set()
+    for mod in modules.values():
+        for klass, owner, in_method, node in _scopes(mod.tree):
+            if (mod.name, owner) in allowed:
+                continue
+            used |= _owners(modules, mod, klass, in_method, node) - {
+                (mod.name, owner)}
+    return {(m.name, q) for m in modules.values() for q, node in
+            _definitions(m.tree)
+            if not (node.name.startswith("__") and node.name.endswith("__"))
+            } - used
+
+
+def _library():
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))
+            if path.stem != "__init__"}
 
 
 def test_every_library_function_has_a_library_caller():
-    unexplained = sorted(_unreferenced() - set(ALLOWED))
+    unexplained = sorted(_unreferenced(_library(), ALLOWED) - set(ALLOWED))
     assert not unexplained, (
         "no library module calls these; move a test-only re-derivation to "
         f"tests/oracles.py, or list why it stays in ALLOWED: {unexplained}")
@@ -81,7 +163,7 @@ def test_every_library_function_has_a_library_caller():
 
 def test_allowlist_is_not_stale():
     # an entry that gained a library caller, or lost its definition, goes
-    assert set(ALLOWED) <= _unreferenced()
+    assert set(ALLOWED) <= _unreferenced(_library(), ALLOWED)
 
 
 @pytest.mark.parametrize("key", sorted(ALLOWED))
@@ -89,3 +171,39 @@ def test_allowlist_gives_a_reason(key):
     kind = ALLOWED[key].split(":")[0]
     assert kind in ("perfbench binding", "public entry point",
                     "documented oracle")
+
+
+# two layers: "low" imports nothing from the library, "high" imports "low"
+_LOW = textwrap.dedent("""
+    class Group:
+        def power(self, g, k):
+            return g
+        def order(self):
+            return self.power(0, 1)
+    def retract(A):
+        return A.power(1, 2)
+""")
+_HIGH = textwrap.dedent("""
+    from .low import Group, retract
+    class Context:
+        def power(self, v, m):
+            return v
+        def p_power(self, v):
+            return self.power(v, 3)
+        def norm(self, v):
+            return v
+    def use(x, G):
+        return retract(G), Group.order(G), x.norm(1)
+""")
+
+
+@pytest.mark.parametrize("allowed, want", [
+    ({}, {("high", "Context.p_power"), ("high", "use")}),
+    ({("high", "Context.p_power"): ""},
+     {("high", "Context.p_power"), ("high", "Context.power"),
+      ("high", "use")}),
+], ids=["plain", "allowlisted-body"])
+def test_references_resolve_by_owner(allowed, want):
+    # low's A.power cannot reach Context.power: low never imports high;
+    # high's x.norm is unresolved, and reaches the one norm it can see
+    assert _unreferenced({"low": _LOW, "high": _HIGH}, allowed) == want

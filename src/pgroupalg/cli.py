@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 import time
@@ -23,8 +22,8 @@ from .decompose import (ENUM_CAP, certify_indecomposable,
 from .fplin import FpError
 from .groups import (GroupError, OracleCapExceeded, abelian_invariants,
                      catalog_build, cyclic_factor_orders, direct_factor_oracle)
-from .io import (SchemaError, dump_report, group_fingerprint, group_to_dict,
-                 load_inputs)
+from .io import (SchemaError, canonical_json, dump_report, group_fingerprint,
+                 group_to_dict, load_inputs)
 from .lemmas import (VerificationError, cyclic_factor_test,
                      lemma_identity_check, verify_tensor_factorization)
 
@@ -171,7 +170,7 @@ def _write_output(args, text: str) -> None:
 def _write_fixture(args, data: dict) -> None:
     """Emitted fixtures are plain group files, not report envelopes, so
     they can be fed straight back through --input."""
-    _write_output(args, json.dumps(data, sort_keys=True, indent=2) + "\n")
+    _write_output(args, canonical_json(data) + "\n")
 
 
 def cmd_catalog(args) -> tuple[int, dict]:

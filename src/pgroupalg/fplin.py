@@ -136,7 +136,8 @@ def _rref_gf2(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
     Column c sits at bit ncols - 1 - c, so a row's leading bit is its
     leftmost nonzero column.  Gauss-Jordan by XOR: each row is reduced
     against the pivot rows found so far, and its new pivot is then cleared
-    out of them; it stops at full rank.
+    out of them, only if one of them has been nonzero in its column; it
+    stops at full rank.
     """
     nrows, ncols = A.shape
     if not ncols:
@@ -147,6 +148,7 @@ def _rref_gf2(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
     buf = packed.tobytes()
     rows: dict[int, int] = {}  # leading bit -> pivot row
     mask = 0  # the leading bits of the pivot rows
+    seen = 0  # the OR of the pivot rows
     for i in range(0, nrows * width, width):
         v = int.from_bytes(buf[i:i + width], "big") >> pad
         hit = v & mask
@@ -158,11 +160,13 @@ def _rref_gf2(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
             continue
         b = v.bit_length() - 1
         bit = 1 << b
-        for k, r in rows.items():
-            if r & bit:
-                rows[k] = r ^ v
+        if seen & bit:
+            for k, r in rows.items():
+                if r & bit:
+                    rows[k] = r ^ v
         rows[b] = v
         mask |= bit
+        seen |= v  # r ^ v is nonzero only where r or v was
         if len(rows) == ncols:
             break
     order = sorted(rows, reverse=True)

@@ -6,20 +6,26 @@ and their checks are gathers over the table: closure is
 ``mask[T[S, S]]``, normality one ``|G| x |S|`` conjugation gather, the
 derived subgroup the closure of one commutator table.
 
-The subgroup lattice is enumerated layer by layer, by index-p extension
-(Neubüser's cyclic extension, specialised to p-groups).  Every subgroup
-K > 1 of a p-group has a normal subgroup H of index p, so K = H<g> for
-any g in K outside H, and g normalizes H with g^p in H.  One gather over the
-table finds every such g for a given H; each gives K as the union of the
-cosets H g^k, k < p, and no closure is ever computed.
+The subgroup lattice is enumerated one layer at a time, by index-p
+extension (Neubüser's cyclic extension, specialised to p-groups).  Every
+subgroup K > 1 of a p-group has a normal subgroup H of index p, so
+K = H<g> for any g in K outside H, and g normalizes H with g^p in H.
+Every such g gives the same K, so only g = min(K - H) is kept, the least
+of the minima of the cosets g^k H, 0 < k < p.  A layer is a boolean mask
+per subgroup, and the next one comes from a fixed number of gathers over
+all of its H at once: one finds every admissible g, one the coset minima,
+p - 1 more add the cosets H g^k, 0 < k < p, to H, and one checks the
+closure of the new layer.  Sorting the masks in descending order puts a
+layer in ascending element order and duplicates next to each other.
 
 The normal lattice, all that the direct-factor oracle reads, is built the
 same way by central extension.  A chief series of a p-group through a
 normal N > 1 has factors of order p, so N = H<g> for a normal H of index p
-in N, and N/H is central in G/H: g^p in H and [g, x] in H for every x.
-One gather over the commutator table finds every such g for a given H.
-Subgroups of G, direct factors included, are read in G's own table rather
-than re-indexed as groups of their own.
+in N, and N/H is central in G/H: g^p in H and [g, x] in H for every x,
+one gather over the commutator table for a whole layer.  The oracle meets
+the masks of two layers as 64-bit words and builds a Subgroup only for a
+factor it returns.  Subgroups of G, direct factors included, are read in
+G's own table rather than re-indexed as groups of their own.
 
 The dimension subgroups D_m and a basis of each D_m/D_{m+1} (Jennings)
 come from the commutator and p-th power tables the same way; the algebra
@@ -42,6 +48,11 @@ MAX_ORDER = 256
 ORACLE_CAP = 64
 # Largest block of triples checked for associativity at once, in entries
 _ASSOC_ENTRIES = 1 << 20
+# Largest gather of a chunk of one lattice layer, in entries
+_LAYER_ENTRIES = 1 << 16
+# Pairs of normal subgroups tested for a trivial meet at once; the pairs
+# found are held as Python ints while they are yielded
+_PAIR_ENTRIES = 1 << 14
 
 
 class GroupError(ValueError):
@@ -482,6 +493,21 @@ def abelian_invariants(A: PGroup | Subgroup) -> tuple[int, ...]:
     return invs
 
 
+def abelianization_invariants(G: PGroup) -> tuple[int, ...]:
+    """The invariants of G/G', with no quotient group built: a in G/G' has
+    a^{p^k} = 1 for exactly #{g : g^{p^k} in G'} / |G'| cosets a, and the
+    log_p of that count is sum_i min(e_i, k), k = 0, 1, ..."""
+    derived = characteristic_subgroup(G, "derived")
+    inside = _mask(G.order, derived.elements)
+    pow_p = _powers(G, G.p)
+    x, logs = np.arange(G.order), [0]
+    while G.p ** logs[-1] * derived.order < G.order:
+        x = pow_p[x]
+        count = int(inside[x].sum()) // derived.order
+        logs.append(round(math.log(count, G.p)))
+    return invariants_from_counts(G.p, [b - a for a, b in zip(logs, logs[1:])])
+
+
 def invariants_from_counts(p: int, above) -> tuple[int, ...]:
     """The invariants p^{e_1} >= p^{e_2} >= ... of an abelian p-group from
     above[k] = #{i : e_i > k}, k = 0, 1, ...: e_j is the number of k with
@@ -490,39 +516,68 @@ def invariants_from_counts(p: int, above) -> tuple[int, ...]:
                  for j in range(above[0] if above else 0))
 
 
-def _index_p_extensions(G: PGroup, admissible) -> tuple[Subgroup, ...]:
-    """The subgroups reached from 1 by index-p extension, sorted by
-    (order, elements).
+def _index_p_extensions(
+        G: PGroup, admissible) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The subgroups reached from 1 by index-p extension, one (masks,
+    elements) pair per layer.
 
-    Layer m holds subgroups of order p^m.  Each K in layer m + 1 is H<g>
-    for some H in layer m and some g outside H with g^p in H for which
-    admissible(H, mask of H) is true; K is then the union of the cosets
-    H g^k, k < p.  All of K outside H gives the same K, since the index is
-    prime, so those elements are skipped once K is built.
+    Layer m holds the subgroups of order p^m as a boolean mask and a sorted
+    element row each, rows in ascending element order.  Each K in layer
+    m + 1 is H<g> for some H in layer m and some g outside H with g^p in H
+    for which admissible(elements, masks) is true; K is then the union of
+    the cosets H g^k, k < p.  All of K outside H is admissible with g, so
+    only g = min(K - H), the least of the coset minima of g^k H, 0 < k < p,
+    extends H.  A layer takes a fixed number of gathers, a chunk of H at a
+    time, and its closure is checked in one more.
     """
-    T = G.table
-    pow_p = _powers(G, G.p)
-    layer = [np.zeros(1, dtype=np.int64)]
-    found = list(layer)
-    while layer:
-        nxt: dict[bytes, np.ndarray] = {}
-        for H in layer:
-            inside = _mask(G.order, H)
-            todo = admissible(H, inside) & inside[pow_p] & ~inside
-            for g in np.flatnonzero(todo):
-                if not todo[g]:
-                    continue
-                cosets = [H]
-                for _ in range(G.p - 1):
-                    cosets.append(T[cosets[-1], g])
-                K = np.sort(np.concatenate(cosets))
-                todo[K] = False
-                nxt.setdefault(K.tobytes(), K)
-        layer = list(nxt.values())
-        found.extend(layer)
-    subs = [Subgroup(G, tuple(K.tolist())) for K in found]
-    subs.sort(key=lambda S: (S.order, S.elements))
-    return tuple(subs)
+    T, p, n = G.table, G.p, G.order
+    pows = [_powers(G, k) for k in range(1, p)]  # g^k, k = 1, ..., p - 1
+    pow_p = _powers(G, p)
+    step = max(1, _LAYER_ENTRIES // (n * n))
+    masks = _mask(n, [0])[None]
+    elems = np.zeros((1, 1), dtype=np.int64)
+    layers = [(masks, elems)]
+    while True:
+        found = []
+        for a in range(0, len(elems), step):
+            E, inside = elems[a:a + step], masks[a:a + step]
+            ok = admissible(E, inside) & inside[:, pow_p] & ~inside
+            coset_min = T[:, E].min(axis=2).T  # row i, column x: min x H_i
+            least = np.minimum.reduce([coset_min[:, pw] for pw in pows])
+            hs, gs = np.nonzero(ok & (least == np.arange(n)))
+            rows, at = inside[hs], np.arange(hs.size)[:, None]
+            for pw in pows:  # the coset H g^k
+                rows[at, T[E[hs], pw[gs][:, None]]] = True
+            found.append(rows)
+        masks = np.concatenate(found)
+        if not len(masks):
+            return layers
+        # ascending elements is descending mask order; duplicates end up
+        # next to each other
+        packed = np.packbits(masks, axis=1)
+        order = np.lexsort((~packed)[:, ::-1].T)
+        packed, masks = packed[order], masks[order]
+        fresh = np.ones(len(masks), dtype=bool)
+        fresh[1:] = (packed[1:] != packed[:-1]).any(axis=1)
+        masks = masks[fresh]
+        elems = (np.flatnonzero(masks) % n).reshape(len(masks), -1)
+        _check_closed(G, masks, elems)
+        layers.append((masks, elems))
+
+
+def _check_closed(G: PGroup, masks: np.ndarray, elems: np.ndarray) -> None:
+    """Every row of elems closed under inverses and products, rows of equal
+    size, a chunk at a time."""
+    T, s = G.table, elems.shape[1]
+    step = max(1, _LAYER_ENTRIES // (s * s))
+    for a in range(0, len(elems), step):
+        E, inside = elems[a:a + step], masks[a:a + step]
+        at = np.arange(len(E))[:, None]
+        if not inside[at, G._inv[E]].all():
+            raise GroupError("subgroup not closed under inverses")
+        prods = T[E[:, :, None], E[:, None, :]].reshape(len(E), -1)
+        if not inside[at, prods].all():
+            raise GroupError("subgroup not closed under multiplication")
 
 
 @lru_cache(maxsize=None)
@@ -530,32 +585,49 @@ def all_subgroups(G: PGroup) -> tuple[Subgroup, ...]:
     """Every subgroup of G, sorted by (order, elements): the extensions of
     each H by the g that normalize it.
 
-    No library path reads the whole lattice; it stays as the reference for
-    normal_subgroups.  The lru_cache keeps every group it has seen alive,
+    No library path reads the whole lattice; the tests hold it to a
+    closure reference.  The lru_cache keeps every group it has seen alive,
     and stays only because perfbench/tracer.py reads its cache_info().
     """
     T, inv = G.table, G._inv
 
-    def normalizes(H, inside):
-        return inside[T[T[:, H], inv[:, None]]].all(axis=1)
+    def normalizes(E, inside):  # row i, column x: x normalizes H_i
+        conj = T[T[:, E], inv[:, None, None]].transpose(1, 0, 2)
+        return inside[np.arange(len(E))[:, None, None], conj].all(axis=2)
 
-    return _index_p_extensions(G, normalizes)
+    return tuple(Subgroup(G, tuple(row))
+                 for _, elems in _index_p_extensions(G, normalizes)
+                 for row in elems.tolist())
+
+
+def _words(masks: np.ndarray) -> np.ndarray:
+    """Each mask as 64-bit words, element x at bit x % 64 of word x // 64."""
+    n = masks.shape[1]
+    padded = np.zeros((len(masks), -(-n // 64) * 64), dtype=bool)
+    padded[:, :n] = masks
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
 @memoized
-def normal_subgroups(G: PGroup) -> tuple[Subgroup, ...]:
-    """Every normal subgroup of G, sorted by (order, elements) as in
-    all_subgroups; memoized on G.
+def _normal_lattice(G: PGroup) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Every normal subgroup of G as (masks as words, elements) per layer,
+    layer m of order p^m in ascending element order; read-only and
+    memoized on G.
 
     Built by central extension (see the module docstring): N = H<g> with
     H normal and gH central in G/H, that is [g, x] in H for every x.
     """
     comm = _commutator_table(G)
 
-    def central(H, inside):
-        return inside[comm].all(axis=1)
+    def central(E, inside):  # row i, column g: [g, x] in H_i for all x
+        return inside[:, comm].all(axis=2)
 
-    return _index_p_extensions(G, central)
+    layers = tuple((_words(masks), elems)
+                   for masks, elems in _index_p_extensions(G, central))
+    for words, elems in layers:
+        words.setflags(write=False)
+        elems.setflags(write=False)
+    return layers
 
 
 def _check_oracle_cap(G: PGroup, cap: int) -> None:
@@ -570,20 +642,41 @@ def _direct_pairs(F: Subgroup):
     L centralizes F, so the normal subgroups of F are those of G inside F,
     and they are read from G's normal lattice.  Two normal subgroups that
     meet trivially commute elementwise, so |H||K| = |F| and H & K = 1 give
-    F = H x K.
+    F = H x K.  For each layer of H with |H|^2 <= |F|, a chunk of H at a
+    time meets the layer of order |F|/|H| word by word; a Subgroup is
+    built only for a factor that is yielded, once per lattice entry.
     """
     G = F.parent
-    in_F = _mask(G.order, F.elements)
-    normals = [S for S in normal_subgroups(G)
-               if 1 < S.order < F.order and in_F[list(S.elements)].all()]
-    masks = np.array([_mask(G.order, S.elements)
-                      for S in normals]).reshape(-1, G.order)
-    orders = np.array([S.order for S in normals], dtype=np.int64)
-    for a, H in enumerate(normals):
-        # complements: K at or after H in the list, |H||K| = |F|, H & K = 1
-        ks = a + np.flatnonzero(orders[a:] * H.order == F.order)
-        meets = (masks[ks] & masks[a]).sum(axis=1)
-        yield from ((H, normals[b]) for b in ks[meets == 1])
+    lattice = _normal_lattice(G)
+    f = round(math.log(F.order, G.p))
+    outside = _words(~_mask(G.order, F.elements)[None])
+    one = _words(_mask(G.order, [0])[None])
+    subs = [[None] * len(elems) for _, elems in lattice]
+
+    def factor(m, i):
+        S = subs[m][i]
+        if S is None:
+            S = subs[m][i] = Subgroup(G, tuple(lattice[m][1][i].tolist()))
+        return S
+
+    def inside_F(m):
+        return np.flatnonzero(~(lattice[m][0] & outside).any(axis=1))
+
+    for m in range(1, f // 2 + 1):
+        hs, ks = inside_F(m), inside_F(f - m)
+        if not (hs.size and ks.size):
+            continue
+        wh, wk = lattice[m][0][hs], lattice[f - m][0][ks]
+        step = max(1, _PAIR_ENTRIES // (ks.size * wk.shape[1]))
+        Ks = subs[f - m]
+        for a in range(0, hs.size, step):
+            trivial = ((wh[a:a + step, None] & wk[None]) == one).all(axis=2)
+            if 2 * m == f:  # one layer: K after H
+                trivial &= hs[a:a + step, None] < ks[None]
+            for r in np.flatnonzero(trivial.any(axis=1)).tolist():
+                H = factor(m, int(hs[a + r]))
+                for j in ks[trivial[r]].tolist():
+                    yield H, Ks[j] or factor(f - m, j)
 
 
 def direct_factor_oracle(G: PGroup, cap: int = ORACLE_CAP) -> list[tuple[Subgroup, Subgroup]]:

@@ -11,13 +11,14 @@ a file; it is re-indexed to 0 on load.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .algebra import AlgebraContext, AugmentedSubalgebra
 from .fplin import FpSubspace
-from .groups import (GroupError, PGroup, abelian_invariants,
-                     characteristic_subgroup, quotient_group)
+from .groups import (GroupError, PGroup, abelianization_invariants,
+                     characteristic_subgroup)
 
 
 class SchemaError(ValueError):
@@ -123,19 +124,60 @@ def group_to_dict(G: PGroup, B: FpSubspace | None = None,
 
 def group_fingerprint(G: PGroup) -> dict:
     center = characteristic_subgroup(G, "center")
-    derived = characteristic_subgroup(G, "derived")
-    Ab, _ = quotient_group(G, derived)
     return {
         "name": G.name,
         "p": int(G.p),
         "order": int(G.order),
         "exponent": int(G.exponent()),
         "center_order": int(center.order),
-        "abelianization": [int(x) for x in abelian_invariants(Ab)],
+        "abelianization": [int(x) for x in abelianization_invariants(G)],
     }
+
+
+_ascii = json.encoder.encode_basestring_ascii  # the C encoder when built
+
+
+def _scalar(x) -> str:
+    """A scalar as json spells it."""
+    if isinstance(x, str):
+        return _ascii(x)
+    if x is None:
+        return "null"
+    if x is True or x is False:
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return float.__repr__(x)
+        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    raise TypeError(f"Object of type {type(x).__name__} "
+                    "is not JSON serializable")
+
+
+def canonical_json(x, indent: str = "") -> str:
+    """The text of json.dumps(x, sort_keys=True, indent=2) for x whose
+    dict keys are str, x starting on a line indented by indent, written
+    without the stdlib's pure-Python indenting encoder: a list of ints is
+    one join, and strings go through its ASCII string encoder."""
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = indent + "  "
+        items = (map(int.__repr__, x) if set(map(type, x)) == {int}
+                 else (canonical_json(v, inner) for v in x))
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = indent + "  "
+        items = (_ascii(k) + ": " + canonical_json(v, inner)
+                 for k, v in sorted(x.items()))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    return _scalar(x)
 
 
 def dump_report(body: dict, timing: dict) -> str:
     """Canonical report: deterministic body, timing segregated."""
     envelope = {"body": body, "timing": timing}
-    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    return canonical_json(envelope) + "\n"

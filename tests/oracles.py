@@ -18,8 +18,8 @@ from pgroupalg.algebra import (AlgebraContext, AlgebraError,
                                unit_exponent_commutative)
 from pgroupalg.decompose import _group_closure_vectors
 from pgroupalg.fplin import FpSubspace
-from pgroupalg.groups import (ORACLE_CAP, PGroup, Subgroup,
-                              abelian_invariants, agemo_derived,
+from pgroupalg.groups import (ORACLE_CAP, PGroup, Subgroup, _commutator_table,
+                              _powers, abelian_invariants, agemo_derived,
                               cyclic_factor_orders, full_subgroup)
 from pgroupalg.lemmas import (IdentityReport, TensorFactorizationInput,
                               VerificationError, _compare, cyclic_factor_test)
@@ -38,6 +38,37 @@ def conjugate(G: PGroup, g: int, by: int) -> int:
     """by g by^-1 by single lookups; cross-checks the conjugation gathers of
     ``Subgroup.is_normal`` and ``AlgebraContext.conjugacy_classes``."""
     return G.mul(G.mul(by, g), G.inv(by))
+
+
+def normal_subgroups(G: PGroup) -> tuple[Subgroup, ...]:
+    """Every normal subgroup of G, sorted by (order, elements), by central
+    extension one (H, g) at a time: N = H<g> for a normal H and a g outside
+    H with g^p in H and [g, x] in H for every x, and N is the union of the
+    cosets H g^k, k < p.  Cross-checks ``groups._normal_lattice``, which
+    extends a whole layer in a fixed number of gathers and keeps only
+    g = min(N - H)."""
+    T, comm, pow_p = G.table, _commutator_table(G), _powers(G, G.p)
+    layer = [np.zeros(1, dtype=np.int64)]
+    found = list(layer)
+    while layer:
+        nxt: dict[bytes, np.ndarray] = {}
+        for H in layer:
+            inside = np.zeros(G.order, dtype=bool)
+            inside[H] = True
+            todo = inside[comm].all(axis=1) & inside[pow_p] & ~inside
+            for g in np.flatnonzero(todo):
+                if not todo[g]:
+                    continue
+                cosets = [H]
+                for _ in range(G.p - 1):
+                    cosets.append(T[cosets[-1], g])
+                N = np.sort(np.concatenate(cosets))
+                todo[N] = False  # all of N outside H gives the same N
+                nxt.setdefault(N.tobytes(), N)
+        layer = list(nxt.values())
+        found.extend(layer)
+    subs = [Subgroup(G, tuple(N.tolist())) for N in found]
+    return tuple(sorted(subs, key=lambda S: (S.order, S.elements)))
 
 
 def has_cyclic_factor_of_order(G: PGroup, q: int, cap: int = ORACLE_CAP) -> bool:

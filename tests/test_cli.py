@@ -25,8 +25,8 @@ from pgroupalg.catalog import catalog_by_name
 from pgroupalg.cli import (COMMANDS, EXIT_CAP, EXIT_FAIL, EXIT_OK,
                            EXIT_PARSE, run)
 from pgroupalg.groups import Subgroup, is_internal_direct_product
-from pgroupalg.io import (SchemaError, _normalize_identity, group_from_dict,
-                          group_to_dict)
+from pgroupalg.io import (SchemaError, _normalize_identity, canonical_json,
+                          group_from_dict, group_to_dict)
 from pgroupalg.lemmas import VerificationError
 
 
@@ -399,6 +399,39 @@ def test_report_determinism(tmp_path):
     _, b2 = run_to_file(tmp_path, ["lemmas", "--catalog", "D8", "--seed", "0"])
     assert json.dumps(b1, sort_keys=True).encode() == \
         json.dumps(b2, sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--p", "3", "--max-order", "27"],
+    ["catalog", "--emit", "He3"],
+    ["catalog", "--emit-factorization", "C2xC4", "Q8"],
+    ["lemmas", "--catalog", "D8", "--catalog", "He3"],
+    ["cyclic-factor", "--catalog", "C2xD8", "--catalog", "C3xC3"],
+    ["certify", "--catalog", "Q8", "--catalog", "C2xC4"],
+    ["oracle", "--catalog", "C2xC2xC4", "--catalog", "D8"],
+    ["recover"]], ids=lambda argv: "-".join(argv[:2]))
+def test_reports_are_the_bytes_of_json_dumps(tmp_path, argv):
+    if argv == ["recover"]:
+        fx = str(_emit_c2xc4_q8(tmp_path))
+        argv = ["recover", "--input", fx, "--input", fx]
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) == EXIT_OK
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+_REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.lists(st.integers()) | st.dictionaries(st.text(), inner),
+    max_leaves=24)
+
+
+@given(_REPORT_VALUES)
+def test_canonical_json_matches_json_dumps(value):
+    # escapes, non-ASCII text, NaN and the infinities spelled as json does
+    assert canonical_json(value) == json.dumps(value, sort_keys=True,
+                                               indent=2)
 
 
 @pytest.mark.parametrize("name", ["D6", "D12", "Q4", "C6", "Foo"])

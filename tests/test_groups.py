@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,18 +15,20 @@ from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.cli import run
 from pgroupalg.groups import (GroupError, OracleCapExceeded, PGroup,
                               RetractionError, Subgroup, _abelian_basis,
-                              _element_orders, abelian_invariants,
+                              _element_orders, _normal_lattice,
+                              abelian_invariants, abelianization_invariants,
                               all_subgroups, catalog_build,
                               characteristic_subgroup, cyclic_factor_orders,
                               direct_factor_oracle, full_subgroup,
                               is_internal_direct_product, jennings_basis,
-                              jennings_series, normal_subgroups,
+                              jennings_series,
                               quotient_group, r_subquotient,
                               retraction_complement,
                               split_into_indecomposables, subgroup_to_pgroup,
                               trivial_subgroup)
 
-from oracles import commutator, conjugate, has_cyclic_factor_of_order
+from oracles import (commutator, conjugate, has_cyclic_factor_of_order,
+                     normal_subgroups)
 
 
 def test_cyclic_table_and_orders():
@@ -550,9 +553,51 @@ def _factor_kind(F):
 
 @pytest.mark.parametrize("G", _reference_corpus(), ids=lambda G: G.name)
 def test_normal_subgroups_match_filtered_lattice(G):
-    got = [S.elements for S in normal_subgroups(G)]
-    assert got == [S.elements for S in all_subgroups(G) if S.is_normal()]
-    assert normal_subgroups(G) is normal_subgroups(G)  # memoized on G
+    want = [S.elements for S in normal_subgroups(G)]
+    assert want == [S.elements for S in all_subgroups(G) if S.is_normal()]
+    lattice = _normal_lattice(G)
+    assert [tuple(row) for _, elems in lattice
+            for row in elems.tolist()] == want
+    for m, (words, elems) in enumerate(lattice):
+        assert elems.shape[1] == G.p ** m
+        # element x at bit x % 64 of word x // 64
+        bits = np.unpackbits(words.view(np.uint8), axis=1,
+                             bitorder="little")[:, :G.order]
+        assert [tuple(np.flatnonzero(row)) for row in bits] == \
+            [tuple(row) for row in elems.tolist()]
+    assert _normal_lattice(G) is lattice  # memoized on G
+
+
+@pytest.mark.parametrize("G", _reference_corpus(), ids=lambda G: G.name)
+def test_abelianization_invariants_match_quotient(G):
+    derived = characteristic_subgroup(G, "derived")
+    assert abelianization_invariants(G) == \
+        abelian_invariants(quotient_group(G, derived)[0])
+
+
+# C2^6 has 2,825 normal subgroups and 525,792 direct pairs; the digest
+# reads each pair in order, H and K as bytes (every element is below 256)
+C2_6_ORACLE_DIGEST = \
+    "ee6cdd15d6f3e3cc273c6a7baf5739698dea64bbc54fb98c45f87a3d63492397"
+
+
+def test_order_64_oracle_is_pinned_and_bounded():
+    G = catalog_by_name("C2xC2xC2xC2xC2xC2")
+    tracemalloc.start()
+    try:
+        _normal_lattice(G)
+        pairs = direct_factor_oracle(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the pairs themselves take about 33 MB; a meet matrix of all pairs
+    # of the 1,395 normal subgroups of order 8 would take 124 MB more
+    assert peak < 40 * 2 ** 20
+    assert len(pairs) == 525_792
+    digest = hashlib.sha256(b"".join(
+        bytes(H.elements) + b"|" + bytes(K.elements) + b";"
+        for H, K in pairs)).hexdigest()
+    assert digest == C2_6_ORACLE_DIGEST
 
 
 @pytest.mark.parametrize("G", [G for G in _reference_corpus()
@@ -567,6 +612,19 @@ def test_oracle_and_split_match_references(G):
         sorted(map(_factor_kind, _split_reference(G)), key=repr)
     assert cyclic_factor_orders(G) == frozenset(
         F.order for F in _split_reference(G) if F.exponent() == F.order)
+
+
+@pytest.mark.parametrize("name", ["C16xC4xC2", "C2xC4xD16"])
+def test_oracle_on_masks_of_two_words_matches_references(name):
+    # at order 128 each normal subgroup's mask is two 64-bit words
+    G = catalog_by_name(name)
+    pairs = [(H.elements, K.elements)
+             for H, K in direct_factor_oracle(G, cap=128)]
+    assert pairs == [(H.elements, K.elements)
+                     for H, K in _oracle_reference(G)]
+    parts = split_into_indecomposables(G, cap=128)
+    assert sorted(map(_factor_kind, parts), key=repr) == \
+        sorted(map(_factor_kind, _split_reference(G)), key=repr)
 
 
 @pytest.mark.parametrize("name", ["D8", "Q16", "C2xC4", "He3"])
@@ -599,7 +657,7 @@ def test_abelian_basis_matches_reindexing_recursion(G):
 def test_retraction_reads_no_subgroup_lattice(tmp_path, monkeypatch):
     def no_lattice(G):
         raise AssertionError("the subgroup lattice was read")
-    monkeypatch.setattr(groups, "normal_subgroups", no_lattice)
+    monkeypatch.setattr(groups, "_normal_lattice", no_lattice)
     monkeypatch.setattr(groups, "all_subgroups", no_lattice)
     G = catalog_by_name("C2xC2xC2xC4")
     K = retraction_complement(G, 1)

@@ -18,8 +18,8 @@ from .algebra import (AlgebraContext, AugmentedSubalgebra,
                       normal_subgroup_ideal, product_space, unique_rows)
 from .fplin import FpError, FpSubspace, QuotientSpace, matmul_mod, nullspace, span
 from .groups import (ORACLE_CAP, PGroup, RetractionError, Subgroup,
-                     abelian_invariants, agemo_derived,
-                     characteristic_subgroup, direct_factor_oracle,
+                     _check_oracle_cap, _direct_pairs, abelian_invariants,
+                     agemo_derived, characteristic_subgroup, full_subgroup,
                      invariants_from_counts, is_internal_direct_product,
                      omega_center_derived, retraction_complement,
                      subgroup_to_pgroup, trivial_subgroup)
@@ -437,8 +437,9 @@ def certify_indecomposable(G: PGroup, oracle_cap: int = ORACLE_CAP) -> Certifica
     cyclic derived subgroup; the commutative case is settled separately and
     does not receive a certificate here.
     """
-    pairs = direct_factor_oracle(G, cap=oracle_cap)
-    indec = not pairs
+    _check_oracle_cap(G, oracle_cap)
+    # indecomposable iff the oracle's pair stream is empty: stop at a pair
+    indec = next(_direct_pairs(full_subgroup(G)), None) is None
     ctx = AlgebraContext.of(G)
     d = ctx.augmentation_ideal().dim - ctx.augmentation_power(2).dim
     frattini = characteristic_subgroup(G, "frattini")

@@ -5,22 +5,26 @@ always carry bit-identical basis matrices and subspace equality is
 structural equality.  Everything is integer arithmetic mod p: the only
 floats are BLAS matrix products of small integers, which are exact.
 
-Elimination is blocked.  ``rref`` eliminates a first block of rows densely,
-then reduces each further block against the basis found so far in a single
-matrix product, the RREF residual ``B - B[:, pivots] @ R (mod p)``; only the
-rows that survive are eliminated densely.  It stops once the rank equals the
-number of columns, so redundant rows past that point are never read.  The
-same residual tests membership and gives coordinates in ``FpSubspace``, and
-stands for a class of a quotient in ``QuotientSpace``.
+Over F_2, ``rref`` packs every row into one Python integer in a single
+pass, drops zero and repeated rows, and eliminates the rest by XOR, column
+c at bit 8 * width - 1 - c, where width is the packed row's byte count
+(Boothby & Bradshaw, arXiv:0901.1413, 2009): a few integer operations per
+row and pivot instead of several numpy calls per column.
 
-The dense blocks are eliminated with each row packed into one Python
-integer, a few integer operations per row and pivot instead of several
-numpy calls per column (Boothby & Bradshaw, arXiv:0901.1413, 2009).  Over
-F_2 column c is bit ncols - 1 - c, and rows are combined by XOR.  Over F_3
-and F_5 column c is lane ncols - 1 - c, of W = 8 and 16 bits; rows are
-combined by integer addition and reduced mod p in every lane at once by
-the multiply-shift x - ((x * M >> S) & low) * p, with (M, S) = (11, 5)
-and (13, 6), exact while a lane stays at most p(p - 1).
+Over F_3 and F_5 elimination is blocked.  ``rref`` eliminates a first block
+of rows densely, then reduces each further block against the basis found
+so far in a single matrix product, the RREF residual
+``B - B[:, pivots] @ R (mod p)``; only the rows that survive are
+eliminated densely.  The dense blocks are packed too: column c is lane
+ncols - 1 - c, of W = 8 and 16 bits; rows are combined by integer addition
+and reduced mod p in every lane at once by the multiply-shift
+x - ((x * M >> S) & low) * p, with (M, S) = (11, 5) and (13, 6), exact
+while a lane stays at most p(p - 1).
+
+Every ``rref`` stops once the rank equals the number of columns, so
+redundant rows past that point are never reduced.  The residual against an
+RREF basis, at every p, tests membership and gives coordinates in
+``FpSubspace``, and stands for a class of a quotient in ``QuotientSpace``.
 """
 
 from __future__ import annotations
@@ -45,10 +49,11 @@ def _inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
 
 
-# Rows in the first elimination block: the number of columns, but at least
-# this many, so that short inputs take the dense path alone.  Later blocks
-# double in height up to _BLOCK_MAX rows: once the rank settles, most rows
-# reduce to zero, and a taller block costs one product instead of several.
+# Rows in the first elimination block at p = 3, 5: the number of columns,
+# but at least this many, so that short inputs take the dense path alone.
+# Later blocks double in height up to _BLOCK_MAX rows: once the rank
+# settles, most rows reduce to zero, and a taller block costs one product
+# instead of several.
 _BLOCK_MIN = 32
 _BLOCK_MAX = 4096
 
@@ -130,27 +135,32 @@ def _rref_packed(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _rref_gf2(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """RREF of a block with entries in {0, 1} over F_2, from rows packed
-    into integers.
+    """RREF over F_2 of an integer matrix, from its rows packed into
+    integers in one pass.
 
-    Column c sits at bit ncols - 1 - c, so a row's leading bit is its
+    One np.packbits packs all rows, and zero and repeated rows are dropped
+    on the packed bytes: the RREF depends only on the row space, not on
+    the order or repetition of the rows.  Each distinct row is read as an
+    integer, column c at bit 8 * width - 1 - c, so its leading bit is its
     leftmost nonzero column.  Gauss-Jordan by XOR: each row is reduced
     against the pivot rows found so far, and its new pivot is then cleared
     out of them, only if one of them has been nonzero in its column; it
-    stops at full rank.
+    stops at full rank.  The pivot rows are unpacked once, at the end.
     """
     nrows, ncols = A.shape
     if not ncols:
         return np.zeros((0, 0), dtype=np.int64), []
-    packed = np.packbits(A.astype(bool), axis=1)
+    bits = A.astype(np.uint8, order="C")  # the wrap mod 256 keeps parity
+    bits &= 1
+    packed = np.packbits(bits, axis=1)
     width = packed.shape[1]
-    pad = 8 * width - ncols
-    buf = packed.tobytes()
+    distinct = dict.fromkeys(packed.view(f"V{width}").ravel().tolist())
+    distinct.pop(bytes(width), None)
     rows: dict[int, int] = {}  # leading bit -> pivot row
     mask = 0  # the leading bits of the pivot rows
     seen = 0  # the OR of the pivot rows
-    for i in range(0, nrows * width, width):
-        v = int.from_bytes(buf[i:i + width], "big") >> pad
+    for row in distinct:
+        v = int.from_bytes(row, "big")
         hit = v & mask
         while hit:
             b = hit.bit_length() - 1
@@ -170,29 +180,35 @@ def _rref_gf2(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
         if len(rows) == ncols:
             break
     order = sorted(rows, reverse=True)
-    out = b"".join((rows[b] << pad).to_bytes(width, "big") for b in order)
-    bits = np.frombuffer(out, dtype=np.uint8).reshape(len(order), width)
-    R = np.unpackbits(bits, axis=1, count=ncols).astype(np.int64)
-    return R, [ncols - 1 - b for b in order]
+    out = b"".join([rows[b].to_bytes(width, "big") for b in order])
+    packed = np.frombuffer(out, dtype=np.uint8).reshape(len(order), width)
+    R = np.unpackbits(packed, axis=1, count=ncols).astype(np.int64)
+    return R, [8 * width - 1 - b for b in order]
 
 
 def rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form mod p.  Returns (matrix, pivot columns).
 
-    Blocked elimination in the manner of M4RI (Albrecht, Bard & Hart, ACM
-    TOMS 37(1), 2010): the first block of rows is eliminated densely; every
-    further block B is reduced against the current basis R in one step, as
-    the residual B - B[:, pivots] @ R (mod p).  Its zero rows are dropped and
-    only the rest is eliminated densely and merged into R.  The loop stops
-    once the rank equals the number of columns.  The output is the unique
-    RREF of the row space, whatever the block size or row order.
+    Over F_2 every row is packed once, and the distinct nonzero rows are
+    eliminated by XOR in one pass (_rref_gf2).  Over F_3 and F_5
+    elimination is blocked in the manner of M4RI (Albrecht, Bard & Hart,
+    ACM TOMS 37(1), 2010): the first block of rows is eliminated densely;
+    every further block B is reduced against the current basis R in one
+    step, as the residual B - B[:, pivots] @ R (mod p).  Its zero rows are
+    dropped and only the rest is eliminated densely and merged into R.
+    Both stop once the rank equals the number of columns.  The output is
+    the unique RREF of the row space, whatever the block size, row order
+    or repetition.
     """
     A = np.asarray(rows)
     if A.ndim != 2:
         raise FpError("rref expects a 2-d array")
+    if p == 2:
+        R, pivots = _rref_gf2(A.astype(np.int64, copy=False))
+        return R, tuple(pivots)
     nrows, ncols = A.shape
     block = max(ncols, _BLOCK_MIN)
-    dense = _rref_gf2 if p == 2 else functools.partial(_rref_packed, p=p)
+    dense = functools.partial(_rref_packed, p=p)
     R, pivots = dense(A[:block].astype(np.int64) % p)
     start = block
     while start < nrows and len(pivots) < ncols:

@@ -242,7 +242,7 @@ def _closure(G: PGroup, seed) -> np.ndarray:
     inside[0] = True
     while True:
         S = np.flatnonzero(inside)
-        prods = G.table[np.ix_(S, S)]
+        prods = G.table[S[:, None], S]
         if inside[prods].all():
             return S
         inside[prods] = True
@@ -265,7 +265,7 @@ class Subgroup:
         inside = _mask(G.order, S)
         if not inside[G._inv[S]].all():
             raise GroupError("subgroup not closed under inverses")
-        if not inside[G.table[np.ix_(S, S)]].all():
+        if not inside[G.table[S[:, None], S]].all():
             raise GroupError("subgroup not closed under multiplication")
         if self.parent.order % len(elems):
             raise GroupError("subgroup size does not divide group order")
@@ -286,7 +286,7 @@ class Subgroup:
 
     def is_abelian(self) -> bool:
         S = np.array(self.elements, dtype=np.int64)
-        sub = self.parent.table[np.ix_(S, S)]
+        sub = self.parent.table[S[:, None], S]
         return bool(np.array_equal(sub, sub.T))
 
     def is_cyclic(self) -> bool:
@@ -323,7 +323,7 @@ def subgroup_to_pgroup(S: Subgroup, name: str = "") -> tuple[PGroup, list[int]]:
     idx = np.array(elems, dtype=np.int64)
     pos = np.zeros(S.parent.order, dtype=np.int64)
     pos[idx] = np.arange(n)
-    table = pos[S.parent.table[np.ix_(idx, idx)]]
+    table = pos[S.parent.table[idx[:, None], idx]]
     return PGroup(S.parent.p, table, name or f"sub{n}<{S.parent.name}>"), elems
 
 
@@ -339,7 +339,7 @@ class GroupHom:
         if imgs[0] != 0:
             raise GroupError("homomorphism must send identity to identity")
         Ts, Tt = self.source.table, self.target.table
-        if not np.array_equal(imgs[Ts], Tt[np.ix_(imgs, imgs)]):
+        if not np.array_equal(imgs[Ts], Tt[imgs[:, None], imgs]):
             raise GroupError("images do not define a homomorphism")
 
     def __call__(self, g: int) -> int:
@@ -453,7 +453,7 @@ def quotient_group(G: PGroup, N: Subgroup) -> tuple[PGroup, GroupHom]:
     rep = G.table[:, nelems].min(axis=1)  # smallest element of gN
     reps = np.flatnonzero(_mask(G.order, rep))  # identity coset: rep 0 -> 0
     coset = np.searchsorted(reps, rep)
-    table = coset[G.table[np.ix_(reps, reps)]]
+    table = coset[G.table[reps[:, None], reps]]
     Q = PGroup(G.p, table, name=f"{G.name}/N{N.order}")
     pi = GroupHom(G, Q, tuple(int(c) for c in coset))
     assert pi.kernel() == N
@@ -698,7 +698,7 @@ def is_internal_direct_product(G: PGroup, H: Subgroup, K: Subgroup) -> bool:
         return False
     h = np.array(H.elements, dtype=np.int64)
     k = np.array(K.elements, dtype=np.int64)
-    return bool(np.array_equal(G.table[np.ix_(h, k)], G.table[np.ix_(k, h)].T))
+    return bool(np.array_equal(G.table[h[:, None], k], G.table[k[:, None], h].T))
 
 
 def _abelian_basis(A: PGroup) -> list[tuple[int, int]]:

@@ -39,7 +39,7 @@ def _normalize_identity(table: np.ndarray) -> np.ndarray:
     perm = np.concatenate([ident[:1], np.delete(ar, ident[0])])  # new -> old
     inv = np.empty(n, dtype=np.int64)
     inv[perm] = ar
-    return inv[table[np.ix_(perm, perm)]]
+    return inv[table[perm[:, None], perm]]
 
 
 def _integer(data: dict, key: str) -> int:

@@ -402,6 +402,54 @@ def test_packed_gf2_kernel_matches_dense(A):
     assert R.dtype == np.int64 and np.array_equal(R, R0)
 
 
+# orders 4 to 128: widths on both sides of a byte and of a 64-bit word
+_GF2_GROUPS = ("C2xC2", "D8", "C2xQ8", "C4xD8", "C8xC8", "C16xC8")
+
+
+@st.composite
+def gf2_rows(draw):
+    """Rows over F_2 for rref's single-pass path: of every width from 1 to
+    140, all zero, a rank-deficient span, a full-rank prefix, or the right
+    translates of a few random rows through a catalog group's table, each
+    of them repeated by translating some translates again."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("zero", "span", "full", "translates")))
+    if kind == "translates":
+        ctx = AlgebraContext(catalog_by_name(draw(st.sampled_from(
+            _GF2_GROUPS))))
+        X = rng.integers(0, 2, size=(draw(st.integers(1, 3)), ctx.dim))
+        T = ctx.right_translates(X)
+        again = T[rng.integers(0, len(T), size=draw(st.integers(1, 3)))]
+        return np.concatenate([T, ctx.right_translates(again)])
+    ncols, nrows = draw(st.integers(1, 140)), draw(st.integers(0, 160))
+    if kind == "zero":
+        return np.zeros((nrows, ncols), dtype=np.int64)
+    rank = draw(st.integers(0, ncols))
+    rows = (rng.integers(0, 2, size=(nrows, rank))
+            @ rng.integers(0, 2, size=(rank, ncols))) % 2
+    if kind == "full":  # a triangular basis first, then the span
+        full = np.triu(rng.integers(0, 2, size=(ncols, ncols)), 1)
+        np.fill_diagonal(full, 1)
+        rows = np.concatenate([full[rng.permutation(ncols)], rows])
+    return rows
+
+
+@given(gf2_rows(), st.integers(0, 2 ** 32 - 1))
+def test_gf2_rref_matches_dense_under_shuffles_and_repeats(rows, seed):
+    R0, pivots0 = ref_dense_rref(rows, 2)
+    R, pivots = rref(rows, 2)
+    assert pivots == pivots0
+    assert R.dtype == np.int64 and np.array_equal(R, R0)
+    # the same row space: rows shuffled, repeated, negated, shifted by
+    # even numbers past a byte, and column-major
+    rng = np.random.default_rng(seed)
+    repeats = rows[rng.integers(0, len(rows), size=len(rows))]
+    mixed = np.concatenate([rows, repeats, -rows, rows + 254])
+    mixed = np.asfortranarray(mixed[rng.permutation(len(mixed))])
+    R2, pivots2 = rref(mixed, 2)
+    assert pivots2 == pivots0 and np.array_equal(R2, R0)
+
+
 _ODD_WIDTHS = (1, 7, 8, 9, 15, 16, 17, 25, 27, 64, 81, 125, 243)
 
 

@@ -34,7 +34,7 @@ fact = verify_tensor_factorization(ctx, B, C)
 print(f"\nfactorization verified; checks passed: {', '.join(fact.checks)}")
 
 # step 2: recover normal subgroups of G realizing the factorization
-rep = recover_decomposition(fact, seed=0)
+rep = recover_decomposition(fact)
 print(f"\nrecovered internal direct product, verified: {rep.verified}")
 print(f"B-side subgroup: order {rep.b_side.order},"
       f" invariants {rep.b_invariants}")

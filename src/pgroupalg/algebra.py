@@ -46,10 +46,6 @@ class AlgebraError(ValueError):
     pass
 
 
-class EnumerationCapExceeded(AlgebraError):
-    """The sampled unit search found no group basis."""
-
-
 class VerificationError(ValueError):
     """A named check of a factorization or identity failed."""
 

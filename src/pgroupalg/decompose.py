@@ -13,9 +13,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import (AlgebraContext, AugmentedSubalgebra,
-                      EnumerationCapExceeded, frobenius_chain, ideal_generated,
-                      normal_subgroup_ideal, product_space, unique_rows)
+from .algebra import (AlgebraContext, AugmentedSubalgebra, frobenius_chain,
+                      ideal_generated, normal_subgroup_ideal)
 from .fplin import FpError, FpSubspace, QuotientSpace, matmul_mod, nullspace, span
 from .groups import (ORACLE_CAP, PGroup, RetractionError, Subgroup,
                      _check_oracle_cap, _direct_pairs, abelian_invariants,
@@ -26,12 +25,7 @@ from .groups import (ORACLE_CAP, PGroup, RetractionError, Subgroup,
 from .lemmas import (TensorFactorizationInput, VerificationError,
                      verify_tensor_factorization)
 
-# Past ENUM_CAP units of 1 + I(B) the group-basis search samples
-# SAMPLED_UNITS coefficient rows instead of enumerating them all.
-ENUM_CAP = 2 ** 22
-SAMPLED_UNITS = 4096
-# Largest product formed at once while ordering units, in entries (1 MB):
-# the unit rows themselves are the larger array, so chunks stay small
+# Largest product formed at once while streaming units, in entries (1 MB)
 _UNIT_ENTRIES = 1 << 17
 
 
@@ -135,168 +129,92 @@ def _find_split_element(G: PGroup, ctx: AlgebraContext, I2: FpSubspace,
                             or "none"))
 
 
-def _group_closure_vectors(ctx: AlgebraContext, units, limit: int) -> list[np.ndarray] | None:
-    """Multiplicative closure of a set of commuting units; None past limit."""
-    elems = {ctx.one.tobytes(): ctx.one}
-    frontier = [ctx.one]
-    for u in units:
-        frontier.append(np.asarray(u) % ctx.p)
-    while frontier:
-        x = frontier.pop()
-        if x.tobytes() not in elems:
-            elems[x.tobytes()] = x
-        for u in units:
-            y = ctx.multiply(x, u)
-            if y.tobytes() not in elems:
-                if len(elems) >= limit:
-                    return None
-                elems[y.tobytes()] = y
-                frontier.append(y)
-    return [elems[k] for k in sorted(elems)]
+def _units_by_order(ctx: AlgebraContext, IB: FpSubspace, frobs: np.ndarray):
+    """Yield the units 1 + c @ IB of the highest order, p^len(frobs), as
+    rows in byte order, formed one chunk of coefficient rows c at a time.
 
-
-def _units_by_order(ctx: AlgebraContext, IB: FpSubspace, frobs: np.ndarray,
-                    coeffs: np.ndarray | None = None):
-    """Yield the units 1 + c @ IB, as rows, highest order first, then in
-    byte order, for the rows c of coeffs, or for every nonzero c when
-    coeffs is None.  Only one chunk of units is formed at a time.
-
-    IB must be commutative: Frobenius is additive there, so the unit
-    1 + c @ IB has p^k-th power 1 + c @ IB^{p^k}, and the order is p to
-    the number of k with c @ IB^{p^k} != 0.  One product with frobs, the
-    stack frobenius_chain(ctx, IB.basis) of the nonzero IB^{p^k}, gives
-    every such row for a chunk of coeffs, and its k = 0 slice is the unit
-    itself.
-
-    IB is in canonical RREF with pivots pi_1 < ... < pi_d, so the unit
-    holds c_i at column pi_i (plus 1 at column 0, the identity), and every
-    column left of pi_i depends only on c_1, ..., c_{i-1}.  The byte order
-    of the units is therefore the lexicographic order of
-    ((c_1 + [pi_1 = 0]) mod p, c_2, ..., c_d): the coefficient rows are
-    counted, or sorted, in that order, and each order class, highest
-    first, is one scan over them.
+    IB is commutative, so (c @ IB)^{p^k} = c @ frobs[k], and the unit has
+    the highest order iff c @ frobs[-1] != 0: one product with frobs[0] =
+    IB and frobs[-1] gives a chunk's units and that test.  IB is in
+    canonical RREF with pivots pi_1 < ... < pi_d, so the unit holds c_i at
+    column pi_i (plus 1 at column 0), and every column left of pi_i depends
+    only on c_1, ..., c_{i-1}: the byte order of the units is the counting
+    order of ((c_1 + [pi_1 = 0]) mod p, c_2, ..., c_d).
     """
     p, n, d = ctx.p, ctx.dim, IB.dim
-    step = max(1, _UNIT_ENTRIES // (len(frobs) * n))
+    step = max(1, _UNIT_ENTRIES // (2 * n))
     shift = int(IB.pivots[0] == 0)
-    if coeffs is None:
-        total = p ** d
-        digits = p ** np.arange(d - 1, -1, -1)
-
-        def rows(k):
-            c = np.arange(k, min(k + step, total))[:, None] // digits % p
-            c[:, 0] = (c[:, 0] - shift) % p
-            return c
-    else:
-        keys = coeffs.copy()
-        keys[:, 0] = (keys[:, 0] + shift) % p
-        coeffs = coeffs[np.lexsort(keys.T[::-1])]
-        total = len(coeffs)
-
-        def rows(k):
-            return coeffs[k:k + step]
-    # c = 0 has no nonzero image, so no class below yields it
-    for level in range(len(frobs), 0, -1):
-        for k in range(0, total, step):
-            images = matmul_mod(rows(k), frobs, p)  # (frob, row, t)
-            U = images[0][images.any(axis=2).sum(axis=0) == level]
-            U[:, 0] = (U[:, 0] + 1) % p
-            yield from U
+    total = p ** d
+    # a p^j past int64 exceeds every count, whose digit j is then 0 anyway
+    digits = np.array([min(p ** j, 2 ** 63 - 1) for j in range(d - 1, -1, -1)])
+    for k in range(0, total, step):
+        c = np.arange(k, min(k + step, total))[:, None] // digits % p
+        c[:, 0] = (c[:, 0] - shift) % p
+        units, top = matmul_mod(c, frobs[[0, -1]], p)
+        U = units[top.any(axis=1)]
+        U[:, 0] = (U[:, 0] + 1) % p
+        yield from U
 
 
-class _Replayed:
-    """An iterator that can be iterated again from the start, any number
-    of times and nested: it draws from the source only past the items
-    already read."""
-
-    def __init__(self, source):
-        self._source, self._seen = source, []
-
-    def __iter__(self):
-        k = 0
-        while True:
-            if k == len(self._seen):
-                nxt = next(self._source, None)
-                if nxt is None:
-                    return
-                self._seen.append(nxt)
-            yield self._seen[k]
-            k += 1
-
-
-def find_group_basis_commutative(B: AugmentedSubalgebra,
-                                 cap: int = ENUM_CAP, seed: int = 0,
+def find_group_basis_commutative(B: AugmentedSubalgebra, *,
                                  frobs: np.ndarray | None = None
                                  ) -> list[np.ndarray]:
-    """Unit elements generating a group basis of a commutative augmented
-    subalgebra: backtracking over units of 1 + I(B), highest order first,
-    then in byte order.
+    """Units generating a group basis of a commutative augmented subalgebra
+    B, the first of the highest order, found by linear algebra.
 
-    The units come from one stream, and only the prefix the search reads
-    is formed.  With at most cap units every unit is in the stream, and a
-    failed search is a VerificationError.  Past cap the stream holds only
-    distinct seeded samples, and a failed search raises
-    EnumerationCapExceeded, since the units left out may hold a group
-    basis.  frobs is frobenius_chain(B.ctx, B.aug_ideal.basis), built here
-    when not given."""
-    ctx = B.ctx
-    p = ctx.p
+    Read the invariants p^{e_1} >= ... >= p^{e_r} off Frobenius, and let
+    K_e = ker(x -> x^{p^e}) on I(B), linear as B is commutative.  Units
+    with u_i - 1 in K_{e_i}, independent modulo I(B)^2, generate B as an
+    algebra when r = dim I(B)/I(B)^2 (Nakayama; Passman, The Algebraic
+    Structure of Group Rings, 1977); their group, of order at least dim B
+    and at most p^{e_1 + ... + e_r}, is then a group basis if these agree.
+    The first unit is the byte-least u of order p^{e_1}, u - 1 outside
+    I(B)^2, that meets Hall's condition in (I/I^2)/<u - 1>: for each
+    e = e_i, i > 1, dim(K_e + I^2 + <u-1>) - dim(I^2 + <u-1>) >=
+    #{i > 1 : e_i <= e}.  The rest are 1 + x_i, x_i in K_{e_i}, taken
+    greedily, smallest e first.  Invariants that admit no group basis fail
+    group-basis before any unit is formed.  frobs, when given, is
+    frobenius_chain(B.ctx, B.aug_ideal.basis)."""
+    ctx, p = B.ctx, B.ctx.p
     if not B.is_commutative():
         raise VerificationError("group-basis", "B is not commutative")
     if B.dim == 1:
         return []
     IB = B.aug_ideal
-    total = p ** IB.dim
-    one = ctx.one
-    sampled = total > cap
-    coeffs = None
-    if sampled:
-        rng = np.random.default_rng(seed)
-        coeffs = rng.integers(0, p, size=(SAMPLED_UNITS, IB.dim))
-        # a repeated unit would repeat the same failed branches
-        coeffs = unique_rows(coeffs[coeffs.any(axis=1)])
     if frobs is None:
         frobs = frobenius_chain(ctx, IB.basis)
-    units = _Replayed(_units_by_order(ctx, IB, frobs, coeffs))
-    I2B = product_space(ctx, IB, IB)
-    target = B.dim
-
-    def diff_subalgebra(base: FpSubspace, diff) -> FpSubspace:
-        acc = base + span(p, ctx.dim, [diff])
-        while True:
-            rows = ctx.products(diff[None], acc.basis)
-            new = acc + FpSubspace(p, ctx.dim, rows)
-            if new.dim == acc.dim:
-                return new
-            acc = new
-
-    def dfs(chosen: list, S: FpSubspace) -> list | None:
-        for u in units:
-            d = (u - one) % p
-            if S.contains_vector(d):
-                continue
-            nxt = chosen + [u]
-            grp = _group_closure_vectors(ctx, nxt, target + 1)
-            if grp is None:
-                continue  # overshoot, pruned before S is extended
-            if len(grp) == target:
-                if FpSubspace(p, ctx.dim, np.array(grp)) == B.space:
-                    return nxt
-                continue
-            result = dfs(nxt, diff_subalgebra(S, d))
-            if result is not None:
-                return result
-        return None
-
-    result = dfs([], I2B)
-    if result is None and sampled:
-        raise EnumerationCapExceeded(
-            f"{total} units exceed cap {cap}, and no group basis was found "
-            f"among {len(coeffs)} sampled units")
-    if result is None:
-        raise VerificationError("group-basis",
-                                "no group basis found among the units")
-    return result
+    # subspaces of I(B) in the coordinates c of c @ IB, its pivot entries
+    d, piv = IB.dim, list(IB.pivots)
+    sq = FpSubspace(p, d, ctx.products(IB.basis, IB.basis)[:, piv])
+    es = [round(math.log(q, p)) for q in _frobenius_invariants(ctx, frobs)]
+    rest = es[1:]
+    kernels = {e: nullspace(frobs[e].T, p) if e < len(frobs)
+               else np.eye(d, dtype=np.int64) for e in set(rest)}
+    # Hall's condition for u reads room[e] >= [c in W_e], W_e = K_e + I^2;
+    # room >= 0, Hall's condition on I/I^2, makes some unit pass
+    walls = {e: FpSubspace(p, d, np.concatenate([sq.basis, K]))
+             for e, K in kernels.items()}
+    room = {e: W.dim - sq.dim - sum(f <= e for f in rest)
+            for e, W in walls.items()}
+    if len(es) != d - sq.dim or p ** sum(es) != B.dim or \
+            es[0] != len(frobs) or min(room.values(), default=0) < 0:
+        raise VerificationError(
+            "group-basis", f"the Frobenius invariants p^{es} admit no group "
+            f"basis of B, of dimension {B.dim} on {d - sq.dim} generators")
+    for u in _units_by_order(ctx, IB, frobs):
+        c = (u - ctx.one)[piv] % p
+        if not sq.contains_vector(c) and all(
+                room[e] >= W.contains_vector(c) for e, W in walls.items()):
+            break
+    else:
+        raise VerificationError("group-basis", "no unit of the highest "
+                                "order extends to a group basis")
+    S, units = FpSubspace(p, d, np.vstack([sq.basis, c])), [u]
+    for e in sorted(rest):
+        x = next(x for x in kernels[e] if not S.contains_vector(x))
+        S = FpSubspace(p, d, np.vstack([S.basis, x]))
+        units.append((ctx.one + x @ IB.basis) % p)
+    return units
 
 
 def _frobenius_invariants(ctx: AlgebraContext,
@@ -332,8 +250,7 @@ class DecompositionReport:
         }
 
 
-def recover_decomposition(fact: TensorFactorizationInput,
-                          seed: int = 0) -> DecompositionReport:
+def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport:
     """Recover G = B-side x C-side from a verified tensor factorization with
     commutative B, peeling one maximal-order cyclic factor per level."""
     if not fact.verified:
@@ -342,10 +259,9 @@ def recover_decomposition(fact: TensorFactorizationInput,
         raise VerificationError("B-commutative", "B must be commutative")
     G = fact.ctx.group
     p = G.p
-    # one Frobenius chain of I(B) serves the first search and the
+    # one Frobenius chain of I(B) serves the first group basis and the
     # invariants of A with B = F_pA, for the final check
     frobs = frobenius_chain(fact.B.ctx, fact.B.aug_ideal.basis)
-    units0 = find_group_basis_commutative(fact.B, seed=seed, frobs=frobs)
     b_group_invs = _frobenius_invariants(fact.B.ctx, frobs)
 
     hs: list[int] = []
@@ -356,9 +272,9 @@ def recover_decomposition(fact: TensorFactorizationInput,
     while cur_fact.B.dim > 1:
         ctx = cur_fact.ctx
         cur_G = ctx.group
-        units = units0 if depth == 0 else \
-            find_group_basis_commutative(cur_fact.B, seed=seed)
-        b = units[0]  # highest multiplicative order p^s
+        # the first unit has the highest multiplicative order, p^s
+        b = find_group_basis_commutative(
+            cur_fact.B, frobs=frobs if depth == 0 else None)[0]
         b_minus_1 = (b - ctx.one) % p
         chain = frobenius_chain(ctx, b_minus_1)  # (b-1)^{p^k}, k < s
         s = len(chain)

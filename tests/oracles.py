@@ -13,11 +13,10 @@ import math
 import numpy as np
 
 from pgroupalg.algebra import (AlgebraContext, AlgebraError,
-                               EnumerationCapExceeded,
+                               AugmentedSubalgebra, frobenius_chain,
                                normal_subgroup_ideal, product_space,
                                unit_exponent_commutative)
-from pgroupalg.decompose import _group_closure_vectors
-from pgroupalg.fplin import FpSubspace
+from pgroupalg.fplin import FpSubspace, matmul_mod, span
 from pgroupalg.groups import (ORACLE_CAP, PGroup, Subgroup, _commutator_table,
                               _powers, abelian_invariants, agemo_derived,
                               cyclic_factor_orders, full_subgroup)
@@ -122,6 +121,10 @@ def subalgebra_closure(ctx: AlgebraContext, X: FpSubspace) -> FpSubspace:
     return acc
 
 
+class EnumerationCapExceeded(AlgebraError):
+    """An enumerating oracle met more elements than its cap."""
+
+
 _ENUM_CHUNK = 4096  # central elements raised to their p^i-th powers at once
 
 
@@ -164,6 +167,122 @@ def dimension_subgroup(ctx: AlgebraContext, m: int) -> Subgroup:
 # units and the commutative-factor proposition
 
 
+def group_closure_vectors(ctx: AlgebraContext, units,
+                          limit: int) -> list[np.ndarray] | None:
+    """Multiplicative closure of a set of commuting units, one product at a
+    time, in byte order; None past limit elements.  The tests close the
+    units of ``decompose.find_group_basis_commutative`` with it, to see
+    that they form a group basis of B."""
+    elems = {ctx.one.tobytes(): ctx.one}
+    frontier = [ctx.one]
+    for u in units:
+        frontier.append(np.asarray(u) % ctx.p)
+    while frontier:
+        x = frontier.pop()
+        if x.tobytes() not in elems:
+            elems[x.tobytes()] = x
+        for u in units:
+            y = ctx.multiply(x, u)
+            if y.tobytes() not in elems:
+                if len(elems) >= limit:
+                    return None
+                elems[y.tobytes()] = y
+                frontier.append(y)
+    return [elems[k] for k in sorted(elems)]
+
+
+def units_by_order(ctx: AlgebraContext, IB: FpSubspace):
+    """Every unit 1 + c @ IB of commutative IB, as rows, highest order
+    first, then in byte order, formed a chunk at a time.  The order of a
+    unit is p to the number of k with c @ IB^{p^k} != 0, and the byte order
+    is the counting order of ((c_1 + [pi_1 = 0]) mod p, c_2, ..., c_d), as
+    in ``decompose._units_by_order``, which streams the highest class."""
+    p, d = ctx.p, IB.dim
+    frobs = frobenius_chain(ctx, IB.basis)
+    total, step = p ** d, 4096
+    digits = p ** np.arange(d - 1, -1, -1)
+    shift = int(IB.pivots[0] == 0)
+    for level in range(len(frobs), 0, -1):
+        for k in range(0, total, step):
+            c = np.arange(k, min(k + step, total))[:, None] // digits % p
+            c[:, 0] = (c[:, 0] - shift) % p
+            images = matmul_mod(c, frobs, p)  # (frob, row, t)
+            U = images[0][images.any(axis=2).sum(axis=0) == level]
+            U[:, 0] = (U[:, 0] + 1) % p
+            yield from U
+
+
+class _Replayed:
+    """An iterator that can be iterated again from the start, any number
+    of times and nested: it draws from the source only past the items
+    already read."""
+
+    def __init__(self, source):
+        self._source, self._seen = source, []
+
+    def __iter__(self):
+        k = 0
+        while True:
+            if k == len(self._seen):
+                nxt = next(self._source, None)
+                if nxt is None:
+                    return
+                self._seen.append(nxt)
+            yield self._seen[k]
+            k += 1
+
+
+def group_basis_search(B: AugmentedSubalgebra) -> list[np.ndarray]:
+    """Units generating a group basis of commutative B, by backtracking
+    over every unit of 1 + I(B), highest order first, then in byte order:
+    a branch adds a unit outside the subalgebra its units generate with
+    I(B)^2, and succeeds when their group closes to B.  Only the prefix of
+    the unit stream that the search reads is formed.  Its first unit is
+    the byte-least unit of the highest order that lies in a minimal
+    generating set of some group basis, which is what
+    ``decompose.find_group_basis_commutative`` constructs by linear
+    algebra; the tests hold that unit to this one."""
+    ctx, p = B.ctx, B.ctx.p
+    if B.dim == 1:
+        return []
+    IB = B.aug_ideal
+    units = _Replayed(units_by_order(ctx, IB))
+    target = B.dim
+
+    def diff_subalgebra(base: FpSubspace, diff) -> FpSubspace:
+        acc = base + span(p, ctx.dim, [diff])
+        while True:
+            rows = ctx.products(diff[None], acc.basis)
+            new = acc + FpSubspace(p, ctx.dim, rows)
+            if new.dim == acc.dim:
+                return new
+            acc = new
+
+    def dfs(chosen: list, S: FpSubspace) -> list | None:
+        for u in units:
+            d = (u - ctx.one) % p
+            if S.contains_vector(d):
+                continue
+            nxt = chosen + [u]
+            grp = group_closure_vectors(ctx, nxt, target + 1)
+            if grp is None:
+                continue  # overshoot, pruned before S is extended
+            if len(grp) == target:
+                if FpSubspace(p, ctx.dim, np.array(grp)) == B.space:
+                    return nxt
+                continue
+            result = dfs(nxt, diff_subalgebra(S, d))
+            if result is not None:
+                return result
+        return None
+
+    result = dfs([], product_space(ctx, IB, IB))
+    if result is None:
+        raise VerificationError("group-basis",
+                                "no group basis found among the units")
+    return result
+
+
 def group_from_unit_vectors(ctx: AlgebraContext, vectors) -> PGroup:
     """Cayley table of a finite multiplicative group of algebra elements,
     the identity first and the rest in byte order."""
@@ -186,7 +305,7 @@ def unit_closure_invariants(ctx: AlgebraContext, units,
     the ranks of Frobenius on the span."""
     if not len(units):
         return ()
-    closure = _group_closure_vectors(ctx, units, limit)
+    closure = group_closure_vectors(ctx, units, limit)
     return abelian_invariants(group_from_unit_vectors(ctx, closure))
 
 

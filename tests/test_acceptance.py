@@ -67,7 +67,7 @@ def recoveries():
         error = None
         rep = None
         try:
-            rep = recover_decomposition(fact, seed=0)
+            rep = recover_decomposition(fact)
         except Exception as exc:  # criterion 8 wants zero hard failures
             error = exc
         out[(a_name, g0_name)] = (A, G0, fact, rep, error)

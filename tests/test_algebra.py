@@ -8,20 +8,20 @@ import numpy as np
 import pytest
 
 from pgroupalg.algebra import (AlgebraContext, AlgebraError,
-                               AugmentedSubalgebra, EnumerationCapExceeded,
-                               frattini_quotient, frobenius_chain,
-                               group_algebra_subalgebra, ideal_generated,
-                               mho_ideal_mod_derived, normal_subgroup_ideal,
-                               omega_central, omega_central_ideal,
-                               power_space, product_space, right_ideal,
+                               AugmentedSubalgebra, frattini_quotient,
+                               frobenius_chain, group_algebra_subalgebra,
+                               ideal_generated, mho_ideal_mod_derived,
+                               normal_subgroup_ideal, omega_central,
+                               omega_central_ideal, power_space,
+                               product_space, right_ideal,
                                unit_exponent_commutative)
 from pgroupalg.catalog import catalog_by_name
 from pgroupalg.fplin import span
 from pgroupalg.groups import (PGroup, agemo_derived, characteristic_subgroup,
                               omega_center_derived)
 
-from oracles import (augmentation, commutator_span, dimension_subgroup,
-                     omega_central_enumerated)
+from oracles import (EnumerationCapExceeded, augmentation, commutator_span,
+                     dimension_subgroup, omega_central_enumerated)
 
 
 def ctx_of(name):

@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 
 import pgroupalg.decompose as decompose
 import pgroupalg.groups as groups
-from pgroupalg.algebra import (AlgebraError, AugmentedSubalgebra,
-                               EnumerationCapExceeded)
+from pgroupalg.algebra import AlgebraError, AugmentedSubalgebra
 from pgroupalg.catalog import catalog_by_name
 from pgroupalg.cli import (COMMANDS, EXIT_CAP, EXIT_FAIL, EXIT_OK,
                            EXIT_PARSE, run)
@@ -154,17 +153,6 @@ def test_group_command_library_error_exit_code(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "r.json").exists()
 
 
-def test_recover_enumeration_cap_still_exits_3(tmp_path, monkeypatch):
-    fx = _emit_c2xc4_q8(tmp_path)
-
-    def capped(B, seed=0, frobs=None):
-        raise EnumerationCapExceeded("too many units")
-    monkeypatch.setattr(decompose, "find_group_basis_commutative", capped)
-    code = run(["recover", "--input", str(fx),
-                "--out", str(tmp_path / "r.json")])
-    assert code == EXIT_CAP
-
-
 @pytest.mark.parametrize("argv", [["recover"],
                                   ["recover", "--catalog", "C4"]])
 def test_recover_without_input_is_usage_error(tmp_path, capsys, argv):
@@ -219,6 +207,7 @@ def test_emit_factorization_that_does_not_build(tmp_path, capsys, a_name,
     ("cyclic-factor", ["--seed", "1"]),
     ("certify", ["--seed", "1"]),
     ("oracle", ["--seed", "1"]),
+    ("recover", ["--seed", "1"]),
 ])
 def test_unread_flag_is_usage_error(tmp_path, capsys, command, flag):
     fx = tmp_path / "fx.json"
@@ -274,7 +263,7 @@ def test_parse_error_exit_codes(tmp_path):
     not_utf8 = tmp_path / "latin1.json"
     not_utf8.write_bytes(b"\x80")
     assert run(["lemmas", "--input", str(not_utf8)]) == EXIT_PARSE
-    # the seed reaches numpy only on the sampled unit search
+    # no command reads --seed, so a value other than 0 is a usage error
     assert run(["recover", "--input", str(bad), "--seed", "-1"]) == EXIT_PARSE
     for out in (tmp_path, tmp_path / "missing" / "report.json"):
         assert run(["catalog", "--out", str(out)]) == EXIT_PARSE
@@ -549,9 +538,14 @@ LARGE_ORDER_DIGESTS = {
         "b983ac1027b99165ec543799707b638908bd140e3b3634d05cfb0cf5c9e28b7d",
     ("C3xC3", "He3"):
         "f8142399bd5f08680808f7e91c19f613f6555fa626453bdd1b4ad0348638cd4e",
-    # order 256: the abelianization C2^6 x C4 has a large subgroup lattice
+    # order 256: the abelianization C2^6 x C4 has a large subgroup lattice;
+    # 1 + I(F_2[C2^6]) has 2^63 units, so an earlier search read seeded
+    # samples, and this body was re-recorded from the constructed group
+    # basis: only its steps' h changed, and the search oracle picks the
+    # same first unit (test_kernels.py:
+    # test_group_basis_is_the_search_oracles_first_unit)
     ("C2xC2xC2xC2xC2xC2", "C4"):
-        "edc1b4d443f0f9f80b37ca98dd208027e1038b0ca52d274235a6ee16146b1728",
+        "ae05b57bb645781d5efaa940b9aab76210fe0db6f7a72242ab8ef0201cd4d939",
 }
 
 
@@ -585,12 +579,16 @@ TWISTED_DIGESTS = {
 
 # p = 5 bodies at order 125, recorded before the odd-p dense blocks were
 # packed into integer lanes: twisted recoveries drawn as above, at seed 7,
-# and the lemma checks of He5 and C5xC5xC5
+# and the lemma checks of He5 and C5xC5xC5.  The two recoveries were
+# re-recorded when the group basis came to be constructed rather than
+# searched among seeded samples: only their steps' h changed, and the
+# search oracle picks the same first unit (test_kernels.py:
+# test_group_basis_is_the_search_oracles_first_unit)
 P5_TWISTED_DIGESTS = {
     ("C5xC5", "C5"):
-        "d6e5cbcaf80d1ce7819b3040ef153c4cd8dc34bcdb35b408b7d93866bb8030f4",
+        "3fca5c0f93ec9caafc6d32803a0ea611cbf53720bd00b08ffda94e1e55e593d6",
     ("C25", "C5"):
-        "5dac189206c521ff1b1635535b9a19374cbfac7f17db6a04ac9b02e22580fead",
+        "f51e409d7715174a60d3eed81d62353ffff70dcf44dcf11e40827e5347d09e1b",
 }
 P5_LEMMAS_DIGEST = \
     "d0e9296aff768f1495c7911b8064468ff06c7c2a3e6f3056b8bd243c30b6d93f"
@@ -630,8 +628,10 @@ def test_p5_lemmas_at_order_125_are_pinned(tmp_path):
 
 
 def test_sampled_unit_search_recovery_is_pinned(tmp_path):
-    # 1 + I(C9xC3) at p = 3 has 3^26 units, past ENUM_CAP: the group-basis
-    # search reads seeded samples, and most of its branches overshoot
+    # 1 + I(C9xC3) at p = 3 has 3^26 units, past the 2^22 at which an
+    # earlier search read seeded samples; re-recorded from the constructed
+    # group basis, whose first unit the search oracle picks too
+    # (test_kernels.py:test_group_basis_is_the_search_oracles_first_unit)
     fx = tmp_path / "fx.json"
     assert run(["catalog", "--emit-factorization", "C9xC3", "C3",
                 "--out", str(fx)]) == EXIT_OK
@@ -639,7 +639,18 @@ def test_sampled_unit_search_recovery_is_pinned(tmp_path):
     assert code == EXIT_OK
     text = json.dumps(body["recover"], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "63f76e3685a548ae7319bbf9700685ed079c7c35ffbc7dd76b0bd343d88ac5d6"
+        "d464fc85b97d5e603557066792881e474a93a70080b45d90468f82666afbf966"
+
+
+def test_recover_at_order_243(tmp_path):
+    # 1 + I(F_3[C9xC3]) has 3^26 units, beside C3xC3 at order 243: the
+    # group basis is constructed, so this recovery takes about a second
+    fx = tmp_path / "fx.json"
+    assert run(["catalog", "--emit-factorization", "C9xC3", "C3xC3",
+                "--out", str(fx)]) == EXIT_OK
+    code, body = run_to_file(tmp_path, ["recover", "--input", str(fx)])
+    assert code == EXIT_OK
+    assert body["recover"][0]["recovered"]["b_invariants"] == [9, 3]
 
 
 _NO_MASKED_ARRAYS = """
@@ -658,7 +669,7 @@ for argv in (["lemmas", "--catalog", "D8", "--catalog", "He3"],
              ["cyclic-factor", "--catalog", "C2xC4"]):
     assert run(argv + ["--out", out]) == 0, argv
 _, B, _ = group_from_dict(json.load(open(fx)))
-assert find_group_basis_commutative(B, cap=4)  # the sampled path
+assert find_group_basis_commutative(B)
 print("numpy.ma" in sys.modules)
 """
 

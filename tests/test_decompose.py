@@ -9,11 +9,9 @@ import pytest
 
 import pgroupalg.decompose as decompose
 from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
-                               EnumerationCapExceeded,
                                group_algebra_subalgebra, power_space)
 from pgroupalg.catalog import catalog_by_name
-from pgroupalg.decompose import (_group_closure_vectors,
-                                 certify_indecomposable,
+from pgroupalg.decompose import (certify_indecomposable,
                                  find_group_basis_commutative, lambda_map,
                                  recover_decomposition, split_cyclic)
 from pgroupalg.fplin import FpSubspace, span
@@ -23,7 +21,7 @@ from pgroupalg.groups import (RetractionError, abelian_invariants,
                               trivial_subgroup)
 from pgroupalg.lemmas import VerificationError, verify_tensor_factorization
 
-from oracles import group_from_unit_vectors
+from oracles import group_closure_vectors, group_from_unit_vectors
 
 
 def coordinate_factorization(a_name, g0_name):
@@ -144,7 +142,7 @@ def test_find_group_basis_commutative():
     gens = find_group_basis_commutative(B)
     orders = [_order_of(ctx, u) for u in gens]
     assert max(orders) == 4
-    closed = _group_closure_vectors(ctx, gens, B.dim + 1)
+    closed = group_closure_vectors(ctx, gens, B.dim + 1)
     assert closed is not None and len(closed) == B.dim == 8
     Gb = group_from_unit_vectors(ctx, closed)
     assert abelian_invariants(Gb) == (4, 2)
@@ -161,22 +159,15 @@ def _order_of(ctx, u):
 def test_group_basis_spans_subalgebra():
     _, _, ctx, B, _ = coordinate_factorization("C4", "Q8")
     gens = find_group_basis_commutative(B)
-    closed = _group_closure_vectors(ctx, gens, B.dim + 1)
+    closed = group_closure_vectors(ctx, gens, B.dim + 1)
     S = span(ctx.group.p, ctx.dim, closed)
     assert S == B.space
 
 
-def test_sampled_group_basis_search_matches_exhaustive():
-    # cap=0 forces sampling; 4096 seeded draws hit all 127 units of 1 + I(B)
-    _, _, _, B, _ = coordinate_factorization("C2xC4", "D8")
-    exhaustive = find_group_basis_commutative(B)
-    sampled = find_group_basis_commutative(B, cap=0)
-    assert [u.tolist() for u in sampled] == [u.tolist() for u in exhaustive]
-
-
 def test_exhaustive_unit_search_forms_one_chunk(monkeypatch):
     # 1 + I(C4xC4) has 32,767 units of 32 entries, 8.4 MB as int64 rows;
-    # the search reads a few of the first, so it forms one chunk of rows
+    # the search reads the first of the highest order, so it forms one
+    # chunk of rows
     _, _, ctx, B, _ = coordinate_factorization("C4xC4", "C2")
     real, formed = decompose.matmul_mod, []
 
@@ -192,26 +183,27 @@ def test_exhaustive_unit_search_forms_one_chunk(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(gens) == 2
-    # two Frobenius levels (exponent 4) of 32 entries per unit row
+    # the unit and its top Frobenius power, 32 entries each, per row
     assert formed == [decompose._UNIT_ENTRIES // (2 * 32)]
     assert peak < 8e6  # below one copy of every unit row
 
 
-def test_group_basis_search_failure_names_its_cause():
+def test_group_basis_search_failure_names_its_cause(monkeypatch):
     # span{1, a-1, (a-1)(b-1)} in F_2[C2xC2] is a commutative augmented
-    # subalgebra of dimension 3, not a power of 2, so it has no group basis
+    # subalgebra of dimension 3, not a power of 2, so it has no group
+    # basis, which the Frobenius invariants show before any unit is formed
     ctx = AlgebraContext(catalog_by_name("C2xC2"))
     x, y = ctx.group_minus_one(1), ctx.group_minus_one(2)
     B = AugmentedSubalgebra.from_space(
         ctx, span(2, 4, [ctx.one, x, ctx.multiply(x, y)]))
+
+    def no_units(*args):
+        raise AssertionError("a unit was formed")
+
+    monkeypatch.setattr(decompose, "_units_by_order", no_units)
     with pytest.raises(VerificationError) as exc:
         find_group_basis_commutative(B)
     assert exc.value.check == "group-basis"
-    assert "sampled" not in str(exc.value)
-    # past the cap only samples are tried, so failure proves nothing; the
-    # 4096 draws hold 3 distinct units, and each is tried once
-    with pytest.raises(EnumerationCapExceeded):
-        find_group_basis_commutative(B, cap=0)
 
 
 RECOVERY_PAIRS = [("C2", "C2"), ("C2", "D8"), ("C4", "Q8"),
@@ -223,7 +215,7 @@ RECOVERY_PAIRS = [("C2", "C2"), ("C2", "D8"), ("C4", "Q8"),
 def test_recover_decomposition(a_name, g0_name):
     A, G0, ctx, B, C = coordinate_factorization(a_name, g0_name)
     fact = verify_tensor_factorization(ctx, B, C)
-    rep = recover_decomposition(fact, seed=0)
+    rep = recover_decomposition(fact)
     assert rep.verified
     assert rep.b_invariants == abelian_invariants(A)
     assert rep.c_side.order == G0.order
@@ -235,8 +227,8 @@ def test_recover_decomposition(a_name, g0_name):
 def test_recover_is_deterministic():
     _, _, ctx, B, C = coordinate_factorization("C2xC4", "D8")
     fact = verify_tensor_factorization(ctx, B, C)
-    r1 = recover_decomposition(fact, seed=0)
-    r2 = recover_decomposition(fact, seed=0)
+    r1 = recover_decomposition(fact)
+    r2 = recover_decomposition(fact)
     assert r1.to_json() == r2.to_json()
 
 

@@ -6,10 +6,9 @@ column-by-column elimination of the whole matrix, a quotient's section
 as the greedy scan that keeps each row of W outside U plus the rows kept,
 the two-sided ideal as the fixpoint of closing under left and right
 translates, I(N)F_pG as the span of the translates (e_n - 1)e_g, and the
-unit order as one ``lexsort`` of the units and their orders.
+stream of highest-order units as one ``lexsort`` of that class.
 """
 
-import contextlib
 import importlib
 import itertools
 from pathlib import Path
@@ -23,10 +22,10 @@ import pgroupalg.algebra as algebra
 import pgroupalg.fplin as fplin
 import pgroupalg.decompose as decompose
 from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
-                               EnumerationCapExceeded, frobenius_chain,
-                               group_algebra_subalgebra, ideal_generated,
-                               mho_ideal_mod_derived, normal_subgroup_ideal,
-                               power_space, product_space, unique_rows)
+                               frobenius_chain, group_algebra_subalgebra,
+                               ideal_generated, mho_ideal_mod_derived,
+                               normal_subgroup_ideal, power_space,
+                               product_space, unique_rows)
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.decompose import _units_by_order, find_group_basis_commutative
 from pgroupalg.fplin import FpSubspace, QuotientSpace, matmul_mod, rref, span
@@ -34,9 +33,11 @@ from pgroupalg.groups import (_closure, abelian_invariants, all_subgroups,
                               catalog_build, characteristic_subgroup,
                               jennings_basis, jennings_series)
 from pgroupalg.io import group_from_dict
+from pgroupalg.lemmas import verify_tensor_factorization
 
 from oracles import (commutator_span, conjugate, coordinates,
-                     dimension_subgroup, unit_closure_invariants)
+                     dimension_subgroup, group_basis_search,
+                     group_closure_vectors, unit_closure_invariants)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -271,14 +272,12 @@ def test_units_by_order_match_per_unit_orders(bench_fixtures, a_name,
     ctx, IB, p = B.ctx, B.aug_ideal, B.ctx.p
     coeffs = all_coefficient_rows(p, IB.dim)
     units = [(ctx.one + c @ IB.basis) % p for c in coeffs]
-    want = sorted(units, key=lambda u: (-ref_order(ctx, u), u.tobytes()))
-    shuffled = np.random.default_rng(1).permutation(coeffs)
-    frobs = frobenius_chain(ctx, IB.basis)
-    for got in (_units_by_order(ctx, IB, frobs),
-                _units_by_order(ctx, IB, frobs, shuffled)):
-        got = list(got)
-        assert len(got) == len(want)
-        assert all(np.array_equal(u, v) for u, v in zip(got, want))
+    orders = [ref_order(ctx, u) for u in units]
+    want = sorted((u for u, k in zip(units, orders) if k == max(orders)),
+                  key=lambda u: u.tobytes())
+    got = list(_units_by_order(ctx, IB, frobenius_chain(ctx, IB.basis)))
+    assert len(got) == len(want)
+    assert all(np.array_equal(u, v) for u, v in zip(got, want))
 
 
 def test_units_by_order_without_an_identity_pivot():
@@ -292,13 +291,23 @@ def test_units_by_order_without_an_identity_pivot():
         ctx, span(2, 8, [ctx.one, x, y, ctx.multiply(x, y)]))
     IB = B.aug_ideal
     assert IB.pivots[0] != 0
-    coeffs = all_coefficient_rows(2, IB.dim)
-    want = ref_units_by_order(ctx, IB, coeffs)
     frobs = frobenius_chain(ctx, IB.basis)
     assert np.array_equal(np.array(list(_units_by_order(ctx, IB, frobs))),
-                          want)
-    assert np.array_equal(
-        np.array(list(_units_by_order(ctx, IB, frobs, coeffs[::-1]))), want)
+                          ref_top_units(ctx, IB))
+
+
+def test_units_by_order_counts_past_int64():
+    # 1 + I(F_2[C2^7]) has 2^127 units, all of order 2: a digit whose
+    # place value p^j does not fit in int64 must read 0, so the stream
+    # starts with the odd-weight 0/1 rows in lexicographic order
+    ctx = AlgebraContext(catalog_by_name("C2xC2xC2xC2xC2xC2xC2"))
+    IB = ctx.augmentation_ideal()
+    frobs = frobenius_chain(ctx, IB.basis)
+    with np.errstate(all="raise"):
+        got = list(itertools.islice(_units_by_order(ctx, IB, frobs), 8))
+    want = [[(n >> (127 - t)) & 1 for t in range(128)]
+            for n in range(1, 64) if bin(n).count("1") % 2][:8]
+    assert np.array_equal(np.array(got), np.array(want))
 
 
 def recover_corpus(bench_fixtures):
@@ -333,13 +342,62 @@ def test_frobenius_invariants_match_unit_closure(bench_fixtures, twist_seed):
 
 
 def test_frobenius_invariants_match_unit_closure_on_sampled_units():
-    # 1 + I(F_3[C9xC3]) has 3^26 units, so the search reads samples
+    # 1 + I(F_3[C9xC3]) has 3^26 units, past the 2^22 at which an earlier
+    # backtracking search fell back to seeded samples
     A = catalog_by_name("C9xC3")
     G = catalog_build("direct_product", A, catalog_by_name("C3"))
     ctx = AlgebraContext(G)
     B = group_algebra_subalgebra(ctx, [a * 3 for a in range(A.order)])
-    assert ctx.p ** B.aug_ideal.dim > decompose.ENUM_CAP
+    assert ctx.p ** B.aug_ideal.dim == 3 ** 26
     assert_invariants_agree(B, (9, 3), "C9xC3")
+
+
+# (A, G0, twist seed) of the inputs on which the group-basis search once
+# read seeded samples, past 2^22 units of 1 + I(B)
+ONCE_SAMPLED = [("C9xC3", "C3", None), ("C5xC5", "C5", 7), ("C25", "C5", 7),
+                ("C2xC2xC2xC2xC2xC2", "C4", None)]
+
+
+def catalog_pairs(p, max_order=64):
+    """Every (A, G0) of the catalog at p with A abelian and
+    |A||G0| <= max_order."""
+    return [(A.name, G0.name)
+            for A in builtin_catalog(p=p, max_order=max_order // p)
+            if A.is_abelian()
+            for G0 in builtin_catalog(p=p, max_order=max_order // A.order)]
+
+
+@pytest.mark.parametrize("cases", [
+    *(pytest.param([(a, g0, seed) for a, g0 in catalog_pairs(p)],
+                   id=f"p{p}-{kind}")
+      for p in (2, 3, 5) for seed, kind in ((None, "coordinate"),
+                                            (7, "twisted"))),
+    pytest.param(ONCE_SAMPLED, id="once-sampled")])
+def test_group_basis_is_the_search_oracles_first_unit(monkeypatch,
+                                                      bench_fixtures, cases):
+    # on every recovery level, the constructed basis starts with the unit
+    # that the backtracking search over all units picks first, and the
+    # group of all the units it returns closes to B
+    real, levels = decompose.find_group_basis_commutative, []
+
+    def checked(B, **kwargs):
+        units = real(B, **kwargs)
+        assert np.array_equal(units[0], group_basis_search(B)[0])
+        closure = group_closure_vectors(B.ctx, units, B.dim + 1)
+        assert closure is not None and len(closure) == B.dim
+        assert FpSubspace(B.ctx.p, B.ctx.dim, np.array(closure)) == B.space
+        levels.append(B.dim)
+        return units
+
+    monkeypatch.setattr(decompose, "find_group_basis_commutative", checked)
+    for a_name, g0_name, seed in cases:
+        rng = None if seed is None else np.random.default_rng(seed)
+        data, _ = bench_fixtures.factorization_fixture(a_name, g0_name, rng)
+        _, B, C = group_from_dict(data)
+        rep = decompose.recover_decomposition(
+            verify_tensor_factorization(B.ctx, B, C))
+        assert rep.b_invariants == abelian_invariants(catalog_by_name(a_name))
+    assert len(levels) >= len(cases)
 
 
 @st.composite
@@ -704,9 +762,11 @@ def test_matmul_mod_matches_integer_product(p, stack, seed):
     assert np.array_equal(got, A @ B % p)
 
 
-def ref_units_by_order(ctx, IB, coeffs):
-    """Per-power orders, then one lexsort by (-order, bytes of the unit)."""
+def ref_top_units(ctx, IB):
+    """The units 1 + c @ IB of the highest order, over every nonzero c:
+    per-power orders, then one lexsort of the top class by its bytes."""
     p = ctx.p
+    coeffs = all_coefficient_rows(p, IB.dim)
     orders = np.ones(len(coeffs), dtype=np.int64)
     frob = IB.basis
     while True:
@@ -716,30 +776,26 @@ def ref_units_by_order(ctx, IB, coeffs):
         orders[live] *= p
         frob = ctx.powers(frob, p)
     U = (ctx.one + coeffs @ IB.basis) % p
-    return U[np.lexsort(np.vstack([U.T[::-1], -orders]))]
+    U = U[orders == orders.max()]
+    return U[np.lexsort(U.T[::-1])]
 
 
 @pytest.mark.parametrize("a_name,g0_name,twist_seed", STREAM_CASES)
 @pytest.mark.parametrize("entries", [1, 1000])
 def test_units_by_order_matches_lexsort(monkeypatch, bench_fixtures, a_name,
                                         g0_name, twist_seed, entries):
-    # one-row chunks, then a few rows per chunk, on the coefficient rows
-    # of both the exhaustive search and a sampled one (cap 0); each stream
-    # is drained in full and replayed to the search
+    # one-row chunks, then a few rows per chunk; the stream is drained in
+    # full and replayed to the search
     B = stream_subalgebra(bench_fixtures, a_name, g0_name, twist_seed)
-    p, d = B.ctx.p, B.aug_ideal.dim
     monkeypatch.setattr(decompose, "_UNIT_ENTRIES", entries)
     real, seen = decompose._units_by_order, []
 
-    def checked(ctx, IB, frobs, coeffs=None):
-        got = np.array(list(real(ctx, IB, frobs, coeffs)))
-        rows = all_coefficient_rows(p, d) if coeffs is None else coeffs
-        assert np.array_equal(got, ref_units_by_order(ctx, IB, rows))
-        seen.append(len(rows))
+    def checked(ctx, IB, frobs):
+        got = np.array(list(real(ctx, IB, frobs)))
+        assert np.array_equal(got, ref_top_units(ctx, IB))
+        seen.append(len(got))
         return iter(got)
 
     monkeypatch.setattr(decompose, "_units_by_order", checked)
     find_group_basis_commutative(B)
-    with contextlib.suppress(EnumerationCapExceeded):
-        find_group_basis_commutative(B, cap=0)
-    assert len(seen) == 2 and seen[0] == p ** d - 1
+    assert len(seen) == 1

@@ -27,6 +27,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "pgroupalg"
 ALLOWED = {
     ("algebra", "power_space"):
         "perfbench binding: perfbench/tracer.py wraps it",
+    ("algebra", "AlgebraContext.multiply"):
+        "perfbench binding: perfbench/tracer.py wraps it",
     ("algebra", "AlgebraContext.p_power"):
         "perfbench binding: perfbench/fixtures.py calls it",
     ("algebra", "AlgebraContext.power"):

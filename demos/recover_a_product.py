@@ -25,9 +25,9 @@ ctx = AlgebraContext(G)
 # the two coordinate subalgebras, presented only as spans of group elements
 B = group_algebra_subalgebra(ctx, [a * G0.order for a in range(A.order)])
 C = group_algebra_subalgebra(ctx, list(range(G0.order)))
-print(f"B: dim {B.dim}, commutative: {B.is_commutative()},"
+print(f"B: dim {B.dim}, commutative: {B.commutative},"
       f" unit exponent {unit_exponent_commutative(ctx, B.aug_ideal)}")
-print(f"C: dim {C.dim}, commutative: {C.is_commutative()}")
+print(f"C: dim {C.dim}, commutative: {C.commutative}")
 
 # step 1: certify that F_2G = B (x) C really is a tensor factorization
 fact = verify_tensor_factorization(ctx, B, C)

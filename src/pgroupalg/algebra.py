@@ -136,13 +136,6 @@ class AlgebraContext:
                                   ).transpose(1, 0, 2)
         return np.remainder(out, self.p, out=out).reshape(-1, n)
 
-    def commutators(self, X, Y) -> np.ndarray:
-        """Rows x_i y_j - y_j x_i, row i * len(Y) + j; zero iff X, Y commute."""
-        a, b = len(X), len(Y)
-        xy = self.products(X, Y)
-        yx = self.products(Y, X).reshape(b, a, self.dim).transpose(1, 0, 2)
-        return (xy - yx.reshape(-1, self.dim)) % self.p
-
     def _rowwise(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Row-wise products A[k] B[k] = A[k] @ B[k][L], in chunks of rows."""
         out = np.empty_like(A)
@@ -384,6 +377,13 @@ def unique_rows(A: np.ndarray) -> np.ndarray:
     return A[keep]
 
 
+def tables_commute(xy: np.ndarray, yx: np.ndarray, a: int, b: int) -> bool:
+    """Whether a rows X and b rows Y commute, from xy = ctx.products(X, Y)
+    and yx = ctx.products(Y, X); X commutes iff its table is symmetric."""
+    return np.array_equal(xy.reshape(a, b, xy.shape[1]),
+                          yx.reshape(b, a, yx.shape[1]).swapaxes(0, 1))
+
+
 def frobenius_chain(ctx: AlgebraContext, X) -> np.ndarray:
     """The rows of X raised to their p^k-th powers, stacked as
     chain[k] = X^{p^k} for k = 0, 1, ... while any row is nonzero.
@@ -408,18 +408,24 @@ def unit_exponent_commutative(ctx: AlgebraContext, ideal: FpSubspace) -> int:
     Valid because Frobenius is additive on a commutative algebra; the input
     ideal must be commutative and nilpotent.
     """
-    if ctx.commutators(ideal.basis, ideal.basis).any():
+    k, table = ideal.dim, ctx.products(ideal.basis, ideal.basis)
+    if not tables_commute(table, table, k, k):
         raise AlgebraError("ideal is not commutative")
     return ctx.p ** len(frobenius_chain(ctx, ideal.basis))
 
 
 @dataclass(frozen=True)
 class AugmentedSubalgebra:
-    """A unital subalgebra B of F_pG with its augmentation ideal B ∩ I(G)."""
+    """A unital subalgebra B of F_pG with its augmentation ideal B ∩ I(G).
+    B = F_p·1 ⊕ I(B) with 1 central, so ``from_space`` reads all it checks
+    off the one table I(B)·I(B): closure is I(B)^2 ⊆ B, ``commutative``
+    the table's symmetry under i <-> j, and its span ``aug_square``."""
 
     ctx: AlgebraContext
     space: FpSubspace
     aug_ideal: FpSubspace
+    commutative: bool
+    aug_square: FpSubspace
 
     @classmethod
     def from_space(cls, ctx: AlgebraContext, space: FpSubspace) -> "AugmentedSubalgebra":
@@ -429,22 +435,22 @@ class AugmentedSubalgebra:
         if not space.contains_vector(ctx.one):
             raise VerificationError("subalgebra-unit",
                                     "subspace does not contain the unit")
-        if space.reduce(ctx.products(space.basis, space.basis)).any():
+        aug = space.intersect(ctx.augmentation_ideal())
+        table = ctx.products(aug.basis, aug.basis)
+        square = FpSubspace(ctx.p, ctx.dim, table)
+        if not space.contains(square):
             raise VerificationError("subalgebra-closure",
                                     "subspace is not closed under multiplication")
-        aug = space.intersect(ctx.augmentation_ideal())
         if aug.dim != space.dim - 1:
             raise VerificationError(
                 "augmentation-codimension",
                 "augmentation ideal does not have codimension 1")
-        return cls(ctx, space, aug)
+        return cls(ctx, space, aug,
+                   tables_commute(table, table, aug.dim, aug.dim), square)
 
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def is_commutative(self) -> bool:
-        return not self.ctx.commutators(self.space.basis, self.space.basis).any()
 
 
 def group_algebra_subalgebra(ctx: AlgebraContext, elements) -> AugmentedSubalgebra:

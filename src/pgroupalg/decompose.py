@@ -176,7 +176,7 @@ def find_group_basis_commutative(B: AugmentedSubalgebra, *,
     group-basis before any unit is formed.  frobs, when given, is
     frobenius_chain(B.ctx, B.aug_ideal.basis)."""
     ctx, p = B.ctx, B.ctx.p
-    if not B.is_commutative():
+    if not B.commutative:
         raise VerificationError("group-basis", "B is not commutative")
     if B.dim == 1:
         return []
@@ -185,7 +185,7 @@ def find_group_basis_commutative(B: AugmentedSubalgebra, *,
         frobs = frobenius_chain(ctx, IB.basis)
     # subspaces of I(B) in the coordinates c of c @ IB, its pivot entries
     d, piv = IB.dim, list(IB.pivots)
-    sq = FpSubspace(p, d, ctx.products(IB.basis, IB.basis)[:, piv])
+    sq = FpSubspace(p, d, B.aug_square.basis[:, piv])
     es = [round(math.log(q, p)) for q in _frobenius_invariants(ctx, frobs)]
     rest = es[1:]
     kernels = {e: nullspace(frobs[e].T, p) if e < len(frobs)
@@ -255,7 +255,7 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
     commutative B, peeling one maximal-order cyclic factor per level."""
     if not fact.verified:
         raise VerificationError("unverified", "factorization was not verified")
-    if not fact.B.is_commutative():
+    if not fact.B.commutative:
         raise VerificationError("B-commutative", "B must be commutative")
     G = fact.ctx.group
     p = G.p

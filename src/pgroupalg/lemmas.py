@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .algebra import (AlgebraContext, AugmentedSubalgebra, VerificationError,
                       mho_ideal_mod_derived, normal_subgroup_ideal,
-                      omega_central_ideal, product_space,
+                      omega_central_ideal, tables_commute,
                       unit_exponent_commutative)
 from .fplin import FpSubspace
 from .groups import (PGroup, Subgroup, abelian_invariants, agemo_derived,
@@ -114,9 +114,15 @@ def verify_tensor_factorization(ctx: AlgebraContext,
                                 C: AugmentedSubalgebra) -> TensorFactorizationInput:
     """Check commuting, dimensions, product span and the direct-sum display
     I(A) = I(B) + I(C) + I(B)I(C); raise VerificationError naming the first
-    failed check."""
+    failed check.  With B = F_p·1 ⊕ I(B), C likewise and 1 central,
+    commuting compares the tables I(B)·I(C) and I(C)·I(B), and span BC is
+    F_p·1 ⊕ (I(B) + I(C) + I(B)I(C)), the first table spanning I(B)I(C):
+    product-span and augmentation-decomposition read that sum."""
     checks = []
-    if ctx.commutators(B.space.basis, C.space.basis).any():
+    IB, IC = B.aug_ideal, C.aug_ideal
+    bc = ctx.products(IB.basis, IC.basis)
+    if not tables_commute(bc, ctx.products(IC.basis, IB.basis),
+                          IB.dim, IC.dim):
         raise VerificationError("commuting",
                                 "B and C do not commute elementwise")
     checks.append("commuting")
@@ -124,14 +130,12 @@ def verify_tensor_factorization(ctx: AlgebraContext,
         raise VerificationError(
             "dimension-product", f"{B.dim} * {C.dim} != {ctx.dim}")
     checks.append("dimension-product")
-    prod = product_space(ctx, B.space, C.space)
-    if prod.dim != ctx.dim:
-        raise VerificationError(
-            "product-span", f"span of products has dim {prod.dim} != {ctx.dim}")
-    checks.append("product-span")
-    IB, IC = B.aug_ideal, C.aug_ideal
-    IBC = product_space(ctx, IB, IC)
+    IBC = FpSubspace(ctx.p, ctx.dim, bc)
     total = IB + IC + IBC
+    if 1 + total.dim != ctx.dim:
+        raise VerificationError("product-span", "span of products has dim "
+                                f"{1 + total.dim} != {ctx.dim}")
+    checks.append("product-span")
     if not (total == ctx.augmentation_ideal()
             and IB.dim + IC.dim + IBC.dim == ctx.dim - 1):
         raise VerificationError(

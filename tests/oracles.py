@@ -103,10 +103,51 @@ def augmentation(ctx: AlgebraContext, v) -> int:
 
 
 def commutator_span(ctx: AlgebraContext, X: FpSubspace, Y: FpSubspace) -> FpSubspace:
-    """span{xy - yx} over the bases of X and Y, from
-    ``AlgebraContext.commutators``; the tests hold it to the per-pair
-    scatter products."""
-    return FpSubspace(ctx.p, ctx.dim, ctx.commutators(X.basis, Y.basis))
+    """span{xy - yx} over the bases of X and Y, from the two tables
+    ``ctx.products(X, Y)`` and ``ctx.products(Y, X)``; the tests hold it to
+    the per-pair scatter products."""
+    a, b, n = X.dim, Y.dim, ctx.dim
+    xy = ctx.products(X.basis, Y.basis)
+    yx = ctx.products(Y.basis, X.basis).reshape(b, a, n).transpose(1, 0, 2)
+    return FpSubspace(ctx.p, n, (xy - yx.reshape(-1, n)) % ctx.p)
+
+
+def subalgebra_failure(ctx: AlgebraContext, space: FpSubspace) -> str | None:
+    """The first check of ``AugmentedSubalgebra.from_space`` that space
+    fails, or None, by the definitions on its whole basis: closure reduces
+    every product of two basis elements of B, where the library reads
+    I(B)^2 alone."""
+    if not space.contains_vector(ctx.one):
+        return "subalgebra-unit"
+    if space.reduce(ctx.products(space.basis, space.basis)).any():
+        return "subalgebra-closure"
+    if space.intersect(ctx.augmentation_ideal()).dim != space.dim - 1:
+        return "augmentation-codimension"
+    return None
+
+
+def factorization_failure(ctx: AlgebraContext, B: FpSubspace,
+                          C: FpSubspace) -> str | None:
+    """The first check of ``lemmas.verify_tensor_factorization`` that the
+    subalgebras B and C fail, or None, by the definitions on their whole
+    bases: commuting compares ``products(B, C)`` with ``products(C, B)``,
+    and the product span is ``product_space(B, C)``, where the library
+    reads both off the tables of I(B) with I(C)."""
+    n = ctx.dim
+    bc = ctx.products(B.basis, C.basis).reshape(B.dim, C.dim, n)
+    cb = ctx.products(C.basis, B.basis).reshape(C.dim, B.dim, n)
+    if not np.array_equal(bc, cb.transpose(1, 0, 2)):
+        return "commuting"
+    if B.dim * C.dim != n:
+        return "dimension-product"
+    if product_space(ctx, B, C).dim != n:
+        return "product-span"
+    I = ctx.augmentation_ideal()
+    IB, IC = B.intersect(I), C.intersect(I)
+    IBC = product_space(ctx, IB, IC)
+    if not (IB + IC + IBC == I and IB.dim + IC.dim + IBC.dim == n - 1):
+        return "augmentation-decomposition"
+    return None
 
 
 def subalgebra_closure(ctx: AlgebraContext, X: FpSubspace) -> FpSubspace:
@@ -318,7 +359,7 @@ def babelian_checks(fact: TensorFactorizationInput, part: str) -> IdentityReport
     through ``lemmas.cyclic_factor_test``."""
     if not fact.verified:
         raise VerificationError("unverified", "factorization was not verified")
-    if not fact.B.is_commutative():
+    if not fact.B.commutative:
         raise VerificationError("B-commutative", "B is not commutative")
     ctx = fact.ctx
     IB, IC = fact.B.aug_ideal, fact.C.aug_ideal

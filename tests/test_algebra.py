@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -17,8 +18,8 @@ from pgroupalg.algebra import (AlgebraContext, AlgebraError,
                                unit_exponent_commutative)
 from pgroupalg.catalog import catalog_by_name
 from pgroupalg.fplin import span
-from pgroupalg.groups import (PGroup, agemo_derived, characteristic_subgroup,
-                              omega_center_derived)
+from pgroupalg.groups import (PGroup, agemo_derived, catalog_build,
+                              characteristic_subgroup, omega_center_derived)
 
 from oracles import (EnumerationCapExceeded, augmentation, commutator_span,
                      dimension_subgroup, omega_central_enumerated)
@@ -230,7 +231,7 @@ def test_augmented_subalgebra_validation():
     G0 = 4  # C2 coordinate stride: elements {0,4} form the C2 factor
     B = group_algebra_subalgebra(ctx, [0, 4])
     assert B.dim == 2
-    assert B.is_commutative()
+    assert B.commutative
     assert unit_exponent_commutative(ctx, B.aug_ideal) == 2
     # a subspace that is not multiplicatively closed is rejected
     bad = span(2, 8, [ctx.one, ctx.basis_vector(1)])
@@ -240,6 +241,25 @@ def test_augmented_subalgebra_validation():
     bad2 = span(2, 8, [ctx.group_minus_one(1)])
     with pytest.raises(ValueError):
         AugmentedSubalgebra.from_space(ctx, bad2)
+
+
+def test_subalgebra_checks_form_one_bounded_table():
+    # B = F_2[C2^7] in F_2[C2^7 x C2], of dimension 128: the one table
+    # I(B) I(B) and the elimination of its span stay below 80 MB traced,
+    # where reducing all 16,384 products of B with B at once takes 150 MB
+    A = catalog_by_name("C2xC2xC2xC2xC2xC2xC2")
+    ctx = AlgebraContext(catalog_build("direct_product", A,
+                                       catalog_by_name("C2")))
+    tracemalloc.start()
+    try:
+        B = group_algebra_subalgebra(ctx, [2 * a for a in range(A.order)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # I(B)/I(B)^2 has dimension d(C2^7) = 7
+    assert B.dim == 128 and B.commutative
+    assert B.aug_square.dim == B.aug_ideal.dim - 7
+    assert peak < 80e6
 
 
 def _memoized_builders(G):

@@ -1,18 +1,27 @@
 """Structural identities, the cyclic factor criterion and factorization
 verification."""
 
+import importlib
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pgroupalg.algebra import AlgebraContext, group_algebra_subalgebra
-from pgroupalg.catalog import catalog_by_name
-from pgroupalg.groups import catalog_build
+from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
+                               group_algebra_subalgebra)
+from pgroupalg.catalog import builtin_catalog, catalog_by_name
+from pgroupalg.fplin import FpSubspace, span
+from pgroupalg.groups import Subgroup, catalog_build
+from pgroupalg.io import group_from_dict
 from pgroupalg.lemmas import (VerificationError, cyclic_factor_test,
                               lemma_identity_check,
                               verify_tensor_factorization)
 
-from oracles import babelian_checks, has_cyclic_factor_of_order
+from oracles import (babelian_checks, factorization_failure,
+                     has_cyclic_factor_of_order, subalgebra_failure)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 IDENTITY_GROUPS = ["C2", "C4", "C8", "C2xC2", "C2xC4", "D8", "Q8",
                    "D16", "Q16", "SD16", "M16", "C2xD8",
@@ -92,7 +101,7 @@ def test_verify_tensor_factorization():
     ctx, B, C = coordinate_factorization("C2", "D8")
     fact = verify_tensor_factorization(ctx, B, C)
     assert fact.B.dim * fact.C.dim == 16
-    assert fact.B.is_commutative()
+    assert fact.B.commutative
 
 
 def test_verify_rejects_noncommuting_pair():
@@ -131,3 +140,105 @@ def test_babelian_rejects_unknown_part():
     fact = verify_tensor_factorization(ctx, B, C)
     with pytest.raises(ValueError):
         babelian_checks(fact, "b")
+
+
+@pytest.fixture(scope="module")
+def bench_fixtures():
+    """perfbench/fixtures.py, imported as it is."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        yield importlib.import_module("fixtures")
+
+
+def catalog_inputs(fixtures, p, seed):
+    """(ctx, B, C) of every catalog pair A x G0 at p of order at most 32,
+    A abelian, from perfbench's factorization fixture: B = F_pA, twisted
+    by a central unit drawn at seed unless seed is None, and C = F_pG0."""
+    for A in builtin_catalog(p=p, max_order=32 // p):
+        if not A.is_abelian():
+            continue
+        for G0 in builtin_catalog(p=p, max_order=32 // A.order):
+            rng = None if seed is None else np.random.default_rng(seed)
+            data, _ = fixtures.factorization_fixture(A.name, G0.name, rng)
+            rows = data.pop("factorization")
+            G, _, _ = group_from_dict(data)
+            yield (AlgebraContext.of(G), FpSubspace(p, G.order, rows["B"]),
+                   FpSubspace(p, G.order, rows["C"]))
+
+
+def element_span(ctx, elements):
+    return span(ctx.p, ctx.dim, [ctx.basis_vector(g) for g in elements])
+
+
+def special_input(case):
+    """(ctx, B, C) of a hand-made input, and the check it fails."""
+    if case in ("unit-p2", "unit-p3"):
+        # B = F_p.1, with empty I(B), and C = F_pG: a trivial factorization
+        ctx = AlgebraContext(catalog_by_name("C4" if case == "unit-p2"
+                                             else "C3xC3"))
+        return ctx, element_span(ctx, [0]), ctx.full_space(), None
+    ctx = AlgebraContext(catalog_by_name("D8" if case == "D8" else "C4"))
+    one = element_span(ctx, [0])
+    half = element_span(ctx, [0, 2])  # F_2[<e_2>], e_2 of order 2 in C4
+    if case == "not-closed":
+        return ctx, span(2, 4, [[1, 0, 0, 0], [0, 1, 0, 0]]), half, \
+            "subalgebra-closure"
+    if case == "same-half":
+        # commuting, 2 * 2 = 4, but B C = B spans only dimension 2
+        return ctx, half, half, "product-span"
+    if case == "unit-with-half":
+        return ctx, one, half, "dimension-product"
+    # F_2[<s>] and F_2[<r>] in F_2[D8]: r of order 4 and a reflection s
+    # do not commute
+    G = ctx.group
+    r = next(g for g in range(8) if G.element_order(g) == 4)
+    s = next(g for g in range(8) if G.mul(r, g) != G.mul(g, r))
+    return ctx, element_span(ctx, [0, s]), \
+        element_span(ctx, Subgroup.generated(G, (r,)).elements), "commuting"
+
+
+def named_failure(ctx, B, C):
+    """The check that from_space or verify_tensor_factorization names
+    first on the subspaces B and C, or None."""
+    try:
+        verify_tensor_factorization(
+            ctx, AugmentedSubalgebra.from_space(ctx, B),
+            AugmentedSubalgebra.from_space(ctx, C))
+    except VerificationError as exc:
+        return exc.check
+    return None
+
+
+def oracle_failure(ctx, B, C):
+    return (subalgebra_failure(ctx, B) or subalgebra_failure(ctx, C)
+            or factorization_failure(ctx, B, C))
+
+
+SPECIAL = ("not-closed", "same-half", "unit-with-half", "D8", "unit-p2",
+           "unit-p3")
+
+
+@pytest.mark.parametrize("case", [
+    *((p, seed) for p in (2, 3, 5) for seed in (None, 7)), *SPECIAL],
+    ids=[*(f"p{p}-{kind}" for p in (2, 3, 5)
+           for kind in ("coordinate", "twisted")), *SPECIAL])
+def test_checks_read_off_one_table_fail_as_their_definitions(
+        bench_fixtures, case):
+    # from_space reads closure and commutativity off the table I(B) I(B),
+    # and verify_tensor_factorization reads commuting and product-span off
+    # the tables I(B) I(C) and I(C) I(B); the oracles apply each check's
+    # definition to the whole bases of B and C.  augmentation-decomposition
+    # gets no input of its own: once dimension-product and product-span
+    # pass, dim I(B) + dim I(C) + dim I(B)I(C) is at least the dimension
+    # |G| - 1 of their sum and at most (b-1) + (c-1) + (b-1)(c-1) =
+    # bc - 1 = |G| - 1, so the sum is direct and the check cannot fire
+    if case in SPECIAL:
+        ctx, B, C, want = special_input(case)
+        assert oracle_failure(ctx, B, C) == want
+        inputs = [(ctx, B, C)]
+    else:
+        inputs = list(catalog_inputs(bench_fixtures, *case))
+        assert inputs
+    for ctx, B, C in inputs:
+        assert named_failure(ctx, B, C) == oracle_failure(ctx, B, C), \
+            ctx.group.name

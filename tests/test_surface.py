@@ -12,19 +12,25 @@ name to the function of that name in the module or the one it imports,
 attribute of any other object reaches every method of that name in the
 modules the referring module imports, directly or not, and in its own.
 A reference made from the body of an ``ALLOWED`` function is not a use,
-since nothing in the library calls that body.
+since nothing in the library calls that body.  An entry kept as a
+``perfbench/`` binding must name something that ``perfbench/`` still
+mentions, so it cannot outlive the binding.
 """
 
 import ast
+import re
 import textwrap
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pgroupalg"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 # (module, qualified name) -> why it stays with no library caller
 ALLOWED = {
+    ("algebra", "product_space"):
+        "perfbench binding: perfbench/tracer.py wraps it",
     ("algebra", "power_space"):
         "perfbench binding: perfbench/tracer.py wraps it",
     ("algebra", "AlgebraContext.multiply"):
@@ -173,6 +179,17 @@ def test_allowlist_gives_a_reason(key):
     kind = ALLOWED[key].split(":")[0]
     assert kind in ("perfbench binding", "public entry point",
                     "documented oracle")
+
+
+@pytest.mark.parametrize("key", sorted(
+    k for k, why in ALLOWED.items() if why.startswith("perfbench binding")))
+def test_perfbench_binding_is_in_perfbench(key):
+    # the binding an entry names must still be there: its last name
+    # component appears as a whole word in perfbench's sources, read only
+    name = key[1].rsplit(".", 1)[-1]
+    text = "\n".join(path.read_text()
+                     for path in sorted(PERFBENCH.glob("*.py")))
+    assert re.search(rf"\b{re.escape(name)}\b", text), key
 
 
 # two layers: "low" imports nothing from the library, "high" imports "low"

@@ -16,19 +16,20 @@ chunks the same way.
 
 Every ideal takes at most two eliminations.  I(N)F_pG, the augmentation
 ideal among them, is written down in canonical RREF from the cosets of N
-with none; ``ideal_generated`` eliminates the left translates of its
-generators and then, unless they are central, the right translates of
-that left ideal; the mho ideal modulo the derived ideal is one
-elimination.  Each power I(G)^m is one elimination of a row slice of the
+with none, and so are Z(F_pG), Z(I(G)) and every B ∩ I(G);
+``ideal_generated`` eliminates the left translates of its generators and
+then, unless they are central, the right translates of that left ideal;
+the mho ideal modulo the derived ideal is one elimination of powers that
+gathers give.  Each power I(G)^m is one elimination of a row slice of the
 Jennings basis, the |G| products of powers of e_x - 1 over the dimension
 subgroups' generators x, which the context builds once by gathers and
 slices by weight; no product of two ideals is formed.
 
 Each group has one shared context, ``AlgebraContext.of(G)``, and each
 context memoizes what is derived from its group alone: the augmentation
-ideal and its powers, the centre, the normal-subgroup ideals and the
-Omega/mho ideals of the lemmas.  A check that needs one of them again
-finds it built.
+ideal and its powers, the centre, the normal-subgroup ideals, the
+Omega/mho ideals of the lemmas and every right ideal, keyed by content.
+A check that needs one of them again finds it built.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fplin import FpSubspace, QuotientSpace, nullspace
-from .groups import (NotNormalError, PGroup, Subgroup, characteristic_subgroup,
-                     jennings_basis, memoized)
+from .fplin import FpSubspace, QuotientSpace, matmul_mod, nullspace
+from .groups import (NotNormalError, PGroup, Subgroup, _powers,
+                     characteristic_subgroup, jennings_basis, memoized)
 
 
 class AlgebraError(ValueError):
@@ -228,18 +229,34 @@ class AlgebraContext:
 
     @memoized
     def center_subspace(self) -> FpSubspace:
-        """Z(F_pG), spanned by conjugacy class sums."""
-        rows = []
-        for cls in self.conjugacy_classes():
-            v = np.zeros(self.dim, dtype=np.int64)
-            v[list(cls)] = 1
-            rows.append(v)
-        return FpSubspace(self.p, self.dim, np.array(rows))
+        """Z(F_pG): the conjugacy class sums, disjoint and listed by least
+        element, each sum's pivot, so in canonical RREF as they are."""
+        classes = self.conjugacy_classes()
+        rows = np.zeros((len(classes), self.dim), dtype=np.int64)
+        for k, cls in enumerate(classes):
+            rows[k, list(cls)] = 1
+        return FpSubspace._from_rref(self.p, self.dim, rows,
+                                     [cls[0] for cls in classes])
 
     @memoized
     def central_ideal_part(self) -> FpSubspace:
         """Z(I(G)) = Z(F_pG) intersected with I(G)."""
-        return self.center_subspace().intersect(self.augmentation_ideal())
+        return augmentation_part(self, self.center_subspace())
+
+
+def augmentation_part(ctx: AlgebraContext, V: FpSubspace) -> FpSubspace:
+    """V ∩ I(G) for a subspace V that holds 1, in canonical RREF with no
+    elimination: drop the last basis row b_j of augmentation eps_j != 0 and
+    subtract eps_i / eps_j b_j from each earlier row b_i.  b_j is zero left
+    of its pivot and on the other pivots, so the rest stay in RREF on their
+    own pivots; the later rows have eps = 0 already."""
+    p = ctx.p
+    eps = V.basis.sum(axis=1) % p
+    j = int(np.flatnonzero(eps)[-1])
+    rows = np.delete(V.basis, j, axis=0)
+    rows[:j] = (rows[:j] - np.outer(eps[:j] * pow(int(eps[j]), -1, p),
+                                    V.basis[j])) % p
+    return FpSubspace._from_rref(p, ctx.dim, rows, np.delete(V.pivots, j))
 
 
 def product_space(ctx: AlgebraContext, X: FpSubspace, Y: FpSubspace) -> FpSubspace:
@@ -262,8 +279,10 @@ def power_space(ctx: AlgebraContext, X: FpSubspace, m: int) -> FpSubspace:
     return acc
 
 
+@memoized
 def right_ideal(ctx: AlgebraContext, X: FpSubspace) -> FpSubspace:
-    """XA: the right ideal generated by X (A is unital, so X itself included)."""
+    """XA, the right ideal generated by X (X included, as A is unital);
+    memoized on ctx by the content of X, so an equal X is not eliminated."""
     return FpSubspace(ctx.p, ctx.dim, ctx.right_translates(X.basis))
 
 
@@ -328,10 +347,9 @@ def omega_central(ctx: AlgebraContext, i: int) -> FpSubspace:
     Z = ctx.central_ideal_part()
     if Z.dim == 0:
         return Z
-    M = ctx.powers(Z.basis, ctx.p ** i)  # rows: images
-    coeffs = nullspace(M.T, ctx.p)
-    rows = (coeffs @ Z.basis) % ctx.p if coeffs.size else None
-    K = FpSubspace(ctx.p, ctx.dim, rows)
+    M = ctx.powers(Z.basis, ctx.p ** i)  # rows: images; Z itself if all 0
+    K = FpSubspace(ctx.p, ctx.dim, nullspace(M.T, ctx.p) @ Z.basis % ctx.p) \
+        if M.any() else Z
     # (zw)^{p^i} = z^{p^i} w^{p^i} in Z(I(G)), so the kernel is closed under
     # products; checked once rather than closed in a fixpoint
     if K.dim and K.reduce(ctx.products(K.basis, K.basis)).any():
@@ -349,22 +367,35 @@ def omega_central_ideal(ctx: AlgebraContext, i: int) -> FpSubspace:
 
 @memoized
 def mho_ideal_mod_derived(ctx: AlgebraContext, i: int) -> FpSubspace:
-    """mho_i(I(G))F_pG + I(G')F_pG, from one elimination; memoized on ctx.
+    """mho_i(I(G))F_pG + I(G')F_pG, from at most one elimination; memoized.
 
     Modulo the derived ideal D = I(G')F_pG the algebra is commutative, so
     p^i-th powers of a basis of I(G) span all p^i-th powers there, and the
     two-sided ideal they generate is the right ideal P F_pG of their span
     P; the raw mho ideal alone is never needed.  Only the classes of the
-    powers modulo D matter, so they are reduced to their residuals first,
-    and the zero and repeated ones dropped, before the one elimination of
-    D with the right translates of the rest.
+    powers modulo D matter, so they are read off frobenius_mod_derived and
+    reduced to their residuals, and the zero and repeated ones dropped,
+    before the one elimination of D with the right translates of the rest;
+    when none is left, the ideal is D itself.
     """
     I = ctx.augmentation_ideal()
     D = normal_subgroup_ideal(ctx, characteristic_subgroup(ctx.group, "derived"))
-    P = D.reduce(ctx.powers(I.basis, ctx.p ** i))
+    P = D.reduce(frobenius_mod_derived(ctx, I.basis, ctx.p ** i))
     P = unique_rows(P[P.any(axis=1)])
+    if not len(P):
+        return D
     return FpSubspace(ctx.p, ctx.dim,
                       np.concatenate([D.basis, ctx.right_translates(P)]))
+
+
+def frobenius_mod_derived(ctx: AlgebraContext, X, q: int) -> np.ndarray:
+    """Rows congruent to the q-th powers of the rows of X modulo I(G')F_pG,
+    q a power of p, by one gather: F_pG/I(G')F_pG = F_p[G/G'] is
+    commutative of characteristic p and a^q = a on F_p, so there
+    (sum a_g e_g)^q = sum a_g e_{g^q}.  A residual modulo any ideal that
+    contains I(G')F_pG is therefore that of the exact power."""
+    move = np.eye(ctx.dim, dtype=np.int64)[_powers(ctx.group, q)]
+    return matmul_mod(np.asarray(X, dtype=np.int64) % ctx.p, move, ctx.p)
 
 
 def unique_rows(A: np.ndarray) -> np.ndarray:
@@ -431,11 +462,12 @@ class AugmentedSubalgebra:
     def from_space(cls, ctx: AlgebraContext, space: FpSubspace) -> "AugmentedSubalgebra":
         """The subspace as an augmented subalgebra; a failed check raises a
         VerificationError named subalgebra-unit, subalgebra-closure or
-        augmentation-codimension."""
+        augmentation-codimension.  The last is structural, as
+        augmentation_part drops exactly one row, and stays as a guard."""
         if not space.contains_vector(ctx.one):
             raise VerificationError("subalgebra-unit",
                                     "subspace does not contain the unit")
-        aug = space.intersect(ctx.augmentation_ideal())
+        aug = augmentation_part(ctx, space)
         table = ctx.products(aug.basis, aug.basis)
         square = FpSubspace(ctx.p, ctx.dim, table)
         if not space.contains(square):

@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .algebra import (AlgebraContext, AugmentedSubalgebra, frobenius_chain,
-                      ideal_generated, normal_subgroup_ideal)
+                      frobenius_mod_derived, ideal_generated,
+                      normal_subgroup_ideal)
 from .fplin import FpError, FpSubspace, QuotientSpace, matmul_mod, nullspace, span
 from .groups import (ORACLE_CAP, PGroup, RetractionError, Subgroup,
                      _check_oracle_cap, _direct_pairs, abelian_invariants,
@@ -53,7 +54,8 @@ def lambda_map(G: PGroup, s: int) -> LambdaData:
     U_cod contains I(G')F_pG, modulo which F_pG is commutative, so
     z -> z^{p^{s-1}} is additive modulo U_cod.  The map is therefore well
     defined on z + I(G)^2 exactly when every basis vector of I(G)^2 has its
-    p^{s-1}-th power in U_cod.
+    p^{s-1}-th power in U_cod; both sets of powers are gathered by
+    frobenius_mod_derived, exact modulo U_cod.
     """
     p = G.p
     if s < 1 or p ** s > G.exponent():
@@ -65,12 +67,12 @@ def lambda_map(G: PGroup, s: int) -> LambdaData:
     domain = QuotientSpace(W_dom, I2)
     U_cod = ctx.augmentation_power(q + 1) + \
         normal_subgroup_ideal(ctx, agemo_derived(G, s))
-    if U_cod.reduce(ctx.powers(I2.basis, q)).any():
+    if U_cod.reduce(frobenius_mod_derived(ctx, I2.basis, q)).any():
         raise VerificationError(
             "lambda-well-defined",
             "an I(G)^2 basis vector has its p^{s-1}-th power outside "
             "I(G)^{p^{s-1}+1} + I(mho_s(G)G')F_pG")
-    images = U_cod.reduce(ctx.powers(domain.section, q))
+    images = U_cod.reduce(frobenius_mod_derived(ctx, domain.section, q))
     coeffs = nullspace(images.T, p)  # c with c @ images = 0
     kernel = FpSubspace(p, G.order, coeffs @ domain.section % p)
     return LambdaData(s, domain, U_cod, images, kernel)

@@ -299,10 +299,6 @@ class FpSubspace:
         return self
 
     @classmethod
-    def zero(cls, p: int, ambient: int) -> "FpSubspace":
-        return cls(p, ambient)
-
-    @classmethod
     def full(cls, p: int, ambient: int) -> "FpSubspace":
         return cls._from_rref(p, ambient, np.eye(ambient, dtype=np.int64),
                               range(ambient))
@@ -343,16 +339,6 @@ class FpSubspace:
                           np.concatenate([self.basis, other.basis]))
 
     __add__ = sum
-
-    def intersect(self, other: "FpSubspace") -> "FpSubspace":
-        self._compat(other)
-        if self.dim == 0 or other.dim == 0:
-            return FpSubspace.zero(self.p, self.ambient)
-        # x in both spans: x = cA @ A = cB @ B; kernel of [A^T | -B^T]
-        M = np.concatenate([self.basis.T, -other.basis.T], axis=1) % self.p
-        ker = nullspace(M, self.p)
-        rows = (ker[:, :self.dim] @ self.basis) % self.p
-        return FpSubspace(self.p, self.ambient, rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpSubspace):

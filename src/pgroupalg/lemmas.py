@@ -16,7 +16,7 @@ from .algebra import (AlgebraContext, AugmentedSubalgebra, VerificationError,
                       unit_exponent_commutative)
 from .fplin import FpSubspace
 from .groups import (PGroup, Subgroup, abelian_invariants, agemo_derived,
-                     characteristic_subgroup, omega_center_derived,
+                     characteristic_subgroup, memoized, omega_center_derived,
                      r_subquotient)
 
 
@@ -54,6 +54,13 @@ def _compare(identity_id: str, left: FpSubspace, right: FpSubspace) -> IdentityR
     return IdentityReport(identity_id, left.dim, right.dim, equal, witness)
 
 
+@memoized
+def _ideal_sum(ctx: AlgebraContext, X: FpSubspace, Y: FpSubspace) -> FpSubspace:
+    """X + Y, memoized on ctx by content, as lemma right sides repeat in i
+    and j; X or Y itself, with no elimination, when it holds the other."""
+    return X if X.contains(Y) else Y if Y.contains(X) else X + Y
+
+
 def lemma_identity_check(G: PGroup, item: int, i: int = 1, j: int = 1) -> IdentityReport:
     """Check one of the three ideal identities relating characteristic
     subgroups of G to Omega/mho constructions inside F_pG."""
@@ -65,13 +72,15 @@ def lemma_identity_check(G: PGroup, item: int, i: int = 1, j: int = 1) -> Identi
     if item == 2:
         left = normal_subgroup_ideal(ctx, omega_center_derived(G, i))
         derived = characteristic_subgroup(G, "derived")
-        right = omega_central_ideal(ctx, i) + normal_subgroup_ideal(ctx, derived)
+        right = _ideal_sum(ctx, omega_central_ideal(ctx, i),
+                           normal_subgroup_ideal(ctx, derived))
         return _compare("lemma2", left, right)
     if item == 3:
         N = Subgroup.generated(G, set(omega_center_derived(G, i).elements)
                                | set(agemo_derived(G, j).elements))
         left = normal_subgroup_ideal(ctx, N)
-        right = omega_central_ideal(ctx, i) + mho_ideal_mod_derived(ctx, j)
+        right = _ideal_sum(ctx, omega_central_ideal(ctx, i),
+                           mho_ideal_mod_derived(ctx, j))
         return _compare("lemma3", left, right)
     raise ValueError(f"unknown lemma item {item}")
 

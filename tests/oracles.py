@@ -16,7 +16,7 @@ from pgroupalg.algebra import (AlgebraContext, AlgebraError,
                                AugmentedSubalgebra, frobenius_chain,
                                normal_subgroup_ideal, product_space,
                                unit_exponent_commutative)
-from pgroupalg.fplin import FpSubspace, matmul_mod, span
+from pgroupalg.fplin import FpError, FpSubspace, matmul_mod, nullspace, span
 from pgroupalg.groups import (ORACLE_CAP, PGroup, Subgroup, _commutator_table,
                               _powers, abelian_invariants, agemo_derived,
                               cyclic_factor_orders, full_subgroup)
@@ -92,6 +92,19 @@ def coordinates(U: FpSubspace, vec) -> np.ndarray | None:
     return np.asarray(vec, dtype=np.int64)[list(U.pivots)] % U.p
 
 
+def intersect(U: FpSubspace, V: FpSubspace) -> FpSubspace:
+    """U ∩ V from the nullspace of [U^T | -V^T]: x = a @ U.basis =
+    b @ V.basis.  Cross-checks ``algebra.augmentation_part``, which reads
+    V ∩ I(G) off V's canonical basis."""
+    if U.p != V.p or U.ambient != V.ambient:
+        raise FpError("prime/ambient dimension mismatch")
+    if U.dim == 0 or V.dim == 0:
+        return FpSubspace(U.p, U.ambient)
+    M = np.concatenate([U.basis.T, -V.basis.T], axis=1) % U.p
+    ker = nullspace(M, U.p)
+    return FpSubspace(U.p, U.ambient, (ker[:, :U.dim] @ U.basis) % U.p)
+
+
 # ---------------------------------------------------------------------------
 # algebra
 
@@ -121,7 +134,7 @@ def subalgebra_failure(ctx: AlgebraContext, space: FpSubspace) -> str | None:
         return "subalgebra-unit"
     if space.reduce(ctx.products(space.basis, space.basis)).any():
         return "subalgebra-closure"
-    if space.intersect(ctx.augmentation_ideal()).dim != space.dim - 1:
+    if intersect(space, ctx.augmentation_ideal()).dim != space.dim - 1:
         return "augmentation-codimension"
     return None
 
@@ -143,7 +156,7 @@ def factorization_failure(ctx: AlgebraContext, B: FpSubspace,
     if product_space(ctx, B, C).dim != n:
         return "product-span"
     I = ctx.augmentation_ideal()
-    IB, IC = B.intersect(I), C.intersect(I)
+    IB, IC = intersect(B, I), intersect(C, I)
     IBC = product_space(ctx, IB, IC)
     if not (IB + IC + IBC == I and IB.dim + IC.dim + IBC.dim == n - 1):
         return "augmentation-decomposition"
@@ -182,7 +195,7 @@ def omega_central_enumerated(ctx: AlgebraContext, i: int,
             f"{total} central elements exceed cap {cap}")
     q = ctx.p ** i
     digits = ctx.p ** np.arange(Z.dim)
-    acc = FpSubspace.zero(ctx.p, ctx.dim)
+    acc = FpSubspace(ctx.p, ctx.dim)
     for start in range(0, total, _ENUM_CHUNK):
         n = np.arange(start, min(start + _ENUM_CHUNK, total))
         elems = ((n[:, None] // digits) % ctx.p) @ Z.basis % ctx.p

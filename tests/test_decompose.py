@@ -88,14 +88,14 @@ def test_lambda_map_constant_on_every_i2_shift(name, s):
 
 
 def test_lambda_map_failure_names_its_check(monkeypatch):
-    real = AlgebraContext.powers
+    real = decompose.frobenius_mod_derived
 
-    def off_by_unit(self, X, m):
-        out = real(self, X, m)
-        out[:, 0] = (out[:, 0] + 1) % self.p
+    def off_by_unit(ctx, X, q):
+        out = real(ctx, X, q)
+        out[:, 0] = (out[:, 0] + 1) % ctx.p
         return out
 
-    monkeypatch.setattr(AlgebraContext, "powers", off_by_unit)
+    monkeypatch.setattr(decompose, "frobenius_mod_derived", off_by_unit)
     with pytest.raises(VerificationError) as exc:
         lambda_map(catalog_by_name("C2xC4"), 2)
     assert exc.value.check == "lambda-well-defined"

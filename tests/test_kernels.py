@@ -22,7 +22,8 @@ import pgroupalg.algebra as algebra
 import pgroupalg.fplin as fplin
 import pgroupalg.decompose as decompose
 from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
-                               frobenius_chain, group_algebra_subalgebra,
+                               augmentation_part, frobenius_chain,
+                               frobenius_mod_derived, group_algebra_subalgebra,
                                ideal_generated, mho_ideal_mod_derived,
                                normal_subgroup_ideal, power_space,
                                product_space, unique_rows)
@@ -37,7 +38,7 @@ from pgroupalg.lemmas import verify_tensor_factorization
 
 from oracles import (commutator_span, conjugate, coordinates,
                      dimension_subgroup, group_basis_search,
-                     group_closure_vectors, unit_closure_invariants)
+                     group_closure_vectors, intersect, unit_closure_invariants)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -402,6 +403,95 @@ def test_group_basis_is_the_search_oracles_first_unit(monkeypatch,
     assert len(levels) >= len(cases)
 
 
+def closed_form_groups():
+    """The 46 catalog groups, C5xC5, C25 and C3 x He3."""
+    return builtin_catalog() + [
+        catalog_by_name("C5xC5"), catalog_by_name("C25"),
+        catalog_build("direct_product", catalog_by_name("C3"),
+                      catalog_by_name("He3"))]
+
+
+def recovery_level_spaces(monkeypatch, bench_fixtures, cases):
+    """(ctx, space) of B and of C at every recovery level of each
+    (A, G0, twist seed)."""
+    real, seen = decompose.verify_tensor_factorization, []
+
+    def recorded(ctx, B, C):
+        seen.extend([(ctx, B.space), (ctx, C.space)])
+        return real(ctx, B, C)
+
+    monkeypatch.setattr(decompose, "verify_tensor_factorization", recorded)
+    for a_name, g0_name, seed in cases:
+        rng = None if seed is None else np.random.default_rng(seed)
+        data, _ = bench_fixtures.factorization_fixture(a_name, g0_name, rng)
+        _, B, C = group_from_dict(data)
+        decompose.recover_decomposition(recorded(B.ctx, B, C))
+    return seen
+
+
+@pytest.mark.parametrize("cases", [
+    pytest.param(None, id="groups"),
+    *(pytest.param([(a, g0, seed) for a, g0 in catalog_pairs(p)],
+                   id=f"p{p}-{kind}")
+      for p in (2, 3, 5) for seed, kind in ((None, "coordinate"),
+                                            (7, "twisted")))])
+def test_closed_forms_match_the_intersection_oracle(monkeypatch,
+                                                    bench_fixtures, cases):
+    # Z(F_pG) from the class sums as they are, Z(I(G)) and every B ∩ I(G)
+    # read off canonical bases equal the eliminated subspaces: the class
+    # sums found by single conjugations, and the nullspace intersection
+    if cases is None:
+        spaces, rng = [], np.random.default_rng(20261019)
+        for G in closed_form_groups():
+            ctx = AlgebraContext(G)
+            classes = {frozenset(conjugate(G, g, h) for h in range(G.order))
+                       for g in range(G.order)}
+            sums = np.zeros((len(classes), G.order), dtype=np.int64)
+            for k, cls in enumerate(classes):
+                sums[k, list(cls)] = 1
+            Z = ctx.center_subspace()
+            assert Z == FpSubspace(G.p, G.order, sums), G.name
+            assert ctx.central_ideal_part() == \
+                intersect(Z, ctx.augmentation_ideal()), G.name
+            spaces.append((ctx, Z))
+            # and a random subspace that holds 1, whose last row of nonzero
+            # augmentation may have any augmentation, not only 1
+            rows = rng.integers(0, G.p, size=(4, G.order))
+            V = FpSubspace(G.p, G.order, np.vstack([ctx.one, rows]))
+            assert augmentation_part(ctx, V) == \
+                intersect(V, ctx.augmentation_ideal()), G.name
+    else:
+        spaces = recovery_level_spaces(monkeypatch, bench_fixtures, cases)
+        assert len(spaces) >= 4 * len(cases)
+    for ctx, V in spaces:
+        aug = AugmentedSubalgebra.from_space(ctx, V).aug_ideal
+        assert aug == intersect(V, ctx.augmentation_ideal())
+        assert aug == FpSubspace(ctx.p, ctx.dim, aug.basis)
+
+
+def test_frobenius_gathers_match_powers_modulo_the_derived_ideal():
+    # modulo I(G')F_pG the q-th power of a row is its coefficients moved
+    # from g to g^q: the residuals equal those of the exact powers for the
+    # bases of I(G) and I(G)^2 and for random rows, at every q <= exp(G)
+    rng = np.random.default_rng(20261019)
+    checks = 0
+    for G in closed_form_groups():
+        ctx = AlgebraContext(G)
+        D = normal_subgroup_ideal(ctx, characteristic_subgroup(G, "derived"))
+        row_sets = (ctx.augmentation_ideal().basis,
+                    ctx.augmentation_power(2).basis,
+                    rng.integers(0, G.p, size=(8, G.order)))
+        q = G.p
+        while q <= G.exponent():
+            for X in row_sets:
+                assert np.array_equal(
+                    D.reduce(frobenius_mod_derived(ctx, X, q)),
+                    D.reduce(ctx.powers(X, q))), (G.name, q)
+                checks += 1
+            q *= G.p
+    assert checks == 345
+
+
 @st.composite
 def matrices(draw, min_rows=0):
     """(rows, p) with entries mod p, of bounded rank, at most 120 rows, so
@@ -608,9 +698,9 @@ def test_dimension_formula(case, seed):
     W = FpSubspace(p, n, np.concatenate([
         rows[:rng.integers(0, len(rows) + 1)],
         rng.integers(0, p, size=(rng.integers(0, n + 1), n))]))
-    assert (U + W).dim + U.intersect(W).dim == U.dim + W.dim
+    assert (U + W).dim + intersect(U, W).dim == U.dim + W.dim
     assert (U + W).contains(U) and (U + W).contains(W)
-    assert U.contains(U.intersect(W)) and W.contains(U.intersect(W))
+    assert U.contains(intersect(U, W)) and W.contains(intersect(U, W))
 
 
 @given(matrices(), st.integers(0, 2 ** 32 - 1))
@@ -656,7 +746,7 @@ def test_quotient_section_and_batched_projection(case, seed):
     Q = QuotientSpace(W, U)
     assert np.array_equal(Q.section, ref_greedy_section(U, W))
     S = FpSubspace(p, n, Q.section)
-    assert U + S == W and U.intersect(S).dim == 0
+    assert U + S == W and intersect(U, S).dim == 0
     V = rng.integers(0, p, size=(6, W.dim)) @ W.basis % p
     coords = Q.project(V)
     assert coords.shape == (6, Q.dim)

@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pgroupalg.cli as cli
+import pgroupalg.fplin as fplin
 from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
                                group_algebra_subalgebra)
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.fplin import FpSubspace, span
-from pgroupalg.groups import Subgroup, catalog_build
+from pgroupalg.groups import PGroup, Subgroup, catalog_build
 from pgroupalg.io import group_from_dict
 from pgroupalg.lemmas import (VerificationError, cyclic_factor_test,
                               lemma_identity_check,
@@ -43,6 +45,26 @@ def test_identity_items_hold(name):
         for j in range(1, smax + 1):
             rep = lemma_identity_check(G, 3, i, j)
             assert rep.equal, (name, 3, i, j, rep.witness)
+
+
+@pytest.mark.parametrize("name", ["C2xD16", "C8xC2", "C9xC3", "C5xC5"])
+def test_second_round_of_lemma_checks_forms_no_elimination(monkeypatch, name):
+    # the context memo keys ideals and lemma right sides by their content,
+    # so running every lemma check of the CLI again eliminates nothing
+    G = catalog_by_name(name)
+    G = PGroup(G.p, G.table.copy(), G.name)  # empty memos
+    real, calls = fplin.rref, []
+
+    def counted(A, p):
+        calls.append(len(A))
+        return real(A, p)
+
+    monkeypatch.setattr(fplin, "rref", counted)
+    first = cli._lemmas(G, None)
+    formed = len(calls)
+    assert formed and first["pass"]
+    assert cli._lemmas(G, None) == first
+    assert len(calls) == formed
 
 
 def test_identity_report_shape():

@@ -34,7 +34,8 @@ A check that needs one of them again finds it built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +59,9 @@ class VerificationError(ValueError):
 # Largest gathered block Y[:, L] formed at once, in entries (8 MB): whole
 # row sets below order 128, 16 rows at order 256.
 _GATHER_ENTRIES = 1 << 20
+# Largest block of products reduced against a subspace at once, in entries
+# (2 MB), so that the reduction's temporaries stay small beside the table
+_REDUCE_ENTRIES = 1 << 18
 
 
 class AlgebraContext:
@@ -351,11 +355,18 @@ def omega_central(ctx: AlgebraContext, i: int) -> FpSubspace:
     K = FpSubspace(ctx.p, ctx.dim, nullspace(M.T, ctx.p) @ Z.basis % ctx.p) \
         if M.any() else Z
     # (zw)^{p^i} = z^{p^i} w^{p^i} in Z(I(G)), so the kernel is closed under
-    # products; checked once rather than closed in a fixpoint
-    if K.dim and K.reduce(ctx.products(K.basis, K.basis)).any():
+    # products; checked once per kernel rather than closed in a fixpoint
+    if K.dim and not _closed_under_products(ctx, K):
         raise AlgebraError("the kernel of Frobenius on Z(I(G)) is not "
                            "closed under products")
     return K
+
+
+@memoized
+def _closed_under_products(ctx: AlgebraContext, K: FpSubspace) -> bool:
+    """Whether K K ⊆ K; memoized on ctx by the content of K, as the
+    kernels of omega_central repeat in i."""
+    return not K.reduce(ctx.products(K.basis, K.basis)).any()
 
 
 @memoized
@@ -450,35 +461,50 @@ class AugmentedSubalgebra:
     """A unital subalgebra B of F_pG with its augmentation ideal B ∩ I(G).
     B = F_p·1 ⊕ I(B) with 1 central, so ``from_space`` reads all it checks
     off the one table I(B)·I(B): closure is I(B)^2 ⊆ B, ``commutative``
-    the table's symmetry under i <-> j, and its span ``aug_square``."""
+    the table's symmetry under i <-> j, and ``aug_square`` its span."""
 
     ctx: AlgebraContext
     space: FpSubspace
     aug_ideal: FpSubspace
     commutative: bool
-    aug_square: FpSubspace
+    # I(B)·I(B), row i * dim I(B) + j, kept in uint8 (its entries lie in
+    # [0, p)) for aug_square: an eighth of the product's bytes
+    table: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def from_space(cls, ctx: AlgebraContext, space: FpSubspace) -> "AugmentedSubalgebra":
         """The subspace as an augmented subalgebra; a failed check raises a
         VerificationError named subalgebra-unit, subalgebra-closure or
-        augmentation-codimension.  The last is structural, as
-        augmentation_part drops exactly one row, and stays as a guard."""
+        augmentation-codimension.  Closure reduces the table against the
+        space a chunk of rows at a time, with no elimination; the last
+        check is structural, as augmentation_part drops exactly one row,
+        and stays as a guard."""
         if not space.contains_vector(ctx.one):
             raise VerificationError("subalgebra-unit",
                                     "subspace does not contain the unit")
         aug = augmentation_part(ctx, space)
+        k = aug.dim
         table = ctx.products(aug.basis, aug.basis)
-        square = FpSubspace(ctx.p, ctx.dim, table)
-        if not space.contains(square):
+        commutative = tables_commute(table, table, k, k)
+        # a commutative table repeats x_i x_j as x_j x_i: reduce i <= j only
+        rows = (np.flatnonzero(np.arange(k)[:, None] <= np.arange(k))
+                if commutative else np.arange(k * k))
+        step = max(1, _REDUCE_ENTRIES // ctx.dim)
+        if any(space.reduce(table[rows[a:a + step]]).any()
+               for a in range(0, len(rows), step)):
             raise VerificationError("subalgebra-closure",
                                     "subspace is not closed under multiplication")
-        if aug.dim != space.dim - 1:
+        if k != space.dim - 1:
             raise VerificationError(
                 "augmentation-codimension",
                 "augmentation ideal does not have codimension 1")
-        return cls(ctx, space, aug,
-                   tables_commute(table, table, aug.dim, aug.dim), square)
+        return cls(ctx, space, aug, commutative, table.astype(np.uint8))
+
+    @functools.cached_property
+    def aug_square(self) -> FpSubspace:
+        """I(B)^2, the span of the table, eliminated on first read; only
+        the group-basis search reads it, on B."""
+        return FpSubspace(self.ctx.p, self.ctx.dim, self.table)
 
     @property
     def dim(self) -> int:

@@ -25,6 +25,8 @@ Every ``rref`` stops once the rank equals the number of columns, so
 redundant rows past that point are never reduced.  The residual against an
 RREF basis, at every p, tests membership and gives coordinates in
 ``FpSubspace``, and stands for a class of a quotient in ``QuotientSpace``.
+A quotient eliminates once, when it is built, and keeps the inverse that
+this gives, so each projection is two matrix products.
 """
 
 from __future__ import annotations
@@ -248,6 +250,10 @@ def solve(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     A 2-d b holds one right-hand side per row; the solutions come back as
     rows, from one elimination of [A | b.T], and None means that some row
     is inconsistent.  A pivot right of A's columns is exactly that.
+
+    No library path calls it: ``QuotientSpace`` keeps an inverse instead.
+    The tests hold ``QuotientSpace.project`` to it, and it stays in the
+    library because perfbench/tracer.py wraps it.
     """
     A = np.asarray(A, dtype=np.int64) % p
     b = np.asarray(b, dtype=np.int64) % p
@@ -323,6 +329,8 @@ class FpSubspace:
             raise FpError(f"vector length {v.shape} != ambient {self.ambient}")
         if not self.pivots:
             return v
+        if len(self.pivots) == self.ambient:  # the whole space
+            return np.zeros_like(v)
         return (v - matmul_mod(v[..., list(self.pivots)], self.basis,
                                 self.p)) % self.p
 
@@ -371,6 +379,13 @@ class QuotientSpace:
     pivot columns of the matrix whose columns are their residuals.  Rows of
     an RREF basis are in RREF themselves, so the section is the canonical
     basis of its span.
+
+    One more elimination, of [R | I_q] for the residuals R of the q
+    section rows, gives the RREF E of R on its left and, on its right, the
+    M with M R = E.  A given section is checked by it: it lies in W, its
+    dimension and U's add up to W's, and every pivot falls in R, so the
+    section is independent modulo U and U + section = W.  ``project``
+    then needs no elimination.
     """
 
     def __init__(self, W: FpSubspace, U: FpSubspace,
@@ -384,13 +399,19 @@ class QuotientSpace:
         if section is None:
             _, independent = rref(U.reduce(W.basis).T, self.p)
             self.section = W.basis[list(independent)]  # (q, ambient)
+        elif U.dim + section.dim != W.dim or not W.contains(section):
+            raise FpError("quotient_space: invalid section")
         else:
-            # with U + section = W, the dimensions add iff U ∩ section = 0
-            if U.dim + section.dim != W.dim or U.sum(section) != W:
-                raise FpError("quotient_space: invalid section")
             self.section = section.basis
-        # the classes of the section rows, in which project solves
-        self._residuals = U.reduce(self.section)
+        q = self.dim
+        R, pivots = rref(np.concatenate(
+            [U.reduce(self.section), np.eye(q, dtype=np.int64)], axis=1),
+            self.p)
+        if pivots and pivots[-1] >= self.ambient:
+            raise FpError("quotient_space: invalid section")
+        self._echelon = R[:, :self.ambient]      # E, in RREF on _pivots
+        self._pivots = list(pivots)
+        self._inverse = R[:, self.ambient:]      # M, with M R = E
 
     @property
     def dim(self) -> int:
@@ -398,11 +419,15 @@ class QuotientSpace:
 
     def project(self, vec) -> np.ndarray:
         """Section coordinates of vec + U, or of each row of a 2-d array,
-        from one elimination.  Raises if a vector is outside W."""
-        x = solve(self._residuals.T, self.U.reduce(vec), self.p)
-        if x is None:
+        by two products: the residual r = U.reduce(vec) lies in the span
+        of E iff r = r[pivots] E, its coordinates in E, and then
+        r[pivots] M are its coordinates in R.  Raises if a vector is
+        outside W."""
+        r = self.U.reduce(vec)
+        c = r[..., self._pivots]
+        if not np.array_equal(r, matmul_mod(c, self._echelon, self.p)):
             raise FpError("vector outside the quotient's ambient space W")
-        return x
+        return matmul_mod(c, self._inverse, self.p)
 
     def lift(self, coords) -> np.ndarray:
         c = np.asarray(coords, dtype=np.int64) % self.p

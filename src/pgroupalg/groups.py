@@ -48,6 +48,9 @@ MAX_ORDER = 256
 ORACLE_CAP = 64
 # Largest block of triples checked for associativity at once, in entries
 _ASSOC_ENTRIES = 1 << 20
+# Largest order whose associativity is checked by the whole |G|^3 scan;
+# Light's test is cheaper above it
+_FULL_SCAN_MAX = 32
 # Largest gather of a chunk of one lattice layer, in entries
 _LAYER_ENTRIES = 1 << 16
 # Pairs of normal subgroups tested for a trivial meet at once; the pairs
@@ -87,6 +90,16 @@ def _prime_power(n: int) -> tuple[int, int] | None:
 
 @dataclass(frozen=True, eq=False)
 class PGroup:
+    """A p-group as its Cayley table, index 0 the identity.
+
+    Every build, of an input table or of a derived one, checks the table:
+    square, p-power order at most MAX_ORDER, entries in range, a two-sided
+    identity at 0, rows and columns permutations, and associativity.  Up
+    to order 32 associativity is the whole |G|^3 scan; above it, Light's
+    test, |G|^2 lookups per generator, and the whole scan only on failure,
+    so that the error names the least failing triple either way.
+    """
+
     p: int
     table: np.ndarray
     name: str = ""
@@ -115,16 +128,13 @@ class PGroup:
         if not ((np.sort(t, axis=1) == ar).all() and
                 (np.sort(t, axis=0) == ar[:, None]).all()):
             raise GroupError("table rows/columns are not permutations")
-        # associativity, checked exhaustively (order <= 256), a chunk of
-        # rows a at a time, in order, so the first failing triple is the
-        # least; one chunk holds every a up to order 101
+        # associativity, exactly: by Light's test above order 32, where it
+        # is cheaper, and by the whole scan, which names the least failing
+        # triple, up to order 32 and on any failure of Light's test
         small = t.astype(np.int32)
-        step = max(1, _ASSOC_ENTRIES // (n * n))
-        for a in range(0, n, step):
-            left = small[small[a:a + step]]      # left[a,b,c] = (ab)c
-            right = small[a:a + step][:, small]  # right[a,b,c] = a(bc)
-            if not np.array_equal(left, right):
-                bad = np.argwhere(left != right)[0] + (a, 0, 0)
+        if n <= _FULL_SCAN_MAX or not _light_associative(small):
+            bad = _least_failing_triple(small)
+            if bad is not None:
                 raise GroupError("associativity fails at triple "
                                  f"{tuple(int(x) for x in bad)}")
         inv = (t == 0).argmax(axis=1)
@@ -140,17 +150,6 @@ class PGroup:
 
     def inv(self, a: int) -> int:
         return int(self._inv[a])
-
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            g, k = self.inv(g), -k
-        acc, base = 0, g
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
 
     def element_order(self, g: int) -> int:
         if not 0 <= g < self.order:
@@ -235,17 +234,66 @@ def _mask(n: int, elements) -> np.ndarray:
 
 
 def _closure(G: PGroup, seed) -> np.ndarray:
-    """The elements of <seed>, sorted: square the set until it is closed.
-    Sets are masks read back with flatnonzero, which sorts them."""
+    """The elements of <seed>, sorted."""
     inside = _mask(G.order, seed if isinstance(seed, np.ndarray)
                    else list(seed))
     inside[0] = True
+    return _close(G.table, inside)
+
+
+def _close(T: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Grow the mask inside, in place, to the least set that holds it and
+    is closed under the product table T, and return that set sorted:
+    square the set until it is closed.  Sets are masks read back with
+    flatnonzero, which sorts them.  No law of T is assumed."""
     while True:
         S = np.flatnonzero(inside)
-        prods = G.table[S[:, None], S]
+        prods = T[S[:, None], S]
         if inside[prods].all():
             return S
         inside[prods] = True
+
+
+def _least_failing_triple(T: np.ndarray) -> np.ndarray | None:
+    """The least (a, b, c) with (ab)c != a(bc) in the table T, or None:
+    the whole |T|^3 scan, a chunk of rows a at a time, in order, so the
+    first failing triple found is the least; one chunk holds every a up
+    to order 101."""
+    n = T.shape[0]
+    step = max(1, _ASSOC_ENTRIES // (n * n))
+    for a in range(0, n, step):
+        left = T[T[a:a + step]]      # left[a,b,c] = (ab)c
+        right = T[a:a + step][:, T]  # right[a,b,c] = a(bc)
+        if not np.array_equal(left, right):
+            return np.argwhere(left != right)[0] + (a, 0, 0)
+    return None
+
+
+def _light_associative(T: np.ndarray) -> bool:
+    """Light's associativity test (Clifford & Preston, The Algebraic
+    Theory of Semigroups I, 1961, section 1.2) on a Latin-square table T
+    with identity 0.
+
+    The a with (xa)y = x(ay) for all x, y form a set closed under the
+    product: for a, b in it, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by))
+    = x((ab)y).  So T is associative iff (xs)y = x(sy) for all x, y and
+    every s of a set S that generates T under its own product: two
+    |T|^2 gathers per s.  S is found greedily, each s the least element
+    outside the closure of those taken before.  A closed set that holds 0
+    is a Latin subsquare, and a proper Latin subsquare fills at most half
+    of its square's order, so each s at least doubles the closure: S has
+    at most log2 |T| elements, whether T is a group's table or not.
+    """
+    inside = np.zeros(T.shape[0], dtype=bool)
+    inside[0] = True
+    gens = []
+    while not inside.all():
+        gens.append(int(inside.argmin()))
+        inside[gens[-1]] = True
+        _close(T, inside)
+    S = np.array(gens, dtype=np.int64)
+    # [x, j, y]: (x s_j) y against x (s_j y)
+    return bool(np.array_equal(T[T[:, S]], T[:, T[S]]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -766,21 +814,26 @@ def retraction_complement(G: PGroup, h: int) -> Subgroup:
     derived = characteristic_subgroup(G, "derived")
     A, pi = quotient_group(G, derived)
     basis = _abelian_basis(A)
-    # coordinates of every element of A in the chosen basis
-    coords: dict[int, tuple] = {}
-    for tup in itertools.product(*(range(o) for _, o in basis)):
-        x = 0
-        for (g, _), c in zip(basis, tup):
-            x = A.mul(x, A.power(g, c))
-        coords.setdefault(x, tup)
-    hb = pi(h)
-    c = coords[hb]
+    # coords[x], the coordinates of x in the basis: the elements
+    # prod g_i^{c_i} in itertools.product order of their c, one gather per
+    # basis element of the products so far with its powers
+    elems = np.zeros(1, dtype=np.int64)
+    for g, o in basis:
+        powers = np.zeros(o, dtype=np.int64)
+        for k in range(1, o):
+            powers[k] = A.table[powers[k - 1], g]
+        elems = A.table[elems[:, None], powers].ravel()
+    if not np.array_equal(np.sort(elems), np.arange(A.order)):
+        raise GroupError("abelian basis does not generate G/G' freely")
+    coords = np.empty((A.order, len(basis)), dtype=np.int64)
+    coords[elems] = list(itertools.product(*(range(o) for _, o in basis)))
+    c = coords[pi(h)]
+    images = coords[np.asarray(pi.images)]
     allowed = [range(0, m, m // math.gcd(o, m)) for _, o in basis]
     for xs in itertools.product(*allowed):
-        if sum(cj * xj for cj, xj in zip(c, xs)) % m == 1:
-            chi = [sum(cj * xj for cj, xj in zip(coords[pi(g)], xs)) % m
-                   for g in range(G.order)]
-            K = Subgroup(G, tuple(g for g in range(G.order) if chi[g] == 0))
+        if int(c @ xs) % m == 1:
+            chi = images @ xs % m
+            K = Subgroup(G, tuple(np.flatnonzero(chi == 0).tolist()))
             H = Subgroup.generated(G, (h,))
             if not is_internal_direct_product(G, H, K):
                 raise GroupError("retraction kernel failed direct product check")

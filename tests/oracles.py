@@ -16,7 +16,8 @@ from pgroupalg.algebra import (AlgebraContext, AlgebraError,
                                AugmentedSubalgebra, frobenius_chain,
                                normal_subgroup_ideal, product_space,
                                unit_exponent_commutative)
-from pgroupalg.fplin import FpError, FpSubspace, matmul_mod, nullspace, span
+from pgroupalg.fplin import (FpError, FpSubspace, QuotientSpace, matmul_mod,
+                             nullspace, solve, span)
 from pgroupalg.groups import (ORACLE_CAP, PGroup, Subgroup, _commutator_table,
                               _powers, abelian_invariants, agemo_derived,
                               cyclic_factor_orders, full_subgroup)
@@ -37,6 +38,27 @@ def conjugate(G: PGroup, g: int, by: int) -> int:
     """by g by^-1 by single lookups; cross-checks the conjugation gathers of
     ``Subgroup.is_normal`` and ``AlgebraContext.conjugacy_classes``."""
     return G.mul(G.mul(by, g), G.inv(by))
+
+
+def power(G: PGroup, g: int, k: int) -> int:
+    """g^k for k >= 0 by k single lookups; cross-checks the square-and-
+    multiply gathers of ``groups._powers``."""
+    acc = 0
+    for _ in range(k):
+        acc = G.mul(acc, g)
+    return acc
+
+
+def least_failing_triple(T: np.ndarray) -> tuple[int, int, int] | None:
+    """The least (a, b, c) with (ab)c != a(bc) in the table T, or None: the
+    exhaustive scan, one row a at a time; cross-checks Light's test in
+    ``groups._light_associative``."""
+    T = np.asarray(T)
+    for a in range(T.shape[0]):
+        bad = np.argwhere(T[T[a]] != T[a][T])  # [b, c]: (ab)c vs a(bc)
+        if len(bad):
+            return (a, int(bad[0][0]), int(bad[0][1]))
+    return None
 
 
 def normal_subgroups(G: PGroup) -> tuple[Subgroup, ...]:
@@ -90,6 +112,13 @@ def coordinates(U: FpSubspace, vec) -> np.ndarray | None:
     if U.reduce(vec).any():
         return None
     return np.asarray(vec, dtype=np.int64)[list(U.pivots)] % U.p
+
+
+def quotient_coordinates(Q: QuotientSpace, vec) -> np.ndarray | None:
+    """Section coordinates of vec + U in Q = W/U, or None if vec is
+    outside W, by solving against the residuals of the section, one
+    elimination per call; cross-checks ``QuotientSpace.project``."""
+    return solve(Q.U.reduce(Q.section).T, Q.U.reduce(vec), Q.p)
 
 
 def intersect(U: FpSubspace, V: FpSubspace) -> FpSubspace:

@@ -6,7 +6,7 @@ import pytest
 from pgroupalg.fplin import (FpError, FpSubspace, QuotientSpace, nullspace,
                              rref, solve, span)
 
-from oracles import coordinates, intersect
+from oracles import coordinates, intersect, quotient_coordinates
 
 
 def test_rref_canonical_form():
@@ -126,6 +126,55 @@ def test_quotient_space_of_zero_dimension():
     assert Q.lift([]).tolist() == [0, 0, 0]
     with pytest.raises(FpError):
         Q.project([0, 0, 1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_quotient_projection_matches_solve(p):
+    # project's two products against one solve per call, on random W ⊇ U,
+    # with the default section and with a random complement of U in W
+    rng = np.random.default_rng(20261019 + p)
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        W = FpSubspace(p, n, rng.integers(0, p, size=(rng.integers(1, n + 1), n)))
+        U = FpSubspace(p, n, rng.integers(0, p, size=(rng.integers(0, W.dim + 1),
+                                                      W.dim)) @ W.basis % p)
+        default = QuotientSpace(W, U)
+        q = default.dim
+        while True:  # an invertible change of basis of the section
+            A = rng.integers(0, p, size=(q, q))
+            if len(rref(A, p)[1]) == q:
+                break
+        S = (A @ default.section
+             + rng.integers(0, p, size=(q, U.dim)) @ U.basis) % p
+        given = QuotientSpace(W, U, section=FpSubspace(p, n, S))
+        V = rng.integers(0, p, size=(5, W.dim)) @ W.basis % p
+        for Q in (default, given):
+            assert np.array_equal(Q.project(V), quotient_coordinates(Q, V))
+            for v in V:
+                assert np.array_equal(Q.project(v), quotient_coordinates(Q, v))
+        outside = rng.integers(0, p, size=n)
+        if not W.contains_vector(outside):
+            assert quotient_coordinates(given, outside) is None
+            with pytest.raises(FpError, match="outside"):
+                given.project(outside)
+            with pytest.raises(FpError, match="outside"):
+                default.project(np.vstack([V, outside]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_quotient_rejects_invalid_sections(p):
+    W = FpSubspace.full(p, 4)
+    U = span(p, 4, [[1, 1, 0, 0], [0, 0, 1, 2]])
+    # dimensions add up, but the section meets U
+    meets = span(p, 4, [[1, 1, 0, 0], [0, 1, 0, 0]])
+    # dimensions add up, but the section leaves W
+    W3 = span(p, 4, [[1, 1, 0, 0], [0, 0, 1, 2], [0, 1, 0, 0]])
+    leaves = span(p, 4, [[0, 0, 0, 1]])
+    for W_, section in ((W, meets), (W3, leaves), (W, leaves)):
+        with pytest.raises(FpError, match="invalid section"):
+            QuotientSpace(W_, U, section=section)
+    Q = QuotientSpace(W3, U, section=span(p, 4, [[1, 2, 0, 0]]))
+    assert Q.project([0, 1, 0, 0]).tolist() == [1]
 
 
 def test_unsupported_prime_rejected():

@@ -28,7 +28,7 @@ from pgroupalg.groups import (GroupError, OracleCapExceeded, PGroup,
                               trivial_subgroup)
 
 from oracles import (commutator, conjugate, has_cyclic_factor_of_order,
-                     normal_subgroups)
+                     least_failing_triple, normal_subgroups, power)
 
 
 def test_cyclic_table_and_orders():
@@ -88,6 +88,72 @@ def test_non_associative_latin_square_names_least_triple(table, triple):
     message = f"associativity fails at triple {triple}"
     with pytest.raises(GroupError, match=re.escape(message)):
         PGroup(2, T)
+
+
+# orders 64 to 256, past the whole scan's range, p = 2 and 3
+_LIGHT_PRODUCTS = ("C8xD8", "C2xC2xC2xC2xC2xC2", "C4xC4xC4", "C3xHe3",
+                   "C2xC2xC2xC2xC2xC2xC2", "C2xC2xC2xC2xC2xC2xC4",
+                   "C16xC16")
+
+
+@pytest.mark.parametrize("G", builtin_catalog(p=2, max_order=64)
+                         + builtin_catalog(p=3, max_order=81)
+                         + builtin_catalog(p=5, max_order=25)
+                         + [catalog_by_name(name) for name in _LIGHT_PRODUCTS],
+                         ids=lambda G: G.name)
+def test_light_test_passes_every_group_table(G):
+    # Light's test against the exhaustive scan, on tables that associate
+    T = G.table.astype(np.int32)
+    assert least_failing_triple(T) is None
+    assert groups._light_associative(T) is True
+
+
+def _subsquare_trade(G, seed):
+    """G's table with one p x p Latin subsquare shifted: for z central of
+    order p and r, c outside <z>, the entries r z^i c z^j = rc z^(i+j)
+    become rc z^(i+j+1).  Each of those rows and columns keeps its set of
+    entries, so the table stays a Latin square with identity 0; for p = 2
+    the trade is an intercalate swap."""
+    T = G.table.copy()
+    center = characteristic_subgroup(G, "center").elements
+    z = next(g for g in center if G.element_order(g) == G.p)
+    zs = [0]
+    for _ in range(G.p - 1):
+        zs.append(G.mul(zs[-1], z))
+    rng = np.random.default_rng(seed)
+    r, c = rng.choice(np.setdiff1d(np.arange(G.order), zs), size=2)
+    rows, cols = T[r, zs], T[c, zs]  # r z^i and c z^j
+    T[np.ix_(rows, cols)] = T[np.ix_(rows, np.roll(cols, -1))]
+    return T
+
+
+@pytest.mark.parametrize("name", ["C8xD8", "C3xHe3", "C2xC2xC2xC2xC2xC2xC2",
+                                  "C4xC4xC8"])
+@pytest.mark.parametrize("seed", range(3))
+def test_light_test_fails_every_traded_table(name, seed):
+    # orders 64, 81 and 128: Light's test fails as the exhaustive scan
+    # does, and the build names the least failing triple
+    G = catalog_by_name(name)
+    T = _subsquare_trade(G, seed)
+    n = G.order
+    assert (np.sort(T, axis=1) == np.arange(n)).all()
+    assert (np.sort(T, axis=0) == np.arange(n)[:, None]).all()
+    triple = least_failing_triple(T)
+    assert triple is not None
+    assert groups._light_associative(T.astype(np.int32)) is False
+    with pytest.raises(GroupError, match=re.escape(
+            f"associativity fails at triple {triple}")):
+        PGroup(G.p, T)
+
+
+def test_non_associative_order_81_table_names_least_triple():
+    # p = 3: the subsquare trade of C3 x He3 at seed 0 first fails at this
+    # triple, pinned from the exhaustive scan
+    T = _subsquare_trade(catalog_by_name("C3xHe3"), 0)
+    assert least_failing_triple(T) == (3, 66, 51)
+    with pytest.raises(GroupError, match=re.escape(
+            "associativity fails at triple (3, 66, 51)")):
+        PGroup(3, T)
 
 
 def test_identity_must_sit_at_zero():
@@ -700,7 +766,7 @@ def _lazard_series(G):
     for i, gamma in enumerate(gammas, start=1):
         q = 1
         while q <= G.exponent():
-            terms.append((i * q, {G.power(x, q) for x in gamma.elements}))
+            terms.append((i * q, {power(G, x, q) for x in gamma.elements}))
             q *= G.p
     series = [full_subgroup(G)]
     while series[-1].order > 1:

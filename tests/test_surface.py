@@ -41,6 +41,11 @@ ALLOWED = {
         "perfbench binding: perfbench/fixtures.py:108 calls it",
     ("algebra", "frattini_quotient"):
         "perfbench binding: perfbench/fixtures.py calls it",
+    ("fplin", "solve"):
+        "perfbench binding: perfbench/tracer.py wraps it",
+    ("groups", "PGroup.mul"):
+        "public entry point: a group's product of two elements, the one "
+        "lookup that callers outside the library read a table with",
     ("groups", "all_subgroups"):
         "perfbench binding: perfbench/tracer.py reads its cache_info()",
 }

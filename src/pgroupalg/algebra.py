@@ -20,10 +20,9 @@ with none, and so are Z(F_pG), Z(I(G)) and every B ∩ I(G);
 ``ideal_generated`` eliminates the left translates of its generators and
 then, unless they are central, the right translates of that left ideal;
 the mho ideal modulo the derived ideal is one elimination of powers that
-gathers give.  Each power I(G)^m is one elimination of a row slice of the
-Jennings basis, the |G| products of powers of e_x - 1 over the dimension
-subgroups' generators x, which the context builds once by gathers and
-slices by weight; no product of two ideals is formed.
+gathers give.  I(G)^m and X + I(G)^m are kernels of Jennings coordinates
+of weight below m, from one and two eliminations of at most codim I(G)^m
+rows.
 
 Each group has one shared context, ``AlgebraContext.of(G)``, and each
 context memoizes what is derived from its group alone: the augmentation
@@ -35,11 +34,12 @@ A check that needs one of them again finds it built.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fplin import FpSubspace, QuotientSpace, matmul_mod, nullspace
+from .fplin import FpSubspace, QuotientSpace, matmul_mod, nullspace, rref
 from .groups import (NotNormalError, PGroup, Subgroup, _powers,
                      characteristic_subgroup, jennings_basis, memoized)
 
@@ -181,39 +181,56 @@ class AlgebraContext:
         return _coset_ideal(self, range(self.dim))
 
     @memoized
-    def jennings_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The Jennings basis of F_pG, as rows, with the weight of each.
+    def jennings_functionals(self, m: int) -> np.ndarray:
+        """The coordinates f_k of weight sum_j k_j w_j < m in the Jennings
+        basis (x_1 - 1)^k_1 ... (x_d - 1)^k_d, 0 <= k_j < p, over
+        groups.jennings_basis, as rows in ascending sum_j k_j p^(j-1).
 
-        The rows are the products (x_1 - 1)^{a_1} ... (x_d - 1)^{a_d},
-        0 <= a_k < p, over groups.jennings_basis, of weight sum a_k w_k;
-        those of weight at least m span I(G)^m (Jennings, Trans. AMS 50,
-        1941; Passman, The Algebraic Structure of Group Rings, 1977).  Each
-        factor is a right multiplication by e_x - 1, one gather of the rows
-        built so far, so the |G| rows take no product of two elements.
-        """
-        rows = self.one[None]
-        weights = np.zeros(1, dtype=np.int64)
-        for x, w in jennings_basis(self.group):
-            R = self._right[x]
-            blocks = [rows]
-            for _ in range(self.p - 1):
-                blocks.append((blocks[-1][:, R] - blocks[-1]) % self.p)
-            rows = np.concatenate(blocks)
-            weights = np.concatenate([weights + a * w for a in range(self.p)])
-        rows.setflags(write=False)
-        weights.setflags(write=False)
-        return rows, weights
+        Each g is one word x_1^b_1 ... x_d^b_d, all built by gathers, and
+        e_g = prod_j (1 + (x_j - 1))^b_j expands in order: f_k(e_g) =
+        prod_j C(b_j, k_j) mod p.  The basis elements of weight at least m
+        span I(G)^m (Jennings, Trans. AMS 50, 1941), the rows' common
+        kernel.  Row 0 is the augmentation; for m = 2 the rest are b_j."""
+        basis, p, n = jennings_basis(self.group), self.p, self.dim
+        words = np.zeros(1, dtype=np.int64)
+        for x, _ in basis:  # words[a |words| + r] = words[r] x^a
+            blocks = [words]
+            for _ in range(p - 1):
+                blocks.append(self.group.table[blocks[-1], x])
+            words = np.concatenate(blocks)
+        digits = np.arange(n)[:, None] // p ** np.arange(len(basis)) % p
+        exps = digits[np.argsort(words)]  # exps[g] = (b_1(g), ..., b_d(g))
+        ks = digits[digits @ np.array([w for _, w in basis], int) < m]
+        C = np.array([[math.comb(b, k) for b in range(p)] for k in range(p)])
+        F = np.prod(C[ks.T[:, :, None], exps.T[:, None]], axis=0) % p
+        F.setflags(write=False)
+        return F
 
     @memoized
     def augmentation_power(self, m: int) -> FpSubspace:
-        """I(G)^m, from one elimination of the Jennings rows of weight at
-        least m; I(G) itself has its closed form."""
+        """I(G)^m by plus_power; I(G) itself has its closed form."""
         if m < 1:
             raise AlgebraError("augmentation_power requires m >= 1")
-        if m == 1:
-            return self.augmentation_ideal()
-        rows, weights = self.jennings_rows()
-        return FpSubspace(self.p, self.dim, rows[weights >= m])
+        return self.augmentation_ideal() if m == 1 else self.plus_power(None, m)
+
+    def plus_power(self, X: FpSubspace | None, m: int) -> FpSubspace:
+        """X + I(G)^m, or I(G)^m for X None: the common kernel of the
+        Jennings functionals F of weight < m that vanish on X, spanned by
+        the rows of the RREF of [F X^T | F reversed] zero on the left.  On
+        reversed columns nullspace writes each kernel vector with 1 on a
+        free column and its other entries on pivots left of it, so read
+        forwards the kernel's basis is in canonical RREF as it is."""
+        p, n = self.p, self.dim
+        F = self.jennings_functionals(m)
+        if len(F) == n:  # past the Loewy length, I(G)^m = 0
+            return FpSubspace(p, n) if X is None else X
+        A = F[:, ::-1]
+        if X is not None:
+            R, pivots = rref(np.concatenate(
+                [matmul_mod(F, X.basis.T, p), A], axis=1), p)
+            A = R[np.array(pivots, dtype=np.int64) >= X.dim, X.dim:]
+        K = nullspace(A, p)[::-1, ::-1]
+        return FpSubspace._from_rref(p, n, K.copy(), (K != 0).argmax(axis=1))
 
     def full_space(self) -> FpSubspace:
         return FpSubspace.full(self.p, self.dim)
@@ -269,11 +286,8 @@ def product_space(ctx: AlgebraContext, X: FpSubspace, Y: FpSubspace) -> FpSubspa
 
 
 def power_space(ctx: AlgebraContext, X: FpSubspace, m: int) -> FpSubspace:
-    """X^m for any subspace X, by the chain X^m = X^{m-1} X, built afresh.
-
-    No library path calls it: the powers of I(G) come from
-    ``ctx.augmentation_power(m)``, and this chain is the independent
-    oracle the tests hold them to.  It stays in the library because
+    """X^m for any subspace X, by the chain X^m = X^{m-1} X: no library
+    path calls it, the tests hold ``ctx.augmentation_power(m)`` to it, and
     perfbench/tracer.py wraps it."""
     if m < 1:
         raise AlgebraError("power_space requires m >= 1")
@@ -383,12 +397,9 @@ def mho_ideal_mod_derived(ctx: AlgebraContext, i: int) -> FpSubspace:
     Modulo the derived ideal D = I(G')F_pG the algebra is commutative, so
     p^i-th powers of a basis of I(G) span all p^i-th powers there, and the
     two-sided ideal they generate is the right ideal P F_pG of their span
-    P; the raw mho ideal alone is never needed.  Only the classes of the
-    powers modulo D matter, so they are read off frobenius_mod_derived and
-    reduced to their residuals, and the zero and repeated ones dropped,
-    before the one elimination of D with the right translates of the rest;
-    when none is left, the ideal is D itself.
-    """
+    P.  Only their residuals modulo D, read off frobenius_mod_derived,
+    matter: the right translates of the nonzero distinct ones are
+    eliminated once with D, and with none left the ideal is D itself."""
     I = ctx.augmentation_ideal()
     D = normal_subgroup_ideal(ctx, characteristic_subgroup(ctx.group, "derived"))
     P = D.reduce(frobenius_mod_derived(ctx, I.basis, ctx.p ** i))
@@ -448,8 +459,7 @@ def unit_exponent_commutative(ctx: AlgebraContext, ideal: FpSubspace) -> int:
     """exp(1 + I(A)) = p^s with s minimal such that b^{p^s} = 0 on a basis.
 
     Valid because Frobenius is additive on a commutative algebra; the input
-    ideal must be commutative and nilpotent.
-    """
+    ideal must be commutative and nilpotent."""
     k, table = ideal.dim, ctx.products(ideal.basis, ideal.basis)
     if not tables_commute(table, table, k, k):
         raise AlgebraError("ideal is not commutative")

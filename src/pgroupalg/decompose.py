@@ -37,8 +37,7 @@ class LambdaData:
     codomain is I(G)^{p^{s-1}+1} + I(mho_s(G)G')F_pG.
 
     A class modulo the codomain is its RREF residual codomain.reduce(v):
-    images[i] is the class of domain.section[i]^{p^{s-1}}.
-    """
+    images[i] is the class of domain.section[i]^{p^{s-1}}."""
 
     s: int
     domain: QuotientSpace
@@ -55,18 +54,18 @@ def lambda_map(G: PGroup, s: int) -> LambdaData:
     z -> z^{p^{s-1}} is additive modulo U_cod.  The map is therefore well
     defined on z + I(G)^2 exactly when every basis vector of I(G)^2 has its
     p^{s-1}-th power in U_cod; both sets of powers are gathered by
-    frobenius_mod_derived, exact modulo U_cod.
-    """
+    frobenius_mod_derived, exact modulo U_cod."""
     p = G.p
     if s < 1 or p ** s > G.exponent():
         raise ValueError(f"lambda_map requires 1 <= p^s <= exp(G), got s={s}")
     ctx = AlgebraContext.of(G)
     I2 = ctx.augmentation_power(2)
     q = p ** (s - 1)
-    W_dom = normal_subgroup_ideal(ctx, omega_center_derived(G, s)) + I2
+    W_dom = ctx.plus_power(
+        normal_subgroup_ideal(ctx, omega_center_derived(G, s)), 2)
     domain = QuotientSpace(W_dom, I2)
-    U_cod = ctx.augmentation_power(q + 1) + \
-        normal_subgroup_ideal(ctx, agemo_derived(G, s))
+    U_cod = ctx.plus_power(
+        normal_subgroup_ideal(ctx, agemo_derived(G, s)), q + 1)
     if U_cod.reduce(frobenius_mod_derived(ctx, I2.basis, q)).any():
         raise VerificationError(
             "lambda-well-defined",
@@ -87,7 +86,8 @@ def split_cyclic(G: PGroup, h: int) -> tuple[Subgroup, Subgroup]:
         raise VerificationError("split-cyclic", "not an internal direct product")
     ctx = AlgebraContext.of(G)
     J = ideal_generated(ctx, span(G.p, G.order, [ctx.group_minus_one(h)]))
-    span_G0 = span(G.p, G.order, [ctx.basis_vector(k) for k in G0.elements])
+    span_G0 = FpSubspace._from_rref(G.p, G.order, np.eye(  # sorted unit rows
+        G.order, dtype=np.int64)[list(G0.elements)], G0.elements)
     # with dim J = |G| - |G_0|, J ∩ F_pG_0 = 0 iff J + F_pG_0 = F_pG
     if J.dim != G.order - G0.order or (J + span_G0).dim != G.order:
         raise VerificationError(
@@ -95,22 +95,23 @@ def split_cyclic(G: PGroup, h: int) -> tuple[Subgroup, Subgroup]:
     return H, G0
 
 
-def _coset_candidates(ctx: AlgebraContext, I2: FpSubspace, target) -> list[int]:
+def _coset_candidates(ctx: AlgebraContext, target) -> list[int]:
     """Group elements g with e_g - 1 congruent to target modulo I(G)^2, in
-    ascending order: one reduction of the rows e_g - 1 - target."""
-    rows = np.eye(ctx.dim, dtype=np.int64) - target
-    rows[:, 0] -= 1
-    return [int(g) for g in np.flatnonzero(~I2.reduce(rows).any(axis=1))]
+    ascending order: those where the Jennings functionals of weight < 2,
+    the columns F[:, g] - F[:, 0] on e_g - 1, agree with F @ target."""
+    F = ctx.jennings_functionals(2)
+    chi = (F - F[:, :1] - (F @ (np.asarray(target) % ctx.p))[:, None]) % ctx.p
+    return [int(g) for g in np.flatnonzero(~chi.any(axis=0))]
 
 
-def _find_split_element(G: PGroup, ctx: AlgebraContext, I2: FpSubspace,
-                        target, s: int) -> tuple[int, Subgroup, Subgroup]:
+def _find_split_element(G: PGroup, ctx: AlgebraContext, target,
+                        s: int) -> tuple[int, Subgroup, Subgroup]:
     """An order-p^s central element h with e_h - 1 = target mod I(G)^2 that
     splits off; candidates scanned in ascending element order."""
     T = G.table
     q = G.p ** s
     rejected = []  # (element, the check it failed)
-    for g in _coset_candidates(ctx, I2, target):
+    for g in _coset_candidates(ctx, target):
         if G.element_order(g) != q:
             rejected.append((g, f"order {G.element_order(g)}"))
             continue
@@ -293,16 +294,15 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
         if lam.kernel.contains_vector(rep_b):
             raise VerificationError(
                 "kernel-exclusion", "class of b-1 lies in ker Lambda")
-        I2 = ctx.augmentation_power(2)
-        h, H, G0 = _find_split_element(cur_G, ctx, I2, b_minus_1, s)
+        h, H, G0 = _find_split_element(cur_G, ctx, b_minus_1, s)
         hs.append(cur_embed[h])
         steps.append({"depth": depth, "s": s, "h": cur_embed[h],
                       "group_order": cur_G.order})
         # project both factors along J = (b-1)F_pG onto F_pG_0 and recurse;
         # the section check of the quotient is the splitting check
         J = ideal_generated(ctx, span(p, cur_G.order, [b_minus_1]))
-        span_G0 = span(p, cur_G.order,
-                       [ctx.basis_vector(k) for k in G0.elements])
+        span_G0 = FpSubspace._from_rref(p, cur_G.order, np.eye(
+            cur_G.order, dtype=np.int64)[list(G0.elements)], G0.elements)
         try:
             qs = QuotientSpace(ctx.full_space(), J, section=span_G0)
         except FpError as exc:
@@ -310,12 +310,9 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
                 "theorem-splitting", "F_pG != (b-1)F_pG + F_pG_0") from exc
         G0p, g0_elems = subgroup_to_pgroup(G0)
         ctx0 = AlgebraContext.of(G0p)
-        B_rows = qs.project(cur_fact.B.space.basis)
-        C_rows = qs.project(cur_fact.C.space.basis)
-        B0 = AugmentedSubalgebra.from_space(
-            ctx0, FpSubspace(p, G0p.order, B_rows))
-        C0 = AugmentedSubalgebra.from_space(
-            ctx0, FpSubspace(p, G0p.order, C_rows))
+        B0, C0 = (AugmentedSubalgebra.from_space(ctx0, FpSubspace(
+            p, G0p.order, qs.project(X.space.basis)))
+            for X in (cur_fact.B, cur_fact.C))
         cur_fact = verify_tensor_factorization(ctx0, B0, C0)
         cur_embed = [cur_embed[e] for e in g0_elems]
         depth += 1

@@ -20,7 +20,8 @@ from pgroupalg.fplin import (FpError, FpSubspace, QuotientSpace, matmul_mod,
                              nullspace, solve, span)
 from pgroupalg.groups import (ORACLE_CAP, PGroup, Subgroup, _commutator_table,
                               _powers, abelian_invariants, agemo_derived,
-                              cyclic_factor_orders, full_subgroup)
+                              cyclic_factor_orders, full_subgroup,
+                              jennings_basis)
 from pgroupalg.lemmas import (IdentityReport, TensorFactorizationInput,
                               VerificationError, _compare, cyclic_factor_test)
 
@@ -244,6 +245,27 @@ def dimension_subgroup(ctx: AlgebraContext, m: int) -> Subgroup:
     diffs[:, 0] -= 1
     outside = Im.reduce(diffs).any(axis=1)
     return Subgroup(ctx.group, tuple(int(g) for g in np.flatnonzero(~outside)))
+
+
+def jennings_rows(ctx: AlgebraContext) -> tuple[np.ndarray, np.ndarray]:
+    """The Jennings basis of F_pG, as rows, with the weight of each.
+
+    The rows are the products (x_1 - 1)^a_1 ... (x_d - 1)^a_d, 0 <= a_k < p,
+    over groups.jennings_basis, row sum_k a_k p^(k-1), of weight
+    sum_k a_k w_k; those of weight at least m span I(G)^m.  Each factor is
+    a right multiplication by e_x - 1, a gather of the rows built so far.
+    Cross-checks ``AlgebraContext.jennings_functionals``, the dual basis,
+    which the library builds from the words of the elements instead."""
+    rows = ctx.one[None]
+    weights = np.zeros(1, dtype=np.int64)
+    for x, w in jennings_basis(ctx.group):
+        R = ctx._right[x]
+        blocks = [rows]
+        for _ in range(ctx.p - 1):
+            blocks.append((blocks[-1][:, R] - blocks[-1]) % ctx.p)
+        rows = np.concatenate(blocks)
+        weights = np.concatenate([weights + a * w for a in range(ctx.p)])
+    return rows, weights
 
 
 # ---------------------------------------------------------------------------

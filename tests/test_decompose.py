@@ -15,7 +15,7 @@ from pgroupalg.decompose import (certify_indecomposable,
                                  find_group_basis_commutative, lambda_map,
                                  recover_decomposition, split_cyclic)
 from pgroupalg.fplin import FpSubspace, span
-from pgroupalg.groups import (RetractionError, abelian_invariants,
+from pgroupalg.groups import (PGroup, RetractionError, abelian_invariants,
                               all_subgroups, catalog_build,
                               is_internal_direct_product, subgroup_to_pgroup,
                               trivial_subgroup)
@@ -264,8 +264,8 @@ def test_theorem_splitting_failure_names_its_check(monkeypatch, wrong):
     # subgroup of the right order that contains h
     real = decompose._find_split_element
 
-    def wrong_complement(G, ctx, I2, target, s):
-        h, H, G0 = real(G, ctx, I2, target, s)
+    def wrong_complement(G, ctx, target, s):
+        h, H, G0 = real(G, ctx, target, s)
         if wrong == "trivial":
             return h, H, trivial_subgroup(G)
         return h, H, next(S for S in all_subgroups(G)
@@ -293,7 +293,7 @@ def test_coset_candidates_match_per_element_scan(name):
             target = (ctx.group_minus_one(t) + shift) % G.p
             want = [g for g in range(G.order) if I2.contains_vector(
                 (ctx.group_minus_one(g) - target) % G.p)]
-            assert decompose._coset_candidates(ctx, I2, target) == want
+            assert decompose._coset_candidates(ctx, target) == want
 
 
 def test_lift_failure_lists_every_rejected_candidate(monkeypatch):
@@ -301,10 +301,9 @@ def test_lift_failure_lists_every_rejected_candidate(monkeypatch):
     # modulo I(G)^2 is {1, z}; 1 has the wrong order and z no retraction
     G = catalog_by_name("D8")
     ctx = AlgebraContext(G)
-    I2 = ctx.augmentation_power(2)
     z = next(g for g in range(1, 8) if np.array_equal(G.table[g], G.table[:, g]))
     with pytest.raises(VerificationError) as exc:
-        decompose._find_split_element(G, ctx, I2, ctx.group_minus_one(z), 1)
+        decompose._find_split_element(G, ctx, ctx.group_minus_one(z), 1)
     assert exc.value.check == "order-p^s-lift"
     assert str(exc.value).endswith(f"rejected: 0 (order 1), {z} (retraction)")
     # in C2xC8 the coset of an involution t outside Phi(G) = <g^2> holds
@@ -321,10 +320,53 @@ def test_lift_failure_lists_every_rejected_candidate(monkeypatch):
 
     monkeypatch.setattr(decompose, "split_cyclic", fails)
     with pytest.raises(VerificationError) as exc:
-        decompose._find_split_element(G, ctx, I2, ctx.group_minus_one(t), 1)
-    coset = decompose._coset_candidates(ctx, I2, ctx.group_minus_one(t))
+        decompose._find_split_element(G, ctx, ctx.group_minus_one(t), 1)
+    coset = decompose._coset_candidates(ctx, ctx.group_minus_one(t))
     want = ", ".join(
         f"{g} (split-cyclic-algebra)" if G.element_order(g) == 2
         else f"{g} (order {G.element_order(g)})" for g in coset)
     assert str(exc.value).endswith("rejected: " + want)
     assert "split-cyclic-algebra" in want and "(order 4)" in want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kernel_form_at_order_one(p):
+    # d = 0: no Jennings generator, and the augmentation is the one
+    # functional; F_pG = F_p.1 = B = C factors trivially
+    G = PGroup(p, np.zeros((1, 1), dtype=np.int64), name="1")
+    ctx = AlgebraContext(G)
+    assert np.array_equal(ctx.jennings_functionals(2), [[1]])
+    assert ctx.augmentation_power(2).dim == ctx.augmentation_ideal().dim == 0
+    one = ctx.full_space()
+    assert ctx.plus_power(one, 2) is one
+    assert decompose._coset_candidates(ctx, np.zeros(1, dtype=np.int64)) \
+        == [0]
+    B = AugmentedSubalgebra.from_space(ctx, one)
+    report = recover_decomposition(verify_tensor_factorization(ctx, B, B))
+    assert report.b_invariants == () and report.c_side.order == 1
+    assert certify_indecomposable(G).min_generators == 0
+
+
+@pytest.mark.parametrize("name", ["C4xC2", "C9xC3", "C5xC5", "D8", "He3"])
+def test_factorizations_with_a_trivial_factor(name):
+    # B or C = F_p.1, with empty augmentation ideal: the product span is
+    # the other factor's, and recover peels nothing or, for abelian G and
+    # B = F_pG, all of G
+    G = catalog_by_name(name)
+    ctx = AlgebraContext(G)
+    one = AugmentedSubalgebra.from_space(ctx, span(G.p, G.order, [ctx.one]))
+    whole = AugmentedSubalgebra.from_space(ctx, ctx.full_space())
+    report = recover_decomposition(verify_tensor_factorization(ctx, one, whole))
+    assert report.b_invariants == () and report.c_side.order == G.order
+    fact = verify_tensor_factorization(ctx, whole, one)
+    if G.is_abelian():
+        report = recover_decomposition(fact)
+        assert report.b_invariants == abelian_invariants(G)
+        assert report.c_side.order == 1
+    else:
+        with pytest.raises(VerificationError) as exc:
+            recover_decomposition(fact)
+        assert exc.value.check == "B-commutative"
+    with pytest.raises(VerificationError) as exc:
+        verify_tensor_factorization(ctx, one, one)
+    assert exc.value.check == "dimension-product"

@@ -11,6 +11,7 @@ stream of highest-order units as one ``lexsort`` of that class.
 
 import importlib
 import itertools
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from pgroupalg.io import group_from_dict
 from pgroupalg.lemmas import verify_tensor_factorization
 
 from oracles import (commutator_span, conjugate, coordinates,
-                     dimension_subgroup, group_basis_search,
+                     dimension_subgroup, group_basis_search, jennings_rows,
                      group_closure_vectors, intersect, unit_closure_invariants)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -174,7 +175,7 @@ def test_jennings_rows_match_scatter(setting):
     # weight sum_k a_k w_k
     ctx, _, _ = setting
     G = ctx.group
-    rows, weights = ctx.jennings_rows()
+    rows, weights = jennings_rows(ctx)
     basis = jennings_basis(G)
     assert rows.shape == (G.order, G.order)
     for r in range(G.order):
@@ -206,8 +207,57 @@ def test_jennings_powers_match_product_chain(G):
             break
         chain = product_space(ctx, chain, I)
         m += 1
-    rows, _ = ctx.jennings_rows()
+    # past the Loewy length every power is the chain's zero, and X + I^m
+    # is X, with no functional row left to eliminate
+    X = ctx.center_subspace()
+    for past in (m + 1, 2 * m, G.order + 1):
+        assert ctx.augmentation_power(past) == chain
+        assert ctx.plus_power(X, past) is X
+        assert len(ctx.jennings_functionals(past)) == G.order
+    rows, _ = jennings_rows(ctx)
     assert FpSubspace(G.p, G.order, rows).dim == G.order
+
+
+@pytest.mark.parametrize("G", CATALOG, ids=lambda G: f"p{G.p}-{G.name}")
+def test_jennings_functionals_are_the_dual_basis(G):
+    # f_k(e_g) = prod_j C(b_j(g), k_j), from the words of the elements,
+    # against the Jennings rows built by products: F J^T = 1, and the rows
+    # of weight < m are the functionals of jennings_functionals(m)
+    ctx = AlgebraContext(G)
+    rows, weights = jennings_rows(ctx)
+    F = ctx.jennings_functionals(G.order + 1)
+    assert np.array_equal(matmul_mod(F, rows.T, G.p),
+                          np.eye(G.order, dtype=np.int64))
+    for m in range(1, int(weights.max()) + 2):
+        assert np.array_equal(ctx.jennings_functionals(m), F[weights < m])
+    assert np.array_equal(ctx.jennings_functionals(1),
+                          np.ones((1, G.order), dtype=np.int64))
+
+
+@pytest.mark.parametrize("name", GROUPS + ("C4xC2", "M16", "C9xC3"))
+def test_plus_power_matches_elimination(name):
+    # X + I(G)^m from the functionals against the elimination of the two
+    # bases, on the zero space, F_pG, a central and a normal-subgroup
+    # ideal and seeded random subspaces, for every m up to the Loewy
+    # length; each result comes back in canonical RREF (_from_rref)
+    G = catalog_by_name(name)
+    ctx = AlgebraContext(G)
+    rng = np.random.default_rng(5)
+    spaces = [FpSubspace(G.p, G.order), ctx.full_space(),
+              ctx.center_subspace(), ctx.augmentation_ideal(),
+              normal_subgroup_ideal(
+                  ctx, characteristic_subgroup(G, "frattini"))]
+    spaces += [FpSubspace(G.p, G.order, rng.integers(0, G.p, (k, G.order)))
+               for k in (1, 2, 5)]
+    I = ctx.augmentation_ideal()
+    Im, m = I, 1
+    while True:
+        assert ctx.augmentation_power(m) == Im
+        for X in spaces:
+            assert ctx.plus_power(X, m) == X + Im, (m, X)
+        if not Im.dim:
+            break
+        Im, m = product_space(ctx, Im, I), m + 1
 
 
 @given(st.integers(0, 12), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
@@ -311,6 +361,29 @@ def test_units_by_order_counts_past_int64():
     want = [[(n >> (127 - t)) & 1 for t in range(128)]
             for n in range(1, 64) if bin(n).count("1") % 2][:8]
     assert np.array_equal(np.array(got), np.array(want))
+
+
+def test_recover_of_c3_he3_eliminates_few_rows(bench_fixtures, monkeypatch):
+    # one twisted recovery of C3 x He3 (order 81), from the group file to
+    # the report, counted at every binding of rref: a dense elimination of
+    # about |G| rows for each I(G)^m and X + I(G)^m would pass 1,100 rows
+    data, _ = bench_fixtures.factorization_fixture(
+        "C3", "He3", np.random.default_rng(7))
+    real, rows = fplin.rref, []
+
+    def counting(A, p):
+        rows.append(len(A))
+        return real(A, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pgroupalg") and getattr(module, "rref",
+                                                    None) is real:
+            monkeypatch.setattr(module, "rref", counting)
+    G, B, C = group_from_dict(data)
+    report = decompose.recover_decomposition(
+        verify_tensor_factorization(B.ctx, B, C))
+    assert report.b_invariants == (3,)
+    assert 0 < sum(rows) <= 700, sum(rows)
 
 
 def recover_corpus(bench_fixtures):

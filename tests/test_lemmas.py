@@ -14,7 +14,9 @@ from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
                                group_algebra_subalgebra)
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.fplin import FpSubspace, span
-from pgroupalg.groups import PGroup, Subgroup, catalog_build
+from pgroupalg.decompose import recover_decomposition
+from pgroupalg.groups import (PGroup, Subgroup, abelian_invariants,
+                              catalog_build)
 from pgroupalg.io import group_from_dict
 from pgroupalg.lemmas import (VerificationError, cyclic_factor_test,
                               lemma_identity_check,
@@ -264,3 +266,59 @@ def test_checks_read_off_one_table_fail_as_their_definitions(
     for ctx, B, C in inputs:
         assert named_failure(ctx, B, C) == oracle_failure(ctx, B, C), \
             ctx.group.name
+
+
+def conjugate_space(ctx, X, u, u_inv):
+    """u X u^-1, row by row."""
+    rows = ctx.products(ctx.products(u[None], X.basis), u_inv[None])
+    return FpSubspace(ctx.p, ctx.dim, rows)
+
+
+# A x G0 to order 64 at p = 2, 3, 5, and at p = 3 also C3 x He3 and
+# C3 x M27 (order 81): below that every p-odd pair is abelian
+CONJUGATED_PAIRS = [(A.name, G0.name) for p in (2, 3, 5)
+                    for A in builtin_catalog(p=p, max_order=32)
+                    if A.is_abelian()
+                    for G0 in builtin_catalog(p=p, max_order=64 // A.order)
+                    ] + [("C3", "He3"), ("C3", "M27")]
+
+
+@pytest.mark.parametrize("a_name, g0_name", CONJUGATED_PAIRS,
+                         ids=[f"{a}-{g}" for a, g in CONJUGATED_PAIRS])
+def test_unit_conjugated_factorizations(a_name, g0_name):
+    # the paper's case: F_pA and F_pG0 conjugated by a unit u = 1 + x, x
+    # in I(G) drawn at a fixed seed.  B = F_pA is central and stays; C
+    # leaves the span of group elements when G0 is nonabelian.  recover
+    # finds A's invariants, and on the input and on mangled copies of it
+    # (B with a basis row moved off it, B twice, the factors swapped, C
+    # conjugated by a second unit, beside B and beside C) every check
+    # names what its definition names
+    A, G0 = catalog_by_name(a_name), catalog_by_name(g0_name)
+    G = catalog_build("direct_product", A, G0)
+    ctx = AlgebraContext(G)
+    rng = np.random.default_rng([G.order, A.order])
+    I = ctx.augmentation_ideal()
+    units = []
+    for _ in range(2):
+        u = (ctx.one + rng.integers(0, G.p, I.dim) @ I.basis) % G.p
+        u_inv = ctx.power(u, G.order - 1)  # u^|G| = 1 + x^|G| = 1
+        assert np.array_equal(ctx.multiply(u, u_inv), ctx.one)
+        units.append((u, u_inv))
+    B = conjugate_space(ctx, element_span(
+        ctx, [a * G0.order for a in range(A.order)]), *units[0])
+    coordinate_C = element_span(ctx, range(G0.order))
+    C = conjugate_space(ctx, coordinate_C, *units[0])
+    assert (C == coordinate_C) == G0.is_abelian()
+    fact = verify_tensor_factorization(
+        ctx, AugmentedSubalgebra.from_space(ctx, B),
+        AugmentedSubalgebra.from_space(ctx, C))
+    report = recover_decomposition(fact)
+    assert report.b_invariants == abelian_invariants(A)
+    assert report.c_side.order == G0.order
+    moved = B.basis.copy()
+    moved[-1, rng.integers(G.order)] += 1
+    C2 = conjugate_space(ctx, C, *units[1])
+    mangled = [(B, C), (FpSubspace(G.p, G.order, moved), C), (B, B),
+               (C, B), (B, C2), (C, C2)]
+    for X, Y in mangled:
+        assert named_failure(ctx, X, Y) == oracle_failure(ctx, X, Y)

@@ -361,26 +361,17 @@ def omega_central(ctx: AlgebraContext, i: int) -> FpSubspace:
 
     Z(I(G)) is commutative, so z -> z^{p^i} is F_p-linear (Frobenius) and the
     nilpotent part is the kernel of that linear map; no enumeration needed.
+    The kernel is closed under products with no check, and so generates
+    nothing more: (zw)^{p^i} = z^{p^i} w^{p^i} = 0 for z, w in it, as
+    Z(I(G)) is commutative and closed under products itself.
     """
     Z = ctx.central_ideal_part()
     if Z.dim == 0:
         return Z
     M = ctx.powers(Z.basis, ctx.p ** i)  # rows: images; Z itself if all 0
-    K = FpSubspace(ctx.p, ctx.dim, nullspace(M.T, ctx.p) @ Z.basis % ctx.p) \
-        if M.any() else Z
-    # (zw)^{p^i} = z^{p^i} w^{p^i} in Z(I(G)), so the kernel is closed under
-    # products; checked once per kernel rather than closed in a fixpoint
-    if K.dim and not _closed_under_products(ctx, K):
-        raise AlgebraError("the kernel of Frobenius on Z(I(G)) is not "
-                           "closed under products")
-    return K
-
-
-@memoized
-def _closed_under_products(ctx: AlgebraContext, K: FpSubspace) -> bool:
-    """Whether K K ⊆ K; memoized on ctx by the content of K, as the
-    kernels of omega_central repeat in i."""
-    return not K.reduce(ctx.products(K.basis, K.basis)).any()
+    if not M.any():
+        return Z
+    return FpSubspace(ctx.p, ctx.dim, nullspace(M.T, ctx.p) @ Z.basis % ctx.p)
 
 
 @memoized
@@ -484,11 +475,10 @@ class AugmentedSubalgebra:
     @classmethod
     def from_space(cls, ctx: AlgebraContext, space: FpSubspace) -> "AugmentedSubalgebra":
         """The subspace as an augmented subalgebra; a failed check raises a
-        VerificationError named subalgebra-unit, subalgebra-closure or
-        augmentation-codimension.  Closure reduces the table against the
-        space a chunk of rows at a time, with no elimination; the last
-        check is structural, as augmentation_part drops exactly one row,
-        and stays as a guard."""
+        VerificationError named subalgebra-unit or subalgebra-closure.
+        Closure reduces the table against the space a chunk of rows at a
+        time, with no elimination.  I(B) has codimension 1 with no check:
+        augmentation_part drops exactly one row of the basis."""
         if not space.contains_vector(ctx.one):
             raise VerificationError("subalgebra-unit",
                                     "subspace does not contain the unit")
@@ -504,10 +494,6 @@ class AugmentedSubalgebra:
                for a in range(0, len(rows), step)):
             raise VerificationError("subalgebra-closure",
                                     "subspace is not closed under multiplication")
-        if k != space.dim - 1:
-            raise VerificationError(
-                "augmentation-codimension",
-                "augmentation ideal does not have codimension 1")
         return cls(ctx, space, aug, commutative, table.astype(np.uint8))
 
     @functools.cached_property

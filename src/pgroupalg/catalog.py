@@ -1,25 +1,39 @@
-"""The built-in test corpus of p-groups (orders up to 32 by default)."""
+"""The built-in test corpus of p-groups, every group built from its name.
+
+A name is one or more factors joined by ``x``, each one of ``Cn``, cyclic
+of order n = p^k; ``Dn``, ``Qn`` and ``SDn``, dihedral, generalized
+quaternion and semidihedral of 2-power order n (n >= 8, and n >= 16 for
+SD); ``Mn``, modular maximal-cyclic of order n = p^k, k >= 3 (n >= 16 at
+p = 2); and ``Hep``, the Heisenberg group of order p^3.  The catalog is
+the abelian groups, one per partition, and the nonabelian ones of
+_NONABELIAN, each through catalog_by_name.
+"""
 
 from __future__ import annotations
 
 import re
 
-from .groups import GroupError, PGroup, catalog_build
+from .groups import MAX_ORDER, GroupError, PGroup, _prime_power, catalog_build
 
 
 class CatalogNameError(GroupError):
     """A catalog name that does not resolve to a supported group."""
 
 
-def _abelian_partitions(p: int, max_order: int):
-    """All descending exponent tuples with p^sum <= max_order."""
-    out = []
-    k = 1
-    while p ** k <= max_order:
-        for part in _partitions(k):
-            out.append(tuple(part))
-        k += 1
-    return out
+# (p, order, name) of the nonabelian groups in the catalog
+_NONABELIAN = (
+    (2, 8, "D8"), (2, 8, "Q8"),
+    (2, 16, "D16"), (2, 16, "Q16"), (2, 16, "SD16"), (2, 16, "M16"),
+    (2, 16, "C2xD8"), (2, 16, "C2xQ8"),
+    (2, 32, "D32"), (2, 32, "Q32"), (2, 32, "SD32"), (2, 32, "M32"),
+    (2, 32, "C4xD8"), (2, 32, "C4xQ8"), (2, 32, "C2xC2xD8"),
+    (2, 32, "C2xC2xQ8"), (2, 32, "C2xD16"), (2, 32, "C2xQ16"),
+    (2, 32, "C2xSD16"), (2, 32, "C2xM16"),
+    (3, 27, "He3"), (3, 27, "M27"),
+)
+# the families of one parameter: the order, or the prime of He
+_FAMILIES = {"D": "dihedral", "Q": "quaternion", "SD": "semidihedral",
+             "He": "heisenberg"}
 
 
 def _partitions(n: int, cap: int | None = None):
@@ -33,48 +47,16 @@ def _partitions(n: int, cap: int | None = None):
 
 
 def builtin_catalog(p: int | None = None, max_order: int = 32) -> list[PGroup]:
-    """Deterministically ordered list of the built-in groups."""
-    groups: list[PGroup] = []
+    """The built-in groups of prime p (2 and 3 when None) and order at most
+    max_order, sorted by (p, order, name).  No group above MAX_ORDER is in
+    the catalog."""
     primes = (2, 3) if p is None else (p,)
-    for pp in primes:
-        for exps in _abelian_partitions(pp, max_order):
-            groups.append(catalog_build("abelian", pp, list(exps)))
-    if 2 in primes:
-        nonabelian2: list[PGroup] = []
-        for order in (8, 16, 32):
-            if order > max_order:
-                continue
-            nonabelian2.append(catalog_build("dihedral", order))
-            nonabelian2.append(catalog_build("quaternion", order))
-            if order >= 16:
-                nonabelian2.append(catalog_build("semidihedral", order))
-                nonabelian2.append(catalog_build("modular_maximal_cyclic", 2, order))
-        base8 = [catalog_build("dihedral", 8), catalog_build("quaternion", 8)]
-        base16 = []
-        if max_order >= 32:
-            base16 = [catalog_build("dihedral", 16), catalog_build("quaternion", 16),
-                      catalog_build("semidihedral", 16),
-                      catalog_build("modular_maximal_cyclic", 2, 16)]
-        for H in base8:
-            if 2 * H.order <= max_order:
-                nonabelian2.append(
-                    catalog_build("direct_product", catalog_build("cyclic", 2, 1), H))
-            if 4 * H.order <= max_order:
-                nonabelian2.append(
-                    catalog_build("direct_product", catalog_build("cyclic", 2, 2), H))
-                nonabelian2.append(
-                    catalog_build("direct_product",
-                                  catalog_build("abelian", 2, [1, 1]), H))
-        for H in base16:
-            if 2 * H.order <= max_order:
-                nonabelian2.append(
-                    catalog_build("direct_product", catalog_build("cyclic", 2, 1), H))
-        groups.extend(nonabelian2)
-    if 3 in primes and max_order >= 27:
-        groups.append(catalog_build("heisenberg", 3))
-        groups.append(catalog_build("extraspecial", 3, "-"))
-    groups.sort(key=lambda G: (G.p, G.order, G.name))
-    return groups
+    cap = min(max_order, MAX_ORDER)
+    entries = [(q, q ** k, "x".join(f"C{q ** e}" for e in part))
+               for q in primes for k in range(1, cap.bit_length())
+               if q ** k <= cap for part in _partitions(k)]
+    entries += [e for e in _NONABELIAN if e[0] in primes and e[1] <= cap]
+    return [catalog_by_name(name) for _, _, name in sorted(entries)]
 
 
 def catalog_by_name(name: str) -> PGroup:
@@ -97,32 +79,15 @@ def _build_by_name(name: str) -> PGroup:
         for part in parts[1:]:
             G = catalog_build("direct_product", G, _build_by_name(part))
         return PGroup(G.p, G.table, name=name)
-    m = re.fullmatch(r"C(\d+)", name)
-    if m:
-        n = int(m.group(1))
-        for p in (2, 3, 5):
-            k, t = 0, n
-            while t % p == 0:
-                t //= p
-                k += 1
-            if t == 1 and k:
-                return catalog_build("cyclic", p, k)
+    m = re.fullmatch(r"(C|D|Q|SD|M|He)(\d+)", name)
+    if not m:
+        raise CatalogNameError(f"unknown catalog group {name!r}")
+    family, n = m.group(1), int(m.group(2))
+    if family in _FAMILIES:
+        return catalog_build(_FAMILIES[family], n)
+    p, k = _prime_power(n) or (None, 0)
+    if family == "M":
+        return catalog_build("modular_maximal_cyclic", p, n)
+    if p is None:
         raise CatalogNameError(f"{name}: order is not a supported prime power")
-    m = re.fullmatch(r"D(\d+)", name)
-    if m:
-        return catalog_build("dihedral", int(m.group(1)))
-    m = re.fullmatch(r"Q(\d+)", name)
-    if m:
-        return catalog_build("quaternion", int(m.group(1)))
-    m = re.fullmatch(r"SD(\d+)", name)
-    if m:
-        return catalog_build("semidihedral", int(m.group(1)))
-    m = re.fullmatch(r"M(\d+)", name)
-    if m:
-        order = int(m.group(1))
-        p = 2 if order % 2 == 0 else 3
-        return catalog_build("modular_maximal_cyclic", p, order)
-    m = re.fullmatch(r"He(\d+)", name)
-    if m:
-        return catalog_build("heisenberg", int(m.group(1)))
-    raise CatalogNameError(f"unknown catalog group {name!r}")
+    return catalog_build("cyclic", p, k)

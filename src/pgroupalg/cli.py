@@ -45,9 +45,9 @@ class UsageError(ValueError):
 # The common flags with their defaults, and the ones each mode reads: a
 # command, or catalog in one of its emitting modes.  A mode refuses a
 # non-default value of any other, which it would echo into config or
-# ignore.  No mode reads --seed: it stays so that --seed 0 is accepted.
+# ignore.
 COMMON_DEFAULTS = {"p": None, "input": [], "catalog": [], "max_order": 32,
-                   "oracle_cap": 64, "seed": 0}
+                   "oracle_cap": 64}
 _SELECTION = ("p", "input", "catalog", "max_order")
 READS = {
     "catalog": ("p", "max_order"),
@@ -79,7 +79,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="built-in group name (repeatable)")
         sp.add_argument("--max-order", type=int, default=d["max_order"])
         sp.add_argument("--oracle-cap", type=int, default=d["oracle_cap"])
-        sp.add_argument("--seed", type=int, default=d["seed"])
         sp.add_argument("--out", default=None, help="report output path")
 
     sp = sub.add_parser("catalog", help="list built-in groups or emit fixtures")

@@ -3,7 +3,8 @@
 Implements the power map between filtration quotients whose kernel locates
 homocyclic direct factors, the cyclic splitting step, recovery of a group
 direct decomposition from a tensor factorization with a commutative factor,
-and tensor-indecomposability certificates.
+and tensor-indecomposability certificates.  _split_along checks
+F_pG = xF_pG ⊕ F_pG_0 for both the cyclic split and each recovery level.
 """
 
 from __future__ import annotations
@@ -77,21 +78,33 @@ def lambda_map(G: PGroup, s: int) -> LambdaData:
     return LambdaData(s, domain, U_cod, images, kernel)
 
 
+def _split_along(ctx: AlgebraContext, x, G0: Subgroup, check: str,
+                 message: str) -> QuotientSpace:
+    """F_pG / J with the section F_pG_0, for J = xF_pG with x central;
+    raises VerificationError(check, message) unless F_pG = J ⊕ F_pG_0.
+
+    The quotient's section check is the test: with dim J = |G| - |G_0|,
+    the unit rows of G_0 are independent modulo J iff J + F_pG_0 = F_pG."""
+    n = ctx.dim
+    J = ideal_generated(ctx, span(ctx.p, n, [x]))
+    span_G0 = FpSubspace._from_rref(ctx.p, n, np.eye(  # sorted unit rows
+        n, dtype=np.int64)[list(G0.elements)], G0.elements)
+    try:
+        return QuotientSpace(ctx.full_space(), J, section=span_G0)
+    except FpError as exc:
+        raise VerificationError(check, message) from exc
+
+
 def split_cyclic(G: PGroup, h: int) -> tuple[Subgroup, Subgroup]:
     """G = <h> x G_0 via a retraction, plus the algebra-level splitting check
-    F_pG = J + F_pG_0 with J the ideal generated by e_h - 1."""
+    F_pG = J ⊕ F_pG_0 with J the ideal generated by e_h - 1."""
     H = Subgroup.generated(G, (h,))
     G0 = retraction_complement(G, h)
     if not is_internal_direct_product(G, H, G0):
         raise VerificationError("split-cyclic", "not an internal direct product")
     ctx = AlgebraContext.of(G)
-    J = ideal_generated(ctx, span(G.p, G.order, [ctx.group_minus_one(h)]))
-    span_G0 = FpSubspace._from_rref(G.p, G.order, np.eye(  # sorted unit rows
-        G.order, dtype=np.int64)[list(G0.elements)], G0.elements)
-    # with dim J = |G| - |G_0|, J ∩ F_pG_0 = 0 iff J + F_pG_0 = F_pG
-    if J.dim != G.order - G0.order or (J + span_G0).dim != G.order:
-        raise VerificationError(
-            "split-cyclic-algebra", "F_pG != J + F_pG_0 as a direct sum")
+    _split_along(ctx, ctx.group_minus_one(h), G0, "split-cyclic-algebra",
+                 "F_pG != J + F_pG_0 as a direct sum")
     return H, G0
 
 
@@ -298,16 +311,9 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
         hs.append(cur_embed[h])
         steps.append({"depth": depth, "s": s, "h": cur_embed[h],
                       "group_order": cur_G.order})
-        # project both factors along J = (b-1)F_pG onto F_pG_0 and recurse;
-        # the section check of the quotient is the splitting check
-        J = ideal_generated(ctx, span(p, cur_G.order, [b_minus_1]))
-        span_G0 = FpSubspace._from_rref(p, cur_G.order, np.eye(
-            cur_G.order, dtype=np.int64)[list(G0.elements)], G0.elements)
-        try:
-            qs = QuotientSpace(ctx.full_space(), J, section=span_G0)
-        except FpError as exc:
-            raise VerificationError(
-                "theorem-splitting", "F_pG != (b-1)F_pG + F_pG_0") from exc
+        # project both factors along J = (b-1)F_pG onto F_pG_0 and recurse
+        qs = _split_along(ctx, b_minus_1, G0, "theorem-splitting",
+                          "F_pG != (b-1)F_pG + F_pG_0")
         G0p, g0_elems = subgroup_to_pgroup(G0)
         ctx0 = AlgebraContext.of(G0p)
         B0, C0 = (AugmentedSubalgebra.from_space(ctx0, FpSubspace(

@@ -16,7 +16,7 @@ from pgroupalg.algebra import (AlgebraContext, AlgebraError,
                                omega_central_ideal, power_space,
                                product_space, right_ideal,
                                unit_exponent_commutative)
-from pgroupalg.catalog import catalog_by_name
+from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.fplin import span
 from pgroupalg.groups import (PGroup, agemo_derived, catalog_build,
                               characteristic_subgroup, omega_center_derived)
@@ -145,6 +145,19 @@ def test_omega_central_linear_matches_enumeration(name):
         fast = omega_central(ctx, i)
         slow = omega_central_enumerated(ctx, i)
         assert fast == slow, (name, i)
+
+
+@pytest.mark.parametrize("G", builtin_catalog(p=2, max_order=64)
+                         + builtin_catalog(p=3, max_order=81)
+                         + builtin_catalog(p=5, max_order=25),
+                         ids=lambda G: G.name)
+def test_omega_central_is_closed_under_products(G):
+    # omega_central reads the kernel of Frobenius on Z(I(G)) as closed, by
+    # (zw)^{p^i} = z^{p^i} w^{p^i}, with no check of its own
+    ctx = AlgebraContext(G)
+    for i in range(1, round(math.log(G.exponent(), G.p)) + 2):
+        K = omega_central(ctx, i)
+        assert not K.reduce(ctx.products(K.basis, K.basis)).any(), i
 
 
 def test_omega_central_enumeration_cap():

@@ -173,7 +173,8 @@ def test_report_config_block(tmp_path):
         assert body["config"]["seed"] == 0
 
 
-@pytest.mark.parametrize("flag", [["--workers", "2"], ["--enum-cap", "5"]])
+@pytest.mark.parametrize("flag", [["--workers", "2"], ["--enum-cap", "5"],
+                                  ["--seed", "0"]])
 def test_removed_flags_exit_code(tmp_path, flag):
     assert run(["lemmas", "--catalog", "C4", *flag,
                 "--out", str(tmp_path / "r.json")]) == EXIT_PARSE
@@ -194,21 +195,19 @@ def test_emit_factorization_that_does_not_build(tmp_path, capsys, a_name,
     assert not out.exists()
 
 
+# cyclic-factor, certify and oracle read every common flag.  The ids are
+# explicit, so that a case keeps its name when others come or go
 @pytest.mark.parametrize("command, flag", [
     ("catalog", ["--input", "missing.json"]),
     ("catalog", ["--catalog", "Q8"]),
-    ("catalog", ["--seed", "1"]),
     ("catalog", ["--oracle-cap", "1"]),
     ("recover", ["--p", "3"]),
     ("recover", ["--max-order", "4"]),
     ("recover", ["--oracle-cap", "1"]),
-    ("lemmas", ["--seed", "1"]),
     ("lemmas", ["--oracle-cap", "1"]),
-    ("cyclic-factor", ["--seed", "1"]),
-    ("certify", ["--seed", "1"]),
-    ("oracle", ["--seed", "1"]),
-    ("recover", ["--seed", "1"]),
-])
+    ("recover", ["--catalog", "Q8"]),
+], ids=["catalog-flag0", "catalog-flag1", "catalog-flag3", "recover-flag4",
+        "recover-flag5", "recover-flag6", "lemmas-flag8", "recover-flag12"])
 def test_unread_flag_is_usage_error(tmp_path, capsys, command, flag):
     fx = tmp_path / "fx.json"
     assert run(["catalog", "--emit-factorization", "C2", "C2",
@@ -221,7 +220,7 @@ def test_unread_flag_is_usage_error(tmp_path, capsys, command, flag):
     assert capsys.readouterr().err.endswith(
         f"error: {command} does not read {flag[0]}\n")
     # the default value of a flag the command does not read is accepted
-    default = {"--seed": "0", "--oracle-cap": "64", "--max-order": "32"}
+    default = {"--oracle-cap": "64", "--max-order": "32"}
     if flag[0] in default:
         assert run(argv + [flag[0], default[flag[0]]]) == EXIT_OK
 
@@ -263,8 +262,8 @@ def test_parse_error_exit_codes(tmp_path):
     not_utf8 = tmp_path / "latin1.json"
     not_utf8.write_bytes(b"\x80")
     assert run(["lemmas", "--input", str(not_utf8)]) == EXIT_PARSE
-    # no command reads --seed, so a value other than 0 is a usage error
-    assert run(["recover", "--input", str(bad), "--seed", "-1"]) == EXIT_PARSE
+    # --seed is no flag, so even --seed 0 is a parse error
+    assert run(["recover", "--input", str(bad), "--seed", "0"]) == EXIT_PARSE
     for out in (tmp_path, tmp_path / "missing" / "report.json"):
         assert run(["catalog", "--out", str(out)]) == EXIT_PARSE
         assert run(["catalog", "--emit", "C2", "--out", str(out)]) == \
@@ -384,8 +383,8 @@ def test_identity_reindexing_matches_loop(name):
 
 
 def test_report_determinism(tmp_path):
-    _, b1 = run_to_file(tmp_path, ["lemmas", "--catalog", "D8", "--seed", "0"])
-    _, b2 = run_to_file(tmp_path, ["lemmas", "--catalog", "D8", "--seed", "0"])
+    _, b1 = run_to_file(tmp_path, ["lemmas", "--catalog", "D8"])
+    _, b2 = run_to_file(tmp_path, ["lemmas", "--catalog", "D8"])
     assert json.dumps(b1, sort_keys=True).encode() == \
         json.dumps(b2, sort_keys=True).encode()
 
@@ -423,8 +422,11 @@ def test_canonical_json_matches_json_dumps(value):
                                                indent=2)
 
 
-@pytest.mark.parametrize("name", ["D6", "D12", "Q4", "C6", "Foo"])
+@pytest.mark.parametrize("name", ["D6", "D12", "Q4", "C6", "Foo", "C0",
+                                  "C2xC0", "D1048576", "He1000003"])
 def test_unresolvable_catalog_name_exit_code(tmp_path, capsys, name):
+    # C0 has no prime; D1048576 and He1000003 must be refused before
+    # their tables are allocated
     code = run(["oracle", "--catalog", name, "--out", str(tmp_path / "r.json")])
     assert code == EXIT_PARSE
     assert capsys.readouterr().err.startswith("error: ")
@@ -750,7 +752,8 @@ def _flags(paths):
     path = st.sampled_from([paths[k] for k in
                             ("good", "drawn", "dir", "missing")])
     out = st.sampled_from([paths[k] for k in ("out", "dir", "missing")])
-    name = st.sampled_from(["C2", "C4", "Q8", "C3", "C5", "C2xC2", "nope"])
+    name = st.sampled_from(["C2", "C4", "Q8", "C3", "C5", "C2xC2", "nope",
+                            "C0", "D1048576", "M125"])
     return st.one_of(
         st.tuples(st.just("--p"), st.sampled_from(["2", "3", "5", "7", "x"])),
         st.tuples(st.just("--input"), path),

@@ -329,6 +329,23 @@ def test_lift_failure_lists_every_rejected_candidate(monkeypatch):
     assert "split-cyclic-algebra" in want and "(order 4)" in want
 
 
+def test_split_cyclic_names_its_algebra_check(monkeypatch):
+    # J = (e_h - 1)F_pG cut down to the span of e_h - 1: every candidate h
+    # still splits off as a group, and fails the algebra split inside
+    # split_cyclic under that check's name
+    G = catalog_by_name("C2xC8")
+    ctx = AlgebraContext(G)
+    I2 = ctx.augmentation_power(2)
+    t = next(g for g in range(16) if G.element_order(g) == 2
+             and not I2.contains_vector(ctx.group_minus_one(g)))
+    h, _, _ = decompose._find_split_element(G, ctx, ctx.group_minus_one(t), 1)
+    monkeypatch.setattr(decompose, "ideal_generated", lambda ctx, X: X)
+    with pytest.raises(VerificationError) as exc:
+        decompose._find_split_element(G, ctx, ctx.group_minus_one(t), 1)
+    assert exc.value.check == "order-p^s-lift"
+    assert f"{h} (split-cyclic-algebra)" in str(exc.value)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_kernel_form_at_order_one(p):
     # d = 0: no Jennings generator, and the augmentation is the one

@@ -284,30 +284,79 @@ TABLE_DIGESTS = {
 }
 
 
-def _catalog_family_member(name):
-    if name.startswith("He"):
-        return catalog_build("heisenberg", int(name[2:]))
-    order = int(name.lstrip("DQSM"))
-    if name.startswith("M") and order % 2:
-        p = 3 if order % 3 == 0 else 5
-        return catalog_build("modular_maximal_cyclic", p, order)
-    return catalog_by_name(name)
-
-
 @pytest.mark.parametrize("name", TABLE_DIGESTS)
 def test_catalog_table_is_pinned(name):
-    G = _catalog_family_member(name)
+    G = catalog_by_name(name)
     assert G.name == name
     assert hashlib.sha256(G.table.tobytes()).hexdigest() == TABLE_DIGESTS[name]
 
 
+# builtin_catalog(*args) -> (the names in order, the sha256 over each
+# group's name, its prime as one byte and its table as little-endian int64),
+# recorded while the catalog was built by family calls rather than by name
+CATALOG_DIGESTS = {
+    (2, 256): (
+        "C2 C2xC2 C4 C2xC2xC2 C4xC2 C8 D8 Q8 C16 C2xC2xC2xC2 C2xD8 C2xQ8 "
+        "C4xC2xC2 C4xC4 C8xC2 D16 M16 Q16 SD16 C16xC2 C2xC2xC2xC2xC2 "
+        "C2xC2xD8 C2xC2xQ8 C2xD16 C2xM16 C2xQ16 C2xSD16 C32 C4xC2xC2xC2 "
+        "C4xC4xC2 C4xD8 C4xQ8 C8xC2xC2 C8xC4 D32 M32 Q32 SD32 C16xC2xC2 "
+        "C16xC4 C2xC2xC2xC2xC2xC2 C32xC2 C4xC2xC2xC2xC2 C4xC4xC2xC2 "
+        "C4xC4xC4 C64 C8xC2xC2xC2 C8xC4xC2 C8xC8 C128 C16xC2xC2xC2 "
+        "C16xC4xC2 C16xC8 C2xC2xC2xC2xC2xC2xC2 C32xC2xC2 C32xC4 "
+        "C4xC2xC2xC2xC2xC2 C4xC4xC2xC2xC2 C4xC4xC4xC2 C64xC2 C8xC2xC2xC2xC2 "
+        "C8xC4xC2xC2 C8xC4xC4 C8xC8xC2 C128xC2 C16xC16 C16xC2xC2xC2xC2 "
+        "C16xC4xC2xC2 C16xC4xC4 C16xC8xC2 C256 C2xC2xC2xC2xC2xC2xC2xC2 "
+        "C32xC2xC2xC2 C32xC4xC2 C32xC8 C4xC2xC2xC2xC2xC2xC2 "
+        "C4xC4xC2xC2xC2xC2 C4xC4xC4xC2xC2 C4xC4xC4xC4 C64xC2xC2 C64xC4 "
+        "C8xC2xC2xC2xC2xC2 C8xC4xC2xC2xC2 C8xC4xC4xC2 C8xC8xC2xC2 C8xC8xC4",
+        "82596b4a7ad70218d0d22f9bd18d0e65d11b619acb50fb187123601dfe9cb803"),
+    (3, 243): (
+        "C3 C3xC3 C9 C27 C3xC3xC3 C9xC3 He3 M27 C27xC3 C3xC3xC3xC3 C81 "
+        "C9xC3xC3 C9xC9 C243 C27xC3xC3 C27xC9 C3xC3xC3xC3xC3 C81xC3 "
+        "C9xC3xC3xC3 C9xC9xC3",
+        "1cc695f406a3026d5658acdbe1c49bca834990f16c8cf04fcf8197584e1c433e"),
+    (5, 125): (
+        "C5 C25 C5xC5 C125 C25xC5 C5xC5xC5",
+        "b1e23bb81303267af8b1a518157ca40207276969d3191a8151dae7f49585bc6a"),
+    (): (
+        "C2 C2xC2 C4 C2xC2xC2 C4xC2 C8 D8 Q8 C16 C2xC2xC2xC2 C2xD8 C2xQ8 "
+        "C4xC2xC2 C4xC4 C8xC2 D16 M16 Q16 SD16 C16xC2 C2xC2xC2xC2xC2 "
+        "C2xC2xD8 C2xC2xQ8 C2xD16 C2xM16 C2xQ16 C2xSD16 C32 C4xC2xC2xC2 "
+        "C4xC4xC2 C4xD8 C4xQ8 C8xC2xC2 C8xC4 D32 M32 Q32 SD32 C3 C3xC3 C9 "
+        "C27 C3xC3xC3 C9xC3 He3 M27",
+        "31095ea277e93ff67b890dee144075d9bb51d8469113516ad19078ec1f00683f"),
+}
+
+
+@pytest.mark.parametrize("args", CATALOG_DIGESTS, ids=str)
+def test_builtin_catalog_is_pinned(args):
+    names, digest = CATALOG_DIGESTS[args]
+    groups = builtin_catalog(*args)
+    assert [G.name for G in groups] == names.split()
+    h = hashlib.sha256()
+    for G in groups:
+        h.update(G.name.encode())
+        h.update(bytes([G.p]))
+        h.update(G.table.astype("<i8").tobytes())
+    assert h.hexdigest() == digest
+
+
 @pytest.mark.parametrize("p, other", [(2, "Q8"), (3, "M27"), (5, "M125")])
 def test_extraspecial_minus_is_the_pinned_table(p, other):
-    G = catalog_build("extraspecial", p, "-")
-    assert G.name == other
+    # the two extraspecial groups of order p^3 by name: Z(G) = G' = Phi(G)
+    # of order p, told apart by their counts of elements of order p
+    G, He = catalog_by_name(other), catalog_by_name(f"He{p}")
     assert hashlib.sha256(G.table.tobytes()).hexdigest() == \
         TABLE_DIGESTS[other]
-    assert catalog_build("extraspecial", p, "+").name == f"He{p}"
+    for E in (G, He):
+        assert E.p == p and E.order == p ** 3
+        Z = characteristic_subgroup(E, "center")
+        assert Z.order == p
+        assert Z == characteristic_subgroup(E, "derived") == \
+            characteristic_subgroup(E, "frattini")
+    order_p = [sum(E.element_order(g) == p for g in range(p ** 3))
+               for E in (G, He)]
+    assert order_p[0] < order_p[1]
 
 
 def test_omega_and_agemo_cyclic():
@@ -332,9 +381,9 @@ def test_quotient_group_and_kernel():
 
 
 def test_abelian_invariants():
-    A = catalog_build("abelian", 2, [3, 1, 1])
+    A = catalog_by_name("C8xC2xC2")
     assert abelian_invariants(A) == (8, 2, 2)
-    B = catalog_build("abelian", 3, [2, 1])
+    B = catalog_by_name("C9xC3")
     assert abelian_invariants(B) == (9, 3)
     C = catalog_build("cyclic", 2, 0)
     assert abelian_invariants(C) == ()
@@ -358,7 +407,7 @@ def test_r_subquotient_examples():
 def test_all_subgroups_counts():
     # classical counts: C4 has 3 subgroups, C2xC2 has 5, D8 has 10, Q8 has 6
     assert len(all_subgroups(catalog_build("cyclic", 2, 2))) == 3
-    assert len(all_subgroups(catalog_build("abelian", 2, [1, 1]))) == 5
+    assert len(all_subgroups(catalog_by_name("C2xC2"))) == 5
     assert len(all_subgroups(catalog_build("dihedral", 8))) == 10
     assert len(all_subgroups(catalog_build("quaternion", 8))) == 6
 
@@ -482,7 +531,7 @@ def test_direct_factor_oracle():
 
 
 def test_oracle_cap():
-    G = catalog_build("abelian", 2, [1] * 7)  # order 128 > default cap
+    G = catalog_by_name("x".join(["C2"] * 7))  # order 128 > default cap
     with pytest.raises(OracleCapExceeded):
         direct_factor_oracle(G, cap=64)
 
@@ -540,7 +589,7 @@ def test_subgroup_validation():
     C4 = catalog_build("cyclic", 2, 2)
     with pytest.raises(GroupError, match="inverses"):
         Subgroup(C4, (0, 1))  # 1 + 3 = 0 in C4, and 3 is missing
-    V4 = catalog_build("abelian", 2, [1, 1])
+    V4 = catalog_by_name("C2xC2")
     with pytest.raises(GroupError, match="multiplication"):
         Subgroup(V4, (0, 1, 2))  # involutions, but 1 * 2 = 3 is missing
     with pytest.raises(GroupError, match="range"):

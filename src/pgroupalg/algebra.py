@@ -232,9 +232,6 @@ class AlgebraContext:
         K = nullspace(A, p)[::-1, ::-1]
         return FpSubspace._from_rref(p, n, K.copy(), (K != 0).argmax(axis=1))
 
-    def full_space(self) -> FpSubspace:
-        return FpSubspace.full(self.p, self.dim)
-
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         # conj[h, g] = h g h^-1 = R[h, hg]
         conj = np.take_along_axis(self._right, self.group.table, axis=1)

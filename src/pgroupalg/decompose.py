@@ -3,8 +3,15 @@
 Implements the power map between filtration quotients whose kernel locates
 homocyclic direct factors, the cyclic splitting step, recovery of a group
 direct decomposition from a tensor factorization with a commutative factor,
-and tensor-indecomposability certificates.  _split_along checks
-F_pG = xF_pG ⊕ F_pG_0 for both the cyclic split and each recovery level.
+and tensor-indecomposability certificates.
+
+A recovery level does only the eliminations its answers need.  The unit
+stream forms a first chunk of 64 rows, then doubles.  Lambda's kernel is
+one elimination of dim-domain rows.  _split_along checks F_pG = J ⊕ F_pG_0
+for the cyclic split and for each level as a quotient of the whole space,
+by one elimination of |G_0| rows.  The cyclic split's J = (e_h - 1)F_pG is
+I(<h>)F_pG in closed form; only the level's (b - 1)F_pG, for a unit b,
+eliminates |G| rows.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ import numpy as np
 from .algebra import (AlgebraContext, AugmentedSubalgebra, frobenius_chain,
                       frobenius_mod_derived, ideal_generated,
                       normal_subgroup_ideal)
-from .fplin import FpError, FpSubspace, QuotientSpace, matmul_mod, nullspace, span
+from .fplin import (FpError, FpSubspace, QuotientSpace, matmul_mod, nullspace,
+                    rref, span)
 from .groups import (ORACLE_CAP, PGroup, RetractionError, Subgroup,
                      _check_oracle_cap, _direct_pairs, abelian_invariants,
                      agemo_derived, characteristic_subgroup, full_subgroup,
@@ -29,6 +37,9 @@ from .lemmas import (TensorFactorizationInput, VerificationError,
 
 # Largest product formed at once while streaming units, in entries (1 MB)
 _UNIT_ENTRIES = 1 << 17
+# Coefficient rows of the first chunk of units; later chunks double up to
+# the _UNIT_ENTRIES cap, as the first unit formed has always been taken
+_UNIT_FIRST_ROWS = 64
 
 
 @dataclass
@@ -55,7 +66,10 @@ def lambda_map(G: PGroup, s: int) -> LambdaData:
     z -> z^{p^{s-1}} is additive modulo U_cod.  The map is therefore well
     defined on z + I(G)^2 exactly when every basis vector of I(G)^2 has its
     p^{s-1}-th power in U_cod; both sets of powers are gathered by
-    frobenius_mod_derived, exact modulo U_cod."""
+    frobenius_mod_derived, exact modulo U_cod.  The kernel's coefficient
+    rows c, with c @ images = 0, come from one elimination of the dim-domain
+    rows [images | I]: its rows that are zero on the left hold them on the
+    right."""
     p = G.p
     if s < 1 or p ** s > G.exponent():
         raise ValueError(f"lambda_map requires 1 <= p^s <= exp(G), got s={s}")
@@ -73,38 +87,42 @@ def lambda_map(G: PGroup, s: int) -> LambdaData:
             "an I(G)^2 basis vector has its p^{s-1}-th power outside "
             "I(G)^{p^{s-1}+1} + I(mho_s(G)G')F_pG")
     images = U_cod.reduce(frobenius_mod_derived(ctx, domain.section, q))
-    coeffs = nullspace(images.T, p)  # c with c @ images = 0
+    R, pivots = rref(np.concatenate(
+        [images, np.eye(domain.dim, dtype=np.int64)], axis=1), p)
+    coeffs = R[np.array(pivots, dtype=np.int64) >= G.order, G.order:]
     kernel = FpSubspace(p, G.order, coeffs @ domain.section % p)
     return LambdaData(s, domain, U_cod, images, kernel)
 
 
-def _split_along(ctx: AlgebraContext, x, G0: Subgroup, check: str,
-                 message: str) -> QuotientSpace:
-    """F_pG / J with the section F_pG_0, for J = xF_pG with x central;
-    raises VerificationError(check, message) unless F_pG = J ⊕ F_pG_0.
+def _split_along(ctx: AlgebraContext, J: FpSubspace, G0: Subgroup,
+                 check: str, message: str) -> QuotientSpace:
+    """F_pG / J with the section F_pG_0, for an ideal J; raises
+    VerificationError(check, message) unless F_pG = J ⊕ F_pG_0.
 
     The quotient's section check is the test: with dim J = |G| - |G_0|,
-    the unit rows of G_0 are independent modulo J iff J + F_pG_0 = F_pG."""
-    n = ctx.dim
-    J = ideal_generated(ctx, span(ctx.p, n, [x]))
-    span_G0 = FpSubspace._from_rref(ctx.p, n, np.eye(  # sorted unit rows
-        n, dtype=np.int64)[list(G0.elements)], G0.elements)
+    the unit rows of G_0 are independent modulo J iff J + F_pG_0 = F_pG.
+    It is a quotient of the whole space, so it eliminates only the
+    |G_0| rows [J.reduce(F_pG_0) | I]."""
+    span_G0 = FpSubspace._from_rref(ctx.p, ctx.dim, np.eye(  # sorted unit rows
+        ctx.dim, dtype=np.int64)[list(G0.elements)], G0.elements)
     try:
-        return QuotientSpace(ctx.full_space(), J, section=span_G0)
+        return QuotientSpace.of_whole_space(J, span_G0)
     except FpError as exc:
         raise VerificationError(check, message) from exc
 
 
 def split_cyclic(G: PGroup, h: int) -> tuple[Subgroup, Subgroup]:
     """G = <h> x G_0 via a retraction, plus the algebra-level splitting check
-    F_pG = J ⊕ F_pG_0 with J the ideal generated by e_h - 1."""
+    F_pG = J ⊕ F_pG_0 with J = (e_h - 1)F_pG.  Once G = H x G_0, H = <h>
+    is normal, and J is I(H)F_pG, as I(H) = (e_h - 1)F_pH: its closed form
+    (normal_subgroup_ideal), with no elimination."""
     H = Subgroup.generated(G, (h,))
     G0 = retraction_complement(G, h)
     if not is_internal_direct_product(G, H, G0):
         raise VerificationError("split-cyclic", "not an internal direct product")
     ctx = AlgebraContext.of(G)
-    _split_along(ctx, ctx.group_minus_one(h), G0, "split-cyclic-algebra",
-                 "F_pG != J + F_pG_0 as a direct sum")
+    _split_along(ctx, normal_subgroup_ideal(ctx, H), G0,
+                 "split-cyclic-algebra", "F_pG != J + F_pG_0 as a direct sum")
     return H, G0
 
 
@@ -147,7 +165,11 @@ def _find_split_element(G: PGroup, ctx: AlgebraContext, target,
 
 def _units_by_order(ctx: AlgebraContext, IB: FpSubspace, frobs: np.ndarray):
     """Yield the units 1 + c @ IB of the highest order, p^len(frobs), as
-    rows in byte order, formed one chunk of coefficient rows c at a time.
+    rows in byte order, formed one chunk of coefficient rows c at a time:
+    _UNIT_FIRST_ROWS rows first, each later chunk twice the last, up to
+    _UNIT_ENTRIES entries.  The search reads the first unit or few, so a
+    small first chunk forms no more than it needs; the order does not
+    depend on the chunks.
 
     IB is commutative, so (c @ IB)^{p^k} = c @ frobs[k], and the unit has
     the highest order iff c @ frobs[-1] != 0: one product with frobs[0] =
@@ -158,18 +180,21 @@ def _units_by_order(ctx: AlgebraContext, IB: FpSubspace, frobs: np.ndarray):
     order of ((c_1 + [pi_1 = 0]) mod p, c_2, ..., c_d).
     """
     p, n, d = ctx.p, ctx.dim, IB.dim
-    step = max(1, _UNIT_ENTRIES // (2 * n))
+    cap = max(1, _UNIT_ENTRIES // (2 * n))
+    step = min(_UNIT_FIRST_ROWS, cap)
     shift = int(IB.pivots[0] == 0)
     total = p ** d
     # a p^j past int64 exceeds every count, whose digit j is then 0 anyway
     digits = np.array([min(p ** j, 2 ** 63 - 1) for j in range(d - 1, -1, -1)])
-    for k in range(0, total, step):
+    k = 0
+    while k < total:
         c = np.arange(k, min(k + step, total))[:, None] // digits % p
         c[:, 0] = (c[:, 0] - shift) % p
         units, top = matmul_mod(c, frobs[[0, -1]], p)
         U = units[top.any(axis=1)]
         U[:, 0] = (U[:, 0] + 1) % p
         yield from U
+        k, step = k + step, min(2 * step, cap)
 
 
 def find_group_basis_commutative(B: AugmentedSubalgebra, *,
@@ -311,8 +336,10 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
         hs.append(cur_embed[h])
         steps.append({"depth": depth, "s": s, "h": cur_embed[h],
                       "group_order": cur_G.order})
-        # project both factors along J = (b-1)F_pG onto F_pG_0 and recurse
-        qs = _split_along(ctx, b_minus_1, G0, "theorem-splitting",
+        # project both factors along J = (b-1)F_pG onto F_pG_0 and recurse;
+        # b is a unit, not a group element, so J is eliminated
+        J = ideal_generated(ctx, span(p, ctx.dim, [b_minus_1]))
+        qs = _split_along(ctx, J, G0, "theorem-splitting",
                           "F_pG != (b-1)F_pG + F_pG_0")
         G0p, g0_elems = subgroup_to_pgroup(G0)
         ctx0 = AlgebraContext.of(G0p)

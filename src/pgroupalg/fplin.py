@@ -304,11 +304,6 @@ class FpSubspace:
         self.basis.setflags(write=False)
         return self
 
-    @classmethod
-    def full(cls, p: int, ambient: int) -> "FpSubspace":
-        return cls._from_rref(p, ambient, np.eye(ambient, dtype=np.int64),
-                              range(ambient))
-
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
@@ -385,28 +380,43 @@ class QuotientSpace:
     M with M R = E.  A given section is checked by it: it lies in W, its
     dimension and U's add up to W's, and every pivot falls in R, so the
     section is independent modulo U and U + section = W.  ``project``
-    then needs no elimination.
+    then needs no elimination.  ``of_whole_space`` builds F_p^n / U, where
+    W holds U and the section by definition: no W is built, and the
+    elimination of [R | I_q] is the only one.
     """
 
     def __init__(self, W: FpSubspace, U: FpSubspace,
                  section: FpSubspace | None = None):
         if not W.contains(U):
             raise FpError("quotient_space: U is not contained in W")
-        self.W = W
-        self.U = U
-        self.p = W.p
-        self.ambient = W.ambient
         if section is None:
-            _, independent = rref(U.reduce(W.basis).T, self.p)
-            self.section = W.basis[list(independent)]  # (q, ambient)
+            _, independent = rref(U.reduce(W.basis).T, W.p)
+            rows = W.basis[list(independent)]  # (q, ambient)
         elif U.dim + section.dim != W.dim or not W.contains(section):
             raise FpError("quotient_space: invalid section")
         else:
-            self.section = section.basis
+            rows = section.basis
+        self._build(U, rows)
+
+    @classmethod
+    def of_whole_space(cls, U: FpSubspace,
+                       section: FpSubspace) -> "QuotientSpace":
+        """F_p^n / U with a given section, checked as in __init__ with W
+        the whole space, which holds U and the section."""
+        U._compat(section)
+        if U.dim + section.dim != U.ambient:
+            raise FpError("quotient_space: invalid section")
+        self = cls.__new__(cls)
+        self._build(U, section.basis)
+        return self
+
+    def _build(self, U: FpSubspace, section: np.ndarray) -> None:
+        """Keep the section rows and eliminate [R | I_q] once."""
+        self.U, self.section = U, section
+        self.p, self.ambient = U.p, U.ambient
         q = self.dim
         R, pivots = rref(np.concatenate(
-            [U.reduce(self.section), np.eye(q, dtype=np.int64)], axis=1),
-            self.p)
+            [U.reduce(section), np.eye(q, dtype=np.int64)], axis=1), self.p)
         if pivots and pivots[-1] >= self.ambient:
             raise FpError("quotient_space: invalid section")
         self._echelon = R[:, :self.ambient]      # E, in RREF on _pivots

@@ -122,6 +122,13 @@ def quotient_coordinates(Q: QuotientSpace, vec) -> np.ndarray | None:
     return solve(Q.U.reduce(Q.section).T, Q.U.reduce(vec), Q.p)
 
 
+def full_space(p: int, ambient: int) -> FpSubspace:
+    """F_p^ambient, eliminated from the identity rows.  The library builds
+    no whole space: ``QuotientSpace.of_whole_space`` stands for a quotient
+    of it."""
+    return FpSubspace(p, ambient, np.eye(ambient, dtype=np.int64))
+
+
 def intersect(U: FpSubspace, V: FpSubspace) -> FpSubspace:
     """U ∩ V from the nullspace of [U^T | -V^T]: x = a @ U.basis =
     b @ V.basis.  Cross-checks ``algebra.augmentation_part``, which reads
@@ -268,6 +275,16 @@ def jennings_rows(ctx: AlgebraContext) -> tuple[np.ndarray, np.ndarray]:
     return rows, weights
 
 
+def lambda_kernel(lam) -> FpSubspace:
+    """ker Lambda of a ``decompose.LambdaData``: the c with c @ images = 0
+    as the nullspace of images^T, an elimination of |G| rows, spanned in
+    the domain section; cross-checks ``lambda_map``, which eliminates the
+    dim-domain rows [images | I] instead."""
+    p, n = lam.codomain.p, lam.codomain.ambient
+    coeffs = nullspace(lam.images.T, p)
+    return FpSubspace(p, n, coeffs @ lam.domain.section % p)
+
+
 # ---------------------------------------------------------------------------
 # units and the commutative-factor proposition
 
@@ -296,25 +313,34 @@ def group_closure_vectors(ctx: AlgebraContext, units,
     return [elems[k] for k in sorted(elems)]
 
 
-def units_by_order(ctx: AlgebraContext, IB: FpSubspace):
-    """Every unit 1 + c @ IB of commutative IB, as rows, highest order
-    first, then in byte order, formed a chunk at a time.  The order of a
-    unit is p to the number of k with c @ IB^{p^k} != 0, and the byte order
-    is the counting order of ((c_1 + [pi_1 = 0]) mod p, c_2, ..., c_d), as
-    in ``decompose._units_by_order``, which streams the highest class."""
+def units_of_order(ctx: AlgebraContext, IB: FpSubspace, frobs: np.ndarray,
+                   level: int, step: int = 4096):
+    """The units 1 + c @ IB of order p^level, as rows in byte order, formed
+    in fixed chunks of step coefficient rows.  frobs is
+    frobenius_chain(ctx, IB.basis); the order of a unit is p to the number
+    of k with c @ IB^{p^k} != 0, and the byte order is the counting order
+    of ((c_1 + [pi_1 = 0]) mod p, c_2, ..., c_d).  At level len(frobs) it
+    is the fixed-chunk reference for ``decompose._units_by_order``, whose
+    chunks grow."""
     p, d = ctx.p, IB.dim
-    frobs = frobenius_chain(ctx, IB.basis)
-    total, step = p ** d, 4096
+    total = p ** d
     digits = p ** np.arange(d - 1, -1, -1)
     shift = int(IB.pivots[0] == 0)
+    for k in range(0, total, step):
+        c = np.arange(k, min(k + step, total))[:, None] // digits % p
+        c[:, 0] = (c[:, 0] - shift) % p
+        images = matmul_mod(c, frobs, p)  # (frob, row, t)
+        U = images[0][images.any(axis=2).sum(axis=0) == level]
+        U[:, 0] = (U[:, 0] + 1) % p
+        yield from U
+
+
+def units_by_order(ctx: AlgebraContext, IB: FpSubspace):
+    """Every unit 1 + c @ IB of commutative IB, as rows, highest order
+    first, then in byte order (``units_of_order``)."""
+    frobs = frobenius_chain(ctx, IB.basis)
     for level in range(len(frobs), 0, -1):
-        for k in range(0, total, step):
-            c = np.arange(k, min(k + step, total))[:, None] // digits % p
-            c[:, 0] = (c[:, 0] - shift) % p
-            images = matmul_mod(c, frobs, p)  # (frob, row, t)
-            U = images[0][images.any(axis=2).sum(axis=0) == level]
-            U[:, 0] = (U[:, 0] + 1) % p
-            yield from U
+        yield from units_of_order(ctx, IB, frobs, level)
 
 
 class _Replayed:
@@ -429,7 +455,7 @@ def babelian_checks(fact: TensorFactorizationInput, part: str) -> IdentityReport
     IB, IC = fact.B.aug_ideal, fact.C.aug_ideal
     IBC = product_space(ctx, IB, IC)
     if part == "a":
-        full = ctx.full_space()
+        full = full_space(ctx.p, ctx.dim)
         left = commutator_span(ctx, full, full)
         cc = commutator_span(ctx, IC, IC)
         right = cc + product_space(ctx, cc, IB)

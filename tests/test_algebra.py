@@ -22,7 +22,8 @@ from pgroupalg.groups import (PGroup, agemo_derived, catalog_build,
                               characteristic_subgroup, omega_center_derived)
 
 from oracles import (EnumerationCapExceeded, augmentation, commutator_span,
-                     dimension_subgroup, omega_central_enumerated)
+                     dimension_subgroup, full_space,
+                     omega_central_enumerated)
 
 
 def ctx_of(name):
@@ -90,7 +91,7 @@ def test_power_space_nilpotency():
 def test_commutator_span_class_count():
     # dim [kG, kG] = |G| - #conjugacy classes; D8 has 5 classes
     ctx = ctx_of("D8")
-    full = ctx.full_space()
+    full = full_space(ctx.p, ctx.dim)
     C = commutator_span(ctx, full, full)
     assert C.dim == 8 - 5
     assert len(ctx.conjugacy_classes()) == 5

@@ -2,6 +2,7 @@
 and full recovery."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import pgroupalg.decompose as decompose
 from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
                                group_algebra_subalgebra, power_space)
-from pgroupalg.catalog import catalog_by_name
+from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.decompose import (certify_indecomposable,
                                  find_group_basis_commutative, lambda_map,
                                  recover_decomposition, split_cyclic)
@@ -21,7 +22,8 @@ from pgroupalg.groups import (PGroup, RetractionError, abelian_invariants,
                               trivial_subgroup)
 from pgroupalg.lemmas import VerificationError, verify_tensor_factorization
 
-from oracles import group_closure_vectors, group_from_unit_vectors
+from oracles import (full_space, group_closure_vectors,
+                     group_from_unit_vectors, lambda_kernel)
 
 
 def coordinate_factorization(a_name, g0_name):
@@ -87,6 +89,20 @@ def test_lambda_map_constant_on_every_i2_shift(name, s):
         assert L.kernel.contains_vector(x) == dies
 
 
+def test_lambda_kernel_matches_the_nullspace_oracle():
+    # every (G, s) of the catalog to order 64 (p = 2), 81 (p = 3) and 25
+    # (p = 5), the lambda tests' groups among them: the kernel from the
+    # dim-domain rows [images | I] is the nullspace of images^T
+    cases = 0
+    for p, max_order in ((2, 64), (3, 81), (5, 25)):
+        for G in builtin_catalog(p=p, max_order=max_order):
+            for s in range(1, round(math.log(G.exponent(), p)) + 1):
+                lam = lambda_map(G, s)
+                assert lam.kernel == lambda_kernel(lam), (G.name, s)
+                cases += 1
+    assert cases == 162
+
+
 def test_lambda_map_failure_names_its_check(monkeypatch):
     real = decompose.frobenius_mod_derived
 
@@ -112,7 +128,7 @@ def test_recovery_step_checks_name_themselves(monkeypatch, field, check):
 
     def widened(G, s):
         lam = real(G, s)
-        setattr(lam, field, FpSubspace.full(G.p, G.order))
+        setattr(lam, field, full_space(G.p, G.order))
         return lam
 
     monkeypatch.setattr(decompose, "lambda_map", widened)
@@ -167,7 +183,7 @@ def test_group_basis_spans_subalgebra():
 def test_exhaustive_unit_search_forms_one_chunk(monkeypatch):
     # 1 + I(C4xC4) has 32,767 units of 32 entries, 8.4 MB as int64 rows;
     # the search reads the first of the highest order, so it forms one
-    # chunk of rows
+    # small first chunk of rows
     _, _, ctx, B, _ = coordinate_factorization("C4xC4", "C2")
     real, formed = decompose.matmul_mod, []
 
@@ -184,8 +200,9 @@ def test_exhaustive_unit_search_forms_one_chunk(monkeypatch):
         tracemalloc.stop()
     assert len(gens) == 2
     # the unit and its top Frobenius power, 32 entries each, per row
-    assert formed == [decompose._UNIT_ENTRIES // (2 * 32)]
-    assert peak < 8e6  # below one copy of every unit row
+    assert formed == [decompose._UNIT_FIRST_ROWS] == [64]
+    # below one 2,048-row chunk of unit rows (0.5 MB as int64)
+    assert peak < 4e5
 
 
 def test_group_basis_search_failure_names_its_cause(monkeypatch):
@@ -330,16 +347,18 @@ def test_lift_failure_lists_every_rejected_candidate(monkeypatch):
 
 
 def test_split_cyclic_names_its_algebra_check(monkeypatch):
-    # J = (e_h - 1)F_pG cut down to the span of e_h - 1: every candidate h
-    # still splits off as a group, and fails the algebra split inside
-    # split_cyclic under that check's name
+    # the closed form J = I(H)F_pG = (e_h - 1)F_pG cut down to I(H), the
+    # span of e_g - 1 for g in H = <h>: every candidate h still splits off
+    # as a group, and fails the algebra split inside split_cyclic under
+    # that check's name
     G = catalog_by_name("C2xC8")
     ctx = AlgebraContext(G)
     I2 = ctx.augmentation_power(2)
     t = next(g for g in range(16) if G.element_order(g) == 2
              and not I2.contains_vector(ctx.group_minus_one(g)))
     h, _, _ = decompose._find_split_element(G, ctx, ctx.group_minus_one(t), 1)
-    monkeypatch.setattr(decompose, "ideal_generated", lambda ctx, X: X)
+    monkeypatch.setattr(decompose, "normal_subgroup_ideal", lambda ctx, H: span(
+        ctx.p, ctx.dim, [ctx.group_minus_one(g) for g in H.elements]))
     with pytest.raises(VerificationError) as exc:
         decompose._find_split_element(G, ctx, ctx.group_minus_one(t), 1)
     assert exc.value.check == "order-p^s-lift"
@@ -354,7 +373,7 @@ def test_kernel_form_at_order_one(p):
     ctx = AlgebraContext(G)
     assert np.array_equal(ctx.jennings_functionals(2), [[1]])
     assert ctx.augmentation_power(2).dim == ctx.augmentation_ideal().dim == 0
-    one = ctx.full_space()
+    one = full_space(p, 1)
     assert ctx.plus_power(one, 2) is one
     assert decompose._coset_candidates(ctx, np.zeros(1, dtype=np.int64)) \
         == [0]
@@ -372,7 +391,8 @@ def test_factorizations_with_a_trivial_factor(name):
     G = catalog_by_name(name)
     ctx = AlgebraContext(G)
     one = AugmentedSubalgebra.from_space(ctx, span(G.p, G.order, [ctx.one]))
-    whole = AugmentedSubalgebra.from_space(ctx, ctx.full_space())
+    whole = AugmentedSubalgebra.from_space(ctx,
+                                           full_space(G.p, G.order))
     report = recover_decomposition(verify_tensor_factorization(ctx, one, whole))
     assert report.b_invariants == () and report.c_side.order == G.order
     fact = verify_tensor_factorization(ctx, whole, one)

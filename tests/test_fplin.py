@@ -6,7 +6,8 @@ import pytest
 from pgroupalg.fplin import (FpError, FpSubspace, QuotientSpace, nullspace,
                              rref, solve, span)
 
-from oracles import coordinates, intersect, quotient_coordinates
+from oracles import (coordinates, full_space, intersect,
+                     quotient_coordinates)
 
 
 def test_rref_canonical_form():
@@ -98,7 +99,7 @@ def test_contains_and_coordinates():
 
 
 def test_quotient_space_project_lift():
-    W = FpSubspace.full(2, 4)
+    W = full_space(2, 4)
     U = span(2, 4, [[1, 1, 0, 0]])
     Q = QuotientSpace(W, U)
     assert Q.dim == 3
@@ -163,7 +164,7 @@ def test_quotient_projection_matches_solve(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_quotient_rejects_invalid_sections(p):
-    W = FpSubspace.full(p, 4)
+    W = full_space(p, 4)
     U = span(p, 4, [[1, 1, 0, 0], [0, 0, 1, 2]])
     # dimensions add up, but the section meets U
     meets = span(p, 4, [[1, 1, 0, 0], [0, 1, 0, 0]])
@@ -175,6 +176,42 @@ def test_quotient_rejects_invalid_sections(p):
             QuotientSpace(W_, U, section=section)
     Q = QuotientSpace(W3, U, section=span(p, 4, [[1, 2, 0, 0]]))
     assert Q.project([0, 1, 0, 0]).tolist() == [1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_quotient_of_the_whole_space(p):
+    # of_whole_space builds no W: it agrees with the quotient of the full
+    # space by the same U and section, and refuses the sections that one
+    # refuses, and a section of another prime or length
+    rng = np.random.default_rng(20261019 + p)
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        W = full_space(p, n)
+        U = FpSubspace(p, n, rng.integers(0, p, size=(rng.integers(0, n + 1),
+                                                      n)))
+        S = FpSubspace(p, n, QuotientSpace(W, U).section
+                       + rng.integers(0, p, size=(n - U.dim, U.dim))
+                       @ U.basis % p)
+        want = QuotientSpace(W, U, section=S)
+        got = QuotientSpace.of_whole_space(U, S)
+        assert np.array_equal(got.section, want.section)
+        V = rng.integers(0, p, size=(5, n))
+        assert np.array_equal(got.project(V), want.project(V))
+    U = span(p, 4, [[1, 1, 0, 0], [0, 0, 1, 2]])
+    for section in (span(p, 4, [[1, 1, 0, 0], [0, 1, 0, 0]]),  # meets U
+                    span(p, 4, [[0, 1, 0, 0]])):  # one row short
+        with pytest.raises(FpError, match="invalid section"):
+            QuotientSpace(full_space(p, 4), U, section=section)
+        with pytest.raises(FpError, match="invalid section"):
+            QuotientSpace.of_whole_space(U, section)
+    other = 3 if p == 2 else 2
+    for section in (span(p, 5, [[0, 1, 0, 0, 0], [0, 0, 0, 1, 0]]),
+                    span(other, 4, [[0, 1, 0, 0], [0, 0, 0, 1]])):
+        with pytest.raises(FpError, match="mismatch"):
+            QuotientSpace.of_whole_space(U, section)
+    Q = QuotientSpace.of_whole_space(U, span(p, 4, [[0, 1, 0, 0],
+                                                     [0, 0, 0, 1]]))
+    assert Q.project([1, 0, 0, 0]).tolist() == [p - 1, 0]
 
 
 def test_unsupported_prime_rejected():

@@ -31,15 +31,17 @@ from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.decompose import _units_by_order, find_group_basis_commutative
 from pgroupalg.fplin import FpSubspace, QuotientSpace, matmul_mod, rref, span
-from pgroupalg.groups import (_closure, abelian_invariants, all_subgroups,
-                              catalog_build, characteristic_subgroup,
-                              jennings_basis, jennings_series)
+from pgroupalg.groups import (Subgroup, _closure, abelian_invariants,
+                              all_subgroups, catalog_build,
+                              characteristic_subgroup, jennings_basis,
+                              jennings_series)
 from pgroupalg.io import group_from_dict
 from pgroupalg.lemmas import verify_tensor_factorization
 
 from oracles import (commutator_span, conjugate, coordinates,
-                     dimension_subgroup, group_basis_search, jennings_rows,
-                     group_closure_vectors, intersect, unit_closure_invariants)
+                     dimension_subgroup, full_space, group_basis_search,
+                     jennings_rows, group_closure_vectors, intersect,
+                     unit_closure_invariants, units_of_order)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -243,7 +245,7 @@ def test_plus_power_matches_elimination(name):
     G = catalog_by_name(name)
     ctx = AlgebraContext(G)
     rng = np.random.default_rng(5)
-    spaces = [FpSubspace(G.p, G.order), ctx.full_space(),
+    spaces = [FpSubspace(G.p, G.order), full_space(ctx.p, ctx.dim),
               ctx.center_subspace(), ctx.augmentation_ideal(),
               normal_subgroup_ideal(
                   ctx, characteristic_subgroup(G, "frattini"))]
@@ -272,7 +274,7 @@ def test_product_spaces_match_scatter(setting):
     I = ctx.augmentation_ideal()
     rows = [ref_multiply(G, x, y) for x in I.basis for y in I.basis]
     assert product_space(ctx, I, I) == FpSubspace(G.p, G.order, np.array(rows))
-    full = ctx.full_space()
+    full = full_space(ctx.p, ctx.dim)
     comm = [(ref_multiply(G, x, y) - ref_multiply(G, y, x)) % G.p
             for x in full.basis for y in full.basis]
     assert commutator_span(ctx, full, full) == \
@@ -333,6 +335,33 @@ def test_units_by_order_match_per_unit_orders(bench_fixtures, a_name,
     assert all(np.array_equal(u, v) for u, v in zip(got, want))
 
 
+@pytest.mark.parametrize("a_name,g0_name,twist_seed", [
+    ("C4xC4", "C2", None), ("C3xC3", "C3", None), ("C5", "C5", None),
+    ("C5", "C5", 0)])
+def test_units_by_order_match_the_fixed_chunk_reference(
+        monkeypatch, bench_fixtures, a_name, g0_name, twist_seed):
+    # the growing chunks, drained in full (all 2^15 coefficient rows of
+    # C4xC4 x C2), give the units of the fixed 4,096-row chunks in order
+    B = stream_subalgebra(bench_fixtures, a_name, g0_name, twist_seed)
+    ctx, IB = B.ctx, B.aug_ideal
+    frobs = frobenius_chain(ctx, IB.basis)
+    real, formed = decompose.matmul_mod, []
+
+    def counted(A, Bm, p):
+        formed.append(len(A))
+        return real(A, Bm, p)
+
+    monkeypatch.setattr(decompose, "matmul_mod", counted)
+    got = np.array(list(_units_by_order(ctx, IB, frobs)))
+    want = np.array(list(units_of_order(ctx, IB, frobs, len(frobs))))
+    assert len(got) and np.array_equal(got, want)
+    # 64 rows first, each chunk twice the last up to the entry cap
+    cap = decompose._UNIT_ENTRIES // (2 * ctx.dim)
+    assert sum(formed) == ctx.p ** IB.dim
+    assert formed[0] == min(64, ctx.p ** IB.dim)
+    assert all(b == min(2 * a, cap) for a, b in zip(formed, formed[1:-1]))
+
+
 def test_units_by_order_without_an_identity_pivot():
     # B = span{1, x, y, xy} with x = e_1 + e_2, y = e_3 + e_4 in F_2[C2^3]:
     # no element of I(B) touches the identity, so the byte order is the
@@ -363,12 +392,9 @@ def test_units_by_order_counts_past_int64():
     assert np.array_equal(np.array(got), np.array(want))
 
 
-def test_recover_of_c3_he3_eliminates_few_rows(bench_fixtures, monkeypatch):
-    # one twisted recovery of C3 x He3 (order 81), from the group file to
-    # the report, counted at every binding of rref: a dense elimination of
-    # about |G| rows for each I(G)^m and X + I(G)^m would pass 1,100 rows
-    data, _ = bench_fixtures.factorization_fixture(
-        "C3", "He3", np.random.default_rng(7))
+def count_rref_rows(monkeypatch) -> list[int]:
+    """The row count of every later call of rref, through each binding of
+    it in the library's modules."""
     real, rows = fplin.rref, []
 
     def counting(A, p):
@@ -379,11 +405,22 @@ def test_recover_of_c3_he3_eliminates_few_rows(bench_fixtures, monkeypatch):
         if name.startswith("pgroupalg") and getattr(module, "rref",
                                                     None) is real:
             monkeypatch.setattr(module, "rref", counting)
+    return rows
+
+
+def test_recover_of_c3_he3_eliminates_few_rows(bench_fixtures, monkeypatch):
+    # one twisted recovery of C3 x He3 (order 81), from the group file to
+    # the report: a dense elimination of about |G| rows for each I(G)^m
+    # and X + I(G)^m passed 1,100 rows, and |G|-row eliminations of the
+    # cyclic split's ideal and of Lambda's kernel passed 475
+    data, _ = bench_fixtures.factorization_fixture(
+        "C3", "He3", np.random.default_rng(7))
+    rows = count_rref_rows(monkeypatch)
     G, B, C = group_from_dict(data)
     report = decompose.recover_decomposition(
         verify_tensor_factorization(B.ctx, B, C))
     assert report.b_invariants == (3,)
-    assert 0 < sum(rows) <= 700, sum(rows)
+    assert 0 < sum(rows) <= 350, sum(rows)
 
 
 def recover_corpus(bench_fixtures):
@@ -394,6 +431,25 @@ def recover_corpus(bench_fixtures):
              if catalog_by_name(a).order * catalog_by_name(g0).order
              <= f.RECOVER_MAX_ORDER]
     return pairs + [f.UNIT_HEAVY, *f.ODD_P_RECOVER]
+
+
+def test_recover_corpus_eliminates_few_rows(bench_fixtures, monkeypatch):
+    # the recover corpus twisted at seed 7, from the loaded factorization
+    # to the report: 6,035 rows when each level eliminated |G| rows for
+    # its split ideal, its quotient's whole space and Lambda's kernel
+    rows = count_rref_rows(monkeypatch)
+    total = 0
+    for a_name, g0_name in recover_corpus(bench_fixtures):
+        data, _ = bench_fixtures.factorization_fixture(
+            a_name, g0_name, np.random.default_rng(7))
+        _, B, C = group_from_dict(data)
+        rows.clear()
+        report = decompose.recover_decomposition(
+            verify_tensor_factorization(B.ctx, B, C))
+        assert report.b_invariants == abelian_invariants(
+            catalog_by_name(a_name))
+        total += sum(rows)
+    assert 0 < total <= 5000, total
 
 
 def assert_invariants_agree(B, want, label):
@@ -862,7 +918,8 @@ def test_ideal_generated_matches_fixpoint(name, level, central, seed):
     if central:
         space = ctx.center_subspace()
     else:
-        space = ctx.augmentation_power(level) if level else ctx.full_space()
+        space = (ctx.augmentation_power(level) if level
+                 else full_space(ctx.p, ctx.dim))
     X = FpSubspace(p, n, rng.integers(0, p, size=(rng.integers(0, 4),
                                                   space.dim)) @ space.basis)
     assert ideal_generated(ctx, X) == ref_ideal_generated(ctx, X)
@@ -898,6 +955,23 @@ def test_closed_form_ideal_on_every_normal_subgroup():
                 assert C.dim == G.order - G.order // N.order
                 pairs += 1
     assert pairs == 5878
+
+
+def test_split_ideal_closed_form_on_every_central_element():
+    # split_cyclic's J = I(<h>)F_pG, read in closed form, is the ideal
+    # that e_h - 1 generates, for every central h of the catalog groups to
+    # order 64 (p = 2), 81 (p = 3) and 25 (p = 5), h = 1 included
+    pairs = 0
+    for G in CATALOG:
+        ctx = AlgebraContext(G)
+        for h in range(G.order):
+            if not np.array_equal(G.table[h], G.table[:, h]):
+                continue
+            J = normal_subgroup_ideal(ctx, Subgroup.generated(G, (h,)))
+            assert J == ideal_generated(
+                ctx, span(G.p, G.order, [ctx.group_minus_one(h)])), (G.name, h)
+            pairs += 1
+    assert pairs == 1698
 
 
 @pytest.mark.parametrize("name", GROUPS)

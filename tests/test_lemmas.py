@@ -22,7 +22,7 @@ from pgroupalg.lemmas import (VerificationError, cyclic_factor_test,
                               lemma_identity_check,
                               verify_tensor_factorization)
 
-from oracles import (babelian_checks, factorization_failure,
+from oracles import (babelian_checks, factorization_failure, full_space,
                      has_cyclic_factor_of_order, subalgebra_failure)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -200,7 +200,7 @@ def special_input(case):
         # B = F_p.1, with empty I(B), and C = F_pG: a trivial factorization
         ctx = AlgebraContext(catalog_by_name("C4" if case == "unit-p2"
                                              else "C3xC3"))
-        return ctx, element_span(ctx, [0]), ctx.full_space(), None
+        return ctx, element_span(ctx, [0]), full_space(ctx.p, ctx.dim), None
     ctx = AlgebraContext(catalog_by_name("D8" if case == "D8" else "C4"))
     one = element_span(ctx, [0])
     half = element_span(ctx, [0, 2])  # F_2[<e_2>], e_2 of order 2 in C4

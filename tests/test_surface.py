@@ -39,6 +39,8 @@ ALLOWED = {
         "perfbench binding: perfbench/fixtures.py calls it",
     ("algebra", "AlgebraContext.power"):
         "perfbench binding: perfbench/fixtures.py:108 calls it",
+    ("algebra", "AlgebraContext.group_minus_one"):
+        "perfbench binding: perfbench/fixtures.py calls it",
     ("algebra", "frattini_quotient"):
         "perfbench binding: perfbench/fixtures.py calls it",
     ("fplin", "solve"):

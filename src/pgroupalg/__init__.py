@@ -8,7 +8,7 @@ from .algebra import (AlgebraContext, AugmentedSubalgebra,
                       omega_central, omega_central_ideal, product_space,
                       right_ideal, unit_exponent_commutative)
 from .catalog import builtin_catalog, catalog_by_name
-from .decompose import (Certificate, DecompositionReport, LambdaData,
+from .decompose import (Certificate, DecompositionReport,
                         certify_indecomposable, find_group_basis_commutative,
                         lambda_map, recover_decomposition, split_cyclic)
 from .fplin import FpSubspace, QuotientSpace, span

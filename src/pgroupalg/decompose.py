@@ -5,13 +5,14 @@ homocyclic direct factors, the cyclic splitting step, recovery of a group
 direct decomposition from a tensor factorization with a commutative factor,
 and tensor-indecomposability certificates.
 
-A recovery level does only the eliminations its answers need.  The unit
-stream forms a first chunk of 64 rows, then doubles.  Lambda's kernel is
-one elimination of dim-domain rows.  _split_along checks F_pG = J ⊕ F_pG_0
-for the cyclic split and for each level as a quotient of the whole space,
-by one elimination of |G_0| rows.  The cyclic split's J = (e_h - 1)F_pG is
-I(<h>)F_pG in closed form; only the level's (b - 1)F_pG, for a unit b,
-eliminates |G| rows.
+A recovery level checks each fact of the proof once.  The unit stream
+forms a first chunk of 64 rows, then doubles.  Lambda is checked well
+defined and reduced to its codomain ideal, whose non-membership test also
+puts the class of b - 1 outside ker Lambda.  The cyclic split G = <h> x G_0
+is the retraction's, which also gives F_pG = I(<h>)F_pG ⊕ F_pG_0.  Only the
+level's F_pG = (b - 1)F_pG ⊕ F_pG_0, for a unit b, is checked in the
+algebra: a quotient of the whole space, eliminating |G| rows for the ideal
+and |G_0| rows for the section.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from .algebra import (AlgebraContext, AugmentedSubalgebra, frobenius_chain,
                       frobenius_mod_derived, ideal_generated,
                       normal_subgroup_ideal)
 from .fplin import (FpError, FpSubspace, QuotientSpace, matmul_mod, nullspace,
-                    rref, span)
+                    span)
 from .groups import (ORACLE_CAP, PGroup, RetractionError, Subgroup,
                      _check_oracle_cap, _direct_pairs, abelian_invariants,
                      agemo_derived, characteristic_subgroup, full_subgroup,
                      invariants_from_counts, is_internal_direct_product,
-                     omega_center_derived, retraction_complement,
-                     subgroup_to_pgroup, trivial_subgroup)
+                     retraction_complement, subgroup_to_pgroup,
+                     trivial_subgroup)
 from .lemmas import (TensorFactorizationInput, VerificationError,
                      verify_tensor_factorization)
 
@@ -42,88 +43,43 @@ _UNIT_ENTRIES = 1 << 17
 _UNIT_FIRST_ROWS = 64
 
 
-@dataclass
-class LambdaData:
-    """The p^{s-1}-power map Lambda from the domain quotient
-    (Omega_s(Z(G))G' ideal + I(G)^2) / I(G)^2 to F_pG / codomain, where
-    codomain is I(G)^{p^{s-1}+1} + I(mho_s(G)G')F_pG.
+def lambda_map(G: PGroup, s: int) -> FpSubspace:
+    """The codomain ideal U = I(G)^{p^{s-1}+1} + I(mho_s(G)G')F_pG of the
+    map Lambda: z + I(G)^2 -> z^{p^{s-1}} + U, after an exact check that
+    Lambda is well defined.
 
-    A class modulo the codomain is its RREF residual codomain.reduce(v):
-    images[i] is the class of domain.section[i]^{p^{s-1}}."""
-
-    s: int
-    domain: QuotientSpace
-    codomain: FpSubspace
-    images: np.ndarray
-    kernel: FpSubspace  # inside the span of the domain section
-
-
-def lambda_map(G: PGroup, s: int) -> LambdaData:
-    """Build the map z + I(G)^2 -> z^{p^{s-1}} between the two filtration
-    quotients, with an exact well-definedness check.
-
-    U_cod contains I(G')F_pG, modulo which F_pG is commutative, so
-    z -> z^{p^{s-1}} is additive modulo U_cod.  The map is therefore well
+    U contains I(G')F_pG, modulo which F_pG is commutative, so
+    z -> z^{p^{s-1}} is additive modulo U.  The map is therefore well
     defined on z + I(G)^2 exactly when every basis vector of I(G)^2 has its
-    p^{s-1}-th power in U_cod; both sets of powers are gathered by
-    frobenius_mod_derived, exact modulo U_cod.  The kernel's coefficient
-    rows c, with c @ images = 0, come from one elimination of the dim-domain
-    rows [images | I]: its rows that are zero on the left hold them on the
-    right."""
+    p^{s-1}-th power in U; frobenius_mod_derived gathers those powers,
+    exact modulo U.  Lambda's value on a class is then the power of any
+    representative, so a recovery level reads it off U alone."""
     p = G.p
     if s < 1 or p ** s > G.exponent():
         raise ValueError(f"lambda_map requires 1 <= p^s <= exp(G), got s={s}")
     ctx = AlgebraContext.of(G)
-    I2 = ctx.augmentation_power(2)
     q = p ** (s - 1)
-    W_dom = ctx.plus_power(
-        normal_subgroup_ideal(ctx, omega_center_derived(G, s)), 2)
-    domain = QuotientSpace(W_dom, I2)
-    U_cod = ctx.plus_power(
+    U = ctx.plus_power(
         normal_subgroup_ideal(ctx, agemo_derived(G, s)), q + 1)
-    if U_cod.reduce(frobenius_mod_derived(ctx, I2.basis, q)).any():
+    if U.reduce(frobenius_mod_derived(
+            ctx, ctx.augmentation_power(2).basis, q)).any():
         raise VerificationError(
             "lambda-well-defined",
             "an I(G)^2 basis vector has its p^{s-1}-th power outside "
             "I(G)^{p^{s-1}+1} + I(mho_s(G)G')F_pG")
-    images = U_cod.reduce(frobenius_mod_derived(ctx, domain.section, q))
-    R, pivots = rref(np.concatenate(
-        [images, np.eye(domain.dim, dtype=np.int64)], axis=1), p)
-    coeffs = R[np.array(pivots, dtype=np.int64) >= G.order, G.order:]
-    kernel = FpSubspace(p, G.order, coeffs @ domain.section % p)
-    return LambdaData(s, domain, U_cod, images, kernel)
-
-
-def _split_along(ctx: AlgebraContext, J: FpSubspace, G0: Subgroup,
-                 check: str, message: str) -> QuotientSpace:
-    """F_pG / J with the section F_pG_0, for an ideal J; raises
-    VerificationError(check, message) unless F_pG = J ⊕ F_pG_0.
-
-    The quotient's section check is the test: with dim J = |G| - |G_0|,
-    the unit rows of G_0 are independent modulo J iff J + F_pG_0 = F_pG.
-    It is a quotient of the whole space, so it eliminates only the
-    |G_0| rows [J.reduce(F_pG_0) | I]."""
-    span_G0 = FpSubspace._from_rref(ctx.p, ctx.dim, np.eye(  # sorted unit rows
-        ctx.dim, dtype=np.int64)[list(G0.elements)], G0.elements)
-    try:
-        return QuotientSpace.of_whole_space(J, span_G0)
-    except FpError as exc:
-        raise VerificationError(check, message) from exc
+    return U
 
 
 def split_cyclic(G: PGroup, h: int) -> tuple[Subgroup, Subgroup]:
-    """G = <h> x G_0 via a retraction, plus the algebra-level splitting check
-    F_pG = J ⊕ F_pG_0 with J = (e_h - 1)F_pG.  Once G = H x G_0, H = <h>
-    is normal, and J is I(H)F_pG, as I(H) = (e_h - 1)F_pH: its closed form
-    (normal_subgroup_ideal), with no elimination."""
-    H = Subgroup.generated(G, (h,))
-    G0 = retraction_complement(G, h)
-    if not is_internal_direct_product(G, H, G0):
-        raise VerificationError("split-cyclic", "not an internal direct product")
-    ctx = AlgebraContext.of(G)
-    _split_along(ctx, normal_subgroup_ideal(ctx, H), G0,
-                 "split-cyclic-algebra", "F_pG != J + F_pG_0 as a direct sum")
-    return H, G0
+    """G = <h> x G_0 for a central h, with G_0 = retraction_complement(G, h).
+
+    It checks nothing, as retraction_complement proves that its kernel G_0
+    is a complement of the central <h>, so G = <h> x G_0.  The algebra
+    split follows: I(<h>)F_pG is the kernel of F_pG -> F_p[G/<h>], and
+    F_pG_0 maps isomorphically onto F_p[G/<h>], so F_pG = I(<h>)F_pG ⊕
+    F_pG_0.  Raises as retraction_complement does: GroupError unless h is
+    central, RetractionError when h has no retraction."""
+    return Subgroup.generated(G, (h,)), retraction_complement(G, h)
 
 
 def _coset_candidates(ctx: AlgebraContext, target) -> list[int]:
@@ -154,8 +110,6 @@ def _find_split_element(G: PGroup, ctx: AlgebraContext, target,
             return g, H, G0
         except RetractionError:
             rejected.append((g, "retraction"))
-        except VerificationError as exc:
-            rejected.append((g, exc.check))
     raise VerificationError(
         "order-p^s-lift",
         f"no central order-{q} element in the required Frattini coset splits"
@@ -319,19 +273,16 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
         b_minus_1 = (b - ctx.one) % p
         chain = frobenius_chain(ctx, b_minus_1)  # (b-1)^{p^k}, k < s
         s = len(chain)
-        lam = lambda_map(cur_G, s)
         # Jennings non-membership: (b-1)^{p^{s-1}} stays outside Lambda's
-        # codomain ideal I(G)^{p^{s-1}+1} + I(mho_s(G)G')kG
-        if lam.codomain.contains_vector(chain[-1][0]):
+        # codomain ideal U = I(G)^{p^{s-1}+1} + I(mho_s(G)G')kG.  This is
+        # also the proof's kernel exclusion: Lambda is well defined and
+        # additive modulo U, so Lambda(b - 1 + I(G)^2) = (b-1)^{p^{s-1}} + U,
+        # and the class of b - 1 lies outside ker Lambda exactly when
+        # (b-1)^{p^{s-1}} is outside U
+        if lambda_map(cur_G, s).contains_vector(chain[-1][0]):
             raise VerificationError(
                 "jennings-nonmembership",
                 "(b-1)^{p^{s-1}} fell into the excluded ideal")
-        # the class of b-1 lies outside ker Lambda, so it extends to the
-        # complement V of ker Lambda in the proof (the h-search uses it)
-        rep_b = lam.domain.lift(lam.domain.project(b_minus_1))
-        if lam.kernel.contains_vector(rep_b):
-            raise VerificationError(
-                "kernel-exclusion", "class of b-1 lies in ker Lambda")
         h, H, G0 = _find_split_element(cur_G, ctx, b_minus_1, s)
         hs.append(cur_embed[h])
         steps.append({"depth": depth, "s": s, "h": cur_embed[h],
@@ -339,8 +290,15 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
         # project both factors along J = (b-1)F_pG onto F_pG_0 and recurse;
         # b is a unit, not a group element, so J is eliminated
         J = ideal_generated(ctx, span(p, ctx.dim, [b_minus_1]))
-        qs = _split_along(ctx, J, G0, "theorem-splitting",
-                          "F_pG != (b-1)F_pG + F_pG_0")
+        span_G0 = FpSubspace._from_rref(p, ctx.dim, np.eye(  # sorted unit rows
+            ctx.dim, dtype=np.int64)[list(G0.elements)], G0.elements)
+        # with dim J = |G| - |G_0|, the unit rows of G_0 are independent
+        # modulo J iff F_pG = J ⊕ F_pG_0: the quotient's section check
+        try:
+            qs = QuotientSpace.of_whole_space(J, span_G0)
+        except FpError as exc:
+            raise VerificationError(
+                "theorem-splitting", "F_pG != (b-1)F_pG + F_pG_0") from exc
         G0p, g0_elems = subgroup_to_pgroup(G0)
         ctx0 = AlgebraContext.of(G0p)
         B0, C0 = (AugmentedSubalgebra.from_space(ctx0, FpSubspace(

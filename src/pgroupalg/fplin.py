@@ -438,9 +438,3 @@ class QuotientSpace:
         if not np.array_equal(r, matmul_mod(c, self._echelon, self.p)):
             raise FpError("vector outside the quotient's ambient space W")
         return matmul_mod(c, self._inverse, self.p)
-
-    def lift(self, coords) -> np.ndarray:
-        c = np.asarray(coords, dtype=np.int64) % self.p
-        if c.shape != (self.dim,):
-            raise FpError("coordinate length mismatch")
-        return (c @ self.section) % self.p

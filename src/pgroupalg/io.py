@@ -50,12 +50,14 @@ def _integer(data: dict, key: str) -> int:
 
 
 def _integer_rows(value, what: str) -> np.ndarray:
-    """A list of equal-length lists of integers as an int64 matrix."""
+    """A list of equal-length lists of integers as an int64 matrix.  Only
+    a signed dtype is taken: numpy reads entries all in [2^63, 2^64) as
+    uint64, which int64 would wrap, so they are refused with the rest."""
     try:
         rows = np.array(value)
     except ValueError as exc:  # ragged
         raise SchemaError(f"{what} is not a rectangular matrix") from exc
-    if rows.ndim != 2 or rows.dtype.kind not in "iu":
+    if rows.ndim != 2 or rows.dtype.kind != "i":
         raise SchemaError(f"{what} must be a list of equal-length lists "
                           "of integers")
     return rows.astype(np.int64)

@@ -9,6 +9,7 @@ tests rather than in ``pgroupalg``.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,12 +17,13 @@ from pgroupalg.algebra import (AlgebraContext, AlgebraError,
                                AugmentedSubalgebra, frobenius_chain,
                                normal_subgroup_ideal, product_space,
                                unit_exponent_commutative)
+from pgroupalg.decompose import lambda_map
 from pgroupalg.fplin import (FpError, FpSubspace, QuotientSpace, matmul_mod,
                              nullspace, solve, span)
 from pgroupalg.groups import (ORACLE_CAP, PGroup, Subgroup, _commutator_table,
                               _powers, abelian_invariants, agemo_derived,
                               cyclic_factor_orders, full_subgroup,
-                              jennings_basis)
+                              jennings_basis, omega_center_derived)
 from pgroupalg.lemmas import (IdentityReport, TensorFactorizationInput,
                               VerificationError, _compare, cyclic_factor_test)
 
@@ -275,14 +277,62 @@ def jennings_rows(ctx: AlgebraContext) -> tuple[np.ndarray, np.ndarray]:
     return rows, weights
 
 
-def lambda_kernel(lam) -> FpSubspace:
-    """ker Lambda of a ``decompose.LambdaData``: the c with c @ images = 0
-    as the nullspace of images^T, an elimination of |G| rows, spanned in
-    the domain section; cross-checks ``lambda_map``, which eliminates the
-    dim-domain rows [images | I] instead."""
-    p, n = lam.codomain.p, lam.codomain.ambient
-    coeffs = nullspace(lam.images.T, p)
-    return FpSubspace(p, n, coeffs @ lam.domain.section % p)
+@dataclass
+class LambdaData:
+    """The p^{s-1}-power map Lambda from the domain quotient
+    (Omega_s(Z(G))G' ideal + I(G)^2) / I(G)^2 to F_pG / codomain.  A class
+    modulo the codomain is its RREF residual codomain.reduce(v): images[i]
+    is the class of domain.section[i]^{p^{s-1}}."""
+
+    W: FpSubspace  # Omega_s(Z(G))G' ideal + I(G)^2
+    domain: QuotientSpace
+    codomain: FpSubspace
+    images: np.ndarray
+    kernel: FpSubspace  # inside the span of the domain section
+
+
+def lambda_data(G: PGroup, s: int) -> LambdaData:
+    """Lambda in full, around the codomain ideal that
+    ``decompose.lambda_map`` returns: the domain quotient with its default
+    section, the exact p^{s-1}-th powers of that section as images, and
+    ker Lambda as the nullspace of images^T spanned in the section.  The
+    recovery step reads only the codomain; the rest is what it decides
+    without building."""
+    p, q = G.p, G.p ** (s - 1)
+    ctx = AlgebraContext.of(G)
+    codomain = lambda_map(G, s)
+    W_dom = ctx.plus_power(
+        normal_subgroup_ideal(ctx, omega_center_derived(G, s)), 2)
+    domain = QuotientSpace(W_dom, ctx.augmentation_power(2))
+    images = codomain.reduce(ctx.powers(domain.section, q))
+    kernel = FpSubspace(p, G.order,
+                        nullspace(images.T, p) @ domain.section % p)
+    return LambdaData(W_dom, domain, codomain, images, kernel)
+
+
+def subgroup_ideal(ctx: AlgebraContext, N: Subgroup) -> FpSubspace:
+    """I(N)F_pG for a normal N, spanned by the e_{nx} - e_x, n in N and x
+    in G, one row each; cross-checks the closed form of
+    ``algebra.normal_subgroup_ideal``."""
+    x = np.arange(ctx.dim)
+    rows = np.zeros((len(N.elements) * ctx.dim, ctx.dim), dtype=np.int64)
+    for k, n in enumerate(N.elements):
+        block = rows[k * ctx.dim:(k + 1) * ctx.dim]
+        block[x, ctx.group.table[n]] += 1
+        block[x, x] -= 1
+    return FpSubspace(ctx.p, ctx.dim, rows % ctx.p)
+
+
+def splits_as_algebra(ctx: AlgebraContext, H: Subgroup, G0: Subgroup) -> bool:
+    """Whether F_pG = I(H)F_pG ⊕ F_pG_0, for a normal H, with I(H)F_pG
+    from ``subgroup_ideal`` and the sum's dimension from one elimination
+    with the unit rows of G_0.  Cross-checks ``decompose.split_cyclic``,
+    which reads the split off the retraction."""
+    J = subgroup_ideal(ctx, H)
+    unit_rows = np.eye(ctx.dim, dtype=np.int64)[list(G0.elements)]
+    return (J.dim + G0.order == ctx.dim
+            and FpSubspace(ctx.p, ctx.dim,
+                           np.concatenate([J.basis, unit_rows])).dim == ctx.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,29 @@ def test_schema_rejects_broken_table(tmp_path):
     assert run(["lemmas", "--input", str(fx)]) == EXIT_PARSE
 
 
+def test_entries_past_int64_exit_as_a_parse_error(tmp_path, capsys):
+    # a valid C3xC3 factorization, B = F_3<1> with the unit rows of
+    # {0, 1, 2}, C with those of {0, 3, 6}; each B entry plus 3 * 2^62,
+    # the same residue mod 3, puts them all in [2^63, 2^64), which numpy
+    # reads as uint64: refused like every integer outside int64, rather
+    # than wrapped to x - 2^64, another residue mod 3
+    data = group_to_dict(catalog_by_name("C3xC3"))
+    unit_rows = np.eye(9, dtype=int)
+    data["factorization"] = {"B": unit_rows[[0, 1, 2]].tolist(),
+                             "C": unit_rows[[0, 3, 6]].tolist()}
+    fx = tmp_path / "c3xc3.json"
+    fx.write_text(json.dumps(data))
+    assert run(["recover", "--input", str(fx),
+                "--out", str(tmp_path / "r.json")]) == EXIT_OK
+    data["factorization"]["B"] = [[x + 3 * 2 ** 62 for x in row]
+                                  for row in data["factorization"]["B"]]
+    with pytest.raises(SchemaError, match="factorization B must be a list"):
+        group_from_dict(data)
+    fx.write_text(json.dumps(data))
+    assert run(["recover", "--input", str(fx)]) == EXIT_PARSE
+    assert "factorization B must be a list" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("B, check", [
     # span{1, g} is not multiplicatively closed in F_2 C4 (g^2 is missing)
     ([[1, 0, 0, 0], [0, 1, 0, 0]], "subalgebra-closure"),

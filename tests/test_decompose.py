@@ -10,20 +10,22 @@ import pytest
 
 import pgroupalg.decompose as decompose
 from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
-                               group_algebra_subalgebra, power_space)
+                               group_algebra_subalgebra, omega_central,
+                               power_space)
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.decompose import (certify_indecomposable,
                                  find_group_basis_commutative, lambda_map,
                                  recover_decomposition, split_cyclic)
 from pgroupalg.fplin import FpSubspace, span
 from pgroupalg.groups import (PGroup, RetractionError, abelian_invariants,
-                              all_subgroups, catalog_build,
+                              agemo_derived, all_subgroups, catalog_build,
                               is_internal_direct_product, subgroup_to_pgroup,
                               trivial_subgroup)
 from pgroupalg.lemmas import VerificationError, verify_tensor_factorization
 
 from oracles import (full_space, group_closure_vectors,
-                     group_from_unit_vectors, lambda_kernel)
+                     group_from_unit_vectors, jennings_rows, lambda_data,
+                     splits_as_algebra, subgroup_ideal)
 
 
 def coordinate_factorization(a_name, g0_name):
@@ -37,7 +39,7 @@ def coordinate_factorization(a_name, g0_name):
 
 
 def test_lambda_map_c2():
-    L = lambda_map(catalog_by_name("C2"), 1)
+    L = lambda_data(catalog_by_name("C2"), 1)
     # s = 1: the map is the identity on a 1-dimensional domain
     assert L.domain.dim == 1
     assert L.kernel.dim == 0
@@ -46,24 +48,24 @@ def test_lambda_map_c2():
 def test_lambda_map_c2xc4():
     G = catalog_by_name("C2xC4")
     ctx = AlgebraContext(G)
-    L = lambda_map(G, 2)
+    L = lambda_data(G, 2)
     assert L.domain.dim == 2
     assert L.kernel.dim == 1
     # an order-4 element stays outside the kernel: its p-th power of g-1
     # survives in degree p
     b = next(g for g in range(8) if G.element_order(g) == 4)
-    rep = L.domain.project(ctx.group_minus_one(b))
-    assert not L.kernel.contains_vector(L.domain.lift(rep))
+    rep = L.domain.project(ctx.group_minus_one(b)) @ L.domain.section % 2
+    assert not L.kernel.contains_vector(rep)
     # some involution t has t - 1 in the kernel (the C2 coordinate dies)
     kern_hits = [g for g in range(1, 8) if G.element_order(g) == 2
-                 and L.kernel.contains_vector(
-                     L.domain.lift(L.domain.project(ctx.group_minus_one(g))))]
+                 and L.kernel.contains_vector(L.domain.project(
+                     ctx.group_minus_one(g)) @ L.domain.section % 2)]
     assert kern_hits
 
 
 def test_lambda_map_degenerate_on_d8():
     # Omega_2(Z(D8))D8' = Z(D8) = D8', so the domain collapses to zero
-    L = lambda_map(catalog_by_name("D8"), 2)
+    L = lambda_data(catalog_by_name("D8"), 2)
     assert L.domain.dim == 0
     assert L.images.shape == (0, 8)
     assert L.kernel.dim == 0
@@ -75,7 +77,7 @@ def test_lambda_map_constant_on_every_i2_shift(name, s):
     # brute force over all of I(G)^2: the basis check in lambda_map is exact
     G = catalog_by_name(name)
     ctx = AlgebraContext(G)
-    L = lambda_map(G, s)
+    L = lambda_data(G, s)
     I2 = power_space(ctx, ctx.augmentation_ideal(), 2)
     coeffs = np.array(list(itertools.product(range(G.p), repeat=I2.dim)))
     shifts = coeffs @ I2.basis % G.p
@@ -89,18 +91,41 @@ def test_lambda_map_constant_on_every_i2_shift(name, s):
         assert L.kernel.contains_vector(x) == dies
 
 
-def test_lambda_kernel_matches_the_nullspace_oracle():
+def _omega_central_samples(ctx, s, rng, extra=4):
+    """The basis of omega_central(ctx, s), plus extra seeded random
+    combinations of it."""
+    Om = omega_central(ctx, s).basis
+    coeffs = rng.integers(0, ctx.p, size=(extra if len(Om) else 0, len(Om)))
+    return np.concatenate([Om, coeffs @ Om % ctx.p])
+
+
+def test_lambda_kernel_exclusion_is_jennings_nonmembership():
     # every (G, s) of the catalog to order 64 (p = 2), 81 (p = 3) and 25
-    # (p = 5), the lambda tests' groups among them: the kernel from the
-    # dim-domain rows [images | I] is the nullspace of images^T
-    cases = 0
+    # (p = 5): the codomain ideal is I(G)^{p^{s-1}+1} + I(mho_s(G)G')F_pG
+    # from Jennings rows and translates; each central v in Omega_s(Z(I(G)))
+    # lies in Lambda's domain, and its class is outside ker Lambda exactly
+    # when v^{p^{s-1}} is outside the codomain, the one test a recovery
+    # level makes
+    rng = np.random.default_rng(24)
+    cases = outside = 0
     for p, max_order in ((2, 64), (3, 81), (5, 25)):
         for G in builtin_catalog(p=p, max_order=max_order):
+            ctx = AlgebraContext(G)
+            rows, weights = jennings_rows(ctx)
             for s in range(1, round(math.log(G.exponent(), p)) + 1):
-                lam = lambda_map(G, s)
-                assert lam.kernel == lambda_kernel(lam), (G.name, s)
-                cases += 1
-    assert cases == 162
+                L = lambda_data(G, s)  # L.codomain is lambda_map(G, s)
+                assert L.codomain == FpSubspace(
+                    p, G.order, rows[weights >= p ** (s - 1) + 1]) + \
+                    subgroup_ideal(ctx, agemo_derived(G, s)), (G.name, s)
+                for v in _omega_central_samples(ctx, s, rng):
+                    assert L.W.contains_vector(v), (G.name, s)
+                    rep = L.domain.project(v) @ L.domain.section % p
+                    out = not L.kernel.contains_vector(rep)
+                    assert out == (not L.codomain.contains_vector(
+                        ctx.powers(v, p ** (s - 1))[0])), (G.name, s)
+                    cases += 1
+                    outside += out
+    assert (cases, outside) == (5276, 1918)
 
 
 def test_lambda_map_failure_names_its_check(monkeypatch):
@@ -119,19 +144,12 @@ def test_lambda_map_failure_names_its_check(monkeypatch):
 
 @pytest.mark.parametrize("field, check", [
     ("codomain", "jennings-nonmembership"),
-    ("kernel", "kernel-exclusion"),
 ])
 def test_recovery_step_checks_name_themselves(monkeypatch, field, check):
-    # widen Lambda's codomain ideal or kernel to the whole algebra, so that
-    # the class of b - 1 falls into it
-    real = decompose.lambda_map
-
-    def widened(G, s):
-        lam = real(G, s)
-        setattr(lam, field, full_space(G.p, G.order))
-        return lam
-
-    monkeypatch.setattr(decompose, "lambda_map", widened)
+    # widen Lambda's codomain ideal to the whole algebra, so that
+    # (b - 1)^{p^{s-1}} falls into it
+    monkeypatch.setattr(decompose, "lambda_map",
+                        lambda G, s: full_space(G.p, G.order))
     _, _, ctx, B, C = coordinate_factorization("C2xC4", "D8")
     with pytest.raises(VerificationError) as exc:
         recover_decomposition(verify_tensor_factorization(ctx, B, C))
@@ -144,6 +162,28 @@ def test_split_cyclic():
     H, K = split_cyclic(G, h)
     assert H.order == 4 and K.order == 2
     assert is_internal_direct_product(G, H, K)
+
+
+def test_split_cyclic_splits_every_central_element_with_a_retraction():
+    # every central h of the catalog to order 64 (p = 2), 81 (p = 3) and
+    # 25 (p = 5) that has a retraction, h = 1 included: G = <h> x G_0 as
+    # groups, and F_pG = I(<h>)F_pG ⊕ F_pG_0 as algebras, by the oracle's
+    # spanning set
+    pairs = 0
+    for p, max_order in ((2, 64), (3, 81), (5, 25)):
+        for G in builtin_catalog(p=p, max_order=max_order):
+            ctx = AlgebraContext(G)
+            for h in range(G.order):
+                if not np.array_equal(G.table[h], G.table[:, h]):
+                    continue
+                try:
+                    H, G0 = split_cyclic(G, h)
+                except RetractionError:
+                    continue
+                assert is_internal_direct_product(G, H, G0), (G.name, h)
+                assert splits_as_algebra(ctx, H, G0), (G.name, h)
+                pairs += 1
+    assert pairs == 1355
 
 
 def test_split_cyclic_rejects_non_factor():
@@ -324,8 +364,8 @@ def test_lift_failure_lists_every_rejected_candidate(monkeypatch):
     assert exc.value.check == "order-p^s-lift"
     assert str(exc.value).endswith(f"rejected: 0 (order 1), {z} (retraction)")
     # in C2xC8 the coset of an involution t outside Phi(G) = <g^2> holds
-    # elements of order 2 and 4; with the algebra check forced to fail, an
-    # order-2 candidate is listed by that check's name, the rest by order
+    # elements of order 2 and 4; with the retraction forced to fail, an
+    # order-2 candidate is listed as such, the rest by order
     G = catalog_by_name("C2xC8")
     ctx = AlgebraContext(G)
     I2 = ctx.augmentation_power(2)
@@ -333,36 +373,17 @@ def test_lift_failure_lists_every_rejected_candidate(monkeypatch):
              and not I2.contains_vector(ctx.group_minus_one(g)))
 
     def fails(G, h):
-        raise VerificationError("split-cyclic-algebra", "forced")
+        raise RetractionError("forced")
 
-    monkeypatch.setattr(decompose, "split_cyclic", fails)
+    monkeypatch.setattr(decompose, "retraction_complement", fails)
     with pytest.raises(VerificationError) as exc:
         decompose._find_split_element(G, ctx, ctx.group_minus_one(t), 1)
     coset = decompose._coset_candidates(ctx, ctx.group_minus_one(t))
     want = ", ".join(
-        f"{g} (split-cyclic-algebra)" if G.element_order(g) == 2
+        f"{g} (retraction)" if G.element_order(g) == 2
         else f"{g} (order {G.element_order(g)})" for g in coset)
     assert str(exc.value).endswith("rejected: " + want)
-    assert "split-cyclic-algebra" in want and "(order 4)" in want
-
-
-def test_split_cyclic_names_its_algebra_check(monkeypatch):
-    # the closed form J = I(H)F_pG = (e_h - 1)F_pG cut down to I(H), the
-    # span of e_g - 1 for g in H = <h>: every candidate h still splits off
-    # as a group, and fails the algebra split inside split_cyclic under
-    # that check's name
-    G = catalog_by_name("C2xC8")
-    ctx = AlgebraContext(G)
-    I2 = ctx.augmentation_power(2)
-    t = next(g for g in range(16) if G.element_order(g) == 2
-             and not I2.contains_vector(ctx.group_minus_one(g)))
-    h, _, _ = decompose._find_split_element(G, ctx, ctx.group_minus_one(t), 1)
-    monkeypatch.setattr(decompose, "normal_subgroup_ideal", lambda ctx, H: span(
-        ctx.p, ctx.dim, [ctx.group_minus_one(g) for g in H.elements]))
-    with pytest.raises(VerificationError) as exc:
-        decompose._find_split_element(G, ctx, ctx.group_minus_one(t), 1)
-    assert exc.value.check == "order-p^s-lift"
-    assert f"{h} (split-cyclic-algebra)" in str(exc.value)
+    assert "(retraction)" in want and "(order 4)" in want
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -881,7 +881,7 @@ def test_quotient_section_and_batched_projection(case, seed):
     assert coords.shape == (6, Q.dim)
     for v, c in zip(V, coords):
         assert np.array_equal(Q.project(v), c)
-        assert U.contains_vector(Q.lift(c) - v)
+        assert U.contains_vector(c @ Q.section - v)
 
 
 def ref_ideal_generated(ctx, X):
@@ -958,7 +958,7 @@ def test_closed_form_ideal_on_every_normal_subgroup():
 
 
 def test_split_ideal_closed_form_on_every_central_element():
-    # split_cyclic's J = I(<h>)F_pG, read in closed form, is the ideal
+    # the closed form of I(<h>)F_pG, normal_subgroup_ideal, is the ideal
     # that e_h - 1 generates, for every central h of the catalog groups to
     # order 64 (p = 2), 81 (p = 3) and 25 (p = 5), h = 1 included
     pairs = 0

@@ -14,7 +14,8 @@ modules the referring module imports, directly or not, and in its own.
 A reference made from the body of an ``ALLOWED`` function is not a use,
 since nothing in the library calls that body.  An entry kept as a
 ``perfbench/`` binding must name something that ``perfbench/`` still
-mentions, so it cannot outlive the binding.
+mentions, so it cannot outlive the binding.  It also fails on a name that
+a library module other than ``__init__.py`` imports and never reads.
 """
 
 import ast
@@ -233,3 +234,34 @@ def test_references_resolve_by_owner(allowed, want):
     # low's A.power cannot reach Context.power: low never imports high;
     # high's x.norm is unresolved, and reaches the one norm it can see
     assert _unreferenced({"low": _LOW, "high": _HIGH}, allowed) == want
+
+
+def _unused_imports(text):
+    """The names a module imports, other than from __future__, and never
+    reads."""
+    tree = ast.parse(text)
+    imported = {(a.asname or a.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for a in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("name", sorted(_library()))
+def test_no_unused_imports(name):
+    assert not _unused_imports((SRC / f"{name}.py").read_text()), name
+
+
+def test_unused_imports_are_found():
+    text = textwrap.dedent("""
+        from __future__ import annotations
+        import numpy as np
+        import os.path
+        from .fplin import rref, span as sp
+        def f(x: np.ndarray):
+            return os.path.join(x)
+    """)
+    assert _unused_imports(text) == ["rref", "sp"]

@@ -12,8 +12,8 @@ from .decompose import (Certificate, DecompositionReport,
                         certify_indecomposable, find_group_basis_commutative,
                         lambda_map, recover_decomposition, split_cyclic)
 from .fplin import FpSubspace, QuotientSpace, span
-from .groups import (GroupHom, PGroup, Subgroup, abelian_invariants,
-                     agemo_derived, catalog_build, characteristic_subgroup,
+from .groups import (PGroup, Subgroup, abelian_invariants, agemo_derived,
+                     catalog_build, characteristic_subgroup,
                      cyclic_factor_orders, direct_factor_oracle,
                      is_internal_direct_product, omega_center_derived,
                      quotient_group, r_subquotient, retraction_complement,

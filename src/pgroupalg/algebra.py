@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fplin import FpSubspace, QuotientSpace, matmul_mod, nullspace, rref
 from .groups import (NotNormalError, PGroup, Subgroup, _powers,
-                     characteristic_subgroup, jennings_basis, memoized)
+                     characteristic_subgroup, invariants_from_counts,
+                     jennings_basis, memoized)
 
 
 class AlgebraError(ValueError):
@@ -459,15 +460,14 @@ class AugmentedSubalgebra:
     """A unital subalgebra B of F_pG with its augmentation ideal B ∩ I(G).
     B = F_p·1 ⊕ I(B) with 1 central, so ``from_space`` reads all it checks
     off the one table I(B)·I(B): closure is I(B)^2 ⊆ B, ``commutative``
-    the table's symmetry under i <-> j, and ``aug_square`` its span."""
+    the table's symmetry under i <-> j.  The table is not kept: a
+    recovery level builds B from a projection, with no table, and
+    ``aug_square`` forms it again only when read."""
 
     ctx: AlgebraContext
     space: FpSubspace
     aug_ideal: FpSubspace
     commutative: bool
-    # I(B)·I(B), row i * dim I(B) + j, kept in uint8 (its entries lie in
-    # [0, p)) for aug_square: an eighth of the product's bytes
-    table: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def from_space(cls, ctx: AlgebraContext, space: FpSubspace) -> "AugmentedSubalgebra":
@@ -491,13 +491,34 @@ class AugmentedSubalgebra:
                for a in range(0, len(rows), step)):
             raise VerificationError("subalgebra-closure",
                                     "subspace is not closed under multiplication")
-        return cls(ctx, space, aug, commutative, table.astype(np.uint8))
+        return cls(ctx, space, aug, commutative)
 
     @functools.cached_property
     def aug_square(self) -> FpSubspace:
-        """I(B)^2, the span of the table, eliminated on first read; only
-        the group-basis search reads it, on B."""
-        return FpSubspace(self.ctx.p, self.ctx.dim, self.table)
+        """I(B)^2, the span of the table I(B)·I(B), formed and eliminated
+        on first read; only the group-basis search reads it, on B."""
+        X, k = self.aug_ideal.basis, self.aug_ideal.dim
+        table = self.ctx.products(X, X)
+        if self.commutative:  # x_j x_i repeats x_i x_j: rows i <= j only
+            table = table[np.flatnonzero(np.arange(k)[:, None] <= np.arange(k))]
+        return FpSubspace(self.ctx.p, self.ctx.dim, table)
+
+    @functools.cached_property
+    def frobs(self) -> np.ndarray:
+        """frobenius_chain of the basis of I(B), formed on first read."""
+        return frobenius_chain(self.ctx, self.aug_ideal.basis)
+
+    @functools.cached_property
+    def invariants(self) -> tuple[int, ...]:
+        """The invariants of A, descending, for commutative B = F_pA, read
+        off Frobenius (Deskins, Duke Math. J. 23, 1956): x -> x^{p^k} maps
+        I(B) onto I(F_p[A^{p^k}]), so |A^{p^k}| = 1 + rank I(B)^{p^k},
+        and A has log_p |A^{p^k} : A^{p^{k+1}}| cyclic factors of order
+        above p^k."""
+        p, n = self.ctx.p, self.ctx.dim
+        logs = [round(math.log(1 + FpSubspace(p, n, rows).dim, p))
+                for rows in self.frobs] + [0]
+        return invariants_from_counts(p, [a - b for a, b in zip(logs, logs[1:])])
 
     @property
     def dim(self) -> int:

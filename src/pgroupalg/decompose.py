@@ -12,7 +12,9 @@ puts the class of b - 1 outside ker Lambda.  The cyclic split G = <h> x G_0
 is the retraction's, which also gives F_pG = I(<h>)F_pG ⊕ F_pG_0.  Only the
 level's F_pG = (b - 1)F_pG ⊕ F_pG_0, for a unit b, is checked in the
 algebra: a quotient of the whole space, eliminating |G| rows for the ideal
-and |G_0| rows for the section.
+and |G_0| rows for the section.  The projected factors inherit the
+factorization, so a level checks only their dimensions; the subalgebra
+and factorization checks run once, on the input.
 """
 
 from __future__ import annotations
@@ -22,19 +24,17 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import (AlgebraContext, AugmentedSubalgebra, frobenius_chain,
-                      frobenius_mod_derived, ideal_generated,
+from .algebra import (AlgebraContext, AugmentedSubalgebra, augmentation_part,
+                      frobenius_chain, frobenius_mod_derived, ideal_generated,
                       normal_subgroup_ideal)
 from .fplin import (FpError, FpSubspace, QuotientSpace, matmul_mod, nullspace,
                     span)
 from .groups import (ORACLE_CAP, PGroup, RetractionError, Subgroup,
                      _check_oracle_cap, _direct_pairs, abelian_invariants,
                      agemo_derived, characteristic_subgroup, full_subgroup,
-                     invariants_from_counts, is_internal_direct_product,
-                     retraction_complement, subgroup_to_pgroup,
-                     trivial_subgroup)
-from .lemmas import (TensorFactorizationInput, VerificationError,
-                     verify_tensor_factorization)
+                     is_internal_direct_product, retraction_complement,
+                     subgroup_to_pgroup, trivial_subgroup)
+from .lemmas import TensorFactorizationInput, VerificationError
 
 # Largest product formed at once while streaming units, in entries (1 MB)
 _UNIT_ENTRIES = 1 << 17
@@ -151,9 +151,7 @@ def _units_by_order(ctx: AlgebraContext, IB: FpSubspace, frobs: np.ndarray):
         k, step = k + step, min(2 * step, cap)
 
 
-def find_group_basis_commutative(B: AugmentedSubalgebra, *,
-                                 frobs: np.ndarray | None = None
-                                 ) -> list[np.ndarray]:
+def find_group_basis_commutative(B: AugmentedSubalgebra) -> list[np.ndarray]:
     """Units generating a group basis of a commutative augmented subalgebra
     B, the first of the highest order, found by linear algebra.
 
@@ -168,20 +166,17 @@ def find_group_basis_commutative(B: AugmentedSubalgebra, *,
     e = e_i, i > 1, dim(K_e + I^2 + <u-1>) - dim(I^2 + <u-1>) >=
     #{i > 1 : e_i <= e}.  The rest are 1 + x_i, x_i in K_{e_i}, taken
     greedily, smallest e first.  Invariants that admit no group basis fail
-    group-basis before any unit is formed.  frobs, when given, is
-    frobenius_chain(B.ctx, B.aug_ideal.basis)."""
+    group-basis before any unit is formed."""
     ctx, p = B.ctx, B.ctx.p
     if not B.commutative:
         raise VerificationError("group-basis", "B is not commutative")
     if B.dim == 1:
         return []
-    IB = B.aug_ideal
-    if frobs is None:
-        frobs = frobenius_chain(ctx, IB.basis)
+    IB, frobs = B.aug_ideal, B.frobs
     # subspaces of I(B) in the coordinates c of c @ IB, its pivot entries
     d, piv = IB.dim, list(IB.pivots)
     sq = FpSubspace(p, d, B.aug_square.basis[:, piv])
-    es = [round(math.log(q, p)) for q in _frobenius_invariants(ctx, frobs)]
+    es = [round(math.log(q, p)) for q in B.invariants]
     rest = es[1:]
     kernels = {e: nullspace(frobs[e].T, p) if e < len(frobs)
                else np.eye(d, dtype=np.int64) for e in set(rest)}
@@ -212,19 +207,6 @@ def find_group_basis_commutative(B: AugmentedSubalgebra, *,
     return units
 
 
-def _frobenius_invariants(ctx: AlgebraContext,
-                          frobs: np.ndarray) -> tuple[int, ...]:
-    """The invariants of A, descending, for commutative B = F_pA whose
-    augmentation ideal IB has frobs = frobenius_chain(ctx, IB.basis), read
-    off Frobenius (Deskins, Duke Math. J. 23, 1956): x -> x^{p^k} maps I(B)
-    onto I(F_p[A^{p^k}]), so |A^{p^k}| = 1 + rank IB^{p^k}, and A has
-    log_p |A^{p^k} : A^{p^{k+1}}| cyclic factors of order above p^k."""
-    logs = [round(math.log(1 + FpSubspace(ctx.p, ctx.dim, rows).dim, ctx.p))
-            for rows in frobs] + [0]
-    return invariants_from_counts(ctx.p,
-                                  [a - b for a, b in zip(logs, logs[1:])])
-
-
 @dataclass
 class DecompositionReport:
     """Verified internal decomposition G = B-side x C-side with evidence."""
@@ -247,18 +229,23 @@ class DecompositionReport:
 
 def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport:
     """Recover G = B-side x C-side from a verified tensor factorization with
-    commutative B, peeling one maximal-order cyclic factor per level."""
+    commutative B, peeling one maximal-order cyclic factor per level.
+
+    A level inherits the factorization and checks only its dimensions.
+    With F_pG = J ⊕ F_pG_0, J = (b - 1)F_pG a two-sided ideal and F_pG_0
+    a subalgebra, the projection pi along J onto F_pG_0 is an algebra
+    map.  So pi(B) and pi(C) are unital, closed, commute and span F_pG_0,
+    and B_0 = pi(B) is commutative: subalgebra-unit, subalgebra-closure,
+    commuting and product-span hold with no check.  B ∩ J holds (b - 1)B,
+    so dim B_0 <= dim B / p^s, and dim C_0 <= dim C; dimension-product,
+    dim B_0 dim C_0 = |G_0| = |G| / p^s, forces equality in both, so pi
+    is injective on C, C_0 ≅ C and C_0 is commutative iff C is."""
     if not fact.verified:
         raise VerificationError("unverified", "factorization was not verified")
     if not fact.B.commutative:
         raise VerificationError("B-commutative", "B must be commutative")
     G = fact.ctx.group
     p = G.p
-    # one Frobenius chain of I(B) serves the first group basis and the
-    # invariants of A with B = F_pA, for the final check
-    frobs = frobenius_chain(fact.B.ctx, fact.B.aug_ideal.basis)
-    b_group_invs = _frobenius_invariants(fact.B.ctx, frobs)
-
     hs: list[int] = []
     steps: list[dict] = []
     cur_fact = fact
@@ -268,8 +255,7 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
         ctx = cur_fact.ctx
         cur_G = ctx.group
         # the first unit has the highest multiplicative order, p^s
-        b = find_group_basis_commutative(
-            cur_fact.B, frobs=frobs if depth == 0 else None)[0]
+        b = find_group_basis_commutative(cur_fact.B)[0]
         b_minus_1 = (b - ctx.one) % p
         chain = frobenius_chain(ctx, b_minus_1)  # (b-1)^{p^k}, k < s
         s = len(chain)
@@ -301,10 +287,15 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
                 "theorem-splitting", "F_pG != (b-1)F_pG + F_pG_0") from exc
         G0p, g0_elems = subgroup_to_pgroup(G0)
         ctx0 = AlgebraContext.of(G0p)
-        B0, C0 = (AugmentedSubalgebra.from_space(ctx0, FpSubspace(
-            p, G0p.order, qs.project(X.space.basis)))
-            for X in (cur_fact.B, cur_fact.C))
-        cur_fact = verify_tensor_factorization(ctx0, B0, C0)
+        B0, C0 = (AugmentedSubalgebra(ctx0, V, augmentation_part(ctx0, V),
+                                      X.commutative)
+                  for X in (cur_fact.B, cur_fact.C)
+                  for V in [FpSubspace(p, G0p.order, qs.project(X.space.basis))])
+        if B0.dim * C0.dim != ctx0.dim:
+            raise VerificationError(
+                "dimension-product", f"{B0.dim} * {C0.dim} != {ctx0.dim}")
+        cur_fact = TensorFactorizationInput(ctx0, B0, C0, verified=True,
+                                            checks=["dimension-product"])
         cur_embed = [cur_embed[e] for e in g0_elems]
         depth += 1
 
@@ -315,10 +306,10 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
         raise VerificationError("final-direct-product",
                                 "B-side x C-side is not G")
     invs = abelian_invariants(b_side)
-    if invs != b_group_invs:
+    if invs != fact.B.invariants:
         raise VerificationError(
-            "b-side-invariants",
-            f"B-side invariants {invs} != group basis invariants {b_group_invs}")
+            "b-side-invariants", f"B-side invariants {invs} != group basis "
+            f"invariants {fact.B.invariants}")
     return DecompositionReport(b_side, c_side, True, invs, steps)
 
 

@@ -10,13 +10,14 @@ The subgroup lattice is enumerated one layer at a time, by index-p
 extension (Neubüser's cyclic extension, specialised to p-groups).  Every
 subgroup K > 1 of a p-group has a normal subgroup H of index p, so
 K = H<g> for any g in K outside H, and g normalizes H with g^p in H.
-Every such g gives the same K, so only g = min(K - H) is kept, the least
-of the minima of the cosets g^k H, 0 < k < p.  A layer is a boolean mask
-per subgroup, and the next one comes from a fixed number of gathers over
-all of its H at once: one finds every admissible g, one the coset minima,
-p - 1 more add the cosets H g^k, 0 < k < p, to H, and one checks the
-closure of the new layer.  Sorting the masks in descending order puts a
-layer in ascending element order and duplicates next to each other.
+Conversely, for such g the union of the cosets H g^k, k < p, is the
+subgroup H<g>, so no layer's closure is checked.  Every such g gives the
+same K, so only g = min(K - H) is kept, the least of the minima of the
+cosets g^k H, 0 < k < p.  A layer is a boolean mask per subgroup, and the
+next one comes from a fixed number of gathers over all of its H at once:
+one finds every admissible g, one the coset minima, and p - 1 more add
+the cosets H g^k, 0 < k < p, to H.  Sorting the masks in descending order
+puts a layer in ascending element order and duplicates next to each other.
 
 The normal lattice, all that the direct-factor oracle reads, is built the
 same way by central extension.  A chief series of a p-group through a
@@ -375,30 +376,6 @@ def subgroup_to_pgroup(S: Subgroup, name: str = "") -> tuple[PGroup, list[int]]:
     return PGroup(S.parent.p, table, name or f"sub{n}<{S.parent.name}>"), elems
 
 
-@dataclass(frozen=True, eq=False)
-class GroupHom:
-    source: PGroup
-    target: PGroup
-    images: tuple
-
-    def __post_init__(self):
-        imgs = np.asarray(self.images, dtype=np.int64)
-        object.__setattr__(self, "images", tuple(int(x) for x in imgs))
-        if imgs[0] != 0:
-            raise GroupError("homomorphism must send identity to identity")
-        Ts, Tt = self.source.table, self.target.table
-        if not np.array_equal(imgs[Ts], Tt[imgs[:, None], imgs]):
-            raise GroupError("images do not define a homomorphism")
-
-    def __call__(self, g: int) -> int:
-        return self.images[g]
-
-    def kernel(self) -> Subgroup:
-        return Subgroup(self.source,
-                        tuple(g for g in range(self.source.order)
-                              if self.images[g] == 0))
-
-
 def characteristic_subgroup(G: PGroup, kind: str, i: int = 1) -> Subgroup:
     """center, derived, omega(i), agemo(i) or frattini subgroup of G,
     memoized on G."""
@@ -492,7 +469,13 @@ def jennings_basis(G: PGroup) -> tuple[tuple[int, int], ...]:
     return tuple(basis)
 
 
-def quotient_group(G: PGroup, N: Subgroup) -> tuple[PGroup, GroupHom]:
+def quotient_group(G: PGroup, N: Subgroup) -> tuple[PGroup, np.ndarray]:
+    """(G/N, coset), coset[g] the index of gN in G/N, read-only.
+
+    The cosets are indexed by their least elements in ascending order, so
+    N itself, the coset of 0, is index 0.  N is normal, so gN hN = ghN:
+    coset is a homomorphism onto G/N with kernel N by construction, and
+    neither is checked."""
     if N.parent is not G:
         raise GroupError("subgroup does not belong to this group")
     if not N.is_normal():
@@ -502,18 +485,16 @@ def quotient_group(G: PGroup, N: Subgroup) -> tuple[PGroup, GroupHom]:
     reps = np.flatnonzero(_mask(G.order, rep))  # identity coset: rep 0 -> 0
     coset = np.searchsorted(reps, rep)
     table = coset[G.table[reps[:, None], reps]]
-    Q = PGroup(G.p, table, name=f"{G.name}/N{N.order}")
-    pi = GroupHom(G, Q, tuple(int(c) for c in coset))
-    assert pi.kernel() == N
-    return Q, pi
+    coset.setflags(write=False)
+    return PGroup(G.p, table, name=f"{G.name}/N{N.order}"), coset
 
 
 def r_subquotient(G: PGroup, i: int) -> tuple[PGroup, Subgroup]:
     """R_i(G) as an abelian group, with its embedding into G/(agemo_i * derived)."""
-    Q, pi = quotient_group(G, agemo_derived(G, i))
+    Q, coset = quotient_group(G, agemo_derived(G, i))
     # G' lies in the kernel, so this is the image of Omega_i(Z(G))
     R_sub = Subgroup.generated(
-        Q, {pi(g) for g in omega_center_derived(G, i).elements})
+        Q, coset[list(omega_center_derived(G, i).elements)])
     R, _ = subgroup_to_pgroup(R_sub, name=f"R_{i}({G.name})")
     return R, R_sub
 
@@ -572,11 +553,12 @@ def _index_p_extensions(
     Layer m holds the subgroups of order p^m as a boolean mask and a sorted
     element row each, rows in ascending element order.  Each K in layer
     m + 1 is H<g> for some H in layer m and some g outside H with g^p in H
-    for which admissible(elements, masks) is true; K is then the union of
-    the cosets H g^k, k < p.  All of K outside H is admissible with g, so
+    for which admissible(elements, masks) is true, which it is only for a
+    g that normalizes H; K, the union of the cosets H g^k, k < p, is then
+    a subgroup with no check.  All of K outside H is admissible with g, so
     only g = min(K - H), the least of the coset minima of g^k H, 0 < k < p,
     extends H.  A layer takes a fixed number of gathers, a chunk of H at a
-    time, and its closure is checked in one more.
+    time.
     """
     T, p, n = G.table, G.p, G.order
     pows = [_powers(G, k) for k in range(1, p)]  # g^k, k = 1, ..., p - 1
@@ -609,23 +591,7 @@ def _index_p_extensions(
         fresh[1:] = (packed[1:] != packed[:-1]).any(axis=1)
         masks = masks[fresh]
         elems = (np.flatnonzero(masks) % n).reshape(len(masks), -1)
-        _check_closed(G, masks, elems)
         layers.append((masks, elems))
-
-
-def _check_closed(G: PGroup, masks: np.ndarray, elems: np.ndarray) -> None:
-    """Every row of elems closed under inverses and products, rows of equal
-    size, a chunk at a time."""
-    T, s = G.table, elems.shape[1]
-    step = max(1, _LAYER_ENTRIES // (s * s))
-    for a in range(0, len(elems), step):
-        E, inside = elems[a:a + step], masks[a:a + step]
-        at = np.arange(len(E))[:, None]
-        if not inside[at, G._inv[E]].all():
-            raise GroupError("subgroup not closed under inverses")
-        prods = T[E[:, :, None], E[:, None, :]].reshape(len(E), -1)
-        if not inside[at, prods].all():
-            raise GroupError("subgroup not closed under multiplication")
 
 
 @lru_cache(maxsize=None)
@@ -815,7 +781,7 @@ def retraction_complement(G: PGroup, h: int) -> Subgroup:
     if m == 1:
         return full_subgroup(G)
     derived = characteristic_subgroup(G, "derived")
-    A, pi = quotient_group(G, derived)
+    A, coset = quotient_group(G, derived)
     basis = _abelian_basis(A)
     # coords[x], the coordinates of x in the basis: the elements
     # prod g_i^{c_i} in itertools.product order of their c, one gather per
@@ -830,8 +796,8 @@ def retraction_complement(G: PGroup, h: int) -> Subgroup:
         raise GroupError("abelian basis does not generate G/G' freely")
     coords = np.empty((A.order, len(basis)), dtype=np.int64)
     coords[elems] = list(itertools.product(*(range(o) for _, o in basis)))
-    c = coords[pi(h)]
-    images = coords[np.asarray(pi.images)]
+    c = coords[coset[h]]
+    images = coords[coset]
     allowed = [range(0, m, m // math.gcd(o, m)) for _, o in basis]
     for xs in itertools.product(*allowed):
         if int(c @ xs) % m == 1:

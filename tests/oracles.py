@@ -482,7 +482,7 @@ def unit_closure_invariants(ctx: AlgebraContext, units,
                             limit: int) -> tuple[int, ...]:
     """The abelian invariants of the group the commuting units generate,
     from its closure (at most limit elements) built as a PGroup.
-    Cross-checks ``decompose._frobenius_invariants``, which reads them off
+    Cross-checks ``AugmentedSubalgebra.invariants``, which reads them off
     the ranks of Frobenius on the span."""
     if not len(units):
         return ()

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 import pgroupalg.decompose as decompose
 import pgroupalg.groups as groups
-from pgroupalg.algebra import AlgebraError, AugmentedSubalgebra
+from pgroupalg.algebra import AlgebraError
 from pgroupalg.catalog import catalog_by_name
 from pgroupalg.cli import (COMMANDS, EXIT_CAP, EXIT_FAIL, EXIT_OK,
                            EXIT_PARSE, run)
+from pgroupalg.fplin import QuotientSpace
 from pgroupalg.groups import Subgroup, is_internal_direct_product
 from pgroupalg.io import (SchemaError, _normalize_identity, canonical_json,
                           group_from_dict, group_to_dict)
@@ -118,16 +119,14 @@ def _no_complement(A):
     raise groups.GroupError("no complement found for a maximal cyclic factor")
 
 
-class _ProjectionFails(AugmentedSubalgebra):
-    @classmethod
-    def from_space(cls, ctx, space):
-        raise AlgebraError("projected B is not an augmented subalgebra")
+def _projection_fails(ctx, space):
+    raise AlgebraError("projected B is not an augmented subalgebra")
 
 
 @pytest.mark.parametrize("patch, error", [
     ((groups, "_abelian_basis", _no_complement),
      "GroupError: no complement found for a maximal cyclic factor"),
-    ((decompose, "AugmentedSubalgebra", _ProjectionFails),
+    ((decompose, "augmentation_part", _projection_fails),
      "AlgebraError: projected B is not an augmented subalgebra")])
 def test_recover_library_error_is_a_failed_input(tmp_path, monkeypatch,
                                                  patch, error):
@@ -137,6 +136,26 @@ def test_recover_library_error_is_a_failed_input(tmp_path, monkeypatch,
     assert code == EXIT_FAIL
     assert body["recover"] == [{"group": body["recover"][0]["group"],
                                 "error": error, "pass": False}]
+
+
+def test_recover_checks_dimension_product_below_depth_0(tmp_path,
+                                                       monkeypatch):
+    # the first level's C_0 loses a dimension when its last projected row
+    # is zeroed; the level's one check names it, and recover exits 1
+    fx = _emit_c2xc4_q8(tmp_path)
+    real, calls = QuotientSpace.project, []
+
+    def project(self, vec):
+        calls.append(None)
+        out = real(self, vec)
+        if len(calls) == 2:  # C's basis, after B's, at the first level
+            out[-1] = 0
+        return out
+
+    monkeypatch.setattr(QuotientSpace, "project", project)
+    code, body = run_to_file(tmp_path, ["recover", "--input", str(fx)])
+    assert code == EXIT_FAIL
+    assert body["recover"][0]["error"] == "dimension-product: 2 * 7 != 16"
 
 
 @pytest.mark.parametrize("error", [groups.GroupError("bad lattice"),

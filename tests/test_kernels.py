@@ -11,6 +11,7 @@ stream of highest-order units as one ``lexsort`` of that class.
 
 import importlib
 import itertools
+import json
 import sys
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pgroupalg.algebra as algebra
+import pgroupalg.cli as cli
 import pgroupalg.fplin as fplin
 import pgroupalg.decompose as decompose
 from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
@@ -455,9 +457,7 @@ def test_recover_corpus_eliminates_few_rows(bench_fixtures, monkeypatch):
 def assert_invariants_agree(B, want, label):
     units = find_group_basis_commutative(B)
     closure = unit_closure_invariants(B.ctx, units, B.dim + 1)
-    ranks = decompose._frobenius_invariants(
-        B.ctx, frobenius_chain(B.ctx, B.aug_ideal.basis))
-    assert closure == ranks == want, label
+    assert closure == B.invariants == want, label
 
 
 @pytest.mark.parametrize("twist_seed", [None, 7],
@@ -499,12 +499,15 @@ def catalog_pairs(p, max_order=64):
             for G0 in builtin_catalog(p=p, max_order=max_order // A.order)]
 
 
+# the catalog pairs to order 64 at each p, coordinate and seed-7 twisted
+LEVEL_CASES = [pytest.param([(a, g0, seed) for a, g0 in catalog_pairs(p)],
+                            id=f"p{p}-{kind}")
+               for p in (2, 3, 5) for seed, kind in ((None, "coordinate"),
+                                                     (7, "twisted"))]
+
+
 @pytest.mark.parametrize("cases", [
-    *(pytest.param([(a, g0, seed) for a, g0 in catalog_pairs(p)],
-                   id=f"p{p}-{kind}")
-      for p in (2, 3, 5) for seed, kind in ((None, "coordinate"),
-                                            (7, "twisted"))),
-    pytest.param(ONCE_SAMPLED, id="once-sampled")])
+    *LEVEL_CASES, pytest.param(ONCE_SAMPLED, id="once-sampled")])
 def test_group_basis_is_the_search_oracles_first_unit(monkeypatch,
                                                       bench_fixtures, cases):
     # on every recovery level, the constructed basis starts with the unit
@@ -540,30 +543,71 @@ def closed_form_groups():
                       catalog_by_name("He3"))]
 
 
-def recovery_level_spaces(monkeypatch, bench_fixtures, cases):
-    """(ctx, space) of B and of C at every recovery level of each
-    (A, G0, twist seed)."""
-    real, seen = decompose.verify_tensor_factorization, []
+def recovery_levels(monkeypatch, bench_fixtures, cases):
+    """(ctx, B, C) of the input and of every recovery level of each
+    (A, G0, twist seed), from the one call each level still makes."""
+    real, seen = decompose.TensorFactorizationInput, []
 
-    def recorded(ctx, B, C):
-        seen.extend([(ctx, B.space), (ctx, C.space)])
-        return real(ctx, B, C)
+    def recorded(ctx, B, C, **kwargs):
+        seen.append((ctx, B, C))
+        return real(ctx, B, C, **kwargs)
 
-    monkeypatch.setattr(decompose, "verify_tensor_factorization", recorded)
+    monkeypatch.setattr(decompose, "TensorFactorizationInput", recorded)
     for a_name, g0_name, seed in cases:
         rng = None if seed is None else np.random.default_rng(seed)
         data, _ = bench_fixtures.factorization_fixture(a_name, g0_name, rng)
         _, B, C = group_from_dict(data)
-        decompose.recover_decomposition(recorded(B.ctx, B, C))
+        seen.append((B.ctx, B, C))
+        decompose.recover_decomposition(
+            verify_tensor_factorization(B.ctx, B, C))
     return seen
 
 
 @pytest.mark.parametrize("cases", [
-    pytest.param(None, id="groups"),
-    *(pytest.param([(a, g0, seed) for a, g0 in catalog_pairs(p)],
-                   id=f"p{p}-{kind}")
-      for p in (2, 3, 5) for seed, kind in ((None, "coordinate"),
-                                            (7, "twisted")))])
+    *LEVEL_CASES, pytest.param([("C3", "He3", 7)], id="C3xHe3")])
+def test_recovery_levels_inherit_the_factorization(monkeypatch,
+                                                   bench_fixtures, cases):
+    # a level builds B_0 and C_0 from their projections and checks only
+    # dimension-product: the subalgebra and factorization checks it skips
+    # pass on its spaces, and the factors they rebuild carry the same I(B)
+    # and commutativity as the ones the level carries
+    levels = recovery_levels(monkeypatch, bench_fixtures, cases)
+    assert len(levels) >= 2 * len(cases)
+    for ctx, B, C in levels:
+        rebuilt = [AugmentedSubalgebra.from_space(ctx, X.space)
+                   for X in (B, C)]
+        verify_tensor_factorization(ctx, *rebuilt)
+        for X, Y in zip((B, C), rebuilt):
+            assert X.aug_ideal == Y.aug_ideal
+            assert X.commutative == Y.commutative
+
+
+def test_library_rref_forms_are_canonical(monkeypatch, bench_fixtures,
+                                          tmp_path):
+    # FpSubspace._from_rref takes a basis as it is; every basis that its
+    # five callers hand it on the benchmark's workloads is the RREF that
+    # an elimination of it gives
+    real, callers = FpSubspace._from_rref.__func__, set()
+
+    def checked(cls, p, ambient, basis, pivots):
+        got = real(cls, p, ambient, basis, pivots)
+        assert got == FpSubspace(p, ambient, basis)
+        callers.add(sys._getframe(1).f_code.co_name)
+        return got
+
+    monkeypatch.setattr(FpSubspace, "_from_rref", classmethod(checked))
+    path, out = tmp_path / "input.json", str(tmp_path / "report.json")
+    for workload in bench_fixtures.WORKLOADS:
+        for item, data in bench_fixtures.workload_items(workload, 7):
+            path.write_text(json.dumps(data))
+            assert cli.run([item["command"], "--input", str(path),
+                            "--out", out]) == 0, item["id"]
+    assert callers == {"plus_power", "center_subspace", "augmentation_part",
+                       "_coset_ideal", "recover_decomposition"}
+
+
+@pytest.mark.parametrize("cases", [pytest.param(None, id="groups"),
+                                   *LEVEL_CASES])
 def test_closed_forms_match_the_intersection_oracle(monkeypatch,
                                                     bench_fixtures, cases):
     # Z(F_pG) from the class sums as they are, Z(I(G)) and every B ∩ I(G)
@@ -590,7 +634,8 @@ def test_closed_forms_match_the_intersection_oracle(monkeypatch,
             assert augmentation_part(ctx, V) == \
                 intersect(V, ctx.augmentation_ideal()), G.name
     else:
-        spaces = recovery_level_spaces(monkeypatch, bench_fixtures, cases)
+        spaces = [(ctx, X.space) for ctx, B, C in recovery_levels(
+            monkeypatch, bench_fixtures, cases) for X in (B, C)]
         assert len(spaces) >= 4 * len(cases)
     for ctx, V in spaces:
         aug = AugmentedSubalgebra.from_space(ctx, V).aug_ideal

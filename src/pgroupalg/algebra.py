@@ -6,13 +6,9 @@ All subspace-valued operations return canonical RREF subspaces from
 
 Products go through the regular representation.  Each context holds two
 gather tables, ``L[g, t] = g^-1 t`` and ``R[g, t] = t g^-1``, so that
-``e_g x = x[L[g]]`` and ``x e_g = x[R[g]]``: translates by group elements
-are pure gathers.  A product is ``u v = u @ v[L]``, and all products of two
-row sets X, Y come from the single matrix product ``X @ Y[:, L]`` (mod p),
-formed in chunks of Y so that the gathered block stays bounded up to
-MAX_ORDER.  Row-wise products ``A[k] B[k]``, and with them the row-wise
-powers that raise a whole basis to its p^i-th powers at once, gather in
-chunks the same way.
+``e_g x = x[L[g]]`` and ``x e_g = x[R[g]]`` are pure gathers.  All products
+of two row sets X, Y are ``X @ Y[:, L]`` (mod p), formed in chunks of Y,
+and row-wise products and powers of a whole basis gather the same way.
 
 Every ideal takes at most two eliminations.  I(N)F_pG, the augmentation
 ideal among them, is written down in canonical RREF from the cosets of N
@@ -217,21 +213,16 @@ class AlgebraContext:
     def plus_power(self, X: FpSubspace | None, m: int) -> FpSubspace:
         """X + I(G)^m, or I(G)^m for X None: the common kernel of the
         Jennings functionals F of weight < m that vanish on X, spanned by
-        the rows of the RREF of [F X^T | F reversed] zero on the left.  On
-        reversed columns nullspace writes each kernel vector with 1 on a
-        free column and its other entries on pivots left of it, so read
-        forwards the kernel's basis is in canonical RREF as it is."""
+        the rows of the RREF of [F X^T | F] zero on the left."""
         p, n = self.p, self.dim
         F = self.jennings_functionals(m)
         if len(F) == n:  # past the Loewy length, I(G)^m = 0
             return FpSubspace(p, n) if X is None else X
-        A = F[:, ::-1]
         if X is not None:
             R, pivots = rref(np.concatenate(
-                [matmul_mod(F, X.basis.T, p), A], axis=1), p)
-            A = R[np.array(pivots, dtype=np.int64) >= X.dim, X.dim:]
-        K = nullspace(A, p)[::-1, ::-1]
-        return FpSubspace._from_rref(p, n, K.copy(), (K != 0).argmax(axis=1))
+                [matmul_mod(F, X.basis.T, p), F], axis=1), p)
+            F = R[np.array(pivots, dtype=np.int64) >= X.dim, X.dim:]
+        return FpSubspace.kernel(p, F)
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         # conj[h, g] = h g h^-1 = R[h, hg]
@@ -316,14 +307,12 @@ def ideal_generated(ctx: AlgebraContext, X: FpSubspace) -> FpSubspace:
 
 def _coset_ideal(ctx: AlgebraContext, elements) -> FpSubspace:
     """I(N)F_pG for the normal subgroup N with these elements, in canonical
-    RREF without an elimination.
-
-    I(N)F_pG is the kernel of F_pG -> F_p[G/N] (Passman, The Algebraic
-    Structure of Group Rings, 1977), spanned by e_a - e_b for a, b in one
-    coset.  A coset C contributes the rows e_c - e_max(C) for the c in C
-    other than max(C): each is 1 on its pivot c and p - 1 on the column
-    max(C), which is no pivot and lies right of c.  All cosets come from
-    one gather, the sorted rows gN of the table, one per least element.
+    RREF with no elimination: the kernel of F_pG -> F_p[G/N] (Passman, The
+    Algebraic Structure of Group Rings, 1977), spanned by e_a - e_b for a,
+    b in one coset.  A coset C contributes the rows e_c - e_max(C) for the
+    c in C other than max(C): each is 1 on its pivot c and p - 1 on the
+    column max(C), which is no pivot and lies right of c.  All cosets come
+    from one gather, the sorted rows gN of the table, one per least element.
     """
     rows = np.sort(ctx.group.table[:, list(elements)], axis=1)
     cosets = rows[np.unique(rows[:, 0], return_index=True)[1]]
@@ -461,8 +450,8 @@ class AugmentedSubalgebra:
     B = F_p·1 ⊕ I(B) with 1 central, so ``from_space`` reads all it checks
     off the one table I(B)·I(B): closure is I(B)^2 ⊆ B, ``commutative``
     the table's symmetry under i <-> j.  The table is not kept: a
-    recovery level builds B from a projection, with no table, and
-    ``aug_square`` forms it again only when read."""
+    recovery level builds B from a projection, with no table, and reads
+    I(B)^2 off Jennings coordinates (decompose._aug_square)."""
 
     ctx: AlgebraContext
     space: FpSubspace
@@ -492,16 +481,6 @@ class AugmentedSubalgebra:
             raise VerificationError("subalgebra-closure",
                                     "subspace is not closed under multiplication")
         return cls(ctx, space, aug, commutative)
-
-    @functools.cached_property
-    def aug_square(self) -> FpSubspace:
-        """I(B)^2, the span of the table I(B)·I(B), formed and eliminated
-        on first read; only the group-basis search reads it, on B."""
-        X, k = self.aug_ideal.basis, self.aug_ideal.dim
-        table = self.ctx.products(X, X)
-        if self.commutative:  # x_j x_i repeats x_i x_j: rows i <= j only
-            table = table[np.flatnonzero(np.arange(k)[:, None] <= np.arange(k))]
-        return FpSubspace(self.ctx.p, self.ctx.dim, table)
 
     @functools.cached_property
     def frobs(self) -> np.ndarray:

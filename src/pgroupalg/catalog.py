@@ -78,7 +78,7 @@ def _build_by_name(name: str) -> PGroup:
         G = _build_by_name(parts[0])
         for part in parts[1:]:
             G = catalog_build("direct_product", G, _build_by_name(part))
-        return PGroup(G.p, G.table, name=name)
+        return PGroup._trusted(G.p, G.table, name)  # checked as built
     m = re.fullmatch(r"(C|D|Q|SD|M|He)(\d+)", name)
     if not m:
         raise CatalogNameError(f"unknown catalog group {name!r}")

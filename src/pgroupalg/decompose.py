@@ -5,16 +5,17 @@ homocyclic direct factors, the cyclic splitting step, recovery of a group
 direct decomposition from a tensor factorization with a commutative factor,
 and tensor-indecomposability certificates.
 
-A recovery level checks each fact of the proof once.  The unit stream
-forms a first chunk of 64 rows, then doubles.  Lambda is checked well
-defined and reduced to its codomain ideal, whose non-membership test also
-puts the class of b - 1 outside ker Lambda.  The cyclic split G = <h> x G_0
-is the retraction's, which also gives F_pG = I(<h>)F_pG ⊕ F_pG_0.  Only the
-level's F_pG = (b - 1)F_pG ⊕ F_pG_0, for a unit b, is checked in the
-algebra: a quotient of the whole space, eliminating |G| rows for the ideal
-and |G_0| rows for the section.  The projected factors inherit the
-factorization, so a level checks only their dimensions; the subalgebra
-and factorization checks run once, on the input.
+Recovery checks each fact of the proof once, and forms no product.  The
+subalgebra and factorization checks run on the input alone; each level
+inherits the factorization, checks only dimension-product, and reads
+I(B)^2 off the weight-1 Jennings coordinates (_aug_square).  Lambda is
+checked well defined, and b - 1 outside its kernel, by ranks in Jennings
+coordinates (_lambda_codomain), the top Frobenius power of b - 1 read off
+B's chain.  The split G = <h> x G_0 is the retraction's, which also gives
+F_pG = I(<h>)F_pG ⊕ F_pG_0; only F_pG = (b - 1)F_pG ⊕ F_pG_0, for the
+unit b, is checked in the algebra, eliminating |G| rows for the ideal and
+|G_0| for the section.  Closures and derived tables are not checked again
+(groups).
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .algebra import (AlgebraContext, AugmentedSubalgebra, augmentation_part,
-                      frobenius_chain, frobenius_mod_derived, ideal_generated,
+                      frobenius_mod_derived, ideal_generated,
                       normal_subgroup_ideal)
 from .fplin import (FpError, FpSubspace, QuotientSpace, matmul_mod, nullspace,
-                    span)
+                    rref, span)
 from .groups import (ORACLE_CAP, PGroup, RetractionError, Subgroup,
                      _check_oracle_cap, _direct_pairs, abelian_invariants,
                      agemo_derived, characteristic_subgroup, full_subgroup,
@@ -44,41 +45,47 @@ _UNIT_FIRST_ROWS = 64
 
 
 def lambda_map(G: PGroup, s: int) -> FpSubspace:
-    """The codomain ideal U = I(G)^{p^{s-1}+1} + I(mho_s(G)G')F_pG of the
-    map Lambda: z + I(G)^2 -> z^{p^{s-1}} + U, after an exact check that
-    Lambda is well defined.
+    """The codomain ideal U of Lambda as a subspace of F_pG, after the
+    check of _lambda_codomain; a recovery level reads U from the latter."""
+    _lambda_codomain(G, s)
+    ctx = AlgebraContext.of(G)
+    return ctx.plus_power(normal_subgroup_ideal(ctx, agemo_derived(G, s)),
+                          G.p ** (s - 1) + 1)
 
-    U contains I(G')F_pG, modulo which F_pG is commutative, so
-    z -> z^{p^{s-1}} is additive modulo U.  The map is therefore well
-    defined on z + I(G)^2 exactly when every basis vector of I(G)^2 has its
-    p^{s-1}-th power in U; frobenius_mod_derived gathers those powers,
-    exact modulo U.  Lambda's value on a class is then the power of any
-    representative, so a recovery level reads it off U alone."""
+
+def _lambda_codomain(G: PGroup, s: int) -> tuple[np.ndarray, FpSubspace]:
+    """(F, FU) for the map Lambda: z + I(G)^2 -> z^q + U, q = p^{s-1},
+    U = X + I(G)^{q+1}, X = I(mho_s(G)G')F_pG, after an exact check that
+    Lambda is well defined.  F is the Jennings functionals of weight <= q,
+    whose common kernel is I(G)^{q+1}, so v lies in U exactly when F v
+    lies in the column span FU of F X^T: a rank, with no subspace of F_pG.
+
+    U holds I(G')F_pG, modulo which F_pG is commutative, so z -> z^q is
+    additive modulo U: Lambda is well defined iff each basis vector of
+    I(G)^2 has its q-th power in U, exact there by frobenius_mod_derived."""
     p = G.p
     if s < 1 or p ** s > G.exponent():
         raise ValueError(f"lambda_map requires 1 <= p^s <= exp(G), got s={s}")
-    ctx = AlgebraContext.of(G)
-    q = p ** (s - 1)
-    U = ctx.plus_power(
-        normal_subgroup_ideal(ctx, agemo_derived(G, s)), q + 1)
-    if U.reduce(frobenius_mod_derived(
-            ctx, ctx.augmentation_power(2).basis, q)).any():
+    ctx, q = AlgebraContext.of(G), p ** (s - 1)
+    F = ctx.jennings_functionals(q + 1)
+    X = normal_subgroup_ideal(ctx, agemo_derived(G, s))
+    M = matmul_mod(F, X.basis.T, p)  # its pivot columns span FU
+    FU = FpSubspace(p, len(F), M[:, list(rref(M, p)[1])].T)
+    powers = frobenius_mod_derived(ctx, ctx.augmentation_power(2).basis, q)
+    if FU.reduce(matmul_mod(powers, F.T, p)).any():
         raise VerificationError(
             "lambda-well-defined",
             "an I(G)^2 basis vector has its p^{s-1}-th power outside "
             "I(G)^{p^{s-1}+1} + I(mho_s(G)G')F_pG")
-    return U
+    return F, FU
 
 
 def split_cyclic(G: PGroup, h: int) -> tuple[Subgroup, Subgroup]:
-    """G = <h> x G_0 for a central h, with G_0 = retraction_complement(G, h).
-
-    It checks nothing, as retraction_complement proves that its kernel G_0
-    is a complement of the central <h>, so G = <h> x G_0.  The algebra
-    split follows: I(<h>)F_pG is the kernel of F_pG -> F_p[G/<h>], and
-    F_pG_0 maps isomorphically onto F_p[G/<h>], so F_pG = I(<h>)F_pG ⊕
-    F_pG_0.  Raises as retraction_complement does: GroupError unless h is
-    central, RetractionError when h has no retraction."""
+    """G = <h> x G_0 for a central h, with no check: retraction_complement
+    proves G_0 = retraction_complement(G, h) a complement.  I(<h>)F_pG is
+    the kernel of F_pG -> F_p[G/<h>], onto which F_pG_0 maps bijectively,
+    so F_pG = I(<h>)F_pG ⊕ F_pG_0.  Raises as retraction_complement does:
+    GroupError unless h is central, RetractionError with no retraction."""
     return Subgroup.generated(G, (h,)), retraction_complement(G, h)
 
 
@@ -119,11 +126,9 @@ def _find_split_element(G: PGroup, ctx: AlgebraContext, target,
 
 def _units_by_order(ctx: AlgebraContext, IB: FpSubspace, frobs: np.ndarray):
     """Yield the units 1 + c @ IB of the highest order, p^len(frobs), as
-    rows in byte order, formed one chunk of coefficient rows c at a time:
-    _UNIT_FIRST_ROWS rows first, each later chunk twice the last, up to
-    _UNIT_ENTRIES entries.  The search reads the first unit or few, so a
-    small first chunk forms no more than it needs; the order does not
-    depend on the chunks.
+    rows in byte order, one chunk of coefficient rows c at a time:
+    _UNIT_FIRST_ROWS rows, each later chunk twice the last, up to
+    _UNIT_ENTRIES entries, as the search reads the first unit or few.
 
     IB is commutative, so (c @ IB)^{p^k} = c @ frobs[k], and the unit has
     the highest order iff c @ frobs[-1] != 0: one product with frobs[0] =
@@ -151,9 +156,21 @@ def _units_by_order(ctx: AlgebraContext, IB: FpSubspace, frobs: np.ndarray):
         k, step = k + step, min(2 * step, cap)
 
 
-def find_group_basis_commutative(B: AugmentedSubalgebra) -> list[np.ndarray]:
+def _aug_square(ctx: AlgebraContext, IB: FpSubspace) -> FpSubspace:
+    """I(B)^2 for the factor B of a verified F_pG = B ⊗ C, in coordinates
+    c of c @ IB, IB = I(B), with no product: I(G)^2 = I(B)^2 + I(C)^2 +
+    I(B)I(C), the last two in B·I(C), and F_pG = B ⊕ B·I(C), so I(B)^2 is
+    the kernel on I(B) of the weight-1 Jennings functionals (not so for B
+    alone: B = span{1, g^2} in F_2[C4])."""
+    return FpSubspace.kernel(
+        ctx.p, matmul_mod(ctx.jennings_functionals(2), IB.basis.T, ctx.p))
+
+
+def find_group_basis_commutative(B: AugmentedSubalgebra, *,
+                                 square: FpSubspace) -> list[np.ndarray]:
     """Units generating a group basis of a commutative augmented subalgebra
-    B, the first of the highest order, found by linear algebra.
+    B, the first of the highest order, found by linear algebra; square is
+    I(B)^2 in the coordinates c of c @ B.aug_ideal (see _aug_square).
 
     Read the invariants p^{e_1} >= ... >= p^{e_r} off Frobenius, and let
     K_e = ker(x -> x^{p^e}) on I(B), linear as B is commutative.  Units
@@ -175,31 +192,30 @@ def find_group_basis_commutative(B: AugmentedSubalgebra) -> list[np.ndarray]:
     IB, frobs = B.aug_ideal, B.frobs
     # subspaces of I(B) in the coordinates c of c @ IB, its pivot entries
     d, piv = IB.dim, list(IB.pivots)
-    sq = FpSubspace(p, d, B.aug_square.basis[:, piv])
     es = [round(math.log(q, p)) for q in B.invariants]
     rest = es[1:]
     kernels = {e: nullspace(frobs[e].T, p) if e < len(frobs)
                else np.eye(d, dtype=np.int64) for e in set(rest)}
     # Hall's condition for u reads room[e] >= [c in W_e], W_e = K_e + I^2;
     # room >= 0, Hall's condition on I/I^2, makes some unit pass
-    walls = {e: FpSubspace(p, d, np.concatenate([sq.basis, K]))
+    walls = {e: FpSubspace(p, d, np.concatenate([square.basis, K]))
              for e, K in kernels.items()}
-    room = {e: W.dim - sq.dim - sum(f <= e for f in rest)
+    room = {e: W.dim - square.dim - sum(f <= e for f in rest)
             for e, W in walls.items()}
-    if len(es) != d - sq.dim or p ** sum(es) != B.dim or \
+    if len(es) != d - square.dim or p ** sum(es) != B.dim or \
             es[0] != len(frobs) or min(room.values(), default=0) < 0:
         raise VerificationError(
             "group-basis", f"the Frobenius invariants p^{es} admit no group "
-            f"basis of B, of dimension {B.dim} on {d - sq.dim} generators")
+            f"basis of B, of dimension {B.dim} on {d - square.dim} generators")
     for u in _units_by_order(ctx, IB, frobs):
         c = (u - ctx.one)[piv] % p
-        if not sq.contains_vector(c) and all(
+        if not square.contains_vector(c) and all(
                 room[e] >= W.contains_vector(c) for e, W in walls.items()):
             break
     else:
         raise VerificationError("group-basis", "no unit of the highest "
                                 "order extends to a group basis")
-    S, units = FpSubspace(p, d, np.vstack([sq.basis, c])), [u]
+    S, units = FpSubspace(p, d, np.vstack([square.basis, c])), [u]
     for e in sorted(rest):
         x = next(x for x in kernels[e] if not S.contains_vector(x))
         S = FpSubspace(p, d, np.vstack([S.basis, x]))
@@ -232,14 +248,12 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
     commutative B, peeling one maximal-order cyclic factor per level.
 
     A level inherits the factorization and checks only its dimensions.
-    With F_pG = J ⊕ F_pG_0, J = (b - 1)F_pG a two-sided ideal and F_pG_0
-    a subalgebra, the projection pi along J onto F_pG_0 is an algebra
-    map.  So pi(B) and pi(C) are unital, closed, commute and span F_pG_0,
-    and B_0 = pi(B) is commutative: subalgebra-unit, subalgebra-closure,
-    commuting and product-span hold with no check.  B ∩ J holds (b - 1)B,
-    so dim B_0 <= dim B / p^s, and dim C_0 <= dim C; dimension-product,
-    dim B_0 dim C_0 = |G_0| = |G| / p^s, forces equality in both, so pi
-    is injective on C, C_0 ≅ C and C_0 is commutative iff C is."""
+    With F_pG = J ⊕ F_pG_0, J = (b - 1)F_pG an ideal, the projection pi
+    along J onto the subalgebra F_pG_0 is an algebra map, so B_0 = pi(B)
+    and C_0 = pi(C) are unital, closed, commute and span F_pG_0, and B_0 is
+    commutative, with no check.  (b - 1)B lies in B ∩ J, so dim B_0 <=
+    dim B / p^s; with dim C_0 <= dim C, dimension-product, dim B_0 dim C_0
+    = |G| / p^s, forces equality in both: C_0 ≅ C, commutative iff C is."""
     if not fact.verified:
         raise VerificationError("unverified", "factorization was not verified")
     if not fact.B.commutative:
@@ -254,18 +268,18 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
     while cur_fact.B.dim > 1:
         ctx = cur_fact.ctx
         cur_G = ctx.group
-        # the first unit has the highest multiplicative order, p^s
-        b = find_group_basis_commutative(cur_fact.B)[0]
+        B = cur_fact.B
+        b = find_group_basis_commutative(
+            B, square=_aug_square(ctx, B.aug_ideal))[0]
         b_minus_1 = (b - ctx.one) % p
-        chain = frobenius_chain(ctx, b_minus_1)  # (b-1)^{p^k}, k < s
-        s = len(chain)
-        # Jennings non-membership: (b-1)^{p^{s-1}} stays outside Lambda's
-        # codomain ideal U = I(G)^{p^{s-1}+1} + I(mho_s(G)G')kG.  This is
-        # also the proof's kernel exclusion: Lambda is well defined and
-        # additive modulo U, so Lambda(b - 1 + I(G)^2) = (b-1)^{p^{s-1}} + U,
-        # and the class of b - 1 lies outside ker Lambda exactly when
-        # (b-1)^{p^{s-1}} is outside U
-        if lambda_map(cur_G, s).contains_vector(chain[-1][0]):
+        s = len(B.frobs)  # b, the first unit, has the highest order, p^s
+        # Jennings non-membership, also the proof's kernel exclusion:
+        # Lambda(b - 1 + I(G)^2) = (b-1)^{p^{s-1}} + U, outside ker Lambda
+        # iff (b-1)^{p^{s-1}} is outside U; B is commutative, so that power
+        # is c @ frobs[s-1] for the coordinates c of b - 1 on I(B)
+        top = b_minus_1[list(B.aug_ideal.pivots)] @ B.frobs[-1] % p
+        F, FU = _lambda_codomain(cur_G, s)
+        if FU.contains_vector(F @ top % p):
             raise VerificationError(
                 "jennings-nonmembership",
                 "(b-1)^{p^{s-1}} fell into the excluded ideal")

@@ -6,18 +6,19 @@ and their checks are gathers over the table: closure is
 ``mask[T[S, S]]``, normality one ``|G| x |S|`` conjugation gather, the
 derived subgroup the closure of one commutator table.
 
+Each fact is checked once.  A table from outside, an input's or a
+catalog group's, is checked in full when built; one derived from a
+checked group, a subgroup's or a quotient's, is a group table by
+construction and is taken as it is (PGroup._trusted).  Subgroup checks a
+given element set, but not a closure, which _close has just found closed
+(Subgroup.generated).
+
 The subgroup lattice is enumerated one layer at a time, by index-p
-extension (Neubüser's cyclic extension, specialised to p-groups).  Every
-subgroup K > 1 of a p-group has a normal subgroup H of index p, so
-K = H<g> for any g in K outside H, and g normalizes H with g^p in H.
-Conversely, for such g the union of the cosets H g^k, k < p, is the
-subgroup H<g>, so no layer's closure is checked.  Every such g gives the
-same K, so only g = min(K - H) is kept, the least of the minima of the
-cosets g^k H, 0 < k < p.  A layer is a boolean mask per subgroup, and the
-next one comes from a fixed number of gathers over all of its H at once:
-one finds every admissible g, one the coset minima, and p - 1 more add
-the cosets H g^k, 0 < k < p, to H.  Sorting the masks in descending order
-puts a layer in ascending element order and duplicates next to each other.
+extension (Neubüser's cyclic extension, specialised to p-groups; see
+_index_p_extensions).  Every subgroup K > 1 of a p-group is H<g> for an H
+of index p that g normalizes, with g^p in H, and for such g the union of
+the cosets H g^k, k < p, is H<g>: no layer's closure is checked, and a
+layer takes a fixed number of gathers over all of its H at once.
 
 The normal lattice, all that the direct-factor oracle reads, is built the
 same way by central extension.  A chief series of a p-group through a
@@ -93,12 +94,12 @@ def _prime_power(n: int) -> tuple[int, int] | None:
 class PGroup:
     """A p-group as its Cayley table, index 0 the identity.
 
-    Every build, of an input table or of a derived one, checks the table:
-    square, p-power order at most MAX_ORDER, entries in range, a two-sided
-    identity at 0, rows and columns permutations, and associativity.  Up
-    to order 32 associativity is the whole |G|^3 scan; above it, Light's
-    test, |G|^2 lookups per generator, and the whole scan only on failure,
-    so that the error names the least failing triple either way.
+    A build checks the table: square, p-power order at most MAX_ORDER,
+    entries in range, a two-sided identity at 0, rows and columns
+    permutations, and associativity.  Up to order 32 associativity is the
+    whole |G|^3 scan; above it, Light's test, |G|^2 lookups per generator,
+    and the whole scan only on failure, so that the error names the least
+    failing triple either way.  _trusted builds a derived table unchecked.
     """
 
     p: int
@@ -107,7 +108,6 @@ class PGroup:
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=np.int64)
-        object.__setattr__(self, "table", t)
         n = t.shape[0]
         if t.shape != (n, n):
             raise GroupError("Cayley table must be square")
@@ -138,9 +138,19 @@ class PGroup:
             if bad is not None:
                 raise GroupError("associativity fails at triple "
                                  f"{tuple(int(x) for x in bad)}")
-        inv = (t == 0).argmax(axis=1)
-        object.__setattr__(self, "_inv", inv)
-        object.__setattr__(self, "_memo", {})  # see memoized()
+        self._adopt(t)
+
+    def _adopt(self, t: np.ndarray) -> None:  # the table, inverses and memo
+        vars(self).update(table=t, _inv=(t == 0).argmax(axis=1), _memo={})
+
+    @classmethod
+    def _trusted(cls, p: int, table: np.ndarray, name: str = "") -> "PGroup":
+        """The group of an int64 table derived from a checked group, taken
+        as it is: a subgroup's, a quotient's, or one renamed."""
+        G = cls.__new__(cls)
+        vars(G).update(p=p, name=name)
+        G._adopt(table)
+        return G
 
     @property
     def order(self) -> int:
@@ -244,15 +254,15 @@ def _closure(G: PGroup, seed) -> np.ndarray:
 
 def _close(T: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """Grow the mask inside, in place, to the least set that holds it and
-    is closed under the product table T, and return that set sorted:
-    square the set until it is closed.  Sets are masks read back with
-    flatnonzero, which sorts them.  No law of T is assumed."""
-    while True:
-        S = np.flatnonzero(inside)
-        prods = T[S[:, None], S]
-        if inside[prods].all():
-            return S
+    is closed under the product table T, as the whole set is, and return
+    it sorted: square the set until it is closed.  Sets are masks read
+    back with flatnonzero, which sorts them.  No law of T is assumed."""
+    S = np.flatnonzero(inside)
+    while S.size < inside.size and not inside[
+            prods := T[S[:, None], S]].all():
         inside[prods] = True
+        S = np.flatnonzero(inside)
+    return S
 
 
 def _least_failing_triple(T: np.ndarray) -> np.ndarray | None:
@@ -316,12 +326,15 @@ class Subgroup:
             raise GroupError("subgroup not closed under inverses")
         if not inside[G.table[S[:, None], S]].all():
             raise GroupError("subgroup not closed under multiplication")
-        if self.parent.order % len(elems):
-            raise GroupError("subgroup size does not divide group order")
 
     @classmethod
     def generated(cls, parent: PGroup, gens) -> "Subgroup":
-        return cls(parent, tuple(_closure(parent, gens).tolist()))
+        """<gens>, with no check: _close has just found it closed, and it
+        holds 1, so it is a subgroup of the finite group (g^-1 = g^(|g|-1))."""
+        S = cls.__new__(cls)
+        vars(S).update(parent=parent,
+                       elements=tuple(_closure(parent, gens).tolist()))
+        return S
 
     @property
     def order(self) -> int:
@@ -373,7 +386,8 @@ def subgroup_to_pgroup(S: Subgroup, name: str = "") -> tuple[PGroup, list[int]]:
     pos = np.zeros(S.parent.order, dtype=np.int64)
     pos[idx] = np.arange(n)
     table = pos[S.parent.table[idx[:, None], idx]]
-    return PGroup(S.parent.p, table, name or f"sub{n}<{S.parent.name}>"), elems
+    return PGroup._trusted(S.parent.p, table,
+                           name or f"sub{n}<{S.parent.name}>"), elems
 
 
 def characteristic_subgroup(G: PGroup, kind: str, i: int = 1) -> Subgroup:
@@ -433,12 +447,13 @@ def jennings_series(G: PGroup) -> tuple[Subgroup, ...]:
     {g : g - 1 in I(G)^m}, and Lazard's prod_{i p^j >= m} gamma_i(G)^{p^j}.
     """
     comm, pow_p = _commutator_table(G), _powers(G, G.p)
-    series = [np.arange(G.order)]
-    while series[-1].size > 1:
+    series = [Subgroup.generated(G, range(G.order))]
+    while series[-1].order > 1:
         m = len(series) + 1  # D_{ceil(m/p)} is series[(m - 1) // p]
-        series.append(_closure(G, np.concatenate(
-            [comm[series[-1]].ravel(), pow_p[series[(m - 1) // G.p]]])))
-    return tuple(Subgroup(G, tuple(D.tolist())) for D in series)
+        last, low = (list(series[k].elements) for k in (-1, (m - 1) // G.p))
+        series.append(Subgroup.generated(
+            G, np.concatenate([comm[last].ravel(), pow_p[low]])))
+    return tuple(series)
 
 
 @memoized
@@ -486,7 +501,7 @@ def quotient_group(G: PGroup, N: Subgroup) -> tuple[PGroup, np.ndarray]:
     coset = np.searchsorted(reps, rep)
     table = coset[G.table[reps[:, None], reps]]
     coset.setflags(write=False)
-    return PGroup(G.p, table, name=f"{G.name}/N{N.order}"), coset
+    return PGroup._trusted(G.p, table, f"{G.name}/N{N.order}"), coset
 
 
 def r_subquotient(G: PGroup, i: int) -> tuple[PGroup, Subgroup]:

@@ -413,6 +413,17 @@ class _Replayed:
             k += 1
 
 
+def aug_square(B: AugmentedSubalgebra) -> FpSubspace:
+    """I(B)^2 as the span of the table I(B)·I(B), in the coordinates c of
+    c @ B.aug_ideal that ``decompose.find_group_basis_commutative`` takes
+    as its square: the product form, which holds for any subalgebra.
+    Cross-checks ``decompose._aug_square``, which reads I(B)^2 off
+    Jennings coordinates under a factorization and forms no product."""
+    IB = B.aug_ideal
+    rows = product_space(B.ctx, IB, IB).basis[:, list(IB.pivots)]
+    return FpSubspace(B.ctx.p, IB.dim, rows)
+
+
 def group_basis_search(B: AugmentedSubalgebra) -> list[np.ndarray]:
     """Units generating a group basis of commutative B, by backtracking
     over every unit of 1 + I(B), highest order first, then in byte order:

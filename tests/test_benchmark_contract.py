@@ -6,12 +6,16 @@ schedule.  Its tracer wraps functions and methods by name (``solve``,
 ``all_subgroups.cache_info()``; its fixtures call ``frattini_quotient``,
 ``QuotientSpace.project``, ``p_power`` and ``nullspace``.  This test imports
 both files as they are, so that a change which drops one of those names
-fails here rather than in a traced benchmark run.
+fails here rather than in a traced benchmark run.  The tracer's counters
+read the arguments and results of the functions it wraps, so one recover
+item and one oracle item also run through ``cli.run`` under it.
 """
 
 import importlib
+import json
 from pathlib import Path
 
+import pgroupalg.cli as cli
 import pgroupalg.fplin as fplin
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -34,3 +38,33 @@ def test_tracer_and_fixtures_run_against_the_library(monkeypatch):
     summary = t.summary(1.0)
     assert summary["fplin.rref.calls"] > 0
     assert summary["algebra.contexts"] > 0
+
+
+def test_tracer_counters_meet_the_library_signatures(monkeypatch, tmp_path):
+    # a traced pass runs each item through the wrapped cli.run: the
+    # counters on find_group_basis_commutative, recover_decomposition and
+    # dump_report read the calls as the library makes them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    fixtures = importlib.import_module("fixtures")
+    picked = [next(pair for pair in fixtures.workload_items(workload, 0)
+                   if pair[0]["command"] == command)
+              for workload, command in (("recover", "recover"),
+                                        ("lattice", "oracle"))]
+    path, out = tmp_path / "input.json", str(tmp_path / "report.json")
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for item, data in picked:
+            path.write_text(json.dumps(data))
+            t.begin_item(item["id"])
+            assert cli.run([item["command"], "--input", str(path),
+                            "--out", out]) == 0, item["id"]
+    finally:
+        t.uninstall()
+    summary = t.summary(1.0)
+    assert summary["decompose.find_group_basis_commutative.units"] > 0
+    assert summary["decompose.recovery_steps"] > 0
+    assert summary["groups.direct_factor_oracle.calls"] == 1
+    assert summary["io.report_bytes"] > 0
+    assert summary["cli.run.calls"] == 2

@@ -23,7 +23,7 @@ from pgroupalg.groups import (PGroup, RetractionError, abelian_invariants,
                               trivial_subgroup)
 from pgroupalg.lemmas import VerificationError, verify_tensor_factorization
 
-from oracles import (full_space, group_closure_vectors,
+from oracles import (aug_square, full_space, group_closure_vectors,
                      group_from_unit_vectors, jennings_rows, lambda_data,
                      splits_as_algebra, subgroup_ideal)
 
@@ -128,6 +128,30 @@ def test_lambda_kernel_exclusion_is_jennings_nonmembership():
     assert (cases, outside) == (5276, 1918)
 
 
+def test_lambda_rank_test_is_codomain_membership():
+    # every (G, s) of the catalog to order 64 (p = 2), 81 (p = 3) and 25
+    # (p = 5): v lies in the codomain ideal U that lambda_map eliminates in
+    # F_pG exactly when the recovery level's rank test in Jennings
+    # coordinates says so, on U's basis, on u + e_g for each g and a
+    # random u in U, and on random vectors
+    rng = np.random.default_rng(26)
+    cases = inside = 0
+    for p, max_order in ((2, 64), (3, 81), (5, 25)):
+        for G in builtin_catalog(p=p, max_order=max_order):
+            for s in range(1, round(math.log(G.exponent(), p)) + 1):
+                U = lambda_map(G, s)
+                F, V = decompose._lambda_codomain(G, s)
+                u = rng.integers(0, p, U.dim) @ U.basis
+                vs = np.vstack([U.basis, (u + np.eye(G.order, dtype=int)) % p,
+                                rng.integers(0, p, (8, G.order))])
+                member = ~U.reduce(vs).any(axis=1)
+                assert np.array_equal(
+                    member, ~V.reduce(vs @ F.T % p).any(axis=1)), (G.name, s)
+                cases += len(vs)
+                inside += member.sum()
+    assert (cases, inside) == (11930, 4816)
+
+
 def test_lambda_map_failure_names_its_check(monkeypatch):
     real = decompose.frobenius_mod_derived
 
@@ -146,10 +170,15 @@ def test_lambda_map_failure_names_its_check(monkeypatch):
     ("codomain", "jennings-nonmembership"),
 ])
 def test_recovery_step_checks_name_themselves(monkeypatch, field, check):
-    # widen Lambda's codomain ideal to the whole algebra, so that
-    # (b - 1)^{p^{s-1}} falls into it
-    monkeypatch.setattr(decompose, "lambda_map",
-                        lambda G, s: full_space(G.p, G.order))
+    # widen Lambda's codomain ideal to the whole algebra, its Jennings
+    # coordinates to all of them, so that (b - 1)^{p^{s-1}} falls into it
+    real = decompose._lambda_codomain
+
+    def widened(G, s):
+        F, _ = real(G, s)
+        return F, full_space(G.p, len(F))
+
+    monkeypatch.setattr(decompose, "_lambda_codomain", widened)
     _, _, ctx, B, C = coordinate_factorization("C2xC4", "D8")
     with pytest.raises(VerificationError) as exc:
         recover_decomposition(verify_tensor_factorization(ctx, B, C))
@@ -195,7 +224,7 @@ def test_split_cyclic_rejects_non_factor():
 
 def test_find_group_basis_commutative():
     _, _, ctx, B, _ = coordinate_factorization("C2xC4", "D8")
-    gens = find_group_basis_commutative(B)
+    gens = find_group_basis_commutative(B, square=aug_square(B))
     orders = [_order_of(ctx, u) for u in gens]
     assert max(orders) == 4
     closed = group_closure_vectors(ctx, gens, B.dim + 1)
@@ -214,7 +243,7 @@ def _order_of(ctx, u):
 
 def test_group_basis_spans_subalgebra():
     _, _, ctx, B, _ = coordinate_factorization("C4", "Q8")
-    gens = find_group_basis_commutative(B)
+    gens = find_group_basis_commutative(B, square=aug_square(B))
     closed = group_closure_vectors(ctx, gens, B.dim + 1)
     S = span(ctx.group.p, ctx.dim, closed)
     assert S == B.space
@@ -225,6 +254,8 @@ def test_exhaustive_unit_search_forms_one_chunk(monkeypatch):
     # the search reads the first of the highest order, so it forms one
     # small first chunk of rows
     _, _, ctx, B, _ = coordinate_factorization("C4xC4", "C2")
+    # I(B)^2 as a recovery level reads it, before matmul_mod is counted
+    square = decompose._aug_square(ctx, B.aug_ideal)
     real, formed = decompose.matmul_mod, []
 
     def counted(A, Bm, p):
@@ -234,7 +265,7 @@ def test_exhaustive_unit_search_forms_one_chunk(monkeypatch):
     monkeypatch.setattr(decompose, "matmul_mod", counted)
     tracemalloc.start()
     try:
-        gens = find_group_basis_commutative(B)
+        gens = find_group_basis_commutative(B, square=square)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -259,7 +290,7 @@ def test_group_basis_search_failure_names_its_cause(monkeypatch):
 
     monkeypatch.setattr(decompose, "_units_by_order", no_units)
     with pytest.raises(VerificationError) as exc:
-        find_group_basis_commutative(B)
+        find_group_basis_commutative(B, square=aug_square(B))
     assert exc.value.check == "group-basis"
 
 

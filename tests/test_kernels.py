@@ -9,9 +9,11 @@ translates, I(N)F_pG as the span of the translates (e_n - 1)e_g, and the
 stream of highest-order units as one ``lexsort`` of that class.
 """
 
+import collections
 import importlib
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,14 +35,14 @@ from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.decompose import _units_by_order, find_group_basis_commutative
 from pgroupalg.fplin import FpSubspace, QuotientSpace, matmul_mod, rref, span
-from pgroupalg.groups import (Subgroup, _closure, abelian_invariants,
+from pgroupalg.groups import (PGroup, Subgroup, _closure, abelian_invariants,
                               all_subgroups, catalog_build,
                               characteristic_subgroup, jennings_basis,
-                              jennings_series)
+                              jennings_series, r_subquotient)
 from pgroupalg.io import group_from_dict
 from pgroupalg.lemmas import verify_tensor_factorization
 
-from oracles import (commutator_span, conjugate, coordinates,
+from oracles import (aug_square, commutator_span, conjugate, coordinates,
                      dimension_subgroup, full_space, group_basis_search,
                      jennings_rows, group_closure_vectors, intersect,
                      unit_closure_invariants, units_of_order)
@@ -455,7 +457,7 @@ def test_recover_corpus_eliminates_few_rows(bench_fixtures, monkeypatch):
 
 
 def assert_invariants_agree(B, want, label):
-    units = find_group_basis_commutative(B)
+    units = find_group_basis_commutative(B, square=aug_square(B))
     closure = unit_closure_invariants(B.ctx, units, B.dim + 1)
     assert closure == B.invariants == want, label
 
@@ -510,12 +512,14 @@ LEVEL_CASES = [pytest.param([(a, g0, seed) for a, g0 in catalog_pairs(p)],
     *LEVEL_CASES, pytest.param(ONCE_SAMPLED, id="once-sampled")])
 def test_group_basis_is_the_search_oracles_first_unit(monkeypatch,
                                                       bench_fixtures, cases):
-    # on every recovery level, the constructed basis starts with the unit
-    # that the backtracking search over all units picks first, and the
-    # group of all the units it returns closes to B
+    # on every recovery level, the I(B)^2 read off Jennings coordinates
+    # is the span of the products I(B)·I(B), the constructed basis starts
+    # with the unit that the backtracking search over all units picks
+    # first, and the group of all the units it returns closes to B
     real, levels = decompose.find_group_basis_commutative, []
 
     def checked(B, **kwargs):
+        assert kwargs["square"] == aug_square(B)
         units = real(B, **kwargs)
         assert np.array_equal(units[0], group_basis_search(B)[0])
         closure = group_closure_vectors(B.ctx, units, B.dim + 1)
@@ -602,8 +606,81 @@ def test_library_rref_forms_are_canonical(monkeypatch, bench_fixtures,
             path.write_text(json.dumps(data))
             assert cli.run([item["command"], "--input", str(path),
                             "--out", out]) == 0, item["id"]
-    assert callers == {"plus_power", "center_subspace", "augmentation_part",
+    assert callers == {"kernel", "center_subspace", "augmentation_part",
                        "_coset_ideal", "recover_decomposition"}
+
+
+def test_recovery_forms_no_product(monkeypatch, bench_fixtures):
+    # past the input's checks, recovery reads I(B)^2 off Jennings
+    # coordinates and each level's top Frobenius power off B's chain:
+    # no table of products is formed at any depth
+    facts = []
+    for a_name, g0_name in recover_corpus(bench_fixtures):
+        data, _ = bench_fixtures.factorization_fixture(
+            a_name, g0_name, np.random.default_rng(7))
+        _, B, C = group_from_dict(data)
+        facts.append(verify_tensor_factorization(B.ctx, B, C))
+    real, formed = AlgebraContext.products, []
+
+    def counted(self, X, Y):
+        formed.append((len(X), len(Y)))
+        return real(self, X, Y)
+
+    monkeypatch.setattr(AlgebraContext, "products", counted)
+    steps = sum(len(decompose.recover_decomposition(fact).steps)
+                for fact in facts)
+    assert steps >= len(facts) and formed == []
+
+
+def test_trusted_constructors_match_the_checked_ones(monkeypatch,
+                                                     bench_fixtures):
+    # Subgroup.generated and PGroup._trusted take what they build with no
+    # check; on the catalog to order 64 (p = 2), 81 (p = 3) and 25 (p = 5)
+    # and on every recovery level of the recover corpus, each closure is a
+    # subgroup that Subgroup's checks accept, and each derived table one
+    # that PGroup's checks accept
+    real_generated, real_trusted = Subgroup.generated.__func__, \
+        PGroup._trusted.__func__
+    callers = collections.Counter()
+
+    def called():  # the function that called the constructor
+        frame = sys._getframe(2)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension
+            frame = frame.f_back
+        callers[frame.f_code.co_name] += 1
+
+    def generated(cls, parent, gens):
+        S = real_generated(cls, parent, gens)
+        assert S == Subgroup(parent, S.elements)
+        called()
+        return S
+
+    def trusted(cls, p, table, name=""):
+        G = real_trusted(cls, p, table, name)
+        assert np.array_equal(G._inv, PGroup(p, table, name)._inv)
+        called()
+        return G
+
+    monkeypatch.setattr(Subgroup, "generated", classmethod(generated))
+    monkeypatch.setattr(PGroup, "_trusted", classmethod(trusted))
+    for p, max_order in ((2, 64), (3, 81), (5, 25)):
+        for G in builtin_catalog(p=p, max_order=max_order):
+            jennings_series(G)
+            characteristic_subgroup(G, "center")
+            for i in range(1, round(math.log(G.exponent(), p)) + 1):
+                r_subquotient(G, i)  # G/(mho_i(G)G') and its R_i(G)
+                characteristic_subgroup(G, "omega", i)
+    for a_name, g0_name in recover_corpus(bench_fixtures):
+        data, _ = bench_fixtures.factorization_fixture(
+            a_name, g0_name, np.random.default_rng(7))
+        _, B, C = group_from_dict(data)
+        decompose.recover_decomposition(
+            verify_tensor_factorization(B.ctx, B, C))
+    assert set(callers) == {
+        "jennings_series", "_characteristic_subgroup", "agemo_derived",
+        "omega_center_derived", "r_subquotient", "split_cyclic",
+        "recover_decomposition", "_abelian_basis", "quotient_group",
+        "subgroup_to_pgroup", "_build_by_name"}, callers
 
 
 @pytest.mark.parametrize("cases", [pytest.param(None, id="groups"),
@@ -1081,5 +1158,5 @@ def test_units_by_order_matches_lexsort(monkeypatch, bench_fixtures, a_name,
         return iter(got)
 
     monkeypatch.setattr(decompose, "_units_by_order", checked)
-    find_group_basis_commutative(B)
+    find_group_basis_commutative(B, square=aug_square(B))
     assert len(seen) == 1

@@ -14,6 +14,7 @@ from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
                                group_algebra_subalgebra)
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.fplin import FpSubspace, span
+import pgroupalg.decompose as decompose
 from pgroupalg.decompose import recover_decomposition
 from pgroupalg.groups import (PGroup, Subgroup, abelian_invariants,
                               catalog_build)
@@ -22,8 +23,9 @@ from pgroupalg.lemmas import (VerificationError, cyclic_factor_test,
                               lemma_identity_check,
                               verify_tensor_factorization)
 
-from oracles import (babelian_checks, factorization_failure, full_space,
-                     has_cyclic_factor_of_order, subalgebra_failure)
+from oracles import (aug_square, babelian_checks, factorization_failure,
+                     full_space, has_cyclic_factor_of_order,
+                     subalgebra_failure)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -285,11 +287,12 @@ CONJUGATED_PAIRS = [(A.name, G0.name) for p in (2, 3, 5)
 
 @pytest.mark.parametrize("a_name, g0_name", CONJUGATED_PAIRS,
                          ids=[f"{a}-{g}" for a, g in CONJUGATED_PAIRS])
-def test_unit_conjugated_factorizations(a_name, g0_name):
+def test_unit_conjugated_factorizations(monkeypatch, a_name, g0_name):
     # the paper's case: F_pA and F_pG0 conjugated by a unit u = 1 + x, x
     # in I(G) drawn at a fixed seed.  B = F_pA is central and stays; C
     # leaves the span of group elements when G0 is nonabelian.  recover
-    # finds A's invariants, and on the input and on mangled copies of it
+    # finds A's invariants, reading at every level the I(B)^2 that the
+    # products I(B)·I(B) span, and on the input and on mangled copies of it
     # (B with a basis row moved off it, B twice, the factors swapped, C
     # conjugated by a second unit, beside B and beside C) every check
     # names what its definition names
@@ -312,7 +315,16 @@ def test_unit_conjugated_factorizations(a_name, g0_name):
     fact = verify_tensor_factorization(
         ctx, AugmentedSubalgebra.from_space(ctx, B),
         AugmentedSubalgebra.from_space(ctx, C))
+    real, levels = decompose.find_group_basis_commutative, []
+
+    def checked(level_B, *, square):
+        assert square == aug_square(level_B)
+        levels.append(level_B.dim)
+        return real(level_B, square=square)
+
+    monkeypatch.setattr(decompose, "find_group_basis_commutative", checked)
     report = recover_decomposition(fact)
+    assert len(levels) == len(report.steps) >= 1
     assert report.b_invariants == abelian_invariants(A)
     assert report.c_side.order == G0.order
     moved = B.basis.copy()

@@ -44,6 +44,10 @@ ALLOWED = {
         "perfbench binding: perfbench/fixtures.py calls it",
     ("algebra", "frattini_quotient"):
         "perfbench binding: perfbench/fixtures.py calls it",
+    ("decompose", "lambda_map"):
+        "public entry point: Lambda's codomain ideal as a subspace of "
+        "F_pG, which a recovery level reads in Jennings coordinates "
+        "instead; perfbench/tracer.py also wraps it",
     ("fplin", "solve"):
         "perfbench binding: perfbench/tracer.py wraps it",
     ("groups", "PGroup.mul"):

@@ -6,9 +6,13 @@ All subspace-valued operations return canonical RREF subspaces from
 
 Products go through the regular representation.  Each context holds two
 gather tables, ``L[g, t] = g^-1 t`` and ``R[g, t] = t g^-1``, so that
-``e_g x = x[L[g]]`` and ``x e_g = x[R[g]]`` are pure gathers.  All products
-of two row sets X, Y are ``X @ Y[:, L]`` (mod p), formed in chunks of Y,
-and row-wise products and powers of a whole basis gather the same way.
+``e_g x = x[L[g]]`` and ``x e_g = x[R[g]]``: translates by group elements
+are pure gathers.  A product is ``u v = u @ v[L]``, and all products of two
+row sets X, Y come from the single matrix product ``X @ Y[:, L]`` (mod p),
+formed in chunks of Y so that the gathered block stays bounded up to
+MAX_ORDER.  Row-wise products ``A[k] B[k]``, and with them the row-wise
+powers that raise a whole basis to its p^i-th powers at once, gather in
+chunks the same way.
 
 Every ideal takes at most two eliminations.  I(N)F_pG, the augmentation
 ideal among them, is written down in canonical RREF from the cosets of N
@@ -307,12 +311,14 @@ def ideal_generated(ctx: AlgebraContext, X: FpSubspace) -> FpSubspace:
 
 def _coset_ideal(ctx: AlgebraContext, elements) -> FpSubspace:
     """I(N)F_pG for the normal subgroup N with these elements, in canonical
-    RREF with no elimination: the kernel of F_pG -> F_p[G/N] (Passman, The
-    Algebraic Structure of Group Rings, 1977), spanned by e_a - e_b for a,
-    b in one coset.  A coset C contributes the rows e_c - e_max(C) for the
-    c in C other than max(C): each is 1 on its pivot c and p - 1 on the
-    column max(C), which is no pivot and lies right of c.  All cosets come
-    from one gather, the sorted rows gN of the table, one per least element.
+    RREF without an elimination.
+
+    I(N)F_pG is the kernel of F_pG -> F_p[G/N] (Passman, The Algebraic
+    Structure of Group Rings, 1977), spanned by e_a - e_b for a, b in one
+    coset.  A coset C contributes the rows e_c - e_max(C) for the c in C
+    other than max(C): each is 1 on its pivot c and p - 1 on the column
+    max(C), which is no pivot and lies right of c.  All cosets come from
+    one gather, the sorted rows gN of the table, one per least element.
     """
     rows = np.sort(ctx.group.table[:, list(elements)], axis=1)
     cosets = rows[np.unique(rows[:, 0], return_index=True)[1]]

@@ -81,11 +81,14 @@ def _lambda_codomain(G: PGroup, s: int) -> tuple[np.ndarray, FpSubspace]:
 
 
 def split_cyclic(G: PGroup, h: int) -> tuple[Subgroup, Subgroup]:
-    """G = <h> x G_0 for a central h, with no check: retraction_complement
-    proves G_0 = retraction_complement(G, h) a complement.  I(<h>)F_pG is
-    the kernel of F_pG -> F_p[G/<h>], onto which F_pG_0 maps bijectively,
-    so F_pG = I(<h>)F_pG ⊕ F_pG_0.  Raises as retraction_complement does:
-    GroupError unless h is central, RetractionError with no retraction."""
+    """G = <h> x G_0 for a central h, with G_0 = retraction_complement(G, h).
+
+    It checks nothing, as retraction_complement proves that its kernel G_0
+    is a complement of the central <h>, so G = <h> x G_0.  The algebra
+    split follows: I(<h>)F_pG is the kernel of F_pG -> F_p[G/<h>], and
+    F_pG_0 maps isomorphically onto F_p[G/<h>], so F_pG = I(<h>)F_pG ⊕
+    F_pG_0.  Raises as retraction_complement does: GroupError unless h is
+    central, RetractionError when h has no retraction."""
     return Subgroup.generated(G, (h,)), retraction_complement(G, h)
 
 
@@ -126,9 +129,11 @@ def _find_split_element(G: PGroup, ctx: AlgebraContext, target,
 
 def _units_by_order(ctx: AlgebraContext, IB: FpSubspace, frobs: np.ndarray):
     """Yield the units 1 + c @ IB of the highest order, p^len(frobs), as
-    rows in byte order, one chunk of coefficient rows c at a time:
-    _UNIT_FIRST_ROWS rows, each later chunk twice the last, up to
-    _UNIT_ENTRIES entries, as the search reads the first unit or few.
+    rows in byte order, formed one chunk of coefficient rows c at a time:
+    _UNIT_FIRST_ROWS rows first, each later chunk twice the last, up to
+    _UNIT_ENTRIES entries.  The search reads the first unit or few, so a
+    small first chunk forms no more than it needs; the order does not
+    depend on the chunks.
 
     IB is commutative, so (c @ IB)^{p^k} = c @ frobs[k], and the unit has
     the highest order iff c @ frobs[-1] != 0: one product with frobs[0] =
@@ -166,11 +171,11 @@ def _aug_square(ctx: AlgebraContext, IB: FpSubspace) -> FpSubspace:
         ctx.p, matmul_mod(ctx.jennings_functionals(2), IB.basis.T, ctx.p))
 
 
-def find_group_basis_commutative(B: AugmentedSubalgebra, *,
-                                 square: FpSubspace) -> list[np.ndarray]:
+def find_group_basis_commutative(B: AugmentedSubalgebra) -> list[np.ndarray]:
     """Units generating a group basis of a commutative augmented subalgebra
-    B, the first of the highest order, found by linear algebra; square is
-    I(B)^2 in the coordinates c of c @ B.aug_ideal (see _aug_square).
+    B, the first of the highest order, found by linear algebra.  B is the
+    commutative factor of a verified F_pG = B ⊗ C, as at every recovery
+    level, so that _aug_square reads I(B)^2 with no product.
 
     Read the invariants p^{e_1} >= ... >= p^{e_r} off Frobenius, and let
     K_e = ker(x -> x^{p^e}) on I(B), linear as B is commutative.  Units
@@ -192,6 +197,7 @@ def find_group_basis_commutative(B: AugmentedSubalgebra, *,
     IB, frobs = B.aug_ideal, B.frobs
     # subspaces of I(B) in the coordinates c of c @ IB, its pivot entries
     d, piv = IB.dim, list(IB.pivots)
+    square = _aug_square(ctx, IB)
     es = [round(math.log(q, p)) for q in B.invariants]
     rest = es[1:]
     kernels = {e: nullspace(frobs[e].T, p) if e < len(frobs)
@@ -248,12 +254,14 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
     commutative B, peeling one maximal-order cyclic factor per level.
 
     A level inherits the factorization and checks only its dimensions.
-    With F_pG = J ⊕ F_pG_0, J = (b - 1)F_pG an ideal, the projection pi
-    along J onto the subalgebra F_pG_0 is an algebra map, so B_0 = pi(B)
-    and C_0 = pi(C) are unital, closed, commute and span F_pG_0, and B_0 is
-    commutative, with no check.  (b - 1)B lies in B ∩ J, so dim B_0 <=
-    dim B / p^s; with dim C_0 <= dim C, dimension-product, dim B_0 dim C_0
-    = |G| / p^s, forces equality in both: C_0 ≅ C, commutative iff C is."""
+    With F_pG = J ⊕ F_pG_0, J = (b - 1)F_pG a two-sided ideal and F_pG_0
+    a subalgebra, the projection pi along J onto F_pG_0 is an algebra
+    map.  So pi(B) and pi(C) are unital, closed, commute and span F_pG_0,
+    and B_0 = pi(B) is commutative: subalgebra-unit, subalgebra-closure,
+    commuting and product-span hold with no check.  B ∩ J holds (b - 1)B,
+    so dim B_0 <= dim B / p^s, and dim C_0 <= dim C; dimension-product,
+    dim B_0 dim C_0 = |G_0| = |G| / p^s, forces equality in both, so pi
+    is injective on C, C_0 ≅ C and C_0 is commutative iff C is."""
     if not fact.verified:
         raise VerificationError("unverified", "factorization was not verified")
     if not fact.B.commutative:
@@ -269,8 +277,7 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
         ctx = cur_fact.ctx
         cur_G = ctx.group
         B = cur_fact.B
-        b = find_group_basis_commutative(
-            B, square=_aug_square(ctx, B.aug_ideal))[0]
+        b = find_group_basis_commutative(B)[0]
         b_minus_1 = (b - ctx.one) % p
         s = len(B.frobs)  # b, the first unit, has the highest order, p^s
         # Jennings non-membership, also the proof's kernel exclusion:

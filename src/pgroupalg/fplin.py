@@ -11,11 +11,15 @@ c at bit 8 * width - 1 - c, where width is the packed row's byte count
 (Boothby & Bradshaw, arXiv:0901.1413, 2009): a few integer operations per
 row and pivot instead of several numpy calls per column.
 
-Over F_3 and F_5 elimination is blocked (see ``rref``), and each dense
-block is packed too: column c is lane ncols - 1 - c, of W = 8 and 16 bits;
-rows are combined by integer addition and reduced mod p in every lane at
-once by the multiply-shift x - ((x * M >> S) & low) * p, with (M, S) =
-(11, 5) and (13, 6), exact while a lane stays at most p(p - 1).
+Over F_3 and F_5 elimination is blocked.  ``rref`` eliminates a first block
+of rows densely, then reduces each further block against the basis found
+so far in a single matrix product, the RREF residual
+``B - B[:, pivots] @ R (mod p)``; only the rows that survive are
+eliminated densely.  The dense blocks are packed too: column c is lane
+ncols - 1 - c, of W = 8 and 16 bits; rows are combined by integer addition
+and reduced mod p in every lane at once by the multiply-shift
+x - ((x * M >> S) & low) * p, with (M, S) = (11, 5) and (13, 6), exact
+while a lane stays at most p(p - 1).
 
 Every ``rref`` stops once the rank equals the number of columns, so
 redundant rows past that point are never reduced.  The residual against an
@@ -133,15 +137,17 @@ def _rref_packed(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _rref_gf2(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """RREF over F_2 of an integer matrix, its rows packed into integers.
+    """RREF over F_2 of an integer matrix, from its rows packed into
+    integers in one pass.
 
-    One np.packbits packs all rows, and zero and repeated rows, which do
-    not change the row space, are dropped on the packed bytes.  Each
-    distinct row is an integer, column c at bit 8 * width - 1 - c, so its
-    leading bit is its leftmost nonzero column.  Gauss-Jordan by XOR: each
-    row is reduced against the pivot rows so far, and its new pivot is
-    cleared out of them only if one has been nonzero in its column; it
-    stops at full rank, and the pivot rows are unpacked once, at the end.
+    One np.packbits packs all rows, and zero and repeated rows are dropped
+    on the packed bytes: the RREF depends only on the row space, not on
+    the order or repetition of the rows.  Each distinct row is read as an
+    integer, column c at bit 8 * width - 1 - c, so its leading bit is its
+    leftmost nonzero column.  Gauss-Jordan by XOR: each row is reduced
+    against the pivot rows found so far, and its new pivot is then cleared
+    out of them, only if one of them has been nonzero in its column; it
+    stops at full rank.  The pivot rows are unpacked once, at the end.
     """
     nrows, ncols = A.shape
     if not ncols:
@@ -239,11 +245,16 @@ def nullspace(A: np.ndarray, p: int) -> np.ndarray:
 
 
 def solve(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution y of A @ y = b (mod p), or None if inconsistent, which a
-    pivot right of A's columns shows; a 2-d b holds one right-hand side
-    per row, and the solutions are rows from one elimination of [A | b.T].
-    No library path calls it; the tests hold ``QuotientSpace.project`` to
-    it, and perfbench/tracer.py wraps it."""
+    """One solution y of A @ y = b (mod p), or None if inconsistent.
+
+    A 2-d b holds one right-hand side per row; the solutions come back as
+    rows, from one elimination of [A | b.T], and None means that some row
+    is inconsistent.  A pivot right of A's columns is exactly that.
+
+    No library path calls it: ``QuotientSpace`` keeps an inverse instead.
+    The tests hold ``QuotientSpace.project`` to it, and it stays in the
+    library because perfbench/tracer.py wraps it.
+    """
     A = np.asarray(A, dtype=np.int64) % p
     b = np.asarray(b, dtype=np.int64) % p
     m, n = A.shape
@@ -359,15 +370,20 @@ class QuotientSpace:
     """W/U with a fixed section, a basis of a complement of U in W.
 
     The class v + U is held by its canonical RREF residual U.reduce(v).
-    The default section is the rows of W's basis independent modulo U, in
-    order, found by one elimination of their residuals as columns: rows of
-    an RREF basis, the canonical basis of their span.  One more, of
-    [R | I_q] for the residuals R of the q section rows, gives the RREF E
-    of R and the M with M R = E.  It checks a given section:
-    inside W, with U's dimension adding up to W's, and every pivot in R,
-    so U ⊕ section = W; ``project`` then eliminates nothing.
-    ``of_whole_space`` builds F_p^n / U, which holds U and any section, so
-    it builds no W, and the elimination of [R | I_q] is its only one.
+    The default section is the rows of W's basis that are independent
+    modulo U, taken in order.  One elimination finds them: they are the
+    pivot columns of the matrix whose columns are their residuals.  Rows of
+    an RREF basis are in RREF themselves, so the section is the canonical
+    basis of its span.
+
+    One more elimination, of [R | I_q] for the residuals R of the q
+    section rows, gives the RREF E of R on its left and, on its right, the
+    M with M R = E.  A given section is checked by it: it lies in W, its
+    dimension and U's add up to W's, and every pivot falls in R, so the
+    section is independent modulo U and U + section = W.  ``project``
+    then needs no elimination.  ``of_whole_space`` builds F_p^n / U, where
+    W holds U and the section by definition: no W is built, and the
+    elimination of [R | I_q] is the only one.
     """
 
     def __init__(self, W: FpSubspace, U: FpSubspace,

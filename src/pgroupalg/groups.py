@@ -14,11 +14,17 @@ given element set, but not a closure, which _close has just found closed
 (Subgroup.generated).
 
 The subgroup lattice is enumerated one layer at a time, by index-p
-extension (Neubüser's cyclic extension, specialised to p-groups; see
-_index_p_extensions).  Every subgroup K > 1 of a p-group is H<g> for an H
-of index p that g normalizes, with g^p in H, and for such g the union of
-the cosets H g^k, k < p, is H<g>: no layer's closure is checked, and a
-layer takes a fixed number of gathers over all of its H at once.
+extension (Neubüser's cyclic extension, specialised to p-groups).  Every
+subgroup K > 1 of a p-group has a normal subgroup H of index p, so
+K = H<g> for any g in K outside H, and g normalizes H with g^p in H.
+Conversely, for such g the union of the cosets H g^k, k < p, is the
+subgroup H<g>, so no layer's closure is checked.  Every such g gives the
+same K, so only g = min(K - H) is kept, the least of the minima of the
+cosets g^k H, 0 < k < p.  A layer is a boolean mask per subgroup, and the
+next one comes from a fixed number of gathers over all of its H at once:
+one finds every admissible g, one the coset minima, and p - 1 more add
+the cosets H g^k, 0 < k < p, to H.  Sorting the masks in descending order
+puts a layer in ascending element order and duplicates next to each other.
 
 The normal lattice, all that the direct-factor oracle reads, is built the
 same way by central extension.  A chief series of a p-group through a
@@ -94,12 +100,13 @@ def _prime_power(n: int) -> tuple[int, int] | None:
 class PGroup:
     """A p-group as its Cayley table, index 0 the identity.
 
-    A build checks the table: square, p-power order at most MAX_ORDER,
-    entries in range, a two-sided identity at 0, rows and columns
-    permutations, and associativity.  Up to order 32 associativity is the
-    whole |G|^3 scan; above it, Light's test, |G|^2 lookups per generator,
-    and the whole scan only on failure, so that the error names the least
-    failing triple either way.  _trusted builds a derived table unchecked.
+    A build, of an input table or a catalog one, checks the table:
+    square, p-power order at most MAX_ORDER, entries in range, a two-sided
+    identity at 0, rows and columns permutations, and associativity.  Up
+    to order 32 associativity is the whole |G|^3 scan; above it, Light's
+    test, |G|^2 lookups per generator, and the whole scan only on failure,
+    so that the error names the least failing triple either way.  A table
+    derived from a checked group is taken as it is (_trusted).
     """
 
     p: int

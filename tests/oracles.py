@@ -413,15 +413,14 @@ class _Replayed:
             k += 1
 
 
-def aug_square(B: AugmentedSubalgebra) -> FpSubspace:
-    """I(B)^2 as the span of the table I(B)·I(B), in the coordinates c of
-    c @ B.aug_ideal that ``decompose.find_group_basis_commutative`` takes
-    as its square: the product form, which holds for any subalgebra.
-    Cross-checks ``decompose._aug_square``, which reads I(B)^2 off
-    Jennings coordinates under a factorization and forms no product."""
-    IB = B.aug_ideal
-    rows = product_space(B.ctx, IB, IB).basis[:, list(IB.pivots)]
-    return FpSubspace(B.ctx.p, IB.dim, rows)
+def aug_square(ctx: AlgebraContext, IB: FpSubspace) -> FpSubspace:
+    """I(B)^2 for IB = I(B), as the span of the table I(B)·I(B), in the
+    coordinates c of c @ IB: the product form, which holds for any
+    subalgebra.  Cross-checks ``decompose._aug_square``, which takes the
+    same arguments, reads I(B)^2 off Jennings coordinates under a
+    factorization and forms no product."""
+    rows = product_space(ctx, IB, IB).basis[:, list(IB.pivots)]
+    return FpSubspace(ctx.p, IB.dim, rows)
 
 
 def group_basis_search(B: AugmentedSubalgebra) -> list[np.ndarray]:

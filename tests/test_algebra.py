@@ -272,7 +272,7 @@ def test_subalgebra_checks_form_one_bounded_table():
         tracemalloc.stop()
     # I(B)/I(B)^2 has dimension d(C2^7) = 7
     assert B.dim == 128 and B.commutative
-    assert aug_square(B).dim == B.aug_ideal.dim - 7
+    assert aug_square(B.ctx, B.aug_ideal).dim == B.aug_ideal.dim - 7
     assert peak < 80e6
 
 

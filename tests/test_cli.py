@@ -701,7 +701,7 @@ _NO_MASKED_ARRAYS = """
 import json
 import sys
 from pgroupalg.cli import run
-from pgroupalg.decompose import _aug_square, find_group_basis_commutative
+from pgroupalg.decompose import find_group_basis_commutative
 from pgroupalg.io import group_from_dict
 out, fx = sys.argv[1], sys.argv[2]
 assert run(["catalog", "--emit-factorization", "C2xC4", "Q8",
@@ -713,8 +713,7 @@ for argv in (["lemmas", "--catalog", "D8", "--catalog", "He3"],
              ["cyclic-factor", "--catalog", "C2xC4"]):
     assert run(argv + ["--out", out]) == 0, argv
 _, B, _ = group_from_dict(json.load(open(fx)))
-assert find_group_basis_commutative(
-    B, square=_aug_square(B.ctx, B.aug_ideal))
+assert find_group_basis_commutative(B)
 print("numpy.ma" in sys.modules)
 """
 

@@ -23,7 +23,7 @@ from pgroupalg.groups import (PGroup, RetractionError, abelian_invariants,
                               trivial_subgroup)
 from pgroupalg.lemmas import VerificationError, verify_tensor_factorization
 
-from oracles import (aug_square, full_space, group_closure_vectors,
+from oracles import (full_space, group_closure_vectors,
                      group_from_unit_vectors, jennings_rows, lambda_data,
                      splits_as_algebra, subgroup_ideal)
 
@@ -224,7 +224,7 @@ def test_split_cyclic_rejects_non_factor():
 
 def test_find_group_basis_commutative():
     _, _, ctx, B, _ = coordinate_factorization("C2xC4", "D8")
-    gens = find_group_basis_commutative(B, square=aug_square(B))
+    gens = find_group_basis_commutative(B)
     orders = [_order_of(ctx, u) for u in gens]
     assert max(orders) == 4
     closed = group_closure_vectors(ctx, gens, B.dim + 1)
@@ -243,7 +243,7 @@ def _order_of(ctx, u):
 
 def test_group_basis_spans_subalgebra():
     _, _, ctx, B, _ = coordinate_factorization("C4", "Q8")
-    gens = find_group_basis_commutative(B, square=aug_square(B))
+    gens = find_group_basis_commutative(B)
     closed = group_closure_vectors(ctx, gens, B.dim + 1)
     S = span(ctx.group.p, ctx.dim, closed)
     assert S == B.space
@@ -254,8 +254,10 @@ def test_exhaustive_unit_search_forms_one_chunk(monkeypatch):
     # the search reads the first of the highest order, so it forms one
     # small first chunk of rows
     _, _, ctx, B, _ = coordinate_factorization("C4xC4", "C2")
-    # I(B)^2 as a recovery level reads it, before matmul_mod is counted
+    # I(B)^2 as a recovery level reads it, formed before matmul_mod is
+    # counted so that only the unit chunks are
     square = decompose._aug_square(ctx, B.aug_ideal)
+    monkeypatch.setattr(decompose, "_aug_square", lambda ctx, IB: square)
     real, formed = decompose.matmul_mod, []
 
     def counted(A, Bm, p):
@@ -265,7 +267,7 @@ def test_exhaustive_unit_search_forms_one_chunk(monkeypatch):
     monkeypatch.setattr(decompose, "matmul_mod", counted)
     tracemalloc.start()
     try:
-        gens = find_group_basis_commutative(B, square=square)
+        gens = find_group_basis_commutative(B)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -290,7 +292,7 @@ def test_group_basis_search_failure_names_its_cause(monkeypatch):
 
     monkeypatch.setattr(decompose, "_units_by_order", no_units)
     with pytest.raises(VerificationError) as exc:
-        find_group_basis_commutative(B, square=aug_square(B))
+        find_group_basis_commutative(B)
     assert exc.value.check == "group-basis"
 
 

@@ -457,7 +457,7 @@ def test_recover_corpus_eliminates_few_rows(bench_fixtures, monkeypatch):
 
 
 def assert_invariants_agree(B, want, label):
-    units = find_group_basis_commutative(B, square=aug_square(B))
+    units = find_group_basis_commutative(B)
     closure = unit_closure_invariants(B.ctx, units, B.dim + 1)
     assert closure == B.invariants == want, label
 
@@ -517,10 +517,16 @@ def test_group_basis_is_the_search_oracles_first_unit(monkeypatch,
     # with the unit that the backtracking search over all units picks
     # first, and the group of all the units it returns closes to B
     real, levels = decompose.find_group_basis_commutative, []
+    real_square, squares = decompose._aug_square, []
 
-    def checked(B, **kwargs):
-        assert kwargs["square"] == aug_square(B)
-        units = real(B, **kwargs)
+    def checked_square(ctx, IB):
+        square = real_square(ctx, IB)
+        assert square == aug_square(ctx, IB)
+        squares.append(IB.dim)
+        return square
+
+    def checked(B):
+        units = real(B)
         assert np.array_equal(units[0], group_basis_search(B)[0])
         closure = group_closure_vectors(B.ctx, units, B.dim + 1)
         assert closure is not None and len(closure) == B.dim
@@ -528,6 +534,7 @@ def test_group_basis_is_the_search_oracles_first_unit(monkeypatch,
         levels.append(B.dim)
         return units
 
+    monkeypatch.setattr(decompose, "_aug_square", checked_square)
     monkeypatch.setattr(decompose, "find_group_basis_commutative", checked)
     for a_name, g0_name, seed in cases:
         rng = None if seed is None else np.random.default_rng(seed)
@@ -536,7 +543,7 @@ def test_group_basis_is_the_search_oracles_first_unit(monkeypatch,
         rep = decompose.recover_decomposition(
             verify_tensor_factorization(B.ctx, B, C))
         assert rep.b_invariants == abelian_invariants(catalog_by_name(a_name))
-    assert len(levels) >= len(cases)
+    assert len(squares) == len(levels) >= len(cases)
 
 
 def closed_form_groups():
@@ -1158,5 +1165,5 @@ def test_units_by_order_matches_lexsort(monkeypatch, bench_fixtures, a_name,
         return iter(got)
 
     monkeypatch.setattr(decompose, "_units_by_order", checked)
-    find_group_basis_commutative(B, square=aug_square(B))
+    find_group_basis_commutative(B)
     assert len(seen) == 1

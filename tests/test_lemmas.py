@@ -315,14 +315,15 @@ def test_unit_conjugated_factorizations(monkeypatch, a_name, g0_name):
     fact = verify_tensor_factorization(
         ctx, AugmentedSubalgebra.from_space(ctx, B),
         AugmentedSubalgebra.from_space(ctx, C))
-    real, levels = decompose.find_group_basis_commutative, []
+    real, levels = decompose._aug_square, []
 
-    def checked(level_B, *, square):
-        assert square == aug_square(level_B)
-        levels.append(level_B.dim)
-        return real(level_B, square=square)
+    def checked(level_ctx, IB):
+        square = real(level_ctx, IB)
+        assert square == aug_square(level_ctx, IB)
+        levels.append(IB.dim)
+        return square
 
-    monkeypatch.setattr(decompose, "find_group_basis_commutative", checked)
+    monkeypatch.setattr(decompose, "_aug_square", checked)
     report = recover_decomposition(fact)
     assert len(levels) == len(report.steps) >= 1
     assert report.b_invariants == abelian_invariants(A)

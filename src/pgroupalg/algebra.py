@@ -26,9 +26,9 @@ rows.
 
 Each group has one shared context, ``AlgebraContext.of(G)``, and each
 context memoizes what is derived from its group alone: the augmentation
-ideal and its powers, the centre, the normal-subgroup ideals, the
-Omega/mho ideals of the lemmas and every right ideal, keyed by content.
-A check that needs one of them again finds it built.
+ideal and its powers, the Jennings table, the centre, the normal-subgroup
+ideals, the Omega/mho ideals of the lemmas and every right ideal, keyed
+by content.  A check that needs one of them again finds it built.
 """
 
 from __future__ import annotations
@@ -182,16 +182,13 @@ class AlgebraContext:
         return _coset_ideal(self, range(self.dim))
 
     @memoized
-    def jennings_functionals(self, m: int) -> np.ndarray:
-        """The coordinates f_k of weight sum_j k_j w_j < m in the Jennings
-        basis (x_1 - 1)^k_1 ... (x_d - 1)^k_d, 0 <= k_j < p, over
-        groups.jennings_basis, as rows in ascending sum_j k_j p^(j-1).
-
-        Each g is one word x_1^b_1 ... x_d^b_d, all built by gathers, and
-        e_g = prod_j (1 + (x_j - 1))^b_j expands in order: f_k(e_g) =
-        prod_j C(b_j, k_j) mod p.  The basis elements of weight at least m
-        span I(G)^m (Jennings, Trans. AMS 50, 1941), the rows' common
-        kernel.  Row 0 is the augmentation; for m = 2 the rest are b_j."""
+    def _jennings_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(F, weights): every coordinate f_k in the Jennings basis
+        (x_1 - 1)^k_1 ... (x_d - 1)^k_d, 0 <= k_j < p, over
+        groups.jennings_basis, as rows in ascending sum_j k_j p^(j-1), and
+        each weight sum_j k_j w_j.  Each g is one word x_1^b_1 ... x_d^b_d,
+        all built by gathers, and e_g = prod_j (1 + (x_j - 1))^b_j expands
+        in order: f_k(e_g) = prod_j C(b_j, k_j) mod p."""
         basis, p, n = jennings_basis(self.group), self.p, self.dim
         words = np.zeros(1, dtype=np.int64)
         for x, _ in basis:  # words[a |words| + r] = words[r] x^a
@@ -201,9 +198,18 @@ class AlgebraContext:
             words = np.concatenate(blocks)
         digits = np.arange(n)[:, None] // p ** np.arange(len(basis)) % p
         exps = digits[np.argsort(words)]  # exps[g] = (b_1(g), ..., b_d(g))
-        ks = digits[digits @ np.array([w for _, w in basis], int) < m]
         C = np.array([[math.comb(b, k) for b in range(p)] for k in range(p)])
-        F = np.prod(C[ks.T[:, :, None], exps.T[:, None]], axis=0) % p
+        F = np.prod(C[digits.T[:, :, None], exps.T[:, None]], axis=0) % p
+        return F, digits @ np.array([w for _, w in basis], dtype=np.int64)
+
+    @memoized
+    def jennings_functionals(self, m: int) -> np.ndarray:
+        """The rows of weight < m of the context's one _jennings_table, read
+        only: the basis elements of weight at least m span I(G)^m (Jennings,
+        Trans. AMS 50, 1941), their common kernel.  Row 0 is the
+        augmentation; for m = 2 the rest are the b_j of weight 1."""
+        F, weights = self._jennings_table()
+        F = F[weights < m]
         F.setflags(write=False)
         return F
 
@@ -228,29 +234,15 @@ class AlgebraContext:
             F = R[np.array(pivots, dtype=np.int64) >= X.dim, X.dim:]
         return FpSubspace.kernel(p, F)
 
-    def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        # conj[h, g] = h g h^-1 = R[h, hg]
-        conj = np.take_along_axis(self._right, self.group.table, axis=1)
-        seen: set[int] = set()
-        classes = []
-        for g in range(self.dim):
-            if g in seen:
-                continue
-            orbit = set(conj[:, g].tolist())
-            seen |= orbit
-            classes.append(tuple(sorted(orbit)))
-        return classes
-
     @memoized
     def center_subspace(self) -> FpSubspace:
-        """Z(F_pG): the conjugacy class sums, disjoint and listed by least
-        element, each sum's pivot, so in canonical RREF as they are."""
-        classes = self.conjugacy_classes()
-        rows = np.zeros((len(classes), self.dim), dtype=np.int64)
-        for k, cls in enumerate(classes):
-            rows[k, list(cls)] = 1
-        return FpSubspace._from_rref(self.p, self.dim, rows,
-                                     [cls[0] for cls in classes])
+        """Z(F_pG): the class sums, disjoint, each pivoted on the least
+        element r = rep[r] of its class, so in canonical RREF as they are;
+        rep[g] = min_h R[h, hg] = min_h h g h^-1, from one gather."""
+        rep = np.take_along_axis(self._right, self.group.table, axis=1).min(0)
+        pivots = np.flatnonzero(rep == np.arange(self.dim))
+        rows = (rep == pivots[:, None]).astype(np.int64)
+        return FpSubspace._from_rref(self.p, self.dim, rows, pivots)
 
     @memoized
     def central_ideal_part(self) -> FpSubspace:

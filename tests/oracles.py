@@ -39,7 +39,7 @@ def commutator(G: PGroup, a: int, b: int) -> int:
 
 def conjugate(G: PGroup, g: int, by: int) -> int:
     """by g by^-1 by single lookups; cross-checks the conjugation gathers of
-    ``Subgroup.is_normal`` and ``AlgebraContext.conjugacy_classes``."""
+    ``Subgroup.is_normal`` and ``AlgebraContext.center_subspace``."""
     return G.mul(G.mul(by, g), G.inv(by))
 
 
@@ -152,6 +152,42 @@ def augmentation(ctx: AlgebraContext, v) -> int:
     """The augmentation sum_g v_g mod p, which vanishes exactly on I(G);
     cross-checks ``AlgebraContext.augmentation_ideal``."""
     return int(np.asarray(v, dtype=np.int64).sum() % ctx.p)
+
+
+def conjugacy_classes(ctx: AlgebraContext) -> list[tuple[int, ...]]:
+    """The conjugacy classes of G, each sorted, by least element, as a loop
+    over sets of single-lookup conjugates; cross-checks the one gather of
+    ``AlgebraContext.center_subspace``, whose rows are the class sums."""
+    G = ctx.group
+    seen: set[int] = set()
+    classes = []
+    for g in range(G.order):
+        if g not in seen:
+            orbit = {conjugate(G, g, h) for h in range(G.order)}
+            seen |= orbit
+            classes.append(tuple(sorted(orbit)))
+    return classes
+
+
+def jennings_functionals_per_m(ctx: AlgebraContext, m: int) -> np.ndarray:
+    """The Jennings functionals of weight < m, built for this m alone: the
+    exponent vectors k of weight sum_j k_j w_j < m are selected first, and
+    f_k(e_g) = prod_j C(b_j(g), k_j) mod p formed for them only, from the
+    words x_1^b_1 ... x_d^b_d of the elements.  Cross-checks
+    ``AlgebraContext.jennings_functionals``, which selects the rows of one
+    table that holds every weight."""
+    basis, p, n = jennings_basis(ctx.group), ctx.p, ctx.dim
+    words = np.zeros(1, dtype=np.int64)
+    for x, _ in basis:  # words[a |words| + r] = words[r] x^a
+        blocks = [words]
+        for _ in range(p - 1):
+            blocks.append(ctx.group.table[blocks[-1], x])
+        words = np.concatenate(blocks)
+    digits = np.arange(n)[:, None] // p ** np.arange(len(basis)) % p
+    exps = digits[np.argsort(words)]  # exps[g] = (b_1(g), ..., b_d(g))
+    ks = digits[digits @ np.array([w for _, w in basis], int) < m]
+    C = np.array([[math.comb(b, k) for b in range(p)] for k in range(p)])
+    return np.prod(C[ks.T[:, :, None], exps.T[:, None]], axis=0) % p
 
 
 def commutator_span(ctx: AlgebraContext, X: FpSubspace, Y: FpSubspace) -> FpSubspace:

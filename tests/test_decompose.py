@@ -8,10 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pgroupalg.algebra as algebra
 import pgroupalg.decompose as decompose
 from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
-                               group_algebra_subalgebra, omega_central,
-                               power_space)
+                               frobenius_mod_derived, group_algebra_subalgebra,
+                               omega_central, power_space)
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.decompose import (certify_indecomposable,
                                  find_group_basis_commutative, lambda_map,
@@ -19,6 +20,7 @@ from pgroupalg.decompose import (certify_indecomposable,
 from pgroupalg.fplin import FpSubspace, span
 from pgroupalg.groups import (PGroup, RetractionError, abelian_invariants,
                               agemo_derived, all_subgroups, catalog_build,
+                              characteristic_subgroup,
                               is_internal_direct_product, subgroup_to_pgroup,
                               trivial_subgroup)
 from pgroupalg.lemmas import VerificationError, verify_tensor_factorization
@@ -152,18 +154,46 @@ def test_lambda_rank_test_is_codomain_membership():
     assert (cases, inside) == (11930, 4816)
 
 
-def test_lambda_map_failure_names_its_check(monkeypatch):
-    real = decompose.frobenius_mod_derived
+# the catalog to order 64 (p = 2), 81 (p = 3) and 125 (p = 5)
+THEOREM_CATALOG = [G for p, max_order in ((2, 64), (3, 81), (5, 125))
+                   for G in builtin_catalog(p=p, max_order=max_order)]
 
-    def off_by_unit(ctx, X, q):
-        out = real(ctx, X, q)
-        out[:, 0] = (out[:, 0] + 1) % ctx.p
-        return out
 
-    monkeypatch.setattr(decompose, "frobenius_mod_derived", off_by_unit)
-    with pytest.raises(VerificationError) as exc:
-        lambda_map(catalog_by_name("C2xC4"), 2)
-    assert exc.value.check == "lambda-well-defined"
+@pytest.mark.parametrize("G", THEOREM_CATALOG,
+                         ids=lambda G: f"p{G.p}-{G.name}")
+def test_lambda_is_well_defined(G):
+    # the theorem that _lambda_codomain states in place of a check: for
+    # every s, the p^{s-1}-th powers of a basis of I(G)^2, exact modulo
+    # I(G')F_pG (frobenius_mod_derived), lie in Lambda's codomain U
+    ctx = AlgebraContext.of(G)
+    I2 = ctx.augmentation_power(2).basis
+    for s in range(1, round(math.log(G.exponent(), G.p)) + 1):
+        powers = frobenius_mod_derived(ctx, I2, G.p ** (s - 1))
+        assert not lambda_map(G, s).reduce(powers).any(), s
+
+
+@pytest.mark.parametrize("G", THEOREM_CATALOG,
+                         ids=lambda G: f"p{G.p}-{G.name}")
+def test_dim_I_mod_I2_is_the_frattini_rank(G):
+    # the theorem that certify_indecomposable states in place of a check:
+    # p^d |Phi(G)| = |G| for the d = dim I/I^2 that it reports
+    ctx = AlgebraContext.of(G)
+    d = ctx.augmentation_ideal().dim - ctx.augmentation_power(2).dim
+    assert G.p ** d * characteristic_subgroup(G, "frattini").order == G.order
+
+
+def test_recovery_forms_no_power_of_the_augmentation_ideal(monkeypatch):
+    # a recovery level reads I(B)^2 and Lambda in Jennings coordinates: it
+    # asks for no I(G)^m and no Frobenius power modulo the derived ideal
+    _, _, ctx, B, C = coordinate_factorization("C2xC4", "D8")
+    fact = verify_tensor_factorization(ctx, B, C)
+
+    def refused(*args):
+        raise AssertionError("called during recovery")
+
+    monkeypatch.setattr(AlgebraContext, "augmentation_power", refused)
+    monkeypatch.setattr(algebra, "frobenius_mod_derived", refused)
+    assert recover_decomposition(fact).verified
 
 
 @pytest.mark.parametrize("field, check", [

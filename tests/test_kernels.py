@@ -42,8 +42,9 @@ from pgroupalg.groups import (PGroup, Subgroup, _closure, abelian_invariants,
 from pgroupalg.io import group_from_dict
 from pgroupalg.lemmas import verify_tensor_factorization
 
-from oracles import (aug_square, commutator_span, conjugate, coordinates,
-                     dimension_subgroup, full_space, group_basis_search,
+from oracles import (aug_square, commutator_span, conjugacy_classes,
+                     conjugate, coordinates, dimension_subgroup, full_space,
+                     group_basis_search, jennings_functionals_per_m,
                      jennings_rows, group_closure_vectors, intersect,
                      unit_closure_invariants, units_of_order)
 
@@ -167,13 +168,19 @@ def test_normal_subgroup_ideal_matches_scatter(setting):
 
 
 def test_conjugacy_classes_match_group_conjugation(setting):
+    # center_subspace's one gather against the class sums of the oracle's
+    # loop over sets of conjugates: the same rows, each pivoted on the
+    # least element of its class, in canonical RREF as written
     ctx, _, _ = setting
     G = ctx.group
-    for cls in ctx.conjugacy_classes():
-        for g in cls:
-            assert {conjugate(G, g, h) for h in range(G.order)} == set(cls)
-    assert sorted(g for cls in ctx.conjugacy_classes() for g in cls) == \
-        list(range(G.order))
+    classes = conjugacy_classes(ctx)
+    sums = np.zeros((len(classes), G.order), dtype=np.int64)
+    for k, cls in enumerate(classes):
+        sums[k, list(cls)] = 1
+    Z = ctx.center_subspace()
+    assert np.array_equal(Z.basis, sums)
+    assert Z.pivots == tuple(cls[0] for cls in classes)
+    assert Z == FpSubspace(G.p, G.order, sums)
 
 
 def test_jennings_rows_match_scatter(setting):
@@ -238,6 +245,24 @@ def test_jennings_functionals_are_the_dual_basis(G):
         assert np.array_equal(ctx.jennings_functionals(m), F[weights < m])
     assert np.array_equal(ctx.jennings_functionals(1),
                           np.ones((1, G.order), dtype=np.int64))
+
+
+@pytest.mark.parametrize("G", CATALOG, ids=lambda G: f"p{G.p}-{G.name}")
+def test_jennings_functionals_match_per_m_construction(G, monkeypatch):
+    # for every m, up to one past the top weight, the rows selected from
+    # the context's one table against the oracle's construction for that
+    # m alone: the same rows in the same order, read only; the table is
+    # built once for all of them
+    builds = []
+    monkeypatch.setattr(algebra, "jennings_basis",
+                        lambda H: builds.append(H) or jennings_basis(H))
+    ctx = AlgebraContext(G)
+    top = (G.p - 1) * sum(w for _, w in jennings_basis(G))
+    for m in range(1, top + 3):
+        F = ctx.jennings_functionals(m)
+        assert np.array_equal(F, jennings_functionals_per_m(ctx, m)), m
+        assert not F.flags.writeable
+    assert builds == [G]
 
 
 @pytest.mark.parametrize("name", GROUPS + ("C4xC2", "M16", "C9xC3"))

@@ -1,4 +1,5 @@
-"""The library's surface: no function that only the tests call.
+"""The library's surface: no function that only the tests call, and no
+check that the README does not name.
 
 Walks ``src/pgroupalg`` with ``ast`` and fails on any module-level function
 or method that no library module refers to, outside its own body, unless
@@ -15,7 +16,9 @@ A reference made from the body of an ``ALLOWED`` function is not a use,
 since nothing in the library calls that body.  An entry kept as a
 ``perfbench/`` binding must name something that ``perfbench/`` still
 mentions, so it cannot outlive the binding.  It also fails on a name that
-a library module other than ``__init__.py`` imports and never reads.
+a library module other than ``__init__.py`` imports and never reads, and
+on a README whose list of named checks differs from the names that the
+library's ``VerificationError``s carry.
 """
 
 import ast
@@ -27,6 +30,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pgroupalg"
 PERFBENCH = SRC.parent.parent / "perfbench"
+README = SRC.parent.parent / "README.md"
 
 # (module, qualified name) -> why it stays with no library caller
 ALLOWED = {
@@ -269,3 +273,44 @@ def test_unused_imports_are_found():
             return os.path.join(x)
     """)
     assert _unused_imports(text) == ["rref", "sp"]
+
+
+def _raised_checks(sources):
+    """The check names that the sources give VerificationError, each a
+    string literal as its first argument; any other first argument fails,
+    since its name could not be read here."""
+    names = set()
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", None) == "VerificationError":
+                name = node.args[0]
+                assert isinstance(name, ast.Constant) and isinstance(
+                    name.value, str), ast.unparse(node)
+                names.add(name.value)
+    return names
+
+
+def _readme_checks():
+    """The names in backticks in README's list of named checks: the
+    paragraph that follows its "These are the named checks" line."""
+    after = README.read_text().split("These are the named checks", 1)[1]
+    block = after.split("\n", 1)[1].strip("\n").split("\n\n", 1)[0]
+    return set(re.findall(r"`([^`]+)`", block))
+
+
+def test_readme_names_every_check():
+    assert _readme_checks() == _raised_checks(_library())
+
+
+def test_raised_checks_are_found():
+    text = textwrap.dedent("""
+        def f(x):
+            if x:
+                raise VerificationError("one", "detail")
+            raise VerificationError(
+                "two")
+    """)
+    assert _raised_checks({"m": text}) == {"one", "two"}
+    with pytest.raises(AssertionError):
+        _raised_checks({"m": "VerificationError(name)"})

@@ -26,9 +26,9 @@ rows.
 
 Each group has one shared context, ``AlgebraContext.of(G)``, and each
 context memoizes what is derived from its group alone: the augmentation
-ideal and its powers, the Jennings table, the centre, the normal-subgroup
-ideals, the Omega/mho ideals of the lemmas and every right ideal, keyed
-by content.  A check that needs one of them again finds it built.
+ideal, the Jennings table its powers are read off, the centre, the
+normal-subgroup ideals, the Omega/mho ideals of the lemmas and every
+right ideal, keyed by content.  A check that needs one again finds it.
 """
 
 from __future__ import annotations
@@ -213,13 +213,6 @@ class AlgebraContext:
         F.setflags(write=False)
         return F
 
-    @memoized
-    def augmentation_power(self, m: int) -> FpSubspace:
-        """I(G)^m by plus_power; I(G) itself has its closed form."""
-        if m < 1:
-            raise AlgebraError("augmentation_power requires m >= 1")
-        return self.augmentation_ideal() if m == 1 else self.plus_power(None, m)
-
     def plus_power(self, X: FpSubspace | None, m: int) -> FpSubspace:
         """X + I(G)^m, or I(G)^m for X None: the common kernel of the
         Jennings functionals F of weight < m that vanish on X, spanned by
@@ -272,7 +265,7 @@ def product_space(ctx: AlgebraContext, X: FpSubspace, Y: FpSubspace) -> FpSubspa
 
 def power_space(ctx: AlgebraContext, X: FpSubspace, m: int) -> FpSubspace:
     """X^m for any subspace X, by the chain X^m = X^{m-1} X: no library
-    path calls it, the tests hold ``ctx.augmentation_power(m)`` to it, and
+    path calls it, the tests hold ``ctx.plus_power(None, m)`` to it, and
     perfbench/tracer.py wraps it."""
     if m < 1:
         raise AlgebraError("power_space requires m >= 1")
@@ -435,10 +428,11 @@ def unit_exponent_commutative(ctx: AlgebraContext, ideal: FpSubspace) -> int:
     """exp(1 + I(A)) = p^s with s minimal such that b^{p^s} = 0 on a basis.
 
     Valid because Frobenius is additive on a commutative algebra; the input
-    ideal must be commutative and nilpotent."""
-    k, table = ideal.dim, ctx.products(ideal.basis, ideal.basis)
-    if not tables_commute(table, table, k, k):
-        raise AlgebraError("ideal is not commutative")
+    ideal must be nilpotent and commutative, checked unless G is abelian."""
+    if not ctx.group.is_abelian():
+        k, table = ideal.dim, ctx.products(ideal.basis, ideal.basis)
+        if not tables_commute(table, table, k, k):
+            raise AlgebraError("ideal is not commutative")
     return ctx.p ** len(frobenius_chain(ctx, ideal.basis))
 
 
@@ -511,4 +505,4 @@ def group_algebra_subalgebra(ctx: AlgebraContext, elements) -> AugmentedSubalgeb
 def frattini_quotient(ctx: AlgebraContext) -> QuotientSpace:
     """I(G)/I(G)^2, the additive side of the Frattini correspondence; kept
     for perfbench/fixtures.py, which reads its section coordinates."""
-    return QuotientSpace(ctx.augmentation_ideal(), ctx.augmentation_power(2))
+    return QuotientSpace(ctx.augmentation_ideal(), ctx.plus_power(None, 2))

@@ -216,14 +216,13 @@ def _certify(G, args) -> dict:
 
 def _oracle(G, args) -> dict:
     pairs = direct_factor_oracle(G, cap=args.oracle_cap)
-    invariants = {}  # a factor's elements -> its invariants, or None
 
+    @functools.cache  # once per factor, by one abelian test
     def invariants_of(S):
-        if S.elements not in invariants:
-            invariants[S.elements] = \
-                [int(x) for x in abelian_invariants(S)] \
-                if S.is_abelian() else None
-        return invariants[S.elements]
+        try:
+            return [int(x) for x in abelian_invariants(S)]
+        except GroupError:  # S is not abelian
+            return None
 
     dumped = [{"H": [int(x) for x in H.elements],
                "K": [int(x) for x in K.elements],

@@ -32,8 +32,8 @@ from .fplin import (FpError, FpSubspace, QuotientSpace, matmul_mod, nullspace,
 from .groups import (ORACLE_CAP, PGroup, RetractionError, Subgroup,
                      _check_oracle_cap, _direct_pairs, abelian_invariants,
                      agemo_derived, characteristic_subgroup, full_subgroup,
-                     is_internal_direct_product, retraction_complement,
-                     subgroup_to_pgroup, trivial_subgroup)
+                     is_internal_direct_product, jennings_basis,
+                     retraction_complement, subgroup_to_pgroup)
 from .lemmas import TensorFactorizationInput, VerificationError
 
 # Largest product formed at once while streaming units, in entries (1 MB)
@@ -43,10 +43,15 @@ _UNIT_ENTRIES = 1 << 17
 _UNIT_FIRST_ROWS = 64
 
 
+def _check_lambda_range(G: PGroup, s: int) -> None:
+    if s < 1 or G.p ** s > G.exponent():
+        raise ValueError(f"lambda_map requires 1 <= p^s <= exp(G), got s={s}")
+
+
 def lambda_map(G: PGroup, s: int) -> FpSubspace:
-    """The codomain ideal U of Lambda as a subspace of F_pG, after the s
-    range check of _lambda_codomain; a recovery level reads U there."""
-    _lambda_codomain(G, s)
+    """The codomain ideal U of Lambda as a subspace of F_pG; a recovery
+    level reads U in Jennings coordinates (_lambda_codomain)."""
+    _check_lambda_range(G, s)
     ctx = AlgebraContext.of(G)
     return ctx.plus_power(normal_subgroup_ideal(ctx, agemo_derived(G, s)),
                           G.p ** (s - 1) + 1)
@@ -61,9 +66,8 @@ def _lambda_codomain(G: PGroup, s: int) -> tuple[np.ndarray, FpSubspace]:
     z in I(G)^2 has z^q in I(G)^{2q}, inside I(G)^{q+1}, and U holds
     I(G')F_pG, modulo which F_pG is commutative of characteristic p, so
     z -> z^q is additive modulo U."""
+    _check_lambda_range(G, s)
     p = G.p
-    if s < 1 or p ** s > G.exponent():
-        raise ValueError(f"lambda_map requires 1 <= p^s <= exp(G), got s={s}")
     ctx, q = AlgebraContext.of(G), p ** (s - 1)
     F = ctx.jennings_functionals(q + 1)
     X = normal_subgroup_ideal(ctx, agemo_derived(G, s))
@@ -311,7 +315,7 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
         cur_embed = [cur_embed[e] for e in g0_elems]
         depth += 1
 
-    b_side = Subgroup.generated(G, hs) if hs else trivial_subgroup(G)
+    b_side = Subgroup.generated(G, hs)
     c_side = Subgroup(G, tuple(cur_embed))
     verified = is_internal_direct_product(G, b_side, c_side)
     if not verified:
@@ -346,16 +350,15 @@ def certify_indecomposable(G: PGroup, oracle_cap: int = ORACLE_CAP) -> Certifica
     cyclic derived subgroup; the commutative case is settled separately and
     does not receive a certificate here.
 
-    d = dim I/I^2 is not checked against |G : Phi(G)|: it counts the
-    weight-1 Jennings basis elements, so p^d = |G : D_2|, and D_2 and
+    d = dim I/I^2 counts the weight-1 Jennings basis elements, as those of
+    weight >= 2 span I(G)^2, so p^d = |G : D_2| = |G : Phi(G)|: D_2 and
     Phi(G) = agemo_derived(G, 1) are both the closure of all commutators
     and p-th powers (groups.jennings_series).
     """
     _check_oracle_cap(G, oracle_cap)
     # indecomposable iff the oracle's pair stream is empty: stop at a pair
     indec = next(_direct_pairs(full_subgroup(G)), None) is None
-    ctx = AlgebraContext.of(G)
-    d = ctx.augmentation_ideal().dim - ctx.augmentation_power(2).dim
+    d = sum(w == 1 for _, w in jennings_basis(G))
     derived_cyclic = characteristic_subgroup(G, "derived").is_cyclic()
     if G.is_abelian():
         return Certificate("none", indec, d, derived_cyclic,

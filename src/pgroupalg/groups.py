@@ -10,8 +10,8 @@ Each fact is checked once.  A table from outside, an input's or a
 catalog group's, is checked in full when built; one derived from a
 checked group, a subgroup's or a quotient's, is a group table by
 construction and is taken as it is (PGroup._trusted).  Subgroup checks a
-given element set, but not a closure, which _close has just found closed
-(Subgroup.generated).
+given element set, but not a subgroup by construction (_trusted): the
+closure that _close found (generated), a lattice entry, the centre.
 
 The subgroup lattice is enumerated one layer at a time, by index-p
 extension (Neubüser's cyclic extension, specialised to p-groups).  Every
@@ -30,10 +30,10 @@ The normal lattice, all that the direct-factor oracle reads, is built the
 same way by central extension.  A chief series of a p-group through a
 normal N > 1 has factors of order p, so N = H<g> for a normal H of index p
 in N, and N/H is central in G/H: g^p in H and [g, x] in H for every x,
-one gather over the commutator table for a whole layer.  The oracle meets
-the masks of two layers as 64-bit words and builds a Subgroup only for a
-factor it returns.  Subgroups of G, direct factors included, are read in
-G's own table rather than re-indexed as groups of their own.
+one boolean product with the commutator table's incidence for a layer.
+The oracle meets the masks of two layers as 64-bit words and builds a
+Subgroup, unchecked, only for a factor it returns.  Subgroups of G, direct
+factors included, are read in G's own table, not re-indexed as groups.
 
 The dimension subgroups D_m and a basis of each D_m/D_{m+1} (Jennings)
 come from the commutator and p-th power tables the same way; the algebra
@@ -94,6 +94,27 @@ def _prime_power(n: int) -> tuple[int, int] | None:
                 k += 1
             return (p, k) if n == 1 else None
     return None
+
+
+def memoized(fn):
+    """Memoize fn(owner, *args) in owner._memo, keyed by fn's name and args.
+
+    The owner is a PGroup or an AlgebraContext, and its memo is one of its
+    attributes: a result lives exactly as long as the object it was
+    computed for, and nothing is shared between groups.  Results must not
+    be mutated (subgroups hold tuples, subspaces read-only bases).
+    """
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def wrapper(owner, *args):
+        memo = owner._memo
+        key = (name, *args)
+        if key not in memo:
+            memo[key] = fn(owner, *args)
+        return memo[key]
+
+    return wrapper
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,32 +198,12 @@ class PGroup:
     def exponent(self) -> int:
         return int(_element_orders(self).max())
 
+    @memoized
     def is_abelian(self) -> bool:
         return np.array_equal(self.table, self.table.T)
 
     def __repr__(self):
         return f"PGroup(p={self.p}, order={self.order}, name={self.name!r})"
-
-
-def memoized(fn):
-    """Memoize fn(owner, *args) in owner._memo, keyed by fn's name and args.
-
-    The owner is a PGroup or an AlgebraContext, and its memo is one of its
-    attributes: a result lives exactly as long as the object it was
-    computed for, and nothing is shared between groups.  Results must not
-    be mutated (subgroups hold tuples, subspaces read-only bases).
-    """
-    name = fn.__name__
-
-    @functools.wraps(fn)
-    def wrapper(owner, *args):
-        memo = owner._memo
-        key = (name, *args)
-        if key not in memo:
-            memo[key] = fn(owner, *args)
-        return memo[key]
-
-    return wrapper
 
 
 def _powers(G: PGroup, k: int) -> np.ndarray:
@@ -335,13 +336,17 @@ class Subgroup:
             raise GroupError("subgroup not closed under multiplication")
 
     @classmethod
+    def _trusted(cls, parent: PGroup, elements: np.ndarray) -> "Subgroup":
+        """Sorted elements that are a subgroup by construction, as is."""
+        S = cls.__new__(cls)
+        vars(S).update(parent=parent, elements=tuple(elements.tolist()))
+        return S
+
+    @classmethod
     def generated(cls, parent: PGroup, gens) -> "Subgroup":
         """<gens>, with no check: _close has just found it closed, and it
         holds 1, so it is a subgroup of the finite group (g^-1 = g^(|g|-1))."""
-        S = cls.__new__(cls)
-        vars(S).update(parent=parent,
-                       elements=tuple(_closure(parent, gens).tolist()))
-        return S
+        return cls._trusted(parent, _closure(parent, gens))
 
     @property
     def order(self) -> int:
@@ -354,6 +359,8 @@ class Subgroup:
         return bool(_mask(G.order, S)[conj].all())
 
     def is_abelian(self) -> bool:
+        if self.parent.is_abelian():  # no gather
+            return True
         S = np.array(self.elements, dtype=np.int64)
         sub = self.parent.table[S[:, None], S]
         return bool(np.array_equal(sub, sub.T))
@@ -374,12 +381,8 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent!r})"
 
 
-def trivial_subgroup(G: PGroup) -> Subgroup:
-    return Subgroup(G, (0,))
-
-
 def full_subgroup(G: PGroup) -> Subgroup:
-    return Subgroup(G, tuple(range(G.order)))
+    return Subgroup._trusted(G, np.arange(G.order))
 
 
 def subgroup_to_pgroup(S: Subgroup, name: str = "") -> tuple[PGroup, list[int]]:
@@ -407,8 +410,7 @@ def characteristic_subgroup(G: PGroup, kind: str, i: int = 1) -> Subgroup:
 def _characteristic_subgroup(G: PGroup, kind: str, i: int) -> Subgroup:
     T = G.table
     if kind == "center":
-        elems = np.flatnonzero((T == T.T).all(axis=1))
-        return Subgroup(G, tuple(elems.tolist()))
+        return Subgroup._trusted(G, np.flatnonzero((T == T.T).all(axis=1)))
     if kind == "derived":
         return Subgroup.generated(G, _commutator_table(G).ravel())
     if kind == "omega":
@@ -595,7 +597,8 @@ def _index_p_extensions(
             E, inside = elems[a:a + step], masks[a:a + step]
             ok = admissible(E, inside) & inside[:, pow_p] & ~inside
             coset_min = T[:, E].min(axis=2).T  # row i, column x: min x H_i
-            least = np.minimum.reduce([coset_min[:, pw] for pw in pows])
+            least = functools.reduce(  # g^1 H is coset_min itself
+                np.minimum, (coset_min[:, pw] for pw in pows[1:]), coset_min)
             hs, gs = np.nonzero(ok & (least == np.arange(n)))
             rows, at = inside[hs], np.arange(hs.size)[:, None]
             for pw in pows:  # the coset H g^k
@@ -653,10 +656,11 @@ def _normal_lattice(G: PGroup) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     Built by central extension (see the module docstring): N = H<g> with
     H normal and gH central in G/H, that is [g, x] in H for every x.
     """
-    comm = _commutator_table(G)
+    hits = np.zeros((G.order, G.order), dtype=bool)  # [c, g]: c is some [g, x]
+    hits[_commutator_table(G), np.arange(G.order)[:, None]] = True
 
-    def central(E, inside):  # row i, column g: [g, x] in H_i for all x
-        return inside[:, comm].all(axis=2)
+    def central(E, inside):  # row i, column g: no hit of g outside H_i
+        return ~(~inside @ hits)  # a transposed view here grew peak RSS
 
     layers = tuple((_words(masks), elems)
                    for masks, elems in _index_p_extensions(G, central))
@@ -680,7 +684,7 @@ def _direct_pairs(F: Subgroup):
     meet trivially commute elementwise, so |H||K| = |F| and H & K = 1 give
     F = H x K.  For each layer of H with |H|^2 <= |F|, a chunk of H at a
     time meets the layer of order |F|/|H| word by word; a Subgroup is
-    built only for a factor that is yielded, once per lattice entry.
+    built unchecked only for a factor yielded, once per lattice entry.
     """
     G = F.parent
     lattice = _normal_lattice(G)
@@ -692,7 +696,7 @@ def _direct_pairs(F: Subgroup):
     def factor(m, i):
         S = subs[m][i]
         if S is None:
-            S = subs[m][i] = Subgroup(G, tuple(lattice[m][1][i].tolist()))
+            S = subs[m][i] = Subgroup._trusted(G, lattice[m][1][i])
         return S
 
     def inside_F(m):

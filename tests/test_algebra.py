@@ -14,12 +14,13 @@ from pgroupalg.algebra import (AlgebraContext, AlgebraError,
                                ideal_generated, mho_ideal_mod_derived,
                                normal_subgroup_ideal, omega_central,
                                omega_central_ideal, power_space,
-                               product_space, right_ideal,
+                               product_space, right_ideal, tables_commute,
                                unit_exponent_commutative)
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.fplin import span
 from pgroupalg.groups import (PGroup, agemo_derived, catalog_build,
-                              characteristic_subgroup, omega_center_derived)
+                              characteristic_subgroup, omega_center_derived,
+                              r_subquotient)
 
 from oracles import (EnumerationCapExceeded, aug_square, augmentation,
                      commutator_span, conjugacy_classes, dimension_subgroup,
@@ -203,6 +204,27 @@ def test_unit_exponent_rejects_noncommutative():
         unit_exponent_commutative(ctx, ctx.augmentation_ideal())
 
 
+@pytest.mark.parametrize("G", [
+    G for p, max_order in ((2, 64), (3, 81), (5, 125))
+    for G in builtin_catalog(p=p, max_order=max_order)],
+    ids=lambda G: f"p{G.p}-{G.name}")
+def test_unit_exponent_of_an_abelian_quotient_forms_no_table(G):
+    # on every quotient Q = G/(mho_i(G)G') that cyclic-factor reads, Q is
+    # abelian, so the ideal I(R)F_pQ commutes with no product table: its
+    # table is symmetric, and the exponent is the one read with it
+    smax = round(math.log(G.exponent(), G.p))
+    for i in range(1, smax + 1):
+        _, R_sub = r_subquotient(G, i)
+        ctx = AlgebraContext(R_sub.parent)
+        ideal = normal_subgroup_ideal(ctx, R_sub)
+        table = ctx.products(ideal.basis, ideal.basis)
+        assert ctx.group.is_abelian() and tables_commute(
+            table, table, ideal.dim, ideal.dim)
+        ctx.products = None  # the abelian path forms no product
+        assert unit_exponent_commutative(ctx, ideal) == \
+            G.p ** len(frobenius_chain(ctx, ideal.basis)), i
+
+
 @pytest.mark.parametrize("name", ["C8", "C2xC4", "D8", "C9xC3", "C5xC5"])
 def test_frobenius_chain_gives_every_unit_order(name):
     # 1 + x has order p^len(chain(x)), by repeated multiplication
@@ -298,8 +320,6 @@ def _memoized_builders(G):
     builders["I"] = lambda ctx: ctx.augmentation_ideal()
     builders["Z"] = lambda ctx: ctx.center_subspace()
     builders["Z(I)"] = lambda ctx: ctx.central_ideal_part()
-    for m in range(1, G.order + 1):
-        builders["I^", m] = lambda ctx, m=m: ctx.augmentation_power(m)
     for i in range(1, smax + 1):
         for fn in (omega_central, omega_central_ideal, mho_ideal_mod_derived):
             builders[fn.__name__, i] = lambda ctx, fn=fn, i=i: fn(ctx, i)
@@ -324,8 +344,6 @@ def test_memo_matches_fresh_context(name):
         copy = PGroup(G.p, G.table.copy(), G.name)
         for fresh in (AlgebraContext(G), AlgebraContext(copy)):
             assert _same(build(fresh), built[key]), key
-        if key[0] == "I^":  # and power_space, which uses no memo
-            assert power_space(ctx, built["I"], key[1]) == built[key], key
 
 
 def test_memo_dies_with_its_group():

@@ -8,7 +8,8 @@ schedule.  Its tracer wraps functions and methods by name (``solve``,
 both files as they are, so that a change which drops one of those names
 fails here rather than in a traced benchmark run.  The tracer's counters
 read the arguments and results of the functions it wraps, so one recover
-item and one oracle item also run through ``cli.run`` under it.
+item and one item of each lattice command also run through ``cli.run``
+under it.
 """
 
 import importlib
@@ -43,14 +44,18 @@ def test_tracer_and_fixtures_run_against_the_library(monkeypatch):
 def test_tracer_counters_meet_the_library_signatures(monkeypatch, tmp_path):
     # a traced pass runs each item through the wrapped cli.run: the
     # counters on find_group_basis_commutative, recover_decomposition and
-    # dump_report read the calls as the library makes them
+    # dump_report read the calls as the library makes them, and the spans
+    # on certify_indecomposable and unit_exponent_commutative wrap the
+    # functions that the certify and cyclic-factor items call
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracer")
     fixtures = importlib.import_module("fixtures")
     picked = [next(pair for pair in fixtures.workload_items(workload, 0)
                    if pair[0]["command"] == command)
               for workload, command in (("recover", "recover"),
-                                        ("lattice", "oracle"))]
+                                        ("lattice", "oracle"),
+                                        ("lattice", "certify"),
+                                        ("lattice", "cyclic-factor"))]
     path, out = tmp_path / "input.json", str(tmp_path / "report.json")
     t = tracer.Tracer()
     t.install()
@@ -66,5 +71,9 @@ def test_tracer_counters_meet_the_library_signatures(monkeypatch, tmp_path):
     assert summary["decompose.find_group_basis_commutative.units"] > 0
     assert summary["decompose.recovery_steps"] > 0
     assert summary["groups.direct_factor_oracle.calls"] == 1
+    assert summary["decompose.certify_indecomposable.calls"] == 1
+    assert summary["lemmas.cyclic_factor_test.calls"] > 0
+    assert summary["algebra.unit_exponent_commutative.calls"] == \
+        summary["lemmas.cyclic_factor_test.calls"]
     assert summary["io.report_bytes"] > 0
-    assert summary["cli.run.calls"] == 2
+    assert summary["cli.run.calls"] == 4

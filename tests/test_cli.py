@@ -686,6 +686,53 @@ def test_sampled_unit_search_recovery_is_pinned(tmp_path):
         "d464fc85b97d5e603557066792881e474a93a70080b45d90468f82666afbf966"
 
 
+# sha256 of the canonical body of each lattice command, recorded before
+# centrality became a boolean product and certify read d off the Jennings
+# basis: over the 26 p = 2 groups of the benchmark's lattice workload (one
+# --input file each, in its order) and over the p = 3 catalog to order 27
+LATTICE_DIGESTS = {
+    ("cyclic-factor", "bench-p2"):
+        "2f217210a7f35493c79429c1c2ddcb39463a836f4fb6f507d0ead7f68b9d2246",
+    ("cyclic-factor", "p3"):
+        "7a24c88f5b8a3f8dcf35558e8a83649f08caa9a8d8f25670fe3a616b90a6147e",
+    ("certify", "bench-p2"):
+        "b1631aca657909a85ade0d6b2c53de042c071ca89eb70d79e7824e34dc475664",
+    ("certify", "p3"):
+        "bb0ded68ed350a36b06e92b1e13d6c2176a183d00ef84cf8aca6797be2663a43",
+    ("oracle", "bench-p2"):
+        "85d5b03845859c630b7fe49715c7ab45465b33398f1badd9c7615242b9fe0268",
+    ("oracle", "p3"):
+        "bf9b42b8f143a39c208a5ed7ddb7f3b4178de8b7d28cdf8b0a3c15ef5240409a",
+}
+
+
+@pytest.fixture(scope="module")
+def bench_lattice_files(bench_fixtures, tmp_path_factory):
+    """The group file of each p = 2 group of the benchmark's lattice
+    workload, in its order."""
+    out = tmp_path_factory.mktemp("lattice")
+    files = []
+    for item, data in bench_fixtures.workload_items("lattice", 0):
+        if item["command"] == "cyclic-factor":
+            files.append(out / f"{len(files)}.json")
+            files[-1].write_text(json.dumps(data))
+    assert len(files) == 26
+    return files
+
+
+@pytest.mark.parametrize("command, groups", LATTICE_DIGESTS)
+def test_lattice_bodies_are_pinned(tmp_path, bench_lattice_files, command,
+                                   groups):
+    argv = (["--p", "3", "--max-order", "27"] if groups == "p3" else
+            [arg for path in bench_lattice_files
+             for arg in ("--input", str(path))])
+    code, body = run_to_file(tmp_path, [command, *argv])
+    assert code == EXIT_OK
+    text = json.dumps(body[command.replace("-", "_")], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        LATTICE_DIGESTS[command, groups]
+
+
 def test_recover_at_order_243(tmp_path):
     # 1 + I(F_3[C9xC3]) has 3^26 units, beside C3xC3 at order 243: the
     # group basis is constructed, so this recovery takes about a second

@@ -3,6 +3,7 @@ and full recovery."""
 
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,22 +11,24 @@ import pytest
 
 import pgroupalg.algebra as algebra
 import pgroupalg.decompose as decompose
+import pgroupalg.fplin as fplin
 from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
                                frobenius_mod_derived, group_algebra_subalgebra,
-                               omega_central, power_space)
+                               normal_subgroup_ideal, omega_central,
+                               power_space)
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.decompose import (certify_indecomposable,
                                  find_group_basis_commutative, lambda_map,
                                  recover_decomposition, split_cyclic)
 from pgroupalg.fplin import FpSubspace, span
-from pgroupalg.groups import (PGroup, RetractionError, abelian_invariants,
-                              agemo_derived, all_subgroups, catalog_build,
+from pgroupalg.groups import (PGroup, RetractionError, Subgroup,
+                              abelian_invariants, agemo_derived,
+                              all_subgroups, catalog_build,
                               characteristic_subgroup,
-                              is_internal_direct_product, subgroup_to_pgroup,
-                              trivial_subgroup)
+                              is_internal_direct_product, subgroup_to_pgroup)
 from pgroupalg.lemmas import VerificationError, verify_tensor_factorization
 
-from oracles import (full_space, group_closure_vectors,
+from oracles import (augmentation_power, full_space, group_closure_vectors,
                      group_from_unit_vectors, jennings_rows, lambda_data,
                      splits_as_algebra, subgroup_ideal)
 
@@ -166,20 +169,68 @@ def test_lambda_is_well_defined(G):
     # every s, the p^{s-1}-th powers of a basis of I(G)^2, exact modulo
     # I(G')F_pG (frobenius_mod_derived), lie in Lambda's codomain U
     ctx = AlgebraContext.of(G)
-    I2 = ctx.augmentation_power(2).basis
+    I2 = augmentation_power(ctx, 2).basis
     for s in range(1, round(math.log(G.exponent(), G.p)) + 1):
         powers = frobenius_mod_derived(ctx, I2, G.p ** (s - 1))
         assert not lambda_map(G, s).reduce(powers).any(), s
 
 
+def record_eliminations(monkeypatch) -> list[str]:
+    """The name of every later call of rref, through each binding of it
+    in the library's modules, and of AlgebraContext.__init__."""
+    calls = []
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    real = fplin.rref
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pgroupalg") and getattr(module, "rref",
+                                                    None) is real:
+            monkeypatch.setattr(module, "rref", recorded("rref", real))
+    monkeypatch.setattr(AlgebraContext, "__init__", recorded(
+        "AlgebraContext", AlgebraContext.__init__))
+    return calls
+
+
 @pytest.mark.parametrize("G", THEOREM_CATALOG,
                          ids=lambda G: f"p{G.p}-{G.name}")
-def test_dim_I_mod_I2_is_the_frattini_rank(G):
-    # the theorem that certify_indecomposable states in place of a check:
-    # p^d |Phi(G)| = |G| for the d = dim I/I^2 that it reports
-    ctx = AlgebraContext.of(G)
-    d = ctx.augmentation_ideal().dim - ctx.augmentation_power(2).dim
+def test_dim_I_mod_I2_is_the_frattini_rank(G, monkeypatch):
+    # the d that certify_indecomposable reports, the number of weight-1
+    # Jennings generators, is dim I - dim I^2, and p^d |Phi(G)| = |G|; on
+    # a fresh copy of G, certify builds no context and eliminates nothing
+    fresh = PGroup(G.p, G.table.copy(), G.name)
+    calls = record_eliminations(monkeypatch)
+    d = certify_indecomposable(fresh, oracle_cap=G.order).min_generators
+    assert calls == []
+    monkeypatch.undo()
+    ctx = AlgebraContext(G)
+    assert d == ctx.augmentation_ideal().dim - augmentation_power(ctx, 2).dim
     assert G.p ** d * characteristic_subgroup(G, "frattini").order == G.order
+
+
+@pytest.mark.parametrize("G", THEOREM_CATALOG,
+                         ids=lambda G: f"p{G.p}-{G.name}")
+def test_lambda_map_eliminates_only_its_codomain(G, monkeypatch):
+    # with X = I(mho_s(G)G')F_pG and the Jennings table built, lambda_map
+    # makes exactly the eliminations of plus_power(X, q + 1), which gives
+    # the U it returns; a range check that formed Lambda's rank
+    # coordinates eliminated len(F) rows more
+    fresh = PGroup(G.p, G.table.copy(), G.name)
+    ctx = AlgebraContext.of(fresh)
+    for s in range(1, round(math.log(G.exponent(), G.p)) + 1):
+        X = normal_subgroup_ideal(ctx, agemo_derived(fresh, s))
+        ctx.jennings_functionals(G.p ** (s - 1) + 1)
+        calls = record_eliminations(monkeypatch)
+        U = lambda_map(fresh, s)
+        mapped = len(calls)
+        V = ctx.plus_power(X, G.p ** (s - 1) + 1)
+        monkeypatch.undo()
+        assert calls == ["rref"] * (2 * mapped), s
+        assert U == V
 
 
 def test_recovery_forms_no_power_of_the_augmentation_ideal(monkeypatch):
@@ -191,7 +242,7 @@ def test_recovery_forms_no_power_of_the_augmentation_ideal(monkeypatch):
     def refused(*args):
         raise AssertionError("called during recovery")
 
-    monkeypatch.setattr(AlgebraContext, "augmentation_power", refused)
+    monkeypatch.setattr(AlgebraContext, "plus_power", refused)
     monkeypatch.setattr(algebra, "frobenius_mod_derived", refused)
     assert recover_decomposition(fact).verified
 
@@ -387,7 +438,7 @@ def test_theorem_splitting_failure_names_its_check(monkeypatch, wrong):
     def wrong_complement(G, ctx, target, s):
         h, H, G0 = real(G, ctx, target, s)
         if wrong == "trivial":
-            return h, H, trivial_subgroup(G)
+            return h, H, Subgroup.generated(G, ())
         return h, H, next(S for S in all_subgroups(G)
                           if S.order == G0.order and h in S.elements)
 
@@ -404,7 +455,7 @@ def test_coset_candidates_match_per_element_scan(name):
     # I(G), against one membership test per group element
     G = catalog_by_name(name)
     ctx = AlgebraContext(G)
-    I2 = ctx.augmentation_power(2)
+    I2 = augmentation_power(ctx, 2)
     I = ctx.augmentation_ideal()
     rng = np.random.default_rng(0)
     for t in range(G.order):
@@ -431,7 +482,7 @@ def test_lift_failure_lists_every_rejected_candidate(monkeypatch):
     # order-2 candidate is listed as such, the rest by order
     G = catalog_by_name("C2xC8")
     ctx = AlgebraContext(G)
-    I2 = ctx.augmentation_power(2)
+    I2 = augmentation_power(ctx, 2)
     t = next(g for g in range(16) if G.element_order(g) == 2
              and not I2.contains_vector(ctx.group_minus_one(g)))
 
@@ -456,7 +507,7 @@ def test_kernel_form_at_order_one(p):
     G = PGroup(p, np.zeros((1, 1), dtype=np.int64), name="1")
     ctx = AlgebraContext(G)
     assert np.array_equal(ctx.jennings_functionals(2), [[1]])
-    assert ctx.augmentation_power(2).dim == ctx.augmentation_ideal().dim == 0
+    assert augmentation_power(ctx, 2).dim == ctx.augmentation_ideal().dim == 0
     one = full_space(p, 1)
     assert ctx.plus_power(one, 2) is one
     assert decompose._coset_candidates(ctx, np.zeros(1, dtype=np.int64)) \

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import re
 import tracemalloc
@@ -24,8 +25,7 @@ from pgroupalg.groups import (GroupError, OracleCapExceeded, PGroup,
                               jennings_series,
                               quotient_group, r_subquotient,
                               retraction_complement,
-                              split_into_indecomposables, subgroup_to_pgroup,
-                              trivial_subgroup)
+                              split_into_indecomposables, subgroup_to_pgroup)
 
 from oracles import (commutator, conjugate, has_cyclic_factor_of_order,
                      least_failing_triple, normal_subgroups, power)
@@ -595,7 +595,7 @@ def test_subgroup_validation():
         Subgroup(V4, (0, 1, 2))  # involutions, but 1 * 2 = 3 is missing
     with pytest.raises(GroupError, match="range"):
         Subgroup(C4, (0, 2, 4))
-    assert trivial_subgroup(D8).order == 1
+    assert Subgroup.generated(D8, ()).order == 1
     assert full_subgroup(D8).order == 8
 
 
@@ -682,6 +682,34 @@ def test_normal_subgroups_match_filtered_lattice(G):
         assert [tuple(np.flatnonzero(row)) for row in bits] == \
             [tuple(row) for row in elems.tolist()]
     assert _normal_lattice(G) is lattice  # memoized on G
+
+
+@pytest.mark.parametrize("G", [
+    G for p, max_order in ((2, 64), (3, 81), (5, 125))
+    for G in builtin_catalog(p=p, max_order=max_order)],
+    ids=lambda G: f"p{G.p}-{G.name}")
+def test_lattice_entries_and_centre_pass_the_subgroup_checks(G):
+    # the normal lattice's entries, the direct factors built from them and
+    # the centre are taken with no check (Subgroup._trusted): each is a
+    # set that Subgroup's checks accept, each entry of layer m is normal of
+    # order p^m, and Subgroup.is_abelian, which skips the gather in an
+    # abelian G, agrees with the gather of the entry's table
+    T = G.table
+    centre = characteristic_subgroup(G, "center")
+    assert centre == Subgroup(G, centre.elements)
+    assert centre.elements == tuple(
+        g for g in range(G.order)
+        if all(commutator(G, g, x) == 0 for x in range(G.order)))
+    for m, (_, elems) in enumerate(_normal_lattice(G)):
+        for row in elems.tolist():
+            S = Subgroup(G, row)
+            assert S.order == G.p ** m and S.is_normal()
+            sub = T[np.ix_(row, row)]
+            assert S.is_abelian() == np.array_equal(sub, sub.T)
+    for pair in itertools.islice(groups._direct_pairs(full_subgroup(G)), 64):
+        for F in pair:
+            assert F == Subgroup(G, F.elements)
+            assert all(type(x) is int for x in F.elements)
 
 
 @pytest.mark.parametrize("G", _reference_corpus(), ids=lambda G: G.name)

@@ -42,10 +42,11 @@ from pgroupalg.groups import (PGroup, Subgroup, _closure, abelian_invariants,
 from pgroupalg.io import group_from_dict
 from pgroupalg.lemmas import verify_tensor_factorization
 
-from oracles import (aug_square, commutator_span, conjugacy_classes,
-                     conjugate, coordinates, dimension_subgroup, full_space,
-                     group_basis_search, jennings_functionals_per_m,
-                     jennings_rows, group_closure_vectors, intersect,
+from oracles import (aug_square, augmentation_power, commutator_span,
+                     conjugacy_classes, conjugate, coordinates,
+                     dimension_subgroup, full_space, group_basis_search,
+                     jennings_functionals_per_m, jennings_rows,
+                     group_closure_vectors, intersect,
                      unit_closure_invariants, units_of_order)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -210,11 +211,11 @@ def test_jennings_powers_match_product_chain(G):
     # group-side series
     ctx = AlgebraContext(G)
     I = ctx.augmentation_ideal()
-    assert ctx.augmentation_power(2) == power_space(ctx, I, 2)
+    assert augmentation_power(ctx, 2) == power_space(ctx, I, 2)
     series = jennings_series(G)
     chain, m = I, 1
     while True:
-        assert ctx.augmentation_power(m) == chain, m
+        assert augmentation_power(ctx, m) == chain, m
         assert dimension_subgroup(ctx, m) == series[min(m, len(series)) - 1]
         if not chain.dim:
             break
@@ -224,7 +225,7 @@ def test_jennings_powers_match_product_chain(G):
     # is X, with no functional row left to eliminate
     X = ctx.center_subspace()
     for past in (m + 1, 2 * m, G.order + 1):
-        assert ctx.augmentation_power(past) == chain
+        assert augmentation_power(ctx, past) == chain
         assert ctx.plus_power(X, past) is X
         assert len(ctx.jennings_functionals(past)) == G.order
     rows, _ = jennings_rows(ctx)
@@ -283,7 +284,7 @@ def test_plus_power_matches_elimination(name):
     I = ctx.augmentation_ideal()
     Im, m = I, 1
     while True:
-        assert ctx.augmentation_power(m) == Im
+        assert augmentation_power(ctx, m) == Im
         for X in spaces:
             assert ctx.plus_power(X, m) == X + Im, (m, X)
         if not Im.dim:
@@ -762,7 +763,7 @@ def test_frobenius_gathers_match_powers_modulo_the_derived_ideal():
         ctx = AlgebraContext(G)
         D = normal_subgroup_ideal(ctx, characteristic_subgroup(G, "derived"))
         row_sets = (ctx.augmentation_ideal().basis,
-                    ctx.augmentation_power(2).basis,
+                    augmentation_power(ctx, 2).basis,
                     rng.integers(0, G.p, size=(8, G.order)))
         q = G.p
         while q <= G.exponent():
@@ -1072,7 +1073,7 @@ def test_ideal_generated_matches_fixpoint(name, level, central, seed):
     if central:
         space = ctx.center_subspace()
     else:
-        space = (ctx.augmentation_power(level) if level
+        space = (augmentation_power(ctx, level) if level
                  else full_space(ctx.p, ctx.dim))
     X = FpSubspace(p, n, rng.integers(0, p, size=(rng.integers(0, 4),
                                                   space.dim)) @ space.basis)

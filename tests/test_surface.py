@@ -48,6 +48,10 @@ ALLOWED = {
         "perfbench binding: perfbench/fixtures.py calls it",
     ("algebra", "frattini_quotient"):
         "perfbench binding: perfbench/fixtures.py calls it",
+    ("algebra", "AlgebraContext.plus_power"):
+        "public entry point: X + I(G)^m, and I(G)^m, as a subspace of "
+        "F_pG, which lambda_map and frattini_quotient build theirs with; "
+        "library paths read I(G)^m in Jennings coordinates instead",
     ("decompose", "lambda_map"):
         "public entry point: Lambda's codomain ideal as a subspace of "
         "F_pG, which a recovery level reads in Jennings coordinates "

@@ -11,7 +11,7 @@ from .catalog import builtin_catalog, catalog_by_name
 from .decompose import (Certificate, DecompositionReport,
                         certify_indecomposable, find_group_basis_commutative,
                         lambda_map, recover_decomposition, split_cyclic)
-from .fplin import FpSubspace, QuotientSpace, span
+from .fplin import FpSubspace, QuotientSpace
 from .groups import (PGroup, Subgroup, abelian_invariants, agemo_derived,
                      catalog_build, characteristic_subgroup,
                      cyclic_factor_orders, direct_factor_oracle,

@@ -18,11 +18,10 @@ Every ideal takes at most two eliminations.  I(N)F_pG, the augmentation
 ideal among them, is written down in canonical RREF from the cosets of N
 with none, and so are Z(F_pG), Z(I(G)) and every B ∩ I(G);
 ``ideal_generated`` eliminates the left translates of its generators and
-then, unless they are central, the right translates of that left ideal;
-the mho ideal modulo the derived ideal is one elimination of powers that
-gathers give.  I(G)^m and X + I(G)^m are kernels of Jennings coordinates
-of weight below m, from one and two eliminations of at most codim I(G)^m
-rows.
+then the right translates of that left ideal; the mho ideal modulo the
+derived ideal is one elimination of powers that gathers give.  I(G)^m
+and X + I(G)^m are kernels of Jennings coordinates of weight below m,
+from one and two eliminations of at most codim I(G)^m rows.
 
 Each group has one shared context, ``AlgebraContext.of(G)``, and each
 context memoizes what is derived from its group alone: the augmentation
@@ -283,15 +282,11 @@ def right_ideal(ctx: AlgebraContext, X: FpSubspace) -> FpSubspace:
 
 
 def ideal_generated(ctx: AlgebraContext, X: FpSubspace) -> FpSubspace:
-    """F_pG X F_pG, the smallest two-sided ideal containing X: the left
-    ideal L = F_pG X, then L F_pG, one elimination each.  When X commutes
-    with G, L is already two-sided and the second elimination is skipped;
-    the recovery step only ever passes central elements."""
-    left = ctx.left_translates(X.basis)
-    L = FpSubspace(ctx.p, ctx.dim, left)
-    if np.array_equal(left, ctx.right_translates(X.basis)):
-        return L
-    return right_ideal(ctx, L)
+    """F_pG X F_pG, the smallest two-sided ideal containing X: the right
+    ideal of the left ideal F_pG X, one elimination each.  No library path
+    calls it; perfbench/tracer.py wraps it."""
+    return right_ideal(ctx, FpSubspace(ctx.p, ctx.dim,
+                                       ctx.left_translates(X.basis)))
 
 
 def _coset_ideal(ctx: AlgebraContext, elements) -> FpSubspace:

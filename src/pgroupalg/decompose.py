@@ -13,9 +13,9 @@ well defined with no check (_lambda_codomain), and b - 1 is checked
 outside its kernel by a rank in Jennings coordinates, the top Frobenius
 power of b - 1 read off B's chain.  The split G = <h> x G_0 is the
 retraction's, which also gives F_pG = I(<h>)F_pG ⊕ F_pG_0; only F_pG =
-(b - 1)F_pG ⊕ F_pG_0, for the unit b, is checked in the algebra,
-eliminating |G| rows for the ideal and |G_0| for the section.  Closures
-and derived tables are not checked again (groups).
+(b - 1)F_pG ⊕ F_pG_0, for the unit b, is checked in the algebra, by the
+one elimination of |G| rows that projects onto F_pG_0 (_project_along).
+Closures and derived tables are not checked again (groups).
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .algebra import (AlgebraContext, AugmentedSubalgebra, augmentation_part,
-                      ideal_generated, normal_subgroup_ideal)
-from .fplin import (FpError, FpSubspace, QuotientSpace, matmul_mod, nullspace,
-                    rref, span)
+                      normal_subgroup_ideal)
+from .fplin import FpSubspace, matmul_mod, nullspace, rref
 from .groups import (ORACLE_CAP, PGroup, RetractionError, Subgroup,
                      _check_oracle_cap, _direct_pairs, abelian_invariants,
                      agemo_derived, characteristic_subgroup, full_subgroup,
@@ -120,6 +119,24 @@ def _find_split_element(G: PGroup, ctx: AlgebraContext, target,
         f"no central order-{q} element in the required Frattini coset splits"
         + "; rejected: " + (", ".join(f"{g} ({why})" for g, why in rejected)
                             or "none"))
+
+
+def _project_along(ctx: AlgebraContext, b_minus_1: np.ndarray, G0: Subgroup,
+                   *bases: np.ndarray) -> list[np.ndarray]:
+    """Each basis's rows projected along J = (b - 1)F_pG onto F_pG_0, in
+    G_0's sorted coordinates, by one RREF of the translates e_g(b - 1),
+    which span J as b is central, with G_0's columns last: F_pG = J ⊕
+    F_pG_0 iff it is [I | M], and then pi(v) = v[G_0] - v[G - G_0] M."""
+    p, inside = ctx.p, np.asarray(G0.elements)
+    outside = np.delete(np.arange(ctx.dim), inside)
+    R, pivots = rref(ctx.left_translates(b_minus_1[None])[
+        :, np.concatenate([outside, inside])], p)
+    if pivots != tuple(range(len(outside))):
+        raise VerificationError("theorem-splitting",
+                                "F_pG != (b-1)F_pG + F_pG_0")
+    M = R[:, len(outside):]
+    return [(X[:, inside] - matmul_mod(X[:, outside], M, p)) % p
+            for X in bases]
 
 
 def _units_by_order(ctx: AlgebraContext, IB: FpSubspace, frobs: np.ndarray):
@@ -289,24 +306,14 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
         hs.append(cur_embed[h])
         steps.append({"depth": depth, "s": s, "h": cur_embed[h],
                       "group_order": cur_G.order})
-        # project both factors along J = (b-1)F_pG onto F_pG_0 and recurse;
-        # b is a unit, not a group element, so J is eliminated
-        J = ideal_generated(ctx, span(p, ctx.dim, [b_minus_1]))
-        span_G0 = FpSubspace._from_rref(p, ctx.dim, np.eye(  # sorted unit rows
-            ctx.dim, dtype=np.int64)[list(G0.elements)], G0.elements)
-        # with dim J = |G| - |G_0|, the unit rows of G_0 are independent
-        # modulo J iff F_pG = J ⊕ F_pG_0: the quotient's section check
-        try:
-            qs = QuotientSpace.of_whole_space(J, span_G0)
-        except FpError as exc:
-            raise VerificationError(
-                "theorem-splitting", "F_pG != (b-1)F_pG + F_pG_0") from exc
+        projected = _project_along(ctx, b_minus_1, G0, B.space.basis,
+                                   cur_fact.C.space.basis)
         G0p, g0_elems = subgroup_to_pgroup(G0)
         ctx0 = AlgebraContext.of(G0p)
         B0, C0 = (AugmentedSubalgebra(ctx0, V, augmentation_part(ctx0, V),
                                       X.commutative)
-                  for X in (cur_fact.B, cur_fact.C)
-                  for V in [FpSubspace(p, G0p.order, qs.project(X.space.basis))])
+                  for X, pi in zip((B, cur_fact.C), projected)
+                  for V in [FpSubspace(p, G0p.order, pi)])
         if B0.dim * C0.dim != ctx0.dim:
             raise VerificationError(
                 "dimension-product", f"{B0.dim} * {C0.dim} != {ctx0.dim}")

@@ -25,8 +25,8 @@ Every ``rref`` stops once the rank equals the number of columns, so
 redundant rows past that point are never reduced.  The residual against an
 RREF basis, at every p, tests membership and gives coordinates in
 ``FpSubspace``, and stands for a class of a quotient in ``QuotientSpace``.
-A quotient eliminates once, when it is built, and keeps the inverse that
-this gives, so each projection is two matrix products.
+A quotient eliminates when it is built, and keeps the inverse that this
+gives, so each projection is two matrix products.
 """
 
 from __future__ import annotations
@@ -286,10 +286,9 @@ class FpSubspace:
     def _from_rref(cls, p: int, ambient: int, basis: np.ndarray,
                    pivots) -> "FpSubspace":
         """The subspace of a basis in canonical RREF, taken as it is, with
-        no elimination and no check.  Its callers write that form by
+        no elimination and no check.  Its four callers write that form by
         construction: FpSubspace.kernel, AlgebraContext.center_subspace,
-        augmentation_part, _coset_ideal and the unit rows of F_pG_0 in
-        recover_decomposition; the tests hold each to FpSubspace."""
+        augmentation_part and _coset_ideal, each held to FpSubspace."""
         basis = np.asarray(basis, dtype=np.int64).reshape(-1, ambient)
         self = cls.__new__(cls)
         self.p, self.ambient = p, ambient
@@ -362,64 +361,24 @@ class FpSubspace:
         return [list(map(int, row)) for row in self.basis]
 
 
-def span(p: int, ambient: int, vectors) -> FpSubspace:
-    return FpSubspace(p, ambient, np.array(list(vectors), dtype=np.int64).reshape(-1, ambient))
-
-
 class QuotientSpace:
-    """W/U with a fixed section, a basis of a complement of U in W.
+    """W/U with a fixed section: the rows of W's basis independent modulo
+    U, in order, which are the canonical basis of their span.  The class
+    v + U is held by its canonical RREF residual U.reduce(v).  Two
+    eliminations, of the residuals and of [R | I_q] for the residuals R
+    of the q section rows, find the section and give the RREF E of R and
+    the M with M R = E, so ``project`` eliminates nothing."""
 
-    The class v + U is held by its canonical RREF residual U.reduce(v).
-    The default section is the rows of W's basis that are independent
-    modulo U, taken in order.  One elimination finds them: they are the
-    pivot columns of the matrix whose columns are their residuals.  Rows of
-    an RREF basis are in RREF themselves, so the section is the canonical
-    basis of its span.
-
-    One more elimination, of [R | I_q] for the residuals R of the q
-    section rows, gives the RREF E of R on its left and, on its right, the
-    M with M R = E.  A given section is checked by it: it lies in W, its
-    dimension and U's add up to W's, and every pivot falls in R, so the
-    section is independent modulo U and U + section = W.  ``project``
-    then needs no elimination.  ``of_whole_space`` builds F_p^n / U, where
-    W holds U and the section by definition: no W is built, and the
-    elimination of [R | I_q] is the only one.
-    """
-
-    def __init__(self, W: FpSubspace, U: FpSubspace,
-                 section: FpSubspace | None = None):
+    def __init__(self, W: FpSubspace, U: FpSubspace):
         if not W.contains(U):
             raise FpError("quotient_space: U is not contained in W")
-        if section is None:
-            _, independent = rref(U.reduce(W.basis).T, W.p)
-            rows = W.basis[list(independent)]  # (q, ambient)
-        elif U.dim + section.dim != W.dim or not W.contains(section):
-            raise FpError("quotient_space: invalid section")
-        else:
-            rows = section.basis
-        self._build(U, rows)
-
-    @classmethod
-    def of_whole_space(cls, U: FpSubspace,
-                       section: FpSubspace) -> "QuotientSpace":
-        """F_p^n / U with a given section, checked as in __init__ with W
-        the whole space, which holds U and the section."""
-        U._compat(section)
-        if U.dim + section.dim != U.ambient:
-            raise FpError("quotient_space: invalid section")
-        self = cls.__new__(cls)
-        self._build(U, section.basis)
-        return self
-
-    def _build(self, U: FpSubspace, section: np.ndarray) -> None:
-        """Keep the section rows and eliminate [R | I_q] once."""
-        self.U, self.section = U, section
+        residuals = U.reduce(W.basis)
+        independent = list(rref(residuals.T, W.p)[1])
+        self.U, self.section = U, W.basis[independent]  # (q, ambient)
         self.p, self.ambient = U.p, U.ambient
-        q = self.dim
         R, pivots = rref(np.concatenate(
-            [U.reduce(section), np.eye(q, dtype=np.int64)], axis=1), self.p)
-        if pivots and pivots[-1] >= self.ambient:
-            raise FpError("quotient_space: invalid section")
+            [residuals[independent], np.eye(self.dim, dtype=np.int64)],
+            axis=1), self.p)
         self._echelon = R[:, :self.ambient]      # E, in RREF on _pivots
         self._pivots = list(pivots)
         self._inverse = R[:, self.ambient:]      # M, with M R = E

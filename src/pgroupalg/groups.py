@@ -385,7 +385,7 @@ def full_subgroup(G: PGroup) -> Subgroup:
     return Subgroup._trusted(G, np.arange(G.order))
 
 
-def subgroup_to_pgroup(S: Subgroup, name: str = "") -> tuple[PGroup, list[int]]:
+def subgroup_to_pgroup(S: Subgroup) -> tuple[PGroup, list[int]]:
     """Re-index a subgroup as a standalone PGroup.
 
     Returns (group, elems) where elems[i] is the parent index of element i.
@@ -397,7 +397,7 @@ def subgroup_to_pgroup(S: Subgroup, name: str = "") -> tuple[PGroup, list[int]]:
     pos[idx] = np.arange(n)
     table = pos[S.parent.table[idx[:, None], idx]]
     return PGroup._trusted(S.parent.p, table,
-                           name or f"sub{n}<{S.parent.name}>"), elems
+                           f"sub{n}<{S.parent.name}>"), elems
 
 
 def characteristic_subgroup(G: PGroup, kind: str, i: int = 1) -> Subgroup:
@@ -513,14 +513,12 @@ def quotient_group(G: PGroup, N: Subgroup) -> tuple[PGroup, np.ndarray]:
     return PGroup._trusted(G.p, table, f"{G.name}/N{N.order}"), coset
 
 
-def r_subquotient(G: PGroup, i: int) -> tuple[PGroup, Subgroup]:
-    """R_i(G) as an abelian group, with its embedding into G/(agemo_i * derived)."""
+def r_subquotient(G: PGroup, i: int) -> Subgroup:
+    """R_i(G), read in place as a subgroup of G/(agemo_i * derived)."""
     Q, coset = quotient_group(G, agemo_derived(G, i))
     # G' lies in the kernel, so this is the image of Omega_i(Z(G))
-    R_sub = Subgroup.generated(
+    return Subgroup.generated(
         Q, coset[list(omega_center_derived(G, i).elements)])
-    R, _ = subgroup_to_pgroup(R_sub, name=f"R_{i}({G.name})")
-    return R, R_sub
 
 
 def abelian_invariants(A: PGroup | Subgroup) -> tuple[int, ...]:
@@ -828,7 +826,7 @@ def retraction_complement(G: PGroup, h: int) -> Subgroup:
     for xs in itertools.product(*allowed):
         if int(c @ xs) % m == 1:
             chi = images @ xs % m
-            return Subgroup(G, tuple(np.flatnonzero(chi == 0).tolist()))
+            return Subgroup._trusted(G, np.flatnonzero(chi == 0))
     raise RetractionError(f"no retraction onto <h> with chi(h)=h (h={h})")
 
 

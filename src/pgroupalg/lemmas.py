@@ -87,11 +87,11 @@ def cyclic_factor_test(G: PGroup, i: int) -> tuple[bool, int]:
     Takes the abelian quotient Q = G/(agemo_i * derived) and the image R
     of Omega_i(Z(G)) inside it from :func:`r_subquotient`, and returns
     (exp(1 + I(R)F_pQ) >= p^i, that exponent).  The exponent is
-    cross-checked against exp(R_i(G)), read off the group R.
+    cross-checked against exp(R_i(G)), read off R's elements in Q.
     """
-    R, R_sub = r_subquotient(G, i)
-    ctxQ = AlgebraContext(R_sub.parent)
-    ideal = normal_subgroup_ideal(ctxQ, R_sub)
+    R = r_subquotient(G, i)
+    ctxQ = AlgebraContext(R.parent)
+    ideal = normal_subgroup_ideal(ctxQ, R)
     exponent = unit_exponent_commutative(ctxQ, ideal)
     # proof-of-lemma equality: exp(1 + I(R_i)F_pQ) = exp(R_i(G))
     invs = abelian_invariants(R)

@@ -19,7 +19,7 @@ from pgroupalg.algebra import (AlgebraContext, AlgebraError,
                                unit_exponent_commutative)
 from pgroupalg.decompose import lambda_map
 from pgroupalg.fplin import (FpError, FpSubspace, QuotientSpace, matmul_mod,
-                             nullspace, solve, span)
+                             nullspace, solve)
 from pgroupalg.groups import (ORACLE_CAP, PGroup, Subgroup, _commutator_table,
                               _powers, abelian_invariants, agemo_derived,
                               cyclic_factor_orders, full_subgroup,
@@ -108,6 +108,13 @@ def has_cyclic_factor_of_order(G: PGroup, q: int, cap: int = ORACLE_CAP) -> bool
 # linear algebra
 
 
+def span(p: int, ambient: int, vectors) -> FpSubspace:
+    """The subspace spanned by vectors, through ``FpSubspace``: the
+    shorthand the tests write their subspaces with."""
+    return FpSubspace(p, ambient, np.array(list(vectors), dtype=np.int64)
+                      .reshape(-1, ambient))
+
+
 def coordinates(U: FpSubspace, vec) -> np.ndarray | None:
     """c with c @ U.basis == vec, or None if vec is outside the span: the
     pivot entries of vec, since each RREF row is 1 on its own pivot and 0
@@ -125,9 +132,8 @@ def quotient_coordinates(Q: QuotientSpace, vec) -> np.ndarray | None:
 
 
 def full_space(p: int, ambient: int) -> FpSubspace:
-    """F_p^ambient, eliminated from the identity rows.  The library builds
-    no whole space: ``QuotientSpace.of_whole_space`` stands for a quotient
-    of it."""
+    """F_p^ambient, eliminated from the identity rows; the library builds
+    no whole space."""
     return FpSubspace(p, ambient, np.eye(ambient, dtype=np.int64))
 
 

@@ -23,7 +23,6 @@ from pgroupalg.algebra import AlgebraError
 from pgroupalg.catalog import catalog_by_name
 from pgroupalg.cli import (COMMANDS, EXIT_CAP, EXIT_FAIL, EXIT_OK,
                            EXIT_PARSE, run)
-from pgroupalg.fplin import QuotientSpace
 from pgroupalg.groups import Subgroup, is_internal_direct_product
 from pgroupalg.io import (SchemaError, _normalize_identity, canonical_json,
                           group_from_dict, group_to_dict)
@@ -143,16 +142,16 @@ def test_recover_checks_dimension_product_below_depth_0(tmp_path,
     # the first level's C_0 loses a dimension when its last projected row
     # is zeroed; the level's one check names it, and recover exits 1
     fx = _emit_c2xc4_q8(tmp_path)
-    real, calls = QuotientSpace.project, []
+    real, calls = decompose._project_along, []
 
-    def project(self, vec):
+    def project(ctx, b_minus_1, G0, *bases):
         calls.append(None)
-        out = real(self, vec)
-        if len(calls) == 2:  # C's basis, after B's, at the first level
-            out[-1] = 0
+        out = real(ctx, b_minus_1, G0, *bases)
+        if len(calls) == 1:  # the first level: C's projected basis
+            out[1][-1] = 0
         return out
 
-    monkeypatch.setattr(QuotientSpace, "project", project)
+    monkeypatch.setattr(decompose, "_project_along", project)
     code, body = run_to_file(tmp_path, ["recover", "--input", str(fx)])
     assert code == EXIT_FAIL
     assert body["recover"][0]["error"] == "dimension-product: 2 * 7 != 16"

@@ -20,7 +20,7 @@ from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.decompose import (certify_indecomposable,
                                  find_group_basis_commutative, lambda_map,
                                  recover_decomposition, split_cyclic)
-from pgroupalg.fplin import FpSubspace, span
+from pgroupalg.fplin import FpSubspace
 from pgroupalg.groups import (PGroup, RetractionError, Subgroup,
                               abelian_invariants, agemo_derived,
                               all_subgroups, catalog_build,
@@ -30,7 +30,7 @@ from pgroupalg.lemmas import VerificationError, verify_tensor_factorization
 
 from oracles import (augmentation_power, full_space, group_closure_vectors,
                      group_from_unit_vectors, jennings_rows, lambda_data,
-                     splits_as_algebra, subgroup_ideal)
+                     span, splits_as_algebra, subgroup_ideal)
 
 
 def coordinate_factorization(a_name, g0_name):

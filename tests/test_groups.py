@@ -393,15 +393,15 @@ def test_abelian_invariants():
 def test_r_subquotient_examples():
     # R_i(G) = Omega_i(Z(G)) agemo_i(G) G' / agemo_i(G) G'
     C4 = catalog_build("cyclic", 2, 2)
-    R1, _ = r_subquotient(C4, 1)
+    R1 = r_subquotient(C4, 1)
     # Omega_1(C4) = agemo_1(C4) = <g^2>, so R_1 is trivial
     assert R1.order == 1
-    R2, _ = r_subquotient(C4, 2)
+    R2 = r_subquotient(C4, 2)
     assert R2.order == 4
     D8 = catalog_build("dihedral", 8)
-    R1, _ = r_subquotient(D8, 1)
+    R1 = r_subquotient(D8, 1)
     assert R1.order == 1  # Z(D8) = D8' = Phi(D8)
-    R2, _ = r_subquotient(D8, 2)
+    R2 = r_subquotient(D8, 2)
     assert R2.order == 1  # agemo_2(D8)D8' = D8' contains Z(D8)
 
 

@@ -13,7 +13,7 @@ import pgroupalg.fplin as fplin
 from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
                                group_algebra_subalgebra)
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
-from pgroupalg.fplin import FpSubspace, span
+from pgroupalg.fplin import FpSubspace
 import pgroupalg.decompose as decompose
 from pgroupalg.decompose import recover_decomposition
 from pgroupalg.groups import (PGroup, Subgroup, abelian_invariants,
@@ -25,7 +25,7 @@ from pgroupalg.lemmas import (VerificationError, cyclic_factor_test,
 
 from oracles import (aug_square, babelian_checks, factorization_failure,
                      full_space, has_cyclic_factor_of_order,
-                     subalgebra_failure)
+                     span, subalgebra_failure)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

@@ -48,6 +48,8 @@ ALLOWED = {
         "perfbench binding: perfbench/fixtures.py calls it",
     ("algebra", "frattini_quotient"):
         "perfbench binding: perfbench/fixtures.py calls it",
+    ("algebra", "ideal_generated"):
+        "perfbench binding: perfbench/tracer.py wraps it",
     ("algebra", "AlgebraContext.plus_power"):
         "public entry point: X + I(G)^m, and I(G)^m, as a subspace of "
         "F_pG, which lambda_map and frattini_quotient build theirs with; "
@@ -58,6 +60,9 @@ ALLOWED = {
         "instead; perfbench/tracer.py also wraps it",
     ("fplin", "solve"):
         "perfbench binding: perfbench/tracer.py wraps it",
+    ("fplin", "QuotientSpace.project"):
+        "perfbench binding: perfbench/fixtures.py reads the coordinates "
+        "of frattini_quotient with it",
     ("groups", "PGroup.mul"):
         "public entry point: a group's product of two elements, the one "
         "lookup that callers outside the library read a table with",

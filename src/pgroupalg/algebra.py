@@ -78,8 +78,7 @@ class AlgebraContext:
         self.group = group
         self.p = group.p
         self.dim = group.order
-        T = group.table
-        inv = np.array([group.inv(g) for g in range(self.dim)], dtype=np.int64)
+        T, inv = group.table, group._inv
         self._left = T[inv]        # L[g, t] = g^-1 t
         self._right = T[:, inv].T  # R[g, t] = t g^-1
         self._memo: dict = {}  # see groups.memoized

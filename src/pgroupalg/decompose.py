@@ -7,15 +7,17 @@ and tensor-indecomposability certificates.
 
 Recovery checks each fact of the proof once, and forms no product.  The
 subalgebra and factorization checks run on the input alone; each level
-inherits the factorization, checks only dimension-product, and reads
-I(B)^2 off the weight-1 Jennings coordinates (_aug_square).  Lambda is
-well defined with no check (_lambda_codomain), and b - 1 is checked
-outside its kernel by a rank in Jennings coordinates, the top Frobenius
-power of b - 1 read off B's chain.  The split G = <h> x G_0 is the
-retraction's, which also gives F_pG = I(<h>)F_pG ⊕ F_pG_0; only F_pG =
-(b - 1)F_pG ⊕ F_pG_0, for the unit b, is checked in the algebra, by the
-one elimination of |G| rows that projects onto F_pG_0 (_project_along).
-Closures and derived tables are not checked again (groups).
+carries B alone, checks only dimension-product, which implies the
+factorization it projects to (recover_decomposition), and reads I(B)^2 off
+the weight-1 Jennings coordinates (_aug_square).  Lambda is well defined
+with no check (_lambda_codomain), and b - 1 is checked outside its kernel
+by a rank in Jennings coordinates, the top Frobenius power of b - 1 read
+off B's chain.  The split G = <h> x G_0 is the retraction's kernel, with no
+<h> formed, which also gives F_pG = I(<h>)F_pG ⊕ F_pG_0 (split_cyclic);
+only F_pG = (b - 1)F_pG ⊕ F_pG_0, for the unit b, is checked in the
+algebra, by the one elimination of |G| rows that projects onto F_pG_0
+(_project_along).  Closures and derived tables are not checked again
+(groups).
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ def split_cyclic(G: PGroup, h: int) -> tuple[Subgroup, Subgroup]:
     split follows: I(<h>)F_pG is the kernel of F_pG -> F_p[G/<h>], and
     F_pG_0 maps isomorphically onto F_p[G/<h>], so F_pG = I(<h>)F_pG ⊕
     F_pG_0.  Raises as retraction_complement does: GroupError unless h is
-    central, RetractionError when h has no retraction."""
+    central, RetractionError when h has no retraction.  Recovery reads
+    G_0 alone (_find_split_element)."""
     return Subgroup.generated(G, (h,)), retraction_complement(G, h)
 
 
@@ -96,9 +99,11 @@ def _coset_candidates(ctx: AlgebraContext, target) -> list[int]:
 
 
 def _find_split_element(G: PGroup, ctx: AlgebraContext, target,
-                        s: int) -> tuple[int, Subgroup, Subgroup]:
-    """An order-p^s central element h with e_h - 1 = target mod I(G)^2 that
-    splits off; candidates scanned in ascending element order."""
+                        s: int) -> tuple[int, Subgroup]:
+    """(h, G_0) for the first order-p^s central element h, in ascending
+    element order, with e_h - 1 = target mod I(G)^2 that splits off:
+    G = <h> x G_0, G_0 = retraction_complement(G, h), as split_cyclic
+    proves, with no <h> formed."""
     T = G.table
     q = G.p ** s
     rejected = []  # (element, the check it failed)
@@ -110,8 +115,7 @@ def _find_split_element(G: PGroup, ctx: AlgebraContext, target,
             rejected.append((g, "not central"))
             continue
         try:
-            H, G0 = split_cyclic(G, g)
-            return g, H, G0
+            return g, retraction_complement(G, g)
         except RetractionError:
             rejected.append((g, "retraction"))
     raise VerificationError(
@@ -122,11 +126,11 @@ def _find_split_element(G: PGroup, ctx: AlgebraContext, target,
 
 
 def _project_along(ctx: AlgebraContext, b_minus_1: np.ndarray, G0: Subgroup,
-                   *bases: np.ndarray) -> list[np.ndarray]:
-    """Each basis's rows projected along J = (b - 1)F_pG onto F_pG_0, in
-    G_0's sorted coordinates, by one RREF of the translates e_g(b - 1),
-    which span J as b is central, with G_0's columns last: F_pG = J ⊕
-    F_pG_0 iff it is [I | M], and then pi(v) = v[G_0] - v[G - G_0] M."""
+                   X: np.ndarray) -> np.ndarray:
+    """The rows of X projected along J = (b - 1)F_pG onto F_pG_0, in G_0's
+    sorted coordinates, by one RREF of the translates e_g(b - 1), which
+    span J as b is central, with G_0's columns last: F_pG = J ⊕ F_pG_0
+    iff it is [I | M], and then pi(v) = v[G_0] - v[G - G_0] M."""
     p, inside = ctx.p, np.asarray(G0.elements)
     outside = np.delete(np.arange(ctx.dim), inside)
     R, pivots = rref(ctx.left_translates(b_minus_1[None])[
@@ -134,9 +138,8 @@ def _project_along(ctx: AlgebraContext, b_minus_1: np.ndarray, G0: Subgroup,
     if pivots != tuple(range(len(outside))):
         raise VerificationError("theorem-splitting",
                                 "F_pG != (b-1)F_pG + F_pG_0")
-    M = R[:, len(outside):]
-    return [(X[:, inside] - matmul_mod(X[:, outside], M, p)) % p
-            for X in bases]
+    return (X[:, inside] - matmul_mod(X[:, outside], R[:, len(outside):],
+                                      p)) % p
 
 
 def _units_by_order(ctx: AlgebraContext, IB: FpSubspace, frobs: np.ndarray):
@@ -174,11 +177,13 @@ def _units_by_order(ctx: AlgebraContext, IB: FpSubspace, frobs: np.ndarray):
 
 
 def _aug_square(ctx: AlgebraContext, IB: FpSubspace) -> FpSubspace:
-    """I(B)^2 for the factor B of a verified F_pG = B ⊗ C, in coordinates
-    c of c @ IB, IB = I(B), with no product: I(G)^2 = I(B)^2 + I(C)^2 +
+    """I(B)^2 for the factor B of F_pG = B ⊗ C, in coordinates c of
+    c @ IB, IB = I(B), with no product: I(G)^2 = I(B)^2 + I(C)^2 +
     I(B)I(C), the last two in B·I(C), and F_pG = B ⊕ B·I(C), so I(B)^2 is
     the kernel on I(B) of the weight-1 Jennings functionals (not so for B
-    alone: B = span{1, g^2} in F_2[C4])."""
+    alone: B = span{1, g^2} in F_2[C4]).  The input's factorization is
+    verified; a recovery level's, F_pG_0 = pi(B) ⊗ pi(C), holds once
+    dimension-product does, with no C built (recover_decomposition)."""
     return FpSubspace.kernel(
         ctx.p, matmul_mod(ctx.jennings_functionals(2), IB.basis.T, ctx.p))
 
@@ -265,30 +270,31 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
     """Recover G = B-side x C-side from a verified tensor factorization with
     commutative B, peeling one maximal-order cyclic factor per level.
 
-    A level inherits the factorization and checks only its dimensions.
-    With F_pG = J ⊕ F_pG_0, J = (b - 1)F_pG a two-sided ideal and F_pG_0
-    a subalgebra, the projection pi along J onto F_pG_0 is an algebra
-    map.  So pi(B) and pi(C) are unital, closed, commute and span F_pG_0,
-    and B_0 = pi(B) is commutative: subalgebra-unit, subalgebra-closure,
-    commuting and product-span hold with no check.  B ∩ J holds (b - 1)B,
-    so dim B_0 <= dim B / p^s, and dim C_0 <= dim C; dimension-product,
-    dim B_0 dim C_0 = |G_0| = |G| / p^s, forces equality in both, so pi
-    is injective on C, C_0 ≅ C and C_0 is commutative iff C is."""
+    A level carries B alone and checks only dim pi(B) * p^s = dim B.  With
+    F_pG = J ⊕ F_pG_0, J = (b - 1)F_pG a two-sided ideal and F_pG_0 a
+    subalgebra, the projection pi along J onto F_pG_0 is an algebra map
+    onto F_pG_0.  So pi(B) and pi(C) are unital, closed, commute and span
+    F_pG_0, and B_0 = pi(B) is commutative: subalgebra-unit,
+    subalgebra-closure, commuting and product-span hold with no check, and
+    dim pi(B) dim pi(C) >= |G_0| = |G| / p^s.  As dim pi(C) <= dim C =
+    |G| / dim B, dim pi(B) = dim B / p^s forces dim pi(B) dim pi(C) =
+    |G_0|, the factorization F_pG_0 = pi(B) ⊗ pi(C) that _aug_square
+    reads the next level's I(B)^2 by; pi(C) is never formed.  Hall's
+    condition on b, which the group-basis search checks, puts b in a group
+    basis of B, so B ∩ J holds (b - 1)B of dimension dim B - dim B / p^s
+    and dim pi(B) <= dim B / p^s: the check agrees with dim pi(B) dim pi(C)
+    = |G_0| on every b the search returns."""
     if not fact.verified:
         raise VerificationError("unverified", "factorization was not verified")
     if not fact.B.commutative:
         raise VerificationError("B-commutative", "B must be commutative")
-    G = fact.ctx.group
-    p = G.p
+    G, p = fact.ctx.group, fact.ctx.p
     hs: list[int] = []
     steps: list[dict] = []
-    cur_fact = fact
+    ctx, B = fact.ctx, fact.B
     cur_embed = list(range(G.order))
     depth = 0
-    while cur_fact.B.dim > 1:
-        ctx = cur_fact.ctx
-        cur_G = ctx.group
-        B = cur_fact.B
+    while B.dim > 1:
         b = find_group_basis_commutative(B)[0]
         b_minus_1 = (b - ctx.one) % p
         s = len(B.frobs)  # b, the first unit, has the highest order, p^s
@@ -297,28 +303,23 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
         # iff (b-1)^{p^{s-1}} is outside U; B is commutative, so that power
         # is c @ frobs[s-1] for the coordinates c of b - 1 on I(B)
         top = b_minus_1[list(B.aug_ideal.pivots)] @ B.frobs[-1] % p
-        F, FU = _lambda_codomain(cur_G, s)
+        F, FU = _lambda_codomain(ctx.group, s)
         if FU.contains_vector(F @ top % p):
             raise VerificationError(
                 "jennings-nonmembership",
                 "(b-1)^{p^{s-1}} fell into the excluded ideal")
-        h, H, G0 = _find_split_element(cur_G, ctx, b_minus_1, s)
+        h, G0 = _find_split_element(ctx.group, ctx, b_minus_1, s)
         hs.append(cur_embed[h])
         steps.append({"depth": depth, "s": s, "h": cur_embed[h],
-                      "group_order": cur_G.order})
-        projected = _project_along(ctx, b_minus_1, G0, B.space.basis,
-                                   cur_fact.C.space.basis)
-        G0p, g0_elems = subgroup_to_pgroup(G0)
-        ctx0 = AlgebraContext.of(G0p)
-        B0, C0 = (AugmentedSubalgebra(ctx0, V, augmentation_part(ctx0, V),
-                                      X.commutative)
-                  for X, pi in zip((B, cur_fact.C), projected)
-                  for V in [FpSubspace(p, G0p.order, pi)])
-        if B0.dim * C0.dim != ctx0.dim:
+                      "group_order": ctx.dim})
+        V = FpSubspace(p, G0.order,
+                       _project_along(ctx, b_minus_1, G0, B.space.basis))
+        if V.dim * p ** s != B.dim:
             raise VerificationError(
-                "dimension-product", f"{B0.dim} * {C0.dim} != {ctx0.dim}")
-        cur_fact = TensorFactorizationInput(ctx0, B0, C0, verified=True,
-                                            checks=["dimension-product"])
+                "dimension-product", f"{V.dim} * {p ** s} != {B.dim}")
+        G0p, g0_elems = subgroup_to_pgroup(G0)
+        ctx = AlgebraContext.of(G0p)
+        B = AugmentedSubalgebra(ctx, V, augmentation_part(ctx, V), True)
         cur_embed = [cur_embed[e] for e in g0_elems]
         depth += 1
 

@@ -187,9 +187,6 @@ class PGroup:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def inv(self, a: int) -> int:
-        return int(self._inv[a])
-
     def element_order(self, g: int) -> int:
         if not 0 <= g < self.order:
             raise GroupError(f"element index {g} out of range")

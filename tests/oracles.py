@@ -31,16 +31,22 @@ from pgroupalg.lemmas import (IdentityReport, TensorFactorizationInput,
 # groups
 
 
+def inverse(G: PGroup, a: int) -> int:
+    """a^-1, the one x with a x = 1 in row a of the table; cross-checks the
+    inverses that ``PGroup`` reads off the whole table at once."""
+    return int(np.flatnonzero(G.table[a] == 0)[0])
+
+
 def commutator(G: PGroup, a: int, b: int) -> int:
     """[a, b] = a^-1 b^-1 a b by single lookups; cross-checks the gathered
     ``groups._commutator_table``."""
-    return G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b))
+    return G.mul(G.mul(inverse(G, a), inverse(G, b)), G.mul(a, b))
 
 
 def conjugate(G: PGroup, g: int, by: int) -> int:
     """by g by^-1 by single lookups; cross-checks the conjugation gathers of
     ``Subgroup.is_normal`` and ``AlgebraContext.center_subspace``."""
-    return G.mul(G.mul(by, g), G.inv(by))
+    return G.mul(G.mul(by, g), inverse(G, by))
 
 
 def power(G: PGroup, g: int, k: int) -> int:

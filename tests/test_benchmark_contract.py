@@ -9,12 +9,16 @@ both files as they are, so that a change which drops one of those names
 fails here rather than in a traced benchmark run.  The tracer's counters
 read the arguments and results of the functions it wraps, so one recover
 item and one item of each lattice command also run through ``cli.run``
-under it.
+under it.  Every item of every workload at seed 0 also runs through
+``cli.run`` and the benchmark's correctness gate, so that a change to a
+report body fails here against ``perfbench/reference_digests.json``.
 """
 
 import importlib
 import json
 from pathlib import Path
+
+import numpy as np
 
 import pgroupalg.cli as cli
 import pgroupalg.fplin as fplin
@@ -77,3 +81,32 @@ def test_tracer_counters_meet_the_library_signatures(monkeypatch, tmp_path):
         summary["lemmas.cyclic_factor_test.calls"]
     assert summary["io.report_bytes"] > 0
     assert summary["cli.run.calls"] == 4
+
+
+def test_every_workload_passes_the_correctness_gate(monkeypatch, tmp_path):
+    # each manifest argv as the benchmark runs it, from the workload's own
+    # directory, since report bodies echo the relative input path; gate
+    # checks exit code, outcome and every pinned body digest
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    fixtures = importlib.import_module("fixtures")
+    gate = importlib.import_module("gate")
+    references = json.loads((PERFBENCH / "reference_digests.json").read_text())
+    failures, pinned = {}, 0
+    for workload in fixtures.WORKLOADS:
+        out = tmp_path / workload
+        fixtures.write_workload(workload, 0, out)
+        monkeypatch.chdir(out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        for item in manifest["items"]:
+            code, report = cli.run(item["argv"]), out / item["report"]
+            body = (json.loads(report.read_text())["body"]
+                    if report.exists() else None)
+            table = (np.asarray(json.loads((out / item["fixture"]).read_text())
+                                ["table"])
+                     if item["command"] == "recover" else None)
+            failure = gate.check(item, code, body, table, references)
+            if failure is not None:
+                failures[item["id"]] = failure
+            pinned += item["fixed"]
+    assert failures == {}
+    assert pinned == len(references)

@@ -139,22 +139,23 @@ def test_recover_library_error_is_a_failed_input(tmp_path, monkeypatch,
 
 def test_recover_checks_dimension_product_below_depth_0(tmp_path,
                                                        monkeypatch):
-    # the first level's C_0 loses a dimension when its last projected row
-    # is zeroed; the level's one check names it, and recover exits 1
+    # the first level's pi(B) falls to dimension 1 when only its first
+    # projected row is kept (zeroing one row of the 8 leaves the span as
+    # it is); the level's one check names it, and recover exits 1
     fx = _emit_c2xc4_q8(tmp_path)
     real, calls = decompose._project_along, []
 
-    def project(ctx, b_minus_1, G0, *bases):
+    def project(ctx, b_minus_1, G0, X):
         calls.append(None)
-        out = real(ctx, b_minus_1, G0, *bases)
-        if len(calls) == 1:  # the first level: C's projected basis
-            out[1][-1] = 0
+        out = real(ctx, b_minus_1, G0, X)
+        if len(calls) == 1:  # the first level
+            out[1:] = 0
         return out
 
     monkeypatch.setattr(decompose, "_project_along", project)
     code, body = run_to_file(tmp_path, ["recover", "--input", str(fx)])
     assert code == EXIT_FAIL
-    assert body["recover"][0]["error"] == "dimension-product: 2 * 7 != 16"
+    assert body["recover"][0]["error"] == "dimension-product: 1 * 4 != 8"
 
 
 @pytest.mark.parametrize("error", [groups.GroupError("bad lattice"),

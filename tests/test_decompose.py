@@ -436,11 +436,11 @@ def test_theorem_splitting_failure_names_its_check(monkeypatch, wrong):
     real = decompose._find_split_element
 
     def wrong_complement(G, ctx, target, s):
-        h, H, G0 = real(G, ctx, target, s)
+        h, G0 = real(G, ctx, target, s)
         if wrong == "trivial":
-            return h, H, Subgroup.generated(G, ())
-        return h, H, next(S for S in all_subgroups(G)
-                          if S.order == G0.order and h in S.elements)
+            return h, Subgroup.generated(G, ())
+        return h, next(S for S in all_subgroups(G)
+                       if S.order == G0.order and h in S.elements)
 
     monkeypatch.setattr(decompose, "_find_split_element", wrong_complement)
     _, _, ctx, B, C = coordinate_factorization("C2xC4", "D8")

@@ -40,7 +40,8 @@ from pgroupalg.groups import (PGroup, Subgroup, _closure, abelian_invariants,
                               characteristic_subgroup, jennings_basis,
                               jennings_series, r_subquotient)
 from pgroupalg.io import group_from_dict
-from pgroupalg.lemmas import verify_tensor_factorization
+from pgroupalg.lemmas import (TensorFactorizationInput,
+                              verify_tensor_factorization)
 
 from oracles import (aug_square, augmentation_power, commutator_span,
                      conjugacy_classes, conjugate, coordinates,
@@ -443,7 +444,8 @@ def test_recover_of_c3_he3_eliminates_few_rows(bench_fixtures, monkeypatch):
     # the report: a dense elimination of about |G| rows for each I(G)^m
     # and X + I(G)^m passed 1,100 rows, |G|-row eliminations of the
     # cyclic split's ideal and of Lambda's kernel passed 475, and the
-    # split's ideal eliminated apart from its section passed 185
+    # split's ideal eliminated apart from its section passed 185, and
+    # each level's projection of C with B's passed 157
     data, _ = bench_fixtures.factorization_fixture(
         "C3", "He3", np.random.default_rng(7))
     rows = count_rref_rows(monkeypatch)
@@ -451,7 +453,7 @@ def test_recover_of_c3_he3_eliminates_few_rows(bench_fixtures, monkeypatch):
     report = decompose.recover_decomposition(
         verify_tensor_factorization(B.ctx, B, C))
     assert report.b_invariants == (3,)
-    assert 0 < sum(rows) <= 170, sum(rows)
+    assert 0 < sum(rows) <= 145, sum(rows)
 
 
 def recover_corpus(bench_fixtures):
@@ -467,8 +469,9 @@ def recover_corpus(bench_fixtures):
 def test_recover_corpus_eliminates_few_rows(bench_fixtures, monkeypatch):
     # the recover corpus twisted at seed 7, from the loaded factorization
     # to the report: 6,035 rows when each level eliminated |G| rows for
-    # its split ideal, its quotient's whole space and Lambda's kernel, and
-    # 2,253 when it eliminated the split's ideal apart from its section
+    # its split ideal, its quotient's whole space and Lambda's kernel,
+    # 2,253 when it eliminated the split's ideal apart from its section,
+    # and 1,994 when each level projected C with B
     rows = count_rref_rows(monkeypatch)
     total = 0
     for a_name, g0_name in recover_corpus(bench_fixtures):
@@ -481,7 +484,7 @@ def test_recover_corpus_eliminates_few_rows(bench_fixtures, monkeypatch):
         assert report.b_invariants == abelian_invariants(
             catalog_by_name(a_name))
         total += sum(rows)
-    assert 0 < total <= 2100, total
+    assert 0 < total <= 1900, total
 
 
 def assert_invariants_agree(B, want, label):
@@ -583,23 +586,38 @@ def closed_form_groups():
 
 
 def recovery_levels(monkeypatch, bench_fixtures, cases):
-    """(ctx, B, C) of the input and of every recovery level of each
-    (A, G0, twist seed), from the one call each level still makes."""
-    real, seen = decompose.TensorFactorizationInput, []
+    """(C, levels) for each (A, G0, twist seed): the input's C, and (ctx,
+    B) of the input and of every recovery level, from the one
+    AugmentedSubalgebra that each level builds."""
+    real, runs = decompose.AugmentedSubalgebra, []
 
-    def recorded(ctx, B, C, **kwargs):
-        seen.append((ctx, B, C))
-        return real(ctx, B, C, **kwargs)
+    def recorded(ctx, *args):
+        B = real(ctx, *args)
+        runs[-1][1].append((ctx, B))
+        return B
 
-    monkeypatch.setattr(decompose, "TensorFactorizationInput", recorded)
+    monkeypatch.setattr(decompose, "AugmentedSubalgebra", recorded)
     for a_name, g0_name, seed in cases:
         rng = None if seed is None else np.random.default_rng(seed)
         data, _ = bench_fixtures.factorization_fixture(a_name, g0_name, rng)
         _, B, C = group_from_dict(data)
-        seen.append((B.ctx, B, C))
+        runs.append((C, [(B.ctx, B)]))
         decompose.recover_decomposition(
             verify_tensor_factorization(B.ctx, B, C))
-    return seen
+    return runs
+
+
+def recover_corpus_facts(bench_fixtures):
+    """(verified factorization, invariants of A) of the recover corpus,
+    twisted at seed 7."""
+    facts = []
+    for a_name, g0_name in recover_corpus(bench_fixtures):
+        data, _ = bench_fixtures.factorization_fixture(
+            a_name, g0_name, np.random.default_rng(7))
+        _, B, C = group_from_dict(data)
+        facts.append((verify_tensor_factorization(B.ctx, B, C),
+                      abelian_invariants(catalog_by_name(a_name))))
+    return facts
 
 
 @pytest.mark.parametrize("cases", [*LEVEL_CASES,
@@ -609,21 +627,20 @@ def test_split_projection_matches_the_ideal_oracle(monkeypatch,
     # each level's projection pi along J = (b - 1)F_pG onto F_pG_0, read
     # off one elimination, against the ideal that b - 1 generates and no
     # quotient: pi(v), set on G_0's columns and zero off them, differs from
-    # v by an element of J, for every basis row v of B and C.  Recovery
-    # calls no ideal_generated and builds no QuotientSpace
+    # v by an element of J, for every basis row v of B.  Recovery calls no
+    # ideal_generated and builds no QuotientSpace
     if cases is None:
         cases = [(a, g0, 7) for a, g0 in recover_corpus(bench_fixtures)]
     real, checked = decompose._project_along, []
 
-    def project(ctx, b_minus_1, G0, *bases):
-        out = real(ctx, b_minus_1, G0, *bases)
+    def project(ctx, b_minus_1, G0, X):
+        pi = real(ctx, b_minus_1, G0, X)
         J = ideal_generated(ctx, span(ctx.p, ctx.dim, [b_minus_1]))
-        for X, pi in zip(bases, out):
-            lifted = np.zeros_like(X)
-            lifted[:, list(G0.elements)] = pi
-            assert not J.reduce(X - lifted).any(), (ctx.group.name, G0)
-        checked.append(len(bases))
-        return out
+        lifted = np.zeros_like(X)
+        lifted[:, list(G0.elements)] = pi
+        assert not J.reduce(X - lifted).any(), (ctx.group.name, G0)
+        checked.append(ctx.dim)
+        return pi
 
     def forbidden(*args, **kwargs):
         raise AssertionError("recovery built a quotient or an ideal")
@@ -645,26 +662,75 @@ def test_split_projection_matches_the_ideal_oracle(monkeypatch,
     for fact, invariants in facts:
         assert decompose.recover_decomposition(fact).b_invariants == \
             invariants
-    assert len(checked) >= len(cases) and set(checked) == {2}
+    assert len(checked) >= len(cases)
 
 
 @pytest.mark.parametrize("cases", [
     *LEVEL_CASES, pytest.param([("C3", "He3", 7)], id="C3xHe3")])
 def test_recovery_levels_inherit_the_factorization(monkeypatch,
                                                    bench_fixtures, cases):
-    # a level builds B_0 and C_0 from their projections and checks only
-    # dimension-product: the subalgebra and factorization checks it skips
-    # pass on its spaces, and the factors they rebuild carry the same I(B)
-    # and commutativity as the ones the level carries
-    levels = recovery_levels(monkeypatch, bench_fixtures, cases)
-    assert len(levels) >= 2 * len(cases)
-    for ctx, B, C in levels:
-        rebuilt = [AugmentedSubalgebra.from_space(ctx, X.space)
-                   for X in (B, C)]
-        verify_tensor_factorization(ctx, *rebuilt)
-        for X, Y in zip((B, C), rebuilt):
-            assert X.aug_ideal == Y.aug_ideal
-            assert X.commutative == Y.commutative
+    # a level carries B_0 = pi(B) alone and checks only dimension-product:
+    # with pi(C) projected here from each level's b - 1 and G_0, the
+    # subalgebra and factorization checks it skips pass on pi(B) ⊗ pi(C),
+    # as _aug_square needs, and the B_0 they rebuild carries the same I(B)
+    # and commutativity as the one the level carries
+    real, splits = decompose._project_along, []
+
+    def project(ctx, b_minus_1, G0, X):
+        splits.append((b_minus_1, G0))
+        return real(ctx, b_minus_1, G0, X)
+
+    monkeypatch.setattr(decompose, "_project_along", project)
+    runs = recovery_levels(monkeypatch, bench_fixtures, cases)
+    levels, splits = 0, iter(splits)
+    for C, chain in runs:
+        C = C.space
+        for (ctx, _), (ctx0, B0) in zip(chain, chain[1:]):
+            b_minus_1, G0 = next(splits)
+            C = FpSubspace(ctx.p, ctx0.dim, real(ctx, b_minus_1, G0, C.basis))
+            rebuilt = AugmentedSubalgebra.from_space(ctx0, B0.space)
+            verify_tensor_factorization(
+                ctx0, rebuilt, AugmentedSubalgebra.from_space(ctx0, C))
+            assert B0.aug_ideal == rebuilt.aug_ideal
+            assert B0.commutative == rebuilt.commutative
+            levels += 1
+    assert next(splits, None) is None and levels >= len(cases)
+
+
+def test_recovery_levels_carry_b_alone(monkeypatch, bench_fixtures):
+    # below depth 0 a level projects B's basis alone and reads its I(B)
+    # once: no TensorFactorizationInput is built, verify_tensor_factorization
+    # is not called, and _project_along and augmentation_part run once a
+    # level on the recover corpus
+    facts = recover_corpus_facts(bench_fixtures)
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("recovery built or verified a factorization")
+
+    for name in ("_project_along", "augmentation_part"):
+        monkeypatch.setattr(decompose, name,
+                            counted(name, getattr(decompose, name)))
+    monkeypatch.setattr(TensorFactorizationInput, "__init__", forbidden)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("pgroupalg") and getattr(
+                module, "verify_tensor_factorization",
+                None) is verify_tensor_factorization:
+            monkeypatch.setattr(module, "verify_tensor_factorization",
+                                forbidden)
+    levels = 0
+    for fact, invariants in facts:
+        report = decompose.recover_decomposition(fact)
+        assert report.b_invariants == invariants
+        levels += len(report.steps)
+    assert levels >= len(facts)
+    assert calls == {"_project_along": levels, "augmentation_part": levels}
 
 
 def test_library_rref_forms_are_canonical(monkeypatch, bench_fixtures,
@@ -695,12 +761,7 @@ def test_recovery_forms_no_product(monkeypatch, bench_fixtures):
     # past the input's checks, recovery reads I(B)^2 off Jennings
     # coordinates and each level's top Frobenius power off B's chain:
     # no table of products is formed at any depth
-    facts = []
-    for a_name, g0_name in recover_corpus(bench_fixtures):
-        data, _ = bench_fixtures.factorization_fixture(
-            a_name, g0_name, np.random.default_rng(7))
-        _, B, C = group_from_dict(data)
-        facts.append(verify_tensor_factorization(B.ctx, B, C))
+    facts = [fact for fact, _ in recover_corpus_facts(bench_fixtures)]
     real, formed = AlgebraContext.products, []
 
     def counted(self, X, Y):
@@ -759,9 +820,9 @@ def test_trusted_constructors_match_the_checked_ones(monkeypatch,
             verify_tensor_factorization(B.ctx, B, C))
     assert set(callers) == {
         "jennings_series", "_characteristic_subgroup", "agemo_derived",
-        "omega_center_derived", "r_subquotient", "split_cyclic",
-        "recover_decomposition", "_abelian_basis", "quotient_group",
-        "subgroup_to_pgroup", "_build_by_name"}, callers
+        "omega_center_derived", "r_subquotient", "recover_decomposition",
+        "_abelian_basis", "quotient_group", "subgroup_to_pgroup",
+        "_build_by_name"}, callers
 
 
 @pytest.mark.parametrize("cases", [pytest.param(None, id="groups"),
@@ -792,9 +853,9 @@ def test_closed_forms_match_the_intersection_oracle(monkeypatch,
             assert augmentation_part(ctx, V) == \
                 intersect(V, ctx.augmentation_ideal()), G.name
     else:
-        spaces = [(ctx, X.space) for ctx, B, C in recovery_levels(
-            monkeypatch, bench_fixtures, cases) for X in (B, C)]
-        assert len(spaces) >= 4 * len(cases)
+        spaces = [(ctx, B.space) for _, chain in recovery_levels(
+            monkeypatch, bench_fixtures, cases) for ctx, B in chain]
+        assert len(spaces) >= 2 * len(cases)
     for ctx, V in spaces:
         aug = AugmentedSubalgebra.from_space(ctx, V).aug_ideal
         assert aug == intersect(V, ctx.augmentation_ideal())

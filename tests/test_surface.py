@@ -58,6 +58,10 @@ ALLOWED = {
         "public entry point: Lambda's codomain ideal as a subspace of "
         "F_pG, which a recovery level reads in Jennings coordinates "
         "instead; perfbench/tracer.py also wraps it",
+    ("decompose", "split_cyclic"):
+        "public entry point: G = <h> x G_0 with <h> formed, where a "
+        "recovery level reads G_0 = retraction_complement(G, h) alone; "
+        "perfbench/tracer.py also wraps it",
     ("fplin", "solve"):
         "perfbench binding: perfbench/tracer.py wraps it",
     ("fplin", "QuotientSpace.project"):

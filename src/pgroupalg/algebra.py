@@ -35,10 +35,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .fplin import FpSubspace, QuotientSpace, matmul_mod, nullspace, rref
+from .fplin import FpSubspace, matmul_mod, nullspace, rref
 from .groups import (NotNormalError, PGroup, Subgroup, _powers,
                      characteristic_subgroup, invariants_from_counts,
                      jennings_basis, memoized)
@@ -496,7 +497,26 @@ def group_algebra_subalgebra(ctx: AlgebraContext, elements) -> AugmentedSubalgeb
     return AugmentedSubalgebra.from_space(ctx, FpSubspace(ctx.p, ctx.dim, rows))
 
 
-def frattini_quotient(ctx: AlgebraContext) -> QuotientSpace:
-    """I(G)/I(G)^2, the additive side of the Frattini correspondence; kept
-    for perfbench/fixtures.py, which reads its section coordinates."""
-    return QuotientSpace(ctx.augmentation_ideal(), ctx.plus_power(None, 2))
+def frattini_quotient(ctx: AlgebraContext) -> SimpleNamespace:
+    """I(G)/I(G)^2 as its dim, section and project, which
+    perfbench/fixtures.py reads.  Rows 1: of F = jennings_functionals(2),
+    the weight-1 Jennings functionals, have kernel I(G)^2 on I(G): the
+    section is the rows of I(G)'s basis at the pivot columns of M =
+    F[1:] I(G)^T, and one elimination of [M | 1] gives E = M[:, pivots]^-1,
+    so project(v) = E F[1:] v, for a vector or each row of a 2-d array.
+    It raises off I(G), where F[0], the augmentation, is nonzero."""
+    p, I = ctx.p, ctx.augmentation_ideal().basis
+    F = ctx.jennings_functionals(2)
+    R, pivots = rref(np.concatenate([matmul_mod(F[1:], I.T, p),
+                                     np.eye(len(F) - 1, dtype=np.int64)],
+                                    axis=1), p)
+    inverse = R[:, len(I):]
+
+    def project(vec) -> np.ndarray:
+        Fv = matmul_mod(np.asarray(vec, dtype=np.int64) % p, F.T, p)
+        if Fv[..., 0].any():
+            raise AlgebraError("vector outside the augmentation ideal I(G)")
+        return matmul_mod(Fv[..., 1:], inverse.T, p)
+
+    return SimpleNamespace(dim=len(pivots), section=I[list(pivots)],
+                           project=project)

@@ -10,14 +10,13 @@ subalgebra and factorization checks run on the input alone; each level
 carries B alone, checks only dimension-product, which implies the
 factorization it projects to (recover_decomposition), and reads I(B)^2 off
 the weight-1 Jennings coordinates (_aug_square).  Lambda is well defined
-with no check (_lambda_codomain), and b - 1 is checked outside its kernel
-by a rank in Jennings coordinates, the top Frobenius power of b - 1 read
-off B's chain.  The split G = <h> x G_0 is the retraction's kernel, with no
-<h> formed, which also gives F_pG = I(<h>)F_pG ⊕ F_pG_0 (split_cyclic);
-only F_pG = (b - 1)F_pG ⊕ F_pG_0, for the unit b, is checked in the
-algebra, by the one elimination of |G| rows that projects onto F_pG_0
-(_project_along).  Closures and derived tables are not checked again
-(groups).
+with no check (lambda_map), and b - 1 lies outside its kernel with no
+check, as the split element h proves (recover_decomposition).  The split
+G = <h> x G_0 is the retraction's kernel, with no <h> formed, which also
+gives F_pG = I(<h>)F_pG ⊕ F_pG_0 (split_cyclic); only F_pG = (b - 1)F_pG
+⊕ F_pG_0, for the unit b, is checked in the algebra, by the one
+elimination of |G| rows that projects onto F_pG_0 (_project_along).
+Closures and derived tables are not checked again (groups).
 """
 
 from __future__ import annotations
@@ -44,36 +43,19 @@ _UNIT_ENTRIES = 1 << 17
 _UNIT_FIRST_ROWS = 64
 
 
-def _check_lambda_range(G: PGroup, s: int) -> None:
+def lambda_map(G: PGroup, s: int) -> FpSubspace:
+    """The codomain ideal U = X + I(G)^{q+1}, X = I(mho_s(G)G')F_pG,
+    q = p^{s-1}, of the map Lambda: z + I(G)^2 -> z^q + U, as a subspace
+    of F_pG.  Lambda is well defined with no check: z in I(G)^2 has z^q in
+    I(G)^{2q}, inside I(G)^{q+1}, and U holds I(G')F_pG, modulo which F_pG
+    is commutative of characteristic p, so z -> z^q is additive modulo U.
+    No library path reads U: a recovery level's split element proves b - 1
+    outside ker Lambda (recover_decomposition)."""
     if s < 1 or G.p ** s > G.exponent():
         raise ValueError(f"lambda_map requires 1 <= p^s <= exp(G), got s={s}")
-
-
-def lambda_map(G: PGroup, s: int) -> FpSubspace:
-    """The codomain ideal U of Lambda as a subspace of F_pG; a recovery
-    level reads U in Jennings coordinates (_lambda_codomain)."""
-    _check_lambda_range(G, s)
     ctx = AlgebraContext.of(G)
     return ctx.plus_power(normal_subgroup_ideal(ctx, agemo_derived(G, s)),
                           G.p ** (s - 1) + 1)
-
-
-def _lambda_codomain(G: PGroup, s: int) -> tuple[np.ndarray, FpSubspace]:
-    """(F, FU) for the map Lambda: z + I(G)^2 -> z^q + U, q = p^{s-1},
-    U = X + I(G)^{q+1}, X = I(mho_s(G)G')F_pG.  F is the Jennings
-    functionals of weight <= q, whose common kernel is I(G)^{q+1}, so v
-    lies in U exactly when F v lies in the column span FU of F X^T: a
-    rank, with no subspace of F_pG.  Lambda is well defined with no check:
-    z in I(G)^2 has z^q in I(G)^{2q}, inside I(G)^{q+1}, and U holds
-    I(G')F_pG, modulo which F_pG is commutative of characteristic p, so
-    z -> z^q is additive modulo U."""
-    _check_lambda_range(G, s)
-    p = G.p
-    ctx, q = AlgebraContext.of(G), p ** (s - 1)
-    F = ctx.jennings_functionals(q + 1)
-    X = normal_subgroup_ideal(ctx, agemo_derived(G, s))
-    M = matmul_mod(F, X.basis.T, p)  # its pivot columns span FU
-    return F, FpSubspace(p, len(F), M[:, list(rref(M, p)[1])].T)
 
 
 def split_cyclic(G: PGroup, h: int) -> tuple[Subgroup, Subgroup]:
@@ -283,7 +265,15 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
     condition on b, which the group-basis search checks, puts b in a group
     basis of B, so B ∩ J holds (b - 1)B of dimension dim B - dim B / p^s
     and dim pi(B) <= dim B / p^s: the check agrees with dim pi(B) dim pi(C)
-    = |G_0| on every b the search returns."""
+    = |G_0| on every b the search returns.
+
+    b - 1 lies outside ker Lambda (lambda_map) with no check: the split
+    gives h of order p^s, G = <h> x G_0, e_h - 1 = b - 1 mod I(G)^2, so
+    Lambda(b - 1 + I(G)^2) = e_{h^q} - 1 + U, q = p^{s-1}, which lies in U
+    iff h^q N lies in D_{q+1}(G/N), N = mho_s(G)G' (Jennings, Trans. AMS
+    50, 1941).  N lies in G_0, so G/N = <h> x G_0/N, whose D_{q+1} is
+    D_{q+1}(C_{p^s}) x D_{q+1}(G_0/N), with D_{q+1}(C_{p^s}) = 1.  A b with
+    b - 1 in ker Lambda has no such h, and fails order-p^s-lift."""
     if not fact.verified:
         raise VerificationError("unverified", "factorization was not verified")
     if not fact.B.commutative:
@@ -298,16 +288,6 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
         b = find_group_basis_commutative(B)[0]
         b_minus_1 = (b - ctx.one) % p
         s = len(B.frobs)  # b, the first unit, has the highest order, p^s
-        # Jennings non-membership, also the proof's kernel exclusion:
-        # Lambda(b - 1 + I(G)^2) = (b-1)^{p^{s-1}} + U, outside ker Lambda
-        # iff (b-1)^{p^{s-1}} is outside U; B is commutative, so that power
-        # is c @ frobs[s-1] for the coordinates c of b - 1 on I(B)
-        top = b_minus_1[list(B.aug_ideal.pivots)] @ B.frobs[-1] % p
-        F, FU = _lambda_codomain(ctx.group, s)
-        if FU.contains_vector(F @ top % p):
-            raise VerificationError(
-                "jennings-nonmembership",
-                "(b-1)^{p^{s-1}} fell into the excluded ideal")
         h, G0 = _find_split_element(ctx.group, ctx, b_minus_1, s)
         hs.append(cur_embed[h])
         steps.append({"depth": depth, "s": s, "h": cur_embed[h],

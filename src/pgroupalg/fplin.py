@@ -24,9 +24,7 @@ while a lane stays at most p(p - 1).
 Every ``rref`` stops once the rank equals the number of columns, so
 redundant rows past that point are never reduced.  The residual against an
 RREF basis, at every p, tests membership and gives coordinates in
-``FpSubspace``, and stands for a class of a quotient in ``QuotientSpace``.
-A quotient eliminates when it is built, and keeps the inverse that this
-gives, so each projection is two matrix products.
+``FpSubspace``.
 """
 
 from __future__ import annotations
@@ -251,9 +249,9 @@ def solve(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     rows, from one elimination of [A | b.T], and None means that some row
     is inconsistent.  A pivot right of A's columns is exactly that.
 
-    No library path calls it: ``QuotientSpace`` keeps an inverse instead.
-    The tests hold ``QuotientSpace.project`` to it, and it stays in the
-    library because perfbench/tracer.py wraps it.
+    No library path calls it.  The tests hold the section coordinates of
+    ``algebra.frattini_quotient`` to it, and it stays in the library
+    because perfbench/tracer.py wraps it.
     """
     A = np.asarray(A, dtype=np.int64) % p
     b = np.asarray(b, dtype=np.int64) % p
@@ -360,41 +358,3 @@ class FpSubspace:
     def basis_rows(self) -> list[list[int]]:
         return [list(map(int, row)) for row in self.basis]
 
-
-class QuotientSpace:
-    """W/U with a fixed section: the rows of W's basis independent modulo
-    U, in order, which are the canonical basis of their span.  The class
-    v + U is held by its canonical RREF residual U.reduce(v).  Two
-    eliminations, of the residuals and of [R | I_q] for the residuals R
-    of the q section rows, find the section and give the RREF E of R and
-    the M with M R = E, so ``project`` eliminates nothing."""
-
-    def __init__(self, W: FpSubspace, U: FpSubspace):
-        if not W.contains(U):
-            raise FpError("quotient_space: U is not contained in W")
-        residuals = U.reduce(W.basis)
-        independent = list(rref(residuals.T, W.p)[1])
-        self.U, self.section = U, W.basis[independent]  # (q, ambient)
-        self.p, self.ambient = U.p, U.ambient
-        R, pivots = rref(np.concatenate(
-            [residuals[independent], np.eye(self.dim, dtype=np.int64)],
-            axis=1), self.p)
-        self._echelon = R[:, :self.ambient]      # E, in RREF on _pivots
-        self._pivots = list(pivots)
-        self._inverse = R[:, self.ambient:]      # M, with M R = E
-
-    @property
-    def dim(self) -> int:
-        return self.section.shape[0]
-
-    def project(self, vec) -> np.ndarray:
-        """Section coordinates of vec + U, or of each row of a 2-d array,
-        by two products: the residual r = U.reduce(vec) lies in the span
-        of E iff r = r[pivots] E, its coordinates in E, and then
-        r[pivots] M are its coordinates in R.  Raises if a vector is
-        outside W."""
-        r = self.U.reduce(vec)
-        c = r[..., self._pivots]
-        if not np.array_equal(r, matmul_mod(c, self._echelon, self.p)):
-            raise FpError("vector outside the quotient's ambient space W")
-        return matmul_mod(c, self._inverse, self.p)

@@ -18,8 +18,8 @@ from pgroupalg.algebra import (AlgebraContext, AlgebraError,
                                normal_subgroup_ideal, product_space,
                                unit_exponent_commutative)
 from pgroupalg.decompose import lambda_map
-from pgroupalg.fplin import (FpError, FpSubspace, QuotientSpace, matmul_mod,
-                             nullspace, solve)
+from pgroupalg.fplin import (FpError, FpSubspace, matmul_mod, nullspace,
+                             solve)
 from pgroupalg.groups import (ORACLE_CAP, PGroup, Subgroup, _commutator_table,
                               _powers, abelian_invariants, agemo_derived,
                               cyclic_factor_orders, full_subgroup,
@@ -130,11 +130,25 @@ def coordinates(U: FpSubspace, vec) -> np.ndarray | None:
     return np.asarray(vec, dtype=np.int64)[list(U.pivots)] % U.p
 
 
-def quotient_coordinates(Q: QuotientSpace, vec) -> np.ndarray | None:
-    """Section coordinates of vec + U in Q = W/U, or None if vec is
-    outside W, by solving against the residuals of the section, one
-    elimination per call; cross-checks ``QuotientSpace.project``."""
-    return solve(Q.U.reduce(Q.section).T, Q.U.reduce(vec), Q.p)
+def greedy_section(W: FpSubspace, U: FpSubspace) -> np.ndarray:
+    """The rows of W's basis each outside U plus the rows kept before it,
+    one membership test per row: a section of W/U.  Cross-checks the
+    section that ``algebra.frattini_quotient`` reads off pivot columns."""
+    chosen, acc = [], U
+    for row in W.basis:
+        if not acc.contains_vector(row):
+            chosen.append(row)
+            acc = acc + FpSubspace(U.p, U.ambient, [row])
+    return np.array(chosen, dtype=np.int64).reshape(-1, U.ambient)
+
+
+def quotient_coordinates(section: np.ndarray, U: FpSubspace,
+                         vec) -> np.ndarray | None:
+    """Coordinates c with c @ section = vec modulo U, of vec or of each
+    row of a 2-d array, or None if one lies outside U + span(section), by
+    solving against the residuals of the section, one elimination per
+    call; cross-checks ``frattini_quotient(ctx).project``."""
+    return solve(U.reduce(section).T, U.reduce(vec), U.p)
 
 
 def full_space(p: int, ambient: int) -> FpSubspace:
@@ -342,32 +356,38 @@ class LambdaData:
     """The p^{s-1}-power map Lambda from the domain quotient
     (Omega_s(Z(G))G' ideal + I(G)^2) / I(G)^2 to F_pG / codomain.  A class
     modulo the codomain is its RREF residual codomain.reduce(v): images[i]
-    is the class of domain.section[i]^{p^{s-1}}."""
+    is the class of section[i]^{p^{s-1}}."""
 
     W: FpSubspace  # Omega_s(Z(G))G' ideal + I(G)^2
-    domain: QuotientSpace
+    I2: FpSubspace  # I(G)^2
+    section: np.ndarray  # greedy_section(W, I2), a basis of the domain
     codomain: FpSubspace
     images: np.ndarray
-    kernel: FpSubspace  # inside the span of the domain section
+    kernel: FpSubspace  # inside the span of the section
+
+    def lift(self, v) -> np.ndarray:
+        """The representative of v + I(G)^2, v in W, in the span of the
+        section."""
+        return quotient_coordinates(self.section, self.I2, v) @ \
+            self.section % self.I2.p
 
 
 def lambda_data(G: PGroup, s: int) -> LambdaData:
     """Lambda in full, around the codomain ideal that
-    ``decompose.lambda_map`` returns: the domain quotient with its default
-    section, the exact p^{s-1}-th powers of that section as images, and
-    ker Lambda as the nullspace of images^T spanned in the section.  The
-    recovery step reads only the codomain; the rest is what it decides
-    without building."""
+    ``decompose.lambda_map`` returns: the domain with its greedy section,
+    the exact p^{s-1}-th powers of that section as images, and ker Lambda
+    as the nullspace of images^T spanned in the section.  A recovery level
+    reads none of it: its split element proves b - 1 outside the kernel."""
     p, q = G.p, G.p ** (s - 1)
     ctx = AlgebraContext.of(G)
     codomain = lambda_map(G, s)
     W_dom = ctx.plus_power(
         normal_subgroup_ideal(ctx, omega_center_derived(G, s)), 2)
-    domain = QuotientSpace(W_dom, augmentation_power(ctx, 2))
-    images = codomain.reduce(ctx.powers(domain.section, q))
-    kernel = FpSubspace(p, G.order,
-                        nullspace(images.T, p) @ domain.section % p)
-    return LambdaData(W_dom, domain, codomain, images, kernel)
+    I2 = augmentation_power(ctx, 2)
+    section = greedy_section(W_dom, I2)
+    images = codomain.reduce(ctx.powers(section, q))
+    kernel = FpSubspace(p, G.order, nullspace(images.T, p) @ section % p)
+    return LambdaData(W_dom, I2, section, codomain, images, kernel)
 
 
 def subgroup_ideal(ctx: AlgebraContext, N: Subgroup) -> FpSubspace:

@@ -3,17 +3,23 @@
 ``perfbench/`` drives the library from outside and changes on its own
 schedule.  Its tracer wraps functions and methods by name (``solve``,
 ``power_space``, ``FpSubspace.reduce``, ...) and reads
-``all_subgroups.cache_info()``; its fixtures call ``frattini_quotient``,
-``QuotientSpace.project``, ``p_power`` and ``nullspace``.  This test imports
-both files as they are, so that a change which drops one of those names
-fails here rather than in a traced benchmark run.  The tracer's counters
-read the arguments and results of the functions it wraps, so one recover
-item and one item of each lattice command also run through ``cli.run``
-under it.  Every item of every workload at seed 0 also runs through
-``cli.run`` and the benchmark's correctness gate, so that a change to a
-report body fails here against ``perfbench/reference_digests.json``.
+``all_subgroups.cache_info()``; its fixtures call ``frattini_quotient``
+and the ``project`` it returns, ``p_power``, ``power``, ``group_minus_one``
+and ``nullspace``.  This test imports both files as they are, so that a
+change which drops one of those names fails here rather than in a traced
+benchmark run.  The tracer's counters read the arguments and results of
+the functions it wraps, so one recover item and one item of each lattice
+command also run through ``cli.run`` under it.  Every item of every
+workload at seed 0 also runs through ``cli.run`` and the benchmark's
+correctness gate, so that a change to a report body fails here against
+``perfbench/reference_digests.json``.  The recover and odd-p inputs that
+the fixtures write at seeds 0 and 7 are held to the sha256 digests in
+``fixture_digests.json``: each tree writes its own inputs, so a change to
+a library function that the fixtures call must not move them, or the two
+sides of a comparison run different work.
 """
 
+import hashlib
 import importlib
 import json
 from pathlib import Path
@@ -24,6 +30,7 @@ import pgroupalg.cli as cli
 import pgroupalg.fplin as fplin
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+FIXTURE_DIGESTS = Path(__file__).resolve().parent / "fixture_digests.json"
 
 
 def test_tracer_and_fixtures_run_against_the_library(monkeypatch):
@@ -110,3 +117,23 @@ def test_every_workload_passes_the_correctness_gate(monkeypatch, tmp_path):
             pinned += item["fixed"]
     assert failures == {}
     assert pinned == len(references)
+
+
+def test_generated_inputs_match_their_pinned_digests(monkeypatch, tmp_path):
+    # the twisted recover inputs are drawn through frattini_quotient,
+    # p_power, power, nullspace and group_minus_one; the manifest and
+    # every fixture file of the recover and odd-p workloads at seeds 0
+    # and 7 must be the bytes that their digests were recorded from
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    fixtures = importlib.import_module("fixtures")
+    got = {}
+    for workload in ("recover", "odd-p"):
+        for seed in (0, 7):
+            out = tmp_path / f"{workload}-{seed}"
+            fixtures.write_workload(workload, seed, out)
+            files = ["manifest.json"] + sorted(
+                f"fixtures/{path.name}" for path in (out / "fixtures").iterdir())
+            got[f"{workload}/{seed}"] = {
+                name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in files}
+    assert got == json.loads(FIXTURE_DIGESTS.read_text())

@@ -25,7 +25,8 @@ from pgroupalg.groups import (PGroup, RetractionError, Subgroup,
                               abelian_invariants, agemo_derived,
                               all_subgroups, catalog_build,
                               characteristic_subgroup,
-                              is_internal_direct_product, subgroup_to_pgroup)
+                              is_internal_direct_product,
+                              retraction_complement, subgroup_to_pgroup)
 from pgroupalg.lemmas import VerificationError, verify_tensor_factorization
 
 from oracles import (augmentation_power, full_space, group_closure_vectors,
@@ -46,7 +47,7 @@ def coordinate_factorization(a_name, g0_name):
 def test_lambda_map_c2():
     L = lambda_data(catalog_by_name("C2"), 1)
     # s = 1: the map is the identity on a 1-dimensional domain
-    assert L.domain.dim == 1
+    assert len(L.section) == 1
     assert L.kernel.dim == 0
 
 
@@ -54,24 +55,22 @@ def test_lambda_map_c2xc4():
     G = catalog_by_name("C2xC4")
     ctx = AlgebraContext(G)
     L = lambda_data(G, 2)
-    assert L.domain.dim == 2
+    assert len(L.section) == 2
     assert L.kernel.dim == 1
     # an order-4 element stays outside the kernel: its p-th power of g-1
     # survives in degree p
     b = next(g for g in range(8) if G.element_order(g) == 4)
-    rep = L.domain.project(ctx.group_minus_one(b)) @ L.domain.section % 2
-    assert not L.kernel.contains_vector(rep)
+    assert not L.kernel.contains_vector(L.lift(ctx.group_minus_one(b)))
     # some involution t has t - 1 in the kernel (the C2 coordinate dies)
     kern_hits = [g for g in range(1, 8) if G.element_order(g) == 2
-                 and L.kernel.contains_vector(L.domain.project(
-                     ctx.group_minus_one(g)) @ L.domain.section % 2)]
+                 and L.kernel.contains_vector(L.lift(ctx.group_minus_one(g)))]
     assert kern_hits
 
 
 def test_lambda_map_degenerate_on_d8():
     # Omega_2(Z(D8))D8' = Z(D8) = D8', so the domain collapses to zero
     L = lambda_data(catalog_by_name("D8"), 2)
-    assert L.domain.dim == 0
+    assert len(L.section) == 0
     assert L.images.shape == (0, 8)
     assert L.kernel.dim == 0
 
@@ -86,12 +85,13 @@ def test_lambda_map_constant_on_every_i2_shift(name, s):
     I2 = power_space(ctx, ctx.augmentation_ideal(), 2)
     coeffs = np.array(list(itertools.product(range(G.p), repeat=I2.dim)))
     shifts = coeffs @ I2.basis % G.p
-    for z, img in zip(L.domain.section, L.images):
+    for z, img in zip(L.section, L.images):
         w = ctx.powers((z + shifts) % G.p, G.p ** (s - 1))
         assert np.array_equal(L.codomain.reduce(w), np.tile(img, (len(w), 1)))
     # ker Lambda: the section combinations whose power lies in the codomain
-    coeffs = np.array(list(itertools.product(range(G.p), repeat=L.domain.dim)))
-    for x in coeffs @ L.domain.section % G.p:
+    coeffs = np.array(list(itertools.product(range(G.p),
+                                             repeat=len(L.section))))
+    for x in coeffs @ L.section % G.p:
         dies = not L.codomain.reduce(ctx.power(x, G.p ** (s - 1))).any()
         assert L.kernel.contains_vector(x) == dies
 
@@ -109,8 +109,8 @@ def test_lambda_kernel_exclusion_is_jennings_nonmembership():
     # (p = 5): the codomain ideal is I(G)^{p^{s-1}+1} + I(mho_s(G)G')F_pG
     # from Jennings rows and translates; each central v in Omega_s(Z(I(G)))
     # lies in Lambda's domain, and its class is outside ker Lambda exactly
-    # when v^{p^{s-1}} is outside the codomain, the one test a recovery
-    # level makes
+    # when v^{p^{s-1}} is outside the codomain, which a recovery level's
+    # split element proves with no test
     rng = np.random.default_rng(24)
     cases = outside = 0
     for p, max_order in ((2, 64), (3, 81), (5, 25)):
@@ -124,37 +124,12 @@ def test_lambda_kernel_exclusion_is_jennings_nonmembership():
                     subgroup_ideal(ctx, agemo_derived(G, s)), (G.name, s)
                 for v in _omega_central_samples(ctx, s, rng):
                     assert L.W.contains_vector(v), (G.name, s)
-                    rep = L.domain.project(v) @ L.domain.section % p
-                    out = not L.kernel.contains_vector(rep)
+                    out = not L.kernel.contains_vector(L.lift(v))
                     assert out == (not L.codomain.contains_vector(
                         ctx.powers(v, p ** (s - 1))[0])), (G.name, s)
                     cases += 1
                     outside += out
     assert (cases, outside) == (5276, 1918)
-
-
-def test_lambda_rank_test_is_codomain_membership():
-    # every (G, s) of the catalog to order 64 (p = 2), 81 (p = 3) and 25
-    # (p = 5): v lies in the codomain ideal U that lambda_map eliminates in
-    # F_pG exactly when the recovery level's rank test in Jennings
-    # coordinates says so, on U's basis, on u + e_g for each g and a
-    # random u in U, and on random vectors
-    rng = np.random.default_rng(26)
-    cases = inside = 0
-    for p, max_order in ((2, 64), (3, 81), (5, 25)):
-        for G in builtin_catalog(p=p, max_order=max_order):
-            for s in range(1, round(math.log(G.exponent(), p)) + 1):
-                U = lambda_map(G, s)
-                F, V = decompose._lambda_codomain(G, s)
-                u = rng.integers(0, p, U.dim) @ U.basis
-                vs = np.vstack([U.basis, (u + np.eye(G.order, dtype=int)) % p,
-                                rng.integers(0, p, (8, G.order))])
-                member = ~U.reduce(vs).any(axis=1)
-                assert np.array_equal(
-                    member, ~V.reduce(vs @ F.T % p).any(axis=1)), (G.name, s)
-                cases += len(vs)
-                inside += member.sum()
-    assert (cases, inside) == (11930, 4816)
 
 
 # the catalog to order 64 (p = 2), 81 (p = 3) and 125 (p = 5)
@@ -165,7 +140,7 @@ THEOREM_CATALOG = [G for p, max_order in ((2, 64), (3, 81), (5, 125))
 @pytest.mark.parametrize("G", THEOREM_CATALOG,
                          ids=lambda G: f"p{G.p}-{G.name}")
 def test_lambda_is_well_defined(G):
-    # the theorem that _lambda_codomain states in place of a check: for
+    # the theorem that lambda_map states in place of a check: for
     # every s, the p^{s-1}-th powers of a basis of I(G)^2, exact modulo
     # I(G')F_pG (frobenius_mod_derived), lie in Lambda's codomain U
     ctx = AlgebraContext.of(G)
@@ -217,8 +192,7 @@ def test_dim_I_mod_I2_is_the_frattini_rank(G, monkeypatch):
 def test_lambda_map_eliminates_only_its_codomain(G, monkeypatch):
     # with X = I(mho_s(G)G')F_pG and the Jennings table built, lambda_map
     # makes exactly the eliminations of plus_power(X, q + 1), which gives
-    # the U it returns; a range check that formed Lambda's rank
-    # coordinates eliminated len(F) rows more
+    # the U it returns
     fresh = PGroup(G.p, G.table.copy(), G.name)
     ctx = AlgebraContext.of(fresh)
     for s in range(1, round(math.log(G.exponent(), G.p)) + 1):
@@ -234,8 +208,9 @@ def test_lambda_map_eliminates_only_its_codomain(G, monkeypatch):
 
 
 def test_recovery_forms_no_power_of_the_augmentation_ideal(monkeypatch):
-    # a recovery level reads I(B)^2 and Lambda in Jennings coordinates: it
-    # asks for no I(G)^m and no Frobenius power modulo the derived ideal
+    # a recovery level reads I(B)^2 in Jennings coordinates and never
+    # Lambda: it asks for no I(G)^m and no Frobenius power modulo the
+    # derived ideal
     _, _, ctx, B, C = coordinate_factorization("C2xC4", "D8")
     fact = verify_tensor_factorization(ctx, B, C)
 
@@ -247,23 +222,33 @@ def test_recovery_forms_no_power_of_the_augmentation_ideal(monkeypatch):
     assert recover_decomposition(fact).verified
 
 
-@pytest.mark.parametrize("field, check", [
-    ("codomain", "jennings-nonmembership"),
-])
-def test_recovery_step_checks_name_themselves(monkeypatch, field, check):
-    # widen Lambda's codomain ideal to the whole algebra, its Jennings
-    # coordinates to all of them, so that (b - 1)^{p^{s-1}} falls into it
-    real = decompose._lambda_codomain
-
-    def widened(G, s):
-        F, _ = real(G, s)
-        return F, full_space(G.p, len(F))
-
-    monkeypatch.setattr(decompose, "_lambda_codomain", widened)
-    _, _, ctx, B, C = coordinate_factorization("C2xC4", "D8")
-    with pytest.raises(VerificationError) as exc:
-        recover_decomposition(verify_tensor_factorization(ctx, B, C))
-    assert exc.value.check == check
+def test_split_elements_lie_outside_ker_lambda():
+    # the kernel exclusion that recovery proves with no check: for every
+    # central h of order p^s >= p with a retraction, G = <h> x
+    # G_0, in the catalog to order 64 (p = 2), 81 (p = 3) and 125 (p = 5),
+    # e_{h^q} - 1, q = p^{s-1}, lies outside lambda_map(G, s), as
+    # D_{q+1}(C_{p^s}) = 1; so the b - 1 of any split is outside ker Lambda
+    pairs = 0
+    for G in THEOREM_CATALOG:
+        ctx = AlgebraContext.of(G)
+        codomains = {}
+        for h in range(1, G.order):
+            if not np.array_equal(G.table[h], G.table[:, h]):
+                continue
+            try:
+                retraction_complement(G, h)
+            except RetractionError:
+                continue
+            s = round(math.log(G.element_order(h), G.p))
+            if s not in codomains:
+                codomains[s] = lambda_map(G, s)
+            hq = h
+            for _ in range(G.p ** (s - 1) - 1):
+                hq = G.mul(hq, h)
+            assert not codomains[s].contains_vector(
+                ctx.group_minus_one(hq)), (G.name, h)
+            pairs += 1
+    assert pairs == 1634
 
 
 def test_split_cyclic():

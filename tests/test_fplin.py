@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from pgroupalg.fplin import (FpError, FpSubspace, QuotientSpace, nullspace,
-                             rref, solve)
+from pgroupalg.algebra import (AlgebraContext, AlgebraError, frattini_quotient,
+                               power_space)
+from pgroupalg.catalog import builtin_catalog, catalog_by_name
+from pgroupalg.fplin import FpError, nullspace, rref, solve
+from pgroupalg.groups import PGroup
 
-from oracles import (coordinates, full_space, intersect,
+from oracles import (coordinates, greedy_section, intersect,
                      quotient_coordinates, span)
 
 
@@ -99,57 +102,51 @@ def test_contains_and_coordinates():
 
 
 def test_quotient_space_project_lift():
-    W = full_space(2, 4)
-    U = span(2, 4, [[1, 1, 0, 0]])
-    Q = QuotientSpace(W, U)
-    assert Q.dim == 3
-    v = np.array([1, 0, 1, 0], dtype=np.int64)
-    c = Q.project(v)
-    lifted = c @ Q.section % 2
-    # the lift differs from v by an element of U
-    assert U.contains_vector((lifted - v) % 2)
-    # U itself projects to zero
-    assert np.all(Q.project([1, 1, 0, 0]) == 0)
-    # a batch projects row by row, and a vector outside W is refused
-    V = np.array([v, [1, 1, 0, 0], [0, 1, 1, 1]])
-    assert np.array_equal(Q.project(V), [Q.project(x) for x in V])
-    Q2 = QuotientSpace(span(2, 4, [[1, 1, 0, 0], [0, 0, 1, 0]]), U)
-    assert Q2.section.tolist() == [[0, 0, 1, 0]]
-    with pytest.raises(FpError):
-        Q2.project(V)
+    # frattini_quotient's I(G)/I(G)^2 for He3: each projection lifts back
+    # through the section to v modulo the product span I(G)·I(G), which
+    # projects to zero, and a vector, or a batch holding one, outside I(G)
+    # is refused
+    ctx = AlgebraContext(catalog_by_name("He3"))
+    Q = frattini_quotient(ctx)
+    I = ctx.augmentation_ideal()
+    I2 = power_space(ctx, I, 2)
+    assert not Q.project(I2.basis).any()
+    V = np.random.default_rng(5).integers(0, 3, size=(6, I.dim)) @ I.basis % 3
+    for v in V:
+        assert I2.contains_vector(Q.project(v) @ Q.section - v)
+    for outside in (ctx.one, 2 * ctx.basis_vector(4), np.vstack([V, ctx.one])):
+        with pytest.raises(AlgebraError, match="outside"):
+            Q.project(outside)
 
 
 def test_quotient_space_of_zero_dimension():
-    U = span(3, 3, [[1, 2, 0]])
-    Q = QuotientSpace(U, U)
-    assert Q.dim == 0
-    assert Q.project([[2, 1, 0], [0, 0, 0]]).shape == (2, 0)
-    assert Q.section.shape == (0, 3)
-    with pytest.raises(FpError):
-        Q.project([0, 0, 1])
+    # the trivial group: I(G) = 0, so I(G)/I(G)^2 is 0, the zero vector
+    # has no coordinates, and e_1 is outside I(G)
+    ctx = AlgebraContext(PGroup(5, np.zeros((1, 1), dtype=np.int64), "C1"))
+    Q = frattini_quotient(ctx)
+    assert Q.dim == 0 and Q.section.shape == (0, 1)
+    assert Q.project([[0], [0]]).shape == (2, 0)
+    with pytest.raises(AlgebraError, match="outside"):
+        Q.project([1])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_quotient_projection_matches_solve(p):
-    # project's two products against one solve per call, on random W ⊇ U
-    rng = np.random.default_rng(20261019 + p)
-    for _ in range(30):
-        n = int(rng.integers(1, 9))
-        W = FpSubspace(p, n, rng.integers(0, p, size=(rng.integers(1, n + 1), n)))
-        U = FpSubspace(p, n, rng.integers(0, p, size=(rng.integers(0, W.dim + 1),
-                                                      W.dim)) @ W.basis % p)
-        Q = QuotientSpace(W, U)
-        V = rng.integers(0, p, size=(5, W.dim)) @ W.basis % p
-        assert np.array_equal(Q.project(V), quotient_coordinates(Q, V))
-        for v in V:
-            assert np.array_equal(Q.project(v), quotient_coordinates(Q, v))
-        outside = rng.integers(0, p, size=n)
-        if not W.contains_vector(outside):
-            assert quotient_coordinates(Q, outside) is None
-            with pytest.raises(FpError, match="outside"):
-                Q.project(outside)
-            with pytest.raises(FpError, match="outside"):
-                Q.project(np.vstack([V, outside]))
+    # frattini_quotient's project, on every e_a - 1 and on seeded random
+    # elements of I(G), against one solve against the greedy section
+    # modulo the product span I(G)·I(G), on every catalog group to order
+    # 64 (p = 2), 81 (p = 3) and 125 (p = 5)
+    rng = np.random.default_rng(20261020 + p)
+    for G in builtin_catalog(p=p, max_order={2: 64, 3: 81, 5: 125}[p]):
+        ctx = AlgebraContext(G)
+        I = ctx.augmentation_ideal()
+        I2 = power_space(ctx, I, 2)
+        V = np.concatenate([
+            [ctx.group_minus_one(a) for a in range(G.order)],
+            rng.integers(0, p, size=(8, I.dim)) @ I.basis % p])
+        assert np.array_equal(
+            frattini_quotient(ctx).project(V),
+            quotient_coordinates(greedy_section(I, I2), I2, V)), G.name
 
 
 def test_unsupported_prime_rejected():

@@ -27,16 +27,16 @@ import pgroupalg.cli as cli
 import pgroupalg.fplin as fplin
 import pgroupalg.decompose as decompose
 from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
-                               augmentation_part, frobenius_chain,
-                               frobenius_mod_derived, group_algebra_subalgebra,
-                               ideal_generated, mho_ideal_mod_derived,
-                               normal_subgroup_ideal, power_space,
-                               product_space, unique_rows)
+                               augmentation_part, frattini_quotient,
+                               frobenius_chain, frobenius_mod_derived,
+                               group_algebra_subalgebra, ideal_generated,
+                               mho_ideal_mod_derived, normal_subgroup_ideal,
+                               power_space, product_space, unique_rows)
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.decompose import _units_by_order, find_group_basis_commutative
-from pgroupalg.fplin import FpSubspace, QuotientSpace, matmul_mod, rref
+from pgroupalg.fplin import FpSubspace, matmul_mod, rref
 from pgroupalg.groups import (PGroup, Subgroup, _closure, abelian_invariants,
-                              all_subgroups, catalog_build,
+                              agemo_derived, all_subgroups, catalog_build,
                               characteristic_subgroup, jennings_basis,
                               jennings_series, r_subquotient)
 from pgroupalg.io import group_from_dict
@@ -47,7 +47,7 @@ from oracles import (aug_square, augmentation_power, commutator_span,
                      conjugacy_classes, conjugate, coordinates,
                      dimension_subgroup, full_space, group_basis_search,
                      jennings_functionals_per_m, jennings_rows,
-                     group_closure_vectors, intersect, span,
+                     greedy_section, group_closure_vectors, intersect, span,
                      unit_closure_invariants, units_of_order)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -444,8 +444,9 @@ def test_recover_of_c3_he3_eliminates_few_rows(bench_fixtures, monkeypatch):
     # the report: a dense elimination of about |G| rows for each I(G)^m
     # and X + I(G)^m passed 1,100 rows, |G|-row eliminations of the
     # cyclic split's ideal and of Lambda's kernel passed 475, and the
-    # split's ideal eliminated apart from its section passed 185, and
-    # each level's projection of C with B's passed 157
+    # split's ideal eliminated apart from its section passed 185, each
+    # level's projection of C with B's passed 157, and Lambda's rank test
+    # in Jennings coordinates passed 130
     data, _ = bench_fixtures.factorization_fixture(
         "C3", "He3", np.random.default_rng(7))
     rows = count_rref_rows(monkeypatch)
@@ -453,7 +454,7 @@ def test_recover_of_c3_he3_eliminates_few_rows(bench_fixtures, monkeypatch):
     report = decompose.recover_decomposition(
         verify_tensor_factorization(B.ctx, B, C))
     assert report.b_invariants == (3,)
-    assert 0 < sum(rows) <= 145, sum(rows)
+    assert 0 < sum(rows) <= 128, sum(rows)
 
 
 def recover_corpus(bench_fixtures):
@@ -471,7 +472,8 @@ def test_recover_corpus_eliminates_few_rows(bench_fixtures, monkeypatch):
     # to the report: 6,035 rows when each level eliminated |G| rows for
     # its split ideal, its quotient's whole space and Lambda's kernel,
     # 2,253 when it eliminated the split's ideal apart from its section,
-    # and 1,994 when each level projected C with B
+    # 1,994 when each level projected C with B, and 1,818 when each level
+    # tested b - 1 outside ker Lambda by a rank in Jennings coordinates
     rows = count_rref_rows(monkeypatch)
     total = 0
     for a_name, g0_name in recover_corpus(bench_fixtures):
@@ -484,7 +486,7 @@ def test_recover_corpus_eliminates_few_rows(bench_fixtures, monkeypatch):
         assert report.b_invariants == abelian_invariants(
             catalog_by_name(a_name))
         total += sum(rows)
-    assert 0 < total <= 1900, total
+    assert 0 < total <= 1700, total
 
 
 def assert_invariants_agree(B, want, label):
@@ -628,7 +630,7 @@ def test_split_projection_matches_the_ideal_oracle(monkeypatch,
     # off one elimination, against the ideal that b - 1 generates and no
     # quotient: pi(v), set on G_0's columns and zero off them, differs from
     # v by an element of J, for every basis row v of B.  Recovery calls no
-    # ideal_generated and builds no QuotientSpace
+    # ideal_generated
     if cases is None:
         cases = [(a, g0, 7) for a, g0 in recover_corpus(bench_fixtures)]
     real, checked = decompose._project_along, []
@@ -643,7 +645,7 @@ def test_split_projection_matches_the_ideal_oracle(monkeypatch,
         return pi
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("recovery built a quotient or an ideal")
+        raise AssertionError("recovery built an ideal")
 
     facts = []  # the inputs are built before recovery is watched
     for a_name, g0_name, seed in cases:
@@ -657,8 +659,6 @@ def test_split_projection_matches_the_ideal_oracle(monkeypatch,
         if module.__name__.startswith("pgroupalg") and getattr(
                 module, "ideal_generated", None) is ideal_generated:
             monkeypatch.setattr(module, "ideal_generated", forbidden)
-    monkeypatch.setattr(QuotientSpace, "__init__", forbidden)
-    monkeypatch.setattr(QuotientSpace, "project", forbidden)
     for fact, invariants in facts:
         assert decompose.recover_decomposition(fact).b_invariants == \
             invariants
@@ -697,11 +697,41 @@ def test_recovery_levels_inherit_the_factorization(monkeypatch,
     assert next(splits, None) is None and levels >= len(cases)
 
 
+@pytest.mark.parametrize("cases", [*LEVEL_CASES,
+                                   pytest.param(None, id="recover-corpus")])
+def test_recovery_levels_split_outside_ker_lambda(monkeypatch,
+                                                  bench_fixtures, cases):
+    # the kernel exclusion that no level checks, as its split element
+    # proves it: each level's b, of order p^s, the one whose b - 1 the
+    # split projects along, has (b - 1)^{p^{s-1}} outside lambda_map(G, s)
+    if cases is None:
+        cases = [(a, g0, 7) for a, g0 in recover_corpus(bench_fixtures)]
+    real, splits = decompose._project_along, []
+
+    def project(ctx, b_minus_1, G0, X):
+        splits.append(b_minus_1)
+        return real(ctx, b_minus_1, G0, X)
+
+    monkeypatch.setattr(decompose, "_project_along", project)
+    runs = recovery_levels(monkeypatch, bench_fixtures, cases)
+    levels, splits = 0, iter(splits)
+    for _, chain in runs:
+        for ctx, B in chain[:-1]:
+            s = len(B.frobs)
+            top = ctx.powers(next(splits)[None], ctx.p ** (s - 1))[0]
+            assert not decompose.lambda_map(ctx.group, s).contains_vector(
+                top), (ctx.group.name, s)
+            levels += 1
+    assert next(splits, None) is None and levels >= len(cases)
+
+
 def test_recovery_levels_carry_b_alone(monkeypatch, bench_fixtures):
     # below depth 0 a level projects B's basis alone and reads its I(B)
     # once: no TensorFactorizationInput is built, verify_tensor_factorization
     # is not called, and _project_along and augmentation_part run once a
-    # level on the recover corpus
+    # level on the recover corpus.  No level reads Lambda, whose kernel the
+    # split element proves b - 1 outside: no lambda_map, and no
+    # normal_subgroup_ideal or agemo_derived, which build its codomain
     facts = recover_corpus_facts(bench_fixtures)
     calls = collections.Counter()
 
@@ -712,18 +742,21 @@ def test_recovery_levels_carry_b_alone(monkeypatch, bench_fixtures):
         return wrapper
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("recovery built or verified a factorization")
+        raise AssertionError("recovery built or verified a factorization, "
+                             "or read Lambda")
 
     for name in ("_project_along", "augmentation_part"):
         monkeypatch.setattr(decompose, name,
                             counted(name, getattr(decompose, name)))
     monkeypatch.setattr(TensorFactorizationInput, "__init__", forbidden)
+    refused = {f.__name__: f for f in (
+        verify_tensor_factorization, normal_subgroup_ideal, agemo_derived,
+        decompose.lambda_map)}
     for module in list(sys.modules.values()):
-        if module.__name__.startswith("pgroupalg") and getattr(
-                module, "verify_tensor_factorization",
-                None) is verify_tensor_factorization:
-            monkeypatch.setattr(module, "verify_tensor_factorization",
-                                forbidden)
+        if module.__name__.startswith("pgroupalg"):
+            for name, real in refused.items():
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, forbidden)
     levels = 0
     for fact, invariants in facts:
         report = decompose.recover_decomposition(fact)
@@ -1117,35 +1150,28 @@ def test_reduce_matches_rowwise_elimination(case, seed):
             assert np.array_equal((coords @ U.basis) % p, v)
 
 
-def ref_greedy_section(U, W):
-    """Each row of W's basis that is outside U plus the rows kept so far."""
-    chosen, acc = [], U
-    for row in W.basis:
-        if not acc.contains_vector(row):
-            chosen.append(row)
-            acc = acc + span(U.p, U.ambient, [row])
-    return FpSubspace(U.p, U.ambient,
-                      np.array(chosen).reshape(-1, U.ambient)).basis
-
-
-@given(matrices(), st.integers(0, 2 ** 32 - 1))
-def test_quotient_section_and_batched_projection(case, seed):
-    rows, p = case
-    n = rows.shape[1]
-    rng = np.random.default_rng(seed)
-    W = FpSubspace(p, n, rows)
-    U = FpSubspace(p, n, rng.integers(0, p, size=(rng.integers(0, 8), W.dim))
-                   @ W.basis % p)
-    Q = QuotientSpace(W, U)
-    assert np.array_equal(Q.section, ref_greedy_section(U, W))
-    S = FpSubspace(p, n, Q.section)
-    assert U + S == W and intersect(U, S).dim == 0
-    V = rng.integers(0, p, size=(6, W.dim)) @ W.basis % p
-    coords = Q.project(V)
-    assert coords.shape == (6, Q.dim)
-    for v, c in zip(V, coords):
-        assert np.array_equal(Q.project(v), c)
-        assert U.contains_vector(c @ Q.section - v)
+def test_quotient_section_and_batched_projection():
+    # on every group of CATALOG, frattini_quotient's section, read off the
+    # pivot columns of the weight-1 Jennings functionals on I(G), is the
+    # greedy section of I(G) modulo the product span I(G)·I(G), of
+    # dimension d(G); a batch projects row by row, and each row lifts
+    # back modulo I(G)^2
+    for G in CATALOG:
+        ctx = AlgebraContext(G)
+        Q = frattini_quotient(ctx)
+        I = ctx.augmentation_ideal()
+        I2 = power_space(ctx, I, 2)
+        assert np.array_equal(Q.section, greedy_section(I, I2)), G.name
+        assert Q.dim == len(Q.section) == I.dim - I2.dim, G.name
+        V = np.concatenate([
+            [ctx.group_minus_one(a) for a in range(G.order)],
+            np.random.default_rng(G.order).integers(0, G.p, size=(6, I.dim))
+            @ I.basis % G.p])
+        coords = Q.project(V)
+        assert coords.shape == (len(V), Q.dim)
+        for v, c in zip(V, coords):
+            assert np.array_equal(Q.project(v), c), G.name
+            assert I2.contains_vector(c @ Q.section - v), G.name
 
 
 def ref_ideal_generated(ctx, X):

@@ -52,21 +52,19 @@ ALLOWED = {
         "perfbench binding: perfbench/tracer.py wraps it",
     ("algebra", "AlgebraContext.plus_power"):
         "public entry point: X + I(G)^m, and I(G)^m, as a subspace of "
-        "F_pG, which lambda_map and frattini_quotient build theirs with; "
-        "library paths read I(G)^m in Jennings coordinates instead",
+        "F_pG, which lambda_map builds Lambda's codomain with; no library "
+        "path reads I(G)^m as a subspace, only in Jennings coordinates",
     ("decompose", "lambda_map"):
         "public entry point: Lambda's codomain ideal as a subspace of "
-        "F_pG, which a recovery level reads in Jennings coordinates "
-        "instead; perfbench/tracer.py also wraps it",
+        "F_pG, which no library path reads, as a recovery level's split "
+        "element proves b - 1 outside ker Lambda; perfbench/tracer.py "
+        "also wraps it",
     ("decompose", "split_cyclic"):
         "public entry point: G = <h> x G_0 with <h> formed, where a "
         "recovery level reads G_0 = retraction_complement(G, h) alone; "
         "perfbench/tracer.py also wraps it",
     ("fplin", "solve"):
         "perfbench binding: perfbench/tracer.py wraps it",
-    ("fplin", "QuotientSpace.project"):
-        "perfbench binding: perfbench/fixtures.py reads the coordinates "
-        "of frattini_quotient with it",
     ("groups", "PGroup.mul"):
         "public entry point: a group's product of two elements, the one "
         "lookup that callers outside the library read a table with",

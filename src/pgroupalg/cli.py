@@ -18,8 +18,9 @@ from .algebra import AlgebraContext, AlgebraError, group_algebra_subalgebra
 from .catalog import CatalogNameError, builtin_catalog, catalog_by_name
 from .decompose import certify_indecomposable, recover_decomposition
 from .fplin import FpError
-from .groups import (GroupError, OracleCapExceeded, abelian_invariants,
-                     catalog_build, cyclic_factor_orders, direct_factor_oracle)
+from .groups import (GroupError, OracleCapExceeded, catalog_build,
+                     cyclic_factor_orders, direct_factor_oracle,
+                     subgroup_invariants)
 from .io import (SchemaError, canonical_json, dump_report, group_fingerprint,
                  group_to_dict, load_inputs)
 from .lemmas import (VerificationError, cyclic_factor_test,
@@ -62,13 +63,19 @@ READS = {
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.  Parsing does not change
-    it: the append actions copy their default list before appending."""
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, built once per process for the one command
+    it parses, or for all of them when command is None.  Either tree
+    spells usage and help alike: the subcommand metavar names every
+    command, and a word that is no command goes to the full tree, whose
+    errors name its choices.  Parsing does not change a parser: the
+    append actions copy their default list before appending."""
     ap = argparse.ArgumentParser(
         prog="pgroupalg",
         description="Exact computations in modular group algebras of finite p-groups")
-    sub = ap.add_subparsers(dest="command", required=True)
+    # the metavar would rename the action in the full tree's errors
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def common(sp):
         d = COMMON_DEFAULTS
@@ -81,17 +88,19 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--oracle-cap", type=int, default=d["oracle_cap"])
         sp.add_argument("--out", default=None, help="report output path")
 
-    sp = sub.add_parser("catalog", help="list built-in groups or emit fixtures")
-    common(sp)
-    emit = sp.add_mutually_exclusive_group()
-    emit.add_argument("--emit", default=None, metavar="NAME",
-                      help="write the named group as JSON")
-    emit.add_argument("--emit-factorization", nargs=2, default=None,
-                      metavar=("A", "G0"),
-                      help="emit A x G0 with the coordinate factorization")
-    for name in (*GROUP_COMMANDS, "recover"):
-        sp = sub.add_parser(name)
+    for name in COMMANDS if command is None else (command,):
+        if name != "catalog":
+            common(sub.add_parser(name))
+            continue
+        sp = sub.add_parser(
+            "catalog", help="list built-in groups or emit fixtures")
         common(sp)
+        emit = sp.add_mutually_exclusive_group()
+        emit.add_argument("--emit", default=None, metavar="NAME",
+                          help="write the named group as JSON")
+        emit.add_argument("--emit-factorization", nargs=2, default=None,
+                          metavar=("A", "G0"),
+                          help="emit A x G0 with the coordinate factorization")
     return ap
 
 
@@ -215,19 +224,25 @@ def _certify(G, args) -> dict:
 
 
 def _oracle(G, args) -> dict:
+    """Every direct decomposition G = H x K with both factors' elements
+    and, for an abelian factor, its invariants.
+
+    The pairs use few distinct factors (C2^5 has 10,416 pairs over 372),
+    and _direct_pairs yields one Subgroup object per lattice entry.  So
+    each factor's element list and invariants are built once, keyed by
+    that object's id (the pairs keep it alive) rather than by its hash,
+    which hashes the elements, and the invariants of all factors come
+    from one batch.  Every pair holding a factor shares its lists, and
+    canonical_json writes each list once."""
     pairs = direct_factor_oracle(G, cap=args.oracle_cap)
-
-    @functools.cache  # once per factor, by one abelian test
-    def invariants_of(S):
-        try:
-            return [int(x) for x in abelian_invariants(S)]
-        except GroupError:  # S is not abelian
-            return None
-
-    dumped = [{"H": [int(x) for x in H.elements],
-               "K": [int(x) for x in K.elements],
-               "H_invariants": invariants_of(H),
-               "K_invariants": invariants_of(K)} for H, K in pairs]
+    factors = list({id(S): S for pair in pairs for S in pair}.values())
+    lists = {id(S): (list(S.elements), None if invs is None else list(invs))
+             for S, invs in zip(factors, subgroup_invariants(G, factors))}
+    dumped = []
+    for H, K in pairs:
+        (h, h_invs), (k, k_invs) = lists[id(H)], lists[id(K)]
+        dumped.append({"H": h, "K": k, "H_invariants": h_invs,
+                       "K_invariants": k_invs})
     return {"group": group_fingerprint(G),
             "decomposable": bool(pairs), "pairs": dumped}
 
@@ -281,7 +296,8 @@ COMMANDS = {
 
 
 def run(argv=None) -> int:
-    ap = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    ap = _parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

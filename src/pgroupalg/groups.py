@@ -523,22 +523,35 @@ def abelian_invariants(A: PGroup | Subgroup) -> tuple[int, ...]:
 
     A subgroup is read in place: its element orders are those of its
     elements in the parent."""
-    if not A.is_abelian():
+    S = A if isinstance(A, Subgroup) else full_subgroup(A)
+    (invs,) = subgroup_invariants(S.parent, [S])
+    if invs is None:
         raise GroupError("abelian_invariants requires an abelian group")
-    if A.order == 1:
-        return ()
-    if isinstance(A, Subgroup):
-        p = A.parent.p
-        orders = _element_orders(A.parent)[list(A.elements)]
-    else:
-        p, orders = A.p, _element_orders(A)
-    smax = round(math.log(int(orders.max()), p))
-    # log_p #{g : g^{p^k} = 1} = sum_i min(e_i, k), k = 0, ..., smax
-    logs = [round(math.log(int((orders <= p ** k).sum()), p))
-            for k in range(smax + 1)]
-    invs = invariants_from_counts(p, [b - a for a, b in zip(logs, logs[1:])])
-    assert math.prod(invs) == A.order
     return invs
+
+
+def subgroup_invariants(G: PGroup, subgroups) -> list[tuple[int, ...] | None]:
+    """abelian_invariants of each subgroup of G, None for one that is not
+    abelian, all at once: log_p #{g in S : g^{p^k} = 1} = sum_i min(e_i, k),
+    k = 0, 1, ..., and those counts are one sum over the subgroups' masks
+    met with the masks of {g : |g| <= p^k}."""
+    orders = _element_orders(G)
+    levels = G.p ** np.arange(round(math.log(G.order, G.p)) + 1)
+    masks = np.zeros((len(subgroups), G.order, 1), dtype=bool)
+    for row, S in zip(masks, subgroups):
+        row[list(S.elements)] = True
+    counts = (masks & (orders[:, None] <= levels)).sum(axis=1)
+    # counts are powers of p, so their logs are exact positions in levels
+    logs = np.searchsorted(levels, counts)
+    out = []
+    for S, row in zip(subgroups, logs.tolist()):
+        if not S.is_abelian():
+            out.append(None)
+            continue
+        out.append(invariants_from_counts(
+            G.p, [b - a for a, b in zip(row, row[1:])]))
+        assert math.prod(out[-1]) == S.order
+    return out
 
 
 def abelianization_invariants(G: PGroup) -> tuple[int, ...]:

@@ -10,11 +10,12 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pgroupalg.decompose as decompose
@@ -289,6 +290,79 @@ def test_parse_error_exit_codes(tmp_path):
             EXIT_PARSE
 
 
+_TOP_USAGE = """\
+usage: pgroupalg [-h]
+                 {catalog,lemmas,cyclic-factor,certify,oracle,recover} ...
+"""
+_COMMON_OPTIONS = """\
+options:
+  -h, --help            show this help message and exit
+  --p {2,3,5}
+  --input INPUT         group JSON file (repeatable)
+  --catalog CATALOG     built-in group name (repeatable)
+  --max-order MAX_ORDER
+  --oracle-cap ORACLE_CAP
+  --out OUT             report output path
+"""
+
+# (exit code, stdout, stderr) of each argv, recorded when every run built
+# the parser of all commands; at 80 columns, as Python 3.11's argparse
+# spells them
+USAGE_TEXT = {
+    ("--help",): (EXIT_OK, _TOP_USAGE + """
+Exact computations in modular group algebras of finite p-groups
+
+positional arguments:
+  {catalog,lemmas,cyclic-factor,certify,oracle,recover}
+    catalog             list built-in groups or emit fixtures
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    ("bogus",): (EXIT_PARSE, "", _TOP_USAGE + (
+        "pgroupalg: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'catalog', 'lemmas', 'cyclic-factor', 'certify', "
+        "'oracle', 'recover')\n")),
+    (): (EXIT_PARSE, "", _TOP_USAGE + (
+        "pgroupalg: error: the following arguments are required: "
+        "command\n")),
+    ("lemmas", "--bogus"): (EXIT_PARSE, "", _TOP_USAGE + (
+        "pgroupalg: error: unrecognized arguments: --bogus\n")),
+    ("lemmas", "--help"): (EXIT_OK, """\
+usage: pgroupalg lemmas [-h] [--p {2,3,5}] [--input INPUT] [--catalog CATALOG]
+                        [--max-order MAX_ORDER] [--oracle-cap ORACLE_CAP]
+                        [--out OUT]
+
+""" + _COMMON_OPTIONS, ""),
+    ("oracle", "--p", "7"): (EXIT_PARSE, "", """\
+usage: pgroupalg oracle [-h] [--p {2,3,5}] [--input INPUT] [--catalog CATALOG]
+                        [--max-order MAX_ORDER] [--oracle-cap ORACLE_CAP]
+                        [--out OUT]
+pgroupalg oracle: error: argument --p: invalid choice: 7 (choose from 2, 3, 5)
+"""),
+    ("catalog", "--emit", "D8", "--emit-factorization", "C2", "C2"): (
+        EXIT_PARSE, "", """\
+usage: pgroupalg catalog [-h] [--p {2,3,5}] [--input INPUT]
+                         [--catalog CATALOG] [--max-order MAX_ORDER]
+                         [--oracle-cap ORACLE_CAP] [--out OUT]
+                         [--emit NAME | --emit-factorization A G0]
+pgroupalg catalog: error: argument --emit-factorization: not allowed with \
+argument --emit
+"""),
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_TEXT,
+                         ids=lambda argv: " ".join(argv) or "no-words")
+def test_usage_and_help_text_is_pinned(capsys, monkeypatch, argv):
+    # a command's run builds only its own parser; a word that is no
+    # command, or none, builds all of them
+    monkeypatch.setenv("COLUMNS", "80")
+    code = run(list(argv))
+    out, err = capsys.readouterr()
+    assert (code, out, err) == USAGE_TEXT[argv]
+
+
 def test_schema_rejects_broken_table(tmp_path):
     G = catalog_by_name("C4")
     data = group_to_dict(G)
@@ -457,11 +531,35 @@ _REPORT_VALUES = st.recursive(
     max_leaves=24)
 
 
-@given(_REPORT_VALUES)
-def test_canonical_json_matches_json_dumps(value):
-    # escapes, non-ASCII text, NaN and the infinities spelled as json does
-    assert canonical_json(value) == json.dumps(value, sort_keys=True,
-                                               indent=2)
+@st.composite
+def _shared_values(draw):
+    """A value that holds the same list and tuple objects at several
+    positions and depths, beside equal lists that are distinct objects:
+    the shapes whose text canonical_json writes once per object and
+    indent."""
+    ints = draw(st.lists(st.lists(st.integers(), max_size=4), min_size=1,
+                         max_size=3))
+    shared = [*ints, tuple(ints[0]), [ints[0], tuple(ints[-1])],
+              *(list(x) for x in ints)]
+    return draw(st.recursive(
+        st.sampled_from(shared) | st.integers() | st.text(max_size=2),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+        max_leaves=16))
+
+
+_A = [1, 2]
+
+
+@given(_REPORT_VALUES, _shared_values())
+@example({"x": _A, "y": [_A, [_A, (_A, [1, 2])]], "z": (1, 2)}, [])
+def test_canonical_json_matches_json_dumps(value, shared):
+    # escapes, non-ASCII text, NaN and the infinities spelled as json does;
+    # one list object written at several indents, and equal lists that
+    # are distinct objects
+    for x in (value, shared):
+        assert canonical_json(x) == json.dumps(x, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("name", ["D6", "D12", "Q4", "C6", "Foo", "C0",
@@ -731,6 +829,43 @@ def test_lattice_bodies_are_pinned(tmp_path, bench_lattice_files, command,
     text = json.dumps(body[command.replace("-", "_")], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         LATTICE_DIGESTS[command, groups]
+
+
+# sha256 of the canonical oracle body of a large lattice, recorded when
+# every pair held its own copy of its factors' lists: C2^5 has 10,416
+# pairs over 372 factors
+ORACLE_DIGESTS = {
+    ("C2xC2xC2xC2xC2", "32"):
+        "984e3a6e361be7cc9db4d455a1476b1fd03cdb17cfec133bac06d5decb8d2570",
+    ("C2xC2xC4xC4", "64"):
+        "f69c7a57023999be6555d4121aa74fbfbbe5f53aade02168f9491533df9cb573",
+}
+
+
+@pytest.mark.parametrize("name, max_order", ORACLE_DIGESTS)
+def test_oracle_bodies_are_pinned(tmp_path, name, max_order):
+    out = tmp_path / "report.json"
+    assert run(["oracle", "--catalog", name, "--max-order", max_order,
+                "--out", str(out)]) == EXIT_OK
+    text = out.read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    digest = json.dumps(report["body"]["oracle"], sort_keys=True)
+    assert hashlib.sha256(digest.encode()).hexdigest() == \
+        ORACLE_DIGESTS[name, max_order]
+
+
+def test_oracle_report_memory_is_bounded(tmp_path):
+    # 14.9 MB when each pair copied its factors' lists; a memo that kept
+    # the text of the pairs too would take 22.6 MB
+    tracemalloc.start()
+    try:
+        assert run(["oracle", "--catalog", "C2xC2xC2xC2xC2",
+                    "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14.9e6
 
 
 def test_recover_at_order_243(tmp_path):

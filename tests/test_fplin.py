@@ -6,7 +6,7 @@ import pytest
 from pgroupalg.algebra import (AlgebraContext, AlgebraError, frattini_quotient,
                                power_space)
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
-from pgroupalg.fplin import FpError, nullspace, rref, solve
+from pgroupalg.fplin import FpError, FpSubspace, nullspace, rref, solve
 from pgroupalg.groups import PGroup
 
 from oracles import (coordinates, greedy_section, intersect,
@@ -99,6 +99,43 @@ def test_contains_and_coordinates():
     recon = (c @ U.basis) % 2
     assert recon.tolist() == [1, 0, 1]
     assert coordinates(U, [1, 0, 0]) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_free_column_membership_matches_reduce(p):
+    # contains_vector reads membership off the free columns alone; on
+    # seeded rows inside, outside and across the space, in batches and
+    # one row at a time, also unreduced or negative, it says what
+    # reduce(rows).any() says, also for the zero subspace and the whole
+    # space, and contains says it of a basis
+    rng = np.random.default_rng(20261021 + p)
+    n = 12
+    spaces = [FpSubspace(p, n), span(p, n, np.eye(n, dtype=np.int64))]
+    spaces += [span(p, n, rng.integers(0, p, size=(k, n)))
+               for k in (1, 3, 6, 9, 11) for _ in range(4)]
+    for V in spaces:
+        inside = rng.integers(0, p, size=(5, V.dim)) @ V.basis % p
+        outside = rng.integers(0, p, size=(5, n))
+        shift = p * rng.integers(-3, 4, size=(5, n))
+        batches = [inside, outside, np.concatenate([inside, outside[:1]]),
+                   inside[:1], outside[:1], inside[:0], inside + shift,
+                   outside + shift, inside - p]
+        for T in batches:
+            assert V.contains_vector(T) == (not V.reduce(T).any()), V
+        for row in np.concatenate([outside, inside + shift]):
+            assert V.contains_vector(row) == (not V.reduce(row).any())
+            assert V.contains_vector(row) == V.contains_vector(row[None])
+        assert V.contains_vector(inside)
+        assert V.contains_vector(inside + shift)
+        assert V.contains_vector(inside - p)
+        for W in spaces[:4]:
+            assert V.contains(W) == (not V.reduce(W.basis).any())
+    assert not spaces[0].contains_vector(np.eye(n, dtype=np.int64)[:1])
+    assert spaces[1].contains_vector(outside - 7 * p)
+    for bad in (inside[:, :-1], inside[0, :-1], inside[:, :, None],
+                np.int64(0)):
+        with pytest.raises(FpError):
+            spaces[2].contains_vector(bad)
 
 
 def test_quotient_space_project_lift():

@@ -10,6 +10,7 @@ stream of highest-order units as one ``lexsort`` of that class.
 """
 
 import collections
+import functools
 import importlib
 import itertools
 import json
@@ -26,9 +27,10 @@ import pgroupalg.algebra as algebra
 import pgroupalg.cli as cli
 import pgroupalg.fplin as fplin
 import pgroupalg.decompose as decompose
-from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
-                               augmentation_part, frattini_quotient,
-                               frobenius_chain, frobenius_mod_derived,
+from pgroupalg.algebra import (AlgebraContext, AlgebraError,
+                               AugmentedSubalgebra, augmentation_part,
+                               frattini_quotient, frobenius_chain,
+                               frobenius_mod_derived,
                                group_algebra_subalgebra, ideal_generated,
                                mho_ideal_mod_derived, normal_subgroup_ideal,
                                power_space, product_space, unique_rows)
@@ -40,13 +42,14 @@ from pgroupalg.groups import (PGroup, Subgroup, _closure, abelian_invariants,
                               characteristic_subgroup, jennings_basis,
                               jennings_series, r_subquotient)
 from pgroupalg.io import group_from_dict
-from pgroupalg.lemmas import (TensorFactorizationInput,
+from pgroupalg.lemmas import (TensorFactorizationInput, VerificationError,
                               verify_tensor_factorization)
 
 from oracles import (aug_square, augmentation_power, commutator_span,
                      conjugacy_classes, conjugate, coordinates,
-                     dimension_subgroup, full_space, group_basis_search,
-                     jennings_functionals_per_m, jennings_rows,
+                     dimension_subgroup, factorization_failure, full_space,
+                     group_basis_search, jennings_functionals_per_m,
+                     jennings_rows,
                      greedy_section, group_closure_vectors, intersect, span,
                      unit_closure_invariants, units_of_order)
 
@@ -128,6 +131,87 @@ def test_gathers_in_small_chunks(setting, monkeypatch):
         monkeypatch.setattr(algebra, "_GATHER_ENTRIES", entries)
         assert np.array_equal(ctx.products(X, Y), products)
         assert np.array_equal(ctx.powers(X, 5), powers)
+
+
+def test_products_and_rowwise_refuse_other_widths(setting):
+    # a support gather would read a narrower row as zero-padded and give a
+    # wrong table with no error, so every row must have width |G|
+    ctx, X, Y = setting
+    for bad in (X[:, :-1], np.concatenate([X, X[:, :1]], axis=1), X[0],
+                X[:, :, None]):
+        with pytest.raises(AlgebraError):
+            ctx.products(bad, Y)
+        with pytest.raises(AlgebraError):
+            ctx.products(Y, bad)
+        with pytest.raises(AlgebraError):
+            ctx._rowwise(bad, bad)
+    with pytest.raises(AlgebraError):
+        ctx._rowwise(X, X[:, :-1])
+    # powers takes one vector as a row, but no other width
+    assert np.array_equal(ctx.powers(X[0], 2), ctx.powers(X[:1], 2))
+    for bad in (X[:, :-1], X[0, :-1], X[:, :, None]):
+        with pytest.raises(AlgebraError):
+            ctx.powers(bad, 2)
+
+
+def coordinate_factor(a_name, g0_name):
+    """(ctx, I(C)) for C = F_pG0, the coordinate factor of A x G0: its rows
+    touch |G0| of the |G| columns."""
+    G0 = catalog_by_name(g0_name)
+    ctx = AlgebraContext(catalog_build("direct_product",
+                                       catalog_by_name(a_name), G0))
+    return ctx, group_algebra_subalgebra(ctx, range(G0.order)).aug_ideal.basis
+
+
+def sparse_inputs(ctx, rng):
+    """Rows with zero columns, a zero row, all zero and one column."""
+    n, p = ctx.dim, ctx.p
+    X = rng.integers(0, p, size=(6, n))
+    X[:, rng.random(n) < 0.7] = 0
+    yield "zero-columns", X
+    Z = X.copy()
+    Z[2] = 0
+    yield "zero-row", Z
+    yield "all-zero", np.zeros((3, n), dtype=np.int64)
+    S = np.zeros((4, n), dtype=np.int64)
+    S[:, rng.integers(n)] = rng.integers(1, p, size=4)
+    yield "one-column", S
+
+
+SPARSE_CASES = [("D8", None), ("Q8", None), ("C2", "D8"), ("He3", None),
+                ("C3", "He3"), ("C5xC5", None), ("C5", "C5")]
+
+
+@pytest.mark.parametrize("name, g0_name", SPARSE_CASES,
+                         ids=[f"{a}-{g}" if g else a for a, g in SPARSE_CASES])
+def test_support_products_and_powers_match_scatter(monkeypatch, name,
+                                                   g0_name):
+    # products gathers only over the columns where the left factor is
+    # nonzero; on sparse rows, a zero row, an all-zero X, a single column
+    # and I(C) of a coordinate factor it and powers equal the scatter
+    # reference, also gathering one row at a time
+    if g0_name:
+        ctx, IC = coordinate_factor(name, g0_name)
+        inputs = [("coordinate-IC", IC)]
+        assert IC.any(axis=0).sum() == catalog_by_name(g0_name).order
+    else:
+        ctx, inputs = AlgebraContext(catalog_by_name(name)), []
+    G, p = ctx.group, ctx.p
+    rng = np.random.default_rng(sum(map(ord, name)) + ctx.dim)
+    inputs += list(sparse_inputs(ctx, rng))
+    Y = rng.integers(0, p, size=(3, ctx.dim))
+    for entries in (algebra._GATHER_ENTRIES, 1):
+        monkeypatch.setattr(algebra, "_GATHER_ENTRIES", entries)
+        for label, X in inputs:
+            for left, right in ((X, Y), (Y, X), (X, X)):
+                want = np.array([ref_multiply(G, x, y) for x in left
+                                 for y in right]).reshape(-1, ctx.dim)
+                assert np.array_equal(ctx.products(left, right), want), label
+            for m in (0, 1, 2, 3, p, p + 1):
+                want = np.array([functools.reduce(
+                    lambda acc, _: ref_multiply(G, acc, x), range(m),
+                    unit(G, 0)) for x in X])
+                assert np.array_equal(ctx.powers(X, m), want), (label, m)
 
 
 def test_translates_match_scatter(setting):
@@ -807,6 +891,95 @@ def test_recovery_forms_no_product(monkeypatch, bench_fixtures):
     assert steps >= len(facts) and formed == []
 
 
+def count_tables(monkeypatch) -> list[str]:
+    """The name of every later call of AlgebraContext.products and
+    _rowwise."""
+    formed = []
+    for name in ("products", "_rowwise"):
+        real = getattr(AlgebraContext, name)
+
+        def counted(self, *args, real=real, name=name):
+            formed.append(name)
+            return real(self, *args)
+
+        monkeypatch.setattr(AlgebraContext, name, counted)
+    return formed
+
+
+@pytest.mark.parametrize("cases", [
+    pytest.param(0, id="corpus-seed0"), pytest.param(7, id="corpus-seed7"),
+    *LEVEL_CASES])
+def test_verify_forms_no_product_on_passing_inputs(monkeypatch,
+                                                   bench_fixtures, cases):
+    # B commutative, commuting with C and spanning F_pG with it lies in
+    # Z(F_pG), so on every input that passes, commuting holds by the
+    # class-function test of I(B) and product-span by a rank of Jennings
+    # coordinates: verify_tensor_factorization forms no table
+    if not isinstance(cases, list):
+        cases = [(a, g0, cases) for a, g0 in recover_corpus(bench_fixtures)]
+    inputs = []
+    for a_name, g0_name, seed in cases:
+        rng = None if seed is None else np.random.default_rng(seed)
+        data, _ = bench_fixtures.factorization_fixture(a_name, g0_name, rng)
+        _, B, C = group_from_dict(data)
+        assert B.ctx.is_central(B.aug_ideal.basis)
+        inputs.append((B, C))
+    formed = count_tables(monkeypatch)
+    for B, C in inputs:
+        assert verify_tensor_factorization(B.ctx, B, C).verified
+    assert formed == []
+
+
+def test_commuting_off_the_centre_forms_both_tables(monkeypatch):
+    # where neither I(B) nor I(C) is central, commuting compares the
+    # tables I(B)I(C) and I(C)I(B), both formed, and the first failed
+    # check is the one that factorization_failure names
+    G = catalog_by_name("D8")
+    ctx = AlgebraContext(G)
+    r = next(g for g in range(8) if G.element_order(g) == 4)
+    s = next(g for g in range(8) if G.mul(r, g) != G.mul(g, r))
+
+    def space(elements):
+        return FpSubspace(2, 8, [unit(G, g) for g in elements])
+
+    rotations = space(Subgroup.generated(G, (r,)).elements)
+    cases = [(space([0, s]), rotations, "commuting"),
+             (full_space(2, 8), full_space(2, 8), "commuting"),
+             (rotations, rotations, "dimension-product")]
+    for B, C, want in cases:
+        assert factorization_failure(ctx, B, C) == want
+        B, C = (AugmentedSubalgebra.from_space(ctx, X) for X in (B, C))
+        assert not ctx.is_central(B.aug_ideal.basis)
+        assert not ctx.is_central(C.aug_ideal.basis)
+        formed = count_tables(monkeypatch)
+        with pytest.raises(VerificationError) as exc:
+            verify_tensor_factorization(ctx, B, C)
+        assert exc.value.check == want
+        assert formed == ["products", "products"]
+        monkeypatch.undo()
+
+
+def test_central_rows_are_the_class_functions():
+    # is_central reads X == X[:, rep] off the least conjugates; on every
+    # group of CATALOG it agrees with commuting with every e_g, and the
+    # class sums, the basis of Z(F_pG), pass it
+    for G in CATALOG:
+        ctx = AlgebraContext(G)
+        Z = ctx.center_subspace()
+        assert ctx.is_central(Z.basis)
+        rng = np.random.default_rng(G.order)
+        X = rng.integers(0, G.p, size=(3, G.order))
+        rows = np.concatenate([rng.integers(0, G.p, size=(2, Z.dim))
+                               @ Z.basis % G.p, X])
+        for x in rows:
+            central = all(np.array_equal(ref_multiply(G, x, unit(G, g)),
+                                         ref_multiply(G, unit(G, g), x))
+                          for g in range(G.order))
+            assert ctx.is_central(x[None]) == central, G.name
+        assert ctx.is_central(rows) == all(ctx.is_central(x[None])
+                                           for x in rows)
+
+
 def test_trusted_constructors_match_the_checked_ones(monkeypatch,
                                                      bench_fixtures):
     # Subgroup.generated and PGroup._trusted take what they build with no
@@ -1136,6 +1309,7 @@ def test_reduce_matches_rowwise_elimination(case, seed):
     U = FpSubspace(p, n, rows)
     vecs = np.random.default_rng(seed).integers(0, p, size=(6, n))
     got = U.reduce(vecs)
+    assert U.contains_vector(vecs) == (not got.any())
     for v, r in zip(vecs, got):
         want = v.copy()
         for row, c in zip(U.basis, U.pivots):

@@ -251,9 +251,10 @@ SPECIAL = ("not-closed", "same-half", "unit-with-half", "D8", "unit-p2",
 def test_checks_read_off_one_table_fail_as_their_definitions(
         bench_fixtures, case):
     # from_space reads closure and commutativity off the table I(B) I(B),
-    # and verify_tensor_factorization reads commuting and product-span off
-    # the tables I(B) I(C) and I(C) I(B); the oracles apply each check's
-    # definition to the whole bases of B and C.  augmentation-decomposition
+    # and verify_tensor_factorization reads commuting off the centre or
+    # the tables I(B) I(C) and I(C) I(B), and product-span off Jennings
+    # coordinates; the oracles apply each check's definition to the whole
+    # bases of B and C.  augmentation-decomposition
     # gets no input of its own: once dimension-product and product-span
     # pass, dim I(B) + dim I(C) + dim I(B)I(C) is at least the dimension
     # |G| - 1 of their sum and at most (b-1) + (c-1) + (b-1)(c-1) =
@@ -268,6 +269,35 @@ def test_checks_read_off_one_table_fail_as_their_definitions(
     for ctx, B, C in inputs:
         assert named_failure(ctx, B, C) == oracle_failure(ctx, B, C), \
             ctx.group.name
+
+
+@pytest.mark.parametrize("name", ["D8", "Q8", "C2xC4", "He3", "C9",
+                                  "C5xC5"])
+def test_closure_fails_as_its_definition(name):
+    # from_space tests I(B)^2 in B on B's free columns; on seeded spaces
+    # holding 1 (group subalgebras, those with a random row added, and
+    # random spans) it names subalgebra-closure exactly where
+    # subalgebra_failure, which reduces every product of basis elements,
+    # does
+    G = catalog_by_name(name)
+    ctx, p, n = AlgebraContext(G), G.p, G.order
+    rng = np.random.default_rng(sum(map(ord, name)))
+    spaces = []
+    for g in range(n):
+        H = element_span(ctx, Subgroup.generated(G, (g,)).elements)
+        spaces += [H, H + span(p, n, rng.integers(0, p, size=(1, n)))]
+    for k in (1, 2, 4):
+        spaces.append(element_span(ctx, [0]) + span(
+            p, n, rng.integers(0, p, size=(k, n))))
+    named = []
+    for V in spaces:
+        try:
+            AugmentedSubalgebra.from_space(ctx, V)
+            named.append(None)
+        except VerificationError as exc:
+            named.append(exc.check)
+        assert named[-1] == subalgebra_failure(ctx, V)
+    assert None in named and "subalgebra-closure" in named
 
 
 def conjugate_space(ctx, X, u, u_inv):

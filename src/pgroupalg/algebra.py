@@ -12,11 +12,11 @@ only the columns U where the left factor is nonzero contribute: all
 products of two row sets X, Y come from the single matrix product
 ``X[:, U] @ Y[:, L[U]]`` (mod p), U the support of X, formed in chunks of
 Y so that the gathered block stays bounded up to MAX_ORDER; a dense X
-gathers all of L.  Row-wise products ``A[k] B[k]``, and with them the
-row-wise powers that raise a whole basis to its p^i-th powers at once,
-gather all of L in chunks the same way.  Whether rows are central is
-read off the least conjugates ``rep``, with no product: a central row is
-constant on each class.
+gathers all of L.  Whether rows are central is read off the least
+conjugates ``rep``, with no product: a central row is constant on each
+class.  Every p-th power the library takes is of central rows, and on
+the centre Frobenius is one F_p-linear map: ``frobenius`` is one product
+with the context's table of class-sum p-th powers.
 
 Every ideal takes at most two eliminations.  I(N)F_pG, the augmentation
 ideal among them, is written down in canonical RREF from the cosets of N
@@ -29,9 +29,10 @@ from one and two eliminations of at most codim I(G)^m rows.
 
 Each group has one shared context, ``AlgebraContext.of(G)``, and each
 context memoizes what is derived from its group alone: the augmentation
-ideal, the Jennings table its powers are read off, the centre, the
-normal-subgroup ideals, the Omega/mho ideals of the lemmas and every
-right ideal, keyed by content.  A check that needs one again finds it.
+ideal, the Jennings table its powers are read off, the centre and its
+class-sum p-th powers, the normal-subgroup ideals, the Omega/mho ideals
+of the lemmas and every right ideal, keyed by content.  A check that
+needs one again finds it.
 """
 
 from __future__ import annotations
@@ -64,9 +65,8 @@ class VerificationError(ValueError):
 # Largest gathered block Y[:, L[U]] formed at once, in entries (8 MB), with
 # |U| |G| entries per row of Y for a left factor X of support U: whole row
 # sets below order 128, and at order 256 16 rows for a dense left factor,
-# 16 |G| / |U| for a sparse one; _rowwise gathers |G|^2 per row, as for a
-# dense factor.  The chunk's products take len(X) |G| entries per row of
-# Y, no more when X is a basis, as then len(X) <= |U|.
+# 16 |G| / |U| for a sparse one.  The chunk's products take len(X) |G|
+# entries per row of Y, no more when X is a basis, as then len(X) <= |U|.
 _GATHER_ENTRIES = 1 << 20
 # Largest block of products tested against a subspace at once, in entries
 # (2 MB), so that the test's temporaries stay small beside the table
@@ -169,45 +169,23 @@ class AlgebraContext:
                                   ).transpose(1, 0, 2)
         return np.remainder(out, self.p, out=out).reshape(-1, n)
 
-    def _rowwise(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Row-wise products A[k] B[k] = A[k] @ B[k][L] of reduced int64
-        rows, in chunks of rows.  The whole gather: the rows raised by
-        powers are dense in nearly every call (55 of 60 in the odd-p
-        benchmark pass), and gathering over their support gained
-        nothing there."""
-        if A.shape != B.shape or A.shape[1:] != (self.dim,):
-            raise AlgebraError("element dimension mismatch")
-        out = np.empty_like(A)
-        step = max(1, _GATHER_ENTRIES // (self.dim * self.dim))
-        for k in range(0, A.shape[0], step):
-            out[k:k + step] = np.einsum("kg,kgt->kt", A[k:k + step],
-                                        B[k:k + step, self._left])
-        return out % self.p
-
-    def powers(self, X, m: int) -> np.ndarray:
-        """Row-wise m-th powers of the rows of X, or of the one vector X,
-        by repeated squaring."""
+    def power(self, v, m: int) -> np.ndarray:
+        """v^m by square-and-multiply over multiply; perfbench/fixtures.py
+        calls it."""
         if m < 0:
             raise AlgebraError("negative powers are not defined here")
-        base = self._rows(np.atleast_2d(X))
-        acc = None
-        while m:
-            if m & 1:
-                acc = base if acc is None else self._rowwise(acc, base)
-            m >>= 1
-            if m:
-                base = self._rowwise(base, base)
-        if acc is None:
-            acc = np.zeros_like(base)
-            acc[:, 0] = 1
+        acc, v = self.one, self.multiply(self.one, v)  # v checked, reduced
+        for bit in bin(m)[2:]:  # most significant first
+            acc = self.multiply(acc, acc)
+            acc = self.multiply(acc, v) if bit == "1" else acc
         return acc
 
-    def power(self, v, m: int) -> np.ndarray:
-        return self.powers(np.asarray(v)[None], m)[0]
-
     def p_power(self, v, i: int) -> np.ndarray:
-        """v^{p^i}; kept for perfbench/fixtures.py, which calls it."""
-        return self.power(v, self.p ** i)
+        """v^{p^i} for a central v; perfbench/fixtures.py calls it."""
+        X = self._rows(np.asarray(v)[None])
+        for _ in range(i):
+            X = self.frobenius(X)
+        return X[0]
 
     @memoized
     def augmentation_ideal(self) -> FpSubspace:
@@ -285,6 +263,32 @@ class AlgebraContext:
         pivots = np.flatnonzero(rep == np.arange(self.dim))
         rows = (rep == pivots[:, None]).astype(np.int64)
         return FpSubspace._from_rref(self.p, self.dim, rows, pivots)
+
+    @memoized
+    def class_sum_powers(self) -> np.ndarray:
+        """P[c] = K_c^p for the class sums K_c, the rows of center_subspace,
+        read only.  K_c y = sum_{k in K_c} e_k y = sum_{k in K_c} y[L[k]],
+        so each of the p - 1 steps Y[c] <- K_c Y[c] from Y = K is one
+        gather Y[cls[k], L[k]] over all k, summed over each class."""
+        Z = self.center_subspace()
+        cls = np.searchsorted(Z.pivots, self.class_representatives())
+        order = np.argsort(cls, kind="stable")  # each class in one block
+        starts = np.searchsorted(cls[order], np.arange(Z.dim))
+        rows, left, Y = cls[order][:, None], self._left[order], Z.basis
+        for _ in range(self.p - 1):
+            Y = np.add.reduceat(Y[rows, left], starts, axis=0) % self.p
+        Y.setflags(write=False)
+        return Y
+
+    def frobenius(self, X) -> np.ndarray:
+        """x^p for every row x of X, which must be central: Z(F_pG) is
+        commutative of characteristic p, so x = sum_c x[r_c] K_c, r_c the
+        pivot of K_c, has x^p = sum_c x[r_c] K_c^p, as a^p = a on F_p."""
+        X = self._rows(X)
+        if not self.is_central(X):
+            raise AlgebraError("rows are not central")
+        return matmul_mod(X[:, list(self.center_subspace().pivots)],
+                          self.class_sum_powers(), self.p)
 
     @memoized
     def central_ideal_part(self) -> FpSubspace:
@@ -383,18 +387,18 @@ def omega_central(ctx: AlgebraContext, i: int) -> FpSubspace:
     those with z^{p^i} = 0; memoized on ctx.
 
     Z(I(G)) is commutative, so z -> z^{p^i} is F_p-linear (Frobenius) and the
-    nilpotent part is the kernel of that linear map; no enumeration needed.
-    The kernel is closed under products with no check, and so generates
-    nothing more: (zw)^{p^i} = z^{p^i} w^{p^i} = 0 for z, w in it, as
-    Z(I(G)) is commutative and closed under products itself.
+    nilpotent part is the kernel of that linear map, chain[i] of Z's
+    frobenius_chain; no enumeration needed.  The kernel is closed under
+    products with no check, and so generates nothing more: (zw)^{p^i} =
+    z^{p^i} w^{p^i} = 0 for z, w in it, as Z(I(G)) is commutative and
+    closed under products itself.
     """
     Z = ctx.central_ideal_part()
-    if Z.dim == 0:
+    chain = frobenius_chain(ctx, Z.basis)
+    if i >= len(chain):  # every z^{p^i} is 0
         return Z
-    M = ctx.powers(Z.basis, ctx.p ** i)  # rows: images; Z itself if all 0
-    if not M.any():
-        return Z
-    return FpSubspace(ctx.p, ctx.dim, nullspace(M.T, ctx.p) @ Z.basis % ctx.p)
+    return FpSubspace(ctx.p, ctx.dim,
+                      nullspace(chain[i].T, ctx.p) @ Z.basis % ctx.p)
 
 
 @memoized
@@ -455,29 +459,23 @@ def frobenius_chain(ctx: AlgebraContext, X) -> np.ndarray:
     """The rows of X raised to their p^k-th powers, stacked as
     chain[k] = X^{p^k} for k = 0, 1, ... while any row is nonzero.
 
-    On a commutative algebra Frobenius is additive, so chain[k] spans the
-    p^k-th powers of the span of X, and 1 + x has order p^len(chain) for
-    a single nonzero row x.  Raises on a nonzero X^{p^k} with p^k >= |G|,
-    which no nilpotent element reaches, since I(G)^{|G|} = 0."""
-    X = np.asarray(X, dtype=np.int64).reshape(-1, ctx.dim) % ctx.p
+    On the centre, which ctx.frobenius holds the rows to, Frobenius is
+    additive, so chain[k] spans the p^k-th powers of the span of X, and
+    1 + x has order p^len(chain) for a single nonzero row x.  Raises on a
+    nonzero X^{p^k} with p^k >= |G|, since I(G)^{|G|} = 0."""
+    X = ctx._rows(np.atleast_2d(X))
     chain = []
     while X.any():
         chain.append(X)
         if ctx.p ** len(chain) > ctx.dim:
             raise AlgebraError("ideal is not nilpotent")
-        X = ctx.powers(X, ctx.p)
+        X = ctx.frobenius(X)
     return np.stack(chain) if chain else X[None][:0]
 
 
 def unit_exponent_commutative(ctx: AlgebraContext, ideal: FpSubspace) -> int:
-    """exp(1 + I(A)) = p^s with s minimal such that b^{p^s} = 0 on a basis.
-
-    Valid because Frobenius is additive on a commutative algebra; the input
-    ideal must be nilpotent and commutative, checked unless G is abelian."""
-    if not ctx.group.is_abelian():
-        k, table = ideal.dim, ctx.products(ideal.basis, ideal.basis)
-        if not tables_commute(table, table, k, k):
-            raise AlgebraError("ideal is not commutative")
+    """exp(1 + I(A)) = p^s, s minimal with b^{p^s} = 0 on a basis, as
+    Frobenius is additive on the centre, where frobenius_chain holds I(A)."""
     return ctx.p ** len(frobenius_chain(ctx, ideal.basis))
 
 
@@ -488,12 +486,9 @@ class AugmentedSubalgebra:
     off the one table I(B)·I(B), formed over the support of I(B):
     closure is I(B)^2 ⊆ B, tested on B's free columns
     (FpSubspace.contains_vector), ``commutative`` the table's symmetry
-    under i <-> j.  For C = F_3He3 in the recover input C3 x He3 (order
-    81) the table took 0.56 ms (0.91 with the whole gather) and the
-    closure test 0.65 ms (1.01 as reduce(table).any()), so from_space
-    1.64 ms where it took 2.49.  The table is not kept: a recovery level
-    builds B from a projection, with no table, and reads I(B)^2 off
-    Jennings coordinates (decompose._aug_square)."""
+    under i <-> j.  The table is not kept: a recovery level builds B from
+    a projection, with no table, and reads I(B)^2 off Jennings
+    coordinates (decompose._aug_square)."""
 
     ctx: AlgebraContext
     space: FpSubspace

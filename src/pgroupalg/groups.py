@@ -203,8 +203,10 @@ class PGroup:
         return f"PGroup(p={self.p}, order={self.order}, name={self.name!r})"
 
 
+@memoized
 def _powers(G: PGroup, k: int) -> np.ndarray:
-    """g^k for every element g (k >= 0), by square-and-multiply gathers."""
+    """g^k for every element g (k >= 0), by square-and-multiply gathers;
+    read-only and memoized on G, as callers ask for the same k again."""
     T = G.table
     acc, base = np.zeros(G.order, dtype=np.int64), np.arange(G.order)
     while k:
@@ -212,6 +214,7 @@ def _powers(G: PGroup, k: int) -> np.ndarray:
             acc = T[acc, base]
         base = T[base, base]
         k >>= 1
+    acc.setflags(write=False)
     return acc
 
 

@@ -5,7 +5,8 @@ Group file schema (format 1):
      "factorization": {"B": [[int]], "C": [[int]]}}   # factorization optional
 
 Tables are row-major and 0-based.  The identity need not sit at index 0 in
-a file; it is re-indexed to 0 on load.
+a file; it is re-indexed to 0 on load, the factorization's columns with it,
+and every index a report gives follows the re-indexed table.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ class SchemaError(ValueError):
     pass
 
 
-def _normalize_identity(table: np.ndarray) -> np.ndarray:
-    """Re-index so the two-sided identity sits at index 0."""
+def _normalize_identity(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(table, perm): re-indexed so the two-sided identity sits at index 0,
+    and perm[new] = old, which re-indexes the file's rows as rows[:, perm]."""
     n = table.shape[0]
     if table.min() < 0 or table.max() >= n:  # before they index anything
         raise SchemaError("table entries out of range")
@@ -35,11 +37,9 @@ def _normalize_identity(table: np.ndarray) -> np.ndarray:
     if not ident.size:
         raise SchemaError("table has no two-sided identity")
     if ident[0] == 0:
-        return table
+        return table, ar
     perm = np.concatenate([ident[:1], np.delete(ar, ident[0])])  # new -> old
-    inv = np.empty(n, dtype=np.int64)
-    inv[perm] = ar
-    return inv[table[perm[:, None], perm]]
+    return np.argsort(perm)[table[perm[:, None], perm]], perm
 
 
 def _integer(data: dict, key: str) -> int:
@@ -76,7 +76,7 @@ def group_from_dict(data: dict) -> tuple[PGroup, AugmentedSubalgebra | None,
     if table.shape != (order, order):
         raise SchemaError(
             f"table shape {table.shape} does not match order {order}")
-    table = _normalize_identity(table)
+    table, perm = _normalize_identity(table)
     try:
         G = PGroup(p, table, name=str(data.get("name", "")))
     except GroupError as exc:
@@ -91,6 +91,7 @@ def group_from_dict(data: dict) -> tuple[PGroup, AugmentedSubalgebra | None,
         C_rows = _integer_rows(fz["C"], "factorization C")
         if B_rows.shape[1] != order or C_rows.shape[1] != order:
             raise SchemaError(f"factorization rows must have length {order}")
+        B_rows, C_rows = B_rows[:, perm], C_rows[:, perm]
         # a well-formed B or C that is no augmented subalgebra fails a
         # named check (a VerificationError), not the schema
         B = AugmentedSubalgebra.from_space(ctx, FpSubspace(p, order, B_rows))

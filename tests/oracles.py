@@ -174,6 +174,16 @@ def intersect(U: FpSubspace, V: FpSubspace) -> FpSubspace:
 # algebra
 
 
+def row_powers(ctx: AlgebraContext, X, m: int) -> np.ndarray:
+    """The m-th power of every row of X, or of the one vector X, each by
+    ``AlgebraContext.power``, square-and-multiply over ``multiply``: no
+    class-sum table and no centrality, so it cross-checks
+    ``AlgebraContext.frobenius`` and stands in for the powers of rows
+    that are not central."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.int64))
+    return np.array([ctx.power(x, m) for x in X]).reshape(-1, ctx.dim)
+
+
 def augmentation(ctx: AlgebraContext, v) -> int:
     """The augmentation sum_g v_g mod p, which vanishes exactly on I(G);
     cross-checks ``AlgebraContext.augmentation_ideal``."""
@@ -312,7 +322,7 @@ def omega_central_enumerated(ctx: AlgebraContext, i: int,
     for start in range(0, total, _ENUM_CHUNK):
         n = np.arange(start, min(start + _ENUM_CHUNK, total))
         elems = ((n[:, None] // digits) % ctx.p) @ Z.basis % ctx.p
-        hits = elems[~ctx.powers(elems, q).any(axis=1)]
+        hits = elems[~row_powers(ctx, elems, q).any(axis=1)]
         acc = acc + FpSubspace(ctx.p, ctx.dim, hits)
     return subalgebra_closure(ctx, acc)
 
@@ -385,7 +395,7 @@ def lambda_data(G: PGroup, s: int) -> LambdaData:
         normal_subgroup_ideal(ctx, omega_center_derived(G, s)), 2)
     I2 = augmentation_power(ctx, 2)
     section = greedy_section(W_dom, I2)
-    images = codomain.reduce(ctx.powers(section, q))
+    images = codomain.reduce(row_powers(ctx, section, q))
     kernel = FpSubspace(p, G.order, nullspace(images.T, p) @ section % p)
     return LambdaData(W_dom, I2, section, codomain, images, kernel)
 

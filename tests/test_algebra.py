@@ -1,5 +1,6 @@
 """Group algebra arithmetic and the augmentation ideal calculus."""
 
+import functools
 import gc
 import math
 import tracemalloc
@@ -219,30 +220,61 @@ def test_unit_exponent_of_an_abelian_quotient_forms_no_table(G):
         table = ctx.products(ideal.basis, ideal.basis)
         assert ctx.group.is_abelian() and tables_commute(
             table, table, ideal.dim, ideal.dim)
-        ctx.products = None  # the abelian path forms no product
+        ctx.products = None  # unit_exponent_commutative forms no product
         assert unit_exponent_commutative(ctx, ideal) == \
             G.p ** len(frobenius_chain(ctx, ideal.basis)), i
 
 
-@pytest.mark.parametrize("name", ["C8", "C2xC4", "D8", "C9xC3", "C5xC5"])
-def test_frobenius_chain_gives_every_unit_order(name):
-    # 1 + x has order p^len(chain(x)), by repeated multiplication
-    ctx = ctx_of(name)
-    rng = np.random.default_rng(3)
-    I = ctx.augmentation_ideal()
-    for c in rng.integers(0, ctx.p, size=(6, I.dim)):
-        x = c @ I.basis % ctx.p
+def assert_chains_give_unit_orders(ctx, rng, samples):
+    """For seeded random central x in Z(I(G)), 1 + x has order
+    p^len(frobenius_chain(x)) by repeated multiplication, and chain[j] is
+    x^{p^j} by multiply."""
+    Z = ctx.central_ideal_part()
+    for c in rng.integers(0, ctx.p, size=(samples, Z.dim)):
+        x = c @ Z.basis % ctx.p
         chain = frobenius_chain(ctx, x)
         u, acc, k = (ctx.one + x) % ctx.p, (ctx.one + x) % ctx.p, 1
         while not np.array_equal(acc, ctx.one):
             acc, k = ctx.multiply(acc, u), k + 1
-        assert k == ctx.p ** len(chain), (name, c)
+        assert k == ctx.p ** len(chain), (ctx.group.name, c)
         for j, rows in enumerate(chain):
             assert np.array_equal(rows[0], ctx.power(x, ctx.p ** j))
+
+
+@pytest.mark.parametrize("name", ["C8", "C2xC4", "D8", "C9xC3", "C5xC5"])
+def test_frobenius_chain_gives_every_unit_order(name):
+    # 1 + x has order p^len(chain(x)), by repeated multiplication, for x
+    # central; a row off the centre is refused, as Frobenius is additive
+    # only there
+    ctx = ctx_of(name)
+    assert_chains_give_unit_orders(ctx, np.random.default_rng(3), 6)
     assert frobenius_chain(ctx, np.zeros(ctx.dim, dtype=np.int64)).shape == \
         (0, 1, ctx.dim)
     with pytest.raises(AlgebraError, match="not nilpotent"):
         frobenius_chain(ctx, ctx.one)
+    I = ctx.augmentation_ideal()
+    outside = [x for x in I.basis if not ctx.is_central(x[None])]
+    assert bool(outside) == (not ctx.group.is_abelian())
+    for x in outside:
+        with pytest.raises(AlgebraError, match="not central"):
+            frobenius_chain(ctx, x)
+
+
+@pytest.mark.parametrize("G", [
+    *(G for p, max_order in ((2, 64), (3, 81), (5, 125))
+      for G in builtin_catalog(p=p, max_order=max_order)),
+    catalog_by_name("He5")], ids=lambda G: f"p{G.p}-{G.name}")
+def test_class_sum_powers_match_products(G):
+    # each row of the context's table is the p-th power of its class sum
+    # formed by multiply, and the chains it gives hold every unit's order
+    ctx = AlgebraContext(G)
+    P, Z = ctx.class_sum_powers(), ctx.center_subspace()
+    assert P.shape == Z.basis.shape and not P.flags.writeable
+    for K, row in zip(Z.basis, P):
+        want = functools.reduce(lambda acc, _: ctx.multiply(acc, K),
+                                range(G.p - 1), K)
+        assert np.array_equal(row, want), G.name
+    assert_chains_give_unit_orders(ctx, np.random.default_rng(G.order), 4)
 
 
 def test_dimension_subgroup_two_is_frattini():

@@ -477,13 +477,13 @@ def test_identity_reindexing():
 
 def ref_normalize_identity(table):
     """The identity moved to index 0 and the rest kept in order, one entry
-    at a time."""
+    at a time, with perm[new] = old."""
     n = len(table)
     e = next(x for x in range(n) if list(table[x]) == list(range(n))
              and [row[x] for row in table] == list(range(n)))
     perm = [e] + [x for x in range(n) if x != e]
     return [[perm.index(table[perm[a]][perm[b]]) for b in range(n)]
-            for a in range(n)]
+            for a in range(n)], perm
 
 
 @pytest.mark.parametrize("name", ["C2", "D8", "C3xC3", "He3", "C4xD8"])
@@ -494,7 +494,8 @@ def test_identity_reindexing_matches_loop(name):
         sigma = rng.permutation(G.order)  # old label -> file label
         T = np.empty_like(G.table)
         T[np.ix_(sigma, sigma)] = sigma[G.table]
-        assert _normalize_identity(T).tolist() == \
+        table, perm = _normalize_identity(T)
+        assert (table.tolist(), perm.tolist()) == \
             ref_normalize_identity(T.tolist())
 
 
@@ -742,6 +743,54 @@ def bench_fixtures():
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))
         yield importlib.import_module("fixtures")
+
+
+def relabel(data, sigma):
+    """The group file with element a renamed sigma[a], in its table and
+    in the columns of its factorization."""
+    T, out = np.asarray(data["table"]), dict(data)
+    table = np.empty_like(T)
+    table[np.ix_(sigma, sigma)] = sigma[T]
+    out["table"] = table.tolist()
+    out["factorization"] = {}
+    for key, rows in data["factorization"].items():
+        moved = np.empty_like(np.asarray(rows))
+        moved[:, sigma] = rows
+        out["factorization"][key] = moved.tolist()
+    return out
+
+
+def test_relabelled_factorization_recovers_the_same_factors(tmp_path,
+                                                            bench_fixtures):
+    # the loader moves the identity to index 0 and the factorization's
+    # columns with it: every recover input of the recover and odd-p
+    # workloads at seed 7, relabelled at random with the identity off
+    # index 0, and coordinate C4 x C2 with its identity at index 5,
+    # recover the B-side invariants and the C-side order of A x G0
+    rng = np.random.default_rng(34)
+    cases = [(item, data) for workload in ("recover", "odd-p")
+             for item, data in bench_fixtures.workload_items(workload, 7)
+             if item["command"] == "recover"]
+    c4c2 = bench_fixtures.recover_item("C4", "C2", None)
+    sigmas = []
+    for _, data in cases:
+        sigma = rng.permutation(len(data["table"]))
+        if sigma[0] == 0:
+            sigma[:2] = sigma[1::-1]
+        sigmas.append(sigma)
+    sigmas.append((np.arange(8) + 5) % 8)
+    fx = tmp_path / "fx.json"
+    for (item, data), sigma in zip([*cases, c4c2], sigmas):
+        moved = relabel(data, sigma)
+        assert sigma[0] and moved["table"][sigma[0]] == list(range(len(sigma)))
+        fx.write_text(json.dumps(moved))
+        code, body = run_to_file(tmp_path, ["recover", "--input", str(fx)])
+        assert code == EXIT_OK, item["id"]
+        got = body["recover"][0]["recovered"]
+        assert (got["b_invariants"], len(got["c_side"])) == (
+            item["expect"]["b_invariants"], item["expect"]["c_order"]), \
+            item["id"]
+    assert len(cases) >= 20 and sigmas[-1][0] == 5
 
 
 @pytest.mark.parametrize("a_name, g0_name",

@@ -16,7 +16,7 @@ from pgroupalg.catalog import builtin_catalog, catalog_by_name
 from pgroupalg.cli import run
 from pgroupalg.groups import (GroupError, OracleCapExceeded, PGroup,
                               RetractionError, Subgroup, _abelian_basis,
-                              _element_orders, _normal_lattice,
+                              _element_orders, _normal_lattice, _powers,
                               abelian_invariants, abelianization_invariants,
                               all_subgroups, catalog_build,
                               characteristic_subgroup, cyclic_factor_orders,
@@ -29,6 +29,17 @@ from pgroupalg.groups import (GroupError, OracleCapExceeded, PGroup,
 
 from oracles import (commutator, conjugate, has_cyclic_factor_of_order,
                      least_failing_triple, normal_subgroups, power)
+
+
+@pytest.mark.parametrize("p, max_order", [(2, 64), (3, 81), (5, 125)])
+def test_power_maps_are_built_once_per_group(p, max_order):
+    # g -> g^k is memoized on G, read-only: a second call returns the map
+    # the first built, and each map is k single lookups per element
+    for G in builtin_catalog(p=p, max_order=max_order):
+        for k in (0, 1, 2, p, G.exponent() - 1, G.exponent()):
+            got = _powers(G, k)
+            assert got is _powers(G, k) and not got.flags.writeable
+            assert got.tolist() == [power(G, g, k) for g in range(G.order)]
 
 
 def test_cyclic_table_and_orders():

@@ -50,8 +50,9 @@ from oracles import (aug_square, augmentation_power, commutator_span,
                      dimension_subgroup, factorization_failure, full_space,
                      group_basis_search, jennings_functionals_per_m,
                      jennings_rows,
-                     greedy_section, group_closure_vectors, intersect, span,
-                     unit_closure_invariants, units_of_order)
+                     greedy_section, group_closure_vectors, intersect,
+                     row_powers, span, unit_closure_invariants,
+                     units_of_order)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -126,32 +127,44 @@ def test_products_and_commutators_match_scatter(setting):
 
 def test_gathers_in_small_chunks(setting, monkeypatch):
     ctx, X, Y = setting
-    products, powers = ctx.products(X, Y), ctx.powers(X, 5)
+    products = ctx.products(X, Y)
     for entries in (2 * ctx.dim * ctx.dim, 1):  # two rows, one row at a time
         monkeypatch.setattr(algebra, "_GATHER_ENTRIES", entries)
         assert np.array_equal(ctx.products(X, Y), products)
-        assert np.array_equal(ctx.powers(X, 5), powers)
 
 
 def test_products_and_rowwise_refuse_other_widths(setting):
     # a support gather would read a narrower row as zero-padded and give a
-    # wrong table with no error, so every row must have width |G|
+    # wrong table with no error, so every row must have width |G|; the
+    # row-wise Frobenius and power refuse other widths too
     ctx, X, Y = setting
+    Z = ctx.center_subspace().basis
     for bad in (X[:, :-1], np.concatenate([X, X[:, :1]], axis=1), X[0],
                 X[:, :, None]):
         with pytest.raises(AlgebraError):
             ctx.products(bad, Y)
         with pytest.raises(AlgebraError):
             ctx.products(Y, bad)
+    for bad in (Z[:, :-1], np.concatenate([Z, Z[:, :1]], axis=1), Z[0],
+                Z[:, :, None]):
         with pytest.raises(AlgebraError):
-            ctx._rowwise(bad, bad)
-    with pytest.raises(AlgebraError):
-        ctx._rowwise(X, X[:, :-1])
-    # powers takes one vector as a row, but no other width
-    assert np.array_equal(ctx.powers(X[0], 2), ctx.powers(X[:1], 2))
-    for bad in (X[:, :-1], X[0, :-1], X[:, :, None]):
+            ctx.frobenius(bad)
+    # frobenius_chain takes one vector as a row, but not two rows in one
+    W = ctx.central_ideal_part().basis
+    assert np.array_equal(frobenius_chain(ctx, W[-1]),
+                          frobenius_chain(ctx, W[-1:]))
+    for bad in (W[:, :-1], W[:, :, None], np.append(W[-1], W[-1])):
         with pytest.raises(AlgebraError):
-            ctx.powers(bad, 2)
+            frobenius_chain(ctx, bad)
+    # p_power takes one vector, power one vector, and no other width
+    assert np.array_equal(ctx.p_power(Z[1], 1), ctx.frobenius(Z[1:2])[0])
+    for bad in (X[0, :-1], X[:1], np.append(X[0], 0)):
+        for m in (0, 2):
+            with pytest.raises(AlgebraError):
+                ctx.power(bad, m)
+        for i in (0, 1):
+            with pytest.raises(AlgebraError):
+                ctx.p_power(bad, i)
 
 
 def coordinate_factor(a_name, g0_name):
@@ -188,8 +201,9 @@ def test_support_products_and_powers_match_scatter(monkeypatch, name,
                                                    g0_name):
     # products gathers only over the columns where the left factor is
     # nonzero; on sparse rows, a zero row, an all-zero X, a single column
-    # and I(C) of a coordinate factor it and powers equal the scatter
-    # reference, also gathering one row at a time
+    # and I(C) of a coordinate factor it equals the scatter reference,
+    # also gathering one row at a time, and so do the powers of
+    # oracles.row_powers, which the tests read for rows off the centre
     if g0_name:
         ctx, IC = coordinate_factor(name, g0_name)
         inputs = [("coordinate-IC", IC)]
@@ -211,7 +225,8 @@ def test_support_products_and_powers_match_scatter(monkeypatch, name,
                 want = np.array([functools.reduce(
                     lambda acc, _: ref_multiply(G, acc, x), range(m),
                     unit(G, 0)) for x in X])
-                assert np.array_equal(ctx.powers(X, m), want), (label, m)
+                assert np.array_equal(row_powers(ctx, X, m), want), \
+                    (label, m)
 
 
 def test_translates_match_scatter(setting):
@@ -229,9 +244,11 @@ def test_translates_match_scatter(setting):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8, 9])
 def test_rowwise_powers_match_scatter(setting, m):
+    # oracles.row_powers, the reference for powers of rows off the centre,
+    # and power, square-and-multiply over multiply, equal m scatters
     ctx, X, _ = setting
     G = ctx.group
-    for x, got in zip(X, ctx.powers(X, m)):
+    for x, got in zip(X, row_powers(ctx, X, m)):
         acc = unit(G, 0)
         for _ in range(m):
             acc = ref_multiply(G, acc, x)
@@ -802,7 +819,7 @@ def test_recovery_levels_split_outside_ker_lambda(monkeypatch,
     for _, chain in runs:
         for ctx, B in chain[:-1]:
             s = len(B.frobs)
-            top = ctx.powers(next(splits)[None], ctx.p ** (s - 1))[0]
+            top = row_powers(ctx, next(splits), ctx.p ** (s - 1))[0]
             assert not decompose.lambda_map(ctx.group, s).contains_vector(
                 top), (ctx.group.name, s)
             levels += 1
@@ -891,19 +908,87 @@ def test_recovery_forms_no_product(monkeypatch, bench_fixtures):
     assert steps >= len(facts) and formed == []
 
 
-def count_tables(monkeypatch) -> list[str]:
+def count_tables(monkeypatch, inside=None) -> list[str]:
     """The name of every later call of AlgebraContext.products and
-    _rowwise."""
-    formed = []
-    for name in ("products", "_rowwise"):
+    multiply; with inside, a Counter, only of the calls made within the
+    library functions it names, wherever a library module binds them,
+    and inside counts the calls of each."""
+    formed, depth = [], [0]
+    for name in ("products", "multiply"):
         real = getattr(AlgebraContext, name)
 
         def counted(self, *args, real=real, name=name):
-            formed.append(name)
+            if inside is None or depth[0]:
+                formed.append(name)
             return real(self, *args)
 
         monkeypatch.setattr(AlgebraContext, name, counted)
+
+    def entered(name, real):
+        def wrapper(*args, **kwargs):
+            inside[name] += 1
+            depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for module in list(sys.modules.values()):
+        if inside is not None and module.__name__.startswith("pgroupalg"):
+            for name in list(inside):
+                real = getattr(module, name, None)
+                if real is not None:
+                    monkeypatch.setattr(module, name, entered(name, real))
     return formed
+
+
+# the functions of the Frobenius paths that each workload runs
+FROBENIUS_PATHS = {"recover": {"recover_decomposition"},
+                   "odd-p": {"recover_decomposition", "lemma_identity_check"},
+                   "identities": {"lemma_identity_check"},
+                   "lattice": {"cyclic_factor_test"}}
+
+
+@pytest.mark.parametrize("cases", [
+    pytest.param((("recover", "odd-p"), 0), id="corpus-seed0"),
+    pytest.param((("recover", "odd-p"), 7), id="corpus-seed7"),
+    pytest.param((("identities", "lattice"), 0), id="identities-lattice"),
+    *LEVEL_CASES])
+def test_frobenius_paths_form_no_product(monkeypatch, bench_fixtures,
+                                         tmp_path, cases):
+    # every p-th power that recovery, the lemma items and cyclic-factor
+    # take is of central rows, one product with the class-sum table: on
+    # the benchmark's workloads and the catalog pairs no call of products
+    # or multiply is made inside recover_decomposition,
+    # lemma_identity_check or cyclic_factor_test, each loaded input
+    # checked before them
+    calls = collections.Counter(dict.fromkeys(set.union(
+        *FROBENIUS_PATHS.values()), 0))
+    if isinstance(cases, list):
+        facts = []
+        for a_name, g0_name, seed in cases:
+            rng = None if seed is None else np.random.default_rng(seed)
+            data, _ = bench_fixtures.factorization_fixture(a_name, g0_name,
+                                                           rng)
+            _, B, C = group_from_dict(data)
+            facts.append(verify_tensor_factorization(B.ctx, B, C))
+        formed = count_tables(monkeypatch, calls)
+        for fact in facts:
+            decompose.recover_decomposition(fact)
+        ran = FROBENIUS_PATHS["recover"]
+    else:
+        workloads, seed = cases
+        formed = count_tables(monkeypatch, calls)
+        path, out = tmp_path / "input.json", str(tmp_path / "report.json")
+        for workload in workloads:
+            for item, data in bench_fixtures.workload_items(workload, seed):
+                path.write_text(json.dumps(data))
+                assert cli.run([item["command"], "--input", str(path),
+                                "--out", out]) == 0, item["id"]
+        ran = set.union(*(FROBENIUS_PATHS[w] for w in workloads))
+    assert {name for name, n in calls.items() if n} == ran
+    assert formed == []
 
 
 @pytest.mark.parametrize("cases", [
@@ -1085,7 +1170,7 @@ def test_frobenius_gathers_match_powers_modulo_the_derived_ideal():
             for X in row_sets:
                 assert np.array_equal(
                     D.reduce(frobenius_mod_derived(ctx, X, q)),
-                    D.reduce(ctx.powers(X, q))), (G.name, q)
+                    D.reduce(row_powers(ctx, X, q))), (G.name, q)
                 checks += 1
             q *= G.p
     assert checks == 345
@@ -1446,7 +1531,7 @@ def test_mho_ideal_mod_derived_matches_fixpoint(name):
     derived = characteristic_subgroup(G, "derived").elements
     i = 1
     while G.p ** (i - 1) < G.exponent():
-        P = FpSubspace(G.p, G.order, ctx.powers(I.basis, G.p ** i))
+        P = FpSubspace(G.p, G.order, row_powers(ctx, I.basis, G.p ** i))
         want = ref_ideal_generated(ctx, P) + \
             FpSubspace(G.p, G.order, ref_translate_ideal(ctx, derived))
         assert mho_ideal_mod_derived(ctx, i) == want
@@ -1477,7 +1562,7 @@ def ref_top_units(ctx, IB):
         if not live.any():
             break
         orders[live] *= p
-        frob = ctx.powers(frob, p)
+        frob = row_powers(ctx, frob, p)
     U = (ctx.one + coeffs @ IB.basis) % p
     U = U[orders == orders.max()]
     return U[np.lexsort(U.T[::-1])]

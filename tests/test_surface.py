@@ -41,9 +41,12 @@ ALLOWED = {
     ("algebra", "AlgebraContext.multiply"):
         "perfbench binding: perfbench/tracer.py wraps it",
     ("algebra", "AlgebraContext.p_power"):
-        "perfbench binding: perfbench/fixtures.py calls it",
+        "perfbench binding: perfbench/fixtures.py calls it on central rows, "
+        "the only ones it takes, as Frobenius is additive only there",
     ("algebra", "AlgebraContext.power"):
-        "perfbench binding: perfbench/fixtures.py:108 calls it",
+        "perfbench binding: perfbench/fixtures.py:108 calls it; "
+        "square-and-multiply over multiply, as no library path raises a "
+        "row off the centre to a power",
     ("algebra", "AlgebraContext.group_minus_one"):
         "perfbench binding: perfbench/fixtures.py calls it",
     ("algebra", "frattini_quotient"):

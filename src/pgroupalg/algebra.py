@@ -23,16 +23,19 @@ ideal among them, is written down in canonical RREF from the cosets of N
 with none, and so are Z(F_pG), Z(I(G)) and every B ∩ I(G);
 ``ideal_generated`` eliminates the left translates of its generators and
 then the right translates of that left ideal; the mho ideal modulo the
-derived ideal is one elimination of powers that gathers give.  I(G)^m
+derived ideal is one elimination of powers that gathers give.
+Omega_i(Z(I(G)))F_pG is one elimination of the right translates over a
+transversal of the centre Z(G), and none for an abelian G.  I(G)^m
 and X + I(G)^m are kernels of Jennings coordinates of weight below m,
 from one and two eliminations of at most codim I(G)^m rows.
 
 Each group has one shared context, ``AlgebraContext.of(G)``, and each
 context memoizes what is derived from its group alone: the augmentation
-ideal, the Jennings table its powers are read off, the centre and its
-class-sum p-th powers, the normal-subgroup ideals, the Omega/mho ideals
-of the lemmas and every right ideal, keyed by content.  A check that
-needs one again finds it.
+ideal, the Jennings table its powers are read off, the centre, its
+class-sum p-th powers and the Frobenius chain of Z(I(G)), the
+normal-subgroup ideals, and the Omega/mho ideals of the lemmas, the
+right ideals among them keyed by content.  A check that needs one again
+finds it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .fplin import FpSubspace, matmul_mod, nullspace, rref
+from .fplin import FpSubspace, matmul_mod, rref
 from .groups import (NotNormalError, PGroup, Subgroup, _powers,
                      characteristic_subgroup, invariants_from_counts,
                      jennings_basis, memoized)
@@ -128,9 +131,10 @@ class AlgebraContext:
         """Rows e_g x, row k * |G| + g for the k-th row x of X."""
         return np.asarray(X)[:, self._left].reshape(-1, self.dim)
 
-    def right_translates(self, X) -> np.ndarray:
-        """Rows x e_g, row k * |G| + g for the k-th row x of X."""
-        return np.asarray(X)[:, self._right].reshape(-1, self.dim)
+    def right_translates(self, X, elements=slice(None)) -> np.ndarray:
+        """Rows x e_g for g in elements, all of G by default, row
+        k * len(elements) + j for the k-th row x of X and g = elements[j]."""
+        return np.asarray(X)[:, self._right[elements]].reshape(-1, self.dim)
 
     def _rows(self, X) -> np.ndarray:
         """X as int64 rows of width |G| reduced mod p; any other shape is
@@ -382,30 +386,73 @@ def normal_subgroup_ideal(ctx: AlgebraContext, N: Subgroup) -> FpSubspace:
 
 
 @memoized
+def _central_chain(ctx: AlgebraContext) -> np.ndarray:
+    """frobenius_chain of the basis of Z(I(G)), read only; each
+    omega_central reads it."""
+    chain = frobenius_chain(ctx, ctx.central_ideal_part().basis)
+    chain.setflags(write=False)
+    return chain
+
+
+@memoized
 def omega_central(ctx: AlgebraContext, i: int) -> FpSubspace:
     """Omega_i(Z(I(G))): the subalgebra of central ideal elements generated by
     those with z^{p^i} = 0; memoized on ctx.
 
     Z(I(G)) is commutative, so z -> z^{p^i} is F_p-linear (Frobenius) and the
-    nilpotent part is the kernel of that linear map, chain[i] of Z's
-    frobenius_chain; no enumeration needed.  The kernel is closed under
-    products with no check, and so generates nothing more: (zw)^{p^i} =
-    z^{p^i} w^{p^i} = 0 for z, w in it, as Z(I(G)) is commutative and
-    closed under products itself.
+    nilpotent part is the kernel of that linear map, read off chain[i] of
+    the context's one Frobenius chain of Z's basis; no enumeration needed.
+    The kernel is closed under products with no check, and so generates
+    nothing more: (zw)^{p^i} = z^{p^i} w^{p^i} = 0 for z, w in it, as
+    Z(I(G)) is commutative and closed under products itself.
+
+    The kernel is taken in Z-coordinates, on the class representatives
+    alone, as the rows of chain[i] are central, and lifted through Z's
+    RREF basis in canonical RREF with no second elimination.  A kernel row
+    c, in RREF with pivot k_j, gives c Z: Z's rows past k_j vanish left of
+    their own pivots, so c Z is 0 left of Z's pivot z_{k_j} and 1 there,
+    and (c Z)[z_{k_l}] = c[k_l] = 0 on every other pivot z_{k_l}.
     """
     Z = ctx.central_ideal_part()
-    chain = frobenius_chain(ctx, Z.basis)
+    chain = _central_chain(ctx)
     if i >= len(chain):  # every z^{p^i} is 0
         return Z
-    return FpSubspace(ctx.p, ctx.dim,
-                      nullspace(chain[i].T, ctx.p) @ Z.basis % ctx.p)
+    reps = list(ctx.center_subspace().pivots)
+    K = FpSubspace.kernel(ctx.p, chain[i][:, reps].T)
+    return FpSubspace._from_rref(ctx.p, ctx.dim,
+                                 matmul_mod(K.basis, Z.basis, ctx.p),
+                                 np.array(Z.pivots)[list(K.pivots)])
+
+
+def omega_central_ideal(ctx: AlgebraContext, i: int) -> FpSubspace:
+    """K F_pG for K = Omega_i(Z(I(G))), the right ideal of lemma items 2
+    and 3, from the translates K e_t over a transversal T of the centre
+    Z(G) in G, in one elimination.
+
+    K is an ideal of the commutative centre Z(F_pG), which the class sums
+    span (Passman, The Algebraic Structure of Group Rings, 1977): for c in
+    K and z in Z(F_pG), cz lies in Z(I(G)) and (cz)^{p^i} = c^{p^i} z^{p^i}
+    = 0, so K Z(F_pG) ⊆ K.  Hence K e_{tz} = K e_z e_t ⊆ K e_t for each
+    central group element z, and K F_pG = sum_g K e_g = sum_{t in T} K e_t
+    exactly, for every group.  For an abelian G, T = {1} and the ideal is
+    K itself, with no elimination.
+    """
+    return _centre_translates(ctx, omega_central(ctx, i))
 
 
 @memoized
-def omega_central_ideal(ctx: AlgebraContext, i: int) -> FpSubspace:
-    """Omega_i(Z(I(G)))F_pG, the right ideal of lemma items 2 and 3;
-    memoized on ctx."""
-    return right_ideal(ctx, omega_central(ctx, i))
+def _centre_translates(ctx: AlgebraContext, K: FpSubspace) -> FpSubspace:
+    """sum_{t in T} K e_t, which is K F_pG for K an ideal of Z(F_pG) (see
+    omega_central_ideal); memoized on ctx by the content of K, which
+    repeats in i.  The central elements are the singleton classes of
+    class_representatives, and T holds the least element of each coset
+    gZ(G), 1 among them."""
+    rep, n = ctx.class_representatives(), ctx.dim
+    central = np.flatnonzero(np.bincount(rep, minlength=n) == 1)
+    T = np.flatnonzero(ctx.group.table[:, central].min(axis=1) == np.arange(n))
+    if len(T) == 1:
+        return K
+    return FpSubspace(ctx.p, n, ctx.right_translates(K.basis, T))
 
 
 @memoized
@@ -459,17 +506,21 @@ def frobenius_chain(ctx: AlgebraContext, X) -> np.ndarray:
     """The rows of X raised to their p^k-th powers, stacked as
     chain[k] = X^{p^k} for k = 0, 1, ... while any row is nonzero.
 
-    On the centre, which ctx.frobenius holds the rows to, Frobenius is
-    additive, so chain[k] spans the p^k-th powers of the span of X, and
-    1 + x has order p^len(chain) for a single nonzero row x.  Raises on a
-    nonzero X^{p^k} with p^k >= |G|, since I(G)^{|G|} = 0."""
+    On the centre, which ctx.frobenius holds X to at the first step,
+    Frobenius is additive, so chain[k] spans the p^k-th powers of the span
+    of X, and 1 + x has order p^len(chain) for a single nonzero row x.
+    Powers of central rows are central, so the later steps are the
+    class-sum product alone, with no check.  Raises on a nonzero X^{p^k}
+    with p^k >= |G|, since I(G)^{|G|} = 0."""
     X = ctx._rows(np.atleast_2d(X))
+    pivots, P = list(ctx.center_subspace().pivots), ctx.class_sum_powers()
     chain = []
     while X.any():
         chain.append(X)
         if ctx.p ** len(chain) > ctx.dim:
             raise AlgebraError("ideal is not nilpotent")
-        X = ctx.frobenius(X)
+        X = (ctx.frobenius(X) if len(chain) == 1
+             else matmul_mod(X[:, pivots], P, ctx.p))
     return np.stack(chain) if chain else X[None][:0]
 
 

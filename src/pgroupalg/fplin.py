@@ -284,9 +284,10 @@ class FpSubspace:
     def _from_rref(cls, p: int, ambient: int, basis: np.ndarray,
                    pivots) -> "FpSubspace":
         """The subspace of a basis in canonical RREF, taken as it is, with
-        no elimination and no check.  Its four callers write that form by
+        no elimination and no check.  Its five callers write that form by
         construction: FpSubspace.kernel, AlgebraContext.center_subspace,
-        augmentation_part and _coset_ideal, each held to FpSubspace."""
+        augmentation_part, _coset_ideal and omega_central, each held to
+        FpSubspace."""
         basis = np.asarray(basis, dtype=np.int64).reshape(-1, ambient)
         self = cls.__new__(cls)
         self.p, self.ambient = p, ambient

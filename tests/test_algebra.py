@@ -162,6 +162,19 @@ def test_omega_central_is_closed_under_products(G):
         assert not K.reduce(ctx.products(K.basis, K.basis)).any(), i
 
 
+@pytest.mark.parametrize("G", builtin_catalog(p=2, max_order=32)
+                         + builtin_catalog(p=3, max_order=81)
+                         + builtin_catalog(p=5, max_order=125),
+                         ids=lambda G: G.name)
+def test_omega_central_ideal_matches_all_translates(G):
+    # omega_central_ideal takes the right translates of K = Omega_i(Z(I(G)))
+    # over a transversal of the centre only; right_ideal takes all |G|
+    ctx = AlgebraContext(G)
+    for i in range(1, round(math.log(G.exponent(), G.p)) + 1):
+        assert omega_central_ideal(ctx, i) == \
+            right_ideal(ctx, omega_central(ctx, i)), i
+
+
 def test_omega_central_enumeration_cap():
     ctx = ctx_of("C2xC2xC2xC2xC2")
     with pytest.raises(EnumerationCapExceeded):

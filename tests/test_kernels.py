@@ -590,6 +590,23 @@ def test_recover_corpus_eliminates_few_rows(bench_fixtures, monkeypatch):
     assert 0 < total <= 1700, total
 
 
+def test_lemma_checks_eliminate_few_rows(bench_fixtures, monkeypatch):
+    # every lemma check of the identities and odd-p workloads at seed 1,
+    # each on a fresh group: 11,529 and 7,072 rows when Omega_i(Z(I(G)))
+    # F_pG eliminated all |G| right translates of Omega_i(Z(I(G))), and
+    # 2,413 and 828 from the translates over a transversal of the centre
+    rows = count_rref_rows(monkeypatch)
+    totals = {}
+    for workload in ("identities", "odd-p"):
+        rows.clear()
+        for item, data in bench_fixtures.workload_items(workload, 1):
+            if item["command"] == "lemmas":
+                G, _, _ = group_from_dict(data)
+                assert cli._lemmas(G, None)["pass"], item["id"]
+        totals[workload] = sum(rows)
+    assert totals["identities"] <= 2500 and totals["odd-p"] <= 900, totals
+
+
 def assert_invariants_agree(B, want, label):
     units = find_group_basis_commutative(B)
     closure = unit_closure_invariants(B.ctx, units, B.dim + 1)
@@ -870,7 +887,7 @@ def test_recovery_levels_carry_b_alone(monkeypatch, bench_fixtures):
 def test_library_rref_forms_are_canonical(monkeypatch, bench_fixtures,
                                           tmp_path):
     # FpSubspace._from_rref takes a basis as it is; every basis that its
-    # four callers hand it on the benchmark's workloads is the RREF that
+    # five callers hand it on the benchmark's workloads is the RREF that
     # an elimination of it gives
     real, callers = FpSubspace._from_rref.__func__, set()
 
@@ -888,7 +905,7 @@ def test_library_rref_forms_are_canonical(monkeypatch, bench_fixtures,
             assert cli.run([item["command"], "--input", str(path),
                             "--out", out]) == 0, item["id"]
     assert callers == {"kernel", "center_subspace", "augmentation_part",
-                       "_coset_ideal"}
+                       "_coset_ideal", "omega_central"}
 
 
 def test_recovery_forms_no_product(monkeypatch, bench_fixtures):

@@ -54,7 +54,9 @@ def test_identity_items_hold(name):
 @pytest.mark.parametrize("name", ["C2xD16", "C8xC2", "C9xC3", "C5xC5"])
 def test_second_round_of_lemma_checks_forms_no_elimination(monkeypatch, name):
     # the context memo keys ideals and lemma right sides by their content,
-    # so running every lemma check of the CLI again eliminates nothing
+    # so running every lemma check of the CLI again eliminates nothing;
+    # abelian C5xC5 eliminates nothing in the first round either, as each
+    # right side there is closed form or K F_pG = K for central K
     G = catalog_by_name(name)
     G = PGroup(G.p, G.table.copy(), G.name)  # empty memos
     real, calls = fplin.rref, []
@@ -66,7 +68,7 @@ def test_second_round_of_lemma_checks_forms_no_elimination(monkeypatch, name):
     monkeypatch.setattr(fplin, "rref", counted)
     first = cli._lemmas(G, None)
     formed = len(calls)
-    assert formed and first["pass"]
+    assert first["pass"] and (formed == 0) == (name == "C5xC5")
     assert cli._lemmas(G, None) == first
     assert len(calls) == formed
 

@@ -53,6 +53,11 @@ ALLOWED = {
         "perfbench binding: perfbench/fixtures.py calls it",
     ("algebra", "ideal_generated"):
         "perfbench binding: perfbench/tracer.py wraps it",
+    ("algebra", "right_ideal"):
+        "perfbench binding: perfbench/tracer.py wraps it; the lemma right "
+        "sides take K F_pG for central K from the translates over a "
+        "transversal of the centre (omega_central_ideal), and the tests "
+        "hold that form to it",
     ("algebra", "AlgebraContext.plus_power"):
         "public entry point: X + I(G)^m, and I(G)^m, as a subspace of "
         "F_pG, which lambda_map builds Lambda's codomain with; no library "

@@ -12,7 +12,9 @@ only the columns U where the left factor is nonzero contribute: all
 products of two row sets X, Y come from the single matrix product
 ``X[:, U] @ Y[:, L[U]]`` (mod p), U the support of X, formed in chunks of
 Y so that the gathered block stays bounded up to MAX_ORDER; a dense X
-gathers all of L.  Whether rows are central is read off the least
+gathers all of L.  A subalgebra is checked from the products of its
+generators with I(B), not from the table I(B)·I(B) once that table is
+large (AugmentedSubalgebra).  Whether rows are central is read off the least
 conjugates ``rep``, with no product: a central row is constant on each
 class.  Every p-th power the library takes is of central rows, and on
 the centre Frobenius is one F_p-linear map: ``frobenius`` is one product
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -71,9 +73,14 @@ class VerificationError(ValueError):
 # 16 |G| / |U| for a sparse one.  The chunk's products take len(X) |G|
 # entries per row of Y, no more when X is a basis, as then len(X) <= |U|.
 _GATHER_ENTRIES = 1 << 20
-# Largest block of products tested against a subspace at once, in entries
-# (2 MB), so that the test's temporaries stay small beside the table
-_REDUCE_ENTRIES = 1 << 18
+# Largest table I(B)·I(B) that AugmentedSubalgebra.from_space forms in one
+# round, as (dim I(B))^2 |U| for U the support of I(B); above it, Y grows
+# one generator at a time.  On 90 factors of catalog pairs of orders
+# 16-256 the table was faster up to 3,600 (F_2[C4xC4] in C4xC4 x C2,
+# 0.22-0.33 against 0.66 ms) and generators from 6,336 up (F_3He3 in
+# C3 x He3, 1.1 against 1.5 ms), except on factors such as F_3C27 whose
+# words need one round per dimension (1.9 against 1.0 ms).
+_TABLE_ENTRIES = 1 << 12
 
 
 class AlgebraContext:
@@ -151,10 +158,7 @@ class AlgebraContext:
         where some row of X is nonzero, so the products of a chunk of Y
         are X[:, U] @ Y[:, L[U]]: |U| |G| gathered entries per row of Y,
         |G|^2 only for a dense X.  The same float64 products, exact, give
-        the same int64 table.  On the recover input C3 x He3 (order 81)
-        I(C) of C = F_3He3 touches 27 of the 81 columns, and its table
-        I(C)·I(C), 676 rows, took 0.56 ms where the whole gather took
-        0.91 (median of 400 interleaved calls in one process)."""
+        the same int64 table."""
         X, Y = self._rows(X), self._rows(Y)
         n = self.dim
         # X is reduced, so a column is nonzero iff its sum is
@@ -532,43 +536,75 @@ def unit_exponent_commutative(ctx: AlgebraContext, ideal: FpSubspace) -> int:
 
 @dataclass(frozen=True)
 class AugmentedSubalgebra:
-    """A unital subalgebra B of F_pG with its augmentation ideal B ∩ I(G).
-    B = F_p·1 ⊕ I(B) with 1 central, so ``from_space`` reads all it checks
-    off the one table I(B)·I(B), formed over the support of I(B):
-    closure is I(B)^2 ⊆ B, tested on B's free columns
-    (FpSubspace.contains_vector), ``commutative`` the table's symmetry
-    under i <-> j.  The table is not kept: a recovery level builds B from
-    a projection, with no table, and reads I(B)^2 off Jennings
-    coordinates (decompose._aug_square)."""
+    """A unital subalgebra B = F_p·1 ⊕ I(B) of F_pG, I(B) = B ∩ I(G), with
+    ``generators``, rows Y of I(B) with B = alg(Y).
+
+    ``from_space`` proves closure by the idealizer argument: {t : t I(B) ⊆
+    I(B)} is a subalgebra, so if Y I(B) ⊆ I(B) and the words in Y span
+    I(B), then I(B)^2 ⊆ I(B) and B is closed.  A product y x lies in I(G),
+    so it lies in B iff it lies in I(B), and one outside fails at once.  In
+    I(B)'s pivot coordinates v lies in I(B) iff v[free] == v[pivots] @
+    basis[:, free], and v[pivots] are then its coordinates: left
+    multiplication by y is the matrix of the products y I(B) it tests, and
+    B is commutative iff Y commutes pairwise, read off those matrices.  Y
+    is all of I(B), one table, while (dim I(B))^2 |U| is at most
+    _TABLE_ENTRIES, U the support of I(B); above it Y grows one generator
+    at a time, each the first row of I(B) outside the span of the words so
+    far, and past bit_length(dim I(B)) generators the next round takes
+    every row still outside.  A recovery level builds B from a projection,
+    with no check, and reads I(B)^2 off Jennings coordinates
+    (decompose._aug_square)."""
 
     ctx: AlgebraContext
     space: FpSubspace
     aug_ideal: FpSubspace
     commutative: bool
+    generators: np.ndarray = field(compare=False, repr=False)
 
     @classmethod
     def from_space(cls, ctx: AlgebraContext, space: FpSubspace) -> "AugmentedSubalgebra":
         """The subspace as an augmented subalgebra; a failed check raises a
         VerificationError named subalgebra-unit or subalgebra-closure.
-        Closure tests the table against the space a chunk of rows at a
-        time, with no elimination.  I(B) has codimension 1 with no check:
-        augmentation_part drops exactly one row of the basis."""
+        I(B) has codimension 1 with no check: augmentation_part drops
+        exactly one row of the basis."""
         if not space.contains_vector(ctx.one):
             raise VerificationError("subalgebra-unit",
                                     "subspace does not contain the unit")
         aug = augmentation_part(ctx, space)
-        k = aug.dim
-        table = ctx.products(aug.basis, aug.basis)
-        commutative = tables_commute(table, table, k, k)
-        # a commutative table repeats x_i x_j as x_j x_i: test i <= j only
-        rows = (np.flatnonzero(np.arange(k)[:, None] <= np.arange(k))
-                if commutative else np.arange(k * k))
-        step = max(1, _REDUCE_ENTRIES // ctx.dim)
-        if not all(space.contains_vector(table[rows[a:a + step]])
-                   for a in range(0, len(rows), step)):
-            raise VerificationError("subalgebra-closure",
-                                    "subspace is not closed under multiplication")
-        return cls(ctx, space, aug, commutative)
+        p, k, I, pivots = ctx.p, aug.dim, aug.basis, list(aug.pivots)
+        free = np.delete(np.arange(ctx.dim), pivots)
+        whole = k * k * I.any(axis=0).sum() <= _TABLE_ENTRIES
+        eye = np.eye(k, dtype=np.int64)  # I(B) in its own coordinates
+        gens, maps = np.zeros(0, dtype=np.intp), np.zeros((0, k, k), np.int64)
+        new = np.arange(k if whole else 1)
+        V = None if whole else FpSubspace(p, k)  # the span of the words
+        while len(new):
+            prods = ctx.products(I[new], I)  # y_i x_l, row i k + l
+            M = prods[:, pivots]
+            if not np.array_equal(prods[:, free],
+                                  matmul_mod(M, I[:, free], p)):
+                raise VerificationError(
+                    "subalgebra-closure",
+                    "subspace is not closed under multiplication")
+            M = M.reshape(-1, k, k)  # coords(y_i v) = coords(v) @ M[i]
+            gens, maps = np.concatenate([gens, new]), np.concatenate([maps, M])
+            if whole:  # V and every row of I(B) outside it span I(B)
+                break
+            # the new y and V y, then each new part of V times all of Y
+            grow = np.concatenate([eye[new], matmul_mod(V.basis, M, p)
+                                   .reshape(-1, k)])
+            while len(grow) and V.dim < k:
+                W, old = V.extend(grow), set(V.pivots)
+                fresh = W.basis[[c not in old for c in W.pivots]]
+                V, grow = W, matmul_mod(fresh, maps, p).reshape(-1, k)
+            new = np.flatnonzero(V.reduce(eye).any(axis=1))
+            # past the log_2 (k + 1) generators that suffice for a group
+            # algebra of dimension k + 1, take every row still outside V
+            whole = len(gens) >= k.bit_length()
+            new = new if whole else new[:1]
+        YY = maps[:, gens]  # YY[i, j]: y_i y_j, as y_j = x_{gens[j]}
+        return cls(ctx, space, aug, np.array_equal(YY, YY.swapaxes(0, 1)),
+                   I[gens])
 
     @functools.cached_property
     def frobs(self) -> np.ndarray:

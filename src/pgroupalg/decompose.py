@@ -299,7 +299,8 @@ def recover_decomposition(fact: TensorFactorizationInput) -> DecompositionReport
                 "dimension-product", f"{V.dim} * {p ** s} != {B.dim}")
         G0p, g0_elems = subgroup_to_pgroup(G0)
         ctx = AlgebraContext.of(G0p)
-        B = AugmentedSubalgebra(ctx, V, augmentation_part(ctx, V), True)
+        IB = augmentation_part(ctx, V)
+        B = AugmentedSubalgebra(ctx, V, IB, True, IB.basis)
         cur_embed = [cur_embed[e] for e in g0_elems]
         depth += 1
 

@@ -215,19 +215,25 @@ def rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         B = A[start:start + block].astype(np.int64) % p
         start += block
         block = min(2 * block, _BLOCK_MAX)
-        if pivots:
-            B = (B - matmul_mod(B[:, pivots], R, p)) % p
-            B = B[B.any(axis=1)]
-        if not B.shape[0]:
-            continue
-        Rb, new = dense(B)
-        # Rb is zero on the old pivot columns; clear its pivots out of R
-        R = (R - matmul_mod(R[:, new], Rb, p)) % p
-        merged = pivots + new
-        order = np.argsort(merged, kind="stable")
-        R = np.concatenate([R, Rb])[order]
-        pivots = [merged[k] for k in order]
+        R, pivots = _merge(R, pivots, B, p, dense)
     return R, tuple(pivots)
+
+
+def _merge(R: np.ndarray, pivots, B: np.ndarray, p: int, dense):
+    """(RREF, pivots) of the rows of R, in RREF on pivots, and of B, with
+    entries in [0, p): the residuals B - B[:, pivots] @ R (mod p) are zero
+    on the pivots, so only the nonzero ones are eliminated, by dense, and
+    their RREF Rb is merged by clearing its pivots out of R."""
+    if pivots:
+        B = (B - matmul_mod(B[:, list(pivots)], R, p)) % p
+    B = B[B.any(axis=1)]
+    if not len(B):
+        return R, list(pivots)
+    Rb, new = dense(B)
+    R = (R - matmul_mod(R[:, list(new)], Rb, p)) % p
+    merged = [*pivots, *new]
+    order = np.argsort(merged, kind="stable")
+    return np.concatenate([R, Rb])[order], [merged[k] for k in order]
 
 
 def nullspace(A: np.ndarray, p: int) -> np.ndarray:
@@ -284,16 +290,29 @@ class FpSubspace:
     def _from_rref(cls, p: int, ambient: int, basis: np.ndarray,
                    pivots) -> "FpSubspace":
         """The subspace of a basis in canonical RREF, taken as it is, with
-        no elimination and no check.  Its five callers write that form by
-        construction: FpSubspace.kernel, AlgebraContext.center_subspace,
-        augmentation_part, _coset_ideal and omega_central, each held to
-        FpSubspace."""
+        no elimination and no check.  Its seven callers write that form by
+        construction or check it: FpSubspace.kernel, from_rows and extend,
+        AlgebraContext.center_subspace, augmentation_part, _coset_ideal and
+        omega_central, each held to FpSubspace."""
         basis = np.asarray(basis, dtype=np.int64).reshape(-1, ambient)
         self = cls.__new__(cls)
         self.p, self.ambient = p, ambient
         self.basis, self.pivots = basis, tuple(int(c) for c in pivots)
         self.basis.setflags(write=False)
         return self
+
+    @classmethod
+    def from_rows(cls, p: int, ambient: int, rows) -> "FpSubspace":
+        """FpSubspace(p, ambient, rows), with no elimination when rows are
+        already its canonical RREF, as io.group_to_dict writes them: nonzero,
+        led by 1 at increasing columns, each the only nonzero there."""
+        _check_prime(p)
+        R = np.asarray(rows, dtype=np.int64).reshape(-1, ambient) % p
+        lead = (R != 0).argmax(axis=1)
+        if (R.any(axis=1).all() and (np.diff(lead) > 0).all()
+                and (R[:, lead] == np.eye(len(R))).all()):
+            return cls._from_rref(p, ambient, R, lead)
+        return cls(p, ambient, R)
 
     @classmethod
     def kernel(cls, p: int, A: np.ndarray) -> "FpSubspace":
@@ -334,9 +353,7 @@ class FpSubspace:
         v - v[pivots] @ basis is zero on the pivots, as basis[:, pivots]
         is the identity, so v lies in the space iff v[free] == v[pivots] @
         basis[:, free] (mod p): one product and one remainder over rows x
-        codim, where reduce takes three over rows x ambient.  On the 676
-        rows of I(C)·I(C) for C = F_3He3 (order 81) that took 0.65 ms
-        where reduce took 1.01."""
+        codim, where reduce takes three over rows x ambient."""
         v = np.asarray(vec, dtype=np.int64) % self.p
         if v.shape[-1:] != (self.ambient,) or v.ndim > 2:
             raise FpError(f"vector length {v.shape} != ambient {self.ambient}")
@@ -350,6 +367,15 @@ class FpSubspace:
     def contains(self, other: "FpSubspace") -> bool:
         self._compat(other)
         return self.contains_vector(other.basis)
+
+    def extend(self, rows) -> "FpSubspace":
+        """The span of the space and rows: only the nonzero residues of
+        rows go through rref, and their RREF merges into the basis by one
+        product (_merge)."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.ambient)
+        R, pivots = _merge(self.basis, self.pivots, rows % self.p, self.p,
+                           functools.partial(rref, p=self.p))
+        return FpSubspace._from_rref(self.p, self.ambient, R, pivots)
 
     def sum(self, other: "FpSubspace") -> "FpSubspace":
         self._compat(other)

@@ -94,8 +94,10 @@ def group_from_dict(data: dict) -> tuple[PGroup, AugmentedSubalgebra | None,
         B_rows, C_rows = B_rows[:, perm], C_rows[:, perm]
         # a well-formed B or C that is no augmented subalgebra fails a
         # named check (a VerificationError), not the schema
-        B = AugmentedSubalgebra.from_space(ctx, FpSubspace(p, order, B_rows))
-        C = AugmentedSubalgebra.from_space(ctx, FpSubspace(p, order, C_rows))
+        B = AugmentedSubalgebra.from_space(
+            ctx, FpSubspace.from_rows(p, order, B_rows))
+        C = AugmentedSubalgebra.from_space(
+            ctx, FpSubspace.from_rows(p, order, C_rows))
     return G, B, C
 
 

@@ -18,6 +18,7 @@ from pgroupalg.algebra import (AlgebraContext, AlgebraError,
                                product_space, right_ideal, tables_commute,
                                unit_exponent_commutative)
 from pgroupalg.catalog import builtin_catalog, catalog_by_name
+from pgroupalg.io import group_from_dict, group_to_dict
 from pgroupalg.groups import (PGroup, agemo_derived, catalog_build,
                               characteristic_subgroup, omega_center_derived,
                               r_subquotient)
@@ -324,9 +325,11 @@ def test_augmented_subalgebra_validation():
 
 
 def test_subalgebra_checks_form_one_bounded_table():
-    # B = F_2[C2^7] in F_2[C2^7 x C2], of dimension 128: the one table
-    # I(B) I(B) and the elimination of its span stay below 80 MB traced,
-    # where reducing all 16,384 products of B with B at once takes 150 MB
+    # B = F_2[C2^7] in F_2[C2^7 x C2], of dimension 128, above the table
+    # bound: from_space forms the products Y I(B) of its 7 generators
+    # alone, far below the 80 MB traced that the one table I(B) I(B) and
+    # its membership test stayed under, and reducing all 16,384 products
+    # of B with B at once takes 150 MB
     A = catalog_by_name("C2xC2xC2xC2xC2xC2xC2")
     ctx = AlgebraContext(catalog_build("direct_product", A,
                                        catalog_by_name("C2")))
@@ -340,6 +343,26 @@ def test_subalgebra_checks_form_one_bounded_table():
     assert B.dim == 128 and B.commutative
     assert aug_square(B.ctx, B.aug_ideal).dim == B.aug_ideal.dim - 7
     assert peak < 80e6
+
+
+def test_loading_a_factorization_of_order_256_stays_small():
+    # coordinate C2^7 x C2 (order 256) from its group file: the group's
+    # checks and both factors' closure by generators trace 5.6 MB, where
+    # forming the table I(B) I(B) of 127^2 rows traced 53 MB
+    A = catalog_by_name("C2xC2xC2xC2xC2xC2xC2")
+    G = catalog_build("direct_product", A, catalog_by_name("C2"))
+    eye = np.eye(G.order, dtype=np.int64)
+    data = group_to_dict(G, span(2, G.order, eye[::2]),
+                         span(2, G.order, eye[:2]))
+    tracemalloc.start()
+    try:
+        _, B, C = group_from_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert B.dim == 128 and B.commutative and C.dim == 2
+    assert peak < 16e6, peak
+    assert len(B.generators) == 7
 
 
 def _memoized_builders(G):

@@ -887,7 +887,7 @@ def test_recovery_levels_carry_b_alone(monkeypatch, bench_fixtures):
 def test_library_rref_forms_are_canonical(monkeypatch, bench_fixtures,
                                           tmp_path):
     # FpSubspace._from_rref takes a basis as it is; every basis that its
-    # five callers hand it on the benchmark's workloads is the RREF that
+    # seven callers hand it on the benchmark's workloads is the RREF that
     # an elimination of it gives
     real, callers = FpSubspace._from_rref.__func__, set()
 
@@ -905,7 +905,8 @@ def test_library_rref_forms_are_canonical(monkeypatch, bench_fixtures,
             assert cli.run([item["command"], "--input", str(path),
                             "--out", out]) == 0, item["id"]
     assert callers == {"kernel", "center_subspace", "augmentation_part",
-                       "_coset_ideal", "omega_central"}
+                       "_coset_ideal", "omega_central", "from_rows",
+                       "extend"}
 
 
 def test_recovery_forms_no_product(monkeypatch, bench_fixtures):

@@ -2,12 +2,14 @@
 verification."""
 
 import importlib
+import itertools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pgroupalg.algebra as algebra
 import pgroupalg.cli as cli
 import pgroupalg.fplin as fplin
 from pgroupalg.algebra import (AlgebraContext, AugmentedSubalgebra,
@@ -17,7 +19,7 @@ from pgroupalg.fplin import FpSubspace
 import pgroupalg.decompose as decompose
 from pgroupalg.decompose import recover_decomposition
 from pgroupalg.groups import (PGroup, Subgroup, abelian_invariants,
-                              catalog_build)
+                              all_subgroups, catalog_build)
 from pgroupalg.io import group_from_dict
 from pgroupalg.lemmas import (VerificationError, cyclic_factor_test,
                               lemma_identity_check,
@@ -225,13 +227,21 @@ def special_input(case):
         element_span(ctx, Subgroup.generated(G, (r,)).elements), "commuting"
 
 
+def checked_from_space(ctx, V):
+    """from_space on V, whose commutative must be the symmetry of the
+    table of V's basis."""
+    B = AugmentedSubalgebra.from_space(ctx, V)
+    T = ctx.products(V.basis, V.basis).reshape(V.dim, V.dim, -1)
+    assert B.commutative == np.array_equal(T, T.swapaxes(0, 1))
+    return B
+
+
 def named_failure(ctx, B, C):
     """The check that from_space or verify_tensor_factorization names
     first on the subspaces B and C, or None."""
     try:
-        verify_tensor_factorization(
-            ctx, AugmentedSubalgebra.from_space(ctx, B),
-            AugmentedSubalgebra.from_space(ctx, C))
+        verify_tensor_factorization(ctx, checked_from_space(ctx, B),
+                                    checked_from_space(ctx, C))
     except VerificationError as exc:
         return exc.check
     return None
@@ -244,43 +254,74 @@ def oracle_failure(ctx, B, C):
 
 SPECIAL = ("not-closed", "same-half", "unit-with-half", "D8", "unit-p2",
            "unit-p3")
-
-
-@pytest.mark.parametrize("case", [
+CHECK_CASES = dict(argnames="case", argvalues=[
     *((p, seed) for p in (2, 3, 5) for seed in (None, 7)), *SPECIAL],
     ids=[*(f"p{p}-{kind}" for p in (2, 3, 5)
            for kind in ("coordinate", "twisted")), *SPECIAL])
-def test_checks_read_off_one_table_fail_as_their_definitions(
-        bench_fixtures, case):
-    # from_space reads closure and commutativity off the table I(B) I(B),
-    # and verify_tensor_factorization reads commuting off the centre or
-    # the tables I(B) I(C) and I(C) I(B), and product-span off Jennings
-    # coordinates; the oracles apply each check's definition to the whole
-    # bases of B and C.  augmentation-decomposition
-    # gets no input of its own: once dimension-product and product-span
-    # pass, dim I(B) + dim I(C) + dim I(B)I(C) is at least the dimension
-    # |G| - 1 of their sum and at most (b-1) + (c-1) + (b-1)(c-1) =
-    # bc - 1 = |G| - 1, so the sum is direct and the check cannot fire
+
+
+def assert_checks_fail_as_their_definitions(fixtures, case):
     if case in SPECIAL:
         ctx, B, C, want = special_input(case)
         assert oracle_failure(ctx, B, C) == want
         inputs = [(ctx, B, C)]
     else:
-        inputs = list(catalog_inputs(bench_fixtures, *case))
+        inputs = list(catalog_inputs(fixtures, *case))
         assert inputs
     for ctx, B, C in inputs:
         assert named_failure(ctx, B, C) == oracle_failure(ctx, B, C), \
             ctx.group.name
 
 
-@pytest.mark.parametrize("name", ["D8", "Q8", "C2xC4", "He3", "C9",
-                                  "C5xC5"])
-def test_closure_fails_as_its_definition(name):
-    # from_space tests I(B)^2 in B on B's free columns; on seeded spaces
-    # holding 1 (group subalgebras, those with a random row added, and
-    # random spans) it names subalgebra-closure exactly where
-    # subalgebra_failure, which reduces every product of basis elements,
-    # does
+@pytest.mark.parametrize(**CHECK_CASES)
+def test_checks_read_off_one_table_fail_as_their_definitions(
+        bench_fixtures, case):
+    # from_space reads closure and commutativity off the products Y I(B)
+    # for generators Y of B, all of I(B) below the table bound, and
+    # verify_tensor_factorization reads commuting off the centre or the
+    # products of the generators of B and of C, and product-span off
+    # Jennings coordinates; the oracles apply each check's definition to
+    # the whole bases of B and C.  augmentation-decomposition
+    # gets no input of its own: once dimension-product and product-span
+    # pass, dim I(B) + dim I(C) + dim I(B)I(C) is at least the dimension
+    # |G| - 1 of their sum and at most (b-1) + (c-1) + (b-1)(c-1) =
+    # bc - 1 = |G| - 1, so the sum is direct and the check cannot fire
+    assert_checks_fail_as_their_definitions(bench_fixtures, case)
+
+
+@pytest.mark.parametrize(**CHECK_CASES)
+def test_checks_by_greedy_generators_fail_as_their_definitions(
+        bench_fixtures, monkeypatch, case):
+    # the same inputs with the table bound at 0: every B and C with I(B)
+    # nonzero grows its generators one at a time, and commuting, where
+    # neither factor is central, compares those generators alone
+    monkeypatch.setattr(algebra, "_TABLE_ENTRIES", 0)
+    assert_checks_fail_as_their_definitions(bench_fixtures, case)
+
+
+def assert_closure_fails_as_its_definition(ctx, spaces):
+    """from_space names subalgebra-closure on exactly the spaces that
+    subalgebra_failure, which reduces every product of basis elements,
+    names it on; the list of the names."""
+    named = []
+    for V in spaces:
+        try:
+            checked_from_space(ctx, V)
+            named.append(None)
+        except VerificationError as exc:
+            named.append(exc.check)
+        assert named[-1] == subalgebra_failure(ctx, V)
+    return named
+
+
+CLOSURE_GROUPS = ["D8", "Q8", "C2xC4", "He3", "C9", "C5xC5"]
+
+
+def closure_spaces(name):
+    """Seeded spaces holding 1 in F_pG: group subalgebras, those with a
+    random row added, random spans, and the spans of 1 and two or three
+    of the first eight other elements, open on a product of two
+    generators where squares may stay inside."""
     G = catalog_by_name(name)
     ctx, p, n = AlgebraContext(G), G.p, G.order
     rng = np.random.default_rng(sum(map(ord, name)))
@@ -291,15 +332,100 @@ def test_closure_fails_as_its_definition(name):
     for k in (1, 2, 4):
         spaces.append(element_span(ctx, [0]) + span(
             p, n, rng.integers(0, p, size=(k, n))))
-    named = []
-    for V in spaces:
-        try:
-            AugmentedSubalgebra.from_space(ctx, V)
-            named.append(None)
-        except VerificationError as exc:
-            named.append(exc.check)
-        assert named[-1] == subalgebra_failure(ctx, V)
+    for r in (2, 3):
+        spaces += [element_span(ctx, [0, *S])
+                   for S in itertools.combinations(range(1, min(n, 9)), r)]
+    return ctx, spaces
+
+
+@pytest.mark.parametrize("name", CLOSURE_GROUPS)
+def test_closure_fails_as_its_definition(name):
+    # from_space tests Y I(B) in I(B) on I(B)'s free columns, Y all of
+    # I(B) on these small spaces
+    named = assert_closure_fails_as_its_definition(*closure_spaces(name))
     assert None in named and "subalgebra-closure" in named
+
+
+@pytest.mark.parametrize("name", CLOSURE_GROUPS)
+def test_closure_by_greedy_generators_fails_as_its_definition(
+        monkeypatch, name):
+    # the same spaces with the table bound at 0, so that Y grows one
+    # generator at a time until its words span I(B)
+    monkeypatch.setattr(algebra, "_TABLE_ENTRIES", 0)
+    named = assert_closure_fails_as_its_definition(*closure_spaces(name))
+    assert None in named and "subalgebra-closure" in named
+
+
+@pytest.mark.parametrize("bound", [None, 0], ids=["default", "greedy"])
+def test_closure_above_the_table_bound_fails_as_its_definition(
+        monkeypatch, bound):
+    # in C3 x He3 (order 81): F_3He3 with (dim I(B))^2 |U| = 26^2 27
+    # above the default bound, in coordinates and conjugated by a unit
+    # 1 + x, each also with a random row added, which leaves it open, and
+    # the edges F_3·1 and F_3G
+    if bound is not None:
+        monkeypatch.setattr(algebra, "_TABLE_ENTRIES", bound)
+    G = catalog_build("direct_product", catalog_by_name("C3"),
+                      catalog_by_name("He3"))
+    ctx, n = AlgebraContext(G), G.order
+    rng = np.random.default_rng(81)
+    I = ctx.augmentation_ideal()
+    u = (ctx.one + rng.integers(0, 3, I.dim) @ I.basis) % 3
+    coordinate = element_span(ctx, range(27))  # He3 sits at 0, ..., 26
+    assert 26 ** 2 * 27 > algebra._TABLE_ENTRIES
+    twisted = conjugate_space(ctx, coordinate, u, ctx.power(u, n - 1))
+    assert twisted != coordinate
+    spaces = [coordinate, twisted,
+              *(V + span(3, n, rng.integers(0, 3, size=(1, n)))
+                for V in (coordinate, twisted)),
+              element_span(ctx, [0]), full_space(3, n)]
+    named = assert_closure_fails_as_its_definition(ctx, spaces)
+    assert named == [None, None, "subalgebra-closure", "subalgebra-closure",
+                     None, None]
+
+
+def test_closure_past_the_generator_cap_takes_one_round(monkeypatch):
+    # B = F_2·1 + I(G)^3 in F_2[C2^6], dim I(B) = 42: I(B)^2 lies in
+    # I(G)^6, of dimension 1, so nearly every row of I(B) is a generator
+    # of its own.  Past bit_length(42) = 6 generators from_space takes
+    # every row still outside the span of the words in one round: 7
+    # products in all, where one generator at a time took 41
+    G = catalog_by_name("C2xC2xC2xC2xC2xC2")
+    ctx = AlgebraContext(G)
+    V = element_span(ctx, [0]) + ctx.plus_power(None, 3)
+    real, formed = AlgebraContext.products, []
+
+    def counted(self, X, Y):
+        formed.append(len(X))
+        return real(self, X, Y)
+
+    monkeypatch.setattr(AlgebraContext, "products", counted)
+    B = AugmentedSubalgebra.from_space(ctx, V)
+    monkeypatch.undo()
+    assert B.aug_ideal.dim == 42 and B.commutative
+    assert formed[:6] == [1] * 6 and len(formed) == 7
+    assert subalgebra_failure(ctx, V) is None
+
+
+@pytest.mark.parametrize("bound", [None, 0], ids=["default", "greedy"])
+@pytest.mark.parametrize("name", ["D8", "He3", "D16"])
+def test_commuting_of_subgroup_algebras_fails_as_its_definition(
+        monkeypatch, name, bound):
+    # B and C the group algebras of two proper subgroups, central or not:
+    # where neither is central, commuting compares the generators of B
+    # with those of C, and names what factorization_failure names, which
+    # compares B's whole basis with C's (on D16 some B has a generator
+    # that commutes with C before one that does not)
+    if bound is not None:
+        monkeypatch.setattr(algebra, "_TABLE_ENTRIES", bound)
+    G = catalog_by_name(name)
+    ctx = AlgebraContext(G)
+    spaces = [element_span(ctx, H.elements) for H in all_subgroups(G)
+              if 1 < H.order < G.order]
+    named = [named_failure(ctx, B, C) for B in spaces for C in spaces]
+    assert named == [factorization_failure(ctx, B, C)
+                     for B in spaces for C in spaces]
+    assert "commuting" in named
 
 
 def conjugate_space(ctx, X, u, u_inv):

@@ -31,13 +31,13 @@ transversal of the centre Z(G), and none for an abelian G.  I(G)^m
 and X + I(G)^m are kernels of Jennings coordinates of weight below m,
 from one and two eliminations of at most codim I(G)^m rows.
 
-Each group has one shared context, ``AlgebraContext.of(G)``, and each
-context memoizes what is derived from its group alone: the augmentation
-ideal, the Jennings table its powers are read off, the centre, its
-class-sum p-th powers and the Frobenius chain of Z(I(G)), the
-normal-subgroup ideals, and the Omega/mho ideals of the lemmas, the
-right ideals among them keyed by content.  A check that needs one again
-finds it.
+Each group has one context, ``AlgebraContext.of(G)``, the only one the
+library builds (a quotient G/N is memoized on G, so its context is too),
+and each context memoizes what is derived from its group alone: the
+augmentation ideal, the Jennings table its powers are read off, the
+centre, its class-sum p-th powers and the Frobenius chain of Z(I(G)),
+the normal-subgroup ideals, and the Omega/mho ideals of the lemmas by
+index.  A check that needs one again finds it.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import numpy as np
 from .fplin import FpSubspace, matmul_mod, rref
 from .groups import (NotNormalError, PGroup, Subgroup, _powers,
                      characteristic_subgroup, invariants_from_counts,
-                     jennings_basis, memoized)
+                     jennings_basis, memoized, word_exponents)
 
 
 class AlgebraError(ValueError):
@@ -86,11 +86,11 @@ _TABLE_ENTRIES = 1 << 12
 class AlgebraContext:
     """F_pG for a fixed Cayley-table group.
 
-    ``AlgebraContext.of(G)`` returns the context shared by every caller
-    that works on G, so its memo serves them all; ``AlgebraContext(G)``
-    builds a fresh one with an empty memo.  The memo only ever adds
-    results that depend on G alone, so sharing a context changes no
-    answer.
+    The library reads every context through ``AlgebraContext.of(G)``, the
+    one context of G, so its memo serves every check on G and on nothing
+    else; ``AlgebraContext(G)`` builds a fresh one with an empty memo, as
+    tests and benchmark fixtures do.  The memo only ever adds results that
+    depend on G alone, so sharing a context changes no answer.
     """
 
     def __init__(self, group: PGroup):
@@ -206,18 +206,12 @@ class AlgebraContext:
         """(F, weights): every coordinate f_k in the Jennings basis
         (x_1 - 1)^k_1 ... (x_d - 1)^k_d, 0 <= k_j < p, over
         groups.jennings_basis, as rows in ascending sum_j k_j p^(j-1), and
-        each weight sum_j k_j w_j.  Each g is one word x_1^b_1 ... x_d^b_d,
-        all built by gathers, and e_g = prod_j (1 + (x_j - 1))^b_j expands
-        in order: f_k(e_g) = prod_j C(b_j, k_j) mod p."""
+        each weight sum_j k_j w_j.  Each g is one word x_1^b_1 ... x_d^b_d
+        (groups.word_exponents), and e_g = prod_j (1 + (x_j - 1))^b_j
+        expands in order: f_k(e_g) = prod_j C(b_j, k_j) mod p."""
         basis, p, n = jennings_basis(self.group), self.p, self.dim
-        words = np.zeros(1, dtype=np.int64)
-        for x, _ in basis:  # words[a |words| + r] = words[r] x^a
-            blocks = [words]
-            for _ in range(p - 1):
-                blocks.append(self.group.table[blocks[-1], x])
-            words = np.concatenate(blocks)
+        exps = word_exponents(self.group, [(x, p) for x, _ in basis])
         digits = np.arange(n)[:, None] // p ** np.arange(len(basis)) % p
-        exps = digits[np.argsort(words)]  # exps[g] = (b_1(g), ..., b_d(g))
         C = np.array([[math.comb(b, k) for b in range(p)] for k in range(p)])
         F = np.prod(C[digits.T[:, :, None], exps.T[:, None]], axis=0) % p
         return F, digits @ np.array([w for _, w in basis], dtype=np.int64)
@@ -336,10 +330,9 @@ def power_space(ctx: AlgebraContext, X: FpSubspace, m: int) -> FpSubspace:
     return acc
 
 
-@memoized
 def right_ideal(ctx: AlgebraContext, X: FpSubspace) -> FpSubspace:
-    """XA, the right ideal generated by X (X included, as A is unital);
-    memoized on ctx by the content of X, so an equal X is not eliminated."""
+    """XA, the right ideal generated by X (X included, as A is unital),
+    from all |G| right translates in one elimination."""
     return FpSubspace(ctx.p, ctx.dim, ctx.right_translates(X.basis))
 
 
@@ -375,18 +368,16 @@ def _coset_ideal(ctx: AlgebraContext, elements) -> FpSubspace:
     return FpSubspace._from_rref(ctx.p, ctx.dim, basis, pivots)
 
 
+@memoized
 def normal_subgroup_ideal(ctx: AlgebraContext, N: Subgroup) -> FpSubspace:
     """I(N)F_pG = kernel of F_pG -> F_p(G/N), in closed form (see
-    _coset_ideal); memoized on ctx by the elements of N."""
+    _coset_ideal); memoized on ctx by N."""
     if N.parent is not ctx.group:
         raise AlgebraError("subgroup does not belong to this context's group")
-    key = ("normal_subgroup_ideal", N.elements)
-    if key not in ctx._memo:
-        if not N.is_normal():
-            raise NotNormalError(
-                "normal_subgroup_ideal requires a normal subgroup")
-        ctx._memo[key] = _coset_ideal(ctx, N.elements)
-    return ctx._memo[key]
+    if not N.is_normal():
+        raise NotNormalError(
+            "normal_subgroup_ideal requires a normal subgroup")
+    return _coset_ideal(ctx, N.elements)
 
 
 @memoized
@@ -428,10 +419,13 @@ def omega_central(ctx: AlgebraContext, i: int) -> FpSubspace:
                                  np.array(Z.pivots)[list(K.pivots)])
 
 
+@memoized
 def omega_central_ideal(ctx: AlgebraContext, i: int) -> FpSubspace:
     """K F_pG for K = Omega_i(Z(I(G))), the right ideal of lemma items 2
-    and 3, from the translates K e_t over a transversal T of the centre
-    Z(G) in G, in one elimination.
+    and 3, from the translates K e_t over T, the least elements of the
+    cosets of the centre Z(G), in one elimination; memoized by min(i, s), s the
+    length of _central_chain: K_i, the kernel of the i-th power of one
+    linear map, grows strictly up to K_s = Z(I(G)) and then stays.
 
     K is an ideal of the commutative centre Z(F_pG), which the class sums
     span (Passman, The Algebraic Structure of Group Rings, 1977): for c in
@@ -441,19 +435,12 @@ def omega_central_ideal(ctx: AlgebraContext, i: int) -> FpSubspace:
     exactly, for every group.  For an abelian G, T = {1} and the ideal is
     K itself, with no elimination.
     """
-    return _centre_translates(ctx, omega_central(ctx, i))
-
-
-@memoized
-def _centre_translates(ctx: AlgebraContext, K: FpSubspace) -> FpSubspace:
-    """sum_{t in T} K e_t, which is K F_pG for K an ideal of Z(F_pG) (see
-    omega_central_ideal); memoized on ctx by the content of K, which
-    repeats in i.  The central elements are the singleton classes of
-    class_representatives, and T holds the least element of each coset
-    gZ(G), 1 among them."""
-    rep, n = ctx.class_representatives(), ctx.dim
-    central = np.flatnonzero(np.bincount(rep, minlength=n) == 1)
-    T = np.flatnonzero(ctx.group.table[:, central].min(axis=1) == np.arange(n))
+    s = len(_central_chain(ctx))
+    if i > s:
+        return omega_central_ideal(ctx, s)
+    K, n = omega_central(ctx, i), ctx.dim
+    centre = list(characteristic_subgroup(ctx.group, "center").elements)
+    T = np.flatnonzero(ctx.group.table[:, centre].min(axis=1) == np.arange(n))
     if len(T) == 1:
         return K
     return FpSubspace(ctx.p, n, ctx.right_translates(K.basis, T))

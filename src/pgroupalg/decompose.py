@@ -65,10 +65,12 @@ def split_cyclic(G: PGroup, h: int) -> tuple[Subgroup, Subgroup]:
     is a complement of the central <h>, so G = <h> x G_0.  The algebra
     split follows: I(<h>)F_pG is the kernel of F_pG -> F_p[G/<h>], and
     F_pG_0 maps isomorphically onto F_p[G/<h>], so F_pG = I(<h>)F_pG ⊕
-    F_pG_0.  Raises as retraction_complement does: GroupError unless h is
-    central, RetractionError when h has no retraction.  Recovery reads
-    G_0 alone (_find_split_element)."""
-    return Subgroup.generated(G, (h,)), retraction_complement(G, h)
+    F_pG_0.  Raises as retraction_complement does, before <h> is formed:
+    GroupError unless h is an element of G and central, RetractionError
+    when h has no retraction.  Recovery reads G_0 alone
+    (_find_split_element)."""
+    G0 = retraction_complement(G, h)
+    return Subgroup.generated(G, (h,)), G0
 
 
 def _coset_candidates(ctx: AlgebraContext, target) -> list[int]:
@@ -86,14 +88,13 @@ def _find_split_element(G: PGroup, ctx: AlgebraContext, target,
     element order, with e_h - 1 = target mod I(G)^2 that splits off:
     G = <h> x G_0, G_0 = retraction_complement(G, h), as split_cyclic
     proves, with no <h> formed."""
-    T = G.table
-    q = G.p ** s
+    q, centre = G.p ** s, characteristic_subgroup(G, "center").elements
     rejected = []  # (element, the check it failed)
     for g in _coset_candidates(ctx, target):
         if G.element_order(g) != q:
             rejected.append((g, f"order {G.element_order(g)}"))
             continue
-        if not np.array_equal(T[g], T[:, g]):
+        if g not in centre:
             rejected.append((g, "not central"))
             continue
         try:

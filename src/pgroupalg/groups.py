@@ -493,8 +493,10 @@ def jennings_basis(G: PGroup) -> tuple[tuple[int, int], ...]:
     return tuple(basis)
 
 
+@memoized
 def quotient_group(G: PGroup, N: Subgroup) -> tuple[PGroup, np.ndarray]:
-    """(G/N, coset), coset[g] the index of gN in G/N, read-only.
+    """(G/N, coset), coset[g] the index of gN in G/N, read-only; memoized
+    on G by N, so the checks run once and callers share G/N and its context.
 
     The cosets are indexed by their least elements in ascending order, so
     N itself, the coset of 0, is index 0.  N is normal, so gN hN = ghN:
@@ -513,12 +515,34 @@ def quotient_group(G: PGroup, N: Subgroup) -> tuple[PGroup, np.ndarray]:
     return PGroup._trusted(G.p, table, f"{G.name}/N{N.order}"), coset
 
 
+@memoized
 def r_subquotient(G: PGroup, i: int) -> Subgroup:
-    """R_i(G), read in place as a subgroup of G/(agemo_i * derived)."""
+    """R_i(G), in place in G/(agemo_i * derived); memoized on G."""
     Q, coset = quotient_group(G, agemo_derived(G, i))
     # G' lies in the kernel, so this is the image of Omega_i(Z(G))
     return Subgroup.generated(
         Q, coset[list(omega_center_derived(G, i).elements)])
+
+
+def word_exponents(G: PGroup, basis) -> np.ndarray:
+    """exps[g] = (b_1, ..., b_d) with g = x_1^b_1 ... x_d^b_d, 0 <= b_j <
+    o_j, for the pairs (x_j, o_j) of basis, read-only, each word built by
+    gathers; raises GroupError unless the words give each element once."""
+    orders = [o for _, o in basis]
+    words, free = np.zeros(1, dtype=np.int64), math.prod(orders) == G.order
+    for x, o in basis if free else ():
+        blocks = [words]
+        for _ in range(o - 1):
+            blocks.append(G.table[blocks[-1], x])
+        words = np.concatenate(blocks)
+    if not (free and _mask(G.order, words).all()):
+        raise GroupError("the words in the basis do not give each element "
+                         "exactly once")
+    exps = np.empty((G.order, len(basis)), dtype=np.int64)
+    exps[words] = (np.arange(G.order)[:, None]
+                   // np.cumprod([1, *orders[:-1]]) % orders)
+    exps.setflags(write=False)
+    return exps
 
 
 def abelian_invariants(A: PGroup | Subgroup) -> tuple[int, ...]:
@@ -805,36 +829,22 @@ def _abelian_basis(A: PGroup) -> list[tuple[int, int]]:
 def retraction_complement(G: PGroup, h: int) -> Subgroup:
     """Kernel of a homomorphism chi: G -> <h> with chi(h) = h.
 
-    Solved on the abelianization; raises RetractionError when no such chi
-    exists (h then admits no complement through this route).  The kernel K
-    is a complement of <h> by construction, so it is not checked: chi
-    fixes <h>, so <h> ∩ K = 1, and chi is onto <h>, so |K| = |G|/|h|;
-    both are normal, h being central.
+    Solved on G/G', in the coordinates of its _abelian_basis; raises
+    GroupError unless h is a central element of G, and RetractionError
+    when no such chi exists (h then admits no complement through this
+    route).  The kernel K is a complement of <h> by construction, so it is
+    not checked: chi fixes <h>, so <h> ∩ K = 1, and chi is onto <h>, so
+    |K| = |G|/|h|; both are normal, h being central.
     """
-    T = G.table
-    if not np.array_equal(T[h], T[:, h]):
+    m = G.element_order(h)  # an index out of range fails here
+    if h not in characteristic_subgroup(G, "center").elements:
         raise GroupError("h must be central")
-    m = G.element_order(h)
     if m == 1:
         return full_subgroup(G)
-    derived = characteristic_subgroup(G, "derived")
-    A, coset = quotient_group(G, derived)
+    A, coset = quotient_group(G, characteristic_subgroup(G, "derived"))
     basis = _abelian_basis(A)
-    # coords[x], the coordinates of x in the basis: the elements
-    # prod g_i^{c_i} in itertools.product order of their c, one gather per
-    # basis element of the products so far with its powers
-    elems = np.zeros(1, dtype=np.int64)
-    for g, o in basis:
-        powers = np.zeros(o, dtype=np.int64)
-        for k in range(1, o):
-            powers[k] = A.table[powers[k - 1], g]
-        elems = A.table[elems[:, None], powers].ravel()
-    if not np.array_equal(np.sort(elems), np.arange(A.order)):
-        raise GroupError("abelian basis does not generate G/G' freely")
-    coords = np.empty((A.order, len(basis)), dtype=np.int64)
-    coords[elems] = list(itertools.product(*(range(o) for _, o in basis)))
-    c = coords[coset[h]]
-    images = coords[coset]
+    coords = word_exponents(A, basis)  # raises unless G/G' is free on it
+    c, images = coords[coset[h]], coords[coset]
     allowed = [range(0, m, m // math.gcd(o, m)) for _, o in basis]
     for xs in itertools.product(*allowed):
         if int(c @ xs) % m == 1:

@@ -90,7 +90,7 @@ def cyclic_factor_test(G: PGroup, i: int) -> tuple[bool, int]:
     cross-checked against exp(R_i(G)), read off R's elements in Q.
     """
     R = r_subquotient(G, i)
-    ctxQ = AlgebraContext(R.parent)
+    ctxQ = AlgebraContext.of(R.parent)
     ideal = normal_subgroup_ideal(ctxQ, R)
     exponent = unit_exponent_commutative(ctxQ, ideal)
     # proof-of-lemma equality: exp(1 + I(R_i)F_pQ) = exp(R_i(G))

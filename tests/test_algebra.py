@@ -9,6 +9,8 @@ import weakref
 import numpy as np
 import pytest
 
+import pgroupalg.algebra as algebra
+import pgroupalg.fplin as fplin
 from pgroupalg.algebra import (AlgebraContext, AlgebraError,
                                AugmentedSubalgebra, frattini_quotient,
                                frobenius_chain, group_algebra_subalgebra,
@@ -167,13 +169,30 @@ def test_omega_central_is_closed_under_products(G):
                          + builtin_catalog(p=3, max_order=81)
                          + builtin_catalog(p=5, max_order=125),
                          ids=lambda G: G.name)
-def test_omega_central_ideal_matches_all_translates(G):
+def test_omega_central_ideal_matches_all_translates(G, monkeypatch):
     # omega_central_ideal takes the right translates of K = Omega_i(Z(I(G)))
-    # over a transversal of the centre only; right_ideal takes all |G|
+    # over a transversal of the centre only; right_ideal takes all |G|.
+    # K_i grows strictly up to K_s = Z(I(G)), s the length of the
+    # Frobenius chain of Z(I(G)), so the ideal is memoized by min(i, s):
+    # one object for every i >= s, and one elimination per distinct
+    # min(i, s) on a nonabelian G, none on an abelian one
     ctx = AlgebraContext(G)
-    for i in range(1, round(math.log(G.exponent(), G.p)) + 1):
-        assert omega_central_ideal(ctx, i) == \
-            right_ideal(ctx, omega_central(ctx, i)), i
+    s = len(algebra._central_chain(ctx))
+    dims = [omega_central(ctx, i).dim for i in range(s + 1)]
+    assert dims == sorted(set(dims)) and dims[0] == 0
+    assert omega_central(ctx, s) == ctx.central_ideal_part()
+    real, calls = fplin.rref, []
+    with monkeypatch.context() as mp:
+        mp.setattr(fplin, "rref", lambda A, p: calls.append(p) or real(A, p))
+        got = {i: omega_central_ideal(ctx, i)
+               for i in range(1, round(math.log(G.exponent(), G.p)) + 3)}
+        capped = {min(i, s) for i in got}
+        assert len(calls) == (0 if G.is_abelian() else len(capped))
+        top = omega_central_ideal(ctx, s)
+    assert len(calls) == (0 if G.is_abelian() else len(capped | {s}))
+    for i, ideal in got.items():
+        assert i < s or ideal is top, i
+        assert ideal == right_ideal(ctx, omega_central(ctx, i)), i
 
 
 def test_omega_central_enumeration_cap():

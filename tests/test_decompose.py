@@ -21,7 +21,7 @@ from pgroupalg.decompose import (certify_indecomposable,
                                  find_group_basis_commutative, lambda_map,
                                  recover_decomposition, split_cyclic)
 from pgroupalg.fplin import FpSubspace
-from pgroupalg.groups import (PGroup, RetractionError, Subgroup,
+from pgroupalg.groups import (GroupError, PGroup, RetractionError, Subgroup,
                               abelian_invariants, agemo_derived,
                               all_subgroups, catalog_build,
                               characteristic_subgroup,
@@ -286,6 +286,20 @@ def test_split_cyclic_rejects_non_factor():
     h = next(g for g in range(4) if C4.element_order(g) == 2)
     with pytest.raises(RetractionError):
         split_cyclic(C4, h)
+
+
+@pytest.mark.parametrize("name, h, error", [
+    ("C2xC4", 8, "element index 8 out of range"),
+    ("C2xC4", 99, "element index 99 out of range"),
+    ("C2xC4", -1, "element index -1 out of range"),
+    ("D8", 1, "h must be central")])
+def test_split_refuses_an_element_that_is_not_central(name, h, error):
+    # the range is checked before the centre, so the error names it
+    G = catalog_by_name(name)
+    assert h not in characteristic_subgroup(G, "center").elements
+    for split in (retraction_complement, split_cyclic):
+        with pytest.raises(GroupError, match=error):
+            split(G, h)
 
 
 def test_find_group_basis_commutative():

@@ -25,7 +25,8 @@ from pgroupalg.groups import (GroupError, OracleCapExceeded, PGroup,
                               jennings_series,
                               quotient_group, r_subquotient,
                               retraction_complement,
-                              split_into_indecomposables, subgroup_to_pgroup)
+                              split_into_indecomposables, subgroup_to_pgroup,
+                              word_exponents)
 
 from oracles import (commutator, conjugate, has_cyclic_factor_of_order,
                      least_failing_triple, normal_subgroups, power)
@@ -592,6 +593,57 @@ def test_retraction_complement_nonabelian():
     assert is_internal_direct_product(G, Subgroup.generated(G, [h]), K)
     Kp, _ = subgroup_to_pgroup(K)
     assert Kp.order == 8 and not Kp.is_abelian()
+
+
+def _rebuilt(G, basis, exps):
+    """The element x_1^b_1 ... x_d^b_d of each row b of exps, by single
+    lookups."""
+    out = []
+    for row in exps.tolist():
+        acc = 0
+        for (x, _), b in zip(basis, row):
+            acc = G.mul(acc, power(G, x, b))
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("G", builtin_catalog(p=2, max_order=64)
+                         + builtin_catalog(p=3, max_order=81)
+                         + builtin_catalog(p=5, max_order=125),
+                         ids=lambda G: G.name)
+def test_word_exponents_rebuild_every_element(G):
+    # in G's Jennings basis, every generator of order p, and in the
+    # abelian basis of G/G': the exponents of each element, each below its
+    # generator's order, rebuild it; a basis that repeats a generator,
+    # with the same product of orders or another, is refused
+    A, _ = quotient_group(G, characteristic_subgroup(G, "derived"))
+    for H, basis in ((G, [(x, G.p) for x, _ in jennings_basis(G)]),
+                     (A, _abelian_basis(A))):
+        exps = word_exponents(H, basis)
+        assert not exps.flags.writeable
+        assert ((0 <= exps) & (exps < [o for _, o in basis])).all()
+        assert _rebuilt(H, basis, exps) == list(range(H.order)), H.name
+        (x, m), rest = basis[0], basis[1:]
+        repeats = [[(x, m), *basis]]
+        if rest:
+            repeats.append([(x, m), (x, rest[0][1]), *rest[1:]])
+        for repeated in repeats:
+            with pytest.raises(GroupError, match="exactly once"):
+                word_exponents(H, repeated)
+
+
+def test_retraction_refuses_a_basis_that_is_not_free(monkeypatch):
+    # the retraction reads coordinates in G/G' only on a basis that gives
+    # each element once: here the first generator twice
+    real = groups._abelian_basis
+
+    def repeated(A):
+        (x, m), (_, o) = real(A)
+        return [(x, m), (x, o)]
+
+    monkeypatch.setattr(groups, "_abelian_basis", repeated)
+    with pytest.raises(GroupError, match="exactly once"):
+        retraction_complement(catalog_by_name("C2xC4"), 1)
 
 
 def test_subgroup_validation():

@@ -27,6 +27,7 @@ import pgroupalg.algebra as algebra
 import pgroupalg.cli as cli
 import pgroupalg.fplin as fplin
 import pgroupalg.decompose as decompose
+import pgroupalg.groups as groups
 from pgroupalg.algebra import (AlgebraContext, AlgebraError,
                                AugmentedSubalgebra, augmentation_part,
                                frattini_quotient, frobenius_chain,
@@ -605,6 +606,45 @@ def test_lemma_checks_eliminate_few_rows(bench_fixtures, monkeypatch):
                 assert cli._lemmas(G, None)["pass"], item["id"]
         totals[workload] = sum(rows)
     assert totals["identities"] <= 2500 and totals["odd-p"] <= 900, totals
+
+
+def test_a_lattice_pass_builds_each_quotient_once(bench_fixtures, monkeypatch,
+                                                  tmp_path):
+    # every item of the lattice workload at seed 1 through cli.run, each on
+    # a fresh group: one quotient group, one AlgebraContext and one
+    # class-sum table per distinct (group, normal subgroup) that the
+    # cyclic-factor items ask for, 38 in all; 58 when cyclic_factor_test
+    # built a fresh quotient and context for each i
+    real_quotient, real_trusted = groups.quotient_group, \
+        PGroup._trusted.__func__
+    real_init, asked, quotients, contexts = AlgebraContext.__init__, {}, [], []
+
+    def quotient_group(G, N):
+        asked[id(G), N.elements] = G  # keeps G, so its id is not reused
+        return real_quotient(G, N)
+
+    def trusted(cls, p, table, name=""):
+        Q = real_trusted(cls, p, table, name)
+        if sys._getframe(1).f_code.co_name == "quotient_group":
+            quotients.append(Q)
+        return Q
+
+    def init(ctx, group):
+        real_init(ctx, group)
+        contexts.append(ctx)
+
+    monkeypatch.setattr(groups, "quotient_group", quotient_group)
+    monkeypatch.setattr(PGroup, "_trusted", classmethod(trusted))
+    monkeypatch.setattr(AlgebraContext, "__init__", init)
+    path, out = tmp_path / "input.json", str(tmp_path / "report.json")
+    for item, data in bench_fixtures.workload_items("lattice", 1):
+        path.write_text(json.dumps(data))
+        assert cli.run([item["command"], "--input", str(path),
+                        "--out", out]) == 0, item["id"]
+    tables = sum(("class_sum_powers",) in ctx._memo for ctx in contexts)
+    assert {id(ctx.group) for ctx in contexts} <= {id(Q) for Q in quotients}
+    assert (len(asked), len(quotients), len(contexts), tables) == \
+        (38, 38, 38, 38)
 
 
 def assert_invariants_agree(B, want, label):

@@ -18,7 +18,9 @@ since nothing in the library calls that body.  An entry kept as a
 mentions, so it cannot outlive the binding.  It also fails on a name that
 a library module other than ``__init__.py`` imports and never reads, and
 on a README whose list of named checks differs from the names that the
-library's ``VerificationError``s carry.
+library's ``VerificationError``s carry, and on a library call that builds
+an ``AlgebraContext`` anywhere but in ``AlgebraContext.of``, which keeps
+one context per group.
 """
 
 import ast
@@ -333,3 +335,43 @@ def test_raised_checks_are_found():
     assert _raised_checks({"m": text}) == {"one", "two"}
     with pytest.raises(AssertionError):
         _raised_checks({"m": "VerificationError(name)"})
+
+
+def _fresh_contexts(sources):
+    """(module, enclosing definition) of every call that builds an
+    AlgebraContext outside AlgebraContext.of: a call of the name
+    AlgebraContext, bare or as an attribute, or of cls in its class."""
+    found = set()
+    for name, text in sources.items():
+        for klass, owner, _, node in _scopes(ast.parse(text)):
+            if not isinstance(node, ast.Call) or owner == "AlgebraContext.of":
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee == "AlgebraContext" or (
+                    callee == "cls" and klass == "AlgebraContext"):
+                found.add((name, owner))
+    return found
+
+
+def test_library_builds_contexts_only_in_of():
+    assert not _fresh_contexts(_library())
+
+
+def test_fresh_contexts_are_found():
+    text = textwrap.dedent("""
+        class AlgebraContext:
+            @classmethod
+            def of(cls, G):
+                return cls(G)
+            @classmethod
+            def fresh(cls, G):
+                return cls(G)
+        def shared(G):
+            return AlgebraContext.of(G)
+        def built(G):
+            return AlgebraContext.of(G), AlgebraContext(G)
+        def qualified(G):
+            return algebra.AlgebraContext(G)
+    """)
+    assert _fresh_contexts({"m": text}) == {
+        ("m", "AlgebraContext.fresh"), ("m", "built"), ("m", "qualified")}
